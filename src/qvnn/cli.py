@@ -69,10 +69,6 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _load(config: str) -> tuple[NetworkModel, dict]:
-    return load_model(config)
-
-
 # ---- certify ---------------------------------------------------------------------
 
 
@@ -93,12 +89,15 @@ def _certify_model(model: NetworkModel, margin_tol: float, seed: int,
 
 
 def cmd_certify(args) -> int:
-    model, doc = _load(args.config)
+    model, doc = load_model(args.config)
     started = _now()
     result, dv, timings = _certify_model(model, args.margin_tol, args.seed)
     if result.status == "numerical_failure":
-        _emit({"status": result.status}, args.json,
-              ["status: numerical_failure (all solver restarts broke down)"])
+        _emit({"status": result.status, "failure_cause": result.failure_cause,
+               "stalled_line_searches": result.stalled_line_searches},
+              args.json,
+              ["status: numerical_failure (all solver restarts broke down)",
+               f"cause:  {result.failure_cause}"])
         return 3
 
     recheck = None
@@ -112,10 +111,11 @@ def cmd_certify(args) -> int:
         "solver_status": result.status,
         "margin": result.margin,
         "margin_tolerance": args.margin_tol,
-        "num_variables": build_var_count(model.n),
+        "num_variables": DecisionVars.num_scalars(model.n),
         "iterations": result.iterations,
         "outer_rounds": result.outer_rounds,
         "seed_used": result.seed_used,
+        "stalled_line_searches": result.stalled_line_searches,
         "timings": timings,
         "per_constraint_min_eig": result.per_constraint_min_eig,
         "config_hash": config_hash(doc),
@@ -175,10 +175,6 @@ def cmd_certify(args) -> int:
     return 0 if certified else 1
 
 
-def build_var_count(n: int) -> int:
-    return DecisionVars.num_scalars(n)
-
-
 # ---- simulate --------------------------------------------------------------------
 
 
@@ -228,8 +224,25 @@ def _simulate_one(model: NetworkModel, seed: int, args) -> dict:
     return entry
 
 
+def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars:
+    """The certificate's variables, refused unless it was made for this config."""
+    cert_doc = json.loads(Path(path).read_text())
+    if not isinstance(cert_doc, dict) or "variables" not in cert_doc:
+        raise QvnnError(f"certificate {path} has no variables")
+    expected = config_hash(doc)
+    if cert_doc.get("config_hash") != expected:
+        raise QvnnError(f"certificate {path} belongs to another config "
+                        f"(hash {cert_doc.get('config_hash')}, this config "
+                        f"{expected})")
+    if cert_doc.get("n") != model.n:
+        raise QvnnError(f"certificate {path} is for n = {cert_doc.get('n')}, "
+                        f"this config has n = {model.n}")
+    return DecisionVars.from_json(cert_doc["variables"])
+
+
 def cmd_simulate(args) -> int:
-    model, doc = _load(args.config)
+    model, doc = load_model(args.config)
+    cert_dv = None if args.lkf is None else _load_certificate(args.lkf, model, doc)
     started = _now()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,8 +280,8 @@ def cmd_simulate(args) -> int:
                 f"{str(entry['envelope_bounded']):>8}")
 
     lkf_report = None
-    if args.lkf is not None:
-        lkf_report = _lkf_along_run(model, first_traj, args, out_dir)
+    if cert_dv is not None:
+        lkf_report = _lkf_along_run(model, cert_dv, first_traj, args, out_dir)
         if lkf_report is not None:
             outputs.append(lkf_report["csv"])
             lines.append(f"lkf:    max rise {lkf_report['max_rise']:.3e} "
@@ -303,11 +316,9 @@ def cmd_simulate(args) -> int:
     return 0 if ok else 1
 
 
-def _lkf_along_run(model, first_traj, args, out_dir: Path):
+def _lkf_along_run(model, dv, first_traj, args, out_dir: Path):
     if first_traj is None:
         return None
-    cert_doc = json.loads(Path(args.lkf).read_text())
-    dv = DecisionVars.from_json(cert_doc["variables"])
     seed, traj = first_traj
     trace = lkf_trace(traj, model, dv, stride=args.lkf_stride)
     csv_path = out_dir / f"lkf_seed{seed}.csv"
@@ -350,7 +361,7 @@ def _probe(doc: dict, param: str, value: float, margin_tol: float,
 
 
 def cmd_margin(args) -> int:
-    _model, doc = _load(args.config)
+    _model, doc = load_model(args.config)
     try:
         lo_text, hi_text = args.bracket.split(",")
         lo, hi = float(lo_text), float(hi_text)

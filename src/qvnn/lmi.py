@@ -246,14 +246,10 @@ def assemble_blocks(num_blocks: int, n: int,
     return HermitianQuatMatrix(a1, a2)
 
 
-def _cdiag(model: NetworkModel) -> np.ndarray:
-    return model.c_diag
-
-
 def omega_upper_blocks(model: NetworkModel,
                        dv: DecisionVars) -> dict[tuple[int, int], QuatMatrix]:
     """The 27 authored blocks of Omega, keyed by 1-based (row, col)."""
-    c = _cdiag(model)
+    c = model.c_diag
     g = model.gamma_diag
     a, b = model.a_mat, model.b_mat
     delta, d1, d2 = model.delta, model.d1_bound, model.d2_bound

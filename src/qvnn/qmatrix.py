@@ -319,10 +319,6 @@ def qv_components(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     return np.stack([v[0].real, v[0].imag, v[1].real, v[1].imag], axis=1)
 
-def qv_zeros(n: int) -> np.ndarray:
-    return np.zeros((2, n), dtype=np.complex128)
-
-
 def mat_vec(m: QuatMatrix, v: np.ndarray) -> np.ndarray:
     """Quaternion matrix times quaternion vector, both in pair representation."""
     v = np.asarray(v, dtype=np.complex128)

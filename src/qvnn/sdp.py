@@ -22,6 +22,21 @@ pins the scale of the otherwise homogeneous problem. The classical barrier
 bound gives  t_opt - t(mu) <= nu * mu  with nu the total cone dimension, so
 the outer loop stops once nu * mu is far below the margin tolerance.
 
+Each Newton step works from the sparsity of the coefficients, in the spirit
+of the F1-F3 Schur-complement formulas of Fujisawa, Kojima & Nakata (Math.
+Prog. 79, 1997). With W = (G_k - t I)^-1, taken from the Cholesky factor the
+line search accepted, the block adds
+
+    grad_i = -<W, A_i>,   H_ij = <S_i, A_j>,   S_i = W A_i W,
+
+and the margin column, whose coefficient is -I, adds tr W, ||W||_F^2 and
+-tr S_i. A_i vanishes outside its row support R, so S_i = W[:, R] A_i[R, R]
+W[R, :] is batched over the variables sharing R, and <S_i, A_j> is one
+sparse product per group. Blocks of side at most ``_DENSE_BLOCK_DIM`` form W A_i
+densely for their active variables instead. Every factorization and solve
+uses ``numpy.linalg``: scipy ships its own OpenBLAS, and alternating between
+the two runtimes' thread pools inside the loop cost more than the step.
+
 A WARNING for readers comparing with production interior-point codes: this is
 a feasibility engine, not a general-purpose SDP solver. It has no dual
 iterates, no infeasibility certificates, and no presolve beyond
@@ -34,14 +49,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .errors import InputError, NumericalError
-from .lowering import StandardSdp
+from .lowering import AffineLmi, StandardSdp
 
 _SEED_RETRIES = 5
 _ARMIJO_SLOPE = 0.25
 _MIN_STEP = 1e-13
+_DENSE_BLOCK_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +91,12 @@ class FeasibilityResult:
     wall_time: float
     seed_used: int = 0
     trace: list[OuterRecord] = field(default_factory=list)
+    # message of the last NumericalError met: the cause of a numerical
+    # failure, or of the seed restarts before a result; None if none occurred
+    failure_cause: str | None = None
+    # line searches that found no acceptable step, so centering stopped early
+    # at the current point (counted over the run that produced the result)
+    stalled_line_searches: int = 0
 
 
 @dataclass
@@ -106,30 +128,108 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
                                np.linalg.norm(lmi.coeffs.reshape(m, -1), axis=1))
     dropped = tuple(int(i) for i in np.nonzero(norms == 0.0)[0])
     factors = np.where(norms == 0.0, 1.0, norms)
-    from .lowering import AffineLmi
     lmis = [AffineLmi(l.name, l.sense, l.constant.copy(),
                       l.coeffs / factors[:, None, None]) for l in sdp.lmis]
     scaled = StandardSdp(num_vars=m, lmis=lmis, var_map=sdp.var_map)
     return scaled, ScalingRecord(factors=factors, dropped=dropped)
 
 
-def _oriented_system(sdp: StandardSdp, allow_constant: bool):
-    consts, coeffs, names = [], [], []
-    for lmi in sdp.lmis:
-        c, a = lmi.oriented()
-        if a.size and np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > 1e-12:
-            raise InputError(f"constraint {lmi.name} has non-symmetric coefficients")
-        consts.append((c + c.T) / 2.0)
-        coeffs.append(a)
-        names.append(lmi.name)
-    if not allow_constant and any(np.max(np.abs(c)) > 0 for c in consts):
+class _Block:
+    """One oriented constraint C + sum_i x_i A_i > 0, stored by support.
+
+    ``active`` holds the variables with a nonzero coefficient; ``coeffs`` is
+    their flattened A_i as CSR rows, in the same order. Blocks larger than
+    ``_DENSE_BLOCK_DIM`` keep ``groups``: (row support R, rows of ``active``
+    sharing it, their dense A_i[R, R]). Smaller ones keep ``dense``, the full
+    A_i of their active variables.
+    """
+
+    def __init__(self, lmi: AffineLmi):
+        sign = 1.0 if lmi.sense == "pd" else -1.0
+        c = sign * lmi.constant
+        self.name = lmi.name
+        self.dim = d = c.shape[0]
+        self.constant = (c + c.T) / 2.0
+        a = lmi.coeffs
+        # row and column support per variable; the reductions cast to bool
+        # in chunks, so no temporary of the size of ``a`` is made
+        support = a.any(axis=2) | a.any(axis=1)
+        by_support: dict[tuple[int, ...], list[int]] = {}
+        for i in np.flatnonzero(support.any(axis=1)):
+            by_support.setdefault(tuple(np.flatnonzero(support[i])), []).append(i)
+        active, subs = [], []
+        rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+        for rset, members in by_support.items():
+            r = np.array(rset)
+            sub = sign * a[np.asarray(members)[:, None, None], r[:, None], r]
+            if np.max(np.abs(sub - sub.transpose(0, 2, 1))) > 1e-12:
+                raise InputError(f"constraint {lmi.name} has non-symmetric "
+                                 "coefficients")
+            start = len(active)
+            subs.append((r, slice(start, start + len(members)), sub))
+            active.extend(members)
+            k, p, q = np.nonzero(sub)
+            rows.append(start + k)
+            cols.append(r[p] * d + r[q])
+            vals.append(sub[k, p, q])
+        self.active = np.array(active, dtype=np.intp)
+        k_act = len(active)
+        self.coeffs = scipy.sparse.csr_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(k_act, d * d))
+        self.coeffs_t = self.coeffs.T
+        self.groups = self.dense = None
+        if d > _DENSE_BLOCK_DIM:
+            # A_i[b, a] stored at [b, (a, i)], so that one product with
+            # W[:, R] gives W A_i for the whole group
+            self.groups = [(r, rows_of, sub.transpose(1, 2, 0).reshape(len(r), -1))
+                           for r, rows_of, sub in subs]
+        else:
+            self.dense = np.zeros((k_act, d, d))
+            for r, rows_of, sub in subs:
+                self.dense[rows_of, r[:, None], r] = sub
+
+    def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """C + sum_i x_i A_i - t I at the full variable vector x."""
+        s = self.constant + (self.coeffs_t @ x[self.active]).reshape(
+            self.dim, self.dim)
+        s.flat[::self.dim + 1] -= t
+        return s
+
+    def grad_hess(self, chol: np.ndarray):
+        """Barrier derivatives of -log det at the point whose factor is chol.
+
+        Returns (grad over ``active``, grad in t, Hessian over ``active``,
+        its t column over ``active``, its (t, t) entry).
+        """
+        linv = np.linalg.inv(chol)
+        w = linv.T @ linv
+        d, k = self.dim, len(self.active)
+        grad = -(self.coeffs @ w.ravel())
+        hess_t = -(self.coeffs @ (w @ w).ravel())             # -tr(W A_i W)
+        if self.groups is None:
+            prods = np.matmul(w, self.dense)                   # W A_i
+            hess = prods.reshape(k, d * d) @ \
+                prods.transpose(0, 2, 1).reshape(k, d * d).T
+        else:
+            hess = np.empty((k, k))
+            for r, rows_of, acat in self.groups:
+                wr = w[r]                                      # W[R, :]
+                kg = rows_of.stop - rows_of.start
+                # (A_i W[R, :])[a, q] at [a, (q, i)], then S_i[p, q] at
+                # [(p, q), i]: the layout the sparse product reads
+                y = (wr.T @ acat).reshape(d, len(r), kg).transpose(1, 0, 2)
+                s = wr.T @ y.reshape(len(r), d * kg)
+                hess[:, rows_of] = self.coeffs @ s.reshape(d * d, kg)
+        return grad, float(np.trace(w)), hess, hess_t, float(np.sum(w * w))
+
+
+def _structure(sdp: StandardSdp, allow_constant: bool) -> list[_Block]:
+    blocks = [_Block(lmi) for lmi in sdp.lmis]
+    if not allow_constant and any(np.max(np.abs(b.constant)) > 0 for b in blocks):
         raise InputError("system has constant terms; pass allow_constant=True "
                          "only for explicitly inhomogeneous test problems")
-    return consts, coeffs, names
-
-
-def _eval_blocks(consts, coeffs_aug, z):
-    return [c + np.tensordot(z, a, axes=1) for c, a in zip(consts, coeffs_aug)]
+    return blocks
 
 
 def _try_cholesky(mat):
@@ -139,12 +239,12 @@ def _try_cholesky(mat):
         return None
 
 
-def _in_domain(consts, coeffs_aug, z, radius, m):
+def _in_domain(blocks, z, radius, m):
     if np.any(np.abs(z[:m]) >= radius):
         return None
     chols = []
-    for s in _eval_blocks(consts, coeffs_aug, z):
-        l = _try_cholesky(s)
+    for block in blocks:
+        l = _try_cholesky(block.evaluate(z[:m], z[m]))
         if l is None:
             return None
         chols.append(l)
@@ -157,23 +257,21 @@ def _barrier_value(chols, z, radius, m, mu):
     return -z[m] / mu - logdets - box
 
 
-def _grad_hess(consts, coeffs_aug, z, radius, m, mu):
-    """Gradient and Hessian of the barrier objective at an interior point z."""
-    nvar = m + 1
-    grad = np.zeros(nvar)
-    hess = np.zeros((nvar, nvar))
+def _grad_hess(blocks, chols, z, radius, m, mu):
+    """Gradient and Hessian of the barrier objective at an interior point z,
+    given the Cholesky factors of every block at z."""
+    grad = np.zeros(m + 1)
+    hess = np.zeros((m + 1, m + 1))
     grad[m] -= 1.0 / mu
-    for c, a in zip(consts, coeffs_aug):
-        s = c + np.tensordot(z, a, axes=1)
-        l = _try_cholesky(s)
-        if l is None:
-            return None, None
-        w = scipy.linalg.cho_solve((l, True), np.eye(s.shape[0]), check_finite=False)
-        prods = np.matmul(w[None, :, :], a)          # S^-1 A_i, batched
-        grad -= np.trace(prods, axis1=1, axis2=2)
-        flat = prods.reshape(nvar, -1)
-        flat_t = prods.transpose(0, 2, 1).reshape(nvar, -1)
-        hess += flat @ flat_t.T
+    for block, l in zip(blocks, chols):
+        g, g_t, h, h_t, h_tt = block.grad_hess(l)
+        idx = block.active
+        grad[idx] += g
+        grad[m] += g_t
+        hess[np.ix_(idx, idx)] += h
+        hess[idx, m] += h_t
+        hess[m, idx] += h_t
+        hess[m, m] += h_tt
     xs = z[:m]
     grad[:m] += 1.0 / (radius - xs) - 1.0 / (radius + xs)
     idx = np.arange(m)
@@ -181,36 +279,39 @@ def _grad_hess(consts, coeffs_aug, z, radius, m, mu):
     return grad, (hess + hess.T) / 2.0
 
 
-def _newton_center(consts, coeffs_aug, z, radius, m, mu, cfg, chols):
-    """Damped Newton minimization of the barrier subproblem. Returns (z, steps)."""
+def _newton_center(blocks, z, radius, m, mu, cfg, chols):
+    """Damped Newton minimization of the barrier subproblem.
+
+    Returns (z, steps, chols, stalled): chols are the factors at the returned
+    z, and stalled is True when a line search found no acceptable step.
+    """
     steps = 0
+    eye = np.eye(m + 1)
     for _ in range(cfg.max_newton_iters):
-        grad, hess = _grad_hess(consts, coeffs_aug, z, radius, m, mu)
-        if grad is None or not np.all(np.isfinite(grad)):
+        grad, hess = _grad_hess(blocks, chols, z, radius, m, mu)
+        if not np.all(np.isfinite(grad)):
             raise NumericalError("barrier gradient evaluation left the domain")
         reg = 0.0
         for _attempt in range(60):
-            try:
-                factor = scipy.linalg.cho_factor(
-                    hess + reg * np.eye(m + 1), check_finite=False)
+            factor = _try_cholesky(hess + reg * eye)
+            if factor is not None:
                 break
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-                trace_scale = max(np.trace(hess) / (m + 1), 1.0)
-                reg = 2.0 * reg if reg > 0 else 1e-12 * trace_scale
+            trace_scale = max(np.trace(hess) / (m + 1), 1.0)
+            reg = 2.0 * reg if reg > 0 else 1e-12 * trace_scale
         else:
             raise NumericalError("Hessian factorization failed despite regularization")
-        direction = scipy.linalg.cho_solve(factor, -grad, check_finite=False)
+        direction = np.linalg.solve(factor.T, np.linalg.solve(factor, -grad))
         decrement = float(-grad @ direction)
         if not np.isfinite(decrement) or decrement < 0:
             raise NumericalError("Newton decrement is not finite")
         if decrement / 2.0 <= cfg.newton_tolerance:
-            return z, steps, chols
+            return z, steps, chols, False
         f0 = _barrier_value(chols, z, radius, m, mu)
         alpha = 1.0
         accepted = False
         while alpha > _MIN_STEP:
             cand = z + alpha * direction
-            cand_chols = _in_domain(consts, coeffs_aug, cand, radius, m)
+            cand_chols = _in_domain(blocks, cand, radius, m)
             if cand_chols is not None:
                 f1 = _barrier_value(cand_chols, cand, radius, m, mu)
                 if f1 <= f0 - _ARMIJO_SLOPE * alpha * decrement:
@@ -221,16 +322,13 @@ def _newton_center(consts, coeffs_aug, z, radius, m, mu, cfg, chols):
         steps += 1
         if not accepted:
             # stalled line search: treat the current point as centered enough
-            return z, steps, chols
-    return z, steps, chols
+            return z, steps, chols, True
+    return z, steps, chols, False
 
 
-def _constraint_min_eigs(consts, coeffs, names, x):
-    out = {}
-    for c, a, name in zip(consts, coeffs, names):
-        g = c + (np.tensordot(x, a, axes=1) if a.shape[0] else 0.0)
-        out[name] = float(np.linalg.eigvalsh(g)[0])
-    return out
+def _min_eig(blocks, x):
+    return min(float(np.linalg.eigvalsh(b.evaluate(x))[0]) for b in blocks) \
+        if blocks else 0.0
 
 
 def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
@@ -241,12 +339,9 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
     nondecreasing across outer rounds. Fixed seeds give identical runs.
     """
     cfg = config or SolverConfig()
-    consts, coeffs, names = _oriented_system(sdp, allow_constant)
+    blocks = _structure(sdp, allow_constant)
     m = sdp.num_vars
-    dims = [c.shape[0] for c in consts]
-    coeffs_aug = [np.concatenate([a, -np.eye(d)[None]], axis=0)
-                  for a, d in zip(coeffs, dims)]
-    nu = sum(dims) + 2 * m
+    nu = sum(b.dim for b in blocks) + 2 * m
     gap_target = min(0.05 * cfg.margin_tolerance, 1e-8)
     start = time.perf_counter()
 
@@ -255,36 +350,34 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
         seed = cfg.seed + attempt
         rng = np.random.default_rng(seed)
         x0 = 0.1 * cfg.trust_radius * rng.uniform(-1.0, 1.0, size=m)
-        base_eig = min(float(np.linalg.eigvalsh(
-            c + np.tensordot(x0, a, axes=1))[0]) for c, a in zip(consts, coeffs)) \
-            if consts else 0.0
+        base_eig = _min_eig(blocks, x0)
         t0 = base_eig - max(1.0, 0.1 * abs(base_eig))
         z = np.concatenate([x0, [t0]])
-        chols = _in_domain(consts, coeffs_aug, z, cfg.trust_radius, m)
+        chols = _in_domain(blocks, z, cfg.trust_radius, m)
         if chols is None:
             last_error = NumericalError("could not find an interior starting point")
             continue
         try:
-            # center the barrier weight so the start is balanced in t
-            pull = sum(float(np.trace(scipy.linalg.cho_solve((l, True),
-                       np.eye(l.shape[0]), check_finite=False))) for l in chols)
+            # center the barrier weight so the start is balanced in t:
+            # tr (LL^T)^-1 = ||L^-1||_F^2
+            pull = sum(float(np.sum(np.linalg.inv(l) ** 2)) for l in chols)
             mu = 1.0 / max(pull, 1e-12)
             best_t, best_x = -np.inf, None
             trace: list[OuterRecord] = []
             total_steps = 0
+            stalled = 0
             outer = 0
             while outer < cfg.max_outer_iters:
-                z, steps, chols = _newton_center(
-                    consts, coeffs_aug, z, cfg.trust_radius, m, mu, cfg, chols)
+                z, steps, chols, stall = _newton_center(
+                    blocks, z, cfg.trust_radius, m, mu, cfg, chols)
                 total_steps += steps
+                stalled += stall
                 outer += 1
                 t_now = float(z[m])
                 if t_now > best_t:
                     best_t, best_x = t_now, z[:m].copy()
-                min_eig = min(float(np.linalg.eigvalsh(
-                    c + np.tensordot(z[:m], a, axes=1))[0])
-                    for c, a in zip(consts, coeffs)) if consts else 0.0
-                trace.append(OuterRecord(outer, mu, t_now, min_eig, steps))
+                trace.append(OuterRecord(outer, mu, t_now,
+                                         _min_eig(blocks, z[:m]), steps))
                 if nu * mu <= gap_target:
                     break
                 mu *= cfg.barrier_shrink
@@ -292,10 +385,14 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
                       else "infeasible_at_tolerance")
             return FeasibilityResult(
                 status=status, margin=best_t, x=best_x,
-                per_constraint_min_eig=_constraint_min_eigs(consts, coeffs, names,
-                                                            best_x),
+                per_constraint_min_eig={
+                    b.name: float(np.linalg.eigvalsh(b.evaluate(best_x))[0])
+                    for b in blocks},
                 iterations=total_steps, outer_rounds=outer,
-                wall_time=time.perf_counter() - start, seed_used=seed, trace=trace)
+                wall_time=time.perf_counter() - start, seed_used=seed,
+                trace=trace,
+                failure_cause=str(last_error) if last_error else None,
+                stalled_line_searches=stalled)
         except NumericalError as exc:
             last_error = exc
             continue
@@ -303,53 +400,4 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
         status="numerical_failure", margin=-np.inf, x=None,
         per_constraint_min_eig={},
         iterations=0, outer_rounds=0, wall_time=time.perf_counter() - start,
-        seed_used=cfg.seed, trace=[])
-
-
-@dataclass
-class ProjectionResult:
-    found: bool
-    x: np.ndarray
-    margin: float
-    iterations: int
-
-
-def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
-                                  max_iters: int = 400, seed: int = 0,
-                                  allow_constant: bool = False) -> ProjectionResult:
-    """Second-opinion feasibility search by alternating projections.
-
-    Alternates between the eigenvalue clip of every constraint block onto
-    {S : S >= target_margin I} and the least-squares preimage in x. Declares
-    success only when the raw constraint margin reaches half the target, so a
-    positive answer always survives independent re-verification at that level.
-    """
-    if target_margin <= 0:
-        raise InputError("target margin must be positive")
-    consts, coeffs, names = _oriented_system(sdp, allow_constant)
-    m = sdp.num_vars
-    if m == 0:
-        margin = min(float(np.linalg.eigvalsh(c)[0]) for c in consts)
-        return ProjectionResult(margin >= 0.5 * target_margin, np.zeros(0), margin, 0)
-    em = np.concatenate([a.reshape(m, -1) for a in coeffs], axis=1)   # (m, D)
-    cvec = np.concatenate([c.ravel() for c in consts])
-    gram = em @ em.T
-    # tiny ridge: zero-coefficient variables would otherwise make gram singular
-    gram += 1e-12 * max(1.0, float(np.trace(gram)) / m) * np.eye(m)
-    factor = scipy.linalg.cho_factor(gram, check_finite=False)
-    rng = np.random.default_rng(seed)
-    x = 0.1 * rng.standard_normal(m)
-    margin = -np.inf
-    for it in range(1, max_iters + 1):
-        projected = []
-        for c, a in zip(consts, coeffs):
-            s = c + np.tensordot(x, a, axes=1)
-            w, v = np.linalg.eigh(s)
-            projected.append((v * np.maximum(w, target_margin)) @ v.T)
-        y = np.concatenate([p.ravel() for p in projected])
-        x = scipy.linalg.cho_solve(factor, em @ (y - cvec), check_finite=False)
-        margin = min(float(np.linalg.eigvalsh(
-            c + np.tensordot(x, a, axes=1))[0]) for c, a in zip(consts, coeffs))
-        if margin >= 0.5 * target_margin:
-            return ProjectionResult(True, x, margin, it)
-    return ProjectionResult(False, x, margin, max_iters)
+        seed_used=cfg.seed, trace=[], failure_cause=str(last_error))

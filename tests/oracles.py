@@ -5,9 +5,14 @@ the elementary algebra types with the package, so that agreement between the
 two code paths is meaningful evidence rather than a tautology.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
+import numpy as np
+import scipy.linalg
+
+from qvnn.errors import InputError
 from qvnn.lmi import DecisionVars
+from qvnn.lowering import StandardSdp
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
@@ -204,3 +209,98 @@ def random_decision_vars(rng: np.random.Generator, n: int) -> DecisionVars:
     return DecisionVars(
         m1=rng.normal(size=n), m2=rng.normal(size=n), m3=rng.normal(size=n),
         **herms, **gens)
+
+
+# ---------------------------------------------------------------------------
+# Dense barrier derivatives and a projection-based feasibility search, both
+# working on the full (num_vars, d, d) coefficient stacks of a standard SDP.
+# ---------------------------------------------------------------------------
+
+
+def _oriented(sdp: StandardSdp):
+    """(constant, coeffs) of every constraint, negated where it reads "< 0"."""
+    out = []
+    for lmi in sdp.lmis:
+        c, a = lmi.oriented()
+        out.append(((c + c.T) / 2.0, a))
+    return out
+
+
+def dense_grad_hess(sdp: StandardSdp, z: np.ndarray, radius: float, mu: float):
+    """Gradient and Hessian of the barrier objective of ``qvnn.sdp`` at z.
+
+    The margin t is the last entry of z and enters each block as -t I. Every
+    block forms S^-1 A_i for all variables, active or not, and the Hessian
+    is tr(S^-1 A_i S^-1 A_j) summed over blocks, plus the box terms.
+    """
+    m = sdp.num_vars
+    nvar = m + 1
+    grad = np.zeros(nvar)
+    hess = np.zeros((nvar, nvar))
+    grad[m] -= 1.0 / mu
+    for c, a in _oriented(sdp):
+        d = c.shape[0]
+        a = np.concatenate([a, -np.eye(d)[None]], axis=0)
+        s = c + np.tensordot(z, a, axes=1)
+        w = scipy.linalg.cho_solve((np.linalg.cholesky(s), True), np.eye(d))
+        prods = np.matmul(w[None, :, :], a)          # S^-1 A_i, batched
+        grad -= np.trace(prods, axis1=1, axis2=2)
+        flat = prods.reshape(nvar, -1)
+        flat_t = prods.transpose(0, 2, 1).reshape(nvar, -1)
+        hess += flat @ flat_t.T
+    xs = z[:m]
+    grad[:m] += 1.0 / (radius - xs) - 1.0 / (radius + xs)
+    idx = np.arange(m)
+    hess[idx, idx] += 1.0 / (radius - xs) ** 2 + 1.0 / (radius + xs) ** 2
+    return grad, (hess + hess.T) / 2.0
+
+
+@dataclass
+class ProjectionResult:
+    found: bool
+    x: np.ndarray
+    margin: float
+    iterations: int
+
+
+def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
+                                  max_iters: int = 400,
+                                  seed: int = 0) -> ProjectionResult:
+    """Second-opinion feasibility search by alternating projections.
+
+    Alternates between the eigenvalue clip of every constraint block onto
+    {S : S >= target_margin I} and the least-squares preimage in x. Declares
+    success only when the raw constraint margin reaches half the target, so a
+    positive answer always survives independent re-verification at that level.
+    """
+    if target_margin <= 0:
+        raise InputError("target margin must be positive")
+    blocks = _oriented(sdp)
+    consts = [c for c, _ in blocks]
+    coeffs = [a for _, a in blocks]
+    m = sdp.num_vars
+    if m == 0:
+        margin = min(float(np.linalg.eigvalsh(c)[0]) for c in consts)
+        return ProjectionResult(margin >= 0.5 * target_margin, np.zeros(0), margin, 0)
+    em = np.concatenate([a.reshape(m, -1) for a in coeffs], axis=1)   # (m, D)
+    cvec = np.concatenate([c.ravel() for c in consts])
+    gram = em @ em.T
+    # tiny ridge: zero-coefficient variables would otherwise make gram singular
+    gram += 1e-12 * max(1.0, float(np.trace(gram)) / m) * np.eye(m)
+    factor = scipy.linalg.cho_factor(gram, check_finite=False)
+    rng = np.random.default_rng(seed)
+    x = 0.1 * rng.standard_normal(m)
+    margin = -np.inf
+    for it in range(1, max_iters + 1):
+        projected = []
+        for c, a in zip(consts, coeffs):
+            s = c + np.tensordot(x, a, axes=1)
+            w, v = np.linalg.eigh(s)
+            projected.append((v * np.maximum(w, target_margin)) @ v.T)
+        y = np.concatenate([p.ravel() for p in projected])
+        x = scipy.linalg.cho_solve(factor, em @ (y - cvec), check_finite=False)
+        margin = min(float(np.linalg.eigvalsh(
+            c + np.tensordot(x, a, axes=1))[0]) for c, a in zip(consts, coeffs))
+        if margin >= 0.5 * target_margin:
+            return ProjectionResult(True, x, margin, it)
+    return ProjectionResult(False, x, margin, max_iters)

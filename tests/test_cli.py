@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+import qvnn.sdp
 from qvnn.cli import main
+from qvnn.errors import NumericalError
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
 
@@ -40,6 +42,7 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert report["margin"] >= 1e-6
     assert report["recheck_valid"] is True
     assert report["num_variables"] == 136
+    assert isinstance(report["stalled_line_searches"], int)
     assert len(report["per_constraint_min_eig"]) == 17
     assert min(report["per_constraint_min_eig"].values()) >= report["margin"] - 1e-9
 
@@ -241,3 +244,46 @@ def test_version_flag_prints_and_exits(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_simulate_refuses_a_certificate_of_another_config(tmp_path, capsys,
+                                                          stable_example_path):
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+                         "--out", str(cert))
+    assert code == 0
+    doc = json.loads(stable_example_path.read_text())
+    doc["delta"] = doc["delta"] * 1.1
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "simulate", str(other), "--seeds", "1",
+                           "--horizon", "0.1", "--step", "0.01",
+                           "--lkf", str(cert), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert "another config" in err
+    assert not (tmp_path / "o" / "summary.csv").exists()
+
+    # a matching hash with the wrong dimension is refused as well
+    cert_doc = json.loads(cert.read_text())
+    cert_doc["n"] = cert_doc["n"] + 1
+    cert.write_text(json.dumps(cert_doc))
+    code, _, err = run_cli(capsys, "simulate", str(stable_example_path),
+                           "--seeds", "1", "--horizon", "0.1", "--step", "0.01",
+                           "--lkf", str(cert), "--out-dir", str(tmp_path / "p"))
+    assert code == 2
+    assert "n = 3" in err
+
+
+def test_certify_json_reports_the_solver_run_record(capsys, stable_example_path,
+                                                    monkeypatch):
+    def broken(*args, **kwargs):
+        raise NumericalError("Hessian factorization failed despite regularization")
+
+    monkeypatch.setattr(qvnn.sdp, "_newton_center", broken)
+    code, out, _ = run_cli(capsys, "certify", str(stable_example_path), "--json")
+    assert code == 3
+    report = json.loads(out)
+    assert set(report) == {"status", "failure_cause", "stalled_line_searches"}
+    assert report["status"] == "numerical_failure"
+    assert isinstance(report["failure_cause"], str) and report["failure_cause"]
+    assert isinstance(report["stalled_line_searches"], int)

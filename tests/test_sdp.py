@@ -2,17 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import qvnn.sdp
 from conftest import certified_solve
-from oracles import random_model
-from qvnn.errors import InputError
+from oracles import alternating_projection_oracle, dense_grad_hess, random_model
+from qvnn.errors import InputError, NumericalError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
-from qvnn.sdp import (
-    SolverConfig,
-    alternating_projection_oracle,
-    scale_problem,
-    solve_feasibility,
-)
+from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 
 def interval_toy():
@@ -40,6 +37,14 @@ def opposing_toy():
     return StandardSdp(num_vars=1, lmis=[
         AffineLmi("up", "pd", np.zeros((1, 1)), one[None]),
         AffineLmi("down", "pd", np.zeros((1, 1)), -one[None]),
+    ])
+
+
+def three_scale_toy():
+    """Three variables of very different scales; the third is in no block."""
+    coeffs = np.stack([100.0 * np.eye(2), 0.01 * np.eye(2), np.zeros((2, 2))])
+    return StandardSdp(num_vars=3, lmis=[
+        AffineLmi("a", "pd", np.zeros((2, 2)), coeffs),
     ])
 
 
@@ -108,16 +113,11 @@ def test_trace_min_eig_matches_margin_at_the_optimum():
 
 
 def test_scaling_normalizes_and_maps_back():
-    constant = np.zeros((2, 2))
-    big = 100.0 * np.eye(2)
-    small = 0.01 * np.eye(2)
-    zero = np.zeros((2, 2))
-    sdp = StandardSdp(num_vars=3, lmis=[
-        AffineLmi("a", "pd", constant, np.stack([big, small, zero])),
-    ])
+    sdp = three_scale_toy()
     scaled, record = scale_problem(sdp)
     np.testing.assert_allclose(record.factors,
-                               [np.linalg.norm(big), np.linalg.norm(small), 1.0])
+                               [np.linalg.norm(100.0 * np.eye(2)),
+                                np.linalg.norm(0.01 * np.eye(2)), 1.0])
     assert record.dropped == (2,)
     x = np.array([0.3, -0.7, 0.0])
     np.testing.assert_allclose(record.map_back(record.map_to_scaled(x)), x)
@@ -172,3 +172,101 @@ def test_projection_oracle_agrees_on_infeasible_pair():
 def test_projection_oracle_validates_target():
     with pytest.raises(InputError):
         alternating_projection_oracle(ray_toy(), target_margin=0.0)
+
+
+# ---- structured Newton step against the dense reference ----------------------------
+
+
+def assert_structured_matches_dense(sdp, seed, allow_constant=False,
+                                    radius=1.0):
+    """Gradient and Hessian agree with the dense formula to 1e-12 relative at
+    interior points from near the boundary of the cone to deep inside it."""
+    rng = np.random.default_rng(seed)
+    blocks = qvnn.sdp._structure(sdp, allow_constant)
+    m = sdp.num_vars
+    for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
+        x = 0.1 * radius * rng.uniform(-1.0, 1.0, size=m)
+        t = min(float(np.linalg.eigvalsh(c + np.tensordot(x, a, axes=1))[0])
+                for c, a in (lmi.oriented() for lmi in sdp.lmis)) - gap
+        z = np.append(x, t)
+        chols = qvnn.sdp._in_domain(blocks, z, radius, m)
+        assert chols is not None
+        grad, hess = qvnn.sdp._grad_hess(blocks, chols, z, radius, m, mu)
+        grad_ref, hess_ref = dense_grad_hess(sdp, z, radius, mu)
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
+        assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
+
+
+def test_structured_derivatives_match_dense_on_the_stable_model(stable_model):
+    scaled, _ = scale_problem(build_sdp(stable_model))
+    assert_structured_matches_dense(scaled, seed=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structured_derivatives_match_dense_on_random_models(n):
+    model = random_model(np.random.default_rng(300 + n), n)
+    scaled, _ = scale_problem(build_sdp(model))
+    assert_structured_matches_dense(scaled, seed=n)
+
+
+@pytest.mark.parametrize("toy, allow_constant, radius", [
+    (interval_toy, True, 8.0),
+    (ray_toy, False, 1.0),
+    (opposing_toy, False, 1.0),
+    (three_scale_toy, False, 1.0),
+])
+def test_structured_derivatives_match_dense_on_toys(toy, allow_constant, radius):
+    assert_structured_matches_dense(toy(), seed=7, allow_constant=allow_constant,
+                                    radius=radius)
+
+
+def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
+    # scipy links its own OpenBLAS; the solver loop must stay on numpy's
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg called by the solver")
+
+    for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular", "inv"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    result = solve_feasibility(interval_toy(), WIDE, allow_constant=True)
+    assert result.status == "feasible"
+    assert result.margin == pytest.approx(1.0, abs=1e-6)
+
+
+# ---- run record ------------------------------------------------------------------
+
+
+def test_numerical_failure_reports_its_cause(monkeypatch):
+    def broken(*args, **kwargs):
+        raise NumericalError("Newton decrement is not finite")
+
+    monkeypatch.setattr(qvnn.sdp, "_newton_center", broken)
+    result = solve_feasibility(ray_toy())
+    assert result.status == "numerical_failure"
+    assert result.failure_cause == "Newton decrement is not finite"
+
+
+def test_seed_restart_keeps_the_cause_of_the_failed_attempt(monkeypatch):
+    center = qvnn.sdp._newton_center
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NumericalError("Hessian factorization failed")
+        return center(*args, **kwargs)
+
+    monkeypatch.setattr(qvnn.sdp, "_newton_center", fails_once)
+    result = solve_feasibility(ray_toy())
+    assert result.status == "feasible"
+    assert result.seed_used == 1
+    assert result.failure_cause == "Hessian factorization failed"
+    monkeypatch.setattr(qvnn.sdp, "_newton_center", center)
+    assert solve_feasibility(ray_toy()).failure_cause is None
+
+
+def test_stalled_line_searches_are_counted(monkeypatch):
+    assert solve_feasibility(ray_toy()).stalled_line_searches == 0
+    # no step length passes the floor, so every centering stalls at once
+    monkeypatch.setattr(qvnn.sdp, "_MIN_STEP", 2.0)
+    result = solve_feasibility(ray_toy())
+    assert result.stalled_line_searches == result.outer_rounds > 0
