@@ -30,10 +30,10 @@ line search accepted, the block adds
     grad_i = -<W, A_i>,   H_ij = <S_i, A_j>,   S_i = W A_i W,
 
 and the margin column, whose coefficient is -I, adds tr W, ||W||_F^2 and
--tr S_i. A_i vanishes outside its row support R, so S_i = W[:, R] A_i[R, R]
-W[R, :] is batched over the variables sharing R, and <S_i, A_j> is one
-sparse product per group. Blocks of side at most ``_DENSE_BLOCK_DIM`` form W A_i
-densely for their active variables instead. Every factorization and solve
+-tr S_i. A_i vanishes outside its row support, so for any row set R that
+holds it, S_i = W[:, R] A_i[R, R] W[R, :]. The variables are grouped under
+the maximal row supports of their block, S_i is batched per group, and
+<S_i, A_j> is one sparse product per group. Every factorization and solve
 uses ``numpy.linalg``: scipy ships its own OpenBLAS, and alternating between
 the two runtimes' thread pools inside the loop cost more than the step.
 
@@ -57,7 +57,6 @@ from .lowering import AffineLmi, StandardSdp
 _SEED_RETRIES = 5
 _ARMIJO_SLOPE = 0.25
 _MIN_STEP = 1e-13
-_DENSE_BLOCK_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -138,10 +137,12 @@ class _Block:
     """One oriented constraint C + sum_i x_i A_i > 0, stored by support.
 
     ``active`` holds the variables with a nonzero coefficient; ``coeffs`` is
-    their flattened A_i as CSR rows, in the same order. Blocks larger than
-    ``_DENSE_BLOCK_DIM`` keep ``groups``: (row support R, rows of ``active``
-    sharing it, their dense A_i[R, R]). Smaller ones keep ``dense``, the full
-    A_i of their active variables.
+    their flattened A_i as CSR rows, in the same order. ``groups`` holds, per
+    row set R, the rows of ``active`` assigned to it and their dense
+    A_i[R, R], stored as A_i[b, a] at [b, (a, i)], so that one product with
+    W[:, R] gives W A_i for the whole group. The row sets are the maximal
+    row supports; each variable joins the smallest one holding its own
+    support (A_i vanishes on the extra rows, so S_i is unchanged).
     """
 
     def __init__(self, lmi: AffineLmi):
@@ -154,20 +155,27 @@ class _Block:
         # row and column support per variable; the reductions cast to bool
         # in chunks, so no temporary of the size of ``a`` is made
         support = a.any(axis=2) | a.any(axis=1)
-        by_support: dict[tuple[int, ...], list[int]] = {}
-        for i in np.flatnonzero(support.any(axis=1)):
-            by_support.setdefault(tuple(np.flatnonzero(support[i])), []).append(i)
-        active, subs = [], []
+        used = np.flatnonzero(support.any(axis=1))
+        rowsets, which = np.unique(support[used], axis=0, return_inverse=True)
+        # inside[p, q]: row set p lies within row set q
+        inside = rowsets.astype(np.intp) @ (~rowsets).T.astype(np.intp) == 0
+        maximal = inside.sum(axis=1) == 1      # within itself only
+        # each variable joins the smallest maximal row set holding its own
+        size = np.where(maximal, rowsets.sum(axis=1), d + 1)
+        target = np.argmin(np.where(inside, size, d + 1), axis=1)[which.ravel()]
+        active, self.groups = [], []
         rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-        for rset, members in by_support.items():
-            r = np.array(rset)
-            sub = sign * a[np.asarray(members)[:, None, None], r[:, None], r]
+        for g in np.unique(target):
+            members = used[target == g]
+            r = np.flatnonzero(rowsets[g])
+            sub = sign * a[members[:, None, None], r[:, None], r]
             if np.max(np.abs(sub - sub.transpose(0, 2, 1))) > 1e-12:
                 raise InputError(f"constraint {lmi.name} has non-symmetric "
                                  "coefficients")
             start = len(active)
-            subs.append((r, slice(start, start + len(members)), sub))
-            active.extend(members)
+            self.groups.append((r, slice(start, start + len(members)),
+                                sub.transpose(1, 2, 0).reshape(len(r), -1)))
+            active.extend(members.tolist())
             k, p, q = np.nonzero(sub)
             rows.append(start + k)
             cols.append(r[p] * d + r[q])
@@ -178,16 +186,6 @@ class _Block:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(k_act, d * d))
         self.coeffs_t = self.coeffs.T
-        self.groups = self.dense = None
-        if d > _DENSE_BLOCK_DIM:
-            # A_i[b, a] stored at [b, (a, i)], so that one product with
-            # W[:, R] gives W A_i for the whole group
-            self.groups = [(r, rows_of, sub.transpose(1, 2, 0).reshape(len(r), -1))
-                           for r, rows_of, sub in subs]
-        else:
-            self.dense = np.zeros((k_act, d, d))
-            for r, rows_of, sub in subs:
-                self.dense[rows_of, r[:, None], r] = sub
 
     def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
         """C + sum_i x_i A_i - t I at the full variable vector x."""
@@ -207,20 +205,15 @@ class _Block:
         d, k = self.dim, len(self.active)
         grad = -(self.coeffs @ w.ravel())
         hess_t = -(self.coeffs @ (w @ w).ravel())             # -tr(W A_i W)
-        if self.groups is None:
-            prods = np.matmul(w, self.dense)                   # W A_i
-            hess = prods.reshape(k, d * d) @ \
-                prods.transpose(0, 2, 1).reshape(k, d * d).T
-        else:
-            hess = np.empty((k, k))
-            for r, rows_of, acat in self.groups:
-                wr = w[r]                                      # W[R, :]
-                kg = rows_of.stop - rows_of.start
-                # (A_i W[R, :])[a, q] at [a, (q, i)], then S_i[p, q] at
-                # [(p, q), i]: the layout the sparse product reads
-                y = (wr.T @ acat).reshape(d, len(r), kg).transpose(1, 0, 2)
-                s = wr.T @ y.reshape(len(r), d * kg)
-                hess[:, rows_of] = self.coeffs @ s.reshape(d * d, kg)
+        hess = np.empty((k, k))
+        for r, rows_of, acat in self.groups:
+            wr = w[:, r]                                       # W[:, R]
+            kg = rows_of.stop - rows_of.start
+            # (W A_i)[q, a] at [q, a, i], then one product per q gives
+            # S_i[p, q] at [q, p, i]: the layout the sparse product reads
+            u = (wr @ acat).reshape(d, len(r), kg)
+            s = np.matmul(wr, u)
+            hess[:, rows_of] = self.coeffs @ s.reshape(d * d, kg)
         return grad, float(np.trace(w)), hess, hess_t, float(np.sum(w * w))
 
 
@@ -293,14 +286,14 @@ def _newton_center(blocks, z, radius, m, mu, cfg, chols):
             raise NumericalError("barrier gradient evaluation left the domain")
         reg = 0.0
         for _attempt in range(60):
-            factor = _try_cholesky(hess + reg * eye)
-            if factor is not None:
+            shifted = hess + reg * eye
+            if _try_cholesky(shifted) is not None:
                 break
             trace_scale = max(np.trace(hess) / (m + 1), 1.0)
             reg = 2.0 * reg if reg > 0 else 1e-12 * trace_scale
         else:
             raise NumericalError("Hessian factorization failed despite regularization")
-        direction = np.linalg.solve(factor.T, np.linalg.solve(factor, -grad))
+        direction = np.linalg.solve(shifted, -grad)
         decrement = float(-grad @ direction)
         if not np.isfinite(decrement) or decrement < 0:
             raise NumericalError("Newton decrement is not finite")

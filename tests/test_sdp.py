@@ -220,6 +220,20 @@ def test_structured_derivatives_match_dense_on_toys(toy, allow_constant, radius)
                                     radius=radius)
 
 
+def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
+    scaled, _ = scale_problem(build_sdp(stable_model))
+    for lmi, block in zip(scaled.lmis, qvnn.sdp._structure(scaled, False)):
+        rowsets = [frozenset(r.tolist()) for r, _, _ in block.groups]
+        assert len(set(rowsets)) == len(rowsets)
+        assert not any(a < b for a in rowsets for b in rowsets)
+        for rset, (_, rows_of, _) in zip(rowsets, block.groups):
+            for i in block.active[rows_of]:
+                a = lmi.coeffs[i]
+                own = frozenset(np.flatnonzero(a.any(axis=0) | a.any(axis=1)).tolist())
+                assert own <= rset
+                assert len(rset) == min(len(r) for r in rowsets if own <= r)
+
+
 def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
     # scipy links its own OpenBLAS; the solver loop must stay on numpy's
     def forbidden(*args, **kwargs):
