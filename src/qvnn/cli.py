@@ -19,10 +19,8 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -246,14 +244,8 @@ def cmd_simulate(args) -> int:
     started = _now()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    workers = int(os.environ.get("QVNN_THREADS", "0")) or min(len(seeds), 4)
-    if len(seeds) == 1:
-        entries = [_simulate_one(model, seeds[0], args)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(lambda s: _simulate_one(model, s, args),
-                                    seeds))
+    entries = [_simulate_one(model, seed, args)
+               for seed in range(args.seed, args.seed + args.seeds)]
 
     outputs: list[str] = []
     first_traj = None

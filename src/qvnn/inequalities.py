@@ -168,16 +168,6 @@ def _stacked_embed(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return np.concatenate([top, np.conj(bottom)])
 
 
-def xi_convexity_violation(inst: RcInstance) -> float:
-    """Most negative second difference of Xi(alpha) on the grid (>= 0 ideal)."""
-    p_chi = inst.p.complex_embed()
-    q1 = _form(p_chi, mat_vec(inst.w1, inst.xi))
-    q2 = _form(p_chi, mat_vec(inst.w2, inst.xi))
-    vals = q1 / inst.alpha_grid() + q2 / (1.0 - inst.alpha_grid())
-    second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-    return float(np.min(second))
-
-
 def random_rc_instance(n: int, m: int, seed: int,
                        equality_case: bool = False) -> RcInstance:
     """Schur-sampled instance: X = P^{1/2} K P^{1/2} with ||K|| <= 1 keeps the

@@ -209,11 +209,6 @@ class LkfEvaluator:
         return LkfSample(t=t, v1=v1, v2=v2, v3=v3, v4=v4)
 
 
-def evaluate_lkf(traj: Trajectory, model: NetworkModel, dv: DecisionVars,
-                 t: float) -> LkfSample:
-    return LkfEvaluator(traj, model, dv)(t)
-
-
 def lkf_trace(traj: Trajectory, model: NetworkModel, dv: DecisionVars,
               stride: int = 10, t_start: float = 0.0) -> LyapunovTrace:
     """Sample the functional along the trajectory every ``stride`` nodes."""

@@ -221,6 +221,16 @@ def var_map(n: int) -> list[VarSpec]:
 # ---- block assembly --------------------------------------------------------------
 
 
+def hermitian_part(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A + A*) / 2 of a diagonal block A = a1 + a2 j, on the last two axes.
+
+    Exact symmetrization, so the structure check of the assembled matrix and
+    the lowered coefficients need no tolerance.
+    """
+    return ((a1 + np.swapaxes(a1, -1, -2).conj()) / 2.0,
+            (a2 - np.swapaxes(a2, -1, -2)) / 2.0)
+
+
 def assemble_blocks(num_blocks: int, n: int,
                     upper: dict[tuple[int, int], QuatMatrix]) -> HermitianQuatMatrix:
     """Place upper-triangle blocks (1-based indices) and mirror them exactly."""
@@ -235,9 +245,7 @@ def assemble_blocks(num_blocks: int, n: int,
         r = slice((bi - 1) * n, bi * n)
         c = slice((bj - 1) * n, bj * n)
         if bi == bj:
-            # exact symmetrization so the final structure check is tolerance-free
-            a1[r, c] = (blk.a1 + blk.a1.conj().T) / 2.0
-            a2[r, c] = (blk.a2 - blk.a2.T) / 2.0
+            a1[r, c], a2[r, c] = hermitian_part(blk.a1, blk.a2)
         else:
             a1[r, c] = blk.a1
             a2[r, c] = blk.a2
@@ -303,30 +311,42 @@ def assemble_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix
     return assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
 
 
-def assemble_coupling(r: HermitianQuatMatrix, w: QuatMatrix) -> HermitianQuatMatrix:
-    """The positivity coupling [[R, W], [W*, R]] as one Hermitian matrix."""
-    return assemble_blocks(2, r.rows, {(1, 1): r, (1, 2): w, (2, 2): r})
-
-
 @dataclass(frozen=True)
 class QuatConstraint:
+    """One constraint of the criterion, as its authored upper blocks.
+
+    ``blocks`` maps 1-based (row, col) in the upper block triangle of a
+    ``num_blocks`` x ``num_blocks`` grid to an n x n block; unlisted blocks
+    are zero and the lower triangle is the mirror.
+    """
+
     name: str
     sense: str  # "pd" (matrix > 0) or "nd" (matrix < 0)
-    matrix: HermitianQuatMatrix
+    num_blocks: int
+    blocks: dict[tuple[int, int], QuatMatrix]
+
+    @property
+    def matrix(self) -> HermitianQuatMatrix:
+        n = next(iter(self.blocks.values())).rows
+        return assemble_blocks(self.num_blocks, n, self.blocks)
 
 
 def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstraint]:
     """Every constraint of the criterion, evaluated at the given variables."""
     cons = [
-        QuatConstraint("coupling_r1_u", "pd", assemble_coupling(dv.r1, dv.u)),
-        QuatConstraint("coupling_r2_v", "pd", assemble_coupling(dv.r2, dv.v)),
-        QuatConstraint("omega", "nd", assemble_omega(model, dv)),
+        QuatConstraint("coupling_r1_u", "pd", 2,
+                       {(1, 1): dv.r1, (1, 2): dv.u, (2, 2): dv.r1}),
+        QuatConstraint("coupling_r2_v", "pd", 2,
+                       {(1, 1): dv.r2, (1, 2): dv.v, (2, 2): dv.r2}),
+        QuatConstraint("omega", "nd", 11, omega_upper_blocks(model, dv)),
     ]
     for name in HERMITIAN_NAMES:
-        cons.append(QuatConstraint(f"{name}_pd", "pd", getattr(dv, name)))
+        cons.append(QuatConstraint(f"{name}_pd", "pd", 1,
+                                   {(1, 1): getattr(dv, name)}))
     for name in DIAG_NAMES:
-        cons.append(QuatConstraint(f"{name}_pos", "pd",
-                                   HermitianQuatMatrix.from_real_diag(getattr(dv, name))))
+        cons.append(QuatConstraint(
+            f"{name}_pos", "pd", 1,
+            {(1, 1): QuatMatrix.from_real(np.diag(getattr(dv, name)))}))
     return cons
 
 

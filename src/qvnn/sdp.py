@@ -103,13 +103,14 @@ class ScalingRecord:
     """Per-variable factors applied by scale_problem; maps solutions back."""
 
     factors: np.ndarray
-    dropped: tuple[int, ...]
 
     def map_back(self, x_scaled: np.ndarray) -> np.ndarray:
         return np.asarray(x_scaled, dtype=float) / self.factors
 
-    def map_to_scaled(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.factors
+
+def _entry_rows(a: scipy.sparse.csr_array) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
 
 def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
@@ -117,20 +118,21 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
 
     The feasibility classification is unchanged (the map x_i = x_scaled_i / s_i
     is a bijection and leaves constraint values pointwise identical); variables
-    whose coefficients vanish in every constraint are recorded as dropped.
+    whose coefficients vanish in every constraint keep the factor 1.
     """
     m = sdp.num_vars
+    rows = [_entry_rows(lmi.coeffs) for lmi in sdp.lmis]
     norms = np.zeros(m)
-    for lmi in sdp.lmis:
-        if m:
-            norms = np.maximum(norms,
-                               np.linalg.norm(lmi.coeffs.reshape(m, -1), axis=1))
-    dropped = tuple(int(i) for i in np.nonzero(norms == 0.0)[0])
+    for lmi, r in zip(sdp.lmis, rows):
+        norms = np.maximum(norms, np.sqrt(np.bincount(
+            r, weights=lmi.coeffs.data ** 2, minlength=m)))
     factors = np.where(norms == 0.0, 1.0, norms)
-    lmis = [AffineLmi(l.name, l.sense, l.constant.copy(),
-                      l.coeffs / factors[:, None, None]) for l in sdp.lmis]
+    lmis = [AffineLmi(l.name, l.sense, l.constant.copy(), scipy.sparse.csr_array(
+                (l.coeffs.data / factors[r], l.coeffs.indices, l.coeffs.indptr),
+                shape=l.coeffs.shape))
+            for l, r in zip(sdp.lmis, rows)]
     scaled = StandardSdp(num_vars=m, lmis=lmis, var_map=sdp.var_map)
-    return scaled, ScalingRecord(factors=factors, dropped=dropped)
+    return scaled, ScalingRecord(factors=factors)
 
 
 class _Block:
@@ -146,15 +148,16 @@ class _Block:
     """
 
     def __init__(self, lmi: AffineLmi):
-        sign = 1.0 if lmi.sense == "pd" else -1.0
-        c = sign * lmi.constant
+        c, a = lmi.oriented()
         self.name = lmi.name
         self.dim = d = c.shape[0]
         self.constant = (c + c.T) / 2.0
-        a = lmi.coeffs
-        # row and column support per variable; the reductions cast to bool
-        # in chunks, so no temporary of the size of ``a`` is made
-        support = a.any(axis=2) | a.any(axis=1)
+        # row and column support per variable, from the stored entries
+        owner = _entry_rows(a)
+        p, q = np.divmod(a.indices, d)
+        support = np.zeros((a.shape[0], d), dtype=bool)
+        support[owner, p] = True
+        support[owner, q] = True
         used = np.flatnonzero(support.any(axis=1))
         rowsets, which = np.unique(support[used], axis=0, return_inverse=True)
         # inside[p, q]: row set p lies within row set q
@@ -164,11 +167,15 @@ class _Block:
         size = np.where(maximal, rowsets.sum(axis=1), d + 1)
         target = np.argmin(np.where(inside, size, d + 1), axis=1)[which.ravel()]
         active, self.groups = [], []
-        rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+        local = np.zeros(d, dtype=np.intp)
         for g in np.unique(target):
             members = used[target == g]
             r = np.flatnonzero(rowsets[g])
-            sub = sign * a[members[:, None, None], r[:, None], r]
+            local[r] = np.arange(len(r))
+            rows = a[members]
+            p, q = np.divmod(rows.indices, d)
+            sub = np.zeros((len(members), len(r), len(r)))
+            sub[_entry_rows(rows), local[p], local[q]] = rows.data
             if np.max(np.abs(sub - sub.transpose(0, 2, 1))) > 1e-12:
                 raise InputError(f"constraint {lmi.name} has non-symmetric "
                                  "coefficients")
@@ -176,15 +183,8 @@ class _Block:
             self.groups.append((r, slice(start, start + len(members)),
                                 sub.transpose(1, 2, 0).reshape(len(r), -1)))
             active.extend(members.tolist())
-            k, p, q = np.nonzero(sub)
-            rows.append(start + k)
-            cols.append(r[p] * d + r[q])
-            vals.append(sub[k, p, q])
         self.active = np.array(active, dtype=np.intp)
-        k_act = len(active)
-        self.coeffs = scipy.sparse.csr_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(k_act, d * d))
+        self.coeffs = a[self.active]
         self.coeffs_t = self.coeffs.T
 
     def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:

@@ -168,20 +168,6 @@ def constant_history(pair: np.ndarray):
     return fn
 
 
-def random_history(n: int, seed: int, amplitude: float = 1.0,
-                   waves: int = 3):
-    """Smooth random quaternion history: a short random Fourier sum."""
-    rng = np.random.default_rng(seed)
-    coeff = amplitude * rng.uniform(-1.0, 1.0, size=(waves, 4, n))
-    freq = rng.uniform(0.3, 2.5, size=waves)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(waves, 4, n))
-
-    def fn(t: float) -> np.ndarray:
-        parts = np.sum(coeff * np.cos(freq[:, None, None] * t + phase), axis=0)
-        return np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
-    return fn
-
-
 def _rhs_factory(model: NetworkModel):
     c = model.c_diag[None, :]
     a_mat = model.a_mat

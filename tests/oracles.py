@@ -11,12 +11,16 @@ import numpy as np
 import scipy.linalg
 
 from qvnn.errors import InputError
+from qvnn.inequalities import RcInstance
+from qvnn.lkf import LkfEvaluator, LkfSample
 from qvnn.lmi import DecisionVars
 from qvnn.lowering import StandardSdp
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
+    mat_vec,
+    qv_embed,
     random_hermitian,
     random_quat_matrix,
 )
@@ -222,7 +226,8 @@ def _oriented(sdp: StandardSdp):
     out = []
     for lmi in sdp.lmis:
         c, a = lmi.oriented()
-        out.append(((c + c.T) / 2.0, a))
+        out.append(((c + c.T) / 2.0,
+                    a.toarray().reshape(sdp.num_vars, lmi.dim, lmi.dim)))
     return out
 
 
@@ -304,3 +309,41 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
         if margin >= 0.5 * target_margin:
             return ProjectionResult(True, x, margin, it)
     return ProjectionResult(False, x, margin, max_iters)
+
+
+# ---------------------------------------------------------------------------
+# Small helpers of the simulation, LKF and inequality tests.
+# ---------------------------------------------------------------------------
+
+
+def random_history(n: int, seed: int, amplitude: float = 1.0, waves: int = 3):
+    """Smooth random quaternion history: a short random Fourier sum."""
+    rng = np.random.default_rng(seed)
+    coeff = amplitude * rng.uniform(-1.0, 1.0, size=(waves, 4, n))
+    freq = rng.uniform(0.3, 2.5, size=waves)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(waves, 4, n))
+
+    def fn(t: float) -> np.ndarray:
+        parts = np.sum(coeff * np.cos(freq[:, None, None] * t + phase), axis=0)
+        return np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+    return fn
+
+
+def evaluate_lkf(traj, model: NetworkModel, dv: DecisionVars,
+                 t: float) -> LkfSample:
+    return LkfEvaluator(traj, model, dv)(t)
+
+
+def xi_convexity_violation(inst: RcInstance) -> float:
+    """Most negative second difference of Xi(alpha) on the grid (>= 0 ideal)."""
+    p_chi = inst.p.complex_embed()
+
+    def form(pair):
+        emb = qv_embed(pair)
+        return float((np.conj(emb) @ p_chi @ emb).real)
+
+    q1 = form(mat_vec(inst.w1, inst.xi))
+    q2 = form(mat_vec(inst.w2, inst.xi))
+    vals = q1 / inst.alpha_grid() + q2 / (1.0 - inst.alpha_grid())
+    second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
+    return float(np.min(second))

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import FEASIBLE_RUNS, certified_solve
 from oracles import brute_product, derivation_omega, random_decision_vars, random_model
@@ -237,10 +238,10 @@ def test_07_feasible_verdicts_reverify_and_conflicts_are_rejected(
             f"(worst margin {report.worst_margin:.3e} vs required "
             f"{0.5 * margin:.3e})")
 
-    one = np.ones((1, 1))
     conflicting = StandardSdp(num_vars=1, lmis=[
-        AffineLmi("up", "pd", np.zeros((1, 1)), one[None]),
-        AffineLmi("down", "pd", np.zeros((1, 1)), -one[None]),
+        AffineLmi("up", "pd", np.zeros((1, 1)), scipy.sparse.csr_array([[1.0]])),
+        AffineLmi("down", "pd", np.zeros((1, 1)),
+                  scipy.sparse.csr_array([[-1.0]])),
     ])
     result = solve_feasibility(conflicting, SolverConfig(margin_tolerance=1e-6))
     assert result.status == "infeasible_at_tolerance", result.status

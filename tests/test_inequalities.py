@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from oracles import xi_convexity_violation
 from qvnn.errors import InputError
 from qvnn.inequalities import (
     RcInstance,
@@ -12,7 +13,6 @@ from qvnn.inequalities import (
     random_path,
     random_rc_instance,
     rc_gap,
-    xi_convexity_violation,
 )
 from qvnn.qmatrix import (
     HermitianQuatMatrix,

@@ -1,5 +1,7 @@
 """Criterion assembly: decision variables, block table, certificate checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from qvnn.lmi import (
     OMEGA_UPPER_INDICES,
     DecisionVars,
     assemble_blocks,
-    assemble_coupling,
     assemble_omega,
     omega_upper_blocks,
     quat_constraints,
@@ -172,7 +173,8 @@ def test_coupling_assembly():
     rng = np.random.default_rng(34)
     r = random_hermitian_pd(rng, 2)
     w = QuatMatrix(rng.normal(size=(2, 2)) + 0j, rng.normal(size=(2, 2)) + 0j)
-    coupled = assemble_coupling(r, w)
+    dv = dataclasses.replace(random_decision_vars(rng, 2), r1=r, u=w)
+    coupled = quat_constraints(random_model(rng, 2), dv)[0].matrix
     assert coupled.shape == (4, 4)
     np.testing.assert_allclose(coupled.a1[:2, :2], r.a1, atol=0.0)
     np.testing.assert_allclose(coupled.a1[:2, 2:], w.a1, atol=0.0)

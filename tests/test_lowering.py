@@ -1,17 +1,17 @@
-"""Quaternion criterion -> complex -> real standard-form SDP."""
+"""Quaternion criterion -> real standard-form SDP, stored sparse."""
 
 import numpy as np
 import pytest
 
-from oracles import random_decision_vars, random_model
+from oracles import random_model
 from qvnn.lmi import DecisionVars, quat_constraints
-from qvnn.lowering import (
-    build_quat_system,
-    build_sdp,
-    lower_to_complex,
-    lower_to_real,
-)
+from qvnn.lowering import build_sdp
 from qvnn.qmatrix import real_embed
+
+
+def dense(lmi, i):
+    """Coefficient matrix A_i of one constraint as a dense array."""
+    return lmi.coeffs[[i]].toarray().reshape(lmi.dim, lmi.dim)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def test_sdp_shape(small_system):
     assert sdp.num_vars == DecisionVars.num_scalars(model.n) == 30
     assert len(sdp.lmis) == 17
     assert len(sdp.var_map) == sdp.num_vars
-    assert sdp.is_homogeneous()
+    assert all(not lmi.constant.any() for lmi in sdp.lmis)
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     # real dimension = 4 quaternion rows per block row
     assert by_name["omega"].dim == 44 * model.n
@@ -38,20 +38,36 @@ def test_every_stage_evaluates_identically(small_system):
     # the affine data must reproduce the direct evaluation at random points
     model, sdp = small_system
     rng = np.random.default_rng(42)
-    qsys, _ = build_quat_system(model)
-    csys = lower_to_complex(qsys)
     for _ in range(5):
         x = rng.normal(size=sdp.num_vars)
         dv = DecisionVars.from_vector(x, model.n)
         direct = {c.name: c.matrix for c in quat_constraints(model, dv)}
-        for q_lmi, c_lmi, r_lmi in zip(qsys, csys, sdp.lmis):
-            target = direct[q_lmi.name]
-            assert (q_lmi.evaluate(x) - target).max_abs() < 1e-12
-            np.testing.assert_allclose(c_lmi.evaluate(x), target.complex_embed(),
-                                       atol=1e-12)
-            np.testing.assert_allclose(r_lmi.evaluate(x),
-                                       real_embed(target.complex_embed()),
-                                       atol=1e-12)
+        for lmi in sdp.lmis:
+            np.testing.assert_allclose(
+                lmi.evaluate(x), real_embed(direct[lmi.name].complex_embed()),
+                atol=1e-12)
+
+
+@pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
+def test_rows_equal_the_embedded_assembly(source, request):
+    # every stored row is exactly the real embedding of the complex embedding
+    # of the assembled constraint at that unit vector, and holds no zeros
+    if isinstance(source, int):
+        model = random_model(np.random.default_rng(60 + source), source)
+    else:
+        model = request.getfixturevalue(f"{source}_model")
+    sdp = build_sdp(model)
+    for lmi in sdp.lmis:
+        assert np.all(lmi.coeffs.data != 0.0)
+    basis = np.zeros(sdp.num_vars)
+    for i in range(sdp.num_vars):
+        basis[i] = 1.0
+        cons = quat_constraints(model, DecisionVars.from_vector(basis, model.n))
+        basis[i] = 0.0
+        for lmi, con in zip(sdp.lmis, cons):
+            assert lmi.name == con.name and lmi.sense == con.sense
+            np.testing.assert_array_equal(
+                dense(lmi, i), real_embed(con.matrix.complex_embed()))
 
 
 def test_lowering_preserves_extreme_eigenvalues():
@@ -74,7 +90,7 @@ def test_orientation_flips_only_negative_senses(small_system):
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     for lmi in sdp.lmis:
         const, coeffs = lmi.oriented()
-        oriented_value = const + np.tensordot(x, coeffs, axes=1)
+        oriented_value = const + (coeffs.T @ x).reshape(lmi.dim, lmi.dim)
         plain_value = lmi.evaluate(x)
         sign = 1.0 if lmi.sense == "pd" else -1.0
         np.testing.assert_allclose(oriented_value, sign * plain_value, atol=0.0)
@@ -90,8 +106,9 @@ def test_zero_point_gives_zero_matrices(small_system):
 def test_coefficients_are_symmetric(small_system):
     _, sdp = small_system
     for lmi in sdp.lmis:
-        np.testing.assert_allclose(lmi.coeffs, np.swapaxes(lmi.coeffs, 1, 2),
-                                   atol=0.0)
+        for i in range(sdp.num_vars):
+            a = dense(lmi, i)
+            np.testing.assert_array_equal(a, a.T)
 
 
 def test_var_map_indices_drive_the_right_matrix(small_system):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import qvnn.sdp
 from conftest import certified_solve
@@ -12,12 +13,17 @@ from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 
+def toy_lmi(name, constant, coeffs):
+    """A "> 0" constraint from its constant and its stack of A_i, stored CSR."""
+    return AffineLmi(name, "pd", constant,
+                     scipy.sparse.csr_array(coeffs.reshape(len(coeffs), -1)))
+
+
 def interval_toy():
     """One variable, constraint diag(x - 1, 3 - x) > 0: best margin 1 at x = 2."""
     constant = np.diag([-1.0, 3.0])
     coeffs = np.diag([1.0, -1.0])[None]
-    return StandardSdp(num_vars=1,
-                       lmis=[AffineLmi("interval", "pd", constant, coeffs)])
+    return StandardSdp(num_vars=1, lmis=[toy_lmi("interval", constant, coeffs)])
 
 
 # the interval optimum sits at x = 2, so give the box room beyond the default
@@ -27,16 +33,15 @@ WIDE = SolverConfig(trust_radius=8.0)
 def ray_toy():
     """One homogeneous constraint x I > 0; the trust region caps the margin."""
     coeffs = np.eye(2)[None]
-    return StandardSdp(num_vars=1,
-                       lmis=[AffineLmi("ray", "pd", np.zeros((2, 2)), coeffs)])
+    return StandardSdp(num_vars=1, lmis=[toy_lmi("ray", np.zeros((2, 2)), coeffs)])
 
 
 def opposing_toy():
     """x > 0 and -x > 0 cannot hold together; margin must collapse to ~0."""
     one = np.ones((1, 1))
     return StandardSdp(num_vars=1, lmis=[
-        AffineLmi("up", "pd", np.zeros((1, 1)), one[None]),
-        AffineLmi("down", "pd", np.zeros((1, 1)), -one[None]),
+        toy_lmi("up", np.zeros((1, 1)), one[None]),
+        toy_lmi("down", np.zeros((1, 1)), -one[None]),
     ])
 
 
@@ -44,7 +49,7 @@ def three_scale_toy():
     """Three variables of very different scales; the third is in no block."""
     coeffs = np.stack([100.0 * np.eye(2), 0.01 * np.eye(2), np.zeros((2, 2))])
     return StandardSdp(num_vars=3, lmis=[
-        AffineLmi("a", "pd", np.zeros((2, 2)), coeffs),
+        toy_lmi("a", np.zeros((2, 2)), coeffs),
     ])
 
 
@@ -79,8 +84,7 @@ def test_opposing_constraints_are_infeasible():
 
 def test_non_symmetric_coefficients_rejected():
     coeffs = np.array([[[0.0, 1.0], [0.0, 0.0]]])
-    bad = StandardSdp(num_vars=1,
-                      lmis=[AffineLmi("skew", "pd", np.zeros((2, 2)), coeffs)])
+    bad = StandardSdp(num_vars=1, lmis=[toy_lmi("skew", np.zeros((2, 2)), coeffs)])
     with pytest.raises(InputError):
         solve_feasibility(bad)
 
@@ -118,11 +122,13 @@ def test_scaling_normalizes_and_maps_back():
     np.testing.assert_allclose(record.factors,
                                [np.linalg.norm(100.0 * np.eye(2)),
                                 np.linalg.norm(0.01 * np.eye(2)), 1.0])
-    assert record.dropped == (2,)
+    # the third variable is in no constraint and keeps the factor 1
+    assert record.factors[2] == 1.0
     x = np.array([0.3, -0.7, 0.0])
-    np.testing.assert_allclose(record.map_back(record.map_to_scaled(x)), x)
+    x_scaled = x * record.factors
+    np.testing.assert_allclose(record.map_back(x_scaled), x)
     # constraint values are pointwise invariant under the reparameterization
-    np.testing.assert_allclose(scaled.lmis[0].evaluate(record.map_to_scaled(x)),
+    np.testing.assert_allclose(scaled.lmis[0].evaluate(x_scaled),
                                sdp.lmis[0].evaluate(x), atol=1e-12)
 
 
@@ -186,7 +192,7 @@ def assert_structured_matches_dense(sdp, seed, allow_constant=False,
     m = sdp.num_vars
     for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
         x = 0.1 * radius * rng.uniform(-1.0, 1.0, size=m)
-        t = min(float(np.linalg.eigvalsh(c + np.tensordot(x, a, axes=1))[0])
+        t = min(float(np.linalg.eigvalsh(c + (a.T @ x).reshape(c.shape))[0])
                 for c, a in (lmi.oriented() for lmi in sdp.lmis)) - gap
         z = np.append(x, t)
         chols = qvnn.sdp._in_domain(blocks, z, radius, m)
@@ -222,13 +228,13 @@ def test_structured_derivatives_match_dense_on_toys(toy, allow_constant, radius)
 
 def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
     scaled, _ = scale_problem(build_sdp(stable_model))
-    for lmi, block in zip(scaled.lmis, qvnn.sdp._structure(scaled, False)):
+    for con, block in zip(scaled.lmis, qvnn.sdp._structure(scaled, False)):
         rowsets = [frozenset(r.tolist()) for r, _, _ in block.groups]
         assert len(set(rowsets)) == len(rowsets)
         assert not any(a < b for a in rowsets for b in rowsets)
         for rset, (_, rows_of, _) in zip(rowsets, block.groups):
             for i in block.active[rows_of]:
-                a = lmi.coeffs[i]
+                a = con.coeffs[[i]].toarray().reshape(con.dim, con.dim)
                 own = frozenset(np.flatnonzero(a.any(axis=0) | a.any(axis=1)).tolist())
                 assert own <= rset
                 assert len(rset) == min(len(r) for r in rowsets if own <= r)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import order_fixture_model
+from oracles import random_history
 from qvnn.errors import DivergenceError, InputError
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, qv_modulus
@@ -20,7 +21,6 @@ from qvnn.simulate import (
     find_equilibrium,
     integrate,
     mat_vec_pair,
-    random_history,
 )
 
 
