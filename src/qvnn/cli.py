@@ -27,15 +27,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DivergenceError, NumericalError, QvnnError
+from .errors import NumericalError, QvnnError
 from .inequalities import jensen_gap, random_path, random_rc_instance, rc_gap
 from .lkf import lkf_trace
 from .lmi import DecisionVars, verify_certificate
 from .lowering import build_sdp
 from .model import NetworkModel, config_hash, load_model
-from .qmatrix import random_hermitian_pd
+from .qmatrix import qv_components, random_hermitian_pd
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
-from .simulate import constant_history, convergence_metrics, integrate
+from .simulate import (
+    constant_history,
+    convergence_metrics,
+    equilibrium_shift,
+    integrate,
+)
 
 ORACLE_GAP_FLOOR = -1e-9
 
@@ -201,13 +206,10 @@ def _write_trajectory_csv(path: Path, traj) -> None:
             writer.writerow(row)
 
 
-def _simulate_one(model: NetworkModel, seed: int, args) -> dict:
-    history = _history_for_seed(model, seed, args.zero_history)
+def _run_entry(seed: int, traj, args) -> dict:
     entry = {"seed": seed}
-    try:
-        traj = integrate(model, history, args.horizon, args.step)
-    except DivergenceError as exc:
-        entry.update(status="diverged", diverged_at=exc.time)
+    if traj.diverged_at is not None:
+        entry.update(status="diverged", diverged_at=traj.diverged_at)
         return entry
     metrics = convergence_metrics(traj, threshold=args.threshold)
     entry.update(
@@ -218,7 +220,6 @@ def _simulate_one(model: NetworkModel, seed: int, args) -> dict:
         envelope_bounded=metrics.envelope_bounded,
         converged=bool(metrics.final_sup < args.threshold),
     )
-    entry["_trajectory"] = traj
     return entry
 
 
@@ -241,19 +242,24 @@ def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars
 def cmd_simulate(args) -> int:
     model, doc = load_model(args.config)
     cert_dv = None if args.lkf is None else _load_certificate(args.lkf, model, doc)
+    driven = model.external_input is not None and np.any(model.external_input)
+    if driven:
+        # states, metrics and the functional are taken about the rest point
+        model = equilibrium_shift(model)
     started = _now()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = [_simulate_one(model, seed, args)
-               for seed in range(args.seed, args.seed + args.seeds)]
+    seeds = range(args.seed, args.seed + args.seeds)
+    trajs = integrate(model, [_history_for_seed(model, seed, args.zero_history)
+                              for seed in seeds], args.horizon, args.step)
+    entries = [_run_entry(seed, traj, args) for seed, traj in zip(seeds, trajs)]
 
     outputs: list[str] = []
     first_traj = None
     lines = [f"{'seed':>6}  {'status':<10} {'final_sup':>12} "
              f"{'t_thresh':>9} {'envelope':>8}"]
-    for entry in entries:
-        traj = entry.pop("_trajectory", None)
-        if traj is not None:
+    for entry, traj in zip(entries, trajs):
+        if entry["status"] == "completed":
             if first_traj is None:
                 first_traj = (entry["seed"], traj)
             csv_path = out_dir / f"trajectory_seed{entry['seed']}.csv"
@@ -300,7 +306,11 @@ def cmd_simulate(args) -> int:
 
     ok = all(e["status"] == "completed" and e["converged"] for e in entries)
     report = {"runs": entries, "all_converged": ok,
+              "linear_blend_lookups": max((t.blended_lookups for t in trajs),
+                                          default=0),
               "outputs": outputs}
+    if driven:
+        report["equilibrium"] = qv_components(model.equilibrium).tolist()
     if lkf_report is not None:
         report["lkf"] = lkf_report
     lines.append(f"summary: {summary_path}")

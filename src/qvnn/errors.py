@@ -21,20 +21,6 @@ class CoverageError(QvnnError, ValueError):
     """A time lookup or functional evaluation falls outside the stored sample range."""
 
 
-class DivergenceError(QvnnError, RuntimeError):
-    """A simulated state became non-finite.
-
-    Attributes
-    ----------
-    time : float
-        First time at which a non-finite component appeared.
-    """
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
-
-
 class EquilibriumError(QvnnError, RuntimeError):
     """The damped fixed-point iteration for the network equilibrium did not converge."""
 

@@ -307,10 +307,6 @@ def omega_upper_blocks(model: NetworkModel,
     return blocks
 
 
-def assemble_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix:
-    return assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
-
-
 @dataclass(frozen=True)
 class QuatConstraint:
     """One constraint of the criterion, as its authored upper blocks.

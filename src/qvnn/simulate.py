@@ -17,6 +17,10 @@ stage time and the stage state itself is used; arguments strictly inside the
 as-yet-uncommitted step (possible only while a delay crosses below the step
 size) fall back to a linear blend, a transient, local degradation.
 
+``integrate`` advances any number of histories together in one loop, on a
+(members, 4n) real state. Each member has its own divergence time; the
+others go on without it.
+
 Models carrying a nonzero equilibrium (produced by ``equilibrium_shift``)
 are integrated in deviation coordinates: the activation becomes
 f(v) = act(v + y_eq) - act(y_eq), which vanishes at zero exactly.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, EquilibriumError, InputError
+from .errors import EquilibriumError, InputError
 from .model import NetworkModel
 from .qmatrix import QuatMatrix, qv_modulus
 
@@ -128,12 +132,20 @@ def _finite_difference_derivs(values: np.ndarray, step: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Committed solution: a history segment glued to the integrated one."""
+    """Committed solution: a history segment glued to the integrated one.
+
+    ``diverged_at`` is the grid time at which the state passed the divergence
+    limit (the solution ends one step before it), or None. ``blended_lookups``
+    counts the delay lookups that fell back to a linear blend while the
+    committed steps were computed.
+    """
 
     model: NetworkModel
     step: float
     history: HistoryBuffer
     solution: HistoryBuffer
+    diverged_at: float | None = None
+    blended_lookups: int = 0
 
     @property
     def horizon(self) -> float:
@@ -168,105 +180,223 @@ def constant_history(pair: np.ndarray):
     return fn
 
 
-def _rhs_factory(model: NetworkModel):
-    c = model.c_diag[None, :]
-    a_mat = model.a_mat
-    b_mat = model.b_mat
-    gains = model.gamma_diag
-    u_ext = (np.zeros((2, model.n), dtype=complex)
-             if model.external_input is None else model.external_input)
-    shift = model.equilibrium
-    if shift is None:
-        act = lambda pair: activation(pair, gains)
-    else:
-        base = activation(shift, gains)
-
-        def act(pair):
-            return activation(pair + shift, gains) - base
-
-    def rhs(t: float, state: np.ndarray, lookup) -> np.ndarray:
-        x_leak = lookup(t - model.delta)
-        x_d = lookup(t - model.delay1(t) - model.delay2(t))
-        return (-c * x_leak
-                + mat_vec_pair(a_mat, act(state))
-                + mat_vec_pair(b_mat, act(x_d))
-                + u_ext)
-    return rhs
-
-
 def mat_vec_pair(mat: QuatMatrix, pair: np.ndarray) -> np.ndarray:
     v1, v2 = pair[0], pair[1]
     return np.stack([mat.a1 @ v1 - mat.a2 @ np.conj(v2),
                      mat.a1 @ v2 + mat.a2 @ np.conj(v1)])
 
 
-def integrate(model: NetworkModel, history, horizon: float, step: float,
-              divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT) -> Trajectory:
-    """Integrate the delayed dynamics from a history function on [-L, 0].
+# Inside ``integrate`` a (2, n) state pair is stored as its 4n real components
+# in memory order: row, neuron, real/imaginary part. Viewing such an array as
+# complex gives the pair back without a copy.
 
-    ``history`` maps a time in [-lookback, 0] to a (2, n) state pair. Raises
-    DivergenceError (carrying the offending time) if the state norm passes
-    ``divergence_limit`` or stops being finite.
+
+def _real_form(pair: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(pair, dtype=complex).view(float).ravel()
+
+
+def _per_component(per_neuron: np.ndarray) -> np.ndarray:
+    """A per-neuron real vector repeated over the four components."""
+    return np.tile(np.repeat(per_neuron, 2), 2)
+
+
+def _real_operator(mat: QuatMatrix, gains: np.ndarray) -> np.ndarray:
+    """M with real_form(A (gains * tanh x)) = tanh(real_form x) @ M."""
+    dim = 4 * mat.rows
+    basis = np.eye(dim).view(complex).reshape(dim, 2, mat.rows)
+    images = np.array([mat_vec_pair(mat, e) for e in basis])
+    return images.view(float).reshape(dim, dim) * _per_component(gains)[:, None]
+
+
+def _lookup_stencils(model: NetworkModel, times: np.ndarray,
+                     committed: np.ndarray, step: float, hist_steps: int):
+    """How the RHS evaluations at ``times`` read their two delayed states.
+
+    An evaluation at stage time t, with solution nodes 0..``committed``
+    stored, looks up x(t - delta) and x(t - d1(t) - d2(t)). Each lookup is a
+    stencil on the node buffer of ``integrate`` (history nodes 0..hist_steps,
+    then the solution nodes): four weights on [value, derivative] of node r
+    and of node r + 1, plus a weight on the stage state. Hermite cells cover
+    the history and the committed solution; an argument equal to the stage
+    time takes the stage state; an argument strictly inside the uncommitted
+    step blends the last committed node with the stage state linearly.
+
+    Returns, with a trailing axis of 2 lookups (leak, transmission): the
+    flat buffer row 2 r, the weights (..., 2, 4), the stage weight, and the
+    linear-blend mask.
+    """
+    stage_t = times[..., None]
+    done = committed[..., None]
+    u = np.stack([times - model.delta,
+                  times - model.delay1(times) - model.delay2(times)], axis=-1)
+    t_end = done * step
+    in_hist = u < 0.0
+    in_sol = ~in_hist & (u <= t_end + _EDGE_SLACK)
+    at_stage = ~(in_hist | in_sol) & (np.abs(u - stage_t) <= _EDGE_SLACK)
+    blend = ~(in_hist | in_sol | at_stage)
+    ahead = blend & (u > stage_t)
+    if ahead.any():
+        bad = np.broadcast_to(stage_t, u.shape)[ahead][0]
+        raise InputError(f"a delay waveform is negative at t={bad:.6g}; "
+                         f"delayed arguments must not lie ahead of time")
+
+    t0 = np.where(in_hist, -hist_steps * step, 0.0)
+    last = np.where(in_hist, hist_steps, done)
+    offset = (u - t0) / step
+    outside = ((in_hist | in_sol)
+               & ((offset < -_EDGE_SLACK) | (offset > last + _EDGE_SLACK)))
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        lo, hi = t0.flat[i], t0.flat[i] + step * last.flat[i]
+        raise InputError(f"lookup at t={u.flat[i]:.6g} is outside the stored "
+                         f"interval [{lo:.6g}, {hi:.6g}]")
+    cell = np.clip(np.floor(offset), 0.0, np.maximum(last - 1, 0))
+    tau = offset - cell
+    weights = np.stack([(1.0 + 2.0 * tau) * (1.0 - tau) ** 2,
+                        step * tau * (1.0 - tau) ** 2,
+                        tau * tau * (3.0 - 2.0 * tau),
+                        step * tau * tau * (tau - 1.0)], axis=-1)
+    node = np.where(in_hist, 0, hist_steps + 1) + cell.astype(int)
+
+    # lookups that read the last committed node directly: all of it when it
+    # is the only one, none of it at the stage time, or its linear blend
+    # with the stage state
+    direct = (in_sol & (done == 0)) | at_stage | blend
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (u - t_end) / (stage_t - t_end)
+    node = np.where(direct, hist_steps + 1 + done, node)
+    weights[direct] = 0.0
+    weights[..., 0] += np.where(blend, 1.0 - frac, in_sol & direct)
+    stage = np.where(blend, frac, at_stage.astype(float))
+    return 2 * node, weights, stage, blend
+
+
+# Steps per stencil table: small enough that the tables and their
+# temporaries add no memory next to the trajectories themselves.
+_CHUNK_STEPS = 128
+
+
+def integrate(model: NetworkModel, histories, horizon: float, step: float,
+              divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT
+              ) -> list[Trajectory]:
+    """Integrate the delayed dynamics from each history, all in one RK4 loop.
+
+    Each history maps a time in [-lookback, 0] to a (2, n) state pair; the
+    result holds one Trajectory per history, in order. A member diverges at
+    the first grid time where a component's complex modulus passes
+    ``divergence_limit`` or stops being finite: its trajectory ends at the
+    last node before that time, which is kept in ``diverged_at``. The other
+    members go on; the loop ends at the horizon or when every member has
+    diverged.
+
+    Delay lookups do not depend on the state, so they are precomputed per
+    chunk of steps as stencils (see ``_lookup_stencils``), and every
+    right-hand side is a few array operations on the (members, 4n) real
+    state, with A and B as real 4n x 4n matrices with the gains folded in.
     """
     if step <= 0 or horizon <= 0:
         raise InputError("horizon and step must be positive")
+    n, members = model.n, len(histories)
+    dim = 4 * n
     lookback = model.lookback()
     hist_steps = max(int(math.ceil(lookback / step - _EDGE_SLACK)), 1)
     hist_t0 = -hist_steps * step
     hist_times = hist_t0 + step * np.arange(hist_steps + 1)
-    hist_values = np.array([history(t) for t in hist_times], dtype=complex)
-    if hist_values.shape[1:] != (2, model.n):
-        raise InputError("history must produce (2, n) state pairs")
-    hist_seg = HistoryBuffer(hist_t0, step, hist_values,
-                       _finite_difference_derivs(hist_values, step))
-
     steps = int(math.ceil(horizon / step - _EDGE_SLACK))
-    values = np.zeros((steps + 1, 2, model.n), dtype=complex)
-    derivs = np.zeros_like(values)
-    values[0] = hist_values[-1]
-    rhs = _rhs_factory(model)
+    first = hist_steps + 1                     # node index of t = 0
 
-    committed = 0  # index of the last committed node
+    # node buffer: [node, value or derivative, member, real component]
+    nodes = np.zeros((first + steps + 1, 2, members, dim))
+    pairs = nodes.view(complex).reshape(nodes.shape[:3] + (2, n))
+    flat = nodes.reshape(2 * len(nodes), members * dim)
+    for s, history in enumerate(histories):
+        hist_values = np.array([history(t) for t in hist_times], dtype=complex)
+        if hist_values.shape[1:] != (2, n):
+            raise InputError("history must produce (2, n) state pairs")
+        pairs[:first, 0, s] = hist_values
+        pairs[:first, 1, s] = _finite_difference_derivs(hist_values, step)
+    nodes[first, 0] = nodes[first - 1, 0]
 
-    def make_lookup(stage_t: float, stage_y: np.ndarray):
-        t_end = committed * step
+    leak = _per_component(model.c_diag)
+    a_op = _real_operator(model.a_mat, model.gamma_diag)
+    b_op = _real_operator(model.b_mat, model.gamma_diag)
+    drive = (np.zeros(dim) if model.external_input is None
+             else _real_form(model.external_input))
+    if model.equilibrium is None:
+        act = np.tanh
+    else:
+        # deviation coordinates: f(v) = act(v + y_eq) - act(y_eq)
+        shift = _real_form(model.equilibrium)
+        drive = drive - np.tanh(shift) @ (a_op + b_op)
 
-        def lookup(u: float) -> np.ndarray:
-            if u < 0.0:
-                return hist_seg(u)
-            if u <= t_end + _EDGE_SLACK:
-                return HistoryBuffer(0.0, step, values[:committed + 1],
-                               derivs[:committed + 1])(u)
-            if abs(u - stage_t) <= _EDGE_SLACK:
-                return stage_y
-            # argument inside the uncommitted step: linear blend
-            w = (u - t_end) / (stage_t - t_end)
-            return (1.0 - w) * values[committed] + w * stage_y
-        return lookup
+        def act(v):
+            return np.tanh(v + shift)
 
-    def eval_rhs(stage_t: float, stage_y: np.ndarray) -> np.ndarray:
-        return rhs(stage_t, stage_y, make_lookup(stage_t, stage_y))
+    def stored(rows, weights):
+        """The node-buffer part of the two lookups of one evaluation."""
+        return ((weights[0] @ flat[rows[0]:rows[0] + 4]).reshape(members, dim),
+                (weights[1] @ flat[rows[1]:rows[1] + 4]).reshape(members, dim))
 
-    derivs[0] = eval_rhs(0.0, values[0])
-    for k in range(steps):
-        t = k * step
-        y = values[k]
-        k1 = derivs[k]
-        k2 = eval_rhs(t + step / 2.0, y + (step / 2.0) * k1)
-        k3 = eval_rhs(t + step / 2.0, y + (step / 2.0) * k2)
-        k4 = eval_rhs(t + step, y + step * k3)
-        y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_next = (k + 1) * step
-        if not np.all(np.isfinite(y_next)) or np.max(np.abs(y_next)) > divergence_limit:
-            raise DivergenceError(
-                f"state norm exceeded {divergence_limit:g} at t={t_next:.6g}",
-                time=t_next)
-        values[k + 1] = y_next
-        committed = k + 1
-        derivs[k + 1] = eval_rhs(t_next, y_next)
+    def rhs(y, lookups, stage):
+        x_leak, x_d = lookups
+        if stage[0]:
+            x_leak = x_leak + stage[0] * y
+        if stage[1]:
+            x_d = x_d + stage[1] * y
+        return drive - leak * x_leak + act(y) @ a_op + act(x_d) @ b_op
 
-    sol_seg = HistoryBuffer(0.0, step, values, derivs)
-    return Trajectory(model=model, step=step, history=hist_seg, solution=sol_seg)
+    alive = np.ones(members, dtype=bool)
+    last = np.full(members, steps)             # last committed node
+    diverged_at: list[float | None] = [None] * members
+    blends = []                                # linear-blend lookups per step
+    rows, weights, stage, _ = _lookup_stencils(
+        model, np.zeros(1), np.zeros(1, dtype=int), step, hist_steps)
+    # a diverged member's state runs on as inf/nan, unread and unreported
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes[first, 1] = rhs(nodes[first, 0], stored(rows[0], weights[0]),
+                              stage[0].tolist())
+        for k0 in range(0, steps, _CHUNK_STEPS):
+            if not alive.any():
+                break
+            ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
+            t = ks * step
+            # per step: the two middle stages, the end stage, and the
+            # derivative at the new node once it is committed
+            rows, weights, stage, blend = _lookup_stencils(
+                model, np.stack([t + step / 2.0, t + step, (ks + 1) * step], 1),
+                np.stack([ks, ks, ks + 1], 1), step, hist_steps)
+            blends.append(blend.sum(axis=2) @ [2, 1, 1])
+            for i, k in enumerate(ks.tolist()):
+                r, w, g = rows[i].tolist(), weights[i], stage[i].tolist()
+                y = nodes[first + k, 0]
+                k1 = nodes[first + k, 1]
+                mid = stored(r[0], w[0])       # shared by both middle stages
+                k2 = rhs(y + (step / 2.0) * k1, mid, g[0])
+                k3 = rhs(y + (step / 2.0) * k2, mid, g[0])
+                k4 = rhs(y + step * k3, stored(r[1], w[1]), g[1])
+                y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                # not (<=) also catches nan
+                crossed = ~(np.abs(y_next.view(complex)).max(axis=1)
+                            <= divergence_limit) & alive
+                if crossed.any():
+                    for s in np.flatnonzero(crossed):
+                        last[s] = k
+                        diverged_at[s] = (k + 1) * step
+                    alive &= ~crossed
+                    if not alive.any():
+                        break
+                nodes[first + k + 1, 0] = y_next
+                nodes[first + k + 1, 1] = rhs(y_next, stored(r[2], w[2]), g[2])
+
+    blended = np.concatenate([[0]] + blends).cumsum()
+    return [Trajectory(
+        model=model, step=step,
+        history=HistoryBuffer(hist_t0, step, pairs[:first, 0, s],
+                              pairs[:first, 1, s]),
+        solution=HistoryBuffer(0.0, step, pairs[first:first + end + 1, 0, s],
+                               pairs[first:first + end + 1, 1, s]),
+        diverged_at=diverged_at[s], blended_lookups=int(blended[end]))
+        for s, end in enumerate(last.tolist())]
 
 
 @dataclass

@@ -5,6 +5,7 @@ the elementary algebra types with the package, so that agreement between the
 two code paths is meaningful evidence rather than a tautology.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ import scipy.linalg
 from qvnn.errors import InputError
 from qvnn.inequalities import RcInstance
 from qvnn.lkf import LkfEvaluator, LkfSample
-from qvnn.lmi import DecisionVars
+from qvnn.lmi import DecisionVars, assemble_blocks, omega_upper_blocks
 from qvnn.lowering import StandardSdp
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
@@ -25,6 +26,15 @@ from qvnn.qmatrix import (
     random_quat_matrix,
 )
 from qvnn.quaternion import Quaternion
+from qvnn.simulate import (
+    _EDGE_SLACK,
+    DEFAULT_DIVERGENCE_LIMIT,
+    HistoryBuffer,
+    Trajectory,
+    _finite_difference_derivs,
+    activation,
+    mat_vec_pair,
+)
 
 
 def brute_product(p: QuatMatrix, q: QuatMatrix) -> QuatMatrix:
@@ -96,6 +106,11 @@ class _Grid:
             a1[r, c] += blk.a1
             a2[r, c] += blk.a2
         return HermitianQuatMatrix(a1, a2)
+
+
+def assemble_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix:
+    """The packaged Omega: its authored upper blocks, assembled."""
+    return assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
 
 
 def derivation_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix:
@@ -347,3 +362,113 @@ def xi_convexity_violation(inst: RcInstance) -> float:
     vals = q1 / inst.alpha_grid() + q2 / (1.0 - inst.alpha_grid())
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     return float(np.min(second))
+
+
+# ---------------------------------------------------------------------------
+# The per-member integration loop that ``qvnn.simulate.integrate`` replaced:
+# one history at a time, the delay lookups evaluated by closures at every
+# right-hand side. The batched loop must reproduce it per member.
+# ---------------------------------------------------------------------------
+
+
+class DivergenceError(RuntimeError):
+    """The serial loop's state passed the divergence limit at ``time``."""
+
+    def __init__(self, message: str, time: float):
+        super().__init__(message)
+        self.time = time
+
+
+def _rhs_factory(model: NetworkModel):
+    c = model.c_diag[None, :]
+    a_mat = model.a_mat
+    b_mat = model.b_mat
+    gains = model.gamma_diag
+    u_ext = (np.zeros((2, model.n), dtype=complex)
+             if model.external_input is None else model.external_input)
+    shift = model.equilibrium
+    if shift is None:
+        act = lambda pair: activation(pair, gains)
+    else:
+        base = activation(shift, gains)
+
+        def act(pair):
+            return activation(pair + shift, gains) - base
+
+    def rhs(t: float, state: np.ndarray, lookup) -> np.ndarray:
+        x_leak = lookup(t - model.delta)
+        x_d = lookup(t - model.delay1(t) - model.delay2(t))
+        return (-c * x_leak
+                + mat_vec_pair(a_mat, act(state))
+                + mat_vec_pair(b_mat, act(x_d))
+                + u_ext)
+    return rhs
+
+
+def serial_integrate(model: NetworkModel, history, horizon: float, step: float,
+                     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT) -> Trajectory:
+    """Integrate the delayed dynamics from a history function on [-L, 0].
+
+    ``history`` maps a time in [-lookback, 0] to a (2, n) state pair. Raises
+    DivergenceError (carrying the offending time) if the state norm passes
+    ``divergence_limit`` or stops being finite.
+    """
+    if step <= 0 or horizon <= 0:
+        raise InputError("horizon and step must be positive")
+    lookback = model.lookback()
+    hist_steps = max(int(math.ceil(lookback / step - _EDGE_SLACK)), 1)
+    hist_t0 = -hist_steps * step
+    hist_times = hist_t0 + step * np.arange(hist_steps + 1)
+    hist_values = np.array([history(t) for t in hist_times], dtype=complex)
+    if hist_values.shape[1:] != (2, model.n):
+        raise InputError("history must produce (2, n) state pairs")
+    hist_seg = HistoryBuffer(hist_t0, step, hist_values,
+                       _finite_difference_derivs(hist_values, step))
+
+    steps = int(math.ceil(horizon / step - _EDGE_SLACK))
+    values = np.zeros((steps + 1, 2, model.n), dtype=complex)
+    derivs = np.zeros_like(values)
+    values[0] = hist_values[-1]
+    rhs = _rhs_factory(model)
+
+    committed = 0  # index of the last committed node
+
+    def make_lookup(stage_t: float, stage_y: np.ndarray):
+        t_end = committed * step
+
+        def lookup(u: float) -> np.ndarray:
+            if u < 0.0:
+                return hist_seg(u)
+            if u <= t_end + _EDGE_SLACK:
+                return HistoryBuffer(0.0, step, values[:committed + 1],
+                               derivs[:committed + 1])(u)
+            if abs(u - stage_t) <= _EDGE_SLACK:
+                return stage_y
+            # argument inside the uncommitted step: linear blend
+            w = (u - t_end) / (stage_t - t_end)
+            return (1.0 - w) * values[committed] + w * stage_y
+        return lookup
+
+    def eval_rhs(stage_t: float, stage_y: np.ndarray) -> np.ndarray:
+        return rhs(stage_t, stage_y, make_lookup(stage_t, stage_y))
+
+    derivs[0] = eval_rhs(0.0, values[0])
+    for k in range(steps):
+        t = k * step
+        y = values[k]
+        k1 = derivs[k]
+        k2 = eval_rhs(t + step / 2.0, y + (step / 2.0) * k1)
+        k3 = eval_rhs(t + step / 2.0, y + (step / 2.0) * k2)
+        k4 = eval_rhs(t + step, y + step * k3)
+        y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_next = (k + 1) * step
+        if not np.all(np.isfinite(y_next)) or np.max(np.abs(y_next)) > divergence_limit:
+            raise DivergenceError(
+                f"state norm exceeded {divergence_limit:g} at t={t_next:.6g}",
+                time=t_next)
+        values[k + 1] = y_next
+        committed = k + 1
+        derivs[k + 1] = eval_rhs(t_next, y_next)
+
+    sol_seg = HistoryBuffer(0.0, step, values, derivs)
+    return Trajectory(model=model, step=step, history=hist_seg, solution=sol_seg)

@@ -12,8 +12,13 @@ import pytest
 import scipy.sparse
 
 from conftest import FEASIBLE_RUNS, certified_solve
-from oracles import brute_product, derivation_omega, random_decision_vars, random_model
-from qvnn.errors import DivergenceError
+from oracles import (
+    assemble_omega,
+    brute_product,
+    derivation_omega,
+    random_decision_vars,
+    random_model,
+)
 from qvnn.inequalities import (
     VectorPath,
     jensen_gap,
@@ -22,7 +27,7 @@ from qvnn.inequalities import (
     rc_gap,
 )
 from qvnn.lkf import lkf_trace
-from qvnn.lmi import assemble_omega, omega_upper_blocks, verify_certificate
+from qvnn.lmi import omega_upper_blocks, verify_certificate
 from qvnn.lowering import AffineLmi, StandardSdp
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
@@ -82,17 +87,17 @@ def test_02_reference_component_matrices_match_frozen_source_data(
 
 def test_03_reference_simulations_converge_and_functional_decays(
         reference_model):
-    outcomes = []
+    histories = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         parts = rng.uniform(-1.0, 1.0, size=(4, reference_model.n))
-        history = constant_history(np.stack([parts[0] + 1j * parts[1],
-                                             parts[2] + 1j * parts[3]]))
-        try:
-            traj = integrate(reference_model, history, horizon=20.0,
-                             step=1e-3)
-        except DivergenceError as exc:
-            outcomes.append((seed, f"diverged at t={exc.time:.2f}"))
+        histories.append(constant_history(np.stack([parts[0] + 1j * parts[1],
+                                                    parts[2] + 1j * parts[3]])))
+    trajs = integrate(reference_model, histories, horizon=20.0, step=1e-3)
+    outcomes = []
+    for seed, traj in enumerate(trajs):
+        if traj.diverged_at is not None:
+            outcomes.append((seed, f"diverged at t={traj.diverged_at:.2f}"))
             continue
         metrics = convergence_metrics(traj, threshold=1e-3)
         if metrics.final_sup < 1e-3:
@@ -113,7 +118,7 @@ def test_03_reference_simulations_converge_and_functional_decays(
     parts = rng.uniform(-1.0, 1.0, size=(4, reference_model.n))
     history = constant_history(np.stack([parts[0] + 1j * parts[1],
                                          parts[2] + 1j * parts[3]]))
-    traj = integrate(reference_model, history, horizon=20.0, step=1e-3)
+    (traj,) = integrate(reference_model, [history], horizon=20.0, step=1e-3)
     trace = lkf_trace(traj, reference_model, dv, stride=20)
     v0 = trace.total[0]
     assert trace.max_increase() <= 1e-6 * v0, (

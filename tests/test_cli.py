@@ -11,6 +11,8 @@ from qvnn.cli import main
 from qvnn.errors import NumericalError
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
+from qvnn.qmatrix import qv_from_components
+from qvnn.simulate import activation, mat_vec_pair
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +143,9 @@ def test_simulate_runs_converge_and_track_the_functional(tmp_path, capsys,
     assert code == 0
     report = json.loads(out)
     assert report["all_converged"] is True
+    assert isinstance(report["linear_blend_lookups"], int)
+    assert report["linear_blend_lookups"] >= 0
+    assert "equilibrium" not in report
     assert len(report["runs"]) == 2
     for entry in report["runs"]:
         assert entry["converged"] is True
@@ -177,6 +182,43 @@ def test_simulate_flags_divergence_without_crashing(tmp_path, capsys,
     entry = report["runs"][0]
     assert entry["status"] == "diverged"
     assert 0.0 < entry["diverged_at"] < 20.0
+    # the clamped delays reach zero before the run diverges
+    assert isinstance(report["linear_blend_lookups"], int)
+    assert report["linear_blend_lookups"] > 0
+
+
+def test_simulate_measures_a_driven_network_about_its_rest_point(
+        tmp_path, capsys, stable_example_path):
+    doc = json.loads(stable_example_path.read_text())
+    doc["external_input"] = [[1.0, 0.5, -0.5, 0.2], [0.3, -0.8, 0.4, 0.1]]
+    config = tmp_path / "driven.json"
+    config.write_text(json.dumps(doc))
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", str(config), "--out", str(cert))
+    assert code == 0
+    out_dir = tmp_path / "runs"
+    code, out, _ = run_cli(capsys, "simulate", str(config), "--seeds", "2",
+                           "--horizon", "3", "--step", "0.005",
+                           "--lkf", str(cert), "--lkf-stride", "50",
+                           "--out-dir", str(out_dir), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_converged"] is True
+    assert all(e["final_sup"] < 1e-3 for e in report["runs"])
+    assert report["lkf"]["max_rise"] <= 1e-6 * report["lkf"]["v_start"]
+
+    # the rest point solves C y = (A + B) f(y) + u, and the CSV holds the
+    # deviation from it
+    model, _ = load_model(str(config))
+    rest = np.asarray(report["equilibrium"])
+    assert rest.shape == (2, 4)
+    pair = qv_from_components(rest)
+    f = activation(pair, model.gamma_diag)
+    residual = (mat_vec_pair(model.a_mat, f) + mat_vec_pair(model.b_mat, f)
+                + model.external_input - model.c_diag * pair)
+    assert np.max(np.abs(residual)) < 1e-10
+    _, rows = read_csv(out_dir / "trajectory_seed0.csv")
+    assert max(abs(float(c)) for c in rows[-1][1:]) < 1e-3
 
 
 # ---- margin ----------------------------------------------------------------------

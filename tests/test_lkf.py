@@ -185,10 +185,10 @@ def test_dimension_mismatch_is_rejected():
 
 def test_certified_functional_decays_along_a_stable_run(stable_model, stable_solution):
     _, dv = stable_solution
-    traj = integrate(stable_model,
-                     constant_history(np.array([[0.6 - 0.3j, -0.4 + 0.2j],
-                                                [0.5 + 0.5j, 0.3 - 0.6j]])),
-                     horizon=6.0, step=2e-3)
+    (traj,) = integrate(stable_model,
+                        [constant_history(np.array([[0.6 - 0.3j, -0.4 + 0.2j],
+                                                    [0.5 + 0.5j, 0.3 - 0.6j]]))],
+                        horizon=6.0, step=2e-3)
     trace = lkf_trace(traj, stable_model, dv, stride=50)
     v0 = trace.total[0]
     assert v0 > 0.0

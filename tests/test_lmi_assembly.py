@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import derivation_omega, random_decision_vars, random_model
+from oracles import assemble_omega, derivation_omega, random_decision_vars, random_model
 from qvnn.errors import ShapeError
 from qvnn.lmi import (
     DIAG_NAMES,
@@ -16,7 +16,6 @@ from qvnn.lmi import (
     OMEGA_UPPER_INDICES,
     DecisionVars,
     assemble_blocks,
-    assemble_omega,
     omega_upper_blocks,
     quat_constraints,
     var_map,

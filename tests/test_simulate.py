@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import order_fixture_model
-from oracles import random_history
-from qvnn.errors import DivergenceError, InputError
+from oracles import DivergenceError, random_history, serial_integrate
+from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, qv_modulus
 from qvnn.simulate import (
@@ -103,7 +103,7 @@ def test_sampled_history_derivatives_are_high_order():
     model = scalar_model()
     history = lambda t: np.array([[np.sin(t) + 1j * np.cos(2 * t)],
                                   [np.cos(t) - 1j * np.sin(t)]])
-    traj = integrate(model, history, horizon=0.1, step=step)
+    (traj,) = integrate(model, [history], horizon=0.1, step=step)
     for u in (-0.2, -0.13, -0.05):
         expected = np.array([[np.cos(u) - 2j * np.sin(2 * u)],
                              [-np.sin(u) - 1j * np.cos(u)]])
@@ -127,7 +127,7 @@ def test_random_history_is_seeded_and_bounded():
 
 def test_zero_history_stays_at_the_origin():
     model = scalar_model()
-    traj = integrate(model, constant_history(np.zeros((2, 1))), 1.0, 1e-2)
+    (traj,) = integrate(model, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
     assert np.max(np.abs(traj.solution.values)) <= 1e-14
 
 
@@ -135,17 +135,18 @@ def test_integrate_validates_inputs():
     model = scalar_model()
     history = constant_history(np.zeros((2, 1)))
     with pytest.raises(InputError):
-        integrate(model, history, horizon=0.0, step=1e-2)
+        integrate(model, [history], horizon=0.0, step=1e-2)
     with pytest.raises(InputError):
-        integrate(model, history, horizon=1.0, step=0.0)
+        integrate(model, [history], horizon=1.0, step=0.0)
     with pytest.raises(InputError):
-        integrate(model, constant_history(np.zeros((2, 3))), 1.0, 1e-2)
+        integrate(model, [history, constant_history(np.zeros((2, 3)))],
+                  1.0, 1e-2)
 
 
 def test_trajectory_grid_and_state_agree():
     model = scalar_model()
-    traj = integrate(model, constant_history(np.array([[0.4 + 0.1j], [0.2j]])),
-                     horizon=1.0, step=0.05)
+    (traj,) = integrate(model, [constant_history(np.array([[0.4 + 0.1j], [0.2j]]))],
+                        horizon=1.0, step=0.05)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
     for k in (0, 7, len(traj.times) - 1):
@@ -158,8 +159,8 @@ def test_trajectory_grid_and_state_agree():
 
 def test_state_lookup_refuses_extrapolation():
     model = scalar_model()
-    traj = integrate(model, constant_history(np.array([[0.1 + 0j], [0j]])),
-                     horizon=1.0, step=0.05)
+    (traj,) = integrate(model, [constant_history(np.array([[0.1 + 0j], [0j]]))],
+                        horizon=1.0, step=0.05)
     with pytest.raises(InputError):
         traj.state(1.2)
     with pytest.raises(InputError):
@@ -172,11 +173,10 @@ def test_divergence_reports_first_crossing_time():
         c_diag=np.array([0.05]),
         b_mat=QuatMatrix.from_real(np.array([[40.0]])),
         gamma_diag=np.array([3.0]))
-    with pytest.raises(DivergenceError) as err:
-        integrate(model, constant_history(np.array([[1.0 + 0j], [0j]])),
-                  horizon=50.0, step=1e-2, divergence_limit=100.0)
-    assert err.value.time is not None
-    assert 0.0 < err.value.time < 50.0
+    (traj,) = integrate(model, [constant_history(np.array([[1.0 + 0j], [0j]]))],
+                        horizon=50.0, step=1e-2, divergence_limit=100.0)
+    assert traj.diverged_at is not None
+    assert 0.0 < traj.diverged_at < 50.0
 
 
 def reference_integrate(model, pair0, horizon, step):
@@ -241,7 +241,7 @@ def test_constant_delay_run_matches_independent_reimplementation():
     model = order_fixture_model()
     pair0 = np.array([[0.9 + 0.4j], [-0.6 + 0.7j]])
     step = 1.0 / 16.0  # delays are integer multiples of the step
-    traj = integrate(model, constant_history(pair0), horizon=2.0, step=step)
+    (traj,) = integrate(model, [constant_history(pair0)], horizon=2.0, step=step)
     ref = reference_integrate(model, pair0, horizon=2.0, step=step)
     assert np.max(np.abs(traj.solution.values - ref)) < 1e-10
 
@@ -252,14 +252,110 @@ def test_convergence_order_meets_scheme_design(order_study):
     assert slope >= 3.5, (steps, errors, slope)
 
 
+# ---- the batched loop against the serial oracle -----------------------------------
+
+
+def seeded_histories(n, seeds):
+    """Constant histories drawn as ``qvnn simulate`` draws them."""
+    out = []
+    for seed in seeds:
+        parts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, n))
+        out.append(constant_history(np.stack([parts[0] + 1j * parts[1],
+                                              parts[2] + 1j * parts[3]])))
+    return out
+
+
+def assert_matches_serial(model, histories, horizon, step, **kwargs):
+    """Every batched member equals its serial run to 1e-12; a diverged member
+    stops at the serial divergence time exactly, and its committed part
+    equals a serial run up to its last node."""
+    trajs = integrate(model, histories, horizon, step, **kwargs)
+    assert len(trajs) == len(histories)
+    for history, traj in zip(histories, trajs):
+        try:
+            ref = serial_integrate(model, history, horizon, step, **kwargs)
+        except DivergenceError as exc:
+            assert traj.diverged_at == exc.time
+            assert traj.horizon == pytest.approx(exc.time - step)
+            ref = serial_integrate(model, history, traj.horizon, step, **kwargs)
+        else:
+            assert traj.diverged_at is None
+        assert traj.solution.values.shape == ref.solution.values.shape
+        for ours, theirs in ((traj.solution, ref.solution),
+                             (traj.history, ref.history)):
+            np.testing.assert_allclose(ours.values, theirs.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ours.derivs, theirs.derivs, rtol=0, atol=1e-12)
+    return trajs
+
+
+def test_batched_stable_members_match_serial(stable_model):
+    trajs = assert_matches_serial(stable_model, seeded_histories(2, range(10)),
+                                  horizon=1.0, step=5e-3)
+    assert all(t.diverged_at is None for t in trajs)
+
+
+def test_divergent_members_do_not_stop_the_others():
+    # c * delta = 3 > pi/2: the leak alone is unstable, so every nonzero orbit
+    # grows, and only the large starts pass the limit within the horizon
+    model = scalar_model(c_diag=np.array([3.0]), delta=1.0)
+    amplitudes = (1.0, 1e-9, 0.5, 0.0, 1e-7)
+    histories = [constant_history(np.array([[a + 0.3j * a], [0.2 * a + 0j]]))
+                 for a in amplitudes]
+    trajs = assert_matches_serial(model, histories, horizon=10.0, step=0.02,
+                                  divergence_limit=50.0)
+    diverged = [t.diverged_at is not None for t in trajs]
+    assert diverged == [True, False, True, False, False]
+    assert trajs[0].diverged_at != trajs[2].diverged_at
+    assert all(t.horizon == pytest.approx(10.0)
+               for t, d in zip(trajs, diverged) if not d)
+
+
+def test_clamped_delays_take_the_stage_and_blend_lookups():
+    # d1 = max(0.3 sin 4t, 0) sits at zero for half of each period and
+    # crosses below one step on the way, so lookups hit the stage state
+    # and the linear blend as well as committed cells
+    model = scalar_model(
+        delta=0.1, d1_bound=0.3, d2_bound=0.0, mu1=1.2,
+        delay1=DelaySpec(kind="sinusoid", amplitude=0.3, omega=4.0),
+        delay2=DelaySpec(kind="constant", value=0.0))
+    step = 0.01
+    stage_times = np.arange(0.0, 2.0, step / 2.0)
+    assert np.any(model.delay1(stage_times) == 0.0)
+    trajs = assert_matches_serial(model, seeded_histories(1, range(3)),
+                                  horizon=2.0, step=step)
+    assert all(t.blended_lookups > 0 for t in trajs)
+
+
+def test_batched_shifted_members_match_serial():
+    model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
+    shifted = equilibrium_shift(model)
+    assert_matches_serial(shifted, seeded_histories(1, range(4)),
+                          horizon=2.0, step=1e-2)
+
+
+def test_negative_delays_are_refused():
+    # an unclamped waveform below zero would read states ahead of time
+    model = scalar_model(
+        d1_bound=0.25, d2_bound=0.0, mu1=0.2,
+        delay1=DelaySpec(kind="sinusoid", amplitude=0.2, offset=-0.1,
+                         clamp_negative=False),
+        delay2=DelaySpec(kind="constant", value=0.0))
+    with pytest.raises(InputError, match="negative"):
+        integrate(model, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
+
+
+def test_no_histories_give_no_trajectories():
+    assert integrate(scalar_model(), [], 1.0, 1e-2) == []
+
+
 # ---- convergence metrics ---------------------------------------------------------
 
 
 def test_metrics_on_a_decaying_run():
     model = scalar_model(delta=0.05,
                          delay1=DelaySpec(kind="constant", value=0.25))
-    traj = integrate(model, constant_history(np.array([[0.5 + 0.2j], [0.1j]])),
-                     horizon=12.0, step=5e-3)
+    (traj,) = integrate(model, [constant_history(np.array([[0.5 + 0.2j], [0.1j]]))],
+                        horizon=12.0, step=5e-3)
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.final_sup < 1e-3
     assert metrics.time_to_threshold is not None
@@ -273,8 +369,8 @@ def test_metrics_on_a_growing_run():
         c_diag=np.array([0.2]),
         b_mat=QuatMatrix.from_real(np.array([[8.0]])),
         gamma_diag=np.array([2.0]))
-    traj = integrate(model, constant_history(np.array([[0.3 + 0j], [0j]])),
-                     horizon=4.0, step=5e-3)
+    (traj,) = integrate(model, [constant_history(np.array([[0.3 + 0j], [0j]]))],
+                        horizon=4.0, step=5e-3)
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.time_to_threshold is None
     assert not metrics.envelope_bounded
@@ -283,7 +379,7 @@ def test_metrics_on_a_growing_run():
 
 def test_metrics_on_the_zero_run():
     model = scalar_model()
-    traj = integrate(model, constant_history(np.zeros((2, 1))), 1.0, 1e-2)
+    (traj,) = integrate(model, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
     metrics = convergence_metrics(traj)
     assert metrics.final_sup <= 1e-14
     assert metrics.peak <= 1e-14
@@ -312,7 +408,7 @@ def test_shifted_model_rests_at_the_origin():
     model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
     shifted = equilibrium_shift(model)
     assert shifted.external_input is None
-    traj = integrate(shifted, constant_history(np.zeros((2, 1))), 1.0, 1e-2)
+    (traj,) = integrate(shifted, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
     assert np.max(np.abs(traj.solution.values)) <= 1e-12
 
 
@@ -322,8 +418,8 @@ def test_shift_agrees_with_driven_dynamics():
     y_eq = find_equilibrium(model)
     shifted = equilibrium_shift(model, y_eq)
     start = np.array([[0.5 - 0.2j], [0.3 + 0.4j]])
-    driven = integrate(model, constant_history(start), 2.0, 1e-2)
-    deviation = integrate(shifted, constant_history(start - y_eq), 2.0, 1e-2)
+    (driven,) = integrate(model, [constant_history(start)], 2.0, 1e-2)
+    (deviation,) = integrate(shifted, [constant_history(start - y_eq)], 2.0, 1e-2)
     recomposed = deviation.solution.values + y_eq[None]
     assert np.max(np.abs(driven.solution.values - recomposed)) < 1e-9
 
