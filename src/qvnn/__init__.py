@@ -10,22 +10,18 @@ simulation and Lyapunov-Krasovskii functional evaluation.
 
 __version__ = "0.1.0"
 
-from .quaternion import Quaternion
 from .qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
     definiteness,
-    quadform,
     real_embed,
 )
 from .model import DelaySpec, NetworkModel
 
 __all__ = [
-    "Quaternion",
     "QuatMatrix",
     "HermitianQuatMatrix",
     "definiteness",
-    "quadform",
     "real_embed",
     "DelaySpec",
     "NetworkModel",

@@ -236,7 +236,7 @@ def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars
     if cert_doc.get("n") != model.n:
         raise QvnnError(f"certificate {path} is for n = {cert_doc.get('n')}, "
                         f"this config has n = {model.n}")
-    return DecisionVars.from_json(cert_doc["variables"])
+    return DecisionVars.from_json(cert_doc["variables"], model.n)
 
 
 def cmd_simulate(args) -> int:

@@ -17,8 +17,9 @@ homogeneous (zero constant term), so certificates scale freely.
 
 Only the upper block triangle is authored below; the lower one is the mirror.
 Unlisted blocks are identically zero. Everything here is linear in the
-decision variables, which the lowering pass exploits to extract coefficient
-matrices by sweeping unit vectors.
+decision variables and works on stacks of variable sets (leading batch axes
+of every matrix), which the lowering pass exploits to read off all
+coefficient matrices from one evaluation at every unit vector.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from .qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
     hermitian_eigvals,
+    hermitian_part,
     qmat_from_json,
     qmat_to_json,
+    real_diag,
 )
 
 DIAG_NAMES = ("m1", "m2", "m3")
@@ -59,7 +62,8 @@ OMEGA_UPPER_INDICES = (
 
 @dataclass
 class DecisionVars:
-    """One full set of decision matrices for a network of size n."""
+    """One full set of decision matrices for a network of size n, or a stack
+    of sets when the arrays carry leading batch axes."""
 
     m1: np.ndarray
     m2: np.ndarray
@@ -82,22 +86,7 @@ class DecisionVars:
 
     @property
     def n(self) -> int:
-        return self.m1.shape[0]
-
-    def scaled(self, factor: float) -> "DecisionVars":
-        def h(m):
-            return HermitianQuatMatrix(m.a1 * factor, m.a2 * factor)
-
-        def g(m):
-            return QuatMatrix(m.a1 * factor, m.a2 * factor)
-
-        return DecisionVars(
-            m1=self.m1 * factor, m2=self.m2 * factor, m3=self.m3 * factor,
-            p1=h(self.p1), p2=h(self.p2), p3=h(self.p3),
-            q1=h(self.q1), q2=h(self.q2), q3=h(self.q3),
-            q4=h(self.q4), q5=h(self.q5), q6=h(self.q6),
-            r1=h(self.r1), r2=h(self.r2),
-            u=g(self.u), v=g(self.v), s1=g(self.s1), s2=g(self.s2))
+        return self.m1.shape[-1]
 
     # ---- flat real vector form ---------------------------------------------
 
@@ -109,61 +98,49 @@ class DecisionVars:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n: int) -> "DecisionVars":
+        """The variables whose flat real vector is the last axis of ``vec``.
+
+        This is the one definition of the flat layout: per name, in the order
+        of DIAG_NAMES, HERMITIAN_NAMES and GENERAL_NAMES, a diagonal gives
+        its n entries; a Hermitian matrix its real a1 diagonal, then
+        (re, im) of a1 and of a2 above the diagonal, row by row (the lower
+        triangle is the mirror); a general matrix the real and imaginary
+        parts of a1 and of a2, each row-major. Leading axes of ``vec``
+        become batch axes of every matrix.
+        """
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (cls.num_scalars(n),):
+        if vec.shape[-1:] != (cls.num_scalars(n),):
             raise ShapeError(f"expected {cls.num_scalars(n)} scalars, got {vec.shape}")
+        batch = vec.shape[:-1]
+        rows, cols = np.triu_indices(n, 1)
+        diag = np.arange(n)
         pos = 0
 
         def take(k):
             nonlocal pos
-            out = vec[pos:pos + k]
             pos += k
-            return out
+            return vec[..., pos - k:pos]
+
+        def take_upper():
+            return np.ascontiguousarray(take(2 * rows.size)).view(np.complex128)
 
         diags = {name: take(n).copy() for name in DIAG_NAMES}
         herms = {}
         for name in HERMITIAN_NAMES:
-            a1 = np.zeros((n, n), dtype=np.complex128)
-            a2 = np.zeros((n, n), dtype=np.complex128)
-            for i in range(n):
-                a1[i, i] = take(1)[0]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    re, im = take(2)
-                    a1[i, j] = complex(re, im)
-                    a1[j, i] = complex(re, -im)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    re, im = take(2)
-                    a2[i, j] = complex(re, im)
-                    a2[j, i] = complex(-re, -im)
+            a1 = np.zeros(batch + (n, n), dtype=np.complex128)
+            a2 = np.zeros_like(a1)
+            a1[..., diag, diag] = take(n)
+            upper = take_upper()
+            a1[..., rows, cols], a1[..., cols, rows] = upper, upper.conj()
+            upper = take_upper()
+            a2[..., rows, cols], a2[..., cols, rows] = upper, -upper
             herms[name] = HermitianQuatMatrix(a1, a2)
         gens = {}
         for name in GENERAL_NAMES:
-            a1 = (take(n * n) + 1j * take(n * n)).reshape(n, n)
-            a2 = (take(n * n) + 1j * take(n * n)).reshape(n, n)
+            a1 = (take(n * n) + 1j * take(n * n)).reshape(batch + (n, n))
+            a2 = (take(n * n) + 1j * take(n * n)).reshape(batch + (n, n))
             gens[name] = QuatMatrix(a1, a2)
-        assert pos == vec.size
         return cls(**diags, **herms, **gens)
-
-    def to_vector(self) -> np.ndarray:
-        n = self.n
-        parts = [np.asarray(getattr(self, name), dtype=float) for name in DIAG_NAMES]
-        for name in HERMITIAN_NAMES:
-            m = getattr(self, name)
-            parts.append(np.real(np.diag(m.a1)))
-            upper1, upper2 = [], []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    upper1 += [m.a1[i, j].real, m.a1[i, j].imag]
-                    upper2 += [m.a2[i, j].real, m.a2[i, j].imag]
-            parts.append(np.asarray(upper1))
-            parts.append(np.asarray(upper2))
-        for name in GENERAL_NAMES:
-            m = getattr(self, name)
-            parts += [m.a1.real.ravel(), m.a1.imag.ravel(),
-                      m.a2.real.ravel(), m.a2.imag.ravel()]
-        return np.concatenate([p for p in parts if p.size])
 
     # ---- JSON certificate payload --------------------------------------------
 
@@ -174,61 +151,29 @@ class DecisionVars:
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "DecisionVars":
+    def from_json(cls, doc: dict, n: int) -> "DecisionVars":
+        """The variables of a certificate payload, refused unless every
+        diagonal has n entries and every matrix is n x n."""
         try:
             diags = {name: np.asarray([float(v) for v in doc[name]])
                      for name in DIAG_NAMES}
-            herms = {name: HermitianQuatMatrix.from_quat(qmat_from_json(doc[name]))
-                     for name in HERMITIAN_NAMES}
-            gens = {name: qmat_from_json(doc[name]) for name in GENERAL_NAMES}
+            mats = {name: qmat_from_json(doc[name])
+                    for name in HERMITIAN_NAMES + GENERAL_NAMES}
         except KeyError as exc:
             raise InputError(f"certificate is missing field {exc}") from None
-        return cls(**diags, **herms, **gens)
-
-
-@dataclass(frozen=True)
-class VarSpec:
-    """Where one scalar of the flat vector lives inside the decision matrices."""
-
-    matrix: str
-    component: str  # "diag" | "a1" | "a2"
-    row: int
-    col: int
-    part: str       # "re" | "im"
-
-
-def var_map(n: int) -> list[VarSpec]:
-    out = []
-    for name in DIAG_NAMES:
-        out += [VarSpec(name, "diag", i, i, "re") for i in range(n)]
-    for name in HERMITIAN_NAMES:
-        out += [VarSpec(name, "a1", i, i, "re") for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out += [VarSpec(name, "a1", i, j, "re"), VarSpec(name, "a1", i, j, "im")]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out += [VarSpec(name, "a2", i, j, "re"), VarSpec(name, "a2", i, j, "im")]
-    for name in GENERAL_NAMES:
-        for comp in ("a1", "a2"):
-            for part in ("re", "im"):
-                out += [VarSpec(name, comp, i, j, part)
-                        for i in range(n) for j in range(n)]
-    assert len(out) == DecisionVars.num_scalars(n)
-    return out
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed certificate field: {exc}") from None
+        for name, value in {**diags, **mats}.items():
+            expected = (n,) if name in DIAG_NAMES else (n, n)
+            if value.shape != expected:
+                raise InputError(f"certificate field {name} has shape "
+                                 f"{value.shape}, expected {expected}")
+        herms = {name: HermitianQuatMatrix.from_quat(mats[name])
+                 for name in HERMITIAN_NAMES}
+        return cls(**diags, **herms, **{name: mats[name] for name in GENERAL_NAMES})
 
 
 # ---- block assembly --------------------------------------------------------------
-
-
-def hermitian_part(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A + A*) / 2 of a diagonal block A = a1 + a2 j, on the last two axes.
-
-    Exact symmetrization, so the structure check of the assembled matrix and
-    the lowered coefficients need no tolerance.
-    """
-    return ((a1 + np.swapaxes(a1, -1, -2).conj()) / 2.0,
-            (a2 - np.swapaxes(a2, -1, -2)) / 2.0)
 
 
 def assemble_blocks(num_blocks: int, n: int,
@@ -266,16 +211,10 @@ def omega_upper_blocks(model: NetworkModel,
     q1, q2, q3, q4, q5, q6 = dv.q1, dv.q2, dv.q3, dv.q4, dv.q5, dv.q6
     r1, r2, u, v, s1, s2 = dv.r1, dv.r2, dv.u, dv.v, dv.s1, dv.s2
 
-    def gdiag(m):
-        return QuatMatrix.from_real(np.diag(g * m * g))
-
-    def mdiag(m):
-        return QuatMatrix.from_real(np.diag(m))
-
     s1h, s2h = s1.H, s2.H
     blocks = {
         (1, 1): (-p1.scale_cols(c) - p1.scale_rows(c) + p2 + (delta * delta) * p3
-                 + q1 + q3 + q5 + q6 - r1 + gdiag(dv.m1)),
+                 + q1 + q3 + q5 + q6 - r1 + real_diag(g * dv.m1 * g)),
         (1, 4): r1 - u.H,
         (1, 6): u.H,
         (1, 8): p1 @ a,
@@ -288,18 +227,20 @@ def omega_upper_blocks(model: NetworkModel,
         (3, 3): -p2 - s2.scale_rows(c) - s2h.scale_cols(c),
         (3, 8): s2h @ a,
         (3, 10): s2h @ b,
-        (4, 4): (-(1.0 - mu1) * q1 - r1 - r1.H + u + u.H + gdiag(dv.m2)),
+        (4, 4): (-(1.0 - mu1) * q1 - r1 - r1.H + u + u.H
+                 + real_diag(g * dv.m2 * g)),
         (4, 6): r1 - u.H,
-        (5, 5): (-(1.0 - mu) * q3 - r2 - r2.H + v + v.H + gdiag(dv.m3)),
+        (5, 5): (-(1.0 - mu) * q3 - r2 - r2.H + v + v.H
+                 + real_diag(g * dv.m3 * g)),
         (5, 6): r2.H - v,
         (5, 7): r2 - v.H,
         (6, 6): -q5 - r1 - r2,
         (6, 7): v.H,
         (7, 7): -q6 - r2,
-        (8, 8): q2 + q4 - mdiag(dv.m1),
+        (8, 8): q2 + q4 - real_diag(dv.m1),
         (8, 11): -(a.H @ p1).scale_cols(c),
-        (9, 9): -(1.0 - mu1) * q2 - mdiag(dv.m2),
-        (10, 10): -(1.0 - mu) * q4 - mdiag(dv.m3),
+        (9, 9): -(1.0 - mu1) * q2 - real_diag(dv.m2),
+        (10, 10): -(1.0 - mu) * q4 - real_diag(dv.m3),
         (10, 11): -(b.H @ p1).scale_cols(c),
         (11, 11): -p3,
     }
@@ -342,7 +283,7 @@ def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstrai
     for name in DIAG_NAMES:
         cons.append(QuatConstraint(
             f"{name}_pos", "pd", 1,
-            {(1, 1): QuatMatrix.from_real(np.diag(getattr(dv, name)))}))
+            {(1, 1): real_diag(getattr(dv, name))}))
     return cons
 
 

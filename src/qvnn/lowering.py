@@ -2,9 +2,10 @@
 
 Every constraint of the criterion is linear in the flat decision vector, so
 its coefficients are read off exactly from its authored blocks at unit
-vectors. A constraint of N quaternion rows (``num_blocks`` blocks of side n)
-becomes a real symmetric matrix of side 4N: the complex embedding chi
-(size doubles, Hermitian-ness and definiteness preserved) followed by the
+vectors, all evaluated by one batched call of ``quat_constraints``. A
+constraint of N quaternion rows (``num_blocks`` blocks of side n) becomes
+a real symmetric matrix of side 4N: the complex embedding chi (size
+doubles, Hermitian-ness and definiteness preserved) followed by the
 real embedding of a complex Hermitian matrix (size doubles again, spectrum
 preserved with doubled multiplicity). Both embeddings act entry by entry, so
 they are applied per block, and the full quaternion matrix is never formed:
@@ -22,16 +23,15 @@ column per entry of the row-major real matrix; only nonzero entries are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
 from .errors import InputError, ShapeError
-from .lmi import (DecisionVars, QuatConstraint, VarSpec, hermitian_part,
-                  quat_constraints)
-from .lmi import var_map as build_var_map
+from .lmi import DecisionVars, QuatConstraint, quat_constraints
 from .model import NetworkModel
+from .qmatrix import QuatMatrix, hermitian_part
 
 
 @dataclass
@@ -64,7 +64,6 @@ class StandardSdp:
 
     num_vars: int
     lmis: list[AffineLmi]
-    var_map: list[VarSpec] = field(default_factory=list)
 
     def __post_init__(self):
         for lmi in self.lmis:
@@ -72,28 +71,26 @@ class StandardSdp:
                 raise ShapeError(f"constraint {lmi.name} has coefficients of "
                                  f"shape {lmi.coeffs.shape}, expected "
                                  f"{(self.num_vars, lmi.dim * lmi.dim)}")
-        if self.var_map and len(self.var_map) != self.num_vars:
-            raise ShapeError("variable map length does not match num_vars")
 
 
 def _real_images(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     """Real images of the quaternion blocks a1 + a2 j, stacked on axis 0."""
-    chi = np.concatenate([np.concatenate([a1, -a2], axis=2),
-                          np.concatenate([a2.conj(), a1.conj()], axis=2)],
-                         axis=1)
-    return np.concatenate([np.concatenate([chi.real, -chi.imag], axis=2),
-                           np.concatenate([chi.imag, chi.real], axis=2)],
-                          axis=1)
+    chi = QuatMatrix(a1, a2).complex_embed()
+    return np.block([[chi.real, -chi.imag], [chi.imag, chi.real]])
 
 
-def _lower(con: QuatConstraint, found: list, n: int, num_vars: int) -> AffineLmi:
-    """One constraint's real form from its nonzero (variable, key, block)s."""
+def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
+    """One constraint's real form from its blocks at the unit vectors: batch
+    row i + 1 of every block is its value at unit vector i, and the
+    variables where a block is zero are dropped."""
     rows = con.num_blocks * n
     d = 4 * rows
-    var = np.array([i for i, _, _ in found], dtype=np.intp)
-    key = np.array([k for _, k, _ in found], dtype=np.intp).reshape(-1, 2)
-    a1 = np.array([blk.a1 for _, _, blk in found]).reshape(-1, n, n)
-    a2 = np.array([blk.a2 for _, _, blk in found]).reshape(-1, n, n)
+    hot = {k: np.flatnonzero(blk.a1[1:].any(axis=(1, 2)) | blk.a2[1:].any(axis=(1, 2)))
+           for k, blk in con.blocks.items()}
+    var = np.concatenate(list(hot.values()))
+    key = np.concatenate([np.tile(k, (h.size, 1)) for k, h in hot.items()])
+    a1 = np.concatenate([con.blocks[k].a1[h + 1] for k, h in hot.items()])
+    a2 = np.concatenate([con.blocks[k].a2[h + 1] for k, h in hot.items()])
     diag = key[:, 0] == key[:, 1]
     a1[diag], a2[diag] = hermitian_part(a1[diag], a2[diag])
     images = _real_images(a1, a2)
@@ -113,21 +110,13 @@ def _lower(con: QuatConstraint, found: list, n: int, num_vars: int) -> AffineLmi
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:
-    """Model -> real standard-form SDP, one block at a time."""
+    """Model -> real standard-form SDP from one batched evaluation of the
+    criterion: batch row 0 is the zero vector, rows 1.. the unit vectors."""
     n = model.n
     num = DecisionVars.num_scalars(n)
-    zero_cons = quat_constraints(model, DecisionVars.from_vector(np.zeros(num), n))
-    for con in zero_cons:
-        if any(blk.a1.any() or blk.a2.any() for blk in con.blocks.values()):
+    cons = quat_constraints(model, DecisionVars.from_vector(
+        np.vstack([np.zeros(num), np.eye(num)]), n))
+    for con in cons:
+        if any(blk.a1[0].any() or blk.a2[0].any() for blk in con.blocks.values()):
             raise InputError(f"constraint {con.name} is not homogeneous")
-    found = [[] for _ in zero_cons]
-    basis = np.zeros(num)
-    for idx in range(num):
-        basis[idx] = 1.0
-        cons = quat_constraints(model, DecisionVars.from_vector(basis, n))
-        basis[idx] = 0.0
-        for entries, con in zip(found, cons):
-            entries.extend((idx, key, blk) for key, blk in con.blocks.items()
-                           if blk.a1.any() or blk.a2.any())
-    lmis = [_lower(con, entries, n, num) for con, entries in zip(zero_cons, found)]
-    return StandardSdp(num_vars=num, lmis=lmis, var_map=build_var_map(n))
+    return StandardSdp(num_vars=num, lmis=[_lower(con, n, num) for con in cons])

@@ -17,6 +17,10 @@ symmetric [[S, -T], [T, S]]. Definiteness of a Hermitian quaternion matrix is
 *defined* through these two embeddings; that definition is cross-checked
 against quadratic-form signs in the test suite.
 
+A QuatMatrix may carry leading batch axes: a1 and a2 of shape (..., r, c)
+hold a stack of r x c matrices, and every operation acts on the last two axes
+slice by slice, broadcasting the batch axes as numpy does.
+
 Quaternion n-vectors use the same pairing and are passed around as complex
 arrays of shape (2, n): row 0 is the (w + x i) part, row 1 the (y + z i) part.
 """
@@ -28,26 +32,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StructureError
-from .quaternion import Quaternion
 
 # Structure violations up to this relative size are repaired silently;
 # anything larger is rejected as a genuine structure error.
 HERMITIAN_REPAIR_TOL = 1e-12
 # Eigenvalues within this relative band of zero make a matrix "degenerate".
 DEFINITENESS_TOL = 1e-10
-# Allowed relative imaginary residue when collapsing a Hermitian form to a real.
-QUADFORM_IMAG_TOL = 1e-10
 
 
 class QuatMatrix:
-    """Dense quaternion matrix held as the complex pair (a1, a2)."""
+    """Dense quaternion matrix (or stack of them) held as the complex pair (a1, a2)."""
 
     __slots__ = ("a1", "a2")
 
     def __init__(self, a1: np.ndarray, a2: np.ndarray):
         a1 = np.asarray(a1, dtype=np.complex128)
         a2 = np.asarray(a2, dtype=np.complex128)
-        if a1.ndim != 2 or a1.shape != a2.shape:
+        if a1.ndim < 2 or a1.shape != a2.shape:
             raise ShapeError(f"component shapes differ: {a1.shape} vs {a2.shape}")
         self.a1 = a1
         self.a2 = a2
@@ -65,23 +66,6 @@ class QuatMatrix:
         return cls(m.astype(np.complex128), np.zeros_like(m, dtype=np.complex128))
 
     @classmethod
-    def from_entries(cls, entries) -> "QuatMatrix":
-        """Build from a nested sequence of Quaternion scalars."""
-        rows = len(entries)
-        cols = len(entries[0])
-        w = np.empty((rows, cols))
-        x = np.empty((rows, cols))
-        y = np.empty((rows, cols))
-        z = np.empty((rows, cols))
-        for r in range(rows):
-            if len(entries[r]) != cols:
-                raise ShapeError("ragged entry rows")
-            for c in range(cols):
-                q = entries[r][c]
-                w[r, c], x[r, c], y[r, c], z[r, c] = q.w, q.x, q.y, q.z
-        return cls.from_components(w, x, y, z)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QuatMatrix":
         cols = rows if cols is None else cols
         return cls(np.zeros((rows, cols), dtype=np.complex128),
@@ -96,25 +80,19 @@ class QuatMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.a1.shape
+        return self.a1.shape[-2:]
 
     @property
     def rows(self) -> int:
-        return self.a1.shape[0]
+        return self.a1.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.a1.shape[1]
+        return self.a1.shape[-1]
 
     def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.a1.real.copy(), self.a1.imag.copy(),
                 self.a2.real.copy(), self.a2.imag.copy())
-
-    def entry(self, r: int, c: int) -> Quaternion:
-        return Quaternion.from_pair(complex(self.a1[r, c]), complex(self.a2[r, c]))
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.a1) ** 2 + np.abs(self.a2) ** 2)))
 
     def max_abs(self) -> float:
         if self.a1.size == 0:
@@ -151,7 +129,8 @@ class QuatMatrix:
                           self.a1 @ b2 + self.a2 @ np.conj(b1))
 
     def conj_transpose(self) -> "QuatMatrix":
-        return QuatMatrix(self.a1.conj().T, -self.a2.T)
+        return QuatMatrix(np.swapaxes(self.a1, -1, -2).conj(),
+                          -np.swapaxes(self.a2, -1, -2))
 
     @property
     def H(self) -> "QuatMatrix":
@@ -174,21 +153,11 @@ class QuatMatrix:
 
     def hermitian_violation(self) -> float:
         """Max-abs deviation of (a1, a2) from (Hermitian, skew-symmetric)."""
-        if self.rows != self.cols:
-            raise ShapeError("hermitian check needs a square matrix")
-        dev1 = np.max(np.abs(self.a1 - self.a1.conj().T)) if self.a1.size else 0.0
-        dev2 = np.max(np.abs(self.a2 + self.a2.T)) if self.a2.size else 0.0
-        return float(max(dev1, dev2))
-
-    def is_hermitian(self, tol: float = HERMITIAN_REPAIR_TOL) -> bool:
-        scale = max(1.0, self.max_abs())
-        return self.hermitian_violation() <= tol * scale
+        return (self - self.H).max_abs()
 
     def complex_embed(self) -> np.ndarray:
         """The 2r x 2c complex image [[A1, -A2], [conj(A2), conj(A1)]]."""
-        top = np.hstack([self.a1, -self.a2])
-        bot = np.hstack([np.conj(self.a2), np.conj(self.a1)])
-        return np.vstack([top, bot])
+        return np.block([[self.a1, -self.a2], [np.conj(self.a2), np.conj(self.a1)]])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QuatMatrix(shape={self.shape})"
@@ -198,7 +167,8 @@ class HermitianQuatMatrix(QuatMatrix):
     """Quaternion matrix with A = A*, i.e. a1 Hermitian and a2 skew-symmetric.
 
     Inputs violating the structure by at most HERMITIAN_REPAIR_TOL relative to
-    the matrix scale are symmetrized; larger violations raise StructureError.
+    the matrix scale (over the whole stack) are symmetrized; larger violations
+    raise StructureError.
     """
 
     __slots__ = ()
@@ -213,18 +183,28 @@ class HermitianQuatMatrix(QuatMatrix):
             raise StructureError(
                 f"structure violation {violation:.3e} exceeds "
                 f"{HERMITIAN_REPAIR_TOL * scale:.3e}")
-        self.a1 = (self.a1 + self.a1.conj().T) / 2.0
-        self.a2 = (self.a2 - self.a2.T) / 2.0
+        self.a1, self.a2 = hermitian_part(self.a1, self.a2)
 
     @classmethod
     def from_quat(cls, m: QuatMatrix) -> "HermitianQuatMatrix":
         return cls(m.a1, m.a2)
 
-    @classmethod
-    def from_real_diag(cls, d: np.ndarray) -> "HermitianQuatMatrix":
-        d = np.asarray(d, dtype=float)
-        return cls(np.diag(d).astype(np.complex128),
-                   np.zeros((d.size, d.size), dtype=np.complex128))
+
+def hermitian_part(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A + A*) / 2 of A = a1 + a2 j, on the last two axes.
+
+    Exact symmetrization, so the structure check of an assembled matrix and
+    the lowered coefficients need no tolerance.
+    """
+    return ((a1 + np.swapaxes(a1, -1, -2).conj()) / 2.0,
+            (a2 - np.swapaxes(a2, -1, -2)) / 2.0)
+
+
+def real_diag(d: np.ndarray) -> QuatMatrix:
+    """Real diagonal matrices with the last axis of ``d`` on their diagonals."""
+    d = np.asarray(d, dtype=float)
+    return QuatMatrix.from_real(np.where(np.eye(d.shape[-1], dtype=bool),
+                                         d[..., None], 0.0))
 
 
 # ---- embeddings and spectra ---------------------------------------------------
@@ -328,24 +308,6 @@ def mat_vec(m: QuatMatrix, v: np.ndarray) -> np.ndarray:
                      m.a1 @ v[1] + m.a2 @ np.conj(v[0])])
 
 
-def qv_conj_dot(u: np.ndarray, v: np.ndarray) -> Quaternion:
-    """u* v = sum_i conj(u_i) v_i as a quaternion scalar."""
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if u.shape != v.shape or u.shape[0] != 2:
-        raise ShapeError("pair-form vectors of equal length required")
-    # conj(u_i) v_i expanded through (u1 + u2 j)* (v1 + v2 j)
-    c1 = np.sum(np.conj(u[0]) * v[0] + u[1] * np.conj(v[1]))
-    c2 = np.sum(np.conj(u[0]) * v[1] - u[1] * np.conj(v[0]))
-    return Quaternion.from_pair(complex(c1), complex(c2))
-
-
-def qv_modulus(v: np.ndarray) -> np.ndarray:
-    """Entrywise quaternion modulus of a pair-form vector."""
-    v = np.asarray(v, dtype=np.complex128)
-    return np.sqrt(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
-
-
 def qv_embed(v: np.ndarray) -> np.ndarray:
     """Pair-form vector -> the 2n complex vector [v1; conj(v2)].
 
@@ -356,19 +318,6 @@ def qv_embed(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v[0], np.conj(v[1])])
 
 
-def quadform(h: HermitianQuatMatrix, v: np.ndarray) -> float:
-    """Real value of the Hermitian form v* H v.
-
-    Evaluated in quaternion arithmetic; the i/j/k residue must vanish to
-    QUADFORM_IMAG_TOL relative to the form's magnitude.
-    """
-    s = qv_conj_dot(v, mat_vec(h, v))
-    resid = max(abs(s.x), abs(s.y), abs(s.z))
-    if resid > QUADFORM_IMAG_TOL * max(1.0, abs(s.w)):
-        raise StructureError(f"quadratic form has non-real residue {resid:.3e}")
-    return s.w
-
-
 # ---- random generation ----------------------------------------------------------
 
 
@@ -377,13 +326,6 @@ def random_quat_matrix(rng: np.random.Generator, rows: int, cols: int | None = N
     cols = rows if cols is None else cols
     comps = rng.standard_normal((4, rows, cols)) * scale
     return QuatMatrix.from_components(*comps)
-
-
-def random_hermitian(rng: np.random.Generator, n: int,
-                     scale: float = 1.0) -> HermitianQuatMatrix:
-    g = random_quat_matrix(rng, n, n, scale)
-    s = g + g.conj_transpose()
-    return HermitianQuatMatrix(s.a1 * 0.5, s.a2 * 0.5)
 
 
 def random_hermitian_pd(rng: np.random.Generator, n: int, scale: float = 1.0,

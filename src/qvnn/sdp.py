@@ -131,7 +131,7 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
                 (l.coeffs.data / factors[r], l.coeffs.indices, l.coeffs.indptr),
                 shape=l.coeffs.shape))
             for l, r in zip(sdp.lmis, rows)]
-    scaled = StandardSdp(num_vars=m, lmis=lmis, var_map=sdp.var_map)
+    scaled = StandardSdp(num_vars=m, lmis=lmis)
     return scaled, ScalingRecord(factors=factors)
 
 

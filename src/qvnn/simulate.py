@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import EquilibriumError, InputError
 from .model import NetworkModel
-from .qmatrix import QuatMatrix, qv_modulus
+from .qmatrix import QuatMatrix, mat_vec
 
 DEFAULT_DIVERGENCE_LIMIT = 1e6
 _EDGE_SLACK = 1e-9
@@ -180,12 +180,6 @@ def constant_history(pair: np.ndarray):
     return fn
 
 
-def mat_vec_pair(mat: QuatMatrix, pair: np.ndarray) -> np.ndarray:
-    v1, v2 = pair[0], pair[1]
-    return np.stack([mat.a1 @ v1 - mat.a2 @ np.conj(v2),
-                     mat.a1 @ v2 + mat.a2 @ np.conj(v1)])
-
-
 # Inside ``integrate`` a (2, n) state pair is stored as its 4n real components
 # in memory order: row, neuron, real/imaginary part. Viewing such an array as
 # complex gives the pair back without a copy.
@@ -204,7 +198,7 @@ def _real_operator(mat: QuatMatrix, gains: np.ndarray) -> np.ndarray:
     """M with real_form(A (gains * tanh x)) = tanh(real_form x) @ M."""
     dim = 4 * mat.rows
     basis = np.eye(dim).view(complex).reshape(dim, 2, mat.rows)
-    images = np.array([mat_vec_pair(mat, e) for e in basis])
+    images = np.array([mat_vec(mat, e) for e in basis])
     return images.view(float).reshape(dim, dim) * _per_component(gains)[:, None]
 
 
@@ -446,8 +440,8 @@ def find_equilibrium(model: NetworkModel, damping: float = 0.5,
     x = np.zeros((2, model.n), dtype=complex)
     for _ in range(max_iters):
         fx = activation(x, model.gamma_diag)
-        target = c_inv * (mat_vec_pair(model.a_mat, fx)
-                          + mat_vec_pair(model.b_mat, fx) + u_ext)
+        target = c_inv * (mat_vec(model.a_mat, fx)
+                          + mat_vec(model.b_mat, fx) + u_ext)
         x_new = (1.0 - damping) * x + damping * target
         if np.max(np.abs(x_new - x)) <= tol * max(1.0, np.max(np.abs(x_new))):
             return x_new

@@ -1,8 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written from first principles, sharing only
-the elementary algebra types with the package, so that agreement between the
-two code paths is meaningful evidence rather than a tautology.
+the quaternion matrix types with the package, so that agreement between the
+two code paths is meaningful evidence rather than a tautology. Scalar
+quaternion arithmetic lives here, not in the package: the package works on
+matrices in complex-pair form throughout, and the scalar type is the
+entry-by-entry oracle for that form.
 """
 
 import math
@@ -11,10 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from qvnn.errors import InputError
+from qvnn.errors import InputError, ShapeError, StructureError
 from qvnn.inequalities import RcInstance
 from qvnn.lkf import LkfEvaluator, LkfSample
-from qvnn.lmi import DecisionVars, assemble_blocks, omega_upper_blocks
+from qvnn.lmi import (
+    DIAG_NAMES,
+    GENERAL_NAMES,
+    HERMITIAN_NAMES,
+    DecisionVars,
+    assemble_blocks,
+    omega_upper_blocks,
+)
 from qvnn.lowering import StandardSdp
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
@@ -22,10 +32,8 @@ from qvnn.qmatrix import (
     QuatMatrix,
     mat_vec,
     qv_embed,
-    random_hermitian,
     random_quat_matrix,
 )
-from qvnn.quaternion import Quaternion
 from qvnn.simulate import (
     _EDGE_SLACK,
     DEFAULT_DIVERGENCE_LIMIT,
@@ -33,8 +41,153 @@ from qvnn.simulate import (
     Trajectory,
     _finite_difference_derivs,
     activation,
-    mat_vec_pair,
 )
+
+# Allowed relative imaginary residue when collapsing a Hermitian form to a real.
+QUADFORM_IMAG_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Scalar quaternion arithmetic.
+#
+# A quaternion q = w + x i + y j + z k is stored as four floats. The product
+# follows the Hamilton rules
+#
+#     i^2 = j^2 = k^2 = ijk = -1,
+#     ij = -ji = k,   jk = -kj = i,   ik = -ki = j (hence ki = -j),
+#
+# which makes multiplication noncommutative. Every quaternion also splits into
+# an ordered pair of complex numbers, q = (w + x i) + (y + z i) j; that pairing
+# is the bridge to the complex-pair matrices of the package.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Quaternion:
+    w: float = 0.0
+    x: float = 0.0
+    y: float = 0.0
+    z: float = 0.0
+
+    @staticmethod
+    def from_pair(c1: complex, c2: complex) -> "Quaternion":
+        """Recompose from the complex pair (w + x i, y + z i)."""
+        return Quaternion(c1.real, c1.imag, c2.real, c2.imag)
+
+    @staticmethod
+    def from_real(value: float) -> "Quaternion":
+        return Quaternion(float(value), 0.0, 0.0, 0.0)
+
+    def __add__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w + other.w, self.x + other.x,
+                          self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: "Quaternion") -> "Quaternion":
+        return Quaternion(self.w - other.w, self.x - other.x,
+                          self.y - other.y, self.z - other.z)
+
+    def __neg__(self) -> "Quaternion":
+        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            s = float(other)
+            return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        a, b = self, other
+        return Quaternion(
+            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+            a.w * b.y + a.y * b.w - a.x * b.z + a.z * b.x,
+            a.w * b.z + a.z * b.w + a.x * b.y - a.y * b.x,
+        )
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float)):
+            return self * other
+        return NotImplemented
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def modulus(self) -> float:
+        return math.sqrt(self.w * self.w + self.x * self.x
+                         + self.y * self.y + self.z * self.z)
+
+    def decompose(self) -> tuple[complex, complex]:
+        """Split into the complex pair (w + x i, y + z i); recompose is bit-exact."""
+        return complex(self.w, self.x), complex(self.y, self.z)
+
+    def components(self) -> tuple[float, float, float, float]:
+        return (self.w, self.x, self.y, self.z)
+
+    def is_close(self, other: "Quaternion", tol: float = 1e-12) -> bool:
+        return (abs(self.w - other.w) <= tol and abs(self.x - other.x) <= tol
+                and abs(self.y - other.y) <= tol and abs(self.z - other.z) <= tol)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Quaternion({self.w:g}, {self.x:g}, {self.y:g}, {self.z:g})"
+
+
+ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
+I = Quaternion(0.0, 1.0, 0.0, 0.0)
+J = Quaternion(0.0, 0.0, 1.0, 0.0)
+K = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+def entry(m: QuatMatrix, r: int, c: int) -> Quaternion:
+    return Quaternion.from_pair(complex(m.a1[r, c]), complex(m.a2[r, c]))
+
+
+def from_entries(entries) -> QuatMatrix:
+    """Build from a nested sequence of Quaternion scalars."""
+    rows, cols = len(entries), len(entries[0])
+    comp = np.empty((4, rows, cols))
+    for r in range(rows):
+        if len(entries[r]) != cols:
+            raise ShapeError("ragged entry rows")
+        for c in range(cols):
+            comp[:, r, c] = entries[r][c].components()
+    return QuatMatrix.from_components(*comp)
+
+
+def qv_conj_dot(u: np.ndarray, v: np.ndarray) -> Quaternion:
+    """u* v = sum_i conj(u_i) v_i as a quaternion scalar."""
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    if u.shape != v.shape or u.shape[0] != 2:
+        raise ShapeError("pair-form vectors of equal length required")
+    # conj(u_i) v_i expanded through (u1 + u2 j)* (v1 + v2 j)
+    c1 = np.sum(np.conj(u[0]) * v[0] + u[1] * np.conj(v[1]))
+    c2 = np.sum(np.conj(u[0]) * v[1] - u[1] * np.conj(v[0]))
+    return Quaternion.from_pair(complex(c1), complex(c2))
+
+
+def qv_modulus(v: np.ndarray) -> np.ndarray:
+    """Entrywise quaternion modulus of a pair-form vector."""
+    v = np.asarray(v, dtype=np.complex128)
+    return np.sqrt(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
+
+
+def quadform(h: HermitianQuatMatrix, v: np.ndarray) -> float:
+    """Real value of the Hermitian form v* H v.
+
+    Evaluated in quaternion arithmetic; the i/j/k residue must vanish to
+    QUADFORM_IMAG_TOL relative to the form's magnitude.
+    """
+    s = qv_conj_dot(v, mat_vec(h, v))
+    resid = max(abs(s.x), abs(s.y), abs(s.z))
+    if resid > QUADFORM_IMAG_TOL * max(1.0, abs(s.w)):
+        raise StructureError(f"quadratic form has non-real residue {resid:.3e}")
+    return s.w
+
+
+def random_hermitian(rng: np.random.Generator, n: int,
+                     scale: float = 1.0) -> HermitianQuatMatrix:
+    g = random_quat_matrix(rng, n, n, scale)
+    s = g + g.conj_transpose()
+    return HermitianQuatMatrix(s.a1 * 0.5, s.a2 * 0.5)
 
 
 def brute_product(p: QuatMatrix, q: QuatMatrix) -> QuatMatrix:
@@ -47,9 +200,9 @@ def brute_product(p: QuatMatrix, q: QuatMatrix) -> QuatMatrix:
         for c in range(cols):
             acc = Quaternion(0.0, 0.0, 0.0, 0.0)
             for k in range(inner):
-                acc = acc + p.entry(r, k) * q.entry(k, c)
+                acc = acc + entry(p, r, k) * entry(q, k, c)
             out[r][c] = acc
-    return QuatMatrix.from_entries(out)
+    return from_entries(out)
 
 
 def scalar_product_formula(q: Quaternion, p: Quaternion) -> Quaternion:
@@ -221,13 +374,47 @@ def random_model(rng: np.random.Generator, n: int) -> NetworkModel:
 
 def random_decision_vars(rng: np.random.Generator, n: int) -> DecisionVars:
     """Unconstrained random variables; assembly is affine so signs are free."""
-    herms = {name: random_hermitian(rng, n)
-             for name in ("p1", "p2", "p3", "q1", "q2", "q3",
-                          "q4", "q5", "q6", "r1", "r2")}
-    gens = {name: random_quat_matrix(rng, n, n) for name in ("u", "v", "s1", "s2")}
+    herms = {name: random_hermitian(rng, n) for name in HERMITIAN_NAMES}
+    gens = {name: random_quat_matrix(rng, n, n) for name in GENERAL_NAMES}
     return DecisionVars(
         m1=rng.normal(size=n), m2=rng.normal(size=n), m3=rng.normal(size=n),
         **herms, **gens)
+
+
+# ---------------------------------------------------------------------------
+# The flat-vector layout seen from outside: ``DecisionVars.from_vector``
+# defines it, and everything below is derived from its unit images.
+# ---------------------------------------------------------------------------
+
+
+def real_parts(dv: DecisionVars) -> np.ndarray:
+    """Every real number stored in ``dv``, on the last axis (batch axes kept):
+    the diagonals, then re/im of a1 and of a2 of every matrix."""
+    batch = dv.m1.shape[:-1]
+    parts = [getattr(dv, name) for name in DIAG_NAMES]
+    for name in HERMITIAN_NAMES + GENERAL_NAMES:
+        m = getattr(dv, name)
+        parts += [m.a1.real, m.a1.imag, m.a2.real, m.a2.imag]
+    return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
+
+
+def unit_images(n: int) -> np.ndarray:
+    """(num_scalars, len(real_parts)): the real parts driven by each scalar."""
+    return real_parts(DecisionVars.from_vector(
+        np.eye(DecisionVars.num_scalars(n)), n))
+
+
+def to_vector(dv: DecisionVars) -> np.ndarray:
+    """The flat vector of ``dv``, the inverse of ``from_vector`` on valid
+    variables. The unit images are orthogonal, so each scalar is the
+    projection of ``dv`` on its image; the entries are 0 and +-1, so the
+    projection is exact."""
+    units = unit_images(dv.n)
+    return real_parts(dv) @ units.T / np.sum(units ** 2, axis=1)
+
+
+def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
+    return DecisionVars.from_vector(factor * to_vector(dv), dv.n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +586,8 @@ def _rhs_factory(model: NetworkModel):
         x_leak = lookup(t - model.delta)
         x_d = lookup(t - model.delay1(t) - model.delay2(t))
         return (-c * x_leak
-                + mat_vec_pair(a_mat, act(state))
-                + mat_vec_pair(b_mat, act(x_d))
+                + mat_vec(a_mat, act(state))
+                + mat_vec(b_mat, act(x_d))
                 + u_ext)
     return rhs
 

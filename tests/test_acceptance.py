@@ -13,6 +13,7 @@ import scipy.sparse
 
 from conftest import FEASIBLE_RUNS, certified_solve
 from oracles import (
+    Quaternion,
     assemble_omega,
     brute_product,
     derivation_omega,
@@ -36,7 +37,6 @@ from qvnn.qmatrix import (
     random_hermitian_pd,
     random_quat_matrix,
 )
-from qvnn.quaternion import Quaternion
 from qvnn.sdp import SolverConfig, solve_feasibility
 from qvnn.simulate import constant_history, convergence_metrics, integrate
 

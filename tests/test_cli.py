@@ -11,8 +11,8 @@ from qvnn.cli import main
 from qvnn.errors import NumericalError
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
-from qvnn.qmatrix import qv_from_components
-from qvnn.simulate import activation, mat_vec_pair
+from qvnn.qmatrix import mat_vec, qv_from_components
+from qvnn.simulate import activation
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +52,7 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     cert_doc = json.loads(cert.read_text())
     model, doc = load_model(str(stable_example_path))
     assert cert_doc["config_hash"] == config_hash(doc)
-    dv = DecisionVars.from_json(cert_doc["variables"])
+    dv = DecisionVars.from_json(cert_doc["variables"], model.n)
     recheck = verify_certificate(model, dv, margin=0.5 * cert_doc["margin"])
     assert recheck.valid
 
@@ -214,7 +214,7 @@ def test_simulate_measures_a_driven_network_about_its_rest_point(
     assert rest.shape == (2, 4)
     pair = qv_from_components(rest)
     f = activation(pair, model.gamma_diag)
-    residual = (mat_vec_pair(model.a_mat, f) + mat_vec_pair(model.b_mat, f)
+    residual = (mat_vec(model.a_mat, f) + mat_vec(model.b_mat, f)
                 + model.external_input - model.c_diag * pair)
     assert np.max(np.abs(residual)) < 1e-10
     _, rows = read_csv(out_dir / "trajectory_seed0.csv")
@@ -314,6 +314,29 @@ def test_simulate_refuses_a_certificate_of_another_config(tmp_path, capsys,
                            "--lkf", str(cert), "--out-dir", str(tmp_path / "p"))
     assert code == 2
     assert "n = 3" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p2", {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 0.0, 0.0]]}),
+    ("m1", [1.0, 1.0, 1.0]),
+    ("m1", 5.0),
+])
+def test_simulate_refuses_a_certificate_with_misshapen_matrices(
+        tmp_path, capsys, stable_example_path, field, value):
+    # hash and n match the config; one field has the wrong shape or type
+    model, doc = load_model(str(stable_example_path))
+    num = DecisionVars.num_scalars(model.n)
+    variables = DecisionVars.from_vector(np.ones(num), model.n).to_json()
+    variables[field] = value
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"config_hash": config_hash(doc), "n": model.n,
+                                "variables": variables}))
+    code, _, err = run_cli(capsys, "simulate", str(stable_example_path),
+                           "--seeds", "1", "--horizon", "0.1", "--step", "0.01",
+                           "--lkf", str(cert), "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert "certificate field" in err
+    assert not (tmp_path / "o" / "summary.csv").exists()
 
 
 def test_certify_json_reports_the_solver_run_record(capsys, stable_example_path,

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import evaluate_lkf, random_decision_vars
+from oracles import evaluate_lkf, quadform, random_decision_vars
 from qvnn.errors import CoverageError, InputError
 from qvnn.lkf import LkfEvaluator, LyapunovTrace, grid_quad, lkf_trace
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import QuatMatrix, quadform
+from qvnn.qmatrix import QuatMatrix
 from qvnn.simulate import HistoryBuffer, Trajectory, activation, constant_history, integrate
 
 

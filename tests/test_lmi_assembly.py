@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_omega, derivation_omega, random_decision_vars, random_model
+from oracles import (
+    assemble_omega,
+    derivation_omega,
+    random_decision_vars,
+    random_model,
+    real_parts,
+    scaled,
+    to_vector,
+    unit_images,
+)
 from qvnn.errors import ShapeError
 from qvnn.lmi import (
     DIAG_NAMES,
@@ -18,7 +27,6 @@ from qvnn.lmi import (
     assemble_blocks,
     omega_upper_blocks,
     quat_constraints,
-    var_map,
     verify_certificate,
 )
 from qvnn.model import DelaySpec, NetworkModel
@@ -71,15 +79,45 @@ def test_scalar_counts():
     assert DecisionVars.num_scalars(2) == 136
     for n in range(1, 6):
         assert DecisionVars.num_scalars(n) == 38 * n * n - 8 * n
-        assert len(var_map(n)) == DecisionVars.num_scalars(n)
 
 
-def test_var_map_touches_every_scalar_once():
-    seen = set()
-    for spec in var_map(3):
-        key = (spec.matrix, spec.component, spec.row, spec.col, spec.part)
-        assert key not in seen
-        seen.add(key)
+def part_labels(n):
+    """(matrix, component, row, col) of every entry of ``real_parts``."""
+    labels = [(name, "diag", i, i) for name in DIAG_NAMES for i in range(n)]
+    for name in HERMITIAN_NAMES + GENERAL_NAMES:
+        for comp in ("a1.re", "a1.im", "a2.re", "a2.im"):
+            labels += [(name, comp, i, j) for i in range(n) for j in range(n)]
+    return labels
+
+
+def test_each_scalar_drives_one_entry_and_its_mirror():
+    for n in (1, 2, 3):
+        units = unit_images(n)
+        labels = part_labels(n)
+        assert units.shape == (DecisionVars.num_scalars(n), len(labels))
+        assert set(np.unique(units)) <= {-1.0, 0.0, 1.0}
+        driven = units != 0.0
+        assert np.all(driven.sum(axis=0) <= 1), "an entry is driven twice"
+        for row in driven:
+            hit = [labels[c] for c in np.flatnonzero(row)]
+            if len(hit) == 1:
+                continue
+            # otherwise an off-diagonal Hermitian entry and its mirror
+            assert len(hit) == 2, hit
+            (name, comp, i, j), (name2, comp2, i2, j2) = hit
+            assert name in HERMITIAN_NAMES and (name2, comp2) == (name, comp)
+            assert (i2, j2) == (j, i) and i != j
+
+
+def test_from_vector_on_a_batch_equals_single_calls():
+    n, k = 3, 4
+    vecs = np.random.default_rng(36).normal(size=(k, DecisionVars.num_scalars(n)))
+    batch = DecisionVars.from_vector(vecs, n)
+    assert batch.n == n and batch.p1.a1.shape == (k, n, n)
+    parts = real_parts(batch)
+    for i in range(k):
+        np.testing.assert_array_equal(
+            parts[i], real_parts(DecisionVars.from_vector(vecs[i], n)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,7 +126,7 @@ def test_var_map_touches_every_scalar_once():
 def test_vectorization_round_trip(seed, n):
     vec = np.random.default_rng(seed).normal(size=DecisionVars.num_scalars(n))
     dv = DecisionVars.from_vector(vec, n)
-    np.testing.assert_allclose(dv.to_vector(), vec, atol=0.0)
+    np.testing.assert_array_equal(to_vector(dv), vec)
 
 
 def test_from_vector_rejects_wrong_length():
@@ -144,10 +182,10 @@ def test_assembly_is_homogeneous_in_the_variables():
     rng = np.random.default_rng(33)
     model = random_model(rng, 2)
     dv = random_decision_vars(rng, 2)
-    doubled = assemble_omega(model, dv.scaled(2.0))
+    doubled = assemble_omega(model, scaled(dv, 2.0))
     single = assemble_omega(model, dv)
     assert (doubled - (2.0 * single)).max_abs() < 1e-12
-    zero = assemble_omega(model, dv.scaled(0.0))
+    zero = assemble_omega(model, scaled(dv, 0.0))
     assert zero.max_abs() == 0.0
 
 
@@ -215,7 +253,7 @@ def test_verify_certificate_accepts_solver_output(stable_model, stable_solution)
 def test_verify_certificate_rejects_flipped_certificate(stable_model,
                                                         stable_solution):
     _, dv = stable_solution
-    report = verify_certificate(stable_model, dv.scaled(-1.0), margin=1e-9)
+    report = verify_certificate(stable_model, scaled(dv, -1.0), margin=1e-9)
     assert not report.valid
     # a flipped certificate violates the positivity constraints outright
     failing = {s.name for s in report.scores if s.margin < 0}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qvnn.lowering
 from oracles import random_model
 from qvnn.lmi import DecisionVars, quat_constraints
 from qvnn.lowering import build_sdp
@@ -25,7 +26,6 @@ def test_sdp_shape(small_system):
     model, sdp = small_system
     assert sdp.num_vars == DecisionVars.num_scalars(model.n) == 30
     assert len(sdp.lmis) == 17
-    assert len(sdp.var_map) == sdp.num_vars
     assert all(not lmi.constant.any() for lmi in sdp.lmis)
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     # real dimension = 4 quaternion rows per block row
@@ -111,23 +111,16 @@ def test_coefficients_are_symmetric(small_system):
             np.testing.assert_array_equal(a, a.T)
 
 
-def test_var_map_indices_drive_the_right_matrix(small_system):
-    model, sdp = small_system
-    rng = np.random.default_rng(45)
-    picks = rng.choice(sdp.num_vars, size=6, replace=False)
-    for idx in picks:
-        spec = sdp.var_map[idx]
-        basis = np.zeros(sdp.num_vars)
-        basis[idx] = 1.0
-        dv = DecisionVars.from_vector(basis, model.n)
-        for name in ("m1", "m2", "m3"):
-            arr = np.asarray(getattr(dv, name))
-            expect_hot = 1.0 if spec.matrix == name else 0.0
-            assert np.max(np.abs(arr)) == expect_hot
-        for name in ("p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "q6",
-                     "r1", "r2", "u", "v", "s1", "s2"):
-            mat = getattr(dv, name)
-            if spec.matrix == name:
-                assert mat.max_abs() > 0.0
-            else:
-                assert mat.max_abs() == 0.0
+def test_build_assembles_the_criterion_once(monkeypatch):
+    calls = []
+
+    def counted(model, dv):
+        calls.append(dv.m1.shape)
+        return quat_constraints(model, dv)
+
+    monkeypatch.setattr(qvnn.lowering, "quat_constraints", counted)
+    model = random_model(np.random.default_rng(46), 2)
+    build_sdp(model)
+    num = DecisionVars.num_scalars(2)
+    # one batch: the zero vector, then every unit vector
+    assert calls == [(num + 1, 2)]

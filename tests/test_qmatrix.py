@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_product
+from oracles import (
+    Quaternion,
+    brute_product,
+    entry,
+    from_entries,
+    quadform,
+    qv_conj_dot,
+    qv_modulus,
+    random_hermitian,
+)
 from qvnn.errors import InputError, ShapeError, StructureError
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
@@ -16,19 +25,15 @@ from qvnn.qmatrix import (
     mat_vec,
     qmat_from_json,
     qmat_to_json,
-    quadform,
     qv_components,
-    qv_conj_dot,
     qv_embed,
     qv_from_components,
-    qv_modulus,
-    random_hermitian,
     random_hermitian_pd,
     random_quat_matrix,
+    real_diag,
     real_embed,
     spectral_norm,
 )
-from qvnn.quaternion import Quaternion
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -50,10 +55,10 @@ def test_component_round_trip():
 def test_entries_round_trip():
     q = Quaternion(1.0, 2.0, -0.5, 0.25)
     p = Quaternion(0.0, -1.0, 3.0, 1.0)
-    m = QuatMatrix.from_entries([[q, p]])
+    m = from_entries([[q, p]])
     assert m.shape == (1, 2)
-    assert m.entry(0, 0).is_close(q, tol=0.0)
-    assert m.entry(0, 1).is_close(p, tol=0.0)
+    assert entry(m, 0, 0).is_close(q, tol=0.0)
+    assert entry(m, 0, 1).is_close(p, tol=0.0)
 
 
 def test_shape_mismatch_rejected():
@@ -97,6 +102,47 @@ def test_conj_transpose_is_involution_and_antihomomorphism():
     q = random_quat_matrix(rng, 4, 2)
     assert (p.H.H - p).max_abs() == 0.0
     assert ((p @ q).H - q.H @ p.H).max_abs() < 1e-13
+
+
+# ---- stacks of matrices on leading batch axes ---------------------------------
+
+
+def random_stack(rng, *shape):
+    return QuatMatrix(*(rng.normal(size=(2,) + shape)
+                        + 1j * rng.normal(size=(2,) + shape)))
+
+
+def test_stacked_operations_match_per_slice_results():
+    rng = np.random.default_rng(23)
+    k, n = 5, 3
+    p, q = random_stack(rng, k, n, n), random_stack(rng, k, n, n)
+    shared = random_quat_matrix(rng, n)
+    d = rng.uniform(0.5, 2.0, size=n)
+
+    def ops(p, q):
+        s = p + p.H
+        return {"matmul": p @ q, "shared": p @ shared, "H": p.H, "add": p + q,
+                "scale_rows": p.scale_rows(d), "scale_cols": p.scale_cols(d),
+                "hermitian": HermitianQuatMatrix(s.a1, s.a2)}
+
+    stacked = ops(p, q)
+    assert stacked["matmul"].shape == (n, n)
+    for i in range(k):
+        single = ops(QuatMatrix(p.a1[i], p.a2[i]), QuatMatrix(q.a1[i], q.a2[i]))
+        for name, m in single.items():
+            np.testing.assert_array_equal(stacked[name].a1[i], m.a1, err_msg=name)
+            np.testing.assert_array_equal(stacked[name].a2[i], m.a2, err_msg=name)
+        np.testing.assert_array_equal(p.complex_embed()[i],
+                                      QuatMatrix(p.a1[i], p.a2[i]).complex_embed())
+
+
+def test_stacked_hermitian_checks_every_slice():
+    rng = np.random.default_rng(24)
+    h = random_hermitian(rng, 3)
+    a1 = np.stack([h.a1, h.a1, h.a1])
+    a1[1, 0, 2] += 0.5               # only the middle slice is broken
+    with pytest.raises(StructureError):
+        HermitianQuatMatrix(a1, np.stack([h.a2] * 3))
 
 
 # ---- complex and real embeddings ----------------------------------------------
@@ -177,9 +223,16 @@ def test_hermitian_repairs_roundoff():
 
 
 def test_from_real_diag():
-    h = HermitianQuatMatrix.from_real_diag(np.array([1.0, -2.0]))
-    np.testing.assert_allclose(h.a1, np.diag([1.0 + 0j, -2.0 + 0j]))
-    np.testing.assert_allclose(h.a2, 0.0)
+    h = real_diag(np.array([1.0, -2.0]))
+    np.testing.assert_array_equal(h.a1, np.diag([1.0 + 0j, -2.0 + 0j]))
+    np.testing.assert_array_equal(h.a2, 0.0)
+    assert not np.signbit(h.a1.real[~np.eye(2, dtype=bool)]).any()
+    # a stack of diagonals gives the stack of diagonal matrices
+    d = np.array([[1.0, -2.0], [3.0, 0.5]])
+    stack = real_diag(d)
+    assert stack.shape == (2, 2) and stack.a1.shape == (2, 2, 2)
+    for k in range(2):
+        np.testing.assert_array_equal(stack.a1[k], np.diag(d[k]).astype(complex))
 
 
 def test_definiteness_matches_quadratic_form_signs():
@@ -243,7 +296,7 @@ def test_mat_vec_matches_entrywise():
     for r in range(3):
         acc = Quaternion(0.0, 0.0, 0.0, 0.0)
         for c in range(3):
-            acc = acc + m.entry(r, c) * Quaternion.from_pair(v[0, c], v[1, c])
+            acc = acc + entry(m, r, c) * Quaternion.from_pair(v[0, c], v[1, c])
         got = Quaternion.from_pair(result[0, r], result[1, r])
         assert got.is_close(acc, tol=1e-12)
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_product_formula
-from qvnn.quaternion import I, J, K, ONE, Quaternion
+from oracles import I, J, K, ONE, Quaternion, scalar_product_formula
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import order_fixture_model
-from oracles import DivergenceError, random_history, serial_integrate
+from oracles import DivergenceError, qv_modulus, random_history, serial_integrate
 from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import QuatMatrix, qv_modulus
+from qvnn.qmatrix import QuatMatrix, mat_vec
 from qvnn.simulate import (
     HistoryBuffer,
     activation,
@@ -20,7 +20,6 @@ from qvnn.simulate import (
     equilibrium_shift,
     find_equilibrium,
     integrate,
-    mat_vec_pair,
 )
 
 
@@ -221,8 +220,8 @@ def reference_integrate(model, pair0, horizon, step):
             return hermite(values[:committed + 1], derivs[:committed + 1],
                            0.0, u)
         return (-model.c_diag[None, :] * look(t - tau_leak)
-                + mat_vec_pair(model.a_mat, act(state))
-                + mat_vec_pair(model.b_mat, act(look(t - tau_d))))
+                + mat_vec(model.a_mat, act(state))
+                + mat_vec(model.b_mat, act(look(t - tau_d))))
 
     derivs[0] = rhs(0.0, values[0], 0)
     for k in range(total):
