@@ -398,6 +398,15 @@ def real_parts(dv: DecisionVars) -> np.ndarray:
     return np.concatenate([p.reshape(batch + (-1,)) for p in parts], axis=-1)
 
 
+def part_labels(n: int) -> list:
+    """(matrix, component, row, col) of every entry of ``real_parts``."""
+    labels = [(name, "diag", i, i) for name in DIAG_NAMES for i in range(n)]
+    for name in HERMITIAN_NAMES + GENERAL_NAMES:
+        for comp in ("a1.re", "a1.im", "a2.re", "a2.im"):
+            labels += [(name, comp, i, j) for i in range(n) for j in range(n)]
+    return labels
+
+
 def unit_images(n: int) -> np.ndarray:
     """(num_scalars, len(real_parts)): the real parts driven by each scalar."""
     return real_parts(DecisionVars.from_vector(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     assemble_omega,
     derivation_omega,
+    part_labels,
     random_decision_vars,
     random_model,
     real_parts,
@@ -81,16 +82,9 @@ def test_scalar_counts():
         assert DecisionVars.num_scalars(n) == 38 * n * n - 8 * n
 
 
-def part_labels(n):
-    """(matrix, component, row, col) of every entry of ``real_parts``."""
-    labels = [(name, "diag", i, i) for name in DIAG_NAMES for i in range(n)]
-    for name in HERMITIAN_NAMES + GENERAL_NAMES:
-        for comp in ("a1.re", "a1.im", "a2.re", "a2.im"):
-            labels += [(name, comp, i, j) for i in range(n) for j in range(n)]
-    return labels
-
-
-def test_each_scalar_drives_one_entry_and_its_mirror():
+def test_var_map_touches_every_scalar_once():
+    # the variable map is the one from_vector lays out: each scalar drives
+    # exactly one entry (plus its Hermitian mirror), no entry twice
     for n in (1, 2, 3):
         units = unit_images(n)
         labels = part_labels(n)

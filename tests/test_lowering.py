@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qvnn.lowering
-from oracles import random_model
+from oracles import part_labels, random_model, unit_images
 from qvnn.lmi import DecisionVars, quat_constraints
 from qvnn.lowering import build_sdp
 from qvnn.qmatrix import real_embed
@@ -109,6 +109,31 @@ def test_coefficients_are_symmetric(small_system):
         for i in range(sdp.num_vars):
             a = dense(lmi, i)
             np.testing.assert_array_equal(a, a.T)
+
+
+def test_var_map_indices_drive_the_right_matrix(small_system):
+    model, sdp = small_system
+    # the matrix each flat index belongs to, read off the layout's unit images
+    labels = part_labels(model.n)
+    owner = [labels[np.flatnonzero(row)[0]][0] for row in unit_images(model.n)]
+    assert len(owner) == sdp.num_vars
+    rng = np.random.default_rng(45)
+    picks = rng.choice(sdp.num_vars, size=6, replace=False)
+    for idx in picks:
+        basis = np.zeros(sdp.num_vars)
+        basis[idx] = 1.0
+        dv = DecisionVars.from_vector(basis, model.n)
+        for name in ("m1", "m2", "m3"):
+            arr = np.asarray(getattr(dv, name))
+            expect_hot = 1.0 if owner[idx] == name else 0.0
+            assert np.max(np.abs(arr)) == expect_hot
+        for name in ("p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "q6",
+                     "r1", "r2", "u", "v", "s1", "s2"):
+            mat = getattr(dv, name)
+            if owner[idx] == name:
+                assert mat.max_abs() > 0.0
+            else:
+                assert mat.max_abs() == 0.0
 
 
 def test_build_assembles_the_criterion_once(monkeypatch):
