@@ -35,12 +35,7 @@ from .lowering import build_sdp
 from .model import NetworkModel, config_hash, load_model
 from .qmatrix import qv_components, random_hermitian_pd
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
-from .simulate import (
-    constant_history,
-    convergence_metrics,
-    equilibrium_shift,
-    integrate,
-)
+from .simulate import convergence_metrics, equilibrium_shift, integrate
 
 ORACLE_GAP_FLOOR = -1e-9
 
@@ -181,29 +176,40 @@ def cmd_certify(args) -> int:
 # ---- simulate --------------------------------------------------------------------
 
 
-def _history_for_seed(model: NetworkModel, seed: int, zero: bool):
+def _history_for_seed(model: NetworkModel, seed: int, zero: bool
+                      ) -> np.ndarray:
+    """The member's constant initial state: the rest point, or seeded."""
     if zero:
-        return constant_history(np.zeros((2, model.n), dtype=complex))
+        return np.zeros((2, model.n), dtype=complex)
     rng = np.random.default_rng(seed)
     parts = rng.uniform(-1.0, 1.0, size=(4, model.n))
-    return constant_history(np.stack([parts[0] + 1j * parts[1],
-                                      parts[2] + 1j * parts[3]]))
+    return np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+
+
+def _write_csv(path: Path, header: list[str], columns: np.ndarray,
+               formats: list[str]) -> None:
+    """Write a numeric table in one block, as csv.writer would row by row."""
+    with path.open("w", newline="") as fh:
+        np.savetxt(fh, columns, fmt=formats, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def _write_trajectory_csv(path: Path, traj) -> None:
-    n = traj.values.shape[2]
-    header = ["time"]
-    for j in range(n):
-        header += [f"n{j+1}_{c}" for c in ("w", "x", "y", "z")]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, val in zip(traj.times, traj.values):
-            row = [f"{t:.6f}"]
-            for j in range(n):
-                row += [f"{val[0, j].real:.9e}", f"{val[0, j].imag:.9e}",
-                        f"{val[1, j].real:.9e}", f"{val[1, j].imag:.9e}"]
-            writer.writerow(row)
+    values = traj.values
+    n = values.shape[2]
+    header = ["time"] + [f"n{j+1}_{c}" for j in range(n) for c in "wxyz"]
+    # per neuron: w, x (row 0) then y, z (row 1)
+    parts = np.stack([values.real, values.imag], axis=-1)
+    columns = parts.transpose(0, 2, 1, 3).reshape(len(values), 4 * n)
+    _write_csv(path, header, np.column_stack([traj.times, columns]),
+               ["%.6f"] + ["%.9e"] * (4 * n))
+
+
+def _write_lkf_csv(path: Path, trace) -> None:
+    _write_csv(path, ["time", "v1", "v2", "v3", "v4", "v_total"],
+               np.column_stack([trace.times, trace.v1, trace.v2, trace.v3,
+                                trace.v4, trace.total]),
+               ["%.6f"] + ["%.9e"] * 5)
 
 
 def _run_entry(seed: int, traj, args) -> dict:
@@ -324,13 +330,7 @@ def _lkf_along_run(model, dv, first_traj, args, out_dir: Path):
     seed, traj = first_traj
     trace = lkf_trace(traj, model, dv, stride=args.lkf_stride)
     csv_path = out_dir / f"lkf_seed{seed}.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "v1", "v2", "v3", "v4", "v_total"])
-        for i, t in enumerate(trace.times):
-            writer.writerow([f"{t:.6f}", f"{trace.v1[i]:.9e}",
-                             f"{trace.v2[i]:.9e}", f"{trace.v3[i]:.9e}",
-                             f"{trace.v4[i]:.9e}", f"{trace.total[i]:.9e}"])
+    _write_lkf_csv(csv_path, trace)
     return {"seed": seed, "csv": str(csv_path),
             "v_start": float(trace.total[0]),
             "v_end": float(trace.total[-1]),
@@ -354,12 +354,12 @@ def _override_param(doc: dict, param: str, value: float) -> NetworkModel:
 
 
 def _probe(doc: dict, param: str, value: float, margin_tol: float,
-           seed: int) -> tuple[str, float]:
+           seed: int) -> dict:
     model = _override_param(doc, param, value)
     result, _dv, _timings = _certify_model(model, margin_tol, seed)
     if result.status == "numerical_failure":
         raise NumericalError(f"solver failed at {param}={value:g}")
-    return result.status, result.margin
+    return {"value": value, "status": result.status, "margin": result.margin}
 
 
 def cmd_margin(args) -> int:
@@ -373,24 +373,20 @@ def cmd_margin(args) -> int:
     if not (hi > lo >= 0.0):
         raise QvnnError("bracket must satisfy 0 <= lo < hi")
 
-    probes = []
-    lo_status, lo_margin = _probe(doc, args.param, lo, args.margin_tol,
-                                  args.seed)
-    probes.append((lo, lo_status, lo_margin))
-    hi_status, hi_margin = _probe(doc, args.param, hi, args.margin_tol,
-                                  args.seed)
-    probes.append((hi, hi_status, hi_margin))
+    probes = [_probe(doc, args.param, value, args.margin_tol, args.seed)
+              for value in (lo, hi)]
+    lo_status, hi_status = probes[0]["status"], probes[1]["status"]
     if lo_status != "feasible" or hi_status == "feasible":
-        print(f"bracket error: need (feasible, infeasible) at "
-              f"({lo:g}, {hi:g}); got ({lo_status}, {hi_status})")
+        _emit({"error": "bracket", "param": args.param, "probes": probes},
+              args.json,
+              [f"bracket error: need (feasible, infeasible) at "
+               f"({lo:g}, {hi:g}); got ({lo_status}, {hi_status})"])
         return 2
 
     while hi - lo > args.tol:
         mid = (lo + hi) / 2.0
-        status, margin = _probe(doc, args.param, mid, args.margin_tol,
-                                args.seed)
-        probes.append((mid, status, margin))
-        if status == "feasible":
+        probes.append(_probe(doc, args.param, mid, args.margin_tol, args.seed))
+        if probes[-1]["status"] == "feasible":
             lo = mid
         else:
             hi = mid
@@ -400,12 +396,12 @@ def cmd_margin(args) -> int:
         "feasible_up_to": lo,
         "infeasible_from": hi,
         "bracket_width": hi - lo,
-        "probes": [{"value": v, "status": s, "margin": m}
-                   for v, s, m in probes],
+        "probes": probes,
     }
     lines = [f"{'value':>12}  {'status':<26} {'margin':>13}"]
-    for v, s, m in probes:
-        lines.append(f"{v:>12.6f}  {s:<26} {m:>13.3e}")
+    for p in probes:
+        lines.append(f"{p['value']:>12.6f}  {p['status']:<26} "
+                     f"{p['margin']:>13.3e}")
     lines.append(f"largest {args.param} certified: {lo:.6f} "
                  f"(next failure at {hi:.6f}, width {hi - lo:.2e})")
     lines.append("note: probes are independent certifications; the sweep "
@@ -477,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=cmd_certify)
 
     sim = sub.add_parser("simulate", help="integrate the delayed dynamics "
-                         "from seeded constant histories")
+                         "from seeded constant initial states")
     sim.add_argument("config")
     sim.add_argument("--seeds", type=int, default=10)
     sim.add_argument("--seed", type=int, default=0, help="first seed")

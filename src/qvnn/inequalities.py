@@ -26,6 +26,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import InputError, StructureError
+from .lmi import assemble_blocks
 from .qmatrix import (HermitianQuatMatrix, QuatMatrix, definiteness,
                       hermitian_eigvals, hermitian_sqrt, mat_vec, qv_embed,
                       random_hermitian_pd, random_quat_matrix, spectral_norm)
@@ -57,10 +58,6 @@ class VectorPath:
     def n(self) -> int:
         return self.samples.shape[2]
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, len(self.samples))
-
 
 def jensen_gap(path: VectorPath, m: HermitianQuatMatrix) -> float:
     """RHS - LHS of the integral inequality, by shared-weight Simpson sums."""
@@ -82,12 +79,11 @@ def jensen_gap(path: VectorPath, m: HermitianQuatMatrix) -> float:
     return rhs - float(lhs_c.real)
 
 
-def random_path(n: int, seed: int, num_samples: int = 101,
-                amplitude: float = 1.0) -> VectorPath:
+def random_path(n: int, seed: int, num_samples: int = 101) -> VectorPath:
     rng = np.random.default_rng(seed)
     a = float(rng.uniform(-2.0, 1.0))
     b = a + float(rng.uniform(0.2, 3.0))
-    parts = amplitude * rng.uniform(-1.0, 1.0, size=(num_samples, 4, n))
+    parts = rng.uniform(-1.0, 1.0, size=(num_samples, 4, n))
     samples = np.stack([parts[:, 0] + 1j * parts[:, 1],
                         parts[:, 2] + 1j * parts[:, 3]], axis=1)
     return VectorPath(a=a, b=b, samples=samples)
@@ -128,15 +124,8 @@ class RcInstance:
 
 
 def _coupling_block(p: HermitianQuatMatrix, x: QuatMatrix) -> HermitianQuatMatrix:
-    n = p.rows
-    a1 = np.zeros((2 * n, 2 * n), dtype=complex)
-    a2 = np.zeros_like(a1)
-    a1[:n, :n] = p.a1; a2[:n, :n] = p.a2
-    a1[n:, n:] = p.a1; a2[n:, n:] = p.a2
-    a1[:n, n:] = x.a1; a2[:n, n:] = x.a2
-    xh = x.conj_transpose()
-    a1[n:, :n] = xh.a1; a2[n:, :n] = xh.a2
-    return HermitianQuatMatrix(a1, a2)
+    """[[P, X], [X*, P]]."""
+    return assemble_blocks(2, p.rows, {(1, 1): p, (1, 2): x, (2, 2): p})
 
 
 def _form(p_chi: np.ndarray, vec_pair: np.ndarray) -> float:

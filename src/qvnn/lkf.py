@@ -6,7 +6,8 @@ The functional has four parts, evaluated with the certificate matrices:
     V2 = int_{t-delta}^t x^* P2 x  +  delta * double integral of x^* P3 x,
     V3 = windows [t-d1(t), t], [t-d(t), t], [t-d1, t], [t-d, t] of
          x^* Q x and f(x)^* Q f(x) forms,
-    V4 = double integrals of xdot^* R1 xdot and xdot^* R2 xdot.
+    V4 = double integrals of xdot^* R1 xdot and xdot^* R2 xdot, which read
+         only t >= 0: initial data are constant, so xdot is 0 before that.
 
 Each double integral collapses to a single weighted integral by switching
 the order of integration; the weights are the affine functions written in
@@ -127,6 +128,9 @@ class LkfEvaluator:
         step = traj.step
         hist = traj.history
         sol = traj.solution
+        if np.any(hist.derivs != 0):
+            raise InputError("the functional needs constant initial data: "
+                             "the history derivative must be 0")
         n_hist = len(hist.values)
         self.times = np.concatenate([
             hist.t0 + step * np.arange(n_hist - 1), traj.times])
@@ -144,27 +148,19 @@ class LkfEvaluator:
                         for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
         self.f_forms = {name: _batched_form(getattr(dv, name), f_states)
                         for name in ("q2", "q4")}
-        self.hist_times = hist.t0 + step * np.arange(n_hist)
-        self.sol_times = traj.times
-        self.r_hist = {name: _batched_form(getattr(dv, name), hist.derivs)
-                       for name in ("r1", "r2")}
-        self.r_sol = {name: _batched_form(getattr(dv, name), sol.derivs)
-                      for name in ("r1", "r2")}
+        self.r_forms = {name: _batched_form(getattr(dv, name), sol.derivs)
+                        for name in ("r1", "r2")}
         self.p1_chi = dv.p1.complex_embed()
 
     def _deriv_quad(self, name: str, a: float, b: float, weight=None):
-        """Integral of a derivative form, split at t=0 where xdot may jump."""
-        def one(times, vals, lo, hi):
-            if hi <= lo:
-                return 0.0
-            data = vals if weight is None else vals * weight(times)
-            return float(grid_quad(times, data, lo, hi))
-        if b <= 0.0:
-            return one(self.hist_times, self.r_hist[name], a, b)
-        if a >= 0.0:
-            return one(self.sol_times, self.r_sol[name], a, b)
-        return (one(self.hist_times, self.r_hist[name], a, 0.0)
-                + one(self.sol_times, self.r_sol[name], 0.0, b))
+        """Integral of a derivative form over [a, b]; xdot is 0 before t=0."""
+        a = max(a, 0.0)
+        if b <= a:
+            return 0.0
+        times = self.traj.times
+        vals = self.r_forms[name]
+        data = vals if weight is None else vals * weight(times)
+        return float(grid_quad(times, data, a, b))
 
     def coverage_start(self, t: float) -> float:
         return t - max(self.model.delta, self.model.d_bound)

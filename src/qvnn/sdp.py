@@ -57,15 +57,15 @@ from .lowering import AffineLmi, StandardSdp
 _SEED_RETRIES = 5
 _ARMIJO_SLOPE = 0.25
 _MIN_STEP = 1e-13
+_NEWTON_TOLERANCE = 1e-9
+_MAX_NEWTON_ITERS = 100
+_BARRIER_SHRINK = 0.2
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     margin_tolerance: float = 1e-6
-    newton_tolerance: float = 1e-9
     max_outer_iters: int = 60
-    max_newton_iters: int = 100
-    barrier_shrink: float = 0.2
     trust_radius: float = 1.0
     seed: int = 0
 
@@ -272,7 +272,7 @@ def _grad_hess(blocks, chols, z, radius, m, mu):
     return grad, (hess + hess.T) / 2.0
 
 
-def _newton_center(blocks, z, radius, m, mu, cfg, chols):
+def _newton_center(blocks, z, radius, m, mu, chols):
     """Damped Newton minimization of the barrier subproblem.
 
     Returns (z, steps, chols, stalled): chols are the factors at the returned
@@ -280,7 +280,7 @@ def _newton_center(blocks, z, radius, m, mu, cfg, chols):
     """
     steps = 0
     eye = np.eye(m + 1)
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         grad, hess = _grad_hess(blocks, chols, z, radius, m, mu)
         if not np.all(np.isfinite(grad)):
             raise NumericalError("barrier gradient evaluation left the domain")
@@ -297,7 +297,7 @@ def _newton_center(blocks, z, radius, m, mu, cfg, chols):
         decrement = float(-grad @ direction)
         if not np.isfinite(decrement) or decrement < 0:
             raise NumericalError("Newton decrement is not finite")
-        if decrement / 2.0 <= cfg.newton_tolerance:
+        if decrement / 2.0 <= _NEWTON_TOLERANCE:
             return z, steps, chols, False
         f0 = _barrier_value(chols, z, radius, m, mu)
         alpha = 1.0
@@ -362,7 +362,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
             outer = 0
             while outer < cfg.max_outer_iters:
                 z, steps, chols, stall = _newton_center(
-                    blocks, z, cfg.trust_radius, m, mu, cfg, chols)
+                    blocks, z, cfg.trust_radius, m, mu, chols)
                 total_steps += steps
                 stalled += stall
                 outer += 1
@@ -373,7 +373,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
                                          _min_eig(blocks, z[:m]), steps))
                 if nu * mu <= gap_target:
                     break
-                mu *= cfg.barrier_shrink
+                mu *= _BARRIER_SHRINK
             status = ("feasible" if best_t >= cfg.margin_tolerance
                       else "infeasible_at_tolerance")
             return FeasibilityResult(

@@ -17,9 +17,9 @@ stage time and the stage state itself is used; arguments strictly inside the
 as-yet-uncommitted step (possible only while a delay crosses below the step
 size) fall back to a linear blend, a transient, local degradation.
 
-``integrate`` advances any number of histories together in one loop, on a
-(members, 4n) real state. Each member has its own divergence time; the
-others go on without it.
+``integrate`` advances any number of members together in one loop, on a
+(members, 4n) real state. Each member starts from a constant initial state
+and has its own divergence time; the others go on without it.
 
 Models carrying a nonzero equilibrium (produced by ``equilibrium_shift``)
 are integrated in deviation coordinates: the activation becomes
@@ -40,6 +40,10 @@ from .qmatrix import QuatMatrix, mat_vec
 
 DEFAULT_DIVERGENCE_LIMIT = 1e6
 _EDGE_SLACK = 1e-9
+_TAIL_FRACTION = 0.1         # trailing share of the run that final_sup covers
+_EQUILIBRIUM_DAMPING = 0.5
+_EQUILIBRIUM_TOL = 1e-12
+_EQUILIBRIUM_ITERS = 10000
 
 
 def activation(values: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -83,56 +87,13 @@ class HistoryBuffer:
                 + self.step * (h10 * self.derivs[cell]
                                + h11 * self.derivs[cell + 1]))
 
-    def deriv(self, u: float) -> np.ndarray:
-        offset = (u - self.t0) / self.step
-        last = len(self.values) - 1
-        if offset < -_EDGE_SLACK or offset > last + _EDGE_SLACK:
-            raise InputError(f"derivative lookup at t={u:.6g} is outside "
-                             f"[{self.t0:.6g}, {self.t_end:.6g}]")
-        if last == 0:
-            return self.derivs[0]
-        cell = min(max(int(math.floor(offset)), 0), last - 1)
-        tau = offset - cell
-        g00 = 6.0 * tau * (tau - 1.0)
-        g10 = (3.0 * tau - 1.0) * (tau - 1.0)
-        g01 = -g00
-        g11 = tau * (3.0 * tau - 2.0)
-        return ((g00 * self.values[cell] + g01 * self.values[cell + 1]) / self.step
-                + g10 * self.derivs[cell] + g11 * self.derivs[cell + 1])
-
-
-def _finite_difference_derivs(values: np.ndarray, step: float) -> np.ndarray:
-    """Fourth-order derivative estimates on a uniform grid (second-order
-    fallback for grids shorter than five nodes). Keeps Hermite interpolation
-    of smooth sampled histories at full accuracy."""
-    n = len(values)
-    derivs = np.zeros_like(values)
-    if n == 1:
-        return derivs
-    if n == 2:
-        derivs[0] = derivs[1] = (values[1] - values[0]) / step
-        return derivs
-    if n < 5:
-        derivs[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
-        derivs[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * step)
-        derivs[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * step)
-        return derivs
-    v = values
-    derivs[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * step)
-    derivs[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2]
-                 + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * step)
-    derivs[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2]
-                 - 6.0 * v[3] + v[4]) / (12.0 * step)
-    derivs[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3]
-                  + 6.0 * v[-4] - v[-5]) / (12.0 * step)
-    derivs[-1] = (25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3]
-                  - 16.0 * v[-4] + 3.0 * v[-5]) / (12.0 * step)
-    return derivs
-
 
 @dataclass
 class Trajectory:
     """Committed solution: a history segment glued to the integrated one.
+
+    Initial data are constant: ``integrate`` fills every history node with
+    the member's start state and a derivative of exactly 0.
 
     ``diverged_at`` is the grid time at which the state passed the divergence
     limit (the solution ends one step before it), or None. ``blended_lookups``
@@ -162,22 +123,15 @@ class Trajectory:
     def state(self, u: float) -> np.ndarray:
         return self.history(u) if u < self.solution.t0 else self.solution(u)
 
-    def state_deriv(self, u: float) -> np.ndarray:
-        return self.history.deriv(u) if u < self.solution.t0 else self.solution.deriv(u)
-
     def modulus_series(self) -> np.ndarray:
         """Max quaternion modulus across neurons at each committed node."""
-        vals = self.solution.values
-        return np.max(np.sqrt(np.abs(vals[:, 0, :]) ** 2
-                              + np.abs(vals[:, 1, :]) ** 2), axis=1)
+        return _modulus_series(self.solution.values)
 
 
-def constant_history(pair: np.ndarray):
-    arr = np.array(pair, dtype=complex)
-
-    def fn(_t: float) -> np.ndarray:
-        return arr
-    return fn
+def _modulus_series(values: np.ndarray) -> np.ndarray:
+    """Max quaternion modulus across neurons at each node of (nodes, 2, n)."""
+    return np.max(np.sqrt(np.abs(values[:, 0, :]) ** 2
+                          + np.abs(values[:, 1, :]) ** 2), axis=1)
 
 
 # Inside ``integrate`` a (2, n) state pair is stored as its 4n real components
@@ -270,13 +224,14 @@ def _lookup_stencils(model: NetworkModel, times: np.ndarray,
 _CHUNK_STEPS = 128
 
 
-def integrate(model: NetworkModel, histories, horizon: float, step: float,
+def integrate(model: NetworkModel, starts, horizon: float, step: float,
               divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT
               ) -> list[Trajectory]:
-    """Integrate the delayed dynamics from each history, all in one RK4 loop.
+    """Integrate the delayed dynamics from each start, all in one RK4 loop.
 
-    Each history maps a time in [-lookback, 0] to a (2, n) state pair; the
-    result holds one Trajectory per history, in order. A member diverges at
+    Each start is a (2, n) state pair, held constant over [-lookback, 0] as
+    the member's initial data; the result holds one Trajectory per start, in
+    order. A member diverges at
     the first grid time where a component's complex modulus passes
     ``divergence_limit`` or stops being finite: its trajectory ends at the
     last node before that time, which is kept in ``diverged_at``. The other
@@ -290,12 +245,9 @@ def integrate(model: NetworkModel, histories, horizon: float, step: float,
     """
     if step <= 0 or horizon <= 0:
         raise InputError("horizon and step must be positive")
-    n, members = model.n, len(histories)
+    n, members = model.n, len(starts)
     dim = 4 * n
-    lookback = model.lookback()
-    hist_steps = max(int(math.ceil(lookback / step - _EDGE_SLACK)), 1)
-    hist_t0 = -hist_steps * step
-    hist_times = hist_t0 + step * np.arange(hist_steps + 1)
+    hist_steps = max(int(math.ceil(model.lookback() / step - _EDGE_SLACK)), 1)
     steps = int(math.ceil(horizon / step - _EDGE_SLACK))
     first = hist_steps + 1                     # node index of t = 0
 
@@ -303,13 +255,12 @@ def integrate(model: NetworkModel, histories, horizon: float, step: float,
     nodes = np.zeros((first + steps + 1, 2, members, dim))
     pairs = nodes.view(complex).reshape(nodes.shape[:3] + (2, n))
     flat = nodes.reshape(2 * len(nodes), members * dim)
-    for s, history in enumerate(histories):
-        hist_values = np.array([history(t) for t in hist_times], dtype=complex)
-        if hist_values.shape[1:] != (2, n):
-            raise InputError("history must produce (2, n) state pairs")
-        pairs[:first, 0, s] = hist_values
-        pairs[:first, 1, s] = _finite_difference_derivs(hist_values, step)
-    nodes[first, 0] = nodes[first - 1, 0]
+    for s, start in enumerate(starts):
+        start = np.asarray(start, dtype=complex)
+        if start.shape != (2, n):
+            raise InputError(f"each start must be a (2, {n}) state pair, "
+                             f"got shape {start.shape}")
+        pairs[:first + 1, 0, s] = start
 
     leak = _per_component(model.c_diag)
     a_op = _real_operator(model.a_mat, model.gamma_diag)
@@ -385,7 +336,7 @@ def integrate(model: NetworkModel, histories, horizon: float, step: float,
     blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(
         model=model, step=step,
-        history=HistoryBuffer(hist_t0, step, pairs[:first, 0, s],
+        history=HistoryBuffer(-hist_steps * step, step, pairs[:first, 0, s],
                               pairs[:first, 1, s]),
         solution=HistoryBuffer(0.0, step, pairs[first:first + end + 1, 0, s],
                                pairs[first:first + end + 1, 1, s]),
@@ -402,17 +353,11 @@ class ConvergenceMetrics:
     envelope_bounded: bool      # no new modulus records after the run starts
 
 
-def convergence_metrics(traj: Trajectory, threshold: float = 1e-3,
-                        tail_fraction: float = 0.1,
-                        equilibrium: np.ndarray | None = None) -> ConvergenceMetrics:
+def convergence_metrics(traj: Trajectory, threshold: float = 1e-3
+                        ) -> ConvergenceMetrics:
     """Deviation-from-equilibrium statistics on the committed grid."""
-    vals = traj.solution.values
-    if equilibrium is not None:
-        vals = vals - np.asarray(equilibrium, dtype=complex)[None, :, :]
-    series = np.max(np.sqrt(np.abs(vals[:, 0, :]) ** 2
-                            + np.abs(vals[:, 1, :]) ** 2), axis=1)
-    times = traj.times
-    tail = max(int(len(series) * (1.0 - tail_fraction)), 0)
+    series = traj.modulus_series()
+    tail = max(int(len(series) * (1.0 - _TAIL_FRACTION)), 0)
     final_sup = float(np.max(series[tail:]))
     peak = float(np.max(series))
     below = series < threshold
@@ -421,33 +366,32 @@ def convergence_metrics(traj: Trajectory, threshold: float = 1e-3,
         idx = len(below) - 1
         while idx > 0 and below[idx - 1]:
             idx -= 1
-        time_to = float(times[idx])
-    hist_peak = float(np.max(np.sqrt(
-        np.abs(traj.history.values[:, 0, :]) ** 2
-        + np.abs(traj.history.values[:, 1, :]) ** 2)))
+        time_to = float(traj.times[idx])
+    hist_peak = float(np.max(_modulus_series(traj.history.values)))
     envelope_bounded = peak <= hist_peak * (1.0 + 1e-9) + 1e-12
     return ConvergenceMetrics(final_sup=final_sup, peak=peak,
                               time_to_threshold=time_to, threshold=threshold,
                               envelope_bounded=envelope_bounded)
 
 
-def find_equilibrium(model: NetworkModel, damping: float = 0.5,
-                     tol: float = 1e-12, max_iters: int = 10000) -> np.ndarray:
+def find_equilibrium(model: NetworkModel) -> np.ndarray:
     """Fixed point of C x = (A + B) f(x) + u by damped iteration."""
     u_ext = (np.zeros((2, model.n), dtype=complex)
              if model.external_input is None else model.external_input)
     c_inv = 1.0 / model.c_diag[None, :]
     x = np.zeros((2, model.n), dtype=complex)
-    for _ in range(max_iters):
+    for _ in range(_EQUILIBRIUM_ITERS):
         fx = activation(x, model.gamma_diag)
         target = c_inv * (mat_vec(model.a_mat, fx)
                           + mat_vec(model.b_mat, fx) + u_ext)
-        x_new = (1.0 - damping) * x + damping * target
-        if np.max(np.abs(x_new - x)) <= tol * max(1.0, np.max(np.abs(x_new))):
+        x_new = ((1.0 - _EQUILIBRIUM_DAMPING) * x
+                 + _EQUILIBRIUM_DAMPING * target)
+        scale = max(1.0, np.max(np.abs(x_new)))
+        if np.max(np.abs(x_new - x)) <= _EQUILIBRIUM_TOL * scale:
             return x_new
         x = x_new
-    raise EquilibriumError("equilibrium iteration did not converge; "
-                           "try a smaller damping factor")
+    raise EquilibriumError(f"equilibrium iteration did not converge in "
+                           f"{_EQUILIBRIUM_ITERS} damped steps")
 
 
 def equilibrium_shift(model: NetworkModel, equilibrium: np.ndarray | None = None

@@ -108,12 +108,12 @@ ORDER_REFERENCE_STEP = 5e-5
 @pytest.fixture(scope="session")
 def order_study():
     """(step sizes, sup-norm errors, fitted order) against a fine reference."""
-    from qvnn.simulate import constant_history, integrate
+    from qvnn.simulate import integrate
 
     model = order_fixture_model()
-    history = constant_history(np.array([[0.9 + 0.4j], [-0.6 + 0.7j]]))
+    start = np.array([[0.9 + 0.4j], [-0.6 + 0.7j]])
     horizon = 2.0
-    (reference,) = integrate(model, [history], horizon, ORDER_REFERENCE_STEP)
+    (reference,) = integrate(model, [start], horizon, ORDER_REFERENCE_STEP)
     compare_times = np.arange(0.0, horizon + 1e-12, ORDER_STEPS[0])
 
     def grid_values(traj):
@@ -123,7 +123,7 @@ def order_study():
     ref_vals = grid_values(reference)
     errors = []
     for h in ORDER_STEPS:
-        (traj,) = integrate(model, [history], horizon, h)
+        (traj,) = integrate(model, [start], horizon, h)
         diff = grid_values(traj) - ref_vals
         errors.append(float(np.max(np.abs(diff))))
     slope = float(np.polyfit(np.log(ORDER_STEPS), np.log(errors), 1)[0])

@@ -8,8 +8,10 @@ matrices in complex-pair form throughout, and the scalar type is the
 entry-by-entry oracle for that form.
 """
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +41,6 @@ from qvnn.simulate import (
     DEFAULT_DIVERGENCE_LIMIT,
     HistoryBuffer,
     Trajectory,
-    _finite_difference_derivs,
     activation,
 )
 
@@ -527,19 +528,6 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
 # ---------------------------------------------------------------------------
 
 
-def random_history(n: int, seed: int, amplitude: float = 1.0, waves: int = 3):
-    """Smooth random quaternion history: a short random Fourier sum."""
-    rng = np.random.default_rng(seed)
-    coeff = amplitude * rng.uniform(-1.0, 1.0, size=(waves, 4, n))
-    freq = rng.uniform(0.3, 2.5, size=waves)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(waves, 4, n))
-
-    def fn(t: float) -> np.ndarray:
-        parts = np.sum(coeff * np.cos(freq[:, None, None] * t + phase), axis=0)
-        return np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
-    return fn
-
-
 def evaluate_lkf(traj, model: NetworkModel, dv: DecisionVars,
                  t: float) -> LkfSample:
     return LkfEvaluator(traj, model, dv)(t)
@@ -601,25 +589,23 @@ def _rhs_factory(model: NetworkModel):
     return rhs
 
 
-def serial_integrate(model: NetworkModel, history, horizon: float, step: float,
+def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
                      divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT) -> Trajectory:
-    """Integrate the delayed dynamics from a history function on [-L, 0].
+    """Integrate the delayed dynamics from a constant (2, n) initial state.
 
-    ``history`` maps a time in [-lookback, 0] to a (2, n) state pair. Raises
-    DivergenceError (carrying the offending time) if the state norm passes
-    ``divergence_limit`` or stops being finite.
+    Raises DivergenceError (carrying the offending time) if the state norm
+    passes ``divergence_limit`` or stops being finite.
     """
     if step <= 0 or horizon <= 0:
         raise InputError("horizon and step must be positive")
+    start = np.asarray(start, dtype=complex)
+    if start.shape != (2, model.n):
+        raise InputError("the start must be a (2, n) state pair")
     lookback = model.lookback()
     hist_steps = max(int(math.ceil(lookback / step - _EDGE_SLACK)), 1)
-    hist_t0 = -hist_steps * step
-    hist_times = hist_t0 + step * np.arange(hist_steps + 1)
-    hist_values = np.array([history(t) for t in hist_times], dtype=complex)
-    if hist_values.shape[1:] != (2, model.n):
-        raise InputError("history must produce (2, n) state pairs")
-    hist_seg = HistoryBuffer(hist_t0, step, hist_values,
-                       _finite_difference_derivs(hist_values, step))
+    hist_values = np.array([start] * (hist_steps + 1))
+    hist_seg = HistoryBuffer(-hist_steps * step, step, hist_values,
+                             np.zeros_like(hist_values))
 
     steps = int(math.ceil(horizon / step - _EDGE_SLACK))
     values = np.zeros((steps + 1, 2, model.n), dtype=complex)
@@ -668,3 +654,35 @@ def serial_integrate(model: NetworkModel, history, horizon: float, step: float,
 
     sol_seg = HistoryBuffer(0.0, step, values, derivs)
     return Trajectory(model=model, step=step, history=hist_seg, solution=sol_seg)
+
+
+# ---------------------------------------------------------------------------
+# The row-by-row CSV writers that ``qvnn simulate`` replaced with block
+# writes. The files must stay byte-identical.
+# ---------------------------------------------------------------------------
+
+
+def write_trajectory_csv_rows(path: Path, traj) -> None:
+    n = traj.values.shape[2]
+    header = ["time"]
+    for j in range(n):
+        header += [f"n{j+1}_{c}" for c in ("w", "x", "y", "z")]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t, val in zip(traj.times, traj.values):
+            row = [f"{t:.6f}"]
+            for j in range(n):
+                row += [f"{val[0, j].real:.9e}", f"{val[0, j].imag:.9e}",
+                        f"{val[1, j].real:.9e}", f"{val[1, j].imag:.9e}"]
+            writer.writerow(row)
+
+
+def write_lkf_csv_rows(path: Path, trace) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "v1", "v2", "v3", "v4", "v_total"])
+        for i, t in enumerate(trace.times):
+            writer.writerow([f"{t:.6f}", f"{trace.v1[i]:.9e}",
+                             f"{trace.v2[i]:.9e}", f"{trace.v3[i]:.9e}",
+                             f"{trace.v4[i]:.9e}", f"{trace.total[i]:.9e}"])

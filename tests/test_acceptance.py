@@ -38,7 +38,7 @@ from qvnn.qmatrix import (
     random_quat_matrix,
 )
 from qvnn.sdp import SolverConfig, solve_feasibility
-from qvnn.simulate import constant_history, convergence_metrics, integrate
+from qvnn.simulate import convergence_metrics, integrate
 
 MARGIN_TOL = 1e-6
 
@@ -87,13 +87,13 @@ def test_02_reference_component_matrices_match_frozen_source_data(
 
 def test_03_reference_simulations_converge_and_functional_decays(
         reference_model):
-    histories = []
+    starts = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         parts = rng.uniform(-1.0, 1.0, size=(4, reference_model.n))
-        histories.append(constant_history(np.stack([parts[0] + 1j * parts[1],
-                                                    parts[2] + 1j * parts[3]])))
-    trajs = integrate(reference_model, histories, horizon=20.0, step=1e-3)
+        starts.append(np.stack([parts[0] + 1j * parts[1],
+                                parts[2] + 1j * parts[3]]))
+    trajs = integrate(reference_model, starts, horizon=20.0, step=1e-3)
     outcomes = []
     for seed, traj in enumerate(trajs):
         if traj.diverged_at is not None:
@@ -116,9 +116,8 @@ def test_03_reference_simulations_converge_and_functional_decays(
                     f"reported {result.status!r}")
     rng = np.random.default_rng(0)
     parts = rng.uniform(-1.0, 1.0, size=(4, reference_model.n))
-    history = constant_history(np.stack([parts[0] + 1j * parts[1],
-                                         parts[2] + 1j * parts[3]]))
-    (traj,) = integrate(reference_model, [history], horizon=20.0, step=1e-3)
+    start = np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+    (traj,) = integrate(reference_model, [start], horizon=20.0, step=1e-3)
     trace = lkf_trace(traj, reference_model, dv, stride=20)
     v0 = trace.total[0]
     assert trace.max_increase() <= 1e-6 * v0, (

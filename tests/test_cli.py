@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import qvnn.sdp
-from qvnn.cli import main
+from oracles import write_lkf_csv_rows, write_trajectory_csv_rows
+from qvnn.cli import _write_lkf_csv, _write_trajectory_csv, main
 from qvnn.errors import NumericalError
+from qvnn.lkf import lkf_trace
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
 from qvnn.qmatrix import mat_vec, qv_from_components
-from qvnn.simulate import activation
+from qvnn.simulate import activation, integrate
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +164,20 @@ def test_simulate_runs_converge_and_track_the_functional(tmp_path, capsys,
         assert total == pytest.approx(float(row[5]), rel=1e-6, abs=1e-12)
 
 
+def test_csv_block_writes_equal_the_row_writers(tmp_path, stable_model,
+                                                stable_solution):
+    _, dv = stable_solution
+    start = np.array([[0.6 - 0.3j, -0.4 + 0.2j], [0.5 + 0.5j, 0.3 - 0.6j]])
+    (traj,) = integrate(stable_model, [start], horizon=1.5, step=1e-3)
+    trace = lkf_trace(traj, stable_model, dv, stride=7)
+    for block, rows, data in ((_write_trajectory_csv, write_trajectory_csv_rows, traj),
+                              (_write_lkf_csv, write_lkf_csv_rows, trace)):
+        block(tmp_path / "block.csv", data)
+        rows(tmp_path / "rows.csv", data)
+        assert ((tmp_path / "block.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
+
 def test_simulate_rejects_bad_numerics(tmp_path, capsys, stable_example_path):
     code, _, err = run_cli(capsys, "simulate", str(stable_example_path),
                            "--seeds", "1", "--horizon", "0",
@@ -244,6 +260,19 @@ def test_margin_requires_a_sign_change(capsys, stable_example_path):
                            "--tol", "0.05")
     assert code == 2
     assert "bracket error" in out
+
+
+def test_margin_json_reports_a_bracket_error(capsys, stable_example_path):
+    code, out, _ = run_cli(capsys, "margin", str(stable_example_path),
+                           "--param", "delta", "--bracket", "0.01,0.03",
+                           "--tol", "0.05", "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"] == "bracket"
+    assert report["param"] == "delta"
+    assert [p["value"] for p in report["probes"]] == [0.01, 0.03]
+    assert [p["status"] for p in report["probes"]] == ["feasible", "feasible"]
+    assert all(p["margin"] > 0.0 for p in report["probes"])
 
 
 def test_margin_validates_the_bracket_string(capsys, stable_example_path):

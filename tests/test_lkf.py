@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import evaluate_lkf, quadform, random_decision_vars
+from qvnn.cli import _history_for_seed
 from qvnn.errors import CoverageError, InputError
 from qvnn.lkf import LkfEvaluator, LyapunovTrace, grid_quad, lkf_trace
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix
-from qvnn.simulate import HistoryBuffer, Trajectory, activation, constant_history, integrate
+from qvnn.simulate import HistoryBuffer, Trajectory, activation, integrate
 
 
 # ---- windowed quadrature ----------------------------------------------------------
@@ -172,6 +173,16 @@ def test_max_increase_reports_the_worst_step():
     assert empty.max_increase() == 0.0
 
 
+def test_a_history_that_moves_is_refused():
+    # V4 reads xdot only from t = 0 on, which holds for constant initial data
+    model = lkf_model()
+    dv = random_decision_vars(np.random.default_rng(9), 1)
+    traj = frozen_trajectory(model, np.array([[0.1 + 0j], [0j]]))
+    traj.history.derivs[3] = np.array([[1e-12j], [0j]])
+    with pytest.raises(InputError, match="constant initial data"):
+        LkfEvaluator(traj, model, dv)
+
+
 def test_dimension_mismatch_is_rejected():
     model = lkf_model()
     dv = random_decision_vars(np.random.default_rng(9), 2)
@@ -186,8 +197,8 @@ def test_dimension_mismatch_is_rejected():
 def test_certified_functional_decays_along_a_stable_run(stable_model, stable_solution):
     _, dv = stable_solution
     (traj,) = integrate(stable_model,
-                        [constant_history(np.array([[0.6 - 0.3j, -0.4 + 0.2j],
-                                                    [0.5 + 0.5j, 0.3 - 0.6j]]))],
+                        [np.array([[0.6 - 0.3j, -0.4 + 0.2j],
+                                   [0.5 + 0.5j, 0.3 - 0.6j]])],
                         horizon=6.0, step=2e-3)
     trace = lkf_trace(traj, stable_model, dv, stride=50)
     v0 = trace.total[0]
@@ -195,3 +206,15 @@ def test_certified_functional_decays_along_a_stable_run(stable_model, stable_sol
     assert np.all(trace.total > 0.0)
     assert trace.max_increase() <= 1e-6 * v0
     assert trace.total[-1] < 0.05 * v0
+
+
+def test_functional_starts_with_no_derivative_energy(stable_model,
+                                                     stable_solution):
+    # the initial data are constant, so no window of V4 holds energy at t = 0
+    _, dv = stable_solution
+    starts = [_history_for_seed(stable_model, seed, zero=False)
+              for seed in range(10)]
+    for traj in integrate(stable_model, starts, horizon=0.2, step=1e-3):
+        trace = lkf_trace(traj, stable_model, dv, stride=50)
+        assert trace.v4[0] == 0.0
+        assert np.all(trace.v4[1:] > 0.0)

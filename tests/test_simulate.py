@@ -1,4 +1,4 @@
-"""Delay-differential integration, histories, and convergence metrics."""
+"""Delay-differential integration, initial states, and convergence metrics."""
 
 import math
 
@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import order_fixture_model
-from oracles import DivergenceError, qv_modulus, random_history, serial_integrate
+from oracles import DivergenceError, qv_modulus, serial_integrate
 from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, mat_vec
 from qvnn.simulate import (
     HistoryBuffer,
     activation,
-    constant_history,
     convergence_metrics,
     equilibrium_shift,
     find_equilibrium,
@@ -82,7 +81,6 @@ def test_history_buffer_reproduces_cubics_exactly():
     buf = HistoryBuffer(0.0, ts[1] - ts[0], values, derivs)
     for u in np.linspace(0.0, 1.0, 41):
         assert buf(u)[0, 0] == pytest.approx(poly(u), abs=1e-14)
-        assert buf.deriv(u)[0, 0] == pytest.approx(dpoly(u), abs=1e-12)
 
 
 def test_history_buffer_refuses_extrapolation():
@@ -92,33 +90,6 @@ def test_history_buffer_refuses_extrapolation():
         buf(-0.01)
     with pytest.raises(InputError):
         buf(1.01)
-    with pytest.raises(InputError):
-        buf.deriv(1.01)
-
-
-def test_sampled_history_derivatives_are_high_order():
-    # fourth-order finite differences keep smooth histories accurate
-    step = 1e-2
-    model = scalar_model()
-    history = lambda t: np.array([[np.sin(t) + 1j * np.cos(2 * t)],
-                                  [np.cos(t) - 1j * np.sin(t)]])
-    (traj,) = integrate(model, [history], horizon=0.1, step=step)
-    for u in (-0.2, -0.13, -0.05):
-        expected = np.array([[np.cos(u) - 2j * np.sin(2 * u)],
-                             [-np.sin(u) - 1j * np.cos(u)]])
-        np.testing.assert_allclose(traj.state_deriv(u), expected, atol=1e-6)
-        np.testing.assert_allclose(traj.state(u), history(u), atol=1e-9)
-
-
-def test_random_history_is_seeded_and_bounded():
-    h1 = random_history(2, seed=5)
-    h2 = random_history(2, seed=5)
-    h3 = random_history(2, seed=6)
-    ts = np.linspace(-1.0, 0.0, 17)
-    for t in ts:
-        np.testing.assert_array_equal(h1(t), h2(t))
-    assert any(np.max(np.abs(h1(t) - h3(t))) > 1e-12 for t in ts)
-    assert h1(0.0).shape == (2, 2)
 
 
 # ---- integration ----------------------------------------------------------------
@@ -126,25 +97,34 @@ def test_random_history_is_seeded_and_bounded():
 
 def test_zero_history_stays_at_the_origin():
     model = scalar_model()
-    (traj,) = integrate(model, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
+    (traj,) = integrate(model, [np.zeros((2, 1))], 1.0, 1e-2)
     assert np.max(np.abs(traj.solution.values)) <= 1e-14
 
 
 def test_integrate_validates_inputs():
     model = scalar_model()
-    history = constant_history(np.zeros((2, 1)))
+    start = np.zeros((2, 1))
     with pytest.raises(InputError):
-        integrate(model, [history], horizon=0.0, step=1e-2)
+        integrate(model, [start], horizon=0.0, step=1e-2)
     with pytest.raises(InputError):
-        integrate(model, [history], horizon=1.0, step=0.0)
-    with pytest.raises(InputError):
-        integrate(model, [history, constant_history(np.zeros((2, 3)))],
-                  1.0, 1e-2)
+        integrate(model, [start], horizon=1.0, step=0.0)
+    # a ragged list of starts, and a start that would broadcast
+    for bad in (np.zeros((2, 3)), np.zeros(1)):
+        with pytest.raises(InputError, match="state pair"):
+            integrate(model, [start, bad], 1.0, 1e-2)
+
+
+def test_history_holds_the_start_with_zero_derivative(stable_model):
+    starts = seeded_starts(2, range(10))
+    for start, traj in zip(starts, integrate(stable_model, starts, 0.5, 1e-3)):
+        assert np.all(traj.history.values == start)
+        assert np.all(traj.history.derivs == 0.0)
+        assert np.all(traj.solution.values[0] == start)
 
 
 def test_trajectory_grid_and_state_agree():
     model = scalar_model()
-    (traj,) = integrate(model, [constant_history(np.array([[0.4 + 0.1j], [0.2j]]))],
+    (traj,) = integrate(model, [np.array([[0.4 + 0.1j], [0.2j]])],
                         horizon=1.0, step=0.05)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
@@ -158,7 +138,7 @@ def test_trajectory_grid_and_state_agree():
 
 def test_state_lookup_refuses_extrapolation():
     model = scalar_model()
-    (traj,) = integrate(model, [constant_history(np.array([[0.1 + 0j], [0j]]))],
+    (traj,) = integrate(model, [np.array([[0.1 + 0j], [0j]])],
                         horizon=1.0, step=0.05)
     with pytest.raises(InputError):
         traj.state(1.2)
@@ -172,7 +152,7 @@ def test_divergence_reports_first_crossing_time():
         c_diag=np.array([0.05]),
         b_mat=QuatMatrix.from_real(np.array([[40.0]])),
         gamma_diag=np.array([3.0]))
-    (traj,) = integrate(model, [constant_history(np.array([[1.0 + 0j], [0j]]))],
+    (traj,) = integrate(model, [np.array([[1.0 + 0j], [0j]])],
                         horizon=50.0, step=1e-2, divergence_limit=100.0)
     assert traj.diverged_at is not None
     assert 0.0 < traj.diverged_at < 50.0
@@ -240,7 +220,7 @@ def test_constant_delay_run_matches_independent_reimplementation():
     model = order_fixture_model()
     pair0 = np.array([[0.9 + 0.4j], [-0.6 + 0.7j]])
     step = 1.0 / 16.0  # delays are integer multiples of the step
-    (traj,) = integrate(model, [constant_history(pair0)], horizon=2.0, step=step)
+    (traj,) = integrate(model, [pair0], horizon=2.0, step=step)
     ref = reference_integrate(model, pair0, horizon=2.0, step=step)
     assert np.max(np.abs(traj.solution.values - ref)) < 1e-10
 
@@ -254,29 +234,29 @@ def test_convergence_order_meets_scheme_design(order_study):
 # ---- the batched loop against the serial oracle -----------------------------------
 
 
-def seeded_histories(n, seeds):
-    """Constant histories drawn as ``qvnn simulate`` draws them."""
+def seeded_starts(n, seeds):
+    """Constant initial states drawn as ``qvnn simulate`` draws them."""
     out = []
     for seed in seeds:
         parts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4, n))
-        out.append(constant_history(np.stack([parts[0] + 1j * parts[1],
-                                              parts[2] + 1j * parts[3]])))
+        out.append(np.stack([parts[0] + 1j * parts[1],
+                             parts[2] + 1j * parts[3]]))
     return out
 
 
-def assert_matches_serial(model, histories, horizon, step, **kwargs):
+def assert_matches_serial(model, starts, horizon, step, **kwargs):
     """Every batched member equals its serial run to 1e-12; a diverged member
     stops at the serial divergence time exactly, and its committed part
     equals a serial run up to its last node."""
-    trajs = integrate(model, histories, horizon, step, **kwargs)
-    assert len(trajs) == len(histories)
-    for history, traj in zip(histories, trajs):
+    trajs = integrate(model, starts, horizon, step, **kwargs)
+    assert len(trajs) == len(starts)
+    for start, traj in zip(starts, trajs):
         try:
-            ref = serial_integrate(model, history, horizon, step, **kwargs)
+            ref = serial_integrate(model, start, horizon, step, **kwargs)
         except DivergenceError as exc:
             assert traj.diverged_at == exc.time
             assert traj.horizon == pytest.approx(exc.time - step)
-            ref = serial_integrate(model, history, traj.horizon, step, **kwargs)
+            ref = serial_integrate(model, start, traj.horizon, step, **kwargs)
         else:
             assert traj.diverged_at is None
         assert traj.solution.values.shape == ref.solution.values.shape
@@ -288,7 +268,7 @@ def assert_matches_serial(model, histories, horizon, step, **kwargs):
 
 
 def test_batched_stable_members_match_serial(stable_model):
-    trajs = assert_matches_serial(stable_model, seeded_histories(2, range(10)),
+    trajs = assert_matches_serial(stable_model, seeded_starts(2, range(10)),
                                   horizon=1.0, step=5e-3)
     assert all(t.diverged_at is None for t in trajs)
 
@@ -298,9 +278,8 @@ def test_divergent_members_do_not_stop_the_others():
     # grows, and only the large starts pass the limit within the horizon
     model = scalar_model(c_diag=np.array([3.0]), delta=1.0)
     amplitudes = (1.0, 1e-9, 0.5, 0.0, 1e-7)
-    histories = [constant_history(np.array([[a + 0.3j * a], [0.2 * a + 0j]]))
-                 for a in amplitudes]
-    trajs = assert_matches_serial(model, histories, horizon=10.0, step=0.02,
+    starts = [np.array([[a + 0.3j * a], [0.2 * a + 0j]]) for a in amplitudes]
+    trajs = assert_matches_serial(model, starts, horizon=10.0, step=0.02,
                                   divergence_limit=50.0)
     diverged = [t.diverged_at is not None for t in trajs]
     assert diverged == [True, False, True, False, False]
@@ -320,7 +299,7 @@ def test_clamped_delays_take_the_stage_and_blend_lookups():
     step = 0.01
     stage_times = np.arange(0.0, 2.0, step / 2.0)
     assert np.any(model.delay1(stage_times) == 0.0)
-    trajs = assert_matches_serial(model, seeded_histories(1, range(3)),
+    trajs = assert_matches_serial(model, seeded_starts(1, range(3)),
                                   horizon=2.0, step=step)
     assert all(t.blended_lookups > 0 for t in trajs)
 
@@ -328,7 +307,7 @@ def test_clamped_delays_take_the_stage_and_blend_lookups():
 def test_batched_shifted_members_match_serial():
     model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
     shifted = equilibrium_shift(model)
-    assert_matches_serial(shifted, seeded_histories(1, range(4)),
+    assert_matches_serial(shifted, seeded_starts(1, range(4)),
                           horizon=2.0, step=1e-2)
 
 
@@ -340,7 +319,7 @@ def test_negative_delays_are_refused():
                          clamp_negative=False),
         delay2=DelaySpec(kind="constant", value=0.0))
     with pytest.raises(InputError, match="negative"):
-        integrate(model, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
+        integrate(model, [np.zeros((2, 1))], 1.0, 1e-2)
 
 
 def test_no_histories_give_no_trajectories():
@@ -353,7 +332,7 @@ def test_no_histories_give_no_trajectories():
 def test_metrics_on_a_decaying_run():
     model = scalar_model(delta=0.05,
                          delay1=DelaySpec(kind="constant", value=0.25))
-    (traj,) = integrate(model, [constant_history(np.array([[0.5 + 0.2j], [0.1j]]))],
+    (traj,) = integrate(model, [np.array([[0.5 + 0.2j], [0.1j]])],
                         horizon=12.0, step=5e-3)
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.final_sup < 1e-3
@@ -368,7 +347,7 @@ def test_metrics_on_a_growing_run():
         c_diag=np.array([0.2]),
         b_mat=QuatMatrix.from_real(np.array([[8.0]])),
         gamma_diag=np.array([2.0]))
-    (traj,) = integrate(model, [constant_history(np.array([[0.3 + 0j], [0j]]))],
+    (traj,) = integrate(model, [np.array([[0.3 + 0j], [0j]])],
                         horizon=4.0, step=5e-3)
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.time_to_threshold is None
@@ -378,7 +357,7 @@ def test_metrics_on_a_growing_run():
 
 def test_metrics_on_the_zero_run():
     model = scalar_model()
-    (traj,) = integrate(model, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
+    (traj,) = integrate(model, [np.zeros((2, 1))], 1.0, 1e-2)
     metrics = convergence_metrics(traj)
     assert metrics.final_sup <= 1e-14
     assert metrics.peak <= 1e-14
@@ -407,7 +386,7 @@ def test_shifted_model_rests_at_the_origin():
     model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
     shifted = equilibrium_shift(model)
     assert shifted.external_input is None
-    (traj,) = integrate(shifted, [constant_history(np.zeros((2, 1)))], 1.0, 1e-2)
+    (traj,) = integrate(shifted, [np.zeros((2, 1))], 1.0, 1e-2)
     assert np.max(np.abs(traj.solution.values)) <= 1e-12
 
 
@@ -417,8 +396,8 @@ def test_shift_agrees_with_driven_dynamics():
     y_eq = find_equilibrium(model)
     shifted = equilibrium_shift(model, y_eq)
     start = np.array([[0.5 - 0.2j], [0.3 + 0.4j]])
-    (driven,) = integrate(model, [constant_history(start)], 2.0, 1e-2)
-    (deviation,) = integrate(shifted, [constant_history(start - y_eq)], 2.0, 1e-2)
+    (driven,) = integrate(model, [start], 2.0, 1e-2)
+    (deviation,) = integrate(shifted, [start - y_eq], 2.0, 1e-2)
     recomposed = deviation.solution.values + y_eq[None]
     assert np.max(np.abs(driven.solution.values - recomposed)) < 1e-9
 
