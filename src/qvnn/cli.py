@@ -176,8 +176,8 @@ def cmd_certify(args) -> int:
 # ---- simulate --------------------------------------------------------------------
 
 
-def _history_for_seed(model: NetworkModel, seed: int, zero: bool
-                      ) -> np.ndarray:
+def _start_for_seed(model: NetworkModel, seed: int, zero: bool
+                    ) -> np.ndarray:
     """The member's constant initial state: the rest point, or seeded."""
     if zero:
         return np.zeros((2, model.n), dtype=complex)
@@ -256,7 +256,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = range(args.seed, args.seed + args.seeds)
-    trajs = integrate(model, [_history_for_seed(model, seed, args.zero_history)
+    trajs = integrate(model, [_start_for_seed(model, seed, args.zero_history)
                               for seed in seeds], args.horizon, args.step)
     entries = [_run_entry(seed, traj, args) for seed, traj in zip(seeds, trajs)]
 
@@ -363,6 +363,9 @@ def _probe(doc: dict, param: str, value: float, margin_tol: float,
 
 
 def cmd_margin(args) -> int:
+    # a bracket one ulp wide never gets narrower, so bisection needs tol > 0
+    if not args.tol > 0.0:
+        raise QvnnError(f"--tol must be positive, got {args.tol:g}")
     _model, doc = load_model(args.config)
     try:
         lo_text, hi_text = args.bracket.split(",")

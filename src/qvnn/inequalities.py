@@ -65,8 +65,7 @@ def jensen_gap(path: VectorPath, m: HermitianQuatMatrix) -> float:
         raise InputError("matrix dimension does not match the path")
     if definiteness(m).kind != "positive_definite":
         raise InputError("the weight matrix must be positive definite")
-    emb = np.concatenate([path.samples[:, 0, :],
-                          np.conj(path.samples[:, 1, :])], axis=1)
+    emb = qv_embed(path.samples)
     chi = m.complex_embed()
     dx = (path.b - path.a) / (len(path.samples) - 1)
     pointwise = np.einsum("si,ij,sj->s", np.conj(emb), chi, emb)
@@ -98,7 +97,6 @@ class RcInstance:
     w2: QuatMatrix            # n x m
     p: HermitianQuatMatrix    # n x n, positive definite
     x_coupling: QuatMatrix    # n x n
-    alpha_step: float = ALPHA_GRID_STEP
     _coupling_eig: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
@@ -119,8 +117,8 @@ class RcInstance:
                              f"semidefinite (min eig {self._coupling_eig:.3e})")
 
     def alpha_grid(self) -> np.ndarray:
-        return np.arange(self.alpha_step, 1.0 - self.alpha_step / 2.0,
-                         self.alpha_step)
+        return np.arange(ALPHA_GRID_STEP, 1.0 - ALPHA_GRID_STEP / 2.0,
+                         ALPHA_GRID_STEP)
 
 
 def _coupling_block(p: HermitianQuatMatrix, x: QuatMatrix) -> HermitianQuatMatrix:
@@ -144,17 +142,9 @@ def rc_gap(inst: RcInstance) -> float:
     alphas = inst.alpha_grid()
     lhs = float(np.min(q1 / alphas + q2 / (1.0 - alphas)))
     block_chi = _coupling_block(inst.p, inst.x_coupling).complex_embed()
-    stacked = _stacked_embed(y1, y2)
+    stacked = qv_embed(np.concatenate([y1, y2], axis=1))
     rhs = float((np.conj(stacked) @ block_chi @ stacked).real)
     return lhs - rhs
-
-
-def _stacked_embed(y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """Embedding of the stacked 2n-vector (y1; y2), respecting block order."""
-    n = y1.shape[1]
-    top = np.concatenate([y1[0], y2[0]])
-    bottom = np.concatenate([y1[1], y2[1]])
-    return np.concatenate([top, np.conj(bottom)])
 
 
 def random_rc_instance(n: int, m: int, seed: int,

@@ -29,7 +29,7 @@ from scipy.integrate import simpson
 from .errors import CoverageError, InputError
 from .lmi import DecisionVars
 from .model import NetworkModel
-from .qmatrix import HermitianQuatMatrix
+from .qmatrix import HermitianQuatMatrix, qv_embed
 from .simulate import Trajectory, activation
 
 _EDGE = 1e-9
@@ -105,13 +105,9 @@ class LyapunovTrace:
         return float(np.max(diffs)) if len(diffs) else 0.0
 
 
-def _embed_states(states: np.ndarray) -> np.ndarray:
-    return np.concatenate([states[:, 0, :], np.conj(states[:, 1, :])], axis=1)
-
-
 def _batched_form(matrix: HermitianQuatMatrix, states: np.ndarray) -> np.ndarray:
     chi = matrix.complex_embed()
-    emb = _embed_states(states)
+    emb = qv_embed(states)
     return np.einsum("ni,ij,nj->n", np.conj(emb), chi, emb).real
 
 
@@ -125,16 +121,13 @@ class LkfEvaluator:
         self.traj = traj
         self.model = model
         self.dv = dv
+        # the grid reaches back over the lookback window, where x = start;
+        # Simpson panels that straddle t = 0 read these nodes too
         step = traj.step
-        hist = traj.history
-        sol = traj.solution
-        if np.any(hist.derivs != 0):
-            raise InputError("the functional needs constant initial data: "
-                             "the history derivative must be 0")
-        n_hist = len(hist.values)
-        self.times = np.concatenate([
-            hist.t0 + step * np.arange(n_hist - 1), traj.times])
-        states = np.concatenate([hist.values[:-1], sol.values], axis=0)
+        back = max(int(np.ceil(model.lookback() / step - _EDGE)), 1)
+        self.times = np.concatenate([-back * step + step * np.arange(back),
+                                     traj.times])
+        states = np.concatenate([[traj.start] * back, traj.values])
         if model.equilibrium is None:
             f_states = activation(states.reshape(-1, model.n),
                                   model.gamma_diag).reshape(states.shape)
@@ -148,7 +141,7 @@ class LkfEvaluator:
                         for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
         self.f_forms = {name: _batched_form(getattr(dv, name), f_states)
                         for name in ("q2", "q4")}
-        self.r_forms = {name: _batched_form(getattr(dv, name), sol.derivs)
+        self.r_forms = {name: _batched_form(getattr(dv, name), traj.derivs)
                         for name in ("r1", "r2")}
         self.p1_chi = dv.p1.complex_embed()
 
@@ -170,7 +163,7 @@ class LkfEvaluator:
         if self.coverage_start(t) < self.times[0] - _EDGE:
             raise CoverageError(f"evaluating at t={t:.6g} needs data back to "
                                 f"{self.coverage_start(t):.6g}, before the "
-                                f"stored history")
+                                f"lookback window")
         if t > self.traj.horizon + _EDGE:
             raise CoverageError(f"t={t:.6g} is past the simulated horizon")
         delta = model.delta
@@ -181,7 +174,7 @@ class LkfEvaluator:
         x_t = self.traj.state(t)
         ix = grid_quad(self.times, self.states, t - delta, t)
         v_vec = x_t - model.c_diag[None, :] * ix
-        emb = np.concatenate([v_vec[0], np.conj(v_vec[1])])
+        emb = qv_embed(v_vec)
         v1 = float((np.conj(emb) @ self.p1_chi @ emb).real)
 
         v2 = float(grid_quad(self.times, self.x_forms["p2"], t - delta, t))
@@ -206,15 +199,15 @@ class LkfEvaluator:
 
 
 def lkf_trace(traj: Trajectory, model: NetworkModel, dv: DecisionVars,
-              stride: int = 10, t_start: float = 0.0) -> LyapunovTrace:
+              stride: int = 10) -> LyapunovTrace:
     """Sample the functional along the trajectory every ``stride`` nodes."""
     if stride < 1:
         raise InputError("stride must be at least 1")
     ev = LkfEvaluator(traj, model, dv)
-    times = [t for t in traj.times[::stride] if t >= t_start - _EDGE]
+    times = traj.times[::stride]
     samples = [ev(t) for t in times]
     return LyapunovTrace(
-        times=np.array(times),
+        times=times,
         v1=np.array([s.v1 for s in samples]),
         v2=np.array([s.v2 for s in samples]),
         v3=np.array([s.v3 for s in samples]),

@@ -152,9 +152,6 @@ class NetworkModel:
     def mu(self) -> float:
         return self.mu1 + self.mu2
 
-    def total_delay(self, t):
-        return self.delay1(t) + self.delay2(t)
-
     def lookback(self) -> float:
         """Largest history depth any evaluation can request."""
         return max(self.delta, self.d1_bound + self.d2_bound, self.d1_bound)
@@ -211,7 +208,11 @@ class NetworkModel:
         def _vec(key):
             if key not in doc or doc[key] is None:
                 return None
-            arr = np.asarray(doc[key], dtype=float)
+            try:
+                arr = np.asarray(doc[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"{key} must be an n x 4 component list: "
+                                 f"{exc}") from None
             if arr.shape != (n, 4):
                 raise InputError(f"{key} must be an n x 4 component list")
             return qv_from_components(arr)

@@ -313,9 +313,10 @@ def qv_embed(v: np.ndarray) -> np.ndarray:
 
     This is the first column of the complex embedding of v as an n x 1 matrix,
     so quadratic forms satisfy x* H x = qv_embed(x)^H chi(H) qv_embed(x).
+    Leading axes are kept: a (..., 2, n) stack embeds to (..., 2n).
     """
     v = np.asarray(v, dtype=np.complex128)
-    return np.concatenate([v[0], np.conj(v[1])])
+    return np.concatenate([v[..., 0, :], np.conj(v[..., 1, :])], axis=-1)
 
 
 # ---- random generation ----------------------------------------------------------
@@ -328,9 +329,9 @@ def random_quat_matrix(rng: np.random.Generator, rows: int, cols: int | None = N
     return QuatMatrix.from_components(*comps)
 
 
-def random_hermitian_pd(rng: np.random.Generator, n: int, scale: float = 1.0,
+def random_hermitian_pd(rng: np.random.Generator, n: int,
                         floor: float = 0.1) -> HermitianQuatMatrix:
-    g = random_quat_matrix(rng, n, n, scale)
+    g = random_quat_matrix(rng, n, n)
     p = g @ g.conj_transpose() + QuatMatrix.identity(n) * floor
     return HermitianQuatMatrix(p.a1, p.a2)
 

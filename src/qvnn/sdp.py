@@ -217,14 +217,6 @@ class _Block:
         return grad, float(np.trace(w)), hess, hess_t, float(np.sum(w * w))
 
 
-def _structure(sdp: StandardSdp, allow_constant: bool) -> list[_Block]:
-    blocks = [_Block(lmi) for lmi in sdp.lmis]
-    if not allow_constant and any(np.max(np.abs(b.constant)) > 0 for b in blocks):
-        raise InputError("system has constant terms; pass allow_constant=True "
-                         "only for explicitly inhomogeneous test problems")
-    return blocks
-
-
 def _try_cholesky(mat):
     try:
         return np.linalg.cholesky(mat)
@@ -324,15 +316,15 @@ def _min_eig(blocks, x):
         if blocks else 0.0
 
 
-def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None,
-                      allow_constant: bool = False) -> FeasibilityResult:
+def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
+                      ) -> FeasibilityResult:
     """Run the barrier method, retrying from fresh seeds on numerical failure.
 
     The reported margin is the best t reached on the central path; it is
     nondecreasing across outer rounds. Fixed seeds give identical runs.
     """
     cfg = config or SolverConfig()
-    blocks = _structure(sdp, allow_constant)
+    blocks = [_Block(lmi) for lmi in sdp.lmis]
     m = sdp.num_vars
     nu = sum(b.dim for b in blocks) + 2 * m
     gap_target = min(0.05 * cfg.margin_tolerance, 1e-8)

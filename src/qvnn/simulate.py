@@ -53,79 +53,61 @@ def activation(values: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return out * np.asarray(gains, dtype=float)[None, :]
 
 
-class HistoryBuffer:
-    """Uniform-grid cubic Hermite interpolant over one time interval."""
-
-    __slots__ = ("t0", "step", "values", "derivs")
-
-    def __init__(self, t0: float, step: float, values: np.ndarray,
-                 derivs: np.ndarray):
-        self.t0 = float(t0)
-        self.step = float(step)
-        self.values = values
-        self.derivs = derivs
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.step * (len(self.values) - 1)
-
-    def __call__(self, u: float) -> np.ndarray:
-        offset = (u - self.t0) / self.step
-        last = len(self.values) - 1
-        if offset < -_EDGE_SLACK or offset > last + _EDGE_SLACK:
-            raise InputError(f"lookup at t={u:.6g} is outside the stored "
-                             f"interval [{self.t0:.6g}, {self.t_end:.6g}]")
-        cell = min(max(int(math.floor(offset)), 0), last - 1) if last else 0
-        if last == 0:
-            return self.values[0]
-        tau = offset - cell
-        h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
-        h10 = tau * (1.0 - tau) ** 2
-        h01 = tau * tau * (3.0 - 2.0 * tau)
-        h11 = tau * tau * (tau - 1.0)
-        return (h00 * self.values[cell] + h01 * self.values[cell + 1]
-                + self.step * (h10 * self.derivs[cell]
-                               + h11 * self.derivs[cell + 1]))
+def _hermite_weights(tau, step: float) -> np.ndarray:
+    """Cubic Hermite weights on [value, derivative] of a cell's two nodes,
+    at fractions ``tau`` of the way through the cell (trailing axis of 4)."""
+    return np.stack([(1.0 + 2.0 * tau) * (1.0 - tau) ** 2,
+                     step * tau * (1.0 - tau) ** 2,
+                     tau * tau * (3.0 - 2.0 * tau),
+                     step * tau * tau * (tau - 1.0)], axis=-1)
 
 
 @dataclass
 class Trajectory:
-    """Committed solution: a history segment glued to the integrated one.
-
-    Initial data are constant: ``integrate`` fills every history node with
-    the member's start state and a derivative of exactly 0.
+    """One committed orbit: x(u) = ``start`` for every u < 0, and ``values``
+    and ``derivs`` hold x and its derivative at the grid times 0, step, ...,
+    horizon, with ``values[0]`` = ``start``.
 
     ``diverged_at`` is the grid time at which the state passed the divergence
-    limit (the solution ends one step before it), or None. ``blended_lookups``
+    limit (the grid ends one step before it), or None. ``blended_lookups``
     counts the delay lookups that fell back to a linear blend while the
     committed steps were computed.
     """
 
     model: NetworkModel
     step: float
-    history: HistoryBuffer
-    solution: HistoryBuffer
+    start: np.ndarray
+    values: np.ndarray
+    derivs: np.ndarray
     diverged_at: float | None = None
     blended_lookups: int = 0
 
     @property
     def horizon(self) -> float:
-        return self.solution.t_end
+        return self.step * (len(self.values) - 1)
 
     @property
     def times(self) -> np.ndarray:
-        return self.solution.t0 + self.step * np.arange(len(self.solution.values))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.solution.values
+        return self.step * np.arange(len(self.values))
 
     def state(self, u: float) -> np.ndarray:
-        return self.history(u) if u < self.solution.t0 else self.solution(u)
+        """x(u) for u in [-lookback, horizon]: ``start`` before t = 0, and
+        cubic Hermite interpolation of the grid from there on."""
+        lo, slack = -self.model.lookback(), _EDGE_SLACK * self.step
+        if not lo - slack <= u <= self.horizon + slack:
+            raise InputError(f"lookup at t={u:.6g} is outside the stored "
+                             f"interval [{lo:.6g}, {self.horizon:.6g}]")
+        if u < 0.0 or len(self.values) == 1:
+            return self.start
+        offset = u / self.step
+        cell = min(int(offset), len(self.values) - 2)
+        w = _hermite_weights(offset - cell, self.step)
+        return (w[0] * self.values[cell] + w[1] * self.derivs[cell]
+                + w[2] * self.values[cell + 1] + w[3] * self.derivs[cell + 1])
 
     def modulus_series(self) -> np.ndarray:
-        """Max quaternion modulus across neurons at each committed node."""
-        return _modulus_series(self.solution.values)
+        """Max quaternion modulus across neurons at each grid node."""
+        return _modulus_series(self.values)
 
 
 def _modulus_series(values: np.ndarray) -> np.ndarray:
@@ -157,17 +139,17 @@ def _real_operator(mat: QuatMatrix, gains: np.ndarray) -> np.ndarray:
 
 
 def _lookup_stencils(model: NetworkModel, times: np.ndarray,
-                     committed: np.ndarray, step: float, hist_steps: int):
+                     committed: np.ndarray, step: float):
     """How the RHS evaluations at ``times`` read their two delayed states.
 
-    An evaluation at stage time t, with solution nodes 0..``committed``
-    stored, looks up x(t - delta) and x(t - d1(t) - d2(t)). Each lookup is a
-    stencil on the node buffer of ``integrate`` (history nodes 0..hist_steps,
-    then the solution nodes): four weights on [value, derivative] of node r
-    and of node r + 1, plus a weight on the stage state. Hermite cells cover
-    the history and the committed solution; an argument equal to the stage
-    time takes the stage state; an argument strictly inside the uncommitted
-    step blends the last committed node with the stage state linearly.
+    An evaluation at stage time t, with grid nodes 0..``committed`` stored,
+    looks up x(t - delta) and x(t - d1(t) - d2(t)). Each lookup is a stencil
+    on the node buffer of ``integrate``: four weights on [value, derivative]
+    of node r and of node r + 1, plus a weight on the stage state. Hermite
+    cells cover the committed nodes; an argument before t = 0 reads node 0,
+    the start; an argument equal to the stage time takes the stage state;
+    an argument strictly inside the uncommitted step blends the last
+    committed node with the stage state linearly.
 
     Returns, with a trailing axis of 2 lookups (leak, transmission): the
     flat buffer row 2 r, the weights (..., 2, 4), the stage weight, and the
@@ -178,43 +160,31 @@ def _lookup_stencils(model: NetworkModel, times: np.ndarray,
     u = np.stack([times - model.delta,
                   times - model.delay1(times) - model.delay2(times)], axis=-1)
     t_end = done * step
-    in_hist = u < 0.0
-    in_sol = ~in_hist & (u <= t_end + _EDGE_SLACK)
-    at_stage = ~(in_hist | in_sol) & (np.abs(u - stage_t) <= _EDGE_SLACK)
-    blend = ~(in_hist | in_sol | at_stage)
+    before = u < 0.0
+    in_grid = ~before & (u <= t_end + _EDGE_SLACK)
+    at_stage = ~(before | in_grid) & (np.abs(u - stage_t) <= _EDGE_SLACK)
+    blend = ~(before | in_grid | at_stage)
     ahead = blend & (u > stage_t)
     if ahead.any():
         bad = np.broadcast_to(stage_t, u.shape)[ahead][0]
         raise InputError(f"a delay waveform is negative at t={bad:.6g}; "
                          f"delayed arguments must not lie ahead of time")
 
-    t0 = np.where(in_hist, -hist_steps * step, 0.0)
-    last = np.where(in_hist, hist_steps, done)
-    offset = (u - t0) / step
-    outside = ((in_hist | in_sol)
-               & ((offset < -_EDGE_SLACK) | (offset > last + _EDGE_SLACK)))
-    if outside.any():
-        i = np.flatnonzero(outside)[0]
-        lo, hi = t0.flat[i], t0.flat[i] + step * last.flat[i]
-        raise InputError(f"lookup at t={u.flat[i]:.6g} is outside the stored "
-                         f"interval [{lo:.6g}, {hi:.6g}]")
-    cell = np.clip(np.floor(offset), 0.0, np.maximum(last - 1, 0))
-    tau = offset - cell
-    weights = np.stack([(1.0 + 2.0 * tau) * (1.0 - tau) ** 2,
-                        step * tau * (1.0 - tau) ** 2,
-                        tau * tau * (3.0 - 2.0 * tau),
-                        step * tau * tau * (tau - 1.0)], axis=-1)
-    node = np.where(in_hist, 0, hist_steps + 1) + cell.astype(int)
+    offset = u / step
+    cell = np.clip(np.floor(offset), 0.0, np.maximum(done - 1, 0))
+    weights = _hermite_weights(offset - cell, step)
 
-    # lookups that read the last committed node directly: all of it when it
-    # is the only one, none of it at the stage time, or its linear blend
-    # with the stage state
-    direct = (in_sol & (done == 0)) | at_stage | blend
+    # lookups that read one node directly: all of node 0 before t = 0, or
+    # while it is the only node (cell is 0 for both); none of the last
+    # committed node at the stage time, or its linear blend with the stage
+    # state inside the uncommitted step
+    whole = before | (in_grid & (done == 0))
+    direct = whole | at_stage | blend
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (u - t_end) / (stage_t - t_end)
-    node = np.where(direct, hist_steps + 1 + done, node)
+    node = np.where(at_stage | blend, done, cell.astype(int))
     weights[direct] = 0.0
-    weights[..., 0] += np.where(blend, 1.0 - frac, in_sol & direct)
+    weights[..., 0] += np.where(blend, 1.0 - frac, whole)
     stage = np.where(blend, frac, at_stage.astype(float))
     return 2 * node, weights, stage, blend
 
@@ -229,11 +199,10 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
               ) -> list[Trajectory]:
     """Integrate the delayed dynamics from each start, all in one RK4 loop.
 
-    Each start is a (2, n) state pair, held constant over [-lookback, 0] as
-    the member's initial data; the result holds one Trajectory per start, in
-    order. A member diverges at
-    the first grid time where a component's complex modulus passes
-    ``divergence_limit`` or stops being finite: its trajectory ends at the
+    Each start is a (2, n) state pair, the member's state at every time up
+    to 0; the result holds one Trajectory per start, in order. A member
+    diverges at the first grid time where a component's complex modulus
+    passes ``divergence_limit`` or stops being finite: its trajectory ends at the
     last node before that time, which is kept in ``diverged_at``. The other
     members go on; the loop ends at the horizon or when every member has
     diverged.
@@ -247,20 +216,22 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         raise InputError("horizon and step must be positive")
     n, members = model.n, len(starts)
     dim = 4 * n
-    hist_steps = max(int(math.ceil(model.lookback() / step - _EDGE_SLACK)), 1)
     steps = int(math.ceil(horizon / step - _EDGE_SLACK))
-    first = hist_steps + 1                     # node index of t = 0
 
     # node buffer: [node, value or derivative, member, real component]
-    nodes = np.zeros((first + steps + 1, 2, members, dim))
+    nodes = np.zeros((steps + 1, 2, members, dim))
     pairs = nodes.view(complex).reshape(nodes.shape[:3] + (2, n))
     flat = nodes.reshape(2 * len(nodes), members * dim)
     for s, start in enumerate(starts):
-        start = np.asarray(start, dtype=complex)
+        try:
+            start = np.asarray(start, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"each start must be a (2, {n}) state pair: "
+                             f"{exc}") from None
         if start.shape != (2, n):
             raise InputError(f"each start must be a (2, {n}) state pair, "
                              f"got shape {start.shape}")
-        pairs[:first + 1, 0, s] = start
+        pairs[0, 0, s] = start
 
     leak = _per_component(model.c_diag)
     a_op = _real_operator(model.a_mat, model.gamma_diag)
@@ -295,11 +266,11 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     diverged_at: list[float | None] = [None] * members
     blends = []                                # linear-blend lookups per step
     rows, weights, stage, _ = _lookup_stencils(
-        model, np.zeros(1), np.zeros(1, dtype=int), step, hist_steps)
+        model, np.zeros(1), np.zeros(1, dtype=int), step)
     # a diverged member's state runs on as inf/nan, unread and unreported
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes[first, 1] = rhs(nodes[first, 0], stored(rows[0], weights[0]),
-                              stage[0].tolist())
+        nodes[0, 1] = rhs(nodes[0, 0], stored(rows[0], weights[0]),
+                          stage[0].tolist())
         for k0 in range(0, steps, _CHUNK_STEPS):
             if not alive.any():
                 break
@@ -309,12 +280,12 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
             # derivative at the new node once it is committed
             rows, weights, stage, blend = _lookup_stencils(
                 model, np.stack([t + step / 2.0, t + step, (ks + 1) * step], 1),
-                np.stack([ks, ks, ks + 1], 1), step, hist_steps)
+                np.stack([ks, ks, ks + 1], 1), step)
             blends.append(blend.sum(axis=2) @ [2, 1, 1])
             for i, k in enumerate(ks.tolist()):
                 r, w, g = rows[i].tolist(), weights[i], stage[i].tolist()
-                y = nodes[first + k, 0]
-                k1 = nodes[first + k, 1]
+                y = nodes[k, 0]
+                k1 = nodes[k, 1]
                 mid = stored(r[0], w[0])       # shared by both middle stages
                 k2 = rhs(y + (step / 2.0) * k1, mid, g[0])
                 k3 = rhs(y + (step / 2.0) * k2, mid, g[0])
@@ -330,16 +301,13 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
                     alive &= ~crossed
                     if not alive.any():
                         break
-                nodes[first + k + 1, 0] = y_next
-                nodes[first + k + 1, 1] = rhs(y_next, stored(r[2], w[2]), g[2])
+                nodes[k + 1, 0] = y_next
+                nodes[k + 1, 1] = rhs(y_next, stored(r[2], w[2]), g[2])
 
     blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(
-        model=model, step=step,
-        history=HistoryBuffer(-hist_steps * step, step, pairs[:first, 0, s],
-                              pairs[:first, 1, s]),
-        solution=HistoryBuffer(0.0, step, pairs[first:first + end + 1, 0, s],
-                               pairs[first:first + end + 1, 1, s]),
+        model=model, step=step, start=pairs[0, 0, s],
+        values=pairs[:end + 1, 0, s], derivs=pairs[:end + 1, 1, s],
         diverged_at=diverged_at[s], blended_lookups=int(blended[end]))
         for s, end in enumerate(last.tolist())]
 
@@ -367,8 +335,8 @@ def convergence_metrics(traj: Trajectory, threshold: float = 1e-3
         while idx > 0 and below[idx - 1]:
             idx -= 1
         time_to = float(traj.times[idx])
-    hist_peak = float(np.max(_modulus_series(traj.history.values)))
-    envelope_bounded = peak <= hist_peak * (1.0 + 1e-9) + 1e-12
+    start_peak = float(_modulus_series(traj.start[None])[0])
+    envelope_bounded = peak <= start_peak * (1.0 + 1e-9) + 1e-12
     return ConvergenceMetrics(final_sup=final_sup, peak=peak,
                               time_to_threshold=time_to, threshold=threshold,
                               envelope_bounded=envelope_bounded)

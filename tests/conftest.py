@@ -118,7 +118,7 @@ def order_study():
 
     def grid_values(traj):
         idx = np.rint(compare_times / traj.step).astype(int)
-        return traj.solution.values[idx]
+        return traj.values[idx]
 
     ref_vals = grid_values(reference)
     errors = []

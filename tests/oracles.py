@@ -39,7 +39,6 @@ from qvnn.qmatrix import (
 from qvnn.simulate import (
     _EDGE_SLACK,
     DEFAULT_DIVERGENCE_LIMIT,
-    HistoryBuffer,
     Trajectory,
     activation,
 )
@@ -551,8 +550,38 @@ def xi_convexity_violation(inst: RcInstance) -> float:
 # ---------------------------------------------------------------------------
 # The per-member integration loop that ``qvnn.simulate.integrate`` replaced:
 # one history at a time, the delay lookups evaluated by closures at every
-# right-hand side. The batched loop must reproduce it per member.
+# right-hand side, the constant history stored as nodes of its own. The
+# batched loop must reproduce it per member.
 # ---------------------------------------------------------------------------
+
+
+class _HistoryBuffer:
+    """Uniform-grid cubic Hermite interpolant over one time interval."""
+
+    def __init__(self, t0: float, step: float, values: np.ndarray,
+                 derivs: np.ndarray):
+        self.t0 = float(t0)
+        self.step = float(step)
+        self.values = values
+        self.derivs = derivs
+
+    def __call__(self, u: float) -> np.ndarray:
+        offset = (u - self.t0) / self.step
+        last = len(self.values) - 1
+        if offset < -_EDGE_SLACK or offset > last + _EDGE_SLACK:
+            raise InputError(f"lookup at t={u:.6g} is outside the stored "
+                             f"interval")
+        if last == 0:
+            return self.values[0]
+        cell = min(max(int(math.floor(offset)), 0), last - 1)
+        tau = offset - cell
+        h00 = (1.0 + 2.0 * tau) * (1.0 - tau) ** 2
+        h10 = tau * (1.0 - tau) ** 2
+        h01 = tau * tau * (3.0 - 2.0 * tau)
+        h11 = tau * tau * (tau - 1.0)
+        return (h00 * self.values[cell] + h01 * self.values[cell + 1]
+                + self.step * (h10 * self.derivs[cell]
+                               + h11 * self.derivs[cell + 1]))
 
 
 class DivergenceError(RuntimeError):
@@ -604,8 +633,8 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
     lookback = model.lookback()
     hist_steps = max(int(math.ceil(lookback / step - _EDGE_SLACK)), 1)
     hist_values = np.array([start] * (hist_steps + 1))
-    hist_seg = HistoryBuffer(-hist_steps * step, step, hist_values,
-                             np.zeros_like(hist_values))
+    hist_seg = _HistoryBuffer(-hist_steps * step, step, hist_values,
+                              np.zeros_like(hist_values))
 
     steps = int(math.ceil(horizon / step - _EDGE_SLACK))
     values = np.zeros((steps + 1, 2, model.n), dtype=complex)
@@ -622,8 +651,8 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
             if u < 0.0:
                 return hist_seg(u)
             if u <= t_end + _EDGE_SLACK:
-                return HistoryBuffer(0.0, step, values[:committed + 1],
-                               derivs[:committed + 1])(u)
+                return _HistoryBuffer(0.0, step, values[:committed + 1],
+                                      derivs[:committed + 1])(u)
             if abs(u - stage_t) <= _EDGE_SLACK:
                 return stage_y
             # argument inside the uncommitted step: linear blend
@@ -652,8 +681,8 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
         committed = k + 1
         derivs[k + 1] = eval_rhs(t_next, y_next)
 
-    sol_seg = HistoryBuffer(0.0, step, values, derivs)
-    return Trajectory(model=model, step=step, history=hist_seg, solution=sol_seg)
+    return Trajectory(model=model, step=step, start=start, values=values,
+                      derivs=derivs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import qvnn.cli
 import qvnn.sdp
 from oracles import write_lkf_csv_rows, write_trajectory_csv_rows
 from qvnn.cli import _write_lkf_csv, _write_trajectory_csv, main
@@ -90,6 +91,18 @@ def test_certify_rejects_malformed_configs(tmp_path, capsys):
     assert "input error" in err
     code, _, err = run_cli(capsys, "certify", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["external_input", "equilibrium"])
+def test_certify_refuses_a_ragged_vector(tmp_path, capsys, stable_example_path,
+                                         key):
+    doc = json.loads(stable_example_path.read_text())
+    doc[key] = [[0.1, 0.0, 0.0, 0.0], [0.2]]
+    bad = tmp_path / "ragged.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "certify", str(bad))
+    assert code == 2
+    assert "input error" in err and key in err
 
 
 def test_certify_text_output_summarizes_the_run(capsys, stable_example_path):
@@ -283,6 +296,20 @@ def test_margin_validates_the_bracket_string(capsys, stable_example_path):
     code, _, err = run_cli(capsys, "margin", str(stable_example_path),
                            "--param", "delta", "--bracket", "0.5,0.2")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_margin_refuses_a_tolerance_bisection_cannot_reach(
+        capsys, monkeypatch, stable_example_path, tol):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probed before the tolerance was checked")
+
+    monkeypatch.setattr(qvnn.cli, "_probe", no_probe)
+    code, _, err = run_cli(capsys, "margin", str(stable_example_path),
+                           "--param", "delta", "--bracket", "0.01,0.1",
+                           "--tol", tol)
+    assert code == 2
+    assert "--tol must be positive" in err
 
 
 # ---- oracles ---------------------------------------------------------------------

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import evaluate_lkf, quadform, random_decision_vars
-from qvnn.cli import _history_for_seed
+from qvnn.cli import _start_for_seed
 from qvnn.errors import CoverageError, InputError
 from qvnn.lkf import LkfEvaluator, LyapunovTrace, grid_quad, lkf_trace
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix
-from qvnn.simulate import HistoryBuffer, Trajectory, activation, integrate
+from qvnn.simulate import Trajectory, activation, integrate
 
 
 # ---- windowed quadrature ----------------------------------------------------------
@@ -83,14 +83,10 @@ def lkf_model():
 
 def frozen_trajectory(model, pair, step=0.05, horizon=2.0):
     """A hand-built trajectory that sits at ``pair`` for all time."""
-    lookback = model.lookback()
-    n_hist = int(round(lookback / step)) + 1
     n_sol = int(round(horizon / step)) + 1
-    hist_vals = np.array([pair] * n_hist, dtype=complex)
-    sol_vals = np.array([pair] * n_sol, dtype=complex)
-    hist = HistoryBuffer(-lookback, step, hist_vals, np.zeros_like(hist_vals))
-    sol = HistoryBuffer(0.0, step, sol_vals, np.zeros_like(sol_vals))
-    return Trajectory(model=model, step=step, history=hist, solution=sol)
+    values = np.array([pair] * n_sol, dtype=complex)
+    return Trajectory(model=model, step=step, start=values[0], values=values,
+                      derivs=np.zeros_like(values))
 
 
 def test_functional_vanishes_on_the_zero_trajectory():
@@ -173,16 +169,6 @@ def test_max_increase_reports_the_worst_step():
     assert empty.max_increase() == 0.0
 
 
-def test_a_history_that_moves_is_refused():
-    # V4 reads xdot only from t = 0 on, which holds for constant initial data
-    model = lkf_model()
-    dv = random_decision_vars(np.random.default_rng(9), 1)
-    traj = frozen_trajectory(model, np.array([[0.1 + 0j], [0j]]))
-    traj.history.derivs[3] = np.array([[1e-12j], [0j]])
-    with pytest.raises(InputError, match="constant initial data"):
-        LkfEvaluator(traj, model, dv)
-
-
 def test_dimension_mismatch_is_rejected():
     model = lkf_model()
     dv = random_decision_vars(np.random.default_rng(9), 2)
@@ -212,7 +198,7 @@ def test_functional_starts_with_no_derivative_energy(stable_model,
                                                      stable_solution):
     # the initial data are constant, so no window of V4 holds energy at t = 0
     _, dv = stable_solution
-    starts = [_history_for_seed(stable_model, seed, zero=False)
+    starts = [_start_for_seed(stable_model, seed, zero=False)
               for seed in range(10)]
     for traj in integrate(stable_model, starts, horizon=0.2, step=1e-3):
         trace = lkf_trace(traj, stable_model, dv, stride=50)

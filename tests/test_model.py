@@ -89,7 +89,7 @@ def test_model_accepts_valid_input():
     assert m.d_bound == pytest.approx(0.7)
     assert m.mu == pytest.approx(0.4)
     assert m.lookback() == pytest.approx(0.7)
-    assert m.total_delay(0.0) == pytest.approx(0.7)
+    assert m.delay1(0.0) + m.delay2(0.0) == pytest.approx(0.7)
 
 
 def test_model_rejects_bad_shapes_and_signs():

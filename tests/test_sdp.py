@@ -54,17 +54,12 @@ def three_scale_toy():
 
 
 def test_interval_toy_finds_the_analytic_center():
-    result = solve_feasibility(interval_toy(), WIDE, allow_constant=True)
+    result = solve_feasibility(interval_toy(), WIDE)
     assert result.status == "feasible"
     assert result.margin == pytest.approx(1.0, abs=1e-6)
     assert result.x[0] == pytest.approx(2.0, abs=1e-3)
     assert result.per_constraint_min_eig["interval"] == pytest.approx(1.0,
                                                                       abs=1e-6)
-
-
-def test_constant_terms_need_explicit_permission():
-    with pytest.raises(InputError):
-        solve_feasibility(interval_toy())
 
 
 def test_homogeneous_ray_is_capped_by_the_trust_region():
@@ -90,8 +85,8 @@ def test_non_symmetric_coefficients_rejected():
 
 
 def test_fixed_seed_is_bitwise_deterministic():
-    first = solve_feasibility(interval_toy(), WIDE, allow_constant=True)
-    second = solve_feasibility(interval_toy(), WIDE, allow_constant=True)
+    first = solve_feasibility(interval_toy(), WIDE)
+    second = solve_feasibility(interval_toy(), WIDE)
     assert first.margin == second.margin
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
@@ -99,7 +94,7 @@ def test_fixed_seed_is_bitwise_deterministic():
 
 
 def test_reported_margin_is_the_best_trace_point():
-    result = solve_feasibility(interval_toy(), WIDE, allow_constant=True)
+    result = solve_feasibility(interval_toy(), WIDE)
     assert result.trace, "expected a nonempty outer trace"
     assert result.margin == pytest.approx(max(r.t for r in result.trace), abs=0.0)
     # barrier weight decreases monotonically across rounds
@@ -183,12 +178,11 @@ def test_projection_oracle_validates_target():
 # ---- structured Newton step against the dense reference ----------------------------
 
 
-def assert_structured_matches_dense(sdp, seed, allow_constant=False,
-                                    radius=1.0):
+def assert_structured_matches_dense(sdp, seed, radius=1.0):
     """Gradient and Hessian agree with the dense formula to 1e-12 relative at
     interior points from near the boundary of the cone to deep inside it."""
     rng = np.random.default_rng(seed)
-    blocks = qvnn.sdp._structure(sdp, allow_constant)
+    blocks = [qvnn.sdp._Block(lmi) for lmi in sdp.lmis]
     m = sdp.num_vars
     for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
         x = 0.1 * radius * rng.uniform(-1.0, 1.0, size=m)
@@ -215,20 +209,22 @@ def test_structured_derivatives_match_dense_on_random_models(n):
     assert_structured_matches_dense(scaled, seed=n)
 
 
-@pytest.mark.parametrize("toy, allow_constant, radius", [
+@pytest.mark.parametrize("toy, inhomogeneous, radius", [
     (interval_toy, True, 8.0),
     (ray_toy, False, 1.0),
     (opposing_toy, False, 1.0),
     (three_scale_toy, False, 1.0),
 ])
-def test_structured_derivatives_match_dense_on_toys(toy, allow_constant, radius):
-    assert_structured_matches_dense(toy(), seed=7, allow_constant=allow_constant,
-                                    radius=radius)
+def test_structured_derivatives_match_dense_on_toys(toy, inhomogeneous, radius):
+    sdp = toy()
+    assert any(np.any(lmi.constant) for lmi in sdp.lmis) == inhomogeneous
+    assert_structured_matches_dense(sdp, seed=7, radius=radius)
 
 
 def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
     scaled, _ = scale_problem(build_sdp(stable_model))
-    for con, block in zip(scaled.lmis, qvnn.sdp._structure(scaled, False)):
+    for con in scaled.lmis:
+        block = qvnn.sdp._Block(con)
         rowsets = [frozenset(r.tolist()) for r, _, _ in block.groups]
         assert len(set(rowsets)) == len(rowsets)
         assert not any(a < b for a in rowsets for b in rowsets)
@@ -247,7 +243,7 @@ def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
 
     for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular", "inv"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
-    result = solve_feasibility(interval_toy(), WIDE, allow_constant=True)
+    result = solve_feasibility(interval_toy(), WIDE)
     assert result.status == "feasible"
     assert result.margin == pytest.approx(1.0, abs=1e-6)
 

@@ -13,7 +13,7 @@ from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, mat_vec
 from qvnn.simulate import (
-    HistoryBuffer,
+    Trajectory,
     activation,
     convergence_metrics,
     equilibrium_shift,
@@ -68,7 +68,7 @@ def test_activation_lipschitz_bound_is_tight_near_zero():
     assert ratio == pytest.approx(1.7, rel=1e-9)
 
 
-# ---- history interpolation -------------------------------------------------------
+# ---- state lookups ----------------------------------------------------------------
 
 
 def test_history_buffer_reproduces_cubics_exactly():
@@ -78,18 +78,24 @@ def test_history_buffer_reproduces_cubics_exactly():
     dpoly = lambda t: 3.0 * t**2 - 4.0 * t + 0.5
     values = np.array([[[poly(t) + 0j]] * 2 for t in ts])
     derivs = np.array([[[dpoly(t) + 0j]] * 2 for t in ts])
-    buf = HistoryBuffer(0.0, ts[1] - ts[0], values, derivs)
+    traj = Trajectory(model=scalar_model(), step=ts[1] - ts[0],
+                      start=values[0], values=values, derivs=derivs)
     for u in np.linspace(0.0, 1.0, 41):
-        assert buf(u)[0, 0] == pytest.approx(poly(u), abs=1e-14)
+        assert traj.state(u)[0, 0] == pytest.approx(poly(u), abs=1e-14)
+    # before t = 0 the state is the start, whatever the derivative there
+    for u in (-1e-3, -0.2, -scalar_model().lookback()):
+        assert np.all(traj.state(u) == values[0])
 
 
 def test_history_buffer_refuses_extrapolation():
-    buf = HistoryBuffer(0.0, 0.5, np.zeros((3, 2, 1), dtype=complex),
-                        np.zeros((3, 2, 1), dtype=complex))
+    model = scalar_model()
+    values = np.zeros((3, 2, 1), dtype=complex)
+    traj = Trajectory(model=model, step=0.5, start=values[0], values=values,
+                      derivs=np.zeros_like(values))
     with pytest.raises(InputError):
-        buf(-0.01)
+        traj.state(-model.lookback() - 0.01)
     with pytest.raises(InputError):
-        buf(1.01)
+        traj.state(1.01)
 
 
 # ---- integration ----------------------------------------------------------------
@@ -98,7 +104,7 @@ def test_history_buffer_refuses_extrapolation():
 def test_zero_history_stays_at_the_origin():
     model = scalar_model()
     (traj,) = integrate(model, [np.zeros((2, 1))], 1.0, 1e-2)
-    assert np.max(np.abs(traj.solution.values)) <= 1e-14
+    assert np.max(np.abs(traj.values)) <= 1e-14
 
 
 def test_integrate_validates_inputs():
@@ -112,14 +118,21 @@ def test_integrate_validates_inputs():
     for bad in (np.zeros((2, 3)), np.zeros(1)):
         with pytest.raises(InputError, match="state pair"):
             integrate(model, [start, bad], 1.0, 1e-2)
+    # a start that is itself ragged
+    with pytest.raises(InputError, match="state pair"):
+        integrate(model, [[[0.0], []]], 1.0, 1e-2)
 
 
 def test_history_holds_the_start_with_zero_derivative(stable_model):
     starts = seeded_starts(2, range(10))
-    for start, traj in zip(starts, integrate(stable_model, starts, 0.5, 1e-3)):
-        assert np.all(traj.history.values == start)
-        assert np.all(traj.history.derivs == 0.0)
-        assert np.all(traj.solution.values[0] == start)
+    lookback = stable_model.lookback()
+    trajs = integrate(stable_model, starts, 0.5, 1e-3)
+    for start, traj in zip(starts, trajs):
+        assert np.all(traj.start == start)
+        assert np.all(traj.values[0] == start)
+        assert len(traj.values) == len(traj.derivs) == 501
+        for u in (-lookback, -0.5 * lookback, -1e-12):
+            assert np.all(traj.state(u) == start)
 
 
 def test_trajectory_grid_and_state_agree():
@@ -222,7 +235,7 @@ def test_constant_delay_run_matches_independent_reimplementation():
     step = 1.0 / 16.0  # delays are integer multiples of the step
     (traj,) = integrate(model, [pair0], horizon=2.0, step=step)
     ref = reference_integrate(model, pair0, horizon=2.0, step=step)
-    assert np.max(np.abs(traj.solution.values - ref)) < 1e-10
+    assert np.max(np.abs(traj.values - ref)) < 1e-10
 
 
 def test_convergence_order_meets_scheme_design(order_study):
@@ -259,11 +272,10 @@ def assert_matches_serial(model, starts, horizon, step, **kwargs):
             ref = serial_integrate(model, start, traj.horizon, step, **kwargs)
         else:
             assert traj.diverged_at is None
-        assert traj.solution.values.shape == ref.solution.values.shape
-        for ours, theirs in ((traj.solution, ref.solution),
-                             (traj.history, ref.history)):
-            np.testing.assert_allclose(ours.values, theirs.values, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(ours.derivs, theirs.derivs, rtol=0, atol=1e-12)
+        assert traj.values.shape == ref.values.shape
+        assert np.all(traj.start == ref.start)
+        np.testing.assert_allclose(traj.values, ref.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.derivs, ref.derivs, rtol=0, atol=1e-12)
     return trajs
 
 
@@ -387,7 +399,7 @@ def test_shifted_model_rests_at_the_origin():
     shifted = equilibrium_shift(model)
     assert shifted.external_input is None
     (traj,) = integrate(shifted, [np.zeros((2, 1))], 1.0, 1e-2)
-    assert np.max(np.abs(traj.solution.values)) <= 1e-12
+    assert np.max(np.abs(traj.values)) <= 1e-12
 
 
 def test_shift_agrees_with_driven_dynamics():
@@ -398,8 +410,8 @@ def test_shift_agrees_with_driven_dynamics():
     start = np.array([[0.5 - 0.2j], [0.3 + 0.4j]])
     (driven,) = integrate(model, [start], 2.0, 1e-2)
     (deviation,) = integrate(shifted, [start - y_eq], 2.0, 1e-2)
-    recomposed = deviation.solution.values + y_eq[None]
-    assert np.max(np.abs(driven.solution.values - recomposed)) < 1e-9
+    recomposed = deviation.values + y_eq[None]
+    assert np.max(np.abs(driven.values - recomposed)) < 1e-9
 
 
 def test_shift_validates_shape():
