@@ -246,6 +246,11 @@ def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars
 
 
 def cmd_simulate(args) -> int:
+    # refused before anything is read or written
+    for flag, count in (("--seeds", args.seeds),
+                        ("--lkf-stride", args.lkf_stride)):
+        if count < 1:
+            raise QvnnError(f"{flag} must be at least 1, got {count}")
     model, doc = load_model(args.config)
     cert_dv = None if args.lkf is None else _load_certificate(args.lkf, model, doc)
     driven = model.external_input is not None and np.any(model.external_input)
@@ -342,14 +347,11 @@ def _lkf_along_run(model, dv, first_traj, args, out_dir: Path):
 
 def _override_param(doc: dict, param: str, value: float) -> NetworkModel:
     patched = json.loads(json.dumps(doc))
-    if param == "delta":
-        patched["delta"] = value
-    else:
-        patched[param] = value
-        funcs = patched.get("delay_functions")
-        if funcs and param in funcs:
-            # keep the declared bound dominant: pin the waveform to a constant
-            funcs[param] = {"kind": "constant", "value": value}
+    patched[param] = value
+    funcs = patched.get("delay_functions")
+    if funcs and param in funcs:
+        # keep the declared bound dominant: pin the waveform to a constant
+        funcs[param] = {"kind": "constant", "value": value}
     return NetworkModel.from_json(patched)
 
 

@@ -155,14 +155,11 @@ class LkfEvaluator:
         data = vals if weight is None else vals * weight(times)
         return float(grid_quad(times, data, a, b))
 
-    def coverage_start(self, t: float) -> float:
-        return t - max(self.model.delta, self.model.d_bound)
-
     def __call__(self, t: float) -> LkfSample:
         model = self.model
-        if self.coverage_start(t) < self.times[0] - _EDGE:
+        if t - model.lookback() < self.times[0] - _EDGE:
             raise CoverageError(f"evaluating at t={t:.6g} needs data back to "
-                                f"{self.coverage_start(t):.6g}, before the "
+                                f"{t - model.lookback():.6g}, before the "
                                 f"lookback window")
         if t > self.traj.horizon + _EDGE:
             raise CoverageError(f"t={t:.6g} is past the simulated horizon")

@@ -48,10 +48,6 @@ class AffineLmi:
     def dim(self) -> int:
         return self.constant.shape[0]
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        flat = self.coeffs.T @ np.asarray(x, dtype=float)
-        return self.constant + flat.reshape(self.dim, self.dim)
-
     def oriented(self) -> tuple[np.ndarray, scipy.sparse.csr_array]:
         """(constant, coeffs) negated if needed so the constraint reads > 0."""
         sign = 1.0 if self.sense == "pd" else -1.0

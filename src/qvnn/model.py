@@ -1,11 +1,13 @@
 """Network description and JSON config handling.
 
 A model is the tuple (C, A, B, delta, d1, d2, mu1, mu2, Gamma) plus optional
-delay waveforms, a constant external input, and a known equilibrium. C and
-Gamma are positive real diagonals; A (instantaneous coupling) and B (delayed
-coupling) are quaternion matrices. The certification side consumes only the
-scalar bounds; the simulation side additionally needs the delay waveforms and
-the activation gains, which coincide with the diagonal of Gamma.
+delay waveforms and a constant external input. C and Gamma are positive real
+diagonals; A (instantaneous coupling) and B (delayed coupling) are
+quaternion matrices. The certification side consumes only the scalar bounds;
+the simulation side additionally needs the delay waveforms and the
+activation gains, which coincide with the diagonal of Gamma. The rest point
+of a driven network is computed (``simulate.equilibrium_shift``), never read
+from a config.
 """
 
 from __future__ import annotations
@@ -18,82 +20,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .qmatrix import QuatMatrix, qmat_from_json, qmat_to_json, qv_from_components
-
-_DELAY_KINDS = ("constant", "sinusoid")
+from .qmatrix import QuatMatrix, qmat_from_json, qv_from_components
 
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """A scalar delay waveform: constant, or offset sinusoid, clamped at zero.
+    """A scalar delay waveform max(amplitude sin(omega t + phase) + offset, 0).
 
-    The reported ``bound``/``rate_bound`` ignore clamping (they bound the raw
-    waveform), which keeps them valid bounds for the clamped one as well.
+    A constant delay is the waveform of amplitude 0. ``bound`` and
+    ``rate_bound`` bound the clamped waveform and its rate of change.
     """
 
-    kind: str = "constant"
-    value: float = 0.0          # constant kind
-    amplitude: float = 0.0      # sinusoid kind: amplitude * sin(omega t + phase) + offset
+    amplitude: float = 0.0
     offset: float = 0.0
     phase: float = 0.0
     omega: float = 1.0
-    clamp_negative: bool = True
 
     def __post_init__(self):
-        if self.kind not in _DELAY_KINDS:
-            raise InputError(f"unknown delay kind {self.kind!r}")
-        if self.kind == "constant" and self.value < 0 and self.clamp_negative is False:
-            raise InputError("constant delay must be nonnegative")
         if self.amplitude < 0:
             raise InputError("sinusoid amplitude must be nonnegative")
 
     def bound(self) -> float:
-        if self.kind == "constant":
-            return max(self.value, 0.0)
-        return self.amplitude + self.offset
+        return max(self.amplitude + self.offset, 0.0)
 
     def rate_bound(self) -> float:
-        if self.kind == "constant":
-            return 0.0
         return self.amplitude * abs(self.omega)
 
     def __call__(self, t):
-        if self.kind == "constant":
-            raw = np.full_like(np.asarray(t, dtype=float), max(self.value, 0.0))
-        else:
-            raw = self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float)
-                                          + self.phase) + self.offset
-        if self.clamp_negative:
-            raw = np.maximum(raw, 0.0)
-        if np.ndim(t) == 0:
-            return float(raw)
-        return raw
-
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value,
-                    "clamp_negative": self.clamp_negative}
-        return {"kind": "sinusoid", "amplitude": self.amplitude,
-                "offset": self.offset, "phase": self.phase, "omega": self.omega,
-                "clamp_negative": self.clamp_negative}
+        wave = self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float)
+                                       + self.phase) + self.offset
+        clamped = np.maximum(wave, 0.0)
+        return float(clamped) if np.ndim(t) == 0 else clamped
 
     @classmethod
     def from_json(cls, payload: dict) -> "DelaySpec":
         if not isinstance(payload, dict):
             raise InputError("delay spec must be an object")
+        if payload.get("clamp_negative", True) is not True:
+            raise InputError("delay waveforms are always clamped at zero; "
+                             "clamp_negative must be omitted or true")
         kind = payload.get("kind", "constant")
-        clamp = bool(payload.get("clamp_negative", True))
         try:
             if kind == "constant":
-                return cls(kind="constant", value=float(payload.get("value", 0.0)),
-                           clamp_negative=clamp)
+                return cls(offset=float(payload.get("value", 0.0)))
             if kind == "sinusoid":
-                return cls(kind="sinusoid",
-                           amplitude=float(payload["amplitude"]),
+                return cls(amplitude=float(payload["amplitude"]),
                            offset=float(payload.get("offset", 0.0)),
                            phase=float(payload.get("phase", 0.0)),
-                           omega=float(payload.get("omega", 1.0)),
-                           clamp_negative=clamp)
+                           omega=float(payload.get("omega", 1.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed delay spec: {exc}") from None
         raise InputError(f"unknown delay kind {kind!r}")
@@ -114,7 +88,7 @@ class NetworkModel:
     delay1: DelaySpec = field(default_factory=DelaySpec)
     delay2: DelaySpec = field(default_factory=DelaySpec)
     external_input: np.ndarray | None = None   # pair form (2, n) or None
-    equilibrium: np.ndarray | None = None      # pair form (2, n) or None
+    equilibrium: np.ndarray | None = None      # set by equilibrium_shift only
 
     def __post_init__(self):
         self.c_diag = np.asarray(self.c_diag, dtype=float)
@@ -154,33 +128,7 @@ class NetworkModel:
 
     def lookback(self) -> float:
         """Largest history depth any evaluation can request."""
-        return max(self.delta, self.d1_bound + self.d2_bound, self.d1_bound)
-
-    # ---- JSON ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        doc = {
-            "n": self.n,
-            "C": [float(c) for c in self.c_diag],
-            "A": qmat_to_json(self.a_mat),
-            "B": qmat_to_json(self.b_mat),
-            "delta": self.delta,
-            "d1": self.d1_bound,
-            "d2": self.d2_bound,
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "gamma": [float(g) for g in self.gamma_diag],
-            "delay_functions": {"d1": self.delay1.to_json(),
-                                "d2": self.delay2.to_json()},
-        }
-        from .qmatrix import qv_components
-        if self.external_input is not None:
-            doc["external_input"] = [[float(c) for c in row]
-                                     for row in qv_components(self.external_input)]
-        if self.equilibrium is not None:
-            doc["equilibrium"] = [[float(c) for c in row]
-                                  for row in qv_components(self.equilibrium)]
-        return doc
+        return max(self.delta, self.d_bound)
 
     @classmethod
     def from_json(cls, doc: dict) -> "NetworkModel":
@@ -201,27 +149,25 @@ class NetworkModel:
             raise InputError(f"malformed model config: {exc}") from None
         funcs = doc.get("delay_functions") or {}
         delay1 = (DelaySpec.from_json(funcs["d1"]) if "d1" in funcs
-                  else DelaySpec(kind="constant", value=d1))
+                  else DelaySpec(offset=d1))
         delay2 = (DelaySpec.from_json(funcs["d2"]) if "d2" in funcs
-                  else DelaySpec(kind="constant", value=d2))
+                  else DelaySpec(offset=d2))
 
-        def _vec(key):
-            if key not in doc or doc[key] is None:
-                return None
+        drive = doc.get("external_input")
+        if drive is not None:
             try:
-                arr = np.asarray(doc[key], dtype=float)
+                drive = np.asarray(drive, dtype=float)
             except (TypeError, ValueError) as exc:
-                raise InputError(f"{key} must be an n x 4 component list: "
-                                 f"{exc}") from None
-            if arr.shape != (n, 4):
-                raise InputError(f"{key} must be an n x 4 component list")
-            return qv_from_components(arr)
+                raise InputError(f"external_input must be an n x 4 component "
+                                 f"list: {exc}") from None
+            if drive.shape != (n, 4):
+                raise InputError("external_input must be an n x 4 component list")
+            drive = qv_from_components(drive)
 
         return cls(n=n, c_diag=np.asarray(c_diag), a_mat=a_mat, b_mat=b_mat,
                    delta=delta, d1_bound=d1, d2_bound=d2, mu1=mu1, mu2=mu2,
                    gamma_diag=np.asarray(gamma), delay1=delay1, delay2=delay2,
-                   external_input=_vec("external_input"),
-                   equilibrium=_vec("equilibrium"))
+                   external_input=drive)
 
 
 def _strip_private(obj):

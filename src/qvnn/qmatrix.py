@@ -66,12 +66,6 @@ class QuatMatrix:
         return cls(m.astype(np.complex128), np.zeros_like(m, dtype=np.complex128))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "QuatMatrix":
-        cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols), dtype=np.complex128),
-                   np.zeros((rows, cols), dtype=np.complex128))
-
-    @classmethod
     def identity(cls, n: int) -> "QuatMatrix":
         return cls(np.eye(n, dtype=np.complex128),
                    np.zeros((n, n), dtype=np.complex128))

@@ -164,11 +164,6 @@ def _lookup_stencils(model: NetworkModel, times: np.ndarray,
     in_grid = ~before & (u <= t_end + _EDGE_SLACK)
     at_stage = ~(before | in_grid) & (np.abs(u - stage_t) <= _EDGE_SLACK)
     blend = ~(before | in_grid | at_stage)
-    ahead = blend & (u > stage_t)
-    if ahead.any():
-        bad = np.broadcast_to(stage_t, u.shape)[ahead][0]
-        raise InputError(f"a delay waveform is negative at t={bad:.6g}; "
-                         f"delayed arguments must not lie ahead of time")
 
     offset = u / step
     cell = np.clip(np.floor(offset), 0.0, np.maximum(done - 1, 0))
@@ -362,16 +357,12 @@ def find_equilibrium(model: NetworkModel) -> np.ndarray:
                            f"{_EQUILIBRIUM_ITERS} damped steps")
 
 
-def equilibrium_shift(model: NetworkModel, equilibrium: np.ndarray | None = None
-                      ) -> NetworkModel:
+def equilibrium_shift(model: NetworkModel) -> NetworkModel:
     """Recast the driven network in deviation coordinates about its rest point.
 
     The returned model has no external input; its activation is interpreted
     by ``integrate`` as f(v) = act(v + y_eq) - act(y_eq), which is zero at the
     origin exactly and keeps the same per-neuron Lipschitz gains.
     """
-    y_eq = (find_equilibrium(model) if equilibrium is None
-            else np.array(equilibrium, dtype=complex))
-    if y_eq.shape != (2, model.n):
-        raise InputError("equilibrium must be a (2, n) state pair")
-    return dataclasses.replace(model, external_input=None, equilibrium=y_eq)
+    return dataclasses.replace(model, external_input=None,
+                               equilibrium=find_equilibrium(model))

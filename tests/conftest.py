@@ -96,8 +96,8 @@ def order_fixture_model():
         b_mat=scalar(-1.5, 0.6, 1.2, -0.9),
         delta=0.5, d1_bound=0.5, d2_bound=0.5, mu1=0.0, mu2=0.0,
         gamma_diag=np.array([2.0]),
-        delay1=DelaySpec(kind="constant", value=0.5),
-        delay2=DelaySpec(kind="constant", value=0.5),
+        delay1=DelaySpec(offset=0.5),
+        delay2=DelaySpec(offset=0.5),
     )
 
 

@@ -27,7 +27,7 @@ from qvnn.lmi import (
     assemble_blocks,
     omega_upper_blocks,
 )
-from qvnn.lowering import StandardSdp
+from qvnn.lowering import AffineLmi, StandardSdp
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
@@ -150,6 +150,13 @@ def from_entries(entries) -> QuatMatrix:
         for c in range(cols):
             comp[:, r, c] = entries[r][c].components()
     return QuatMatrix.from_components(*comp)
+
+
+def quat_zeros(rows: int, cols: int | None = None) -> QuatMatrix:
+    """The rows x cols zero quaternion matrix (square by default)."""
+    cols = rows if cols is None else cols
+    return QuatMatrix(np.zeros((rows, cols), dtype=np.complex128),
+                      np.zeros((rows, cols), dtype=np.complex128))
 
 
 def qv_conj_dot(u: np.ndarray, v: np.ndarray) -> Quaternion:
@@ -367,8 +374,8 @@ def random_model(rng: np.random.Generator, n: int) -> NetworkModel:
         mu1=float(rng.uniform(0.0, 0.45)),
         mu2=float(rng.uniform(0.0, 0.45)),
         gamma_diag=rng.uniform(0.1, 2.0, size=n),
-        delay1=DelaySpec(kind="constant", value=d1),
-        delay2=DelaySpec(kind="constant", value=d2),
+        delay1=DelaySpec(offset=d1),
+        delay2=DelaySpec(offset=d2),
     )
 
 
@@ -430,6 +437,12 @@ def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
 # Dense barrier derivatives and a projection-based feasibility search, both
 # working on the full (num_vars, d, d) coefficient stacks of a standard SDP.
 # ---------------------------------------------------------------------------
+
+
+def lmi_value(lmi: AffineLmi, x: np.ndarray) -> np.ndarray:
+    """The real matrix constant + sum_i x_i A_i of one lowered constraint."""
+    flat = lmi.coeffs.T @ np.asarray(x, dtype=float)
+    return lmi.constant + flat.reshape(lmi.dim, lmi.dim)
 
 
 def _oriented(sdp: StandardSdp):

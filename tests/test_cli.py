@@ -93,7 +93,7 @@ def test_certify_rejects_malformed_configs(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("key", ["external_input", "equilibrium"])
+@pytest.mark.parametrize("key", ["external_input"])
 def test_certify_refuses_a_ragged_vector(tmp_path, capsys, stable_example_path,
                                          key):
     doc = json.loads(stable_example_path.read_text())
@@ -103,6 +103,24 @@ def test_certify_refuses_a_ragged_vector(tmp_path, capsys, stable_example_path,
     code, _, err = run_cli(capsys, "certify", str(bad))
     assert code == 2
     assert "input error" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_an_unclamped_delay_is_refused_at_load(tmp_path, capsys,
+                                               stable_example_path, command):
+    # every delay waveform is clamped at zero; a config that asks otherwise
+    # describes a model outside the criterion's hypotheses
+    doc = json.loads(stable_example_path.read_text())
+    doc["delay_functions"]["d2"]["clamp_negative"] = False
+    config = tmp_path / "unclamped.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "runs"
+    extra = (["--horizon", "5", "--out-dir", str(out_dir)]
+             if command == "simulate" else [])
+    code, _, err = run_cli(capsys, command, str(config), *extra)
+    assert code == 2
+    assert "clamp_negative" in err
+    assert not out_dir.exists()
 
 
 def test_certify_text_output_summarizes_the_run(capsys, stable_example_path):
@@ -197,6 +215,43 @@ def test_simulate_rejects_bad_numerics(tmp_path, capsys, stable_example_path):
                            "--out-dir", str(tmp_path / "x"))
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--lkf-stride"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_refuses_a_count_below_one(tmp_path, capsys, monkeypatch,
+                                            stable_example_path, flag, count):
+    def no_load(path):
+        raise AssertionError("the config was read before the flags")
+
+    monkeypatch.setattr(qvnn.cli, "load_model", no_load)
+    out_dir = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             flag, count, "--out-dir", str(out_dir), "--json")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+    assert not out_dir.exists()
+
+
+def test_a_config_cannot_set_the_rest_point(tmp_path, capsys,
+                                            stable_example_path):
+    # the rest point is computed, never read: an "equilibrium" key changes
+    # nothing that simulate writes
+    doc = json.loads(stable_example_path.read_text())
+    tagged = dict(doc, equilibrium=[[0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
+    written = []
+    for name, config_doc in (("plain", doc), ("tagged", tagged)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(config_doc))
+        out_dir = tmp_path / name
+        code, _, _ = run_cli(capsys, "simulate", str(config), "--seeds", "2",
+                             "--horizon", "1.5", "--out-dir", str(out_dir))
+        assert code == 0
+        written.append({p.name: p.read_bytes()
+                        for p in sorted(out_dir.glob("trajectory_seed*.csv"))})
+    assert sorted(written[0]) == ["trajectory_seed0.csv", "trajectory_seed1.csv"]
+    assert written[0] == written[1]
 
 
 def test_simulate_flags_divergence_without_crashing(tmp_path, capsys,

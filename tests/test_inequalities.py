@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from oracles import xi_convexity_violation
+from oracles import quat_zeros, xi_convexity_violation
 from qvnn.errors import InputError
 from qvnn.inequalities import (
     RcInstance,
@@ -152,7 +152,7 @@ def test_oversized_coupling_is_rejected():
 
 def test_rc_instance_shape_validation():
     p = identity_weight(2)
-    x = QuatMatrix.zeros(2)
+    x = quat_zeros(2)
     w = QuatMatrix.identity(2)
     with pytest.raises(InputError):
         RcInstance(xi=np.zeros((2, 3), dtype=complex), w1=w, w2=w,
@@ -162,7 +162,7 @@ def test_rc_instance_shape_validation():
                    w2=QuatMatrix.identity(3), p=p, x_coupling=x)
     with pytest.raises(InputError):
         RcInstance(xi=np.zeros((2, 2), dtype=complex), w1=w, w2=w,
-                   p=p, x_coupling=QuatMatrix.zeros(3))
+                   p=p, x_coupling=quat_zeros(3))
 
 
 def test_zero_j_part_rc_matches_complex_arithmetic():

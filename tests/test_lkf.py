@@ -76,8 +76,8 @@ def lkf_model():
         b_mat=QuatMatrix.from_real(np.array([[0.5]])),
         delta=0.5, d1_bound=0.25, d2_bound=0.25, mu1=0.0, mu2=0.0,
         gamma_diag=np.array([1.5]),
-        delay1=DelaySpec(kind="constant", value=0.25),
-        delay2=DelaySpec(kind="constant", value=0.25),
+        delay1=DelaySpec(offset=0.25),
+        delay2=DelaySpec(offset=0.25),
     )
 
 

@@ -42,8 +42,8 @@ def unit_model():
         b_mat=QuatMatrix.from_real(np.array([[1.0]])),
         delta=1.0, d1_bound=1.0, d2_bound=1.0, mu1=0.0, mu2=0.0,
         gamma_diag=np.array([1.0]),
-        delay1=DelaySpec(kind="constant", value=1.0),
-        delay2=DelaySpec(kind="constant", value=1.0),
+        delay1=DelaySpec(offset=1.0),
+        delay2=DelaySpec(offset=1.0),
     )
 
 

