@@ -191,11 +191,29 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number, or one of the constants NaN and +-Infinity that
+    ``json`` accepts, refused unless it is a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        shown = text if len(text) <= 20 else f"{text[:17]}..."
+        raise InputError(f"config numbers must be finite, got {shown}")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    """A JSON integer, refused if it lies past the float range."""
+    _finite_number(text)
+    return int(text)
+
+
 def load_model(path) -> tuple[NetworkModel, dict]:
     """Read a model config file; returns (model, raw JSON document)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number,
+                            parse_int=_finite_int,
+                            parse_constant=_finite_number)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

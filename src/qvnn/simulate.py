@@ -90,20 +90,26 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.step * np.arange(len(self.values))
 
-    def state(self, u: float) -> np.ndarray:
+    def state(self, u) -> np.ndarray:
         """x(u) for u in [-lookback, horizon]: ``start`` before t = 0, and
-        cubic Hermite interpolation of the grid from there on."""
+        cubic Hermite interpolation of the grid from there on. An array of
+        times gives one (2, n) state per time."""
+        u = np.asarray(u, dtype=float)
         lo, slack = -self.model.lookback(), _EDGE_SLACK * self.step
-        if not lo - slack <= u <= self.horizon + slack:
-            raise InputError(f"lookup at t={u:.6g} is outside the stored "
+        inside = (lo - slack <= u) & (u <= self.horizon + slack)
+        if not np.all(inside):
+            bad = u[~inside].flat[0]
+            raise InputError(f"lookup at t={bad:.6g} is outside the stored "
                              f"interval [{lo:.6g}, {self.horizon:.6g}]")
-        if u < 0.0 or len(self.values) == 1:
-            return self.start
+        if len(self.values) == 1:
+            return np.broadcast_to(self.start, u.shape + self.start.shape).copy()
         offset = u / self.step
-        cell = min(int(offset), len(self.values) - 2)
-        w = _hermite_weights(offset - cell, self.step)
-        return (w[0] * self.values[cell] + w[1] * self.derivs[cell]
-                + w[2] * self.values[cell + 1] + w[3] * self.derivs[cell + 1])
+        cell = np.clip(offset.astype(int), 0, len(self.values) - 2)
+        w = _hermite_weights(offset - cell, self.step)[..., None, None, :]
+        x = (w[..., 0] * self.values[cell] + w[..., 1] * self.derivs[cell]
+             + w[..., 2] * self.values[cell + 1]
+             + w[..., 3] * self.derivs[cell + 1])
+        return np.where((u < 0.0)[..., None, None], self.start, x)
 
     def modulus_series(self) -> np.ndarray:
         """Max quaternion modulus across neurons at each grid node."""

@@ -123,6 +123,50 @@ def test_an_unclamped_delay_is_refused_at_load(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+NONFINITE_SITES = {
+    "matrix entry": lambda doc: doc["A"]["entries"][1],
+    "rate": lambda doc: doc["C"],
+    "scalar bound": lambda doc: doc["gamma"],
+    "waveform amplitude": lambda doc: doc["delay_functions"]["d2"],
+    "waveform omega": lambda doc: doc["delay_functions"]["d1"],
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "1e400", "huge integer"])
+@pytest.mark.parametrize("site", sorted(NONFINITE_SITES))
+def test_a_nonfinite_config_number_is_refused_at_load(tmp_path, capsys,
+                                                      monkeypatch,
+                                                      stable_example_path,
+                                                      site, literal):
+    # json reads NaN and Infinity, an overflowing literal as inf, and an
+    # integer past the float range; no command may start work on such a
+    # config or write anything for it
+    doc = json.loads(stable_example_path.read_text())
+    holder = NONFINITE_SITES[site](doc)
+    key = {"waveform amplitude": "amplitude",
+           "waveform omega": "omega"}.get(site, 0)
+    holder[key] = "@"
+    config = tmp_path / "nonfinite.json"
+    config.write_text(json.dumps(doc).replace('"@"', literal))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a non-finite config reached the solver or "
+                             "the integrator")
+
+    monkeypatch.setattr(qvnn.cli, "_certify_model", no_work)
+    monkeypatch.setattr(qvnn.cli, "integrate", no_work)
+    out_dir = tmp_path / "runs"
+    for argv in (["certify", str(config), "--out", str(out_dir / "c.json")],
+                 ["simulate", str(config), "--out-dir", str(out_dir)],
+                 ["margin", str(config), "--param", "delta",
+                  "--bracket", "0.01,0.1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv[0]
+        assert "finite" in err
+        assert not out_dir.exists()
+
+
 def test_certify_text_output_summarizes_the_run(capsys, stable_example_path):
     code, out, _ = run_cli(capsys, "certify", str(stable_example_path))
     assert code == 0

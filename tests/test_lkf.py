@@ -1,18 +1,32 @@
 """Lyapunov functional quadrature and evaluation along trajectories."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import evaluate_lkf, quadform, random_decision_vars
+from oracles import (
+    grid_quad as scalar_quad,
+    quadform,
+    random_decision_vars,
+    random_model,
+    serial_lkf_trace,
+)
 from qvnn.cli import _start_for_seed
 from qvnn.errors import CoverageError, InputError
-from qvnn.lkf import LkfEvaluator, LyapunovTrace, grid_quad, lkf_trace
+from qvnn.lkf import LyapunovTrace, lkf_trace, window_quad
+from qvnn.lmi import HERMITIAN_NAMES
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import QuatMatrix
-from qvnn.simulate import Trajectory, activation, integrate
+from qvnn.qmatrix import QuatMatrix, random_hermitian_pd
+from qvnn.simulate import Trajectory, activation, equilibrium_shift, integrate
 
 
 # ---- windowed quadrature ----------------------------------------------------------
+
+
+def grid_quad(times, values, a, b):
+    """The integral over one window [a, b]."""
+    return window_quad(times, values, [a], [b])[0]
 
 
 def test_grid_quad_is_exact_on_cubics_over_aligned_windows():
@@ -64,6 +78,70 @@ def test_grid_quad_rejects_bad_windows():
         grid_quad(times, values, -0.5, 0.5)
     with pytest.raises(CoverageError):
         grid_quad(times, values, 0.5, 1.5)
+    # one bad window among good ones refuses the batch
+    with pytest.raises(InputError):
+        window_quad(times, values, [0.1, 0.8], [0.3, 0.2])
+    with pytest.raises(CoverageError):
+        window_quad(times, values, [0.1, 0.5], [0.3, 1.5])
+
+
+# Windows on a grid of 300 nodes from -0.5, step 0.01: restart blocks of the
+# window sums start at -0.5, 0.14, 0.78 and 1.42.
+BRANCH_WINDOWS = [
+    (0.1234, 0.1284),   # thin: both ends inside one cell
+    (-0.4937, -0.4912),  # thin, in the first cell
+    (0.2, 0.2),         # zero width, on a node
+    (2.485, 2.489),     # thin, in the last cell
+    (-0.5, -0.49),      # two nodes (trapezoid), at the grid start
+    (0.3, 0.31),        # two nodes
+    (0.3, 0.32),        # three nodes
+    (0.3, 0.33),        # four nodes: the even-count correction
+    (0.3, 0.35),        # six nodes
+    (0.3051, 0.3449),   # four nodes and slivers at both ends
+    (0.3051, 0.3349),   # three nodes and slivers at both ends
+    (0.13, 1.42),       # from a block's last node to a block's first
+    (0.14, 1.41),       # exactly two whole blocks
+    (-0.4937, 2.4841),  # every block, slivers at both ends
+    (-0.5, 2.49),       # the whole span, an even node count
+    (-0.5, 2.48),       # the whole span less one node, odd
+]
+
+
+def branch_grid():
+    times = 0.01 * np.arange(300) - 0.5
+    wave = 1.5 + np.sin(3.0 * times)
+    values = (np.stack([wave, 2.0 - np.cos(times)], axis=1)[:, :, None]
+              * np.array([1.0 + 0.5j, 0.3 + 2.0j])[None, None, :])
+    return times, values
+
+
+def test_window_sums_match_the_scalar_rule_on_every_branch():
+    times, values = branch_grid()
+    a, b = np.array(BRANCH_WINDOWS).T
+    batched = window_quad(times, values, a, b)
+    assert batched.shape == (len(a),) + values.shape[1:]
+    for k, (lo, hi) in enumerate(BRANCH_WINDOWS):
+        np.testing.assert_allclose(batched[k], scalar_quad(times, values, lo, hi),
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("nodes", [300, 40])
+def test_weighted_window_sums_match_the_scalar_rule(clip, nodes):
+    # the integrand (s - a) f(s) of a collapsed double integral, also on a
+    # grid shorter than one restart block
+    times, values = branch_grid()
+    times, values = times[:nodes], values[:nodes]
+    windows = [w for w in BRANCH_WINDOWS if w[1] <= times[-1]]
+    a, b = np.array(windows).T
+    batched = window_quad(times, values, a, b, origin=a, clip=clip)
+    for k, (lo, hi) in enumerate(windows):
+        weight = times - lo
+        if clip:
+            weight = np.maximum(weight, 0.0)
+        expected = scalar_quad(times, values * weight[:, None, None], lo, hi)
+        np.testing.assert_allclose(batched[k], expected, rtol=1e-12,
+                                   atol=1e-15)
 
 
 # ---- evaluation on constructed trajectories ----------------------------------------
@@ -93,12 +171,12 @@ def test_functional_vanishes_on_the_zero_trajectory():
     model = lkf_model()
     dv = random_decision_vars(np.random.default_rng(3), 1)
     traj = frozen_trajectory(model, np.zeros((2, 1)))
-    sample = evaluate_lkf(traj, model, dv, 1.0)
-    assert sample.v1 == 0.0
-    assert sample.v2 == 0.0
-    assert sample.v3 == 0.0
-    assert sample.v4 == 0.0
-    assert sample.total == 0.0
+    trace = lkf_trace(traj, model, dv, stride=1)
+    assert np.all(trace.v1 == 0.0)
+    assert np.all(trace.v2 == 0.0)
+    assert np.all(trace.v3 == 0.0)
+    assert np.all(trace.v4 == 0.0)
+    assert np.all(trace.total == 0.0)
 
 
 def test_constant_state_matches_closed_forms():
@@ -109,7 +187,10 @@ def test_constant_state_matches_closed_forms():
     pair = np.array([[0.7 + 0.3j], [-0.4 + 0.6j]])
     traj = frozen_trajectory(model, pair)
     t = 1.0
-    sample = evaluate_lkf(traj, model, dv, t)
+    trace = lkf_trace(traj, model, dv, stride=20)
+    assert trace.times[1] == pytest.approx(t)
+    sample = LyapunovTrace(*(getattr(trace, name)[1]
+                             for name in ("times", "v1", "v2", "v3", "v4")))
 
     delta = model.delta
     shifted = pair - delta * model.c_diag[None, :] * pair
@@ -134,13 +215,17 @@ def test_coverage_errors_flag_unusable_times():
     model = lkf_model()
     dv = random_decision_vars(np.random.default_rng(5), 1)
     traj = frozen_trajectory(model, np.array([[0.1 + 0j], [0j]]))
-    ev = LkfEvaluator(traj, model, dv)
+    forms = np.ones(len(traj.times))
     with pytest.raises(CoverageError):
-        ev(-0.1)  # needs data before the stored history
+        # needs data before the stored grid
+        window_quad(traj.times, forms, [0.5, -0.1], [1.0, 0.4])
     with pytest.raises(CoverageError):
-        ev(traj.horizon + 0.5)
-    sample = ev(0.0)
-    assert np.isfinite(sample.total)
+        window_quad(traj.times, forms, [1.0], [traj.horizon + 0.5])
+    # the trace pads the grid back over the lookback window, so its first
+    # sample, at t = 0, reads only covered data
+    trace = lkf_trace(traj, model, dv, stride=1)
+    assert trace.times[0] == 0.0
+    assert np.all(np.isfinite(trace.total))
 
 
 def test_trace_helpers_and_validation():
@@ -173,8 +258,12 @@ def test_dimension_mismatch_is_rejected():
     model = lkf_model()
     dv = random_decision_vars(np.random.default_rng(9), 2)
     traj = frozen_trajectory(model, np.array([[0.1 + 0j], [0j]]))
-    with pytest.raises((InputError, AttributeError, ValueError)):
-        LkfEvaluator(traj, model, dv)(1.0)
+    with pytest.raises(InputError, match="certificate is for n = 2"):
+        lkf_trace(traj, model, dv)
+    rng = np.random.default_rng(9)
+    other = frozen_trajectory(random_model(rng, 2), np.zeros((2, 2)))
+    with pytest.raises(InputError, match="trajectory and model"):
+        lkf_trace(other, model, random_decision_vars(rng, 1))
 
 
 # ---- certificate functional along a stable run --------------------------------------
@@ -204,3 +293,70 @@ def test_functional_starts_with_no_derivative_energy(stable_model,
         trace = lkf_trace(traj, stable_model, dv, stride=50)
         assert trace.v4[0] == 0.0
         assert np.all(trace.v4[1:] > 0.0)
+
+
+# ---- the batched trace against the scalar oracle ------------------------------------
+
+
+def assert_parts_match(trace, reference):
+    """Every part at every sample within 1e-12 relative of the oracle."""
+    np.testing.assert_array_equal(trace.times, reference.times)
+    for part in ("v1", "v2", "v3", "v4"):
+        got, want = getattr(trace, part), getattr(reference, part)
+        worst = np.max(np.abs(got - want) - 1e-12 * np.abs(want))
+        assert worst <= 0.0, f"{part} differs from the oracle by {worst:.3e}"
+
+
+@pytest.mark.parametrize("horizon, step, strides",
+                         [(1.5, 1e-3, (1, 20)), (6.0, 2e-3, (1,))])
+def test_batched_trace_matches_the_scalar_oracle(stable_model, stable_solution,
+                                                 horizon, step, strides):
+    _, dv = stable_solution
+    starts = [_start_for_seed(stable_model, seed, zero=False)
+              for seed in range(10)]
+    for traj in integrate(stable_model, starts, horizon, step):
+        for stride in strides:
+            assert_parts_match(lkf_trace(traj, stable_model, dv, stride),
+                               serial_lkf_trace(traj, stable_model, dv, stride))
+
+
+def pd_decision_vars(rng, n):
+    """Random variables whose Hermitian matrices are positive definite, so
+    every window integral of a form is positive."""
+    dv = random_decision_vars(rng, n)
+    return dataclasses.replace(dv, **{name: random_hermitian_pd(rng, n)
+                                      for name in HERMITIAN_NAMES})
+
+
+@pytest.mark.parametrize("d2", [0.0, 0.0567])
+def test_batched_trace_matches_the_oracle_on_off_grid_delays(d2):
+    # no delay is a grid multiple, so windows end in slivers and the R2
+    # window [t - d, t - d1] ends inside a cell; r-windows are clipped at
+    # t = 0 until t = d; d2 = 0 drops the R2 terms
+    rng = np.random.default_rng(17)
+    model = NetworkModel(
+        n=2, c_diag=np.array([2.5, 1.5]),
+        a_mat=QuatMatrix.from_real(np.array([[0.3, -0.2], [0.1, 0.4]])),
+        b_mat=QuatMatrix.from_real(np.array([[-0.2, 0.1], [0.3, 0.2]])),
+        delta=0.0123, d1_bound=0.2345, d2_bound=d2, mu1=0.6, mu2=0.0,
+        gamma_diag=np.array([0.8, 1.2]),
+        delay1=DelaySpec(amplitude=0.15, offset=0.0845, omega=4.0),
+        delay2=DelaySpec(offset=d2))
+    dv = pd_decision_vars(rng, 2)
+    (traj,) = integrate(model, [_start_for_seed(model, 4, zero=False)],
+                        horizon=0.6, step=1e-3)
+    assert_parts_match(lkf_trace(traj, model, dv, stride=1),
+                       serial_lkf_trace(traj, model, dv, stride=1))
+
+
+def test_batched_trace_matches_the_oracle_on_a_driven_model(stable_model,
+                                                            stable_solution):
+    _, dv = stable_solution
+    drive = np.array([[0.4 - 0.2j, 0.1 + 0.3j], [-0.3 + 0.1j, 0.2 - 0.4j]])
+    model = equilibrium_shift(dataclasses.replace(stable_model,
+                                                  external_input=drive))
+    assert np.any(model.equilibrium != 0.0)
+    starts = [_start_for_seed(model, seed, zero=False) for seed in (0, 1)]
+    for traj in integrate(model, starts, horizon=1.0, step=1e-3):
+        assert_parts_match(lkf_trace(traj, model, dv, stride=1),
+                           serial_lkf_trace(traj, model, dv, stride=1))

@@ -98,6 +98,19 @@ def test_history_buffer_refuses_extrapolation():
         traj.state(1.01)
 
 
+def test_state_takes_an_array_of_times():
+    model = scalar_model()
+    (traj,) = integrate(model, [np.array([[0.4 + 0.1j], [0.2j]])],
+                        horizon=1.0, step=0.05)
+    u = np.array([-model.lookback(), -0.01, 0.0, 0.013, 0.05, 0.5, 0.999, 1.0])
+    states = traj.state(u)
+    assert states.shape == (len(u), 2, 1)
+    for k, uk in enumerate(u):
+        assert np.array_equal(states[k], traj.state(uk))
+    with pytest.raises(InputError):
+        traj.state(np.array([0.5, 1.01]))
+
+
 # ---- integration ----------------------------------------------------------------
 
 
