@@ -162,11 +162,12 @@ def cmd_certify(args) -> int:
         with diag_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "barrier_weight", "t", "min_eig",
-                             "newton_steps"])
+                             "newton_steps", "max_regularization"])
             for rec in result.trace:
                 writer.writerow([rec.iteration, f"{rec.barrier_weight:.6e}",
                                  f"{rec.t:.12e}", f"{rec.min_eig:.12e}",
-                                 rec.newton_steps])
+                                 rec.newton_steps,
+                                 f"{rec.max_regularization:.6e}"])
         lines.append(f"wrote:   {diag_path}")
 
     _emit(report, args.json, lines)

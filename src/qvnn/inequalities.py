@@ -13,9 +13,11 @@ valid whenever the coupled block matrix is positive semidefinite.
 
 Both oracles return gap = LHS-bound minus RHS (nonnegative up to float
 noise when the hypotheses hold). The Jensen gap evaluates both sides with
-the same Simpson weights, which makes the discrete gap itself a
-Cauchy-Schwarz expression in the weighted samples: nonnegativity then holds
-for the computed numbers, not just in the continuum limit.
+the same Simpson weights (``lkf.window_quad`` over the path's whole span,
+the rule of ``scipy.integrate.simpson``; every weight is positive), which
+makes the discrete gap itself a Cauchy-Schwarz expression in the weighted
+samples: nonnegativity then holds for the computed numbers, not just in
+the continuum limit.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InputError, StructureError
+from .lkf import window_quad
 from .lmi import assemble_blocks
 from .qmatrix import (HermitianQuatMatrix, QuatMatrix, definiteness,
                       hermitian_eigvals, hermitian_sqrt, mat_vec, qv_embed,
@@ -67,13 +69,14 @@ def jensen_gap(path: VectorPath, m: HermitianQuatMatrix) -> float:
         raise InputError("the weight matrix must be positive definite")
     emb = qv_embed(path.samples)
     chi = m.complex_embed()
-    dx = (path.b - path.a) / (len(path.samples) - 1)
     pointwise = np.einsum("si,ij,sj->s", np.conj(emb), chi, emb)
     resid = float(np.max(np.abs(pointwise.imag)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(pointwise.real)))):
         raise StructureError(f"quadratic form has imaginary residue {resid:.3e}")
-    rhs = (path.b - path.a) * float(simpson(pointwise.real, dx=dx))
-    integral = simpson(emb, dx=dx, axis=0)
+    times = np.linspace(path.a, path.b, len(path.samples))
+    rhs = (path.b - path.a) * float(window_quad(times, pointwise.real,
+                                                path.a, path.b)[0])
+    integral = window_quad(times, emb, path.a, path.b)[0]
     lhs_c = np.conj(integral) @ chi @ integral
     return rhs - float(lhs_c.real)
 

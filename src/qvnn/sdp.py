@@ -77,6 +77,9 @@ class OuterRecord:
     t: float
     min_eig: float
     newton_steps: int
+    # largest diagonal shift that made a Hessian of this round factorizable
+    # (0.0 when every Hessian was positive definite as computed)
+    max_regularization: float
 
 
 @dataclass
@@ -267,10 +270,12 @@ def _grad_hess(blocks, chols, z, radius, m, mu):
 def _newton_center(blocks, z, radius, m, mu, chols):
     """Damped Newton minimization of the barrier subproblem.
 
-    Returns (z, steps, chols, stalled): chols are the factors at the returned
-    z, and stalled is True when a line search found no acceptable step.
+    Returns (z, steps, chols, stalled, max_reg): chols are the factors at the
+    returned z, stalled is True when a line search found no acceptable step,
+    and max_reg is the largest Hessian regularization used.
     """
     steps = 0
+    max_reg = 0.0
     eye = np.eye(m + 1)
     for _ in range(_MAX_NEWTON_ITERS):
         grad, hess = _grad_hess(blocks, chols, z, radius, m, mu)
@@ -285,12 +290,13 @@ def _newton_center(blocks, z, radius, m, mu, chols):
             reg = 2.0 * reg if reg > 0 else 1e-12 * trace_scale
         else:
             raise NumericalError("Hessian factorization failed despite regularization")
+        max_reg = max(max_reg, reg)
         direction = np.linalg.solve(shifted, -grad)
         decrement = float(-grad @ direction)
         if not np.isfinite(decrement) or decrement < 0:
             raise NumericalError("Newton decrement is not finite")
         if decrement / 2.0 <= _NEWTON_TOLERANCE:
-            return z, steps, chols, False
+            return z, steps, chols, False, max_reg
         f0 = _barrier_value(chols, z, radius, m, mu)
         alpha = 1.0
         accepted = False
@@ -307,8 +313,8 @@ def _newton_center(blocks, z, radius, m, mu, chols):
         steps += 1
         if not accepted:
             # stalled line search: treat the current point as centered enough
-            return z, steps, chols, True
-    return z, steps, chols, False
+            return z, steps, chols, True, max_reg
+    return z, steps, chols, False, max_reg
 
 
 def _min_eig(blocks, x):
@@ -353,7 +359,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             stalled = 0
             outer = 0
             while outer < cfg.max_outer_iters:
-                z, steps, chols, stall = _newton_center(
+                z, steps, chols, stall, max_reg = _newton_center(
                     blocks, z, cfg.trust_radius, m, mu, chols)
                 total_steps += steps
                 stalled += stall
@@ -362,7 +368,8 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                 if t_now > best_t:
                     best_t, best_x = t_now, z[:m].copy()
                 trace.append(OuterRecord(outer, mu, t_now,
-                                         _min_eig(blocks, z[:m]), steps))
+                                         _min_eig(blocks, z[:m]), steps,
+                                         max_reg))
                 if nu * mu <= gap_target:
                     break
                 mu *= _BARRIER_SHRINK

@@ -550,12 +550,15 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
 _LKF_EDGE = 1e-9
 
 
-def grid_quad(times: np.ndarray, values: np.ndarray, a: float, b: float):
+def grid_quad(times: np.ndarray, values: np.ndarray, a: float, b: float,
+              weight=None):
     """Integrate uniformly sampled values over [a, b] inside the grid span.
 
     ``values`` may be real or complex with any trailing shape; integration is
     along axis 0. Whole cells use composite Simpson; fractional end cells use
-    the trapezoid rule on linearly interpolated endpoint values.
+    the trapezoid rule on linearly interpolated endpoint values. ``weight``,
+    if given, maps grid times to a factor on the integrand; only the nodes
+    that the rule reads are weighted.
     """
     if b < a:
         raise InputError("integration bounds are reversed")
@@ -569,10 +572,14 @@ def grid_quad(times: np.ndarray, values: np.ndarray, a: float, b: float):
     pb = (b - lo) / step
     last = len(times) - 1
 
+    def at(rows):
+        vals = values[rows]
+        return vals if weight is None else vals * weight(times[rows])
+
     def interp(pos: float):
         cell = min(max(int(np.floor(pos)), 0), last - 1)
         frac = pos - cell
-        return (1.0 - frac) * values[cell] + frac * values[cell + 1]
+        return (1.0 - frac) * at(cell) + frac * at(cell + 1)
 
     i0 = int(np.ceil(pa - 1e-9))
     i1 = int(np.floor(pb + 1e-9))
@@ -580,13 +587,13 @@ def grid_quad(times: np.ndarray, values: np.ndarray, a: float, b: float):
     i1 = min(max(i1, 0), last)
     if i1 <= i0:
         return (b - a) * (interp(pa) + interp(pb)) / 2.0
-    core = simpson(values[i0:i1 + 1], dx=step, axis=0)
+    core = simpson(at(slice(i0, i1 + 1)), dx=step, axis=0)
     wa = (i0 - pa) * step
     if wa > _LKF_EDGE * step:
-        core = core + wa * (interp(pa) + values[i0]) / 2.0
+        core = core + wa * (interp(pa) + at(i0)) / 2.0
     wb = (pb - i1) * step
     if wb > _LKF_EDGE * step:
-        core = core + wb * (values[i1] + interp(pb)) / 2.0
+        core = core + wb * (at(i1) + interp(pb)) / 2.0
     return core
 
 
@@ -648,10 +655,8 @@ class LkfEvaluator:
         a = max(a, 0.0)
         if b <= a:
             return 0.0
-        times = self.traj.times
-        vals = self.r_forms[name]
-        data = vals if weight is None else vals * weight(times)
-        return float(grid_quad(times, data, a, b))
+        return float(grid_quad(self.traj.times, self.r_forms[name], a, b,
+                               weight))
 
     def __call__(self, t: float) -> LkfSample:
         model = self.model
@@ -673,8 +678,9 @@ class LkfEvaluator:
         v1 = float((np.conj(emb) @ self.p1_chi @ emb).real)
 
         v2 = float(grid_quad(self.times, self.x_forms["p2"], t - delta, t))
-        w_p3 = self.x_forms["p3"] * np.clip(self.times - (t - delta), 0.0, None)
-        v2 += delta * float(grid_quad(self.times, w_p3, t - delta, t))
+        v2 += delta * float(grid_quad(
+            self.times, self.x_forms["p3"], t - delta, t,
+            weight=lambda s: np.clip(s - (t - delta), 0.0, None)))
 
         v3 = float(grid_quad(self.times, self.x_forms["q1"], t - d1t, t))
         v3 += float(grid_quad(self.times, self.f_forms["q2"], t - d1t, t))

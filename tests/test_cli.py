@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from qvnn.lkf import lkf_trace
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
 from qvnn.qmatrix import mat_vec, qv_from_components
+from qvnn.sdp import FeasibilityResult, OuterRecord
 from qvnn.simulate import activation, integrate
 
 
@@ -66,7 +71,7 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
 
     header, rows = read_csv(diag)
     assert header == ["iteration", "barrier_weight", "t", "min_eig",
-                      "newton_steps"]
+                      "newton_steps", "max_regularization"]
     assert len(rows) >= 1
     weights = [float(r[1]) for r in rows]
     assert all(a > b for a, b in zip(weights, weights[1:]))
@@ -165,6 +170,28 @@ def test_a_nonfinite_config_number_is_refused_at_load(tmp_path, capsys,
         assert code == 2, argv[0]
         assert "finite" in err
         assert not out_dir.exists()
+
+
+def test_diagnostics_csv_records_the_hessian_regularization(
+        tmp_path, capsys, monkeypatch, stable_example_path):
+    trace = [OuterRecord(1, 0.5, -0.25, -0.25, 7, 2.5e-11),
+             OuterRecord(2, 0.125, -0.125, -0.125, 3, 0.0)]
+
+    def recorded(sdp, config):
+        return FeasibilityResult(
+            status="infeasible_at_tolerance", margin=-0.125, x=None,
+            per_constraint_min_eig={}, iterations=10, outer_rounds=2,
+            wall_time=0.0, trace=trace)
+
+    monkeypatch.setattr(qvnn.cli, "solve_feasibility", recorded)
+    diag = tmp_path / "diag.csv"
+    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+                         "--diagnostics", str(diag), "--json")
+    assert code == 1
+    header, rows = read_csv(diag)
+    assert header[-2:] == ["newton_steps", "max_regularization"]
+    assert [r[-2:] for r in rows] == [["7", "2.500000e-11"],
+                                      ["3", "0.000000e+00"]]
 
 
 def test_certify_text_output_summarizes_the_run(capsys, stable_example_path):
@@ -433,6 +460,20 @@ def test_oracles_with_no_samples_is_vacuously_clean(capsys):
     report = json.loads(out)
     assert report["jensen"] == {"count": 0}
     assert report["all_nonnegative"] is True
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_subpackage():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import json, sys; import qvnn.cli; "
+             "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "qvnn.cli" in loaded and "scipy.sparse" in loaded
+    heavy = {"scipy.integrate", "scipy.special", "scipy.linalg",
+             "scipy.optimize"}
+    assert not heavy & loaded
 
 
 def test_version_flag_prints_and_exits(capsys):

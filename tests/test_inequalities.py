@@ -18,6 +18,7 @@ from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
     mat_vec,
+    qv_embed,
     random_hermitian_pd,
     random_quat_matrix,
 )
@@ -80,6 +81,20 @@ def test_zero_j_part_matches_complex_arithmetic():
         expected = ((b - a) * float(simpson(pointwise, dx=dx))
                     - float((np.conj(integral) @ m1 @ integral).real))
         assert jensen_gap(path, m) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("num", [2, 3, 4, 5, 40, 41, 160])
+def test_gap_uses_scipy_simpson_for_odd_and_even_counts(num):
+    rng = np.random.default_rng(num)
+    path = random_path(2, seed=num, num_samples=num)
+    m = random_hermitian_pd(rng, 2)
+    emb, chi = qv_embed(path.samples), m.complex_embed()
+    dx = (path.b - path.a) / (num - 1)
+    pointwise = np.einsum("si,ij,sj->s", np.conj(emb), chi, emb).real
+    integral = simpson(emb, dx=dx, axis=0)
+    expected = ((path.b - path.a) * float(simpson(pointwise, dx=dx))
+                - float((np.conj(integral) @ chi @ integral).real))
+    assert jensen_gap(path, m) == pytest.approx(expected, abs=1e-10)
 
 
 def test_weight_matrix_must_be_positive_definite():

@@ -285,6 +285,28 @@ def test_seed_restart_keeps_the_cause_of_the_failed_attempt(monkeypatch):
     assert solve_feasibility(ray_toy()).failure_cause is None
 
 
+def test_hessian_regularization_is_recorded_per_round(monkeypatch):
+    assert all(rec.max_regularization == 0.0
+               for rec in solve_feasibility(three_scale_toy()).trace)
+    # refuse every first factorization of the 4 x 4 Newton Hessian, so each
+    # step takes the first shift, 1e-12 times max(mean diagonal, 1)
+    try_cholesky = qvnn.sdp._try_cholesky
+    hessians = []
+
+    def refuse_unshifted(mat):
+        if mat.shape == (4, 4):
+            hessians.append(None)
+            if len(hessians) % 2:
+                return None
+        return try_cholesky(mat)
+
+    monkeypatch.setattr(qvnn.sdp, "_try_cholesky", refuse_unshifted)
+    result = solve_feasibility(three_scale_toy())
+    assert result.status == "feasible"
+    assert result.trace
+    assert all(rec.max_regularization >= 1e-12 for rec in result.trace)
+
+
 def test_stalled_line_searches_are_counted(monkeypatch):
     assert solve_feasibility(ray_toy()).stalled_line_searches == 0
     # no step length passes the floor, so every centering stalls at once
