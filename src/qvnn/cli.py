@@ -1,4 +1,4 @@
-"""Command-line front end: certify, simulate, margin, oracles.
+"""Command-line front end: certify, simulate, margin.
 
 Exit codes are the machine contract for every subcommand:
 
@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -28,16 +29,13 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, QvnnError
-from .inequalities import jensen_gap, random_path, random_rc_instance, rc_gap
 from .lkf import lkf_trace
 from .lmi import DecisionVars, verify_certificate
 from .lowering import build_sdp
 from .model import NetworkModel, config_hash, load_model
-from .qmatrix import qv_components, random_hermitian_pd
+from .qmatrix import qv_components
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
 from .simulate import convergence_metrics, equilibrium_shift, integrate
-
-ORACLE_GAP_FLOOR = -1e-9
 
 
 @dataclasses.dataclass
@@ -57,6 +55,15 @@ class RunManifest:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _require_positive(*flags: tuple[str, float]) -> None:
+    """Refuse a flag that is not a positive finite number: a tolerance or
+    threshold at or below 0, or NaN, is never met, and a step or horizon
+    that is NaN or infinite has no grid."""
+    for flag, value in flags:
+        if not (math.isfinite(value) and value > 0.0):
+            raise QvnnError(f"{flag} must be positive and finite, got {value:g}")
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -87,6 +94,7 @@ def _certify_model(model: NetworkModel, margin_tol: float, seed: int,
 
 
 def cmd_certify(args) -> int:
+    _require_positive(("--margin-tol", args.margin_tol))
     model, doc = load_model(args.config)
     started = _now()
     result, dv, timings = _certify_model(model, args.margin_tol, args.seed)
@@ -162,12 +170,14 @@ def cmd_certify(args) -> int:
         with diag_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "barrier_weight", "t", "min_eig",
-                             "newton_steps", "max_regularization"])
+                             "newton_steps", "max_regularization",
+                             "newton_decrement"])
             for rec in result.trace:
                 writer.writerow([rec.iteration, f"{rec.barrier_weight:.6e}",
                                  f"{rec.t:.12e}", f"{rec.min_eig:.12e}",
                                  rec.newton_steps,
-                                 f"{rec.max_regularization:.6e}"])
+                                 f"{rec.max_regularization:.6e}",
+                                 f"{rec.newton_decrement:.6e}"])
         lines.append(f"wrote:   {diag_path}")
 
     _emit(report, args.json, lines)
@@ -252,6 +262,8 @@ def cmd_simulate(args) -> int:
                         ("--lkf-stride", args.lkf_stride)):
         if count < 1:
             raise QvnnError(f"{flag} must be at least 1, got {count}")
+    _require_positive(("--horizon", args.horizon), ("--step", args.step),
+                      ("--threshold", args.threshold))
     model, doc = load_model(args.config)
     cert_dv = None if args.lkf is None else _load_certificate(args.lkf, model, doc)
     driven = model.external_input is not None and np.any(model.external_input)
@@ -369,6 +381,7 @@ def cmd_margin(args) -> int:
     # a bracket one ulp wide never gets narrower, so bisection needs tol > 0
     if not args.tol > 0.0:
         raise QvnnError(f"--tol must be positive, got {args.tol:g}")
+    _require_positive(("--margin-tol", args.margin_tol))
     _model, doc = load_model(args.config)
     try:
         lo_text, hi_text = args.bracket.split(",")
@@ -415,44 +428,6 @@ def cmd_margin(args) -> int:
                  f"{args.param}, but each row stands on its own.")
     _emit(report, args.json, lines)
     return 0
-
-
-# ---- oracles ---------------------------------------------------------------------
-
-
-def cmd_oracles(args) -> int:
-    jensen_gaps = []
-    rc_gaps = []
-    for idx in range(args.count):
-        n = 1 + (idx % 4)
-        path = random_path(n, seed=args.seed * 100003 + idx)
-        rng = np.random.default_rng(args.seed * 7919 + idx)
-        m = random_hermitian_pd(rng, n)
-        jensen_gaps.append(jensen_gap(path, m))
-        inst = random_rc_instance(1 + (idx % 3), 2, seed=args.seed * 31 + idx)
-        rc_gaps.append(rc_gap(inst))
-
-    def stats(gaps):
-        if not gaps:
-            return {"count": 0}
-        return {"count": len(gaps), "min": float(np.min(gaps)),
-                "mean": float(np.mean(gaps)), "max": float(np.max(gaps))}
-
-    report = {"jensen": stats(jensen_gaps), "reciprocal_convexity": stats(rc_gaps),
-              "gap_floor": ORACLE_GAP_FLOOR}
-    ok = all(g >= ORACLE_GAP_FLOOR for g in jensen_gaps + rc_gaps)
-    report["all_nonnegative"] = ok
-    lines = []
-    for label, st in (("jensen", report["jensen"]),
-                      ("reciprocal convexity", report["reciprocal_convexity"])):
-        if st["count"] == 0:
-            lines.append(f"{label}: no samples")
-        else:
-            lines.append(f"{label}: {st['count']} samples, min gap "
-                         f"{st['min']:.3e}, mean {st['mean']:.3e}")
-    lines.append("all gaps nonnegative" if ok else "NEGATIVE GAP FOUND")
-    _emit(report, args.json, lines)
-    return 0 if ok else 1
 
 
 # ---- parser ----------------------------------------------------------------------
@@ -506,12 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     mar.add_argument("--json", action="store_true")
     mar.set_defaults(func=cmd_margin)
 
-    orc = sub.add_parser("oracles", help="randomized checks of the two "
-                         "integral/matrix inequalities")
-    orc.add_argument("--count", type=int, default=100)
-    orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--json", action="store_true")
-    orc.set_defaults(func=cmd_oracles)
     return parser
 
 

@@ -19,6 +19,8 @@ and off the diagonal also as its transpose at (b', b). Diagonal blocks are
 symmetrized first, exactly as ``assemble_blocks`` does. Each constraint's
 coefficients are stored as one CSR matrix with a row per variable and a
 column per entry of the row-major real matrix; only nonzero entries are kept.
+The criterion is homogeneous (``build_sdp`` refuses it otherwise), so a
+lowered constraint is sum_i x_i A_i with no constant term.
 """
 
 from __future__ import annotations
@@ -36,27 +38,19 @@ from .qmatrix import QuatMatrix, hermitian_part
 
 @dataclass
 class AffineLmi:
-    """Real symmetric constraint  constant + sum_i x_i A_i  (sense 'pd': > 0,
-    'nd': < 0). Row i of ``coeffs`` is A_i flattened row-major."""
+    """Real symmetric constraint  sum_i x_i A_i  of side ``dim`` (sense 'pd':
+    > 0, 'nd': < 0). Row i of ``coeffs`` is A_i flattened row-major."""
 
     name: str
     sense: str
-    constant: np.ndarray              # real symmetric (d, d)
-    coeffs: scipy.sparse.csr_array    # (num_vars, d * d)
-
-    @property
-    def dim(self) -> int:
-        return self.constant.shape[0]
-
-    def oriented(self) -> tuple[np.ndarray, scipy.sparse.csr_array]:
-        """(constant, coeffs) negated if needed so the constraint reads > 0."""
-        sign = 1.0 if self.sense == "pd" else -1.0
-        return sign * self.constant, sign * self.coeffs
+    dim: int
+    coeffs: scipy.sparse.csr_array    # (num_vars, dim * dim)
 
 
 @dataclass
 class StandardSdp:
-    """max-margin feasibility data: find x with every oriented LMI > 0."""
+    """max-margin feasibility data: find x with every LMI of sense 'pd'
+    > 0 and every LMI of sense 'nd' < 0."""
 
     num_vars: int
     lmis: list[AffineLmi]
@@ -102,7 +96,7 @@ def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
          (np.concatenate([var[k], var[k][off]]),
           np.concatenate([at_row * d + at_col, at_col[off] * d + at_row[off]]))),
         shape=(num_vars, d * d))
-    return AffineLmi(con.name, con.sense, np.zeros((d, d)), coeffs)
+    return AffineLmi(con.name, con.sense, d, coeffs)
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:

@@ -65,11 +65,6 @@ class QuatMatrix:
         m = np.asarray(m, dtype=float)
         return cls(m.astype(np.complex128), np.zeros_like(m, dtype=np.complex128))
 
-    @classmethod
-    def identity(cls, n: int) -> "QuatMatrix":
-        return cls(np.eye(n, dtype=np.complex128),
-                   np.zeros((n, n), dtype=np.complex128))
-
     # ---- basic queries ---------------------------------------------------------
 
     @property
@@ -249,35 +244,6 @@ def definiteness(h: HermitianQuatMatrix) -> DefinitenessReport:
     return DefinitenessReport(kind, lo, hi)
 
 
-def spectral_norm(m: QuatMatrix) -> float:
-    """Largest singular value, computed on the complex embedding."""
-    if m.a1.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m.complex_embed(), 2))
-
-
-def hermitian_sqrt(h: HermitianQuatMatrix) -> HermitianQuatMatrix:
-    """Principal square root of a positive semidefinite Hermitian quaternion matrix.
-
-    Computed on the complex embedding; the unique PSD root of the embedding is
-    itself the embedding of a quaternion matrix, so the pair can be read back
-    off the blocks.
-    """
-    n = h.rows
-    emb = h.complex_embed()
-    w, v = np.linalg.eigh(emb)
-    scale = max(1.0, float(abs(w[-1])))
-    if w[0] < -1e-10 * scale:
-        raise StructureError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    a1 = (root[:n, :n] + root[n:, n:].conj()) / 2.0
-    a2 = -(root[:n, n:] - root[n:, :n].conj()) / 2.0
-    out = HermitianQuatMatrix(a1, a2)
-    if np.max(np.abs(out.complex_embed() - root)) > 1e-8 * scale:
-        raise StructureError("square root does not round-trip through the embedding")
-    return out
-
-
 # ---- quaternion vectors as complex pairs ---------------------------------------
 
 
@@ -311,23 +277,6 @@ def qv_embed(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.complex128)
     return np.concatenate([v[..., 0, :], np.conj(v[..., 1, :])], axis=-1)
-
-
-# ---- random generation ----------------------------------------------------------
-
-
-def random_quat_matrix(rng: np.random.Generator, rows: int, cols: int | None = None,
-                       scale: float = 1.0) -> QuatMatrix:
-    cols = rows if cols is None else cols
-    comps = rng.standard_normal((4, rows, cols)) * scale
-    return QuatMatrix.from_components(*comps)
-
-
-def random_hermitian_pd(rng: np.random.Generator, n: int,
-                        floor: float = 0.1) -> HermitianQuatMatrix:
-    g = random_quat_matrix(rng, n, n)
-    p = g @ g.conj_transpose() + QuatMatrix.identity(n) * floor
-    return HermitianQuatMatrix(p.a1, p.a2)
 
 
 # ---- JSON text format ------------------------------------------------------------

@@ -5,11 +5,11 @@ The problem solved is
     maximize t   subject to   G_k(x) - t I >= 0  for every constraint k,
                               |x_i| <= trust_radius,
 
-where G_k(x) = C_k + sum_i x_i A_ki (constraints declared negative-definite
-are negated first so everything reads "> 0"). Strict feasibility of the
-original system is equivalent to a positive optimal t; for homogeneous
-systems x = 0 always achieves t = 0, so "infeasible" here always means
-"no margin above the tolerance", never an empty domain.
+where G_k(x) = sum_i x_i A_ki (constraints declared negative-definite are
+negated first so everything reads "> 0"). Strict feasibility of the
+original system is equivalent to a positive optimal t; every constraint is
+homogeneous, so x = 0 always achieves t = 0, and "infeasible" here always
+means "no margin above the tolerance", never an empty domain.
 
 The barrier subproblem for weight mu,
 
@@ -80,6 +80,9 @@ class OuterRecord:
     # largest diagonal shift that made a Hessian of this round factorizable
     # (0.0 when every Hessian was positive definite as computed)
     max_regularization: float
+    # the last Newton decrement of this round's centering: below twice the
+    # Newton tolerance unless the round stalled or ran out of steps
+    newton_decrement: float
 
 
 @dataclass
@@ -130,7 +133,7 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
         norms = np.maximum(norms, np.sqrt(np.bincount(
             r, weights=lmi.coeffs.data ** 2, minlength=m)))
     factors = np.where(norms == 0.0, 1.0, norms)
-    lmis = [AffineLmi(l.name, l.sense, l.constant.copy(), scipy.sparse.csr_array(
+    lmis = [AffineLmi(l.name, l.sense, l.dim, scipy.sparse.csr_array(
                 (l.coeffs.data / factors[r], l.coeffs.indices, l.coeffs.indptr),
                 shape=l.coeffs.shape))
             for l, r in zip(sdp.lmis, rows)]
@@ -139,7 +142,7 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
 
 
 class _Block:
-    """One oriented constraint C + sum_i x_i A_i > 0, stored by support.
+    """One oriented constraint sum_i x_i A_i > 0, stored by support.
 
     ``active`` holds the variables with a nonzero coefficient; ``coeffs`` is
     their flattened A_i as CSR rows, in the same order. ``groups`` holds, per
@@ -151,10 +154,9 @@ class _Block:
     """
 
     def __init__(self, lmi: AffineLmi):
-        c, a = lmi.oriented()
+        a = lmi.coeffs if lmi.sense == "pd" else -lmi.coeffs
         self.name = lmi.name
-        self.dim = d = c.shape[0]
-        self.constant = (c + c.T) / 2.0
+        self.dim = d = lmi.dim
         # row and column support per variable, from the stored entries
         owner = _entry_rows(a)
         p, q = np.divmod(a.indices, d)
@@ -191,9 +193,8 @@ class _Block:
         self.coeffs_t = self.coeffs.T
 
     def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """C + sum_i x_i A_i - t I at the full variable vector x."""
-        s = self.constant + (self.coeffs_t @ x[self.active]).reshape(
-            self.dim, self.dim)
+        """sum_i x_i A_i - t I at the full variable vector x."""
+        s = (self.coeffs_t @ x[self.active]).reshape(self.dim, self.dim)
         s.flat[::self.dim + 1] -= t
         return s
 
@@ -270,9 +271,10 @@ def _grad_hess(blocks, chols, z, radius, m, mu):
 def _newton_center(blocks, z, radius, m, mu, chols):
     """Damped Newton minimization of the barrier subproblem.
 
-    Returns (z, steps, chols, stalled, max_reg): chols are the factors at the
-    returned z, stalled is True when a line search found no acceptable step,
-    and max_reg is the largest Hessian regularization used.
+    Returns (z, steps, chols, stalled, max_reg, decrement): chols are the
+    factors at the returned z, stalled is True when a line search found no
+    acceptable step, max_reg is the largest Hessian regularization used, and
+    decrement is the last Newton decrement computed.
     """
     steps = 0
     max_reg = 0.0
@@ -296,7 +298,7 @@ def _newton_center(blocks, z, radius, m, mu, chols):
         if not np.isfinite(decrement) or decrement < 0:
             raise NumericalError("Newton decrement is not finite")
         if decrement / 2.0 <= _NEWTON_TOLERANCE:
-            return z, steps, chols, False, max_reg
+            return z, steps, chols, False, max_reg, decrement
         f0 = _barrier_value(chols, z, radius, m, mu)
         alpha = 1.0
         accepted = False
@@ -313,8 +315,8 @@ def _newton_center(blocks, z, radius, m, mu, chols):
         steps += 1
         if not accepted:
             # stalled line search: treat the current point as centered enough
-            return z, steps, chols, True, max_reg
-    return z, steps, chols, False, max_reg
+            return z, steps, chols, True, max_reg, decrement
+    return z, steps, chols, False, max_reg, decrement
 
 
 def _min_eig(blocks, x):
@@ -359,7 +361,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             stalled = 0
             outer = 0
             while outer < cfg.max_outer_iters:
-                z, steps, chols, stall, max_reg = _newton_center(
+                z, steps, chols, stall, max_reg, decrement = _newton_center(
                     blocks, z, cfg.trust_radius, m, mu, chols)
                 total_steps += steps
                 stalled += stall
@@ -369,7 +371,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                     best_t, best_x = t_now, z[:m].copy()
                 trace.append(OuterRecord(outer, mu, t_now,
                                          _min_eig(blocks, z[:m]), steps,
-                                         max_reg))
+                                         max_reg, decrement))
                 if nu * mu <= gap_target:
                     break
                 mu *= _BARRIER_SHRINK

@@ -10,7 +10,7 @@ entry-by-entry oracle for that form.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,7 @@ import scipy.linalg
 from scipy.integrate import simpson
 
 from qvnn.errors import CoverageError, InputError, ShapeError, StructureError
-from qvnn.inequalities import RcInstance
-from qvnn.lkf import LyapunovTrace
+from qvnn.lkf import LyapunovTrace, window_quad
 from qvnn.lmi import (
     DIAG_NAMES,
     GENERAL_NAMES,
@@ -33,9 +32,10 @@ from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
+    definiteness,
+    hermitian_eigvals,
     mat_vec,
     qv_embed,
-    random_quat_matrix,
 )
 from qvnn.simulate import (
     _EDGE_SLACK,
@@ -191,11 +191,61 @@ def quadform(h: HermitianQuatMatrix, v: np.ndarray) -> float:
     return s.w
 
 
+def quat_identity(n: int) -> QuatMatrix:
+    """The n x n identity quaternion matrix."""
+    return QuatMatrix.from_real(np.eye(n))
+
+
+def random_quat_matrix(rng: np.random.Generator, rows: int, cols: int | None = None,
+                       scale: float = 1.0) -> QuatMatrix:
+    cols = rows if cols is None else cols
+    comps = rng.standard_normal((4, rows, cols)) * scale
+    return QuatMatrix.from_components(*comps)
+
+
 def random_hermitian(rng: np.random.Generator, n: int,
                      scale: float = 1.0) -> HermitianQuatMatrix:
+    """(G + G*) / 2 for a random G: Hermitian, of either sign."""
     g = random_quat_matrix(rng, n, n, scale)
     s = g + g.conj_transpose()
     return HermitianQuatMatrix(s.a1 * 0.5, s.a2 * 0.5)
+
+
+def random_hermitian_pd(rng: np.random.Generator, n: int,
+                        floor: float = 0.1) -> HermitianQuatMatrix:
+    """G G* + floor I for a random G: positive definite."""
+    g = random_quat_matrix(rng, n, n)
+    p = g @ g.conj_transpose() + quat_identity(n) * floor
+    return HermitianQuatMatrix(p.a1, p.a2)
+
+
+def spectral_norm(m: QuatMatrix) -> float:
+    """Largest singular value, computed on the complex embedding."""
+    if m.a1.size == 0:
+        return 0.0
+    return float(np.linalg.norm(m.complex_embed(), 2))
+
+
+def hermitian_sqrt(h: HermitianQuatMatrix) -> HermitianQuatMatrix:
+    """Principal square root of a positive semidefinite Hermitian quaternion matrix.
+
+    Computed on the complex embedding; the unique PSD root of the embedding is
+    itself the embedding of a quaternion matrix, so the pair can be read back
+    off the blocks.
+    """
+    n = h.rows
+    emb = h.complex_embed()
+    w, v = np.linalg.eigh(emb)
+    scale = max(1.0, float(abs(w[-1])))
+    if w[0] < -1e-10 * scale:
+        raise StructureError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    a1 = (root[:n, :n] + root[n:, n:].conj()) / 2.0
+    a2 = -(root[:n, n:] - root[n:, :n].conj()) / 2.0
+    out = HermitianQuatMatrix(a1, a2)
+    if np.max(np.abs(out.complex_embed() - root)) > 1e-8 * scale:
+        raise StructureError("square root does not round-trip through the embedding")
+    return out
 
 
 def brute_product(p: QuatMatrix, q: QuatMatrix) -> QuatMatrix:
@@ -441,19 +491,17 @@ def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
 
 
 def lmi_value(lmi: AffineLmi, x: np.ndarray) -> np.ndarray:
-    """The real matrix constant + sum_i x_i A_i of one lowered constraint."""
+    """The real matrix sum_i x_i A_i of one lowered constraint."""
     flat = lmi.coeffs.T @ np.asarray(x, dtype=float)
-    return lmi.constant + flat.reshape(lmi.dim, lmi.dim)
+    return flat.reshape(lmi.dim, lmi.dim)
 
 
-def _oriented(sdp: StandardSdp):
-    """(constant, coeffs) of every constraint, negated where it reads "< 0"."""
-    out = []
-    for lmi in sdp.lmis:
-        c, a = lmi.oriented()
-        out.append(((c + c.T) / 2.0,
-                    a.toarray().reshape(sdp.num_vars, lmi.dim, lmi.dim)))
-    return out
+def oriented_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
+    """The dense (num_vars, d, d) coefficient stack of every constraint,
+    negated where it reads "< 0"."""
+    sign = {"pd": 1.0, "nd": -1.0}
+    return [sign[lmi.sense] * lmi.coeffs.toarray().reshape(
+                sdp.num_vars, lmi.dim, lmi.dim) for lmi in sdp.lmis]
 
 
 def dense_grad_hess(sdp: StandardSdp, z: np.ndarray, radius: float, mu: float):
@@ -468,10 +516,10 @@ def dense_grad_hess(sdp: StandardSdp, z: np.ndarray, radius: float, mu: float):
     grad = np.zeros(nvar)
     hess = np.zeros((nvar, nvar))
     grad[m] -= 1.0 / mu
-    for c, a in _oriented(sdp):
-        d = c.shape[0]
+    for a in oriented_coeffs(sdp):
+        d = a.shape[1]
         a = np.concatenate([a, -np.eye(d)[None]], axis=0)
-        s = c + np.tensordot(z, a, axes=1)
+        s = np.tensordot(z, a, axes=1)
         w = scipy.linalg.cho_solve((np.linalg.cholesky(s), True), np.eye(d))
         prods = np.matmul(w[None, :, :], a)          # S^-1 A_i, batched
         grad -= np.trace(prods, axis1=1, axis2=2)
@@ -505,15 +553,12 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
     """
     if target_margin <= 0:
         raise InputError("target margin must be positive")
-    blocks = _oriented(sdp)
-    consts = [c for c, _ in blocks]
-    coeffs = [a for _, a in blocks]
+    coeffs = oriented_coeffs(sdp)
     m = sdp.num_vars
     if m == 0:
-        margin = min(float(np.linalg.eigvalsh(c)[0]) for c in consts)
-        return ProjectionResult(margin >= 0.5 * target_margin, np.zeros(0), margin, 0)
+        # with no variables every constraint is the zero matrix
+        return ProjectionResult(False, np.zeros(0), 0.0, 0)
     em = np.concatenate([a.reshape(m, -1) for a in coeffs], axis=1)   # (m, D)
-    cvec = np.concatenate([c.ravel() for c in consts])
     gram = em @ em.T
     # tiny ridge: zero-coefficient variables would otherwise make gram singular
     gram += 1e-12 * max(1.0, float(np.trace(gram)) / m) * np.eye(m)
@@ -523,22 +568,16 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
     margin = -np.inf
     for it in range(1, max_iters + 1):
         projected = []
-        for c, a in zip(consts, coeffs):
-            s = c + np.tensordot(x, a, axes=1)
-            w, v = np.linalg.eigh(s)
+        for a in coeffs:
+            w, v = np.linalg.eigh(np.tensordot(x, a, axes=1))
             projected.append((v * np.maximum(w, target_margin)) @ v.T)
         y = np.concatenate([p.ravel() for p in projected])
-        x = scipy.linalg.cho_solve(factor, em @ (y - cvec), check_finite=False)
+        x = scipy.linalg.cho_solve(factor, em @ y, check_finite=False)
         margin = min(float(np.linalg.eigvalsh(
-            c + np.tensordot(x, a, axes=1))[0]) for c, a in zip(consts, coeffs))
+            np.tensordot(x, a, axes=1))[0]) for a in coeffs)
         if margin >= 0.5 * target_margin:
             return ProjectionResult(True, x, margin, it)
     return ProjectionResult(False, x, margin, max_iters)
-
-
-# ---------------------------------------------------------------------------
-# Small helpers of the simulation, LKF and inequality tests.
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +748,174 @@ def serial_lkf_trace(traj, model: NetworkModel, dv: DecisionVars,
                                   for part in ("v1", "v2", "v3", "v4")))
 
 
+# ---------------------------------------------------------------------------
+# The two lemmas the criterion rests on, checked on random instances: the
+# quaternion Jensen inequality
+#
+#     (int omega)^* M (int omega)  <=  (b - a) * int omega^* M omega,
+#
+# and the reciprocally convex bound
+#
+#     min_{alpha in (0,1)} [ (1/alpha) xi* W1* P W1 xi
+#                            + (1/(1-alpha)) xi* W2* P W2 xi ]
+#         >=  (W1 xi, W2 xi)^* [[P, X], [X*, P]] (W1 xi, W2 xi),
+#
+# valid whenever the coupled block matrix is positive semidefinite. Both
+# oracles return gap = LHS-bound minus RHS (nonnegative up to float noise
+# when the hypotheses hold). The Jensen gap evaluates both sides with the
+# same Simpson weights (``lkf.window_quad`` over the path's whole span, the
+# rule of ``scipy.integrate.simpson``; every weight is positive), which makes
+# the discrete gap itself a Cauchy-Schwarz expression in the weighted
+# samples: nonnegativity then holds for the computed numbers, not just in
+# the continuum limit.
+# ---------------------------------------------------------------------------
+
+PSD_CHECK_TOL = 1e-10
+ALPHA_GRID_STEP = 1e-3
+
+
+@dataclass
+class VectorPath:
+    """Piecewise-linear quaternion n-vector path sampled on a uniform grid."""
+
+    a: float
+    b: float
+    samples: np.ndarray       # (num_samples, 2, n) complex pairs
+
+    def __post_init__(self):
+        self.samples = np.asarray(self.samples, dtype=complex)
+        if self.b <= self.a:
+            raise InputError("path interval must have b > a")
+        if self.samples.ndim != 3 or self.samples.shape[1] != 2:
+            raise InputError("path samples must be shaped (num_samples, 2, n)")
+        if len(self.samples) < 2:
+            raise InputError("a path needs at least two samples")
+        if not np.all(np.isfinite(self.samples)):
+            raise InputError("path samples must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.samples.shape[2]
+
+
+def jensen_gap(path: VectorPath, m: HermitianQuatMatrix) -> float:
+    """RHS - LHS of the integral inequality, by shared-weight Simpson sums."""
+    if m.rows != path.n:
+        raise InputError("matrix dimension does not match the path")
+    if definiteness(m).kind != "positive_definite":
+        raise InputError("the weight matrix must be positive definite")
+    emb = qv_embed(path.samples)
+    chi = m.complex_embed()
+    pointwise = np.einsum("si,ij,sj->s", np.conj(emb), chi, emb)
+    resid = float(np.max(np.abs(pointwise.imag)))
+    if resid > 1e-10 * max(1.0, float(np.max(np.abs(pointwise.real)))):
+        raise StructureError(f"quadratic form has imaginary residue {resid:.3e}")
+    times = np.linspace(path.a, path.b, len(path.samples))
+    rhs = (path.b - path.a) * float(window_quad(times, pointwise.real,
+                                                path.a, path.b)[0])
+    integral = window_quad(times, emb, path.a, path.b)[0]
+    lhs_c = np.conj(integral) @ chi @ integral
+    return rhs - float(lhs_c.real)
+
+
+def random_path(n: int, seed: int, num_samples: int = 101) -> VectorPath:
+    rng = np.random.default_rng(seed)
+    a = float(rng.uniform(-2.0, 1.0))
+    b = a + float(rng.uniform(0.2, 3.0))
+    parts = rng.uniform(-1.0, 1.0, size=(num_samples, 4, n))
+    samples = np.stack([parts[:, 0] + 1j * parts[:, 1],
+                        parts[:, 2] + 1j * parts[:, 3]], axis=1)
+    return VectorPath(a=a, b=b, samples=samples)
+
+
+@dataclass
+class RcInstance:
+    """One reciprocally-convex-inequality instance with PSD coupling."""
+
+    xi: np.ndarray            # (2, m) quaternion vector pair
+    w1: QuatMatrix            # n x m
+    w2: QuatMatrix            # n x m
+    p: HermitianQuatMatrix    # n x n, positive definite
+    x_coupling: QuatMatrix    # n x n
+    _coupling_eig: float = field(init=False, repr=False, default=0.0)
+
+    def __post_init__(self):
+        self.xi = np.asarray(self.xi, dtype=complex)
+        n = self.p.rows
+        if self.w1.shape != self.w2.shape or self.w1.rows != n:
+            raise InputError("W factors must both be n x m")
+        if self.x_coupling.shape != (n, n):
+            raise InputError("coupling must be n x n")
+        if self.xi.shape != (2, self.w1.cols):
+            raise InputError("xi must be a (2, m) pair")
+        block = _coupling_block(self.p, self.x_coupling)
+        eigs = hermitian_eigvals(block)
+        scale = max(1.0, float(np.max(np.abs(eigs))))
+        self._coupling_eig = float(eigs[0])
+        if self._coupling_eig < -PSD_CHECK_TOL * scale:
+            raise InputError("coupling block matrix is not positive "
+                             f"semidefinite (min eig {self._coupling_eig:.3e})")
+
+    def alpha_grid(self) -> np.ndarray:
+        return np.arange(ALPHA_GRID_STEP, 1.0 - ALPHA_GRID_STEP / 2.0,
+                         ALPHA_GRID_STEP)
+
+
+def _coupling_block(p: HermitianQuatMatrix, x: QuatMatrix) -> HermitianQuatMatrix:
+    """[[P, X], [X*, P]]."""
+    return assemble_blocks(2, p.rows, {(1, 1): p, (1, 2): x, (2, 2): p})
+
+
+def _form(p_chi: np.ndarray, vec_pair: np.ndarray) -> float:
+    emb = qv_embed(vec_pair)
+    val = np.conj(emb) @ p_chi @ emb
+    return float(val.real)
+
+
+def rc_gap(inst: RcInstance) -> float:
+    """min over the alpha grid of the split form, minus the coupled form."""
+    y1 = mat_vec(inst.w1, inst.xi)
+    y2 = mat_vec(inst.w2, inst.xi)
+    p_chi = inst.p.complex_embed()
+    q1 = _form(p_chi, y1)
+    q2 = _form(p_chi, y2)
+    alphas = inst.alpha_grid()
+    lhs = float(np.min(q1 / alphas + q2 / (1.0 - alphas)))
+    block_chi = _coupling_block(inst.p, inst.x_coupling).complex_embed()
+    stacked = qv_embed(np.concatenate([y1, y2], axis=1))
+    rhs = float((np.conj(stacked) @ block_chi @ stacked).real)
+    return lhs - rhs
+
+
+def random_rc_instance(n: int, m: int, seed: int,
+                       equality_case: bool = False) -> RcInstance:
+    """Schur-sampled instance: X = P^{1/2} K P^{1/2} with ||K|| <= 1 keeps the
+    coupling block positive semidefinite by construction."""
+    rng = np.random.default_rng(seed)
+    p = random_hermitian_pd(rng, n, floor=0.3)
+    if equality_case:
+        w1 = random_quat_matrix(rng, n, m)
+        w2 = w1
+        x = QuatMatrix(p.a1.copy(), p.a2.copy())
+    else:
+        w1 = random_quat_matrix(rng, n, m)
+        w2 = random_quat_matrix(rng, n, m)
+        k = random_quat_matrix(rng, n, n)
+        norm = spectral_norm(k)
+        shrink = float(rng.uniform(0.1, 0.999))
+        k = QuatMatrix(k.a1 * (shrink / norm), k.a2 * (shrink / norm))
+        root = hermitian_sqrt(p)
+        x = root @ k @ root
+    parts = rng.uniform(-1.0, 1.0, size=(4, m))
+    xi = np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
+    return RcInstance(xi=xi, w1=w1, w2=w2, p=p, x_coupling=x)
+
+
 def xi_convexity_violation(inst: RcInstance) -> float:
     """Most negative second difference of Xi(alpha) on the grid (>= 0 ideal)."""
     p_chi = inst.p.complex_embed()
-
-    def form(pair):
-        emb = qv_embed(pair)
-        return float((np.conj(emb) @ p_chi @ emb).real)
-
-    q1 = form(mat_vec(inst.w1, inst.xi))
-    q2 = form(mat_vec(inst.w2, inst.xi))
+    q1 = _form(p_chi, mat_vec(inst.w1, inst.xi))
+    q2 = _form(p_chi, mat_vec(inst.w2, inst.xi))
     vals = q1 / inst.alpha_grid() + q2 / (1.0 - inst.alpha_grid())
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     return float(np.min(second))

@@ -14,29 +14,23 @@ import scipy.sparse
 from conftest import FEASIBLE_RUNS, certified_solve
 from oracles import (
     Quaternion,
+    VectorPath,
     assemble_omega,
     brute_product,
     derivation_omega,
-    random_decision_vars,
-    random_model,
-)
-from qvnn.inequalities import (
-    VectorPath,
     jensen_gap,
+    random_decision_vars,
+    random_hermitian_pd,
+    random_model,
     random_path,
+    random_quat_matrix,
     random_rc_instance,
     rc_gap,
 )
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import omega_upper_blocks, verify_certificate
 from qvnn.lowering import AffineLmi, StandardSdp
-from qvnn.qmatrix import (
-    HermitianQuatMatrix,
-    definiteness,
-    hermitian_eigvals,
-    random_hermitian_pd,
-    random_quat_matrix,
-)
+from qvnn.qmatrix import HermitianQuatMatrix, definiteness, hermitian_eigvals
 from qvnn.sdp import SolverConfig, solve_feasibility
 from qvnn.simulate import convergence_metrics, integrate
 
@@ -243,9 +237,8 @@ def test_07_feasible_verdicts_reverify_and_conflicts_are_rejected(
             f"{0.5 * margin:.3e})")
 
     conflicting = StandardSdp(num_vars=1, lmis=[
-        AffineLmi("up", "pd", np.zeros((1, 1)), scipy.sparse.csr_array([[1.0]])),
-        AffineLmi("down", "pd", np.zeros((1, 1)),
-                  scipy.sparse.csr_array([[-1.0]])),
+        AffineLmi("up", "pd", 1, scipy.sparse.csr_array([[1.0]])),
+        AffineLmi("down", "pd", 1, scipy.sparse.csr_array([[-1.0]])),
     ])
     result = solve_feasibility(conflicting, SolverConfig(margin_tolerance=1e-6))
     assert result.status == "infeasible_at_tolerance", result.status

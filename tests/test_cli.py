@@ -71,10 +71,11 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
 
     header, rows = read_csv(diag)
     assert header == ["iteration", "barrier_weight", "t", "min_eig",
-                      "newton_steps", "max_regularization"]
+                      "newton_steps", "max_regularization", "newton_decrement"]
     assert len(rows) >= 1
     weights = [float(r[1]) for r in rows]
     assert all(a > b for a, b in zip(weights, weights[1:]))
+    assert all(float(r[6]) >= 0.0 for r in rows)
 
 
 def test_certify_reports_failure_honestly(capsys, reference_example_path):
@@ -172,11 +173,8 @@ def test_a_nonfinite_config_number_is_refused_at_load(tmp_path, capsys,
         assert not out_dir.exists()
 
 
-def test_diagnostics_csv_records_the_hessian_regularization(
-        tmp_path, capsys, monkeypatch, stable_example_path):
-    trace = [OuterRecord(1, 0.5, -0.25, -0.25, 7, 2.5e-11),
-             OuterRecord(2, 0.125, -0.125, -0.125, 3, 0.0)]
-
+def diagnostics_of(trace, tmp_path, capsys, monkeypatch, config_path):
+    """The diagnostics CSV that certify writes for a stubbed solver trace."""
     def recorded(sdp, config):
         return FeasibilityResult(
             status="infeasible_at_tolerance", margin=-0.125, x=None,
@@ -185,13 +183,49 @@ def test_diagnostics_csv_records_the_hessian_regularization(
 
     monkeypatch.setattr(qvnn.cli, "solve_feasibility", recorded)
     diag = tmp_path / "diag.csv"
-    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+    code, _, _ = run_cli(capsys, "certify", str(config_path),
                          "--diagnostics", str(diag), "--json")
     assert code == 1
-    header, rows = read_csv(diag)
-    assert header[-2:] == ["newton_steps", "max_regularization"]
-    assert [r[-2:] for r in rows] == [["7", "2.500000e-11"],
-                                      ["3", "0.000000e+00"]]
+    return read_csv(diag)
+
+
+def test_diagnostics_csv_records_the_hessian_regularization(
+        tmp_path, capsys, monkeypatch, stable_example_path):
+    trace = [OuterRecord(1, 0.5, -0.25, -0.25, 7, 2.5e-11, 0.0),
+             OuterRecord(2, 0.125, -0.125, -0.125, 3, 0.0, 0.0)]
+    header, rows = diagnostics_of(trace, tmp_path, capsys, monkeypatch,
+                                  stable_example_path)
+    assert header[-3:-1] == ["newton_steps", "max_regularization"]
+    assert [r[-3:-1] for r in rows] == [["7", "2.500000e-11"],
+                                        ["3", "0.000000e+00"]]
+
+
+def test_diagnostics_csv_records_the_newton_decrement(
+        tmp_path, capsys, monkeypatch, stable_example_path):
+    trace = [OuterRecord(1, 0.5, -0.25, -0.25, 7, 0.0, 1.5e-9),
+             OuterRecord(2, 0.125, -0.125, -0.125, 3, 0.0, 3.25e-12)]
+    header, rows = diagnostics_of(trace, tmp_path, capsys, monkeypatch,
+                                  stable_example_path)
+    assert header[-1] == "newton_decrement"
+    assert [r[-1] for r in rows] == ["1.500000e-09", "3.250000e-12"]
+
+
+@pytest.mark.parametrize("command", ["certify", "margin"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_a_margin_tolerance_that_cannot_be_met_is_refused(
+        capsys, monkeypatch, stable_example_path, command, tol):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the config was read before the flags")
+
+    monkeypatch.setattr(qvnn.cli, "load_model", no_work)
+    monkeypatch.setattr(qvnn.cli, "solve_feasibility", no_work)
+    bracket = (["--param", "delta", "--bracket", "0.01,0.1"]
+               if command == "margin" else [])
+    code, out, err = run_cli(capsys, command, str(stable_example_path),
+                             *bracket, "--margin-tol", tol, "--json")
+    assert code == 2
+    assert out == ""
+    assert "--margin-tol must be positive and finite" in err
 
 
 def test_certify_text_output_summarizes_the_run(capsys, stable_example_path):
@@ -286,6 +320,27 @@ def test_simulate_rejects_bad_numerics(tmp_path, capsys, stable_example_path):
                            "--out-dir", str(tmp_path / "x"))
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "nan"), ("--step", "inf"), ("--step", "0"),
+    ("--horizon", "nan"), ("--horizon", "inf"), ("--horizon", "-1"),
+    ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "0"),
+])
+def test_simulate_refuses_a_number_that_is_not_positive_and_finite(
+        tmp_path, capsys, monkeypatch, stable_example_path, flag, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the config was read before the flags")
+
+    monkeypatch.setattr(qvnn.cli, "load_model", no_work)
+    monkeypatch.setattr(qvnn.cli, "integrate", no_work)
+    out_dir = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             flag, value, "--out-dir", str(out_dir), "--json")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be positive and finite" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--lkf-stride"])
@@ -438,28 +493,18 @@ def test_margin_refuses_a_tolerance_bisection_cannot_reach(
     assert "--tol must be positive" in err
 
 
-# ---- oracles ---------------------------------------------------------------------
+# ---- parser ----------------------------------------------------------------------
 
 
-def test_oracles_subcommand_is_deterministic(capsys):
-    code1, out1, _ = run_cli(capsys, "oracles", "--count", "12", "--json")
-    code2, out2, _ = run_cli(capsys, "oracles", "--count", "12", "--json")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    report = json.loads(out1)
-    assert report["all_nonnegative"] is True
-    assert report["jensen"]["count"] == 12
-    assert report["reciprocal_convexity"]["count"] == 12
-    assert report["jensen"]["min"] >= -1e-9
-    assert report["reciprocal_convexity"]["min"] >= -1e-9
-
-
-def test_oracles_with_no_samples_is_vacuously_clean(capsys):
-    code, out, _ = run_cli(capsys, "oracles", "--count", "0", "--json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["jensen"] == {"count": 0}
-    assert report["all_nonnegative"] is True
+def test_the_subcommands_are_certify_simulate_and_margin(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert "{certify,simulate,margin}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as done:
+        main(["oracles"])
+    assert done.value.code == 2
+    assert "invalid choice: 'oracles'" in capsys.readouterr().err
 
 
 def test_importing_the_cli_loads_no_heavy_scipy_subpackage():

@@ -4,24 +4,20 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from oracles import quat_zeros, xi_convexity_violation
-from qvnn.errors import InputError
-from qvnn.inequalities import (
+from oracles import (
     RcInstance,
     VectorPath,
     jensen_gap,
+    quat_identity,
+    quat_zeros,
+    random_hermitian_pd,
     random_path,
     random_rc_instance,
     rc_gap,
+    xi_convexity_violation,
 )
-from qvnn.qmatrix import (
-    HermitianQuatMatrix,
-    QuatMatrix,
-    mat_vec,
-    qv_embed,
-    random_hermitian_pd,
-    random_quat_matrix,
-)
+from qvnn.errors import InputError
+from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, mat_vec, qv_embed
 
 
 def identity_weight(n=1):
@@ -159,7 +155,7 @@ def test_alpha_grid_spans_the_open_interval():
 def test_oversized_coupling_is_rejected():
     p = identity_weight(2)
     big = QuatMatrix.from_real(3.0 * np.eye(2))
-    w = QuatMatrix.identity(2)
+    w = quat_identity(2)
     xi = np.zeros((2, 2), dtype=complex)
     with pytest.raises(InputError):
         RcInstance(xi=xi, w1=w, w2=w, p=p, x_coupling=big)
@@ -168,13 +164,13 @@ def test_oversized_coupling_is_rejected():
 def test_rc_instance_shape_validation():
     p = identity_weight(2)
     x = quat_zeros(2)
-    w = QuatMatrix.identity(2)
+    w = quat_identity(2)
     with pytest.raises(InputError):
         RcInstance(xi=np.zeros((2, 3), dtype=complex), w1=w, w2=w,
                    p=p, x_coupling=x)
     with pytest.raises(InputError):
         RcInstance(xi=np.zeros((2, 2), dtype=complex), w1=w,
-                   w2=QuatMatrix.identity(3), p=p, x_coupling=x)
+                   w2=quat_identity(3), p=p, x_coupling=x)
     with pytest.raises(InputError):
         RcInstance(xi=np.zeros((2, 2), dtype=complex), w1=w, w2=w,
                    p=p, x_coupling=quat_zeros(3))
@@ -218,7 +214,7 @@ def test_quaternion_matvec_consistency_inside_rc():
     inst = random_rc_instance(n=2, m=3, seed=7)
     y1 = mat_vec(inst.w1, inst.xi)
     y2 = mat_vec(inst.w2, inst.xi)
-    eye_m = QuatMatrix.identity(2)
+    eye_m = quat_identity(2)
     direct = RcInstance(xi=np.zeros((2, 2), dtype=complex), w1=eye_m,
                         w2=eye_m, p=inst.p, x_coupling=inst.x_coupling)
     # re-posed with the images as two fresh xi vectors through identity W:

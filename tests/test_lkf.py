@@ -9,6 +9,7 @@ from oracles import (
     grid_quad as scalar_quad,
     quadform,
     random_decision_vars,
+    random_hermitian_pd,
     random_model,
     serial_lkf_trace,
 )
@@ -17,7 +18,7 @@ from qvnn.errors import CoverageError, InputError
 from qvnn.lkf import LyapunovTrace, lkf_trace, window_quad
 from qvnn.lmi import HERMITIAN_NAMES
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import QuatMatrix, random_hermitian_pd
+from qvnn.qmatrix import QuatMatrix
 from qvnn.simulate import Trajectory, activation, equilibrium_shift, integrate
 
 

@@ -11,7 +11,9 @@ from oracles import (
     assemble_omega,
     derivation_omega,
     part_labels,
+    quat_identity,
     random_decision_vars,
+    random_hermitian_pd,
     random_model,
     real_parts,
     scaled,
@@ -31,7 +33,7 @@ from qvnn.lmi import (
     verify_certificate,
 )
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, random_hermitian_pd
+from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix
 
 
 def unit_model():
@@ -214,7 +216,7 @@ def test_coupling_assembly():
 
 
 def test_assemble_blocks_validates_placement():
-    blk = QuatMatrix.identity(2)
+    blk = quat_identity(2)
     with pytest.raises(ShapeError):
         assemble_blocks(3, 2, {(2, 1): blk})  # below the diagonal
     with pytest.raises(ShapeError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qvnn.lowering
+import qvnn.sdp
 from oracles import lmi_value, part_labels, random_model, unit_images
 from qvnn.lmi import DecisionVars, quat_constraints
 from qvnn.lowering import build_sdp
@@ -26,7 +27,6 @@ def test_sdp_shape(small_system):
     model, sdp = small_system
     assert sdp.num_vars == DecisionVars.num_scalars(model.n) == 30
     assert len(sdp.lmis) == 17
-    assert all(not lmi.constant.any() for lmi in sdp.lmis)
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     # real dimension = 4 quaternion rows per block row
     assert by_name["omega"].dim == 44 * model.n
@@ -89,8 +89,8 @@ def test_orientation_flips_only_negative_senses(small_system):
     _, sdp = small_system
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     for lmi in sdp.lmis:
-        const, coeffs = lmi.oriented()
-        oriented_value = const + (coeffs.T @ x).reshape(lmi.dim, lmi.dim)
+        # the solver orients each constraint as it stores it
+        oriented_value = qvnn.sdp._Block(lmi).evaluate(x)
         plain_value = lmi_value(lmi, x)
         sign = 1.0 if lmi.sense == "pd" else -1.0
         np.testing.assert_allclose(oriented_value, sign * plain_value, atol=0.0)

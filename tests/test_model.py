@@ -5,17 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from oracles import quat_identity
 from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel, config_hash, load_model
-from qvnn.qmatrix import QuatMatrix
 
 
 def small_model(**overrides):
     base = dict(
         n=2,
         c_diag=np.array([1.0, 2.0]),
-        a_mat=QuatMatrix.identity(2),
-        b_mat=QuatMatrix.identity(2),
+        a_mat=quat_identity(2),
+        b_mat=quat_identity(2),
         delta=0.1,
         d1_bound=0.5,
         d2_bound=0.2,
@@ -108,7 +108,7 @@ def test_model_rejects_bad_shapes_and_signs():
     with pytest.raises(InputError):
         small_model(gamma_diag=np.array([0.5, 0.0]))
     with pytest.raises(InputError):
-        small_model(a_mat=QuatMatrix.identity(3))
+        small_model(a_mat=quat_identity(3))
     with pytest.raises(InputError):
         small_model(delta=-0.1)
     with pytest.raises(InputError):

@@ -11,6 +11,7 @@ from oracles import (
     alternating_projection_oracle,
     dense_grad_hess,
     lmi_value,
+    oriented_coeffs,
     random_model,
 )
 from qvnn.errors import InputError, NumericalError
@@ -18,52 +19,52 @@ from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 
-def toy_lmi(name, constant, coeffs):
-    """A "> 0" constraint from its constant and its stack of A_i, stored CSR."""
-    return AffineLmi(name, "pd", constant,
+def toy_lmi(name, coeffs):
+    """A "> 0" constraint from its stack of A_i, stored CSR."""
+    return AffineLmi(name, "pd", coeffs.shape[1],
                      scipy.sparse.csr_array(coeffs.reshape(len(coeffs), -1)))
 
 
 def interval_toy():
-    """One variable, constraint diag(x - 1, 3 - x) > 0: best margin 1 at x = 2."""
-    constant = np.diag([-1.0, 3.0])
-    coeffs = np.diag([1.0, -1.0])[None]
-    return StandardSdp(num_vars=1, lmis=[toy_lmi("interval", constant, coeffs)])
+    """Two variables (x, s), constraint diag(x - s, 3s - x) > 0: the ratio
+    x / s lies in the interval (1, 3). In the box |x|, |s| <= R the best
+    margin is R / 2, at (x, s) = (R, R / 2)."""
+    coeffs = np.stack([np.diag([1.0, -1.0]), np.diag([-1.0, 3.0])])
+    return StandardSdp(num_vars=2, lmis=[toy_lmi("interval", coeffs)])
 
 
-# the interval optimum sits at x = 2, so give the box room beyond the default
+# the interval optimum R / 2 at (R, R / 2) grows with the box: margin 4 at (8, 4)
 WIDE = SolverConfig(trust_radius=8.0)
 
 
 def ray_toy():
-    """One homogeneous constraint x I > 0; the trust region caps the margin."""
+    """One constraint x I > 0; the trust region caps the margin."""
     coeffs = np.eye(2)[None]
-    return StandardSdp(num_vars=1, lmis=[toy_lmi("ray", np.zeros((2, 2)), coeffs)])
+    return StandardSdp(num_vars=1, lmis=[toy_lmi("ray", coeffs)])
 
 
 def opposing_toy():
     """x > 0 and -x > 0 cannot hold together; margin must collapse to ~0."""
     one = np.ones((1, 1))
     return StandardSdp(num_vars=1, lmis=[
-        toy_lmi("up", np.zeros((1, 1)), one[None]),
-        toy_lmi("down", np.zeros((1, 1)), -one[None]),
+        toy_lmi("up", one[None]),
+        toy_lmi("down", -one[None]),
     ])
 
 
 def three_scale_toy():
     """Three variables of very different scales; the third is in no block."""
     coeffs = np.stack([100.0 * np.eye(2), 0.01 * np.eye(2), np.zeros((2, 2))])
-    return StandardSdp(num_vars=3, lmis=[
-        toy_lmi("a", np.zeros((2, 2)), coeffs),
-    ])
+    return StandardSdp(num_vars=3, lmis=[toy_lmi("a", coeffs)])
 
 
 def test_interval_toy_finds_the_analytic_center():
     result = solve_feasibility(interval_toy(), WIDE)
     assert result.status == "feasible"
-    assert result.margin == pytest.approx(1.0, abs=1e-6)
-    assert result.x[0] == pytest.approx(2.0, abs=1e-3)
-    assert result.per_constraint_min_eig["interval"] == pytest.approx(1.0,
+    assert result.margin == pytest.approx(4.0, abs=1e-6)
+    assert result.x[0] == pytest.approx(8.0, abs=1e-3)
+    assert result.x[1] == pytest.approx(4.0, abs=1e-3)
+    assert result.per_constraint_min_eig["interval"] == pytest.approx(4.0,
                                                                       abs=1e-6)
 
 
@@ -84,7 +85,7 @@ def test_opposing_constraints_are_infeasible():
 
 def test_non_symmetric_coefficients_rejected():
     coeffs = np.array([[[0.0, 1.0], [0.0, 0.0]]])
-    bad = StandardSdp(num_vars=1, lmis=[toy_lmi("skew", np.zeros((2, 2)), coeffs)])
+    bad = StandardSdp(num_vars=1, lmis=[toy_lmi("skew", coeffs)])
     with pytest.raises(InputError):
         solve_feasibility(bad)
 
@@ -191,8 +192,8 @@ def assert_structured_matches_dense(sdp, seed, radius=1.0):
     m = sdp.num_vars
     for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
         x = 0.1 * radius * rng.uniform(-1.0, 1.0, size=m)
-        t = min(float(np.linalg.eigvalsh(c + (a.T @ x).reshape(c.shape))[0])
-                for c, a in (lmi.oriented() for lmi in sdp.lmis)) - gap
+        t = min(float(np.linalg.eigvalsh(np.tensordot(x, a, axes=1))[0])
+                for a in oriented_coeffs(sdp)) - gap
         z = np.append(x, t)
         chols = qvnn.sdp._in_domain(blocks, z, radius, m)
         assert chols is not None
@@ -214,15 +215,19 @@ def test_structured_derivatives_match_dense_on_random_models(n):
     assert_structured_matches_dense(scaled, seed=n)
 
 
-@pytest.mark.parametrize("toy, inhomogeneous, radius", [
+@pytest.mark.parametrize("toy, indefinite, radius", [
     (interval_toy, True, 8.0),
     (ray_toy, False, 1.0),
     (opposing_toy, False, 1.0),
     (three_scale_toy, False, 1.0),
 ])
-def test_structured_derivatives_match_dense_on_toys(toy, inhomogeneous, radius):
+def test_structured_derivatives_match_dense_on_toys(toy, indefinite, radius):
+    # only the interval toy has a coefficient of both signs, as the
+    # criterion's blocks do
     sdp = toy()
-    assert any(np.any(lmi.constant) for lmi in sdp.lmis) == inhomogeneous
+    assert any(eigs[0] < 0.0 < eigs[-1]
+               for a in oriented_coeffs(sdp)
+               for eigs in np.linalg.eigvalsh(a)) == indefinite
     assert_structured_matches_dense(sdp, seed=7, radius=radius)
 
 
@@ -250,7 +255,7 @@ def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     result = solve_feasibility(interval_toy(), WIDE)
     assert result.status == "feasible"
-    assert result.margin == pytest.approx(1.0, abs=1e-6)
+    assert result.margin == pytest.approx(4.0, abs=1e-6)
 
 
 # ---- run record ------------------------------------------------------------------
