@@ -2,8 +2,8 @@
 
 The package assembles the delay-dependent stability criterion of a
 quaternion-valued network with leakage delay and two additive time-varying
-delays as quaternion linear matrix inequalities, lowers them to a real
-semidefinite feasibility problem, solves it with an in-repo barrier/Newton
+delays as quaternion linear matrix inequalities, lowers them to the complex
+LMIs of their complex embedding, solves those with an in-repo barrier/Newton
 method, and cross-validates certificates by direct delay-differential
 simulation and Lyapunov-Krasovskii functional evaluation.
 """
@@ -14,7 +14,6 @@ from .qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
     definiteness,
-    real_embed,
 )
 from .model import DelaySpec, NetworkModel
 
@@ -22,7 +21,6 @@ __all__ = [
     "QuatMatrix",
     "HermitianQuatMatrix",
     "definiteness",
-    "real_embed",
     "DelaySpec",
     "NetworkModel",
     "__version__",

@@ -271,11 +271,12 @@ def cmd_simulate(args) -> int:
         # states, metrics and the functional are taken about the rest point
         model = equilibrium_shift(model)
     started = _now()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = range(args.seed, args.seed + args.seeds)
     trajs = integrate(model, [_start_for_seed(model, seed, args.zero_history)
                               for seed in seeds], args.horizon, args.step)
+    # made only once the grid is integrated, so a refused run leaves no files
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     entries = [_run_entry(seed, traj, args) for seed, traj in zip(seeds, trajs)]
 
     outputs: list[str] = []
@@ -379,9 +380,7 @@ def _probe(doc: dict, param: str, value: float, margin_tol: float,
 
 def cmd_margin(args) -> int:
     # a bracket one ulp wide never gets narrower, so bisection needs tol > 0
-    if not args.tol > 0.0:
-        raise QvnnError(f"--tol must be positive, got {args.tol:g}")
-    _require_positive(("--margin-tol", args.margin_tol))
+    _require_positive(("--tol", args.tol), ("--margin-tol", args.margin_tol))
     _model, doc = load_model(args.config)
     try:
         lo_text, hi_text = args.bracket.split(",")

@@ -168,7 +168,7 @@ class DecisionVars:
             if value.shape != expected:
                 raise InputError(f"certificate field {name} has shape "
                                  f"{value.shape}, expected {expected}")
-        herms = {name: HermitianQuatMatrix.from_quat(mats[name])
+        herms = {name: HermitianQuatMatrix(mats[name].a1, mats[name].a2)
                  for name in HERMITIAN_NAMES}
         return cls(**diags, **herms, **{name: mats[name] for name in GENERAL_NAMES})
 
@@ -312,8 +312,8 @@ def verify_certificate(model: NetworkModel, dv: DecisionVars,
                        margin: float) -> CertificateReport:
     """Independent quaternion-level check that dv satisfies every strict LMI.
 
-    Eigenvalues come from the real embedding of each assembled constraint; the
-    certificate is valid iff every strictness margin reaches ``margin``.
+    Eigenvalues come from the complex embedding of each assembled constraint;
+    the certificate is valid iff every strictness margin reaches ``margin``.
     """
     scores = []
     for con in quat_constraints(model, dv):

@@ -1,26 +1,24 @@
-"""Lowering quaternion LMIs to a real semidefinite feasibility problem.
+"""Lowering quaternion LMIs to the paper's complex LMIs (CVLMIs).
 
 Every constraint of the criterion is linear in the flat decision vector, so
 its coefficients are read off exactly from its authored blocks at unit
 vectors, all evaluated by one batched call of ``quat_constraints``. A
 constraint of N quaternion rows (``num_blocks`` blocks of side n) becomes
-a real symmetric matrix of side 4N: the complex embedding chi (size
-doubles, Hermitian-ness and definiteness preserved) followed by the
-real embedding of a complex Hermitian matrix (size doubles again, spectrum
-preserved with doubled multiplicity). Both embeddings act entry by entry, so
-they are applied per block, and the full quaternion matrix is never formed:
-a nonzero block B at block row b, column b' enters as its real image
+its complex image chi, a Hermitian matrix of side 2N that is definite
+exactly when the quaternion matrix is. chi acts entry by entry, so it is
+applied per block and the full quaternion matrix is never formed: a nonzero
+block B at block row b, column b' enters as
 
-    [[Re chi(B), -Im chi(B)], [Im chi(B), Re chi(B)]],
     chi(B) = [[B1, -B2], [conj(B2), conj(B1)]],
 
-whose local row c n + r (c = 0..3) is the global row c N + (b - 1) n + r,
-and off the diagonal also as its transpose at (b', b). Diagonal blocks are
-symmetrized first, exactly as ``assemble_blocks`` does. Each constraint's
-coefficients are stored as one CSR matrix with a row per variable and a
-column per entry of the row-major real matrix; only nonzero entries are kept.
-The criterion is homogeneous (``build_sdp`` refuses it otherwise), so a
-lowered constraint is sum_i x_i A_i with no constant term.
+whose local row c n + r (c = 0, 1) is the global row c N + (b - 1) n + r,
+and off the diagonal also as its conjugate transpose at (b', b). Diagonal
+blocks are symmetrized first, exactly as ``assemble_blocks`` does. Each
+constraint's coefficients are stored as one complex CSR matrix with a row
+per variable and a column per entry of the row-major Hermitian matrix; only
+nonzero entries are kept. The criterion is homogeneous (``build_sdp``
+refuses it otherwise), so a lowered constraint is sum_i x_i A_i with no
+constant term.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from .qmatrix import QuatMatrix, hermitian_part
 
 @dataclass
 class AffineLmi:
-    """Real symmetric constraint  sum_i x_i A_i  of side ``dim`` (sense 'pd':
-    > 0, 'nd': < 0). Row i of ``coeffs`` is A_i flattened row-major."""
+    """Complex Hermitian constraint  sum_i x_i A_i  of side ``dim`` (sense
+    'pd': > 0, 'nd': < 0). Row i of ``coeffs`` is A_i flattened row-major."""
 
     name: str
     sense: str
@@ -63,18 +61,12 @@ class StandardSdp:
                                  f"{(self.num_vars, lmi.dim * lmi.dim)}")
 
 
-def _real_images(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """Real images of the quaternion blocks a1 + a2 j, stacked on axis 0."""
-    chi = QuatMatrix(a1, a2).complex_embed()
-    return np.block([[chi.real, -chi.imag], [chi.imag, chi.real]])
-
-
 def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
-    """One constraint's real form from its blocks at the unit vectors: batch
+    """One constraint's complex form from its blocks at the unit vectors: batch
     row i + 1 of every block is its value at unit vector i, and the
     variables where a block is zero are dropped."""
     rows = con.num_blocks * n
-    d = 4 * rows
+    d = 2 * rows
     hot = {k: np.flatnonzero(blk.a1[1:].any(axis=(1, 2)) | blk.a2[1:].any(axis=(1, 2)))
            for k, blk in con.blocks.items()}
     var = np.concatenate(list(hot.values()))
@@ -83,16 +75,16 @@ def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
     a2 = np.concatenate([con.blocks[k].a2[h + 1] for k, h in hot.items()])
     diag = key[:, 0] == key[:, 1]
     a1[diag], a2[diag] = hermitian_part(a1[diag], a2[diag])
-    images = _real_images(a1, a2)
+    images = QuatMatrix(a1, a2).complex_embed()
     k, p, q = np.nonzero(images)
-    # global real index of each block's local rows c n + r, per block row
-    local = (np.arange(4)[:, None] * rows + np.arange(n)).ravel()
+    # global index of each block's local rows c n + r, per block row
+    local = (np.arange(2)[:, None] * rows + np.arange(n)).ravel()
     at_row = (key[k, 0] - 1) * n + local[p]
     at_col = (key[k, 1] - 1) * n + local[q]
     vals = images[k, p, q]
-    off = ~diag[k]                                   # mirrored as transposes
+    off = ~diag[k]                         # mirrored as conjugate transposes
     coeffs = scipy.sparse.csr_array(
-        (np.concatenate([vals, vals[off]]),
+        (np.concatenate([vals, vals[off].conj()]),
          (np.concatenate([var[k], var[k][off]]),
           np.concatenate([at_row * d + at_col, at_col[off] * d + at_row[off]]))),
         shape=(num_vars, d * d))
@@ -100,7 +92,7 @@ def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:
-    """Model -> real standard-form SDP from one batched evaluation of the
+    """Model -> complex standard-form SDP from one batched evaluation of the
     criterion: batch row 0 is the zero vector, rows 1.. the unit vectors."""
     n = model.n
     num = DecisionVars.num_scalars(n)

@@ -1,4 +1,4 @@
-"""Quaternion matrices stored as complex pairs, plus the embedding tool chain.
+"""Quaternion matrices stored as complex pairs, and their complex embedding.
 
 A quaternion matrix A = W + X i + Y j + Z k is kept as the ordered pair of
 complex matrices (A1, A2) with A = A1 + A2 j, A1 = W + X i, A2 = Y + Z i.
@@ -12,9 +12,10 @@ and a square A embeds into a complex matrix of twice the size,
     chi(A) = [[A1, -A2], [conj(A2), conj(A1)]],
 
 which is multiplicative and *-preserving, so Hermitian-ness and eigenvalue
-signs transfer. A complex Hermitian H = S + i T embeds again into the real
-symmetric [[S, -T], [T, S]]. Definiteness of a Hermitian quaternion matrix is
-*defined* through these two embeddings; that definition is cross-checked
+signs transfer: each eigenvalue of a Hermitian quaternion matrix appears
+twice in the spectrum of its image (Zhang, "Quaternions and matrices of
+quaternions", LAA 251 (1997)). Definiteness of a Hermitian quaternion matrix
+is *defined* through this embedding; that definition is cross-checked
 against quadratic-form signs in the test suite.
 
 A QuatMatrix may carry leading batch axes: a1 and a2 of shape (..., r, c)
@@ -117,13 +118,11 @@ class QuatMatrix:
         return QuatMatrix(self.a1 @ b1 - self.a2 @ np.conj(b2),
                           self.a1 @ b2 + self.a2 @ np.conj(b1))
 
-    def conj_transpose(self) -> "QuatMatrix":
-        return QuatMatrix(np.swapaxes(self.a1, -1, -2).conj(),
-                          -np.swapaxes(self.a2, -1, -2))
-
     @property
     def H(self) -> "QuatMatrix":
-        return self.conj_transpose()
+        """The conjugate transpose A* = A1^H - A2^T j."""
+        return QuatMatrix(np.swapaxes(self.a1, -1, -2).conj(),
+                          -np.swapaxes(self.a2, -1, -2))
 
     def scale_rows(self, d: np.ndarray) -> "QuatMatrix":
         """Left-multiply by a real diagonal matrix given as a vector."""
@@ -174,10 +173,6 @@ class HermitianQuatMatrix(QuatMatrix):
                 f"{HERMITIAN_REPAIR_TOL * scale:.3e}")
         self.a1, self.a2 = hermitian_part(self.a1, self.a2)
 
-    @classmethod
-    def from_quat(cls, m: QuatMatrix) -> "HermitianQuatMatrix":
-        return cls(m.a1, m.a2)
-
 
 def hermitian_part(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A + A*) / 2 of A = a1 + a2 j, on the last two axes.
@@ -196,29 +191,12 @@ def real_diag(d: np.ndarray) -> QuatMatrix:
                                          d[..., None], 0.0))
 
 
-# ---- embeddings and spectra ---------------------------------------------------
-
-
-def real_embed(h: np.ndarray, tol: float = HERMITIAN_REPAIR_TOL) -> np.ndarray:
-    """Embed a complex Hermitian matrix S + iT as the real symmetric [[S,-T],[T,S]].
-
-    The spectrum is preserved with doubled multiplicities. Non-Hermitian input
-    beyond ``tol`` (relative) is a precondition failure.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError("real_embed needs a square matrix")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 0.0)
-    if np.max(np.abs(h - h.conj().T)) > tol * scale:
-        raise StructureError("real_embed input is not Hermitian within tolerance")
-    s = (h.real + h.real.T) / 2.0
-    t = (h.imag - h.imag.T) / 2.0
-    return np.block([[s, -t], [t, s]])
+# ---- spectra ------------------------------------------------------------------
 
 
 def hermitian_eigvals(h: HermitianQuatMatrix) -> np.ndarray:
-    """Sorted eigenvalues of the real embedding (each quaternion eigenvalue x4)."""
-    return np.linalg.eigvalsh(real_embed(h.complex_embed()))
+    """Sorted eigenvalues of the complex embedding (each quaternion eigenvalue x2)."""
+    return np.linalg.eigvalsh(h.complex_embed())
 
 
 @dataclass(frozen=True)
@@ -229,7 +207,7 @@ class DefinitenessReport:
 
 
 def definiteness(h: HermitianQuatMatrix) -> DefinitenessReport:
-    """Classify a Hermitian quaternion matrix through the real embedding."""
+    """Classify a Hermitian quaternion matrix through the complex embedding."""
     eigs = hermitian_eigvals(h)
     lo, hi = float(eigs[0]), float(eigs[-1])
     tol = DEFINITENESS_TOL * max(1.0, abs(lo), abs(hi))

@@ -5,15 +5,16 @@ The problem solved is
     maximize t   subject to   G_k(x) - t I >= 0  for every constraint k,
                               |x_i| <= trust_radius,
 
-where G_k(x) = sum_i x_i A_ki (constraints declared negative-definite are
-negated first so everything reads "> 0"). Strict feasibility of the
-original system is equivalent to a positive optimal t; every constraint is
-homogeneous, so x = 0 always achieves t = 0, and "infeasible" here always
-means "no margin above the tolerance", never an empty domain.
+where G_k(x) = sum_i x_i A_ki is complex Hermitian (constraints declared
+negative-definite are negated first so everything reads "> 0"). Strict
+feasibility of the original system is equivalent to a positive optimal t;
+every constraint is homogeneous, so x = 0 always achieves t = 0, and
+"infeasible" here always means "no margin above the tolerance", never an
+empty domain.
 
 The barrier subproblem for weight mu,
 
-    minimize  -t/mu - sum_k log det(G_k(x) - t I)
+    minimize  -t/mu - sum_k 2 log det(G_k(x) - t I)
               - sum_i [log(R - x_i) + log(R + x_i)],
 
 is centered by damped Newton steps; mu shrinks geometrically. The box term
@@ -22,18 +23,24 @@ pins the scale of the otherwise homogeneous problem. The classical barrier
 bound gives  t_opt - t(mu) <= nu * mu  with nu the total cone dimension, so
 the outer loop stops once nu * mu is far below the margin tolerance.
 
+Each block is the complex image chi of a quaternion constraint, and its
+log det counts twice: the real symmetric image [[Re G, -Im G], [Im G, Re G]]
+has every eigenvalue of G twice, so its log det is 2 log det G, and this
+weighting keeps the barrier, its central path and nu = sum_k 2 dim_k + 2m
+those of the real form.
+
 Each Newton step works from the sparsity of the coefficients, in the spirit
 of the F1-F3 Schur-complement formulas of Fujisawa, Kojima & Nakata (Math.
-Prog. 79, 1997). With W = (G_k - t I)^-1, taken from the Cholesky factor the
-line search accepted, the block adds
+Prog. 79, 1997). With W = (G_k - t I)^-1 = L^-H L^-1, from the Cholesky
+factor L the line search accepted, the block adds
 
-    grad_i = -<W, A_i>,   H_ij = <S_i, A_j>,   S_i = W A_i W,
+    grad_i = -2 Re tr(W A_i),   H_ij = 2 Re tr(S_i A_j),   S_i = W A_i W,
 
-and the margin column, whose coefficient is -I, adds tr W, ||W||_F^2 and
--tr S_i. A_i vanishes outside its row support, so for any row set R that
-holds it, S_i = W[:, R] A_i[R, R] W[R, :]. The variables are grouped under
-the maximal row supports of their block, S_i is batched per group, and
-<S_i, A_j> is one sparse product per group. Every factorization and solve
+and the margin column, whose coefficient is -I, adds 2 tr W, 2 ||W||_F^2
+and -2 tr S_i. A_i vanishes outside its row support, so for any row set R
+that holds it, S_i = W[:, R] A_i[R, R] W[R, :]. The variables are grouped
+under the maximal row supports of their block, S_i is batched per group,
+and tr(S_i A_j) is one sparse product per group. Every factorization and solve
 uses ``numpy.linalg``: scipy ships its own OpenBLAS, and alternating between
 the two runtimes' thread pools inside the loop cost more than the step.
 
@@ -60,6 +67,10 @@ _MIN_STEP = 1e-13
 _NEWTON_TOLERANCE = 1e-9
 _MAX_NEWTON_ITERS = 100
 _BARRIER_SHRINK = 0.2
+# Each complex Hermitian block stands for its real symmetric image, which
+# holds every eigenvalue twice: the block's log det, its derivatives and its
+# share of nu count this many times.
+_REAL_MULTIPLICITY = 2
 
 
 @dataclass(frozen=True)
@@ -122,16 +133,19 @@ def _entry_rows(a: scipy.sparse.csr_array) -> np.ndarray:
 def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
     """Rescale each variable's coefficient matrices to unit Frobenius order.
 
-    The feasibility classification is unchanged (the map x_i = x_scaled_i / s_i
-    is a bijection and leaves constraint values pointwise identical); variables
-    whose coefficients vanish in every constraint keep the factor 1.
+    The norm is that of the real image, sqrt(2 sum |a|^2) over the complex
+    entries a. The feasibility classification is unchanged (the map
+    x_i = x_scaled_i / s_i is a bijection and leaves constraint values
+    pointwise identical); variables whose coefficients vanish in every
+    constraint keep the factor 1.
     """
     m = sdp.num_vars
     rows = [_entry_rows(lmi.coeffs) for lmi in sdp.lmis]
     norms = np.zeros(m)
     for lmi, r in zip(sdp.lmis, rows):
         norms = np.maximum(norms, np.sqrt(np.bincount(
-            r, weights=lmi.coeffs.data ** 2, minlength=m)))
+            r, weights=_REAL_MULTIPLICITY * np.abs(lmi.coeffs.data) ** 2,
+            minlength=m)))
     factors = np.where(norms == 0.0, 1.0, norms)
     lmis = [AffineLmi(l.name, l.sense, l.dim, scipy.sparse.csr_array(
                 (l.coeffs.data / factors[r], l.coeffs.indices, l.coeffs.indptr),
@@ -144,9 +158,11 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
 class _Block:
     """One oriented constraint sum_i x_i A_i > 0, stored by support.
 
-    ``active`` holds the variables with a nonzero coefficient; ``coeffs`` is
-    their flattened A_i as CSR rows, in the same order. ``groups`` holds, per
-    row set R, the rows of ``active`` assigned to it and their dense
+    ``active`` holds the variables with a nonzero coefficient;
+    ``coeffs_conj`` holds their flattened conj(A_i) as CSR rows, in the same
+    order, stored once because every derivative reads it, and ``coeffs_t``
+    the transpose of the A_i rows, which evaluation reads. ``groups`` holds,
+    per row set R, the rows of ``active`` assigned to it and their dense
     A_i[R, R], stored as A_i[b, a] at [b, (a, i)], so that one product with
     W[:, R] gives W A_i for the whole group. The row sets are the maximal
     row supports; each variable joins the smallest one holding its own
@@ -179,18 +195,19 @@ class _Block:
             local[r] = np.arange(len(r))
             rows = a[members]
             p, q = np.divmod(rows.indices, d)
-            sub = np.zeros((len(members), len(r), len(r)))
+            sub = np.zeros((len(members), len(r), len(r)), dtype=a.dtype)
             sub[_entry_rows(rows), local[p], local[q]] = rows.data
-            if np.max(np.abs(sub - sub.transpose(0, 2, 1))) > 1e-12:
-                raise InputError(f"constraint {lmi.name} has non-symmetric "
+            if np.max(np.abs(sub - sub.transpose(0, 2, 1).conj())) > 1e-12:
+                raise InputError(f"constraint {lmi.name} has non-Hermitian "
                                  "coefficients")
             start = len(active)
             self.groups.append((r, slice(start, start + len(members)),
                                 sub.transpose(1, 2, 0).reshape(len(r), -1)))
             active.extend(members.tolist())
         self.active = np.array(active, dtype=np.intp)
-        self.coeffs = a[self.active]
-        self.coeffs_t = self.coeffs.T
+        coeffs = a[self.active]
+        self.coeffs_t = coeffs.T
+        self.coeffs_conj = coeffs.conj()
 
     def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
         """sum_i x_i A_i - t I at the full variable vector x."""
@@ -199,26 +216,29 @@ class _Block:
         return s
 
     def grad_hess(self, chol: np.ndarray):
-        """Barrier derivatives of -log det at the point whose factor is chol.
+        """Barrier derivatives of -2 log det at the point whose factor is chol.
 
         Returns (grad over ``active``, grad in t, Hessian over ``active``,
-        its t column over ``active``, its (t, t) entry).
+        its t column over ``active``, its (t, t) entry). Every trace is
+        tr(X A_i) = sum conj(A_i) * X over the entries, as A_i is Hermitian.
         """
         linv = np.linalg.inv(chol)
-        w = linv.T @ linv
+        w = linv.T.conj() @ linv
         d, k = self.dim, len(self.active)
-        grad = -(self.coeffs @ w.ravel())
-        hess_t = -(self.coeffs @ (w @ w).ravel())             # -tr(W A_i W)
+        c = _REAL_MULTIPLICITY
+        grad = -c * (self.coeffs_conj @ w.ravel()).real
+        hess_t = -c * (self.coeffs_conj @ (w @ w).ravel()).real  # -tr(W A_i W)
         hess = np.empty((k, k))
         for r, rows_of, acat in self.groups:
-            wr = w[:, r]                                       # W[:, R]
             kg = rows_of.stop - rows_of.start
-            # (W A_i)[q, a] at [q, a, i], then one product per q gives
-            # S_i[p, q] at [q, p, i]: the layout the sparse product reads
-            u = (wr @ acat).reshape(d, len(r), kg)
-            s = np.matmul(wr, u)
-            hess[:, rows_of] = self.coeffs @ s.reshape(d * d, kg)
-        return grad, float(np.trace(w)), hess, hess_t, float(np.sum(w * w))
+            # (W A_i)[p, a] at [p, a, i], then one product per p with
+            # W[R, :] gives S_i[p, q] at [p, q, i]: the layout the sparse
+            # product reads
+            u = (w[:, r] @ acat).reshape(d, len(r), kg)
+            s = np.matmul(w[r].T, u)
+            hess[:, rows_of] = c * (self.coeffs_conj @ s.reshape(d * d, kg)).real
+        return (grad, c * float(np.trace(w).real), hess, hess_t,
+                c * float(np.vdot(w, w).real))
 
 
 def _try_cholesky(mat):
@@ -241,7 +261,8 @@ def _in_domain(blocks, z, radius, m):
 
 
 def _barrier_value(chols, z, radius, m, mu):
-    logdets = sum(2.0 * np.sum(np.log(np.diag(l))) for l in chols)
+    logdets = sum(_REAL_MULTIPLICITY * 2.0 * np.sum(np.log(np.diag(l).real))
+                  for l in chols)
     box = np.sum(np.log(radius - z[:m])) + np.sum(np.log(radius + z[:m]))
     return -z[m] / mu - logdets - box
 
@@ -334,7 +355,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
     cfg = config or SolverConfig()
     blocks = [_Block(lmi) for lmi in sdp.lmis]
     m = sdp.num_vars
-    nu = sum(b.dim for b in blocks) + 2 * m
+    nu = sum(_REAL_MULTIPLICITY * b.dim for b in blocks) + 2 * m
     gap_target = min(0.05 * cfg.margin_tolerance, 1e-8)
     start = time.perf_counter()
 
@@ -352,8 +373,9 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             continue
         try:
             # center the barrier weight so the start is balanced in t:
-            # tr (LL^T)^-1 = ||L^-1||_F^2
-            pull = sum(float(np.sum(np.linalg.inv(l) ** 2)) for l in chols)
+            # 2 tr (LL^H)^-1 = 2 ||L^-1||_F^2
+            pull = _REAL_MULTIPLICITY * sum(
+                float(np.sum(np.abs(np.linalg.inv(l)) ** 2)) for l in chols)
             mu = 1.0 / max(pull, 1e-12)
             best_t, best_x = -np.inf, None
             trace: list[OuterRecord] = []

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,6 @@ class Trajectory:
              + w[..., 2] * self.values[cell + 1]
              + w[..., 3] * self.derivs[cell + 1])
         return np.where((u < 0.0)[..., None, None], self.start, x)
-
-    def modulus_series(self) -> np.ndarray:
-        """Max quaternion modulus across neurons at each grid node."""
-        return _modulus_series(self.values)
 
 
 def _modulus_series(values: np.ndarray) -> np.ndarray:
@@ -212,11 +209,20 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     chunk of steps as stencils (see ``_lookup_stencils``), and every
     right-hand side is a few array operations on the (members, 4n) real
     state, with A and B as real 4n x 4n matrices with the gains folded in.
+    A grid whose node buffer would not fit in physical memory is refused
+    before anything is allocated.
     """
     if step <= 0 or horizon <= 0:
         raise InputError("horizon and step must be positive")
     n, members = model.n, len(starts)
     dim = 4 * n
+    need = (horizon / step + 1.0) * 2 * members * dim * 8.0   # float64 nodes
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not need <= memory:
+        raise InputError(f"a grid of horizon {horizon:g} at step {step:g} "
+                         f"needs {need:.3g} bytes of nodes for {members} "
+                         f"members, more than the {memory:.3g} bytes of "
+                         "physical memory")
     steps = int(math.ceil(horizon / step - _EDGE_SLACK))
 
     # node buffer: [node, value or derivative, member, real component]
@@ -325,7 +331,7 @@ class ConvergenceMetrics:
 def convergence_metrics(traj: Trajectory, threshold: float = 1e-3
                         ) -> ConvergenceMetrics:
     """Deviation-from-equilibrium statistics on the committed grid."""
-    series = traj.modulus_series()
+    series = _modulus_series(traj.values)
     tail = max(int(len(series) * (1.0 - _TAIL_FRACTION)), 0)
     final_sup = float(np.max(series[tail:]))
     peak = float(np.max(series))

@@ -207,7 +207,7 @@ def random_hermitian(rng: np.random.Generator, n: int,
                      scale: float = 1.0) -> HermitianQuatMatrix:
     """(G + G*) / 2 for a random G: Hermitian, of either sign."""
     g = random_quat_matrix(rng, n, n, scale)
-    s = g + g.conj_transpose()
+    s = g + g.H
     return HermitianQuatMatrix(s.a1 * 0.5, s.a2 * 0.5)
 
 
@@ -215,7 +215,7 @@ def random_hermitian_pd(rng: np.random.Generator, n: int,
                         floor: float = 0.1) -> HermitianQuatMatrix:
     """G G* + floor I for a random G: positive definite."""
     g = random_quat_matrix(rng, n, n)
-    p = g @ g.conj_transpose() + quat_identity(n) * floor
+    p = g @ g.H + quat_identity(n) * floor
     return HermitianQuatMatrix(p.a1, p.a2)
 
 
@@ -486,22 +486,28 @@ def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
 
 # ---------------------------------------------------------------------------
 # Dense barrier derivatives and a projection-based feasibility search, both
-# working on the full (num_vars, d, d) coefficient stacks of a standard SDP.
+# working on the full real (num_vars, 2d, 2d) coefficient stacks of a
+# standard SDP, as a real-form reference for the complex solver.
 # ---------------------------------------------------------------------------
 
 
 def lmi_value(lmi: AffineLmi, x: np.ndarray) -> np.ndarray:
-    """The real matrix sum_i x_i A_i of one lowered constraint."""
+    """The complex Hermitian matrix sum_i x_i A_i of one lowered constraint."""
     flat = lmi.coeffs.T @ np.asarray(x, dtype=float)
     return flat.reshape(lmi.dim, lmi.dim)
 
 
 def oriented_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
-    """The dense (num_vars, d, d) coefficient stack of every constraint,
+    """The dense real (num_vars, 2d, 2d) coefficient stack of every
+    constraint, each complex A_i as its real image [[Re, -Im], [Im, Re]],
     negated where it reads "< 0"."""
     sign = {"pd": 1.0, "nd": -1.0}
-    return [sign[lmi.sense] * lmi.coeffs.toarray().reshape(
-                sdp.num_vars, lmi.dim, lmi.dim) for lmi in sdp.lmis]
+    stacks = []
+    for lmi in sdp.lmis:
+        a = sign[lmi.sense] * lmi.coeffs.toarray().reshape(
+            sdp.num_vars, lmi.dim, lmi.dim)
+        stacks.append(np.block([[a.real, -a.imag], [a.imag, a.real]]))
+    return stacks
 
 
 def dense_grad_hess(sdp: StandardSdp, z: np.ndarray, radius: float, mu: float):

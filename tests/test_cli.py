@@ -343,6 +343,19 @@ def test_simulate_refuses_a_number_that_is_not_positive_and_finite(
     assert not out_dir.exists()
 
 
+def test_simulate_refuses_a_grid_larger_than_memory(tmp_path, capsys,
+                                                    stable_example_path):
+    # 2e16 steps: the size is checked before any node or file is made
+    out_dir = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             "--seeds", "1", "--step", "1e-15",
+                             "--out-dir", str(out_dir), "--json")
+    assert code == 2
+    assert out == ""
+    assert "physical memory" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("flag", ["--seeds", "--lkf-stride"])
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_simulate_refuses_a_count_below_one(tmp_path, capsys, monkeypatch,
@@ -479,7 +492,7 @@ def test_margin_validates_the_bracket_string(capsys, stable_example_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "inf"])
 def test_margin_refuses_a_tolerance_bisection_cannot_reach(
         capsys, monkeypatch, stable_example_path, tol):
     def no_probe(*args, **kwargs):

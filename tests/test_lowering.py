@@ -1,4 +1,4 @@
-"""Quaternion criterion -> real standard-form SDP, stored sparse."""
+"""Quaternion criterion -> complex standard-form SDP, stored sparse."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ import qvnn.sdp
 from oracles import lmi_value, part_labels, random_model, unit_images
 from qvnn.lmi import DecisionVars, quat_constraints
 from qvnn.lowering import build_sdp
-from qvnn.qmatrix import real_embed
 
 
 def dense(lmi, i):
@@ -28,10 +27,10 @@ def test_sdp_shape(small_system):
     assert sdp.num_vars == DecisionVars.num_scalars(model.n) == 30
     assert len(sdp.lmis) == 17
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
-    # real dimension = 4 quaternion rows per block row
-    assert by_name["omega"].dim == 44 * model.n
-    assert by_name["coupling_r1_u"].dim == 8 * model.n
-    assert by_name["p1_pd"].dim == 4 * model.n
+    # complex dimension = 2 rows per quaternion row
+    assert by_name["omega"].dim == 22 * model.n
+    assert by_name["coupling_r1_u"].dim == 4 * model.n
+    assert by_name["p1_pd"].dim == 2 * model.n
 
 
 def test_every_stage_evaluates_identically(small_system):
@@ -45,13 +44,13 @@ def test_every_stage_evaluates_identically(small_system):
         for lmi in sdp.lmis:
             np.testing.assert_allclose(
                 lmi_value(lmi, x),
-                real_embed(direct[lmi.name].complex_embed()), atol=1e-12)
+                direct[lmi.name].complex_embed(), atol=1e-12)
 
 
 @pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
 def test_rows_equal_the_embedded_assembly(source, request):
-    # every stored row is exactly the real embedding of the complex embedding
-    # of the assembled constraint at that unit vector, and holds no zeros
+    # every stored row is exactly the complex embedding of the assembled
+    # constraint at that unit vector, and holds no zeros
     if isinstance(source, int):
         model = random_model(np.random.default_rng(60 + source), source)
     else:
@@ -67,7 +66,7 @@ def test_rows_equal_the_embedded_assembly(source, request):
         for lmi, con in zip(sdp.lmis, cons):
             assert lmi.name == con.name and lmi.sense == con.sense
             np.testing.assert_array_equal(
-                dense(lmi, i), real_embed(con.matrix.complex_embed()))
+                dense(lmi, i), con.matrix.complex_embed())
 
 
 def test_lowering_preserves_extreme_eigenvalues():
@@ -80,9 +79,9 @@ def test_lowering_preserves_extreme_eigenvalues():
         direct = {c.name: c.matrix for c in quat_constraints(model, dv)}
         for lmi in sdp.lmis:
             quat_eigs = np.linalg.eigvalsh(direct[lmi.name].complex_embed())
-            real_eigs = np.linalg.eigvalsh(lmi_value(lmi, x))
-            assert real_eigs[0] == pytest.approx(quat_eigs[0], abs=1e-10)
-            assert real_eigs[-1] == pytest.approx(quat_eigs[-1], abs=1e-10)
+            lowered_eigs = np.linalg.eigvalsh(lmi_value(lmi, x))
+            assert lowered_eigs[0] == pytest.approx(quat_eigs[0], abs=1e-10)
+            assert lowered_eigs[-1] == pytest.approx(quat_eigs[-1], abs=1e-10)
 
 
 def test_orientation_flips_only_negative_senses(small_system):
@@ -108,7 +107,7 @@ def test_coefficients_are_symmetric(small_system):
     for lmi in sdp.lmis:
         for i in range(sdp.num_vars):
             a = dense(lmi, i)
-            np.testing.assert_array_equal(a, a.T)
+            np.testing.assert_array_equal(a, a.conj().T)
 
 
 def test_var_map_indices_drive_the_right_matrix(small_system):

@@ -34,7 +34,6 @@ from qvnn.qmatrix import (
     qv_embed,
     qv_from_components,
     real_diag,
-    real_embed,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -170,39 +169,23 @@ def test_complex_embedding_respects_star(seed, n):
                                p.complex_embed().conj().T, atol=0.0)
 
 
-def test_real_embedding_structure():
-    rng = np.random.default_rng(9)
-    h = random_hermitian(rng, 3)
-    chi = h.complex_embed()
-    r = real_embed(chi)
-    assert r.shape == (12, 12)
-    np.testing.assert_allclose(r, r.T, atol=0.0)
-    np.testing.assert_allclose(r[:6, :6], chi.real, atol=0.0)
-    np.testing.assert_allclose(r[:6, 6:], -chi.imag, atol=0.0)
-
-
-def test_real_embedding_rejects_non_hermitian():
-    rng = np.random.default_rng(10)
-    m = random_quat_matrix(rng, 2).complex_embed()
-    with pytest.raises(StructureError):
-        real_embed(m)
-
-
 def test_embedding_spectra_pair_up():
     # each quaternion eigenvalue appears twice in the complex embedding and
-    # four times in the real one
+    # four times in the real image [[Re, -Im], [Im, Re]] of that embedding
     rng = np.random.default_rng(12)
     for _ in range(20):
         h = random_hermitian(rng, 4)
-        complex_eigs = np.sort(np.linalg.eigvalsh(h.complex_embed()))
+        chi = h.complex_embed()
+        complex_eigs = np.sort(np.linalg.eigvalsh(chi))
         np.testing.assert_allclose(complex_eigs[0::2], complex_eigs[1::2],
                                    atol=1e-8)
-        real_eigs = np.sort(np.linalg.eigvalsh(real_embed(h.complex_embed())))
+        real_eigs = np.sort(np.linalg.eigvalsh(
+            np.block([[chi.real, -chi.imag], [chi.imag, chi.real]])))
         np.testing.assert_allclose(real_eigs[0::2], real_eigs[1::2], atol=1e-8)
         np.testing.assert_allclose(real_eigs[0::2], complex_eigs, atol=1e-8)
         eigs = np.sort(hermitian_eigvals(h))
-        np.testing.assert_allclose(eigs, real_eigs, atol=1e-8)
-        np.testing.assert_allclose(eigs[0::4], complex_eigs[0::2], atol=1e-8)
+        np.testing.assert_allclose(eigs, complex_eigs, atol=1e-8)
+        np.testing.assert_allclose(eigs[0::2], real_eigs[0::4], atol=1e-8)
 
 
 # ---- Hermitian structure -------------------------------------------------------

@@ -84,10 +84,13 @@ def test_opposing_constraints_are_infeasible():
 
 
 def test_non_symmetric_coefficients_rejected():
-    coeffs = np.array([[[0.0, 1.0], [0.0, 0.0]]])
-    bad = StandardSdp(num_vars=1, lmis=[toy_lmi("skew", coeffs)])
-    with pytest.raises(InputError):
-        solve_feasibility(bad)
+    # a non-symmetric real coefficient, and a complex symmetric one that is
+    # not Hermitian
+    for coeffs in (np.array([[[0.0, 1.0], [0.0, 0.0]]]),
+                   np.array([[[0.0, 1j], [1j, 0.0]]])):
+        bad = StandardSdp(num_vars=1, lmis=[toy_lmi("skew", coeffs)])
+        with pytest.raises(InputError):
+            solve_feasibility(bad)
 
 
 def test_fixed_seed_is_bitwise_deterministic():
@@ -120,9 +123,11 @@ def test_trace_min_eig_matches_margin_at_the_optimum():
 def test_scaling_normalizes_and_maps_back():
     sdp = three_scale_toy()
     scaled, record = scale_problem(sdp)
+    # the Frobenius norm of the real image, sqrt(2) ||A||_F
     np.testing.assert_allclose(record.factors,
-                               [np.linalg.norm(100.0 * np.eye(2)),
-                                np.linalg.norm(0.01 * np.eye(2)), 1.0])
+                               [np.sqrt(2.0) * np.linalg.norm(100.0 * np.eye(2)),
+                                np.sqrt(2.0) * np.linalg.norm(0.01 * np.eye(2)),
+                                1.0])
     # the third variable is in no constraint and keeps the factor 1
     assert record.factors[2] == 1.0
     x = np.array([0.3, -0.7, 0.0])
@@ -153,12 +158,17 @@ def test_stable_example_certifies(stable_model, stable_solution):
     assert dv is not None and dv.n == stable_model.n
     assert result.iterations > 0
     assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-9
+    # the central path: a change that moves it must restate these values
+    assert (result.iterations, result.outer_rounds) == (96, 14)
+    assert result.margin == pytest.approx(1.32154093e-5, rel=1e-9)
 
 
 def test_reference_example_is_infeasible_at_tolerance(reference_model):
     result, _ = certified_solve(reference_model)
     assert result.status == "infeasible_at_tolerance"
     assert result.margin < 1e-6
+    assert (result.iterations, result.outer_rounds) == (86, 14)
+    assert result.margin == pytest.approx(-9.2953e-10, abs=1e-13)
 
 
 # ---- alternating-projection second opinion ---------------------------------------

@@ -14,6 +14,7 @@ from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, mat_vec
 from qvnn.simulate import (
     Trajectory,
+    _modulus_series,
     activation,
     convergence_metrics,
     equilibrium_shift,
@@ -136,6 +137,19 @@ def test_integrate_validates_inputs():
         integrate(model, [[[0.0], []]], 1.0, 1e-2)
 
 
+def test_integrate_refuses_a_grid_larger_than_memory(monkeypatch):
+    # 1e15 steps, and a step so small that horizon / step overflows: both
+    # are refused before the node buffer is allocated
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("allocated before the size was checked")
+
+    model, start = scalar_model(), np.zeros((2, 1))
+    monkeypatch.setattr(np, "zeros", no_buffer)
+    for step in (1e-15, 1e-320):
+        with pytest.raises(InputError, match="physical memory"):
+            integrate(model, [start], 1.0, step)
+
+
 def test_history_holds_the_start_with_zero_derivative(stable_model):
     starts = seeded_starts(2, range(10))
     lookback = stable_model.lookback()
@@ -157,7 +171,7 @@ def test_trajectory_grid_and_state_agree():
     for k in (0, 7, len(traj.times) - 1):
         np.testing.assert_allclose(traj.state(traj.times[k]),
                                    traj.values[k], atol=1e-12)
-    series = traj.modulus_series()
+    series = _modulus_series(traj.values)
     assert series.shape == (len(traj.times),)
     assert np.all(series >= 0.0)
 
