@@ -8,15 +8,14 @@ Exit codes are the machine contract for every subcommand:
     2  input error (bad config, bad flags, bracket without a sign change)
     3  numerical failure inside the solver
 
-Human-readable text goes to stdout by default; ``--json`` swaps it for a
-single JSON document with the same content. File-writing subcommands also
+A human-readable summary goes to stdout by default; ``--json`` swaps it for
+a single JSON document, the full report. File-writing subcommands also
 drop a manifest listing every artifact next to the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -74,30 +73,48 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _write_csv(path: Path, header: list[str], columns: np.ndarray,
+               formats: list[str]) -> None:
+    """Write a table in one block, as csv.writer would row by row; each
+    column is printed with its printf format."""
+    with path.open("w", newline="") as fh:
+        np.savetxt(fh, columns, fmt=formats, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
 # ---- certify ---------------------------------------------------------------------
 
 
-def _certify_model(model: NetworkModel, margin_tol: float, seed: int,
+def _certify_model(model: NetworkModel, margin_tol: float,
                    ) -> tuple[FeasibilityResult, DecisionVars | None, dict]:
     t0 = time.perf_counter()
     sdp = build_sdp(model)
     t_build = time.perf_counter() - t0
-    scaled, record = scale_problem(sdp)
-    result = solve_feasibility(
-        scaled, SolverConfig(margin_tolerance=margin_tol, seed=seed))
+    scaled, factors = scale_problem(sdp)
+    result = solve_feasibility(scaled, SolverConfig(margin_tolerance=margin_tol))
     timings = {"build_seconds": round(t_build, 3),
                "solve_seconds": round(result.wall_time, 3)}
     dv = None
     if result.x is not None:
-        dv = DecisionVars.from_vector(record.map_back(result.x), model.n)
+        dv = DecisionVars.from_vector(result.x / factors, model.n)
     return result, dv, timings
+
+
+def _write_diagnostics_csv(path: Path, trace) -> None:
+    _write_csv(path, ["iteration", "barrier_weight", "t", "min_eig",
+                      "newton_steps", "max_regularization", "newton_decrement"],
+               np.array([[rec.iteration, rec.barrier_weight, rec.t, rec.min_eig,
+                          rec.newton_steps, rec.max_regularization,
+                          rec.newton_decrement] for rec in trace],
+                        dtype=float).reshape(-1, 7),
+               ["%d", "%.6e", "%.12e", "%.12e", "%d", "%.6e", "%.6e"])
 
 
 def cmd_certify(args) -> int:
     _require_positive(("--margin-tol", args.margin_tol))
     model, doc = load_model(args.config)
     started = _now()
-    result, dv, timings = _certify_model(model, args.margin_tol, args.seed)
+    result, dv, timings = _certify_model(model, args.margin_tol)
     if result.status == "numerical_failure":
         _emit({"status": result.status, "failure_cause": result.failure_cause,
                "stalled_line_searches": result.stalled_line_searches},
@@ -157,7 +174,7 @@ def cmd_certify(args) -> int:
         }
         out_path.write_text(json.dumps(cert_doc, indent=2) + "\n")
         outputs.append(str(out_path))
-        manifest = RunManifest("certify", args.config, args.seed,
+        manifest = RunManifest("certify", args.config, None,
                                report["config_hash"], __version__,
                                started, _now(), outputs)
         manifest_path = out_path.with_suffix(".manifest.json")
@@ -167,17 +184,7 @@ def cmd_certify(args) -> int:
     if args.diagnostics is not None:
         diag_path = Path(args.diagnostics)
         diag_path.parent.mkdir(parents=True, exist_ok=True)
-        with diag_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "barrier_weight", "t", "min_eig",
-                             "newton_steps", "max_regularization",
-                             "newton_decrement"])
-            for rec in result.trace:
-                writer.writerow([rec.iteration, f"{rec.barrier_weight:.6e}",
-                                 f"{rec.t:.12e}", f"{rec.min_eig:.12e}",
-                                 rec.newton_steps,
-                                 f"{rec.max_regularization:.6e}",
-                                 f"{rec.newton_decrement:.6e}"])
+        _write_diagnostics_csv(diag_path, result.trace)
         lines.append(f"wrote:   {diag_path}")
 
     _emit(report, args.json, lines)
@@ -197,14 +204,6 @@ def _start_for_seed(model: NetworkModel, seed: int, zero: bool
     return np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
 
 
-def _write_csv(path: Path, header: list[str], columns: np.ndarray,
-               formats: list[str]) -> None:
-    """Write a numeric table in one block, as csv.writer would row by row."""
-    with path.open("w", newline="") as fh:
-        np.savetxt(fh, columns, fmt=formats, delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
-
-
 def _write_trajectory_csv(path: Path, traj) -> None:
     values = traj.values
     n = values.shape[2]
@@ -221,6 +220,18 @@ def _write_lkf_csv(path: Path, trace) -> None:
                np.column_stack([trace.times, trace.v1, trace.v2, trace.v3,
                                 trace.v4, trace.total]),
                ["%.6f"] + ["%.9e"] * 5)
+
+
+def _write_summary_csv(path: Path, entries: list[dict]) -> None:
+    """One row per run entry; a field the entry lacks, or holds as None,
+    is left empty."""
+    header = ["seed", "status", "final_sup", "peak", "time_to_threshold",
+              "envelope_bounded"]
+    cells = [["" if entry.get(key) is None else str(entry[key])
+              for key in header] for entry in entries]
+    _write_csv(path, header,
+               np.array(cells, dtype=object).reshape(-1, len(header)),
+               ["%s"] * len(header))
 
 
 def _run_entry(seed: int, traj, args) -> dict:
@@ -312,16 +323,7 @@ def cmd_simulate(args) -> int:
                          f"{lkf_report['csv']}")
 
     summary_path = out_dir / "summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "status", "final_sup", "peak",
-                         "time_to_threshold", "envelope_bounded"])
-        for entry in entries:
-            writer.writerow([entry["seed"], entry["status"],
-                             entry.get("final_sup", ""),
-                             entry.get("peak", ""),
-                             entry.get("time_to_threshold", ""),
-                             entry.get("envelope_bounded", "")])
+    _write_summary_csv(summary_path, entries)
     outputs.append(str(summary_path))
 
     manifest = RunManifest("simulate", args.config, args.seed,
@@ -369,10 +371,9 @@ def _override_param(doc: dict, param: str, value: float) -> NetworkModel:
     return NetworkModel.from_json(patched)
 
 
-def _probe(doc: dict, param: str, value: float, margin_tol: float,
-           seed: int) -> dict:
+def _probe(doc: dict, param: str, value: float, margin_tol: float) -> dict:
     model = _override_param(doc, param, value)
-    result, _dv, _timings = _certify_model(model, margin_tol, seed)
+    result, _dv, _timings = _certify_model(model, margin_tol)
     if result.status == "numerical_failure":
         raise NumericalError(f"solver failed at {param}={value:g}")
     return {"value": value, "status": result.status, "margin": result.margin}
@@ -391,7 +392,7 @@ def cmd_margin(args) -> int:
     if not (hi > lo >= 0.0):
         raise QvnnError("bracket must satisfy 0 <= lo < hi")
 
-    probes = [_probe(doc, args.param, value, args.margin_tol, args.seed)
+    probes = [_probe(doc, args.param, value, args.margin_tol)
               for value in (lo, hi)]
     lo_status, hi_status = probes[0]["status"], probes[1]["status"]
     if lo_status != "feasible" or hi_status == "feasible":
@@ -403,7 +404,11 @@ def cmd_margin(args) -> int:
 
     while hi - lo > args.tol:
         mid = (lo + hi) / 2.0
-        probes.append(_probe(doc, args.param, mid, args.margin_tol, args.seed))
+        if mid in (lo, hi):
+            # lo and hi are adjacent floats: no bracket between them is
+            # narrower, however small --tol is
+            break
+        probes.append(_probe(doc, args.param, mid, args.margin_tol))
         if probes[-1]["status"] == "feasible":
             lo = mid
         else:
@@ -444,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "stability criterion for a model config")
     cert.add_argument("config")
     cert.add_argument("--margin-tol", type=float, default=1e-6)
-    cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--out", default=None,
                       help="write certificate JSON here on success")
     cert.add_argument("--diagnostics", default=None,
@@ -476,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     mar.add_argument("--bracket", required=True, metavar="LO,HI")
     mar.add_argument("--tol", type=float, default=1e-3)
     mar.add_argument("--margin-tol", type=float, default=1e-6)
-    mar.add_argument("--seed", type=int, default=0)
     mar.add_argument("--json", action="store_true")
     mar.set_defaults(func=cmd_margin)
 

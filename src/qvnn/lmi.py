@@ -5,8 +5,8 @@ quaternion decision matrices: two positivity couplings
 
     [[R1, U], [U*, R1]] > 0,      [[R2, V], [V*, R2]] > 0,
 
-and an 11 x 11 block matrix Omega < 0 whose rows/columns correspond to the
-augmented state
+and an 11 x 11 block matrix Omega < 0, listed as -Omega > 0 so that every
+constraint reads "> 0". Its rows/columns correspond to the augmented state
 
     (x(t), x'(t), x(t - delta), x(t - d1(t)), x(t - d(t)), x(t - d1),
      x(t - d), f(x(t)), f(x(t - d1(t))), f(x(t - d(t))), int_{t-delta}^t x).
@@ -250,7 +250,8 @@ def omega_upper_blocks(model: NetworkModel,
 
 @dataclass(frozen=True)
 class QuatConstraint:
-    """One constraint of the criterion, as its authored upper blocks.
+    """One constraint of the criterion, matrix > 0, as its authored upper
+    blocks.
 
     ``blocks`` maps 1-based (row, col) in the upper block triangle of a
     ``num_blocks`` x ``num_blocks`` grid to an n x n block; unlisted blocks
@@ -258,7 +259,6 @@ class QuatConstraint:
     """
 
     name: str
-    sense: str  # "pd" (matrix > 0) or "nd" (matrix < 0)
     num_blocks: int
     blocks: dict[tuple[int, int], QuatMatrix]
 
@@ -269,20 +269,27 @@ class QuatConstraint:
 
 
 def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstraint]:
-    """Every constraint of the criterion, evaluated at the given variables."""
+    """Every constraint of the criterion, each "> 0", evaluated at the given
+    variables. Omega is listed as -Omega."""
+    neg_omega = omega_upper_blocks(model, dv)
+    for blk in neg_omega.values():
+        # every block is a fresh array, and negation is exact; in place, so
+        # a stack of variable sets is never held twice
+        np.negative(blk.a1, out=blk.a1)
+        np.negative(blk.a2, out=blk.a2)
     cons = [
-        QuatConstraint("coupling_r1_u", "pd", 2,
+        QuatConstraint("coupling_r1_u", 2,
                        {(1, 1): dv.r1, (1, 2): dv.u, (2, 2): dv.r1}),
-        QuatConstraint("coupling_r2_v", "pd", 2,
+        QuatConstraint("coupling_r2_v", 2,
                        {(1, 1): dv.r2, (1, 2): dv.v, (2, 2): dv.r2}),
-        QuatConstraint("omega", "nd", 11, omega_upper_blocks(model, dv)),
+        QuatConstraint("omega", 11, neg_omega),
     ]
     for name in HERMITIAN_NAMES:
-        cons.append(QuatConstraint(f"{name}_pd", "pd", 1,
+        cons.append(QuatConstraint(f"{name}_pd", 1,
                                    {(1, 1): getattr(dv, name)}))
     for name in DIAG_NAMES:
         cons.append(QuatConstraint(
-            f"{name}_pos", "pd", 1,
+            f"{name}_pos", 1,
             {(1, 1): real_diag(getattr(dv, name))}))
     return cons
 
@@ -290,14 +297,7 @@ def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstrai
 @dataclass(frozen=True)
 class ConstraintScore:
     name: str
-    sense: str
-    min_eig: float
-    max_eig: float
-
-    @property
-    def margin(self) -> float:
-        """Distance to violation: min-eig for > 0 constraints, -max-eig for < 0."""
-        return self.min_eig if self.sense == "pd" else -self.max_eig
+    margin: float      # smallest eigenvalue: the distance to violation
 
 
 @dataclass(frozen=True)
@@ -315,11 +315,8 @@ def verify_certificate(model: NetworkModel, dv: DecisionVars,
     Eigenvalues come from the complex embedding of each assembled constraint;
     the certificate is valid iff every strictness margin reaches ``margin``.
     """
-    scores = []
-    for con in quat_constraints(model, dv):
-        eigs = hermitian_eigvals(con.matrix)
-        scores.append(ConstraintScore(con.name, con.sense,
-                                      float(eigs[0]), float(eigs[-1])))
+    scores = [ConstraintScore(con.name, float(hermitian_eigvals(con.matrix)[0]))
+              for con in quat_constraints(model, dv)]
     worst = min(s.margin for s in scores)
     return CertificateReport(valid=bool(worst >= margin), required_margin=margin,
                              worst_margin=worst, scores=tuple(scores))

@@ -36,19 +36,17 @@ from .qmatrix import QuatMatrix, hermitian_part
 
 @dataclass
 class AffineLmi:
-    """Complex Hermitian constraint  sum_i x_i A_i  of side ``dim`` (sense
-    'pd': > 0, 'nd': < 0). Row i of ``coeffs`` is A_i flattened row-major."""
+    """Complex Hermitian constraint  sum_i x_i A_i > 0  of side ``dim``.
+    Row i of ``coeffs`` is A_i flattened row-major."""
 
     name: str
-    sense: str
     dim: int
     coeffs: scipy.sparse.csr_array    # (num_vars, dim * dim)
 
 
 @dataclass
 class StandardSdp:
-    """max-margin feasibility data: find x with every LMI of sense 'pd'
-    > 0 and every LMI of sense 'nd' < 0."""
+    """max-margin feasibility data: find x with every LMI > 0."""
 
     num_vars: int
     lmis: list[AffineLmi]
@@ -88,7 +86,7 @@ def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
          (np.concatenate([var[k], var[k][off]]),
           np.concatenate([at_row * d + at_col, at_col[off] * d + at_row[off]]))),
         shape=(num_vars, d * d))
-    return AffineLmi(con.name, con.sense, d, coeffs)
+    return AffineLmi(con.name, d, coeffs)
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:

@@ -3,14 +3,13 @@
 The problem solved is
 
     maximize t   subject to   G_k(x) - t I >= 0  for every constraint k,
-                              |x_i| <= trust_radius,
+                              |x_i| <= R = 1,
 
-where G_k(x) = sum_i x_i A_ki is complex Hermitian (constraints declared
-negative-definite are negated first so everything reads "> 0"). Strict
-feasibility of the original system is equivalent to a positive optimal t;
-every constraint is homogeneous, so x = 0 always achieves t = 0, and
-"infeasible" here always means "no margin above the tolerance", never an
-empty domain.
+where G_k(x) = sum_i x_i A_ki is complex Hermitian and every constraint
+reads "> 0". Strict feasibility of the original system is equivalent to a
+positive optimal t; every constraint is homogeneous, so x = 0 always
+achieves t = 0, and "infeasible" here always means "no margin above the
+tolerance", never an empty domain.
 
 The barrier subproblem for weight mu,
 
@@ -62,6 +61,10 @@ from .errors import InputError, NumericalError
 from .lowering import AffineLmi, StandardSdp
 
 _SEED_RETRIES = 5
+# R of the box |x_i| <= R. Every constraint is homogeneous, so the optimal t
+# is proportional to R: the box fixes the scale in which the margin and its
+# tolerance are stated.
+_TRUST_RADIUS = 1.0
 _ARMIJO_SLOPE = 0.25
 _MIN_STEP = 1e-13
 _NEWTON_TOLERANCE = 1e-9
@@ -77,8 +80,6 @@ _REAL_MULTIPLICITY = 2
 class SolverConfig:
     margin_tolerance: float = 1e-6
     max_outer_iters: int = 60
-    trust_radius: float = 1.0
-    seed: int = 0
 
 
 @dataclass
@@ -115,29 +116,20 @@ class FeasibilityResult:
     stalled_line_searches: int = 0
 
 
-@dataclass
-class ScalingRecord:
-    """Per-variable factors applied by scale_problem; maps solutions back."""
-
-    factors: np.ndarray
-
-    def map_back(self, x_scaled: np.ndarray) -> np.ndarray:
-        return np.asarray(x_scaled, dtype=float) / self.factors
-
-
 def _entry_rows(a: scipy.sparse.csr_array) -> np.ndarray:
     """The row of every stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
 
-def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
+def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, np.ndarray]:
     """Rescale each variable's coefficient matrices to unit Frobenius order.
 
-    The norm is that of the real image, sqrt(2 sum |a|^2) over the complex
-    entries a. The feasibility classification is unchanged (the map
-    x_i = x_scaled_i / s_i is a bijection and leaves constraint values
-    pointwise identical); variables whose coefficients vanish in every
-    constraint keep the factor 1.
+    Returns the scaled problem and the factors s: a solution x_scaled of it
+    is x = x_scaled / s of the original. The norm is that of the real image,
+    sqrt(2 sum |a|^2) over the complex entries a. The feasibility
+    classification is unchanged (the map is a bijection and leaves
+    constraint values pointwise identical); variables whose coefficients
+    vanish in every constraint keep the factor 1.
     """
     m = sdp.num_vars
     rows = [_entry_rows(lmi.coeffs) for lmi in sdp.lmis]
@@ -147,30 +139,31 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, ScalingRecord]:
             r, weights=_REAL_MULTIPLICITY * np.abs(lmi.coeffs.data) ** 2,
             minlength=m)))
     factors = np.where(norms == 0.0, 1.0, norms)
-    lmis = [AffineLmi(l.name, l.sense, l.dim, scipy.sparse.csr_array(
+    lmis = [AffineLmi(l.name, l.dim, scipy.sparse.csr_array(
                 (l.coeffs.data / factors[r], l.coeffs.indices, l.coeffs.indptr),
                 shape=l.coeffs.shape))
             for l, r in zip(sdp.lmis, rows)]
-    scaled = StandardSdp(num_vars=m, lmis=lmis)
-    return scaled, ScalingRecord(factors=factors)
+    return StandardSdp(num_vars=m, lmis=lmis), factors
 
 
 class _Block:
-    """One oriented constraint sum_i x_i A_i > 0, stored by support.
+    """One constraint sum_i x_i A_i > 0, stored by support.
 
     ``active`` holds the variables with a nonzero coefficient;
     ``coeffs_conj`` holds their flattened conj(A_i) as CSR rows, in the same
-    order, stored once because every derivative reads it, and ``coeffs_t``
-    the transpose of the A_i rows, which evaluation reads. ``groups`` holds,
-    per row set R, the rows of ``active`` assigned to it and their dense
-    A_i[R, R], stored as A_i[b, a] at [b, (a, i)], so that one product with
-    W[:, R] gives W A_i for the whole group. The row sets are the maximal
-    row supports; each variable joins the smallest one holding its own
-    support (A_i vanishes on the extra rows, so S_i is unchanged).
+    order: the one copy of the coefficients, which every derivative reads.
+    Evaluation reads it through ``coeffs_conj_t``, its transpose: a view
+    that shares its arrays, made once because making it costs more than
+    the product. ``groups`` holds, per row set R, the rows of ``active``
+    assigned to it and their dense A_i[R, R], stored as A_i[b, a] at
+    [b, (a, i)], so that one product with W[:, R] gives W A_i for the whole
+    group. The row sets are the maximal row supports; each variable joins
+    the smallest one holding its own support (A_i vanishes on the extra
+    rows, so S_i is unchanged).
     """
 
     def __init__(self, lmi: AffineLmi):
-        a = lmi.coeffs if lmi.sense == "pd" else -lmi.coeffs
+        a = lmi.coeffs
         self.name = lmi.name
         self.dim = d = lmi.dim
         # row and column support per variable, from the stored entries
@@ -205,13 +198,14 @@ class _Block:
                                 sub.transpose(1, 2, 0).reshape(len(r), -1)))
             active.extend(members.tolist())
         self.active = np.array(active, dtype=np.intp)
-        coeffs = a[self.active]
-        self.coeffs_t = coeffs.T
-        self.coeffs_conj = coeffs.conj()
+        self.coeffs_conj = a[self.active].conj()
+        self.coeffs_conj_t = self.coeffs_conj.T
 
     def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """sum_i x_i A_i - t I at the full variable vector x."""
-        s = (self.coeffs_t @ x[self.active]).reshape(self.dim, self.dim)
+        """sum_i x_i A_i - t I at the full variable vector x: x is real, so
+        the sum is the conjugate of sum_i x_i conj(A_i), bit for bit."""
+        s = np.conj(self.coeffs_conj_t @ x[self.active]).reshape(self.dim,
+                                                                  self.dim)
         s.flat[::self.dim + 1] -= t
         return s
 
@@ -248,8 +242,8 @@ def _try_cholesky(mat):
         return None
 
 
-def _in_domain(blocks, z, radius, m):
-    if np.any(np.abs(z[:m]) >= radius):
+def _in_domain(blocks, z, m):
+    if np.any(np.abs(z[:m]) >= _TRUST_RADIUS):
         return None
     chols = []
     for block in blocks:
@@ -260,14 +254,15 @@ def _in_domain(blocks, z, radius, m):
     return chols
 
 
-def _barrier_value(chols, z, radius, m, mu):
+def _barrier_value(chols, z, m, mu):
     logdets = sum(_REAL_MULTIPLICITY * 2.0 * np.sum(np.log(np.diag(l).real))
                   for l in chols)
-    box = np.sum(np.log(radius - z[:m])) + np.sum(np.log(radius + z[:m]))
+    box = (np.sum(np.log(_TRUST_RADIUS - z[:m]))
+           + np.sum(np.log(_TRUST_RADIUS + z[:m])))
     return -z[m] / mu - logdets - box
 
 
-def _grad_hess(blocks, chols, z, radius, m, mu):
+def _grad_hess(blocks, chols, z, m, mu):
     """Gradient and Hessian of the barrier objective at an interior point z,
     given the Cholesky factors of every block at z."""
     grad = np.zeros(m + 1)
@@ -283,13 +278,14 @@ def _grad_hess(blocks, chols, z, radius, m, mu):
         hess[m, idx] += h_t
         hess[m, m] += h_tt
     xs = z[:m]
-    grad[:m] += 1.0 / (radius - xs) - 1.0 / (radius + xs)
+    grad[:m] += 1.0 / (_TRUST_RADIUS - xs) - 1.0 / (_TRUST_RADIUS + xs)
     idx = np.arange(m)
-    hess[idx, idx] += 1.0 / (radius - xs) ** 2 + 1.0 / (radius + xs) ** 2
+    hess[idx, idx] += (1.0 / (_TRUST_RADIUS - xs) ** 2
+                       + 1.0 / (_TRUST_RADIUS + xs) ** 2)
     return grad, (hess + hess.T) / 2.0
 
 
-def _newton_center(blocks, z, radius, m, mu, chols):
+def _newton_center(blocks, z, m, mu, chols):
     """Damped Newton minimization of the barrier subproblem.
 
     Returns (z, steps, chols, stalled, max_reg, decrement): chols are the
@@ -301,7 +297,7 @@ def _newton_center(blocks, z, radius, m, mu, chols):
     max_reg = 0.0
     eye = np.eye(m + 1)
     for _ in range(_MAX_NEWTON_ITERS):
-        grad, hess = _grad_hess(blocks, chols, z, radius, m, mu)
+        grad, hess = _grad_hess(blocks, chols, z, m, mu)
         if not np.all(np.isfinite(grad)):
             raise NumericalError("barrier gradient evaluation left the domain")
         reg = 0.0
@@ -320,14 +316,14 @@ def _newton_center(blocks, z, radius, m, mu, chols):
             raise NumericalError("Newton decrement is not finite")
         if decrement / 2.0 <= _NEWTON_TOLERANCE:
             return z, steps, chols, False, max_reg, decrement
-        f0 = _barrier_value(chols, z, radius, m, mu)
+        f0 = _barrier_value(chols, z, m, mu)
         alpha = 1.0
         accepted = False
         while alpha > _MIN_STEP:
             cand = z + alpha * direction
-            cand_chols = _in_domain(blocks, cand, radius, m)
+            cand_chols = _in_domain(blocks, cand, m)
             if cand_chols is not None:
-                f1 = _barrier_value(cand_chols, cand, radius, m, mu)
+                f1 = _barrier_value(cand_chols, cand, m, mu)
                 if f1 <= f0 - _ARMIJO_SLOPE * alpha * decrement:
                     z, chols = cand, cand_chols
                     accepted = True
@@ -347,10 +343,11 @@ def _min_eig(blocks, x):
 
 def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                       ) -> FeasibilityResult:
-    """Run the barrier method, retrying from fresh seeds on numerical failure.
+    """Run the barrier method from the start drawn with seed 0, and restart
+    from the next seed's start after a numerical failure (seeds 0..4).
 
     The reported margin is the best t reached on the central path; it is
-    nondecreasing across outer rounds. Fixed seeds give identical runs.
+    nondecreasing across outer rounds. Runs are bitwise deterministic.
     """
     cfg = config or SolverConfig()
     blocks = [_Block(lmi) for lmi in sdp.lmis]
@@ -360,14 +357,13 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
     start = time.perf_counter()
 
     last_error = None
-    for attempt in range(_SEED_RETRIES):
-        seed = cfg.seed + attempt
+    for seed in range(_SEED_RETRIES):
         rng = np.random.default_rng(seed)
-        x0 = 0.1 * cfg.trust_radius * rng.uniform(-1.0, 1.0, size=m)
+        x0 = 0.1 * _TRUST_RADIUS * rng.uniform(-1.0, 1.0, size=m)
         base_eig = _min_eig(blocks, x0)
         t0 = base_eig - max(1.0, 0.1 * abs(base_eig))
         z = np.concatenate([x0, [t0]])
-        chols = _in_domain(blocks, z, cfg.trust_radius, m)
+        chols = _in_domain(blocks, z, m)
         if chols is None:
             last_error = NumericalError("could not find an interior starting point")
             continue
@@ -384,7 +380,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             outer = 0
             while outer < cfg.max_outer_iters:
                 z, steps, chols, stall, max_reg, decrement = _newton_center(
-                    blocks, z, cfg.trust_radius, m, mu, chols)
+                    blocks, z, m, mu, chols)
                 total_steps += steps
                 stalled += stall
                 outer += 1
@@ -416,4 +412,4 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
         status="numerical_failure", margin=-np.inf, x=None,
         per_constraint_min_eig={},
         iterations=0, outer_rounds=0, wall_time=time.perf_counter() - start,
-        seed_used=cfg.seed, trace=[], failure_cause=str(last_error))
+        trace=[], failure_cause=str(last_error))

@@ -335,13 +335,11 @@ def convergence_metrics(traj: Trajectory, threshold: float = 1e-3
     tail = max(int(len(series) * (1.0 - _TAIL_FRACTION)), 0)
     final_sup = float(np.max(series[tail:]))
     peak = float(np.max(series))
-    below = series < threshold
-    time_to = None
-    if below[-1]:
-        idx = len(below) - 1
-        while idx > 0 and below[idx - 1]:
-            idx -= 1
-        time_to = float(traj.times[idx])
+    # the run stays below the threshold from the node after the last one
+    # that is not below it (at or above it, or NaN)
+    not_below = np.flatnonzero(~(series < threshold))
+    first = not_below[-1] + 1 if not_below.size else 0
+    time_to = float(traj.times[first]) if first < len(series) else None
     start_peak = float(_modulus_series(traj.start[None])[0])
     envelope_bounded = peak <= start_peak * (1.0 + 1e-9) + 1e-12
     return ConvergenceMetrics(final_sup=final_sup, peak=peak,

@@ -24,15 +24,14 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 FEASIBLE_RUNS: list = []
 
 
-def certified_solve(model, margin_tol: float = 1e-6, seed: int = 0):
+def certified_solve(model, margin_tol: float = 1e-6):
     """Build, scale, and solve the feasibility problem for one model."""
     sdp = build_sdp(model)
-    scaled, record = scale_problem(sdp)
-    result = solve_feasibility(scaled, SolverConfig(margin_tolerance=margin_tol,
-                                                    seed=seed))
+    scaled, factors = scale_problem(sdp)
+    result = solve_feasibility(scaled, SolverConfig(margin_tolerance=margin_tol))
     dv = None
     if result.x is not None:
-        dv = DecisionVars.from_vector(record.map_back(result.x), model.n)
+        dv = DecisionVars.from_vector(result.x / factors, model.n)
     if result.status == "feasible":
         FEASIBLE_RUNS.append((model, dv, result.margin))
         recheck = verify_certificate(model, dv, margin=0.5 * result.margin)

@@ -497,15 +497,12 @@ def lmi_value(lmi: AffineLmi, x: np.ndarray) -> np.ndarray:
     return flat.reshape(lmi.dim, lmi.dim)
 
 
-def oriented_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
+def real_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
     """The dense real (num_vars, 2d, 2d) coefficient stack of every
-    constraint, each complex A_i as its real image [[Re, -Im], [Im, Re]],
-    negated where it reads "< 0"."""
-    sign = {"pd": 1.0, "nd": -1.0}
+    constraint, each complex A_i as its real image [[Re, -Im], [Im, Re]]."""
     stacks = []
     for lmi in sdp.lmis:
-        a = sign[lmi.sense] * lmi.coeffs.toarray().reshape(
-            sdp.num_vars, lmi.dim, lmi.dim)
+        a = lmi.coeffs.toarray().reshape(sdp.num_vars, lmi.dim, lmi.dim)
         stacks.append(np.block([[a.real, -a.imag], [a.imag, a.real]]))
     return stacks
 
@@ -522,7 +519,7 @@ def dense_grad_hess(sdp: StandardSdp, z: np.ndarray, radius: float, mu: float):
     grad = np.zeros(nvar)
     hess = np.zeros((nvar, nvar))
     grad[m] -= 1.0 / mu
-    for a in oriented_coeffs(sdp):
+    for a in real_coeffs(sdp):
         d = a.shape[1]
         a = np.concatenate([a, -np.eye(d)[None]], axis=0)
         s = np.tensordot(z, a, axes=1)
@@ -559,7 +556,7 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
     """
     if target_margin <= 0:
         raise InputError("target margin must be positive")
-    coeffs = oriented_coeffs(sdp)
+    coeffs = real_coeffs(sdp)
     m = sdp.num_vars
     if m == 0:
         # with no variables every constraint is the zero matrix
@@ -1066,8 +1063,9 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
 
 
 # ---------------------------------------------------------------------------
-# The row-by-row CSV writers that ``qvnn simulate`` replaced with block
-# writes. The files must stay byte-identical.
+# The row-by-row CSV writers that ``qvnn simulate`` and ``qvnn certify
+# --diagnostics`` replaced with block writes. The files must stay
+# byte-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -1085,6 +1083,33 @@ def write_trajectory_csv_rows(path: Path, traj) -> None:
                 row += [f"{val[0, j].real:.9e}", f"{val[0, j].imag:.9e}",
                         f"{val[1, j].real:.9e}", f"{val[1, j].imag:.9e}"]
             writer.writerow(row)
+
+
+def write_diagnostics_csv_rows(path: Path, trace) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "barrier_weight", "t", "min_eig",
+                         "newton_steps", "max_regularization",
+                         "newton_decrement"])
+        for rec in trace:
+            writer.writerow([rec.iteration, f"{rec.barrier_weight:.6e}",
+                             f"{rec.t:.12e}", f"{rec.min_eig:.12e}",
+                             rec.newton_steps,
+                             f"{rec.max_regularization:.6e}",
+                             f"{rec.newton_decrement:.6e}"])
+
+
+def write_summary_csv_rows(path: Path, entries) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["seed", "status", "final_sup", "peak",
+                         "time_to_threshold", "envelope_bounded"])
+        for entry in entries:
+            writer.writerow([entry["seed"], entry["status"],
+                             entry.get("final_sup", ""),
+                             entry.get("peak", ""),
+                             entry.get("time_to_threshold", ""),
+                             entry.get("envelope_bounded", "")])
 
 
 def write_lkf_csv_rows(path: Path, trace) -> None:

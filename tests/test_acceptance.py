@@ -239,8 +239,8 @@ def test_07_feasible_verdicts_reverify_and_conflicts_are_rejected(
             f"{0.5 * margin:.3e})")
 
     conflicting = StandardSdp(num_vars=1, lmis=[
-        AffineLmi("up", "pd", 1, scipy.sparse.csr_array([[1.0]])),
-        AffineLmi("down", "pd", 1, scipy.sparse.csr_array([[-1.0]])),
+        AffineLmi("up", 1, scipy.sparse.csr_array([[1.0]])),
+        AffineLmi("down", 1, scipy.sparse.csr_array([[-1.0]])),
     ])
     result = solve_feasibility(conflicting, SolverConfig(margin_tolerance=1e-6))
     assert result.status == "infeasible_at_tolerance", result.status

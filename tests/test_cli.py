@@ -6,14 +6,27 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qvnn.cli
 import qvnn.sdp
-from oracles import write_lkf_csv_rows, write_trajectory_csv_rows
-from qvnn.cli import _write_lkf_csv, _write_trajectory_csv, main
+from oracles import (
+    write_diagnostics_csv_rows,
+    write_lkf_csv_rows,
+    write_summary_csv_rows,
+    write_trajectory_csv_rows,
+)
+from qvnn.cli import (
+    _run_entry,
+    _write_diagnostics_csv,
+    _write_lkf_csv,
+    _write_summary_csv,
+    _write_trajectory_csv,
+    main,
+)
 from qvnn.errors import NumericalError
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import DecisionVars, verify_certificate
@@ -66,6 +79,7 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
 
     manifest = json.loads((tmp_path / "cert.manifest.json").read_text())
     assert manifest["command"] == "certify"
+    assert manifest["seed"] is None
     assert str(cert) in manifest["output_paths"]
     assert manifest["config_hash"] == config_hash(doc)
 
@@ -302,12 +316,22 @@ def test_simulate_runs_converge_and_track_the_functional(tmp_path, capsys,
 
 def test_csv_block_writes_equal_the_row_writers(tmp_path, stable_model,
                                                 stable_solution):
-    _, dv = stable_solution
+    result, dv = stable_solution
     start = np.array([[0.6 - 0.3j, -0.4 + 0.2j], [0.5 + 0.5j, 0.3 - 0.6j]])
     (traj,) = integrate(stable_model, [start], horizon=1.5, step=1e-3)
     trace = lkf_trace(traj, stable_model, dv, stride=7)
-    for block, rows, data in ((_write_trajectory_csv, write_trajectory_csv_rows, traj),
-                              (_write_lkf_csv, write_lkf_csv_rows, trace)):
+    # a run that reaches the threshold, one that never does, and one that
+    # diverged, whose metric fields are empty
+    entries = [_run_entry(0, traj, SimpleNamespace(threshold=1e-3)),
+               _run_entry(1, traj, SimpleNamespace(threshold=1e-300)),
+               {"seed": 2, "status": "diverged", "diverged_at": 6.625}]
+    assert entries[0]["time_to_threshold"] is not None
+    assert entries[1]["time_to_threshold"] is None
+    for block, rows, data in (
+            (_write_trajectory_csv, write_trajectory_csv_rows, traj),
+            (_write_lkf_csv, write_lkf_csv_rows, trace),
+            (_write_diagnostics_csv, write_diagnostics_csv_rows, result.trace),
+            (_write_summary_csv, write_summary_csv_rows, entries)):
         block(tmp_path / "block.csv", data)
         rows(tmp_path / "rows.csv", data)
         assert ((tmp_path / "block.csv").read_bytes()
@@ -504,6 +528,40 @@ def test_margin_refuses_a_tolerance_bisection_cannot_reach(
                            "--tol", tol)
     assert code == 2
     assert "--tol must be positive" in err
+
+
+def test_margin_stops_at_two_adjacent_floats(capsys, monkeypatch,
+                                             stable_example_path):
+    # a --tol below the float spacing of the bracket cannot be met: the
+    # bisection ends once the midpoint equals an end
+    probed = []
+
+    def boundary_at_005(doc, param, value, margin_tol):
+        probed.append(value)
+        assert len(probed) < 200, "the bisection did not stop"
+        status = "feasible" if value < 0.05 else "infeasible_at_tolerance"
+        return {"value": value, "status": status, "margin": 0.05 - value}
+
+    monkeypatch.setattr(qvnn.cli, "_probe", boundary_at_005)
+    code, out, _ = run_cli(capsys, "margin", str(stable_example_path),
+                           "--param", "delta", "--bracket", "0.01,0.1",
+                           "--tol", "1e-20", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["infeasible_from"] == np.nextafter(report["feasible_up_to"],
+                                                     np.inf)
+    assert report["feasible_up_to"] < 0.05 <= report["infeasible_from"]
+
+
+@pytest.mark.parametrize("command", ["certify", "margin"])
+def test_certify_and_margin_take_no_seed(capsys, stable_example_path, command):
+    # the solver's starts are fixed; only simulate draws seeded states
+    bracket = (["--param", "delta", "--bracket", "0.01,0.1"]
+               if command == "margin" else [])
+    with pytest.raises(SystemExit) as done:
+        main([command, str(stable_example_path), *bracket, "--seed", "1"])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 # ---- parser ----------------------------------------------------------------------

@@ -6,7 +6,12 @@ import pytest
 import qvnn.lowering
 import qvnn.sdp
 from oracles import lmi_value, part_labels, random_model, unit_images
-from qvnn.lmi import DecisionVars, quat_constraints
+from qvnn.lmi import (
+    DecisionVars,
+    assemble_blocks,
+    omega_upper_blocks,
+    quat_constraints,
+)
 from qvnn.lowering import build_sdp
 
 
@@ -64,7 +69,7 @@ def test_rows_equal_the_embedded_assembly(source, request):
         cons = quat_constraints(model, DecisionVars.from_vector(basis, model.n))
         basis[i] = 0.0
         for lmi, con in zip(sdp.lmis, cons):
-            assert lmi.name == con.name and lmi.sense == con.sense
+            assert lmi.name == con.name
             np.testing.assert_array_equal(
                 dense(lmi, i), con.matrix.complex_embed())
 
@@ -84,15 +89,25 @@ def test_lowering_preserves_extreme_eigenvalues():
             assert lowered_eigs[-1] == pytest.approx(quat_eigs[-1], abs=1e-10)
 
 
-def test_orientation_flips_only_negative_senses(small_system):
-    _, sdp = small_system
+def test_omega_is_listed_as_its_negation(small_system):
+    # every constraint reads "> 0": Omega < 0 is listed as -Omega, exactly,
+    # without touching the variables, and the solver evaluates each
+    # constraint as it is stored, from one copy of its coefficients
+    model, sdp = small_system
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
+    dv = DecisionVars.from_vector(x, model.n)
+    omega = assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
+    listed = {c.name: c.matrix for c in quat_constraints(model, dv)}["omega"]
+    np.testing.assert_array_equal(listed.a1, -omega.a1)
+    np.testing.assert_array_equal(listed.a2, -omega.a2)
+    again = assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
+    np.testing.assert_array_equal(again.a1, omega.a1)
+    np.testing.assert_array_equal(again.a2, omega.a2)
     for lmi in sdp.lmis:
-        # the solver orients each constraint as it stores it
-        oriented_value = qvnn.sdp._Block(lmi).evaluate(x)
-        plain_value = lmi_value(lmi, x)
-        sign = 1.0 if lmi.sense == "pd" else -1.0
-        np.testing.assert_allclose(oriented_value, sign * plain_value, atol=0.0)
+        block = qvnn.sdp._Block(lmi)
+        assert np.shares_memory(block.coeffs_conj_t.data, block.coeffs_conj.data)
+        np.testing.assert_allclose(block.evaluate(x), lmi_value(lmi, x),
+                                   atol=0.0)
 
 
 def test_zero_point_gives_zero_matrices(small_system):

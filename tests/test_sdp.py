@@ -11,8 +11,8 @@ from oracles import (
     alternating_projection_oracle,
     dense_grad_hess,
     lmi_value,
-    oriented_coeffs,
     random_model,
+    real_coeffs,
 )
 from qvnn.errors import InputError, NumericalError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
@@ -21,20 +21,16 @@ from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 def toy_lmi(name, coeffs):
     """A "> 0" constraint from its stack of A_i, stored CSR."""
-    return AffineLmi(name, "pd", coeffs.shape[1],
+    return AffineLmi(name, coeffs.shape[1],
                      scipy.sparse.csr_array(coeffs.reshape(len(coeffs), -1)))
 
 
 def interval_toy():
     """Two variables (x, s), constraint diag(x - s, 3s - x) > 0: the ratio
-    x / s lies in the interval (1, 3). In the box |x|, |s| <= R the best
-    margin is R / 2, at (x, s) = (R, R / 2)."""
+    x / s lies in the interval (1, 3). In the box |x|, |s| <= 1 the best
+    margin is 1 / 2, at (x, s) = (1, 1 / 2)."""
     coeffs = np.stack([np.diag([1.0, -1.0]), np.diag([-1.0, 3.0])])
     return StandardSdp(num_vars=2, lmis=[toy_lmi("interval", coeffs)])
-
-
-# the interval optimum R / 2 at (R, R / 2) grows with the box: margin 4 at (8, 4)
-WIDE = SolverConfig(trust_radius=8.0)
 
 
 def ray_toy():
@@ -59,18 +55,17 @@ def three_scale_toy():
 
 
 def test_interval_toy_finds_the_analytic_center():
-    result = solve_feasibility(interval_toy(), WIDE)
+    result = solve_feasibility(interval_toy())
     assert result.status == "feasible"
-    assert result.margin == pytest.approx(4.0, abs=1e-6)
-    assert result.x[0] == pytest.approx(8.0, abs=1e-3)
-    assert result.x[1] == pytest.approx(4.0, abs=1e-3)
-    assert result.per_constraint_min_eig["interval"] == pytest.approx(4.0,
+    assert result.margin == pytest.approx(0.5, abs=1e-6)
+    assert result.x[0] == pytest.approx(1.0, abs=1e-3)
+    assert result.x[1] == pytest.approx(0.5, abs=1e-3)
+    assert result.per_constraint_min_eig["interval"] == pytest.approx(0.5,
                                                                       abs=1e-6)
 
 
 def test_homogeneous_ray_is_capped_by_the_trust_region():
-    cfg = SolverConfig(trust_radius=1.0)
-    result = solve_feasibility(ray_toy(), cfg)
+    result = solve_feasibility(ray_toy())
     assert result.status == "feasible"
     assert 0.9 < result.margin <= 1.0
     assert abs(result.x[0]) <= 1.0
@@ -94,8 +89,8 @@ def test_non_symmetric_coefficients_rejected():
 
 
 def test_fixed_seed_is_bitwise_deterministic():
-    first = solve_feasibility(interval_toy(), WIDE)
-    second = solve_feasibility(interval_toy(), WIDE)
+    first = solve_feasibility(interval_toy())
+    second = solve_feasibility(interval_toy())
     assert first.margin == second.margin
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
@@ -103,7 +98,7 @@ def test_fixed_seed_is_bitwise_deterministic():
 
 
 def test_reported_margin_is_the_best_trace_point():
-    result = solve_feasibility(interval_toy(), WIDE)
+    result = solve_feasibility(interval_toy())
     assert result.trace, "expected a nonempty outer trace"
     assert result.margin == pytest.approx(max(r.t for r in result.trace), abs=0.0)
     # barrier weight decreases monotonically across rounds
@@ -122,17 +117,16 @@ def test_trace_min_eig_matches_margin_at_the_optimum():
 
 def test_scaling_normalizes_and_maps_back():
     sdp = three_scale_toy()
-    scaled, record = scale_problem(sdp)
+    scaled, factors = scale_problem(sdp)
     # the Frobenius norm of the real image, sqrt(2) ||A||_F
-    np.testing.assert_allclose(record.factors,
+    np.testing.assert_allclose(factors,
                                [np.sqrt(2.0) * np.linalg.norm(100.0 * np.eye(2)),
                                 np.sqrt(2.0) * np.linalg.norm(0.01 * np.eye(2)),
                                 1.0])
     # the third variable is in no constraint and keeps the factor 1
-    assert record.factors[2] == 1.0
+    assert factors[2] == 1.0
     x = np.array([0.3, -0.7, 0.0])
-    x_scaled = x * record.factors
-    np.testing.assert_allclose(record.map_back(x_scaled), x)
+    x_scaled = x * factors
     # constraint values are pointwise invariant under the reparameterization
     np.testing.assert_allclose(lmi_value(scaled.lmis[0], x_scaled),
                                lmi_value(sdp.lmis[0], x), atol=1e-12)
@@ -143,7 +137,7 @@ def test_scaling_preserves_the_feasibility_verdict():
     model = random_model(rng, 1)
     sdp = build_sdp(model)
     raw = solve_feasibility(sdp, SolverConfig(max_outer_iters=40))
-    scaled, record = scale_problem(sdp)
+    scaled, _ = scale_problem(sdp)
     cooked = solve_feasibility(scaled, SolverConfig(max_outer_iters=40))
     assert raw.status == cooked.status
 
@@ -194,21 +188,22 @@ def test_projection_oracle_validates_target():
 # ---- structured Newton step against the dense reference ----------------------------
 
 
-def assert_structured_matches_dense(sdp, seed, radius=1.0):
+def assert_structured_matches_dense(sdp, seed, spread=1.0):
     """Gradient and Hessian agree with the dense formula to 1e-12 relative at
-    interior points from near the boundary of the cone to deep inside it."""
+    interior points from near the boundary of the cone to deep inside it,
+    with every |x_i| below 0.1 * spread."""
     rng = np.random.default_rng(seed)
     blocks = [qvnn.sdp._Block(lmi) for lmi in sdp.lmis]
     m = sdp.num_vars
     for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
-        x = 0.1 * radius * rng.uniform(-1.0, 1.0, size=m)
+        x = 0.1 * spread * rng.uniform(-1.0, 1.0, size=m)
         t = min(float(np.linalg.eigvalsh(np.tensordot(x, a, axes=1))[0])
-                for a in oriented_coeffs(sdp)) - gap
+                for a in real_coeffs(sdp)) - gap
         z = np.append(x, t)
-        chols = qvnn.sdp._in_domain(blocks, z, radius, m)
+        chols = qvnn.sdp._in_domain(blocks, z, m)
         assert chols is not None
-        grad, hess = qvnn.sdp._grad_hess(blocks, chols, z, radius, m, mu)
-        grad_ref, hess_ref = dense_grad_hess(sdp, z, radius, mu)
+        grad, hess = qvnn.sdp._grad_hess(blocks, chols, z, m, mu)
+        grad_ref, hess_ref = dense_grad_hess(sdp, z, qvnn.sdp._TRUST_RADIUS, mu)
         assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
         assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
 
@@ -225,20 +220,21 @@ def test_structured_derivatives_match_dense_on_random_models(n):
     assert_structured_matches_dense(scaled, seed=n)
 
 
-@pytest.mark.parametrize("toy, indefinite, radius", [
+@pytest.mark.parametrize("toy, indefinite, spread", [
     (interval_toy, True, 8.0),
     (ray_toy, False, 1.0),
     (opposing_toy, False, 1.0),
     (three_scale_toy, False, 1.0),
 ])
-def test_structured_derivatives_match_dense_on_toys(toy, indefinite, radius):
+def test_structured_derivatives_match_dense_on_toys(toy, indefinite, spread):
     # only the interval toy has a coefficient of both signs, as the
-    # criterion's blocks do
+    # criterion's blocks do; it is sampled over most of the box, where the
+    # box terms of the barrier are large
     sdp = toy()
     assert any(eigs[0] < 0.0 < eigs[-1]
-               for a in oriented_coeffs(sdp)
+               for a in real_coeffs(sdp)
                for eigs in np.linalg.eigvalsh(a)) == indefinite
-    assert_structured_matches_dense(sdp, seed=7, radius=radius)
+    assert_structured_matches_dense(sdp, seed=7, spread=spread)
 
 
 def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
@@ -263,9 +259,9 @@ def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
 
     for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular", "inv"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
-    result = solve_feasibility(interval_toy(), WIDE)
+    result = solve_feasibility(interval_toy())
     assert result.status == "feasible"
-    assert result.margin == pytest.approx(4.0, abs=1e-6)
+    assert result.margin == pytest.approx(0.5, abs=1e-6)
 
 
 # ---- run record ------------------------------------------------------------------

@@ -393,6 +393,21 @@ def test_metrics_on_the_zero_run():
     assert metrics.envelope_bounded
 
 
+@pytest.mark.parametrize("moduli, expected", [
+    # below, back at the threshold (not below), then below to the end
+    ([0.5, 1e-4, 2e-3, 5e-4, 1e-3, 2e-4, 1e-4], 0.5),
+    # below twice, but above at the end
+    ([0.5, 1e-4, 2e-4, 2e-3, 1e-4, 2e-3], None),
+])
+def test_time_to_threshold_starts_the_last_stay_below(moduli, expected):
+    values = np.zeros((len(moduli), 2, 1), dtype=complex)
+    values[:, 0, 0] = moduli
+    traj = Trajectory(model=scalar_model(), step=0.1, start=values[0],
+                      values=values, derivs=np.zeros_like(values))
+    metrics = convergence_metrics(traj, threshold=1e-3)
+    assert metrics.time_to_threshold == expected
+
+
 # ---- driven networks and equilibria ----------------------------------------------
 
 
