@@ -94,6 +94,7 @@ def _certify_model(model: NetworkModel, margin_tol: float,
     result = solve_feasibility(scaled, SolverConfig(margin_tolerance=margin_tol))
     timings = {"build_seconds": round(t_build, 3),
                "solve_seconds": round(result.wall_time, 3)}
+    timings.update((k, round(v, 3)) for k, v in result.phase_seconds.items())
     dv = None
     if result.x is not None:
         dv = DecisionVars.from_vector(result.x / factors, model.n)

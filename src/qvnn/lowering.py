@@ -16,9 +16,9 @@ and off the diagonal also as its conjugate transpose at (b', b). Diagonal
 blocks are symmetrized first, exactly as ``assemble_blocks`` does. Each
 constraint's coefficients are stored as one complex CSR matrix with a row
 per variable and a column per entry of the row-major Hermitian matrix; only
-nonzero entries are kept. The criterion is homogeneous (``build_sdp``
-refuses it otherwise), so a lowered constraint is sum_i x_i A_i with no
-constant term.
+nonzero entries are kept. Every coefficient is finite and the criterion
+is homogeneous (``build_sdp`` refuses it otherwise), so a lowered
+constraint is sum_i x_i A_i with no constant term.
 """
 
 from __future__ import annotations
@@ -94,9 +94,16 @@ def build_sdp(model: NetworkModel) -> StandardSdp:
     criterion: batch row 0 is the zero vector, rows 1.. the unit vectors."""
     n = model.n
     num = DecisionVars.num_scalars(n)
-    cons = quat_constraints(model, DecisionVars.from_vector(
-        np.vstack([np.zeros(num), np.eye(num)]), n))
+    # a product past the float range is reported below, by constraint
+    with np.errstate(over="ignore", invalid="ignore"):
+        cons = quat_constraints(model, DecisionVars.from_vector(
+            np.vstack([np.zeros(num), np.eye(num)]), n))
     for con in cons:
-        if any(blk.a1[0].any() or blk.a2[0].any() for blk in con.blocks.values()):
+        blocks = con.blocks.values()
+        if not all(np.isfinite(blk.a1).all() and np.isfinite(blk.a2).all()
+                   for blk in blocks):
+            raise InputError(f"constraint {con.name} has coefficients that are "
+                             "not finite: a model number is too large")
+        if any(blk.a1[0].any() or blk.a2[0].any() for blk in blocks):
             raise InputError(f"constraint {con.name} is not homogeneous")
     return StandardSdp(num_vars=num, lmis=[_lower(con, n, num) for con in cons])

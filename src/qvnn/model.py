@@ -108,6 +108,12 @@ class NetworkModel:
                         ("d2", self.d2_bound), ("mu1", self.mu1), ("mu2", self.mu2)):
             if not math.isfinite(v) or v < 0:
                 raise InputError(f"{name} must be a nonnegative finite number")
+        # the criterion weighs P3, R1 and R2 by the squared delays
+        for name, v in (("delta", self.delta), ("d1", self.d1_bound),
+                        ("d2", self.d2_bound)):
+            if not math.isfinite(v * v):
+                raise InputError(f"{name} = {v:g} is too large: its square "
+                                 "is not a finite number")
         for name, spec, bound, rate in (("d1", self.delay1, self.d1_bound, self.mu1),
                                         ("d2", self.delay2, self.d2_bound, self.mu2)):
             if spec.bound() > bound + 1e-9:

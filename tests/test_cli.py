@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -68,6 +69,12 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert isinstance(report["stalled_line_searches"], int)
     assert len(report["per_constraint_min_eig"]) == 17
     assert min(report["per_constraint_min_eig"].values()) >= report["margin"] - 1e-9
+    # the solver's phases are timed; only the schema is fixed
+    assert list(report["timings"]) == [
+        "build_seconds", "solve_seconds", "derivatives_seconds",
+        "newton_solve_seconds", "line_search_seconds"]
+    assert all(isinstance(v, float) and v >= 0.0
+               for v in report["timings"].values())
 
     # the emitted certificate re-verifies against a fresh model load
     cert_doc = json.loads(cert.read_text())
@@ -185,6 +192,42 @@ def test_a_nonfinite_config_number_is_refused_at_load(tmp_path, capsys,
         assert code == 2, argv[0]
         assert "finite" in err
         assert not out_dir.exists()
+
+
+def test_a_delay_whose_square_overflows_is_refused_at_load(
+        tmp_path, capsys, monkeypatch, stable_example_path):
+    # the criterion weighs P3 by delta^2: a finite delta whose square is not
+    # finite would turn the lowered coefficients into inf and NaN
+    def no_work(*args, **kwargs):
+        raise AssertionError("an overflowing delay reached the solver")
+
+    monkeypatch.setattr(qvnn.cli, "_certify_model", no_work)
+    for param in ("delta", "d1", "d2"):
+        doc = json.loads(stable_example_path.read_text())
+        doc[param] = 1e200
+        doc.pop("delay_functions", None)
+        config = tmp_path / f"{param}.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "certify", str(config))
+        assert code == 2, param
+        assert f"{param} = 1e+200 is too large" in err
+        assert "homogeneous" not in err
+
+
+def test_a_large_delay_certifies_without_overflow(tmp_path, capsys,
+                                                  stable_example_path):
+    # delta^2 = 1e200 is finite, and scaling takes its coefficients' norms
+    # without squaring them
+    doc = json.loads(stable_example_path.read_text())
+    doc["delta"] = 1e100
+    config = tmp_path / "large_delta.json"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "certify", str(config), "--json")
+    assert code in (0, 1)
+    assert json.loads(out)["solver_status"] != "numerical_failure"
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 def diagnostics_of(trace, tmp_path, capsys, monkeypatch, config_path):

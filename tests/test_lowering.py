@@ -1,11 +1,14 @@
 """Quaternion criterion -> complex standard-form SDP, stored sparse."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 import qvnn.lowering
-import qvnn.sdp
 from oracles import lmi_value, part_labels, random_model, unit_images
+from qvnn.errors import InputError
 from qvnn.lmi import (
     DecisionVars,
     assemble_blocks,
@@ -91,8 +94,7 @@ def test_lowering_preserves_extreme_eigenvalues():
 
 def test_omega_is_listed_as_its_negation(small_system):
     # every constraint reads "> 0": Omega < 0 is listed as -Omega, exactly,
-    # without touching the variables, and the solver evaluates each
-    # constraint as it is stored, from one copy of its coefficients
+    # without touching the variables
     model, sdp = small_system
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     dv = DecisionVars.from_vector(x, model.n)
@@ -103,11 +105,19 @@ def test_omega_is_listed_as_its_negation(small_system):
     again = assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
     np.testing.assert_array_equal(again.a1, omega.a1)
     np.testing.assert_array_equal(again.a2, omega.a2)
-    for lmi in sdp.lmis:
-        block = qvnn.sdp._Block(lmi)
-        assert np.shares_memory(block.coeffs_conj_t.data, block.coeffs_conj.data)
-        np.testing.assert_allclose(block.evaluate(x), lmi_value(lmi, x),
-                                   atol=0.0)
+
+
+def test_build_names_coefficients_that_are_not_finite(stable_model):
+    # C = 1e200 squares past the float range in Omega's (1, 11) block, and
+    # inf * 0 at the zero vector is NaN: the cause reported is the overflow
+    c_diag = stable_model.c_diag.copy()
+    c_diag[0] = 1e200
+    model = dataclasses.replace(stable_model, c_diag=c_diag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match="omega has coefficients that "
+                                             "are not finite"):
+            build_sdp(model)
 
 
 def test_zero_point_gives_zero_matrices(small_system):

@@ -1,5 +1,8 @@
 """Barrier feasibility solver and its supporting machinery."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -46,6 +49,17 @@ def opposing_toy():
         toy_lmi("up", one[None]),
         toy_lmi("down", -one[None]),
     ])
+
+
+def shared_toy():
+    """Two constraints of one shape that share the variable y:
+    x A + y B > 0 and y C + s D > 0, every coefficient of full support."""
+    first = np.stack([[[1.0, 0.5], [0.5, 2.0]], [[-0.3, 1.0], [1.0, 0.4]],
+                      np.zeros((2, 2))])
+    second = np.stack([np.zeros((2, 2)), [[1.0, 0.5j], [-0.5j, 1.0]],
+                       [[0.2, 0.3], [0.3, -0.1]]])
+    return StandardSdp(num_vars=3, lmis=[toy_lmi("first", first),
+                                         toy_lmi("second", second)])
 
 
 def three_scale_toy():
@@ -132,6 +146,21 @@ def test_scaling_normalizes_and_maps_back():
                                lmi_value(sdp.lmis[0], x), atol=1e-12)
 
 
+def test_scaling_takes_norms_without_overflow(stable_model):
+    # delta = 1e100 puts 1e200 on the P3 variables in Omega: squaring it
+    # would overflow, and dividing by an infinite factor would zero them
+    model = dataclasses.replace(stable_model, delta=1e100)
+    sdp = build_sdp(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled, factors = scale_problem(sdp)
+    assert np.all(np.isfinite(factors)) and np.all(factors > 0.0)
+    assert np.max(factors) > 1e199
+    for lmi in scaled.lmis:
+        assert np.all(np.isfinite(lmi.coeffs.data))
+        assert np.all(lmi.coeffs.data != 0.0)
+
+
 def test_scaling_preserves_the_feasibility_verdict():
     rng = np.random.default_rng(51)
     model = random_model(rng, 1)
@@ -193,16 +222,16 @@ def assert_structured_matches_dense(sdp, seed, spread=1.0):
     interior points from near the boundary of the cone to deep inside it,
     with every |x_i| below 0.1 * spread."""
     rng = np.random.default_rng(seed)
-    blocks = [qvnn.sdp._Block(lmi) for lmi in sdp.lmis]
+    stacks = qvnn.sdp._stack_constraints(sdp)
     m = sdp.num_vars
     for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
         x = 0.1 * spread * rng.uniform(-1.0, 1.0, size=m)
         t = min(float(np.linalg.eigvalsh(np.tensordot(x, a, axes=1))[0])
                 for a in real_coeffs(sdp)) - gap
         z = np.append(x, t)
-        chols = qvnn.sdp._in_domain(blocks, z, m)
+        chols = qvnn.sdp._in_domain(stacks, z, m)
         assert chols is not None
-        grad, hess = qvnn.sdp._grad_hess(blocks, chols, z, m, mu)
+        grad, hess = qvnn.sdp._grad_hess(stacks, chols, z, m, mu)
         grad_ref, hess_ref = dense_grad_hess(sdp, z, qvnn.sdp._TRUST_RADIUS, mu)
         assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
         assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
@@ -237,19 +266,52 @@ def test_structured_derivatives_match_dense_on_toys(toy, indefinite, spread):
     assert_structured_matches_dense(sdp, seed=7, spread=spread)
 
 
+def test_members_sharing_a_variable_add_up_in_the_scatter():
+    # both constraints land in one stack and both reach y's Hessian row, its
+    # t entry and the (t, t) entry through repeated flat indices
+    sdp = shared_toy()
+    (stack,) = qvnn.sdp._stack_constraints(sdp)
+    assert stack.names == ["first", "second"]
+    np.testing.assert_array_equal(stack.active, [[0, 1], [1, 2]])
+    assert_structured_matches_dense(sdp, seed=11)
+
+
+def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
+    # every constraint is in exactly one stack, the stacks follow the
+    # constraint list, and each evaluates its members as they are stored,
+    # from one block-diagonal copy that its transpose shares
+    sdp = build_sdp(stable_model)
+    stacks = qvnn.sdp._stack_constraints(sdp)
+    assert [len(stack.names) for stack in stacks] == [2, 1, 11, 3]
+    assert sorted(n for stack in stacks for n in stack.names) == sorted(
+        lmi.name for lmi in sdp.lmis)
+    by_name = {lmi.name: lmi for lmi in sdp.lmis}
+    x = np.random.default_rng(44).normal(size=sdp.num_vars)
+    for stack in stacks:
+        assert np.shares_memory(stack.coeffs_conj_t.data, stack.coeffs_conj.data)
+        assert stack.coeffs_conj.nnz == sum(by_name[n].coeffs.nnz
+                                            for n in stack.names)
+        for name, value in zip(stack.names, stack.evaluate(x)):
+            np.testing.assert_allclose(value, lmi_value(by_name[name], x),
+                                       atol=0.0)
+
+
 def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
     scaled, _ = scale_problem(build_sdp(stable_model))
-    for con in scaled.lmis:
-        block = qvnn.sdp._Block(con)
-        rowsets = [frozenset(r.tolist()) for r, _, _ in block.groups]
+    by_name = {lmi.name: lmi for lmi in scaled.lmis}
+    for stack in qvnn.sdp._stack_constraints(scaled):
+        rowsets = [frozenset(r.tolist()) for r, _, _ in stack.groups]
         assert len(set(rowsets)) == len(rowsets)
         assert not any(a < b for a in rowsets for b in rowsets)
-        for rset, (_, rows_of, _) in zip(rowsets, block.groups):
-            for i in block.active[rows_of]:
-                a = con.coeffs[[i]].toarray().reshape(con.dim, con.dim)
-                own = frozenset(np.flatnonzero(a.any(axis=0) | a.any(axis=1)).tolist())
-                assert own <= rset
-                assert len(rset) == min(len(r) for r in rowsets if own <= r)
+        for name, active in zip(stack.names, stack.active):
+            con = by_name[name]
+            for rset, (_, cols, _) in zip(rowsets, stack.groups):
+                for i in active[cols]:
+                    a = con.coeffs[[i]].toarray().reshape(con.dim, con.dim)
+                    own = frozenset(np.flatnonzero(a.any(axis=0)
+                                                   | a.any(axis=1)).tolist())
+                    assert own <= rset
+                    assert len(rset) == min(len(r) for r in rowsets if own <= r)
 
 
 def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
