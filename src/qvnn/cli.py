@@ -102,13 +102,11 @@ def _certify_model(model: NetworkModel, margin_tol: float,
 
 
 def _write_diagnostics_csv(path: Path, trace) -> None:
-    _write_csv(path, ["iteration", "barrier_weight", "t", "min_eig",
-                      "newton_steps", "max_regularization", "newton_decrement"],
-               np.array([[rec.iteration, rec.barrier_weight, rec.t, rec.min_eig,
-                          rec.newton_steps, rec.max_regularization,
-                          rec.newton_decrement] for rec in trace],
-                        dtype=float).reshape(-1, 7),
-               ["%d", "%.6e", "%.12e", "%.12e", "%d", "%.6e", "%.6e"])
+    _write_csv(path, ["iteration", "t", "bound", "gap", "primal_residual",
+                      "primal_step", "dual_step", "min_eig"],
+               np.array([dataclasses.astuple(rec) for rec in trace],
+                        dtype=float).reshape(-1, 8),
+               ["%d", "%.12e", "%.12e", "%.6e", "%.6e", "%.6e", "%.6e", "%.12e"])
 
 
 def cmd_certify(args) -> int:
@@ -117,10 +115,10 @@ def cmd_certify(args) -> int:
     started = _now()
     result, dv, timings = _certify_model(model, args.margin_tol)
     if result.status == "numerical_failure":
-        _emit({"status": result.status, "failure_cause": result.failure_cause,
-               "stalled_line_searches": result.stalled_line_searches},
+        _emit({"status": result.status, "failure_cause": result.failure_cause},
               args.json,
-              ["status: numerical_failure (all solver restarts broke down)",
+              ["status: numerical_failure (the solver broke down before its "
+               "first iteration)",
                f"cause:  {result.failure_cause}"])
         return 3
 
@@ -137,9 +135,8 @@ def cmd_certify(args) -> int:
         "margin_tolerance": args.margin_tol,
         "num_variables": DecisionVars.num_scalars(model.n),
         "iterations": result.iterations,
-        "outer_rounds": result.outer_rounds,
-        "seed_used": result.seed_used,
-        "stalled_line_searches": result.stalled_line_searches,
+        "gap": result.gap,
+        "failure_cause": result.failure_cause,
         "timings": timings,
         "per_constraint_min_eig": result.per_constraint_min_eig,
         "config_hash": config_hash(doc),
@@ -154,8 +151,8 @@ def cmd_certify(args) -> int:
         f"tolerance {args.margin_tol:g})",
         f"size:    {report['num_variables']} scalar variables, "
         f"{len(result.per_constraint_min_eig)} constraints",
-        f"effort:  {result.iterations} Newton steps over "
-        f"{result.outer_rounds} outer rounds, {timings['solve_seconds']}s",
+        f"effort:  {result.iterations} primal-dual Newton steps to a gap of "
+        f"{result.gap:.1e}, {timings['solve_seconds']}s",
     ]
     if recheck is not None:
         lines.append(f"recheck: worst constraint margin "
@@ -453,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--out", default=None,
                       help="write certificate JSON here on success")
     cert.add_argument("--diagnostics", default=None,
-                      help="write per-outer-iteration solver CSV here")
+                      help="write the per-iteration solver CSV here")
     cert.add_argument("--json", action="store_true")
     cert.set_defaults(func=cmd_certify)
 

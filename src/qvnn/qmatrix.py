@@ -28,8 +28,6 @@ arrays of shape (2, n): row 0 is the (w + x i) part, row 1 the (y + z i) part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError, StructureError
@@ -37,8 +35,6 @@ from .errors import ShapeError, StructureError
 # Structure violations up to this relative size are repaired silently;
 # anything larger is rejected as a genuine structure error.
 HERMITIAN_REPAIR_TOL = 1e-12
-# Eigenvalues within this relative band of zero make a matrix "degenerate".
-DEFINITENESS_TOL = 1e-10
 
 
 class QuatMatrix:
@@ -197,29 +193,6 @@ def real_diag(d: np.ndarray) -> QuatMatrix:
 def hermitian_eigvals(h: HermitianQuatMatrix) -> np.ndarray:
     """Sorted eigenvalues of the complex embedding (each quaternion eigenvalue x2)."""
     return np.linalg.eigvalsh(h.complex_embed())
-
-
-@dataclass(frozen=True)
-class DefinitenessReport:
-    kind: str  # positive_definite | negative_definite | indefinite | semidefinite_degenerate
-    min_eig: float
-    max_eig: float
-
-
-def definiteness(h: HermitianQuatMatrix) -> DefinitenessReport:
-    """Classify a Hermitian quaternion matrix through the complex embedding."""
-    eigs = hermitian_eigvals(h)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    tol = DEFINITENESS_TOL * max(1.0, abs(lo), abs(hi))
-    if lo > tol:
-        kind = "positive_definite"
-    elif hi < -tol:
-        kind = "negative_definite"
-    elif lo < -tol and hi > tol:
-        kind = "indefinite"
-    else:
-        kind = "semidefinite_degenerate"
-    return DefinitenessReport(kind, lo, hi)
 
 
 # ---- quaternion vectors as complex pairs ---------------------------------------

@@ -1,63 +1,71 @@
-"""Max-margin semidefinite feasibility by a log-det barrier Newton method.
+"""Max-margin semidefinite feasibility by a primal-dual interior-point method.
 
 The problem solved is
 
-    maximize t   subject to   G_k(x) - t I >= 0  for every constraint k,
-                              |x_i| <= R = 1,
+    maximize t   subject to   S_k = G_k(x) - t I >= 0  for every constraint k,
+                              1 - x_i >= 0,  1 + x_i >= 0,
 
 where G_k(x) = sum_i x_i A_ki is complex Hermitian and every constraint
 reads "> 0". Strict feasibility of the original system is equivalent to a
 positive optimal t; every constraint is homogeneous, so x = 0 always
 achieves t = 0, and "infeasible" here always means "no margin above the
-tolerance", never an empty domain.
+tolerance", never an empty domain. The box |x_i| <= R = 1 pins the scale of
+the otherwise homogeneous problem: the optimal t is proportional to R.
 
-The barrier subproblem for weight mu,
+In the standard form of SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw.
+11, 1999) this is the dual problem in y = (x, t), with the S_k as
+semidefinite cones under <U, V> = Re tr(U V) and the box as two linear
+cones. Its primal has a Hermitian X_k >= 0 per constraint and u, l >= 0
+per variable, with
 
-    minimize  -t/mu - sum_k 2 log det(G_k(x) - t I)
-              - sum_i [log(R - x_i) + log(R + x_i)],
+    sum_k tr X_k = 1,   u_i - l_i = sum_k Re tr(A_ki X_k),
 
-is centered by damped Newton steps; mu shrinks geometrically. The box term
-makes the Hessian strictly positive definite, keeps iterates bounded, and
-pins the scale of the otherwise homogeneous problem. The classical barrier
-bound gives  t_opt - t(mu) <= nu * mu  with nu the total cone dimension, so
-the outer loop stops once nu * mu is far below the margin tolerance.
+and objective sum(u + l), which bounds every feasible t once the primal
+equations hold. The solver is an infeasible-start path-following method
+with the Nesterov-Todd (NT) direction (Math. Oper. Res. 22, 1997) and
+Mehrotra's predictor-corrector. It starts at y = (0, -1), where every
+S_k = I, and evaluates S = S(y) at every iterate, so each iterate is dual
+feasible: its t is a margin that its x attains. The primal starts at
+X_k = I, u = l = 1 and becomes feasible as the steps shrink its residual.
+The run stops once the gap sum(u + l) - t is at most the target and the
+primal residual at most 1e-9.
 
-Each block is the complex image chi of a quaternion constraint, and its
-log det counts twice: the real symmetric image [[Re G, -Im G], [Im G, Re G]]
-has every eigenvalue of G twice, so its log det is 2 log det G, and this
-weighting keeps the barrier, its central path and nu = sum_k 2 dim_k + 2m
-those of the real form.
+For each block the NT scaling G, with G^H S G = G^-1 X G^-H = diag(lambda),
+comes from the Cholesky factors L_X, L_S and the SVD L_S^H L_X =
+U diag(lambda) V^H as G = L_X V diag(lambda)^-1/2; W = G G^H satisfies
+W S W = X. The complementarity equations are linearized in the scaled
+space, where the iterate is diagonal, and the step lengths to the boundary
+are the eigenvalues of the scaled steps. The Schur complement is
 
-Each Newton step works from the sparsity of the coefficients, in the spirit
-of the F1-F3 Schur-complement formulas of Fujisawa, Kojima & Nakata (Math.
-Prog. 79, 1997). With W = (G_k - t I)^-1 = L^-H L^-1, from the Cholesky
-factor L the line search accepted, the block adds
+    M_ij = <A_i, W A_j W> = Re tr(A_i W A_j W)
 
-    grad_i = -2 Re tr(W A_i),   H_ij = 2 Re tr(S_i A_j),   S_i = W A_i W,
+over the variables and t, whose coefficient is -I, plus
+diag(u / (1 - x) + l / (1 + x)) from the box, which keeps M positive
+definite; the predictor and the corrector solve with one Cholesky factor
+of M.
 
-and the margin column, whose coefficient is -I, adds 2 tr W, 2 ||W||_F^2
-and -2 tr S_i. A_i vanishes outside its row support, so for any row set R
-that holds it, S_i = W[:, R] A_i[R, R] W[R, :]. The variables are grouped
-under the maximal row supports of their block, S_i is batched per group,
-and tr(S_i A_j) is one sparse product per group.
+M works from the sparsity of the coefficients, in the spirit of the F1-F3
+Schur-complement formulas of Fujisawa, Kojima & Nakata (Math. Prog. 79,
+1997). A_i vanishes outside its row support, so for any row set R that
+holds it, W A_i W = W[:, R] A_i[R, R] W[R, :]. The variables are grouped
+under the maximal row supports of their block, W A_i W is batched per
+group, and tr(W A_i W A_j) is one sparse product per group.
 
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
 Omega and 16 blocks of three shapes), so the solver works on stacks, not on
 single constraints: a stack is every constraint with the same side, the same
 support row sets and the same group sizes, Omega a stack of one. Evaluation
-is one sparse product per stack, the line search one batched Cholesky per
-stack, and a Newton step one batched inverse, one batched product per group
-and one sparse product per group for all members. Every stack's gradient
-and Hessian entries then reach the (m + 1)^2 Hessian through flat indices
-computed at set-up, in one ``np.bincount``, which adds up the entries of
-members that share a variable. Every factorization and solve uses
-``numpy.linalg``: scipy ships its own OpenBLAS, and alternating between the
-two runtimes' thread pools inside the loop cost more than the step.
+of S and the primal operator <A_i, U> are one sparse product per stack, and
+the scaling, the step lengths and the Schur complement are batched over the
+members. Every stack's Schur entries then reach the (m + 1)^2 matrix
+through flat indices computed at set-up, in one ``np.bincount``, which adds
+up the entries of members that share a variable. Every factorization and
+solve uses ``numpy.linalg``: scipy ships its own OpenBLAS, and alternating
+between the two runtimes' thread pools inside the loop cost more than the
+step.
 
-A WARNING for readers comparing with production interior-point codes: this is
-a feasibility engine, not a general-purpose SDP solver. It has no dual
-iterates, no infeasibility certificates, and no presolve beyond
-``scale_problem``.
+This is a feasibility engine, not a general-purpose SDP solver: it has no
+infeasibility certificates and no presolve beyond ``scale_problem``.
 """
 
 from __future__ import annotations
@@ -71,62 +79,46 @@ import scipy.sparse
 from .errors import InputError, NumericalError
 from .lowering import AffineLmi, StandardSdp
 
-_SEED_RETRIES = 5
-# R of the box |x_i| <= R. Every constraint is homogeneous, so the optimal t
-# is proportional to R: the box fixes the scale in which the margin and its
-# tolerance are stated.
-_TRUST_RADIUS = 1.0
-_ARMIJO_SLOPE = 0.25
-_MIN_STEP = 1e-13
-_NEWTON_TOLERANCE = 1e-9
-_MAX_NEWTON_ITERS = 100
-_BARRIER_SHRINK = 0.2
-# Each complex Hermitian block stands for its real symmetric image, which
-# holds every eigenvalue twice: the block's log det, its derivatives and its
-# share of nu count this many times.
+# Each complex Hermitian constraint stands for its real symmetric image,
+# whose Frobenius norm is this many times the complex one's, squared.
 _REAL_MULTIPLICITY = 2
+# the largest violation of a primal equation at which the run may stop
+_RESIDUAL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     margin_tolerance: float = 1e-6
+    # the cap on primal-dual iterations
     max_outer_iters: int = 60
 
 
 @dataclass
-class OuterRecord:
+class IterationRecord:
     iteration: int
-    barrier_weight: float
-    t: float
-    min_eig: float
-    newton_steps: int
-    # largest diagonal shift that made a Hessian of this round factorizable
-    # (0.0 when every Hessian was positive definite as computed)
-    max_regularization: float
-    # the last Newton decrement of this round's centering: below twice the
-    # Newton tolerance unless the round stalled or ran out of steps
-    newton_decrement: float
+    t: float                 # the iterate's margin, attained by its x
+    bound: float             # the primal objective sum(u + l)
+    gap: float               # bound - t
+    primal_residual: float   # largest violation of the primal equations
+    primal_step: float
+    dual_step: float
+    min_eig: float           # smallest eigenvalue of every G_k(x)
 
 
 @dataclass
 class FeasibilityResult:
     status: str                      # feasible | infeasible_at_tolerance | numerical_failure
-    margin: float                    # best certified t
+    margin: float                    # best t over the iterates
     x: np.ndarray | None
     per_constraint_min_eig: dict[str, float]
-    iterations: int                  # total Newton steps
-    outer_rounds: int
+    iterations: int                  # primal-dual iterations completed
     wall_time: float
-    seed_used: int = 0
-    trace: list[OuterRecord] = field(default_factory=list)
-    # message of the last NumericalError met: the cause of a numerical
-    # failure, or of the seed restarts before a result; None if none occurred
+    gap: float = np.inf              # bound - t at the reported iterate
+    trace: list[IterationRecord] = field(default_factory=list)
+    # message of the NumericalError that ended the run, or None
     failure_cause: str | None = None
-    # line searches that found no acceptable step, so centering stopped early
-    # at the current point (counted over the run that produced the result)
-    stalled_line_searches: int = 0
-    # seconds of the run that produced the result spent on barrier
-    # derivatives, on the Hessian factorization and solve, and on line search
+    # seconds spent on the NT scaling and the Schur complement, on factoring
+    # the Schur complement, and on directions, step lengths and updates
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -167,10 +159,12 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, np.ndarray]:
 def _support_groups(lmi: AffineLmi) -> list[tuple[np.ndarray, np.ndarray]]:
     """(R, variables) for each maximal row support R of one constraint.
     Each variable with a nonzero coefficient joins the smallest maximal row
-    set holding its own support (A_i vanishes on the extra rows, so S_i is
-    unchanged)."""
+    set holding its own support (A_i vanishes on the extra rows, so
+    W A_i W is unchanged)."""
     a = lmi.coeffs
     d = lmi.dim
+    if not np.any(a.data):
+        raise InputError(f"constraint {lmi.name} has no nonzero coefficient")
     # row and column support per variable, from the stored entries
     owner = _entry_rows(a)
     p, q = np.divmod(a.indices, d)
@@ -198,15 +192,16 @@ class _Stack:
     flattened conj(A_ki) as one block-diagonal CSR matrix, member-major:
     row k * len(active[k]) + j is member k's j-th variable, and its columns
     are member k's d * d entries. It is the one copy of the coefficients,
-    and every derivative reads it with one sparse product for all members.
-    Evaluation reads it through ``coeffs_conj_t``, its transpose: a view
-    that shares its arrays, made once because making it costs more than
-    the product. ``groups`` holds, per row set R, the slice of ``active``
-    assigned to it and the members' dense A_i[R, R], stored as A_i[b, a] at
-    [k, b, (a, i)], so that one batched product with W[:, :, R] gives W A_i
-    for the whole group of every member. ``grad_index`` and ``hess_index``
-    are the flat positions in the (m + 1)-vector and the (m + 1)^2 matrix
-    of the weights ``grad_hess`` returns.
+    and the primal operator and the Schur complement read it with one
+    sparse product for all members. Evaluation reads it through
+    ``coeffs_conj_t``, its transpose: a view that shares its arrays, made
+    once because making it costs more than the product. ``groups`` holds,
+    per row set R, the slice of ``active`` assigned to it and the members'
+    dense A_i[R, R], stored as A_i[b, a] at [k, b, (a, i)], so that one
+    batched product with W[:, :, R] gives W A_i for the whole group of
+    every member. ``grad_index`` and ``hess_index`` are the flat positions
+    in the (m + 1)-vector and the (m + 1)^2 matrix of the weights ``apply``
+    and ``schur`` return.
     """
 
     def __init__(self, parts, num_vars: int):
@@ -260,33 +255,34 @@ class _Stack:
         s.reshape(len(s), -1)[:, ::d + 1] -= t
         return s
 
-    def grad_hess(self, chol: np.ndarray):
-        """Barrier derivatives of -2 log det at the point whose factors are
-        chol, as (gradient weights, Hessian weights) at ``grad_index`` and
-        ``hess_index``: the gradient over every member's active variables
-        and in t, then the Hessian blocks, their t column and row, and the
-        (t, t) entry. Every trace is tr(X A_i) = sum conj(A_i) * X over the
-        entries, as A_i is Hermitian.
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The primal operator at the Hermitian blocks u, (members, d, d):
+        -Re tr(A_ki U_k) for every member's active variables, then the sum
+        of tr U_k for t, as weights at ``grad_index``. Every trace is
+        tr(A_i U) = sum conj(A_i) * U over the entries, as A_i is Hermitian.
         """
-        linv = np.linalg.inv(chol)
-        w = linv.conj().transpose(0, 2, 1) @ linv
+        return np.append(-(self.coeffs_conj @ u.ravel()).real,
+                         np.trace(u, axis1=1, axis2=2).real.sum())
+
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """The Schur complement weights at the NT scaling matrices w, at
+        ``hess_index``: Re tr(A_i W A_j W) over every member's active
+        variables, then the t column and row, -Re tr(A_i W W), and the
+        (t, t) entry ||W||_F^2."""
         nb, d, k = len(w), self.dim, self.active.shape[1]
-        c = _REAL_MULTIPLICITY
-        grad = -c * (self.coeffs_conj @ w.ravel()).real
-        hess_t = -c * (self.coeffs_conj @ (w @ w).ravel()).real  # -tr(W A_i W)
+        hess_t = -(self.coeffs_conj @ (w @ w).ravel()).real
         hess = np.empty((nb, k, k))
         for r, cols, acat in self.groups:
             kg = cols.stop - cols.start
             # (W A_i)[p, a] at [k, p, a, i], then one product per (k, p)
-            # with W[R, :] gives S_i[p, q] at [k, p, q, i]: the layout the
-            # sparse product reads
+            # with W[R, :] gives (W A_i W)[p, q] at [k, p, q, i]: the layout
+            # the sparse product reads
             u = (w[:, :, r] @ acat).reshape(nb, d, len(r), kg)
             s = np.matmul(w[:, r].transpose(0, 2, 1)[:, None], u)
-            hess[:, :, cols] = c * (self.coeffs_conj @ s.reshape(nb * d * d, kg)
-                                    ).real.reshape(nb, k, kg)
-        return (np.append(grad, c * np.trace(w, axis1=1, axis2=2).real.sum()),
-                np.concatenate([hess.ravel(), hess_t, hess_t,
-                                [c * np.vdot(w, w).real]]))
+            hess[:, :, cols] = (self.coeffs_conj @ s.reshape(nb * d * d, kg)
+                                ).real.reshape(nb, k, kg)
+        return np.concatenate([hess.ravel(), hess_t, hess_t,
+                               [np.vdot(w, w).real]])
 
 
 def _stack_constraints(sdp: StandardSdp) -> list[_Stack]:
@@ -301,114 +297,46 @@ def _stack_constraints(sdp: StandardSdp) -> list[_Stack]:
     return [_Stack(parts, sdp.num_vars) for parts in shapes.values()]
 
 
-def _try_cholesky(mat):
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
+def _scatter(indices, weights, size: int) -> np.ndarray:
+    """Every stack's weights summed at its flat indices: members that share
+    a variable add up."""
+    return np.bincount(np.concatenate(indices), weights=np.concatenate(weights),
+                       minlength=size)
 
 
-def _in_domain(stacks, z, m):
-    """The Cholesky factors of every stack at z, (members, d, d) each, or
-    None when z is outside the box or any member is not positive definite."""
-    if np.any(np.abs(z[:m]) >= _TRUST_RADIUS):
-        return None
-    chols = []
-    for stack in stacks:
-        l = _try_cholesky(stack.evaluate(z[:m], z[m]))
-        if l is None:
-            return None
-        chols.append(l)
-    return chols
-
-
-def _barrier_value(chols, z, m, mu):
-    logdets = sum(_REAL_MULTIPLICITY * 2.0 * np.sum(np.log(
-        np.diagonal(l, axis1=1, axis2=2).real)) for l in chols)
-    box = (np.sum(np.log(_TRUST_RADIUS - z[:m]))
-           + np.sum(np.log(_TRUST_RADIUS + z[:m])))
-    return -z[m] / mu - logdets - box
-
-
-def _grad_hess(stacks, chols, z, m, mu):
-    """Gradient and Hessian of the barrier objective at an interior point z,
-    given the Cholesky factors of every stack at z. Every stack's weights
-    land at their flat indices through one sum per output, so members that
-    share a variable add up."""
-    parts = [stack.grad_hess(l) for stack, l in zip(stacks, chols)]
+def _schur_matrix(stacks, ws, m):
+    """The (m + 1)^2 Schur complement of the semidefinite blocks at their NT
+    scaling matrices ws."""
     n1 = m + 1
-    grad = np.bincount(np.concatenate([s.grad_index for s in stacks]),
-                       weights=np.concatenate([g for g, _ in parts]),
-                       minlength=n1)
-    hess = np.bincount(np.concatenate([s.hess_index for s in stacks]),
-                       weights=np.concatenate([h for _, h in parts]),
-                       minlength=n1 * n1).reshape(n1, n1)
-    grad[m] -= 1.0 / mu
-    xs = z[:m]
-    grad[:m] += 1.0 / (_TRUST_RADIUS - xs) - 1.0 / (_TRUST_RADIUS + xs)
-    idx = np.arange(m)
-    hess[idx, idx] += (1.0 / (_TRUST_RADIUS - xs) ** 2
-                       + 1.0 / (_TRUST_RADIUS + xs) ** 2)
-    return grad, (hess + hess.T) / 2.0
+    mat = _scatter([s.hess_index for s in stacks],
+                   [s.schur(w) for s, w in zip(stacks, ws)], n1 * n1)
+    mat = mat.reshape(n1, n1)
+    return (mat + mat.T) / 2.0
 
 
-def _newton_center(stacks, z, m, mu, chols, clock):
-    """Damped Newton minimization of the barrier subproblem.
+def _herm(a):
+    return a.conj().transpose(0, 2, 1)
 
-    Returns (z, steps, chols, stalled, max_reg, decrement): chols are the
-    factors at the returned z, stalled is True when a line search found no
-    acceptable step, max_reg is the largest Hessian regularization used, and
-    decrement is the last Newton decrement computed. The seconds spent on
-    derivatives, on the Hessian factorization and solve, and on the line
-    search are added to ``clock``.
-    """
-    steps = 0
-    max_reg = 0.0
-    eye = np.eye(m + 1)
-    for _ in range(_MAX_NEWTON_ITERS):
-        tick = time.perf_counter()
-        grad, hess = _grad_hess(stacks, chols, z, m, mu)
-        tock = time.perf_counter()
-        clock["derivatives_seconds"] += tock - tick
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError("barrier gradient evaluation left the domain")
-        reg = 0.0
-        for _attempt in range(60):
-            shifted = hess + reg * eye
-            if _try_cholesky(shifted) is not None:
-                break
-            trace_scale = max(np.trace(hess) / (m + 1), 1.0)
-            reg = 2.0 * reg if reg > 0 else 1e-12 * trace_scale
-        else:
-            raise NumericalError("Hessian factorization failed despite regularization")
-        max_reg = max(max_reg, reg)
-        direction = np.linalg.solve(shifted, -grad)
-        decrement = float(-grad @ direction)
-        tick = time.perf_counter()
-        clock["newton_solve_seconds"] += tick - tock
-        if not np.isfinite(decrement) or decrement < 0:
-            raise NumericalError("Newton decrement is not finite")
-        if decrement / 2.0 <= _NEWTON_TOLERANCE:
-            return z, steps, chols, False, max_reg, decrement
-        f0 = _barrier_value(chols, z, m, mu)
-        alpha = 1.0
-        accepted = False
-        while alpha > _MIN_STEP:
-            cand = z + alpha * direction
-            cand_chols = _in_domain(stacks, cand, m)
-            if cand_chols is not None:
-                f1 = _barrier_value(cand_chols, cand, m, mu)
-                if f1 <= f0 - _ARMIJO_SLOPE * alpha * decrement:
-                    z, chols = cand, cand_chols
-                    accepted = True
-                    break
-            alpha *= 0.5
-        steps += 1
-        clock["line_search_seconds"] += time.perf_counter() - tick
-        if not accepted:
-            # stalled line search: treat the current point as centered enough
-            return z, steps, chols, True, max_reg, decrement
-    return z, steps, chols, False, max_reg, decrement
+
+def _inner(a, b) -> float:
+    """Re tr(A B) of two stacks of Hermitian matrices, summed."""
+    return float(np.vdot(a, b).real)
+
+
+def _max_steps(lam, dx, ds) -> tuple[float, float]:
+    """The step lengths to the boundary of the cone from diag(lambda) along
+    the scaled steps dx and ds, (members, d, d) each: from the smallest
+    eigenvalues of diag(lambda)^-1/2 step diag(lambda)^-1/2."""
+    w = 1.0 / np.sqrt(lam)
+    w = np.concatenate([w, w])
+    lo = np.linalg.eigvalsh(w[:, :, None] * np.concatenate([dx, ds])
+                            * w[:, None, :])[:, 0].reshape(2, -1).min(axis=1)
+    return tuple(np.inf if v >= 0.0 else -1.0 / v for v in lo)
+
+
+def _max_linear_step(v, dv) -> float:
+    shrink = dv < 0.0
+    return np.min(-v[shrink] / dv[shrink], initial=np.inf)
 
 
 def _min_eigs(stacks, x) -> dict[str, float]:
@@ -420,77 +348,173 @@ def _min_eigs(stacks, x) -> dict[str, float]:
     return eigs
 
 
+def _cholesky(mats, what: str):
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{what} is not positive definite") from None
+
+
+class _Iterate:
+    """The primal X (one (members, d, d) array per stack), u and l, and the
+    dual y = (x, t) with S = S(y) and the box slacks 1 - x and 1 + x."""
+
+    def __init__(self, stacks, m):
+        self.stacks, self.m = stacks, m
+        self.xs = [np.tile(np.eye(s.dim, dtype=complex), (len(s.names), 1, 1))
+                   for s in stacks]
+        self.u, self.l = np.ones(m), np.ones(m)
+        self.nu = sum(s.dim * len(s.names) for s in stacks) + 2 * m
+        self.set_dual(np.append(np.zeros(m), -1.0))
+
+    def set_dual(self, y):
+        self.y, x = y, y[:self.m]
+        self.ss = [s.evaluate(x, y[self.m]) for s in self.stacks]
+        self.su, self.sl = 1.0 - x, 1.0 + x
+
+    def apply(self, us, du=0.0):
+        """The primal operator at the blocks us, plus du on the variables."""
+        out = _scatter([s.grad_index for s in self.stacks],
+                       [s.apply(u) for s, u in zip(self.stacks, us)], self.m + 1)
+        out[:self.m] += du
+        return out
+
+    def residual(self) -> np.ndarray:
+        """b - A(X, u, l): the violation of the primal equations."""
+        r = -self.apply(self.xs, self.u - self.l)
+        r[self.m] += 1.0
+        return r
+
+    def complementarity(self) -> float:
+        return (sum(_inner(x, s) for x, s in zip(self.xs, self.ss))
+                + self.u @ self.su + self.l @ self.sl)
+
+
+def _iterate_once(it: _Iterate, clock):
+    """One Mehrotra predictor-corrector step from it along the NT direction;
+    returns the primal and dual step lengths taken."""
+    stacks, m = it.stacks, it.m
+    tick = time.perf_counter()
+    gs, lams = [], []
+    for x, s in zip(it.xs, it.ss):
+        lx, ls = _cholesky(x, "a primal block"), _cholesky(s, "a dual block")
+        _, lam, vh = np.linalg.svd(_herm(ls) @ lx)
+        gs.append(lx @ _herm(vh) / np.sqrt(lam)[:, None, :])
+        lams.append(lam)
+    schur = _schur_matrix(stacks, [g @ _herm(g) for g in gs], m)
+    schur[np.arange(m), np.arange(m)] += it.u / it.su + it.l / it.sl
+    tock = time.perf_counter()
+    clock["schur_seconds"] += tock - tick
+    # one inverse Cholesky factor serves the predictor and the corrector
+    linv = np.linalg.inv(_cholesky(schur, "the Schur complement"))
+    clock["factor_seconds"] += time.perf_counter() - tock
+    eyes = [np.eye(lam.shape[1]) for lam in lams]
+    mu = it.complementarity() / it.nu
+
+    def direction(rhs, zs, ru, rl):
+        """dy, the scaled dX and dS per stack, du and dl, for the scaled
+        complementarity right-hand sides zs = dX~ + dS~ and ru, rl."""
+        dy = linv.T @ (linv @ rhs)
+        dss = [_herm(g) @ s.evaluate(dy[:m], dy[m]) @ g
+               for s, g in zip(stacks, gs)]
+        dx = dy[:m]
+        return (dy, [z - ds for z, ds in zip(zs, dss)], dss,
+                ru + it.u / it.su * dx, rl - it.l / it.sl * dx)
+
+    def step_lengths(dy, dxs, dss, du, dl):
+        dx = dy[:m]
+        cones = [_max_steps(lam, a, b) for lam, a, b in zip(lams, dxs, dss)]
+        return (min([p for p, _ in cones] + [_max_linear_step(it.u, du),
+                                             _max_linear_step(it.l, dl)]),
+                min([d for _, d in cones] + [_max_linear_step(it.su, -dx),
+                                             _max_linear_step(it.sl, dx)]))
+
+    tick = time.perf_counter()
+    # predictor, dX~ + dS~ = -diag(lambda), du = -u, dl = -l: the Schur
+    # right-hand side is b - A(X, u, l) + A(X, u, l) = b
+    diags = [lam[:, :, None] * eye for lam, eye in zip(lams, eyes)]
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    dy, dxs, dss, du, dl = direction(rhs, [-z for z in diags], -it.u, -it.l)
+    ap, ad = (min(1.0, a) for a in step_lengths(dy, dxs, dss, du, dl))
+    dx = dy[:m]
+    mu_aff = (sum(_inner(z + ap * a, z + ad * b)
+                  for z, a, b in zip(diags, dxs, dss))
+              + (it.u + ap * du) @ (it.su - ad * dx)
+              + (it.l + ap * dl) @ (it.sl + ad * dx)) / it.nu
+    # the centering weight and step fraction of SDPT3
+    sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** max(1.0, 3.0 * min(ap, ad) ** 2))
+    fraction = 0.9 + 0.09 * min(ap, ad)
+    # corrector: (D dZ + dZ D) / 2 = sigma mu I - D^2 - H(dX~ dS~) of the
+    # predictor for dZ = dX~ + dS~, H the Hermitian part
+    zs = []
+    for lam, eye, a, b in zip(lams, eyes, dxs, dss):
+        prod = a @ b
+        zs.append((sigma * mu / lam - lam)[:, :, None] * eye
+                  - (prod + _herm(prod)) / (lam[:, :, None] + lam[:, None, :]))
+    ru = sigma * mu / it.su - it.u + du * dx / it.su
+    rl = sigma * mu / it.sl - it.l - dl * dx / it.sl
+    rhs = it.residual() - it.apply([g @ z @ _herm(g) for g, z in zip(gs, zs)],
+                                   ru - rl)
+    dy, dxs, dss, du, dl = direction(rhs, zs, ru, rl)
+    ap, ad = (min(1.0, fraction * a) for a in step_lengths(dy, dxs, dss, du, dl))
+    if not (np.all(np.isfinite(dy)) and np.isfinite(ap) and np.isfinite(ad)):
+        raise NumericalError("the step is not finite")
+    it.xs = [x + ap * (g @ d @ _herm(g)) for x, g, d in zip(it.xs, gs, dxs)]
+    it.u, it.l = it.u + ap * du, it.l + ap * dl
+    it.set_dual(it.y + ad * dy)
+    clock["step_seconds"] += time.perf_counter() - tick
+    return float(ap), float(ad)
+
 
 def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                       ) -> FeasibilityResult:
-    """Run the barrier method from the start drawn with seed 0, and restart
-    from the next seed's start after a numerical failure (seeds 0..4).
+    """Run the primal-dual method from y = (0, -1) until the gap and the
+    primal residual meet their targets or the iteration cap is reached.
 
-    The reported margin is the best t reached on the central path; it is
-    nondecreasing across outer rounds. Runs are bitwise deterministic.
+    Every iterate is dual feasible, so the reported margin, the best t over
+    the iterates, is attained by the reported x. A numerical breakdown ends
+    the run at the last iterate and names its cause; the status is
+    ``numerical_failure`` only when no iteration completed. Runs are
+    bitwise deterministic.
     """
     cfg = config or SolverConfig()
     stacks = _stack_constraints(sdp)
     m = sdp.num_vars
-    nu = sum(_REAL_MULTIPLICITY * s.dim * len(s.names) for s in stacks) + 2 * m
     gap_target = min(0.05 * cfg.margin_tolerance, 1e-8)
     start = time.perf_counter()
-
-    last_error = None
-    for seed in range(_SEED_RETRIES):
-        rng = np.random.default_rng(seed)
-        x0 = 0.1 * _TRUST_RADIUS * rng.uniform(-1.0, 1.0, size=m)
-        base_eig = min(_min_eigs(stacks, x0).values())
-        t0 = base_eig - max(1.0, 0.1 * abs(base_eig))
-        z = np.concatenate([x0, [t0]])
-        chols = _in_domain(stacks, z, m)
-        if chols is None:
-            last_error = NumericalError("could not find an interior starting point")
-            continue
-        clock = dict.fromkeys(("derivatives_seconds", "newton_solve_seconds",
-                               "line_search_seconds"), 0.0)
+    clock = dict.fromkeys(("schur_seconds", "factor_seconds", "step_seconds"),
+                          0.0)
+    it = _Iterate(stacks, m)
+    trace: list[IterationRecord] = []
+    best, best_x, cause = None, None, None
+    while len(trace) < cfg.max_outer_iters:
         try:
-            # center the barrier weight so the start is balanced in t:
-            # 2 tr (LL^H)^-1 = 2 ||L^-1||_F^2
-            pull = _REAL_MULTIPLICITY * sum(
-                float(np.sum(np.abs(np.linalg.inv(l)) ** 2)) for l in chols)
-            mu = 1.0 / max(pull, 1e-12)
-            best_t, best_x = -np.inf, None
-            trace: list[OuterRecord] = []
-            total_steps = 0
-            stalled = 0
-            outer = 0
-            while outer < cfg.max_outer_iters:
-                z, steps, chols, stall, max_reg, decrement = _newton_center(
-                    stacks, z, m, mu, chols, clock)
-                total_steps += steps
-                stalled += stall
-                outer += 1
-                t_now = float(z[m])
-                if t_now > best_t:
-                    best_t, best_x = t_now, z[:m].copy()
-                trace.append(OuterRecord(
-                    outer, mu, t_now, min(_min_eigs(stacks, z[:m]).values()),
-                    steps, max_reg, decrement))
-                if nu * mu <= gap_target:
-                    break
-                mu *= _BARRIER_SHRINK
-            status = ("feasible" if best_t >= cfg.margin_tolerance
-                      else "infeasible_at_tolerance")
-            eigs = _min_eigs(stacks, best_x)
-            return FeasibilityResult(
-                status=status, margin=best_t, x=best_x,
-                per_constraint_min_eig={l.name: eigs[l.name] for l in sdp.lmis},
-                iterations=total_steps, outer_rounds=outer,
-                wall_time=time.perf_counter() - start, seed_used=seed,
-                trace=trace,
-                failure_cause=str(last_error) if last_error else None,
-                stalled_line_searches=stalled, phase_seconds=clock)
+            ap, ad = _iterate_once(it, clock)
         except NumericalError as exc:
-            last_error = exc
-            continue
+            cause = str(exc)
+            break
+        x, t = it.y[:m], float(it.y[m])
+        bound = float(np.sum(it.u + it.l))
+        residual = float(np.max(np.abs(it.residual())))
+        trace.append(IterationRecord(len(trace) + 1, t, bound, bound - t,
+                                     residual, ap, ad,
+                                     min(_min_eigs(stacks, x).values())))
+        if best is None or t > best.t:
+            best, best_x = trace[-1], x
+        if trace[-1].gap <= gap_target and residual <= _RESIDUAL_TOLERANCE:
+            break
+    wall = time.perf_counter() - start
+    if best is None:
+        return FeasibilityResult(
+            status="numerical_failure", margin=-np.inf, x=None,
+            per_constraint_min_eig={}, iterations=0, wall_time=wall,
+            failure_cause=cause, phase_seconds=clock)
+    eigs = _min_eigs(stacks, best_x)
     return FeasibilityResult(
-        status="numerical_failure", margin=-np.inf, x=None,
-        per_constraint_min_eig={},
-        iterations=0, outer_rounds=0, wall_time=time.perf_counter() - start,
-        trace=[], failure_cause=str(last_error))
+        status=("feasible" if best.t >= cfg.margin_tolerance
+                else "infeasible_at_tolerance"),
+        margin=best.t, x=best_x,
+        per_constraint_min_eig={l.name: eigs[l.name] for l in sdp.lmis},
+        iterations=len(trace), wall_time=wall, gap=best.gap, trace=trace,
+        failure_cause=cause, phase_seconds=clock)

@@ -32,7 +32,6 @@ from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
-    definiteness,
     hermitian_eigvals,
     mat_vec,
     qv_embed,
@@ -46,6 +45,8 @@ from qvnn.simulate import (
 
 # Allowed relative imaginary residue when collapsing a Hermitian form to a real.
 QUADFORM_IMAG_TOL = 1e-10
+# Eigenvalues within this relative band of zero make a matrix "degenerate".
+DEFINITENESS_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,29 @@ def random_hermitian_pd(rng: np.random.Generator, n: int,
     g = random_quat_matrix(rng, n, n)
     p = g @ g.H + quat_identity(n) * floor
     return HermitianQuatMatrix(p.a1, p.a2)
+
+
+@dataclass(frozen=True)
+class DefinitenessReport:
+    kind: str  # positive_definite | negative_definite | indefinite | semidefinite_degenerate
+    min_eig: float
+    max_eig: float
+
+
+def definiteness(h: HermitianQuatMatrix) -> DefinitenessReport:
+    """Classify a Hermitian quaternion matrix through the complex embedding."""
+    eigs = hermitian_eigvals(h)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    tol = DEFINITENESS_TOL * max(1.0, abs(lo), abs(hi))
+    if lo > tol:
+        kind = "positive_definite"
+    elif hi < -tol:
+        kind = "negative_definite"
+    elif lo < -tol and hi > tol:
+        kind = "indefinite"
+    else:
+        kind = "semidefinite_degenerate"
+    return DefinitenessReport(kind, lo, hi)
 
 
 def spectral_norm(m: QuatMatrix) -> float:
@@ -485,9 +509,9 @@ def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
 
 
 # ---------------------------------------------------------------------------
-# Dense barrier derivatives and a projection-based feasibility search, both
-# working on the full real (num_vars, 2d, 2d) coefficient stacks of a
-# standard SDP, as a real-form reference for the complex solver.
+# A dense Schur complement over the full complex coefficient stacks, and a
+# projection-based feasibility search over the full real (num_vars, 2d, 2d)
+# stacks, as references for the structured solver.
 # ---------------------------------------------------------------------------
 
 
@@ -507,33 +531,22 @@ def real_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
     return stacks
 
 
-def dense_grad_hess(sdp: StandardSdp, z: np.ndarray, radius: float, mu: float):
-    """Gradient and Hessian of the barrier objective of ``qvnn.sdp`` at z.
+def dense_schur(sdp: StandardSdp, ws: list[np.ndarray]) -> np.ndarray:
+    """The Schur complement Re tr(W B_i W B_j) of ``qvnn.sdp``, summed over
+    the constraints, at one positive definite W per constraint.
 
-    The margin t is the last entry of z and enters each block as -t I. Every
-    block forms S^-1 A_i for all variables, active or not, and the Hessian
-    is tr(S^-1 A_i S^-1 A_j) summed over blocks, plus the box terms.
+    B_i is the complex coefficient of x_i for i < m and -I, that of the
+    margin t, for i = m. Every block forms W B_i for all variables, active
+    or not.
     """
     m = sdp.num_vars
-    nvar = m + 1
-    grad = np.zeros(nvar)
-    hess = np.zeros((nvar, nvar))
-    grad[m] -= 1.0 / mu
-    for a in real_coeffs(sdp):
-        d = a.shape[1]
-        a = np.concatenate([a, -np.eye(d)[None]], axis=0)
-        s = np.tensordot(z, a, axes=1)
-        w = scipy.linalg.cho_solve((np.linalg.cholesky(s), True), np.eye(d))
-        prods = np.matmul(w[None, :, :], a)          # S^-1 A_i, batched
-        grad -= np.trace(prods, axis1=1, axis2=2)
-        flat = prods.reshape(nvar, -1)
-        flat_t = prods.transpose(0, 2, 1).reshape(nvar, -1)
-        hess += flat @ flat_t.T
-    xs = z[:m]
-    grad[:m] += 1.0 / (radius - xs) - 1.0 / (radius + xs)
-    idx = np.arange(m)
-    hess[idx, idx] += 1.0 / (radius - xs) ** 2 + 1.0 / (radius + xs) ** 2
-    return grad, (hess + hess.T) / 2.0
+    schur = np.zeros((m + 1, m + 1))
+    for lmi, w in zip(sdp.lmis, ws):
+        b = lmi.coeffs.toarray().reshape(m, lmi.dim, lmi.dim)
+        b = np.concatenate([b, -np.eye(lmi.dim)[None]], axis=0)
+        wb = np.matmul(w[None], b)                    # W B_i, batched
+        schur += np.einsum("ipq,jqp->ij", wb, wb).real
+    return schur
 
 
 @dataclass
@@ -1088,15 +1101,13 @@ def write_trajectory_csv_rows(path: Path, traj) -> None:
 def write_diagnostics_csv_rows(path: Path, trace) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "barrier_weight", "t", "min_eig",
-                         "newton_steps", "max_regularization",
-                         "newton_decrement"])
+        writer.writerow(["iteration", "t", "bound", "gap", "primal_residual",
+                         "primal_step", "dual_step", "min_eig"])
         for rec in trace:
-            writer.writerow([rec.iteration, f"{rec.barrier_weight:.6e}",
-                             f"{rec.t:.12e}", f"{rec.min_eig:.12e}",
-                             rec.newton_steps,
-                             f"{rec.max_regularization:.6e}",
-                             f"{rec.newton_decrement:.6e}"])
+            writer.writerow([rec.iteration, f"{rec.t:.12e}", f"{rec.bound:.12e}",
+                             f"{rec.gap:.6e}", f"{rec.primal_residual:.6e}",
+                             f"{rec.primal_step:.6e}", f"{rec.dual_step:.6e}",
+                             f"{rec.min_eig:.12e}"])
 
 
 def write_summary_csv_rows(path: Path, entries) -> None:

@@ -17,6 +17,7 @@ from oracles import (
     VectorPath,
     assemble_omega,
     brute_product,
+    definiteness,
     derivation_omega,
     jensen_gap,
     random_decision_vars,
@@ -30,7 +31,7 @@ from oracles import (
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import omega_upper_blocks, verify_certificate
 from qvnn.lowering import AffineLmi, StandardSdp
-from qvnn.qmatrix import HermitianQuatMatrix, definiteness, hermitian_eigvals
+from qvnn.qmatrix import HermitianQuatMatrix, hermitian_eigvals
 from qvnn.sdp import SolverConfig, solve_feasibility
 from qvnn.simulate import convergence_metrics, integrate
 

@@ -33,7 +33,7 @@ from qvnn.lkf import lkf_trace
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
 from qvnn.qmatrix import mat_vec, qv_from_components
-from qvnn.sdp import FeasibilityResult, OuterRecord
+from qvnn.sdp import FeasibilityResult, IterationRecord
 from qvnn.simulate import activation, integrate
 
 
@@ -66,13 +66,14 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert report["margin"] >= 1e-6
     assert report["recheck_valid"] is True
     assert report["num_variables"] == 136
-    assert isinstance(report["stalled_line_searches"], int)
+    assert report["gap"] <= 1e-8
+    assert report["failure_cause"] is None
     assert len(report["per_constraint_min_eig"]) == 17
     assert min(report["per_constraint_min_eig"].values()) >= report["margin"] - 1e-9
     # the solver's phases are timed; only the schema is fixed
     assert list(report["timings"]) == [
-        "build_seconds", "solve_seconds", "derivatives_seconds",
-        "newton_solve_seconds", "line_search_seconds"]
+        "build_seconds", "solve_seconds", "schur_seconds", "factor_seconds",
+        "step_seconds"]
     assert all(isinstance(v, float) and v >= 0.0
                for v in report["timings"].values())
 
@@ -91,12 +92,12 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert manifest["config_hash"] == config_hash(doc)
 
     header, rows = read_csv(diag)
-    assert header == ["iteration", "barrier_weight", "t", "min_eig",
-                      "newton_steps", "max_regularization", "newton_decrement"]
-    assert len(rows) >= 1
-    weights = [float(r[1]) for r in rows]
-    assert all(a > b for a, b in zip(weights, weights[1:]))
-    assert all(float(r[6]) >= 0.0 for r in rows)
+    assert header == ["iteration", "t", "bound", "gap", "primal_residual",
+                      "primal_step", "dual_step", "min_eig"]
+    assert [int(r[0]) for r in rows] == list(range(1, report["iterations"] + 1))
+    assert float(rows[-1][3]) == pytest.approx(report["gap"], rel=1e-6)
+    assert all(0.0 < float(r[5]) <= 1.0 and 0.0 < float(r[6]) <= 1.0
+               for r in rows)
 
 
 def test_certify_reports_failure_honestly(capsys, reference_example_path):
@@ -235,7 +236,7 @@ def diagnostics_of(trace, tmp_path, capsys, monkeypatch, config_path):
     def recorded(sdp, config):
         return FeasibilityResult(
             status="infeasible_at_tolerance", margin=-0.125, x=None,
-            per_constraint_min_eig={}, iterations=10, outer_rounds=2,
+            per_constraint_min_eig={}, iterations=len(trace),
             wall_time=0.0, trace=trace)
 
     monkeypatch.setattr(qvnn.cli, "solve_feasibility", recorded)
@@ -246,25 +247,28 @@ def diagnostics_of(trace, tmp_path, capsys, monkeypatch, config_path):
     return read_csv(diag)
 
 
-def test_diagnostics_csv_records_the_hessian_regularization(
+def test_diagnostics_csv_records_the_step_lengths(
         tmp_path, capsys, monkeypatch, stable_example_path):
-    trace = [OuterRecord(1, 0.5, -0.25, -0.25, 7, 2.5e-11, 0.0),
-             OuterRecord(2, 0.125, -0.125, -0.125, 3, 0.0, 0.0)]
+    trace = [IterationRecord(1, -0.5, 2.0, 2.5, 0.25, 0.875, 1.0, -0.25),
+             IterationRecord(2, -0.25, 0.5, 0.75, 0.0, 0.5, 0.0625, -0.125)]
     header, rows = diagnostics_of(trace, tmp_path, capsys, monkeypatch,
                                   stable_example_path)
-    assert header[-3:-1] == ["newton_steps", "max_regularization"]
-    assert [r[-3:-1] for r in rows] == [["7", "2.500000e-11"],
-                                        ["3", "0.000000e+00"]]
+    assert header[5:7] == ["primal_step", "dual_step"]
+    assert [r[5:7] for r in rows] == [["8.750000e-01", "1.000000e+00"],
+                                      ["5.000000e-01", "6.250000e-02"]]
 
 
-def test_diagnostics_csv_records_the_newton_decrement(
+def test_diagnostics_csv_records_the_gap_and_residual(
         tmp_path, capsys, monkeypatch, stable_example_path):
-    trace = [OuterRecord(1, 0.5, -0.25, -0.25, 7, 0.0, 1.5e-9),
-             OuterRecord(2, 0.125, -0.125, -0.125, 3, 0.0, 3.25e-12)]
+    trace = [IterationRecord(1, -0.5, 2.0, 2.5, 0.25, 0.875, 1.0, -0.25),
+             IterationRecord(2, -0.125, 3.25e-12, 0.125, 1.5e-9, 1.0, 1.0,
+                             -0.125)]
     header, rows = diagnostics_of(trace, tmp_path, capsys, monkeypatch,
                                   stable_example_path)
-    assert header[-1] == "newton_decrement"
-    assert [r[-1] for r in rows] == ["1.500000e-09", "3.250000e-12"]
+    assert header[:5] == ["iteration", "t", "bound", "gap", "primal_residual"]
+    assert [r[2:5] for r in rows] == [
+        ["2.000000000000e+00", "2.500000e+00", "2.500000e-01"],
+        ["3.250000000000e-12", "1.250000e-01", "1.500000e-09"]]
 
 
 @pytest.mark.parametrize("command", ["certify", "margin"])
@@ -697,13 +701,12 @@ def test_simulate_refuses_a_certificate_with_misshapen_matrices(
 def test_certify_json_reports_the_solver_run_record(capsys, stable_example_path,
                                                     monkeypatch):
     def broken(*args, **kwargs):
-        raise NumericalError("Hessian factorization failed despite regularization")
+        raise NumericalError("the Schur complement is not positive definite")
 
-    monkeypatch.setattr(qvnn.sdp, "_newton_center", broken)
+    monkeypatch.setattr(qvnn.sdp, "_iterate_once", broken)
     code, out, _ = run_cli(capsys, "certify", str(stable_example_path), "--json")
     assert code == 3
     report = json.loads(out)
-    assert set(report) == {"status", "failure_cause", "stalled_line_searches"}
+    assert set(report) == {"status", "failure_cause"}
     assert report["status"] == "numerical_failure"
-    assert isinstance(report["failure_cause"], str) and report["failure_cause"]
-    assert isinstance(report["stalled_line_searches"], int)
+    assert report["failure_cause"] == "the Schur complement is not positive definite"

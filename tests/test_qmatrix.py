@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     Quaternion,
     brute_product,
+    definiteness,
     entry,
     from_entries,
     quadform,
@@ -25,7 +26,6 @@ from qvnn.errors import InputError, ShapeError, StructureError
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
-    definiteness,
     hermitian_eigvals,
     mat_vec,
     qmat_from_json,

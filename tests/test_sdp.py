@@ -1,4 +1,4 @@
-"""Barrier feasibility solver and its supporting machinery."""
+"""Primal-dual feasibility solver and its supporting machinery."""
 
 import dataclasses
 import warnings
@@ -12,13 +12,14 @@ import qvnn.sdp
 from conftest import certified_solve
 from oracles import (
     alternating_projection_oracle,
-    dense_grad_hess,
+    dense_schur,
     lmi_value,
     random_model,
     real_coeffs,
 )
 from qvnn.errors import InputError, NumericalError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
+from qvnn.qmatrix import QuatMatrix
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 
@@ -113,11 +114,42 @@ def test_fixed_seed_is_bitwise_deterministic():
 
 def test_reported_margin_is_the_best_trace_point():
     result = solve_feasibility(interval_toy())
-    assert result.trace, "expected a nonempty outer trace"
-    assert result.margin == pytest.approx(max(r.t for r in result.trace), abs=0.0)
-    # barrier weight decreases monotonically across rounds
-    weights = [r.barrier_weight for r in result.trace]
-    assert all(b < a for a, b in zip(weights, weights[1:]))
+    assert result.trace, "expected a nonempty iteration trace"
+    best = max(result.trace, key=lambda r: r.t)
+    assert result.margin == best.t
+    assert result.gap == best.gap
+    assert [r.iteration for r in result.trace] == list(
+        range(1, result.iterations + 1))
+
+
+@pytest.mark.parametrize("toy", [interval_toy, ray_toy, opposing_toy,
+                                 three_scale_toy, shared_toy])
+def test_every_iterate_is_dual_feasible(toy):
+    # S = G(x) - t I is evaluated at every iterate, so each t is a margin
+    # that its own x attains
+    result = solve_feasibility(toy())
+    assert result.trace
+    assert all(r.min_eig >= r.t - 1e-12 for r in result.trace)
+    assert all(0.0 < r.primal_step <= 1.0 and 0.0 < r.dual_step <= 1.0
+               for r in result.trace)
+
+
+@pytest.mark.parametrize("toy", [interval_toy, ray_toy, opposing_toy,
+                                 three_scale_toy, shared_toy])
+def test_the_run_stops_at_the_gap_target(toy):
+    result = solve_feasibility(toy())
+    assert result.failure_cause is None
+    last = result.trace[-1]
+    assert last.bound - last.t <= 1e-8
+    assert last.primal_residual <= 1e-9
+    # the stop is the first iterate that meets both targets
+    assert not any(r.gap <= 1e-8 and r.primal_residual <= 1e-9
+                   for r in result.trace[:-1])
+    # a tighter margin tolerance tightens the gap target to 5 % of it
+    tight = solve_feasibility(toy(), SolverConfig(margin_tolerance=1e-8))
+    assert tight.failure_cause is None
+    assert tight.trace[-1].gap <= 5e-10
+    assert tight.iterations >= result.iterations
 
 
 def test_trace_min_eig_matches_margin_at_the_optimum():
@@ -181,17 +213,19 @@ def test_stable_example_certifies(stable_model, stable_solution):
     assert dv is not None and dv.n == stable_model.n
     assert result.iterations > 0
     assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-9
-    # the central path: a change that moves it must restate these values
-    assert (result.iterations, result.outer_rounds) == (96, 14)
-    assert result.margin == pytest.approx(1.32154093e-5, rel=1e-9)
+    # the iterates: a change that moves them must restate these values
+    assert result.iterations == 21
+    assert result.gap <= 1e-8 and result.trace[-1].primal_residual <= 1e-9
+    assert all(r.min_eig >= r.t - 1e-12 for r in result.trace)
+    assert result.margin == pytest.approx(1.32156914e-5, rel=1e-9)
 
 
 def test_reference_example_is_infeasible_at_tolerance(reference_model):
     result, _ = certified_solve(reference_model)
     assert result.status == "infeasible_at_tolerance"
     assert result.margin < 1e-6
-    assert (result.iterations, result.outer_rounds) == (86, 14)
-    assert result.margin == pytest.approx(-9.2953e-10, abs=1e-13)
+    assert result.iterations == 13
+    assert result.margin == pytest.approx(-2.38705e-11, abs=1e-13)
 
 
 # ---- alternating-projection second opinion ---------------------------------------
@@ -218,23 +252,31 @@ def test_projection_oracle_validates_target():
 
 
 def assert_structured_matches_dense(sdp, seed, spread=1.0):
-    """Gradient and Hessian agree with the dense formula to 1e-12 relative at
-    interior points from near the boundary of the cone to deep inside it,
-    with every |x_i| below 0.1 * spread."""
+    """The stacks' Schur complement and primal operator agree with the dense
+    formulas to 1e-12 relative at W = (G_k(x) - t I)^-1, positive definite,
+    from near the boundary of the cone to deep inside it, with every |x_i|
+    below 0.1 * spread."""
     rng = np.random.default_rng(seed)
     stacks = qvnn.sdp._stack_constraints(sdp)
     m = sdp.num_vars
-    for gap, mu in ((1e-2, 1e-5), (0.1, 0.3), (2.0, 5.0)):
+    for gap in (1e-2, 0.1, 2.0):
         x = 0.1 * spread * rng.uniform(-1.0, 1.0, size=m)
         t = min(float(np.linalg.eigvalsh(np.tensordot(x, a, axes=1))[0])
                 for a in real_coeffs(sdp)) - gap
-        z = np.append(x, t)
-        chols = qvnn.sdp._in_domain(stacks, z, m)
-        assert chols is not None
-        grad, hess = qvnn.sdp._grad_hess(stacks, chols, z, m, mu)
-        grad_ref, hess_ref = dense_grad_hess(sdp, z, qvnn.sdp._TRUST_RADIUS, mu)
-        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
-        assert np.max(np.abs(hess - hess_ref)) <= 1e-12 * np.max(np.abs(hess_ref))
+        ws = {lmi.name: np.linalg.inv(lmi_value(lmi, x) - t * np.eye(lmi.dim))
+              for lmi in sdp.lmis}
+        stack_ws = [np.stack([ws[name] for name in s.names]) for s in stacks]
+        schur = qvnn.sdp._schur_matrix(stacks, stack_ws, m)
+        schur_ref = dense_schur(sdp, [ws[lmi.name] for lmi in sdp.lmis])
+        assert np.max(np.abs(schur - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
+        # <B_i, W> with B = (A_1, ..., A_m, -I), negated: the primal equations
+        op = qvnn.sdp._scatter([s.grad_index for s in stacks],
+                               [s.apply(w) for s, w in zip(stacks, stack_ws)],
+                               m + 1)
+        op_ref = -sum(np.append(lmi.coeffs.conj() @ ws[lmi.name].ravel(),
+                                -np.trace(ws[lmi.name])).real
+                      for lmi in sdp.lmis)
+        assert np.max(np.abs(op - op_ref)) <= 1e-12 * np.max(np.abs(op_ref))
 
 
 def test_structured_derivatives_match_dense_on_the_stable_model(stable_model):
@@ -257,8 +299,7 @@ def test_structured_derivatives_match_dense_on_random_models(n):
 ])
 def test_structured_derivatives_match_dense_on_toys(toy, indefinite, spread):
     # only the interval toy has a coefficient of both signs, as the
-    # criterion's blocks do; it is sampled over most of the box, where the
-    # box terms of the barrier are large
+    # criterion's blocks do; it is sampled over most of the box
     sdp = toy()
     assert any(eigs[0] < 0.0 < eigs[-1]
                for a in real_coeffs(sdp)
@@ -331,58 +372,83 @@ def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
 
 def test_numerical_failure_reports_its_cause(monkeypatch):
     def broken(*args, **kwargs):
-        raise NumericalError("Newton decrement is not finite")
+        raise NumericalError("the Schur complement is not positive definite")
 
-    monkeypatch.setattr(qvnn.sdp, "_newton_center", broken)
+    monkeypatch.setattr(qvnn.sdp, "_iterate_once", broken)
     result = solve_feasibility(ray_toy())
     assert result.status == "numerical_failure"
-    assert result.failure_cause == "Newton decrement is not finite"
+    assert result.iterations == 0 and result.x is None
+    assert result.failure_cause == "the Schur complement is not positive definite"
 
 
-def test_seed_restart_keeps_the_cause_of_the_failed_attempt(monkeypatch):
-    center = qvnn.sdp._newton_center
+@pytest.mark.parametrize("completed", [1, 3])
+def test_a_breakdown_ends_the_run_at_the_last_iterate(monkeypatch, completed):
+    # the iterates before the breakdown are dual feasible, so the run
+    # reports the best of them, its verdict from t, and the cause
+    step = qvnn.sdp._iterate_once
     calls = []
 
-    def fails_once(*args, **kwargs):
+    def breaks_late(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 1:
-            raise NumericalError("Hessian factorization failed")
-        return center(*args, **kwargs)
+        if len(calls) > completed:
+            raise NumericalError("the Schur complement is not positive definite")
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(qvnn.sdp, "_newton_center", fails_once)
+    monkeypatch.setattr(qvnn.sdp, "_iterate_once", breaks_late)
     result = solve_feasibility(ray_toy())
-    assert result.status == "feasible"
-    assert result.seed_used == 1
-    assert result.failure_cause == "Hessian factorization failed"
-    monkeypatch.setattr(qvnn.sdp, "_newton_center", center)
-    assert solve_feasibility(ray_toy()).failure_cause is None
+    assert result.iterations == len(result.trace) == completed
+    assert result.margin == max(r.t for r in result.trace)
+    assert result.status == ("feasible" if result.margin >= 1e-6
+                             else "infeasible_at_tolerance")
+    assert result.failure_cause == "the Schur complement is not positive definite"
+    assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-12
 
 
-def test_hessian_regularization_is_recorded_per_round(monkeypatch):
-    assert all(rec.max_regularization == 0.0
-               for rec in solve_feasibility(three_scale_toy()).trace)
-    # refuse every first factorization of the 4 x 4 Newton Hessian, so each
-    # step takes the first shift, 1e-12 times max(mean diagonal, 1)
-    try_cholesky = qvnn.sdp._try_cholesky
-    hessians = []
-
-    def refuse_unshifted(mat):
-        if mat.shape == (4, 4):
-            hessians.append(None)
-            if len(hessians) % 2:
-                return None
-        return try_cholesky(mat)
-
-    monkeypatch.setattr(qvnn.sdp, "_try_cholesky", refuse_unshifted)
-    result = solve_feasibility(three_scale_toy())
-    assert result.status == "feasible"
-    assert result.trace
-    assert all(rec.max_regularization >= 1e-12 for rec in result.trace)
+def test_the_iteration_cap_ends_the_run():
+    result = solve_feasibility(interval_toy(), SolverConfig(max_outer_iters=2))
+    assert result.iterations == len(result.trace) == 2
+    assert result.failure_cause is None
+    assert result.gap > 1e-8
 
 
-def test_stalled_line_searches_are_counted(monkeypatch):
-    assert solve_feasibility(ray_toy()).stalled_line_searches == 0
-    # no step length passes the floor, so every centering stalls at once
-    monkeypatch.setattr(qvnn.sdp, "_MIN_STEP", 2.0)
-    result = solve_feasibility(ray_toy())
-    assert result.stalled_line_searches == result.outer_rounds > 0
+def test_an_all_zero_constraint_is_refused_by_name():
+    ray = ray_toy()
+    zero = toy_lmi("zero", np.zeros((1, 2, 2)))
+    with pytest.raises(InputError, match="constraint zero"):
+        solve_feasibility(StandardSdp(num_vars=1, lmis=ray.lmis + [zero]))
+
+
+# ---- verdicts of the barrier method this solver replaced ----------------------------
+
+
+def shrunk_random_model(n, scale, seed):
+    """``random_model`` with A and B times scale and delta = 0.03."""
+    model = random_model(np.random.default_rng(1000 * n + seed), n)
+
+    def shrink(q):
+        return QuatMatrix(scale * q.a1, scale * q.a2)
+
+    return dataclasses.replace(model, a_mat=shrink(model.a_mat),
+                               b_mat=shrink(model.b_mat), delta=0.03)
+
+
+# (n, scale, seed) -> the margin of the log-det barrier solver
+BARRIER_MARGINS = {
+    (1, 0.05, 0): 3.6738146405616207e-03,
+    (1, 0.05, 1): 1.5964111113663627e-02,
+    (1, 0.3, 0): -4.411336993795326e-09,
+    (1, 0.3, 2): 1.0767409667177732e-03,
+    (2, 0.05, 0): -4.588959605025456e-09,
+    (2, 0.05, 1): 8.921100295553679e-04,
+    (2, 0.3, 1): -9.263958977940689e-10,
+}
+
+
+@pytest.mark.parametrize("n, scale, seed", sorted(BARRIER_MARGINS))
+def test_verdicts_agree_with_the_barrier_method(n, scale, seed):
+    # each margin is within its method's gap bound, 1e-8, of the optimum
+    barrier = BARRIER_MARGINS[n, scale, seed]
+    result, _ = certified_solve(shrunk_random_model(n, scale, seed))
+    assert result.status == ("feasible" if barrier >= 1e-6
+                             else "infeasible_at_tolerance")
+    assert result.margin == pytest.approx(barrier, abs=2e-8)
