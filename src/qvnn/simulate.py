@@ -11,15 +11,20 @@ with f the componentwise gain * tanh activation (applied to each of the four
 real components separately, one gain per neuron). Integration is classical
 RK4 under the method of steps: delayed values come from cubic Hermite
 interpolation of the committed solution, so the scheme keeps its full order
-as long as every delay argument lands on committed data. When a clamped
-time-varying delay touches zero the argument coincides with the current
-stage time and the stage state itself is used; arguments strictly inside the
-as-yet-uncommitted step (possible only while a delay crosses below the step
-size) fall back to a linear blend, a transient, local degradation.
+as long as every delay argument lands on committed data. Every evaluation
+of step k, the derivative at the new node k + 1 included, reads nodes 0..k
+only; that final stage takes the new value as its stage state. When a
+clamped time-varying delay touches zero the argument coincides with the
+stage time and the stage state itself is used; arguments strictly inside
+the step (possible only while a delay crosses below the step size) fall
+back to a linear blend of node k and the stage state, a transient, local
+degradation.
 
 ``integrate`` advances any number of members together in one loop, on a
 (members, 4n) real state. Each member starts from a constant initial state
-and has its own divergence time; the others go on without it.
+and has its own divergence time; the others go on without it. A step reads
+all its delayed states with one gather of buffer rows, and each of its
+right-hand sides is one tanh and one product.
 
 Models carrying a nonzero equilibrium (produced by ``equilibrium_shift``)
 are integrated in deviation coordinates: the activation becomes
@@ -187,6 +192,35 @@ def _lookup_stencils(model: NetworkModel, times: np.ndarray,
     return 2 * node, weights, stage, blend
 
 
+def _step_tables(model: NetworkModel, ks: np.ndarray, step: float):
+    """The delayed lookups of steps ``ks``, as one gather and one product
+    per step.
+
+    Step k evaluates the right-hand side at two stage times, t_k + h/2 (the
+    two middle stages) and t_k + h (the end stage, then the derivative at
+    the new node with the new value as stage state), each with nodes 0..k
+    committed, so no lookup reads a node past k. Its four lookups, leak at
+    both times then transmission at both times, read four flat buffer rows
+    each (see ``_lookup_stencils``).
+
+    Returns, per step: the 16 buffer rows, the (4, 16) block weights that
+    turn them into the stored parts of the four lookups, the stage weights
+    (2 times, 2 lookups), and how many of the step's eight evaluated
+    lookups are linear blends.
+    """
+    t = ks * step
+    rows, weights, stage, blend = _lookup_stencils(
+        model, np.stack([t + step / 2.0, t + step], 1),
+        np.stack([ks, ks], 1), step)
+    count = len(ks)
+    rows = rows.transpose(0, 2, 1).reshape(count, 4, 1) + np.arange(4)
+    block = np.zeros((count, 4, 4, 4))
+    diag = np.arange(4)
+    block[:, diag, diag] = weights.transpose(0, 2, 1, 3).reshape(count, 4, 4)
+    return (rows.reshape(count, 16), block.reshape(count, 4, 16), stage,
+            2 * blend.sum(axis=(1, 2)))
+
+
 # Steps per stencil table: small enough that the tables and their
 # temporaries add no memory next to the trajectories themselves.
 _CHUNK_STEPS = 128
@@ -206,9 +240,12 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     diverged.
 
     Delay lookups do not depend on the state, so they are precomputed per
-    chunk of steps as stencils (see ``_lookup_stencils``), and every
-    right-hand side is a few array operations on the (members, 4n) real
-    state, with A and B as real 4n x 4n matrices with the gains folded in.
+    chunk of steps (see ``_step_tables``): a step reads the stored parts of
+    all its lookups with one gather of committed buffer rows and one
+    product. A right-hand side is then one tanh and one product on the
+    (members, 4n) real state, tanh([y | x_d]) @ [A; B], with A and B as
+    real 4n x 4n matrices with the gains folded in. Each stage state, and
+    the new value, is one row of the RK4 tableau times [y, k1, k2, k3, k4].
     A grid whose node buffer would not fit in physical memory is refused
     before anything is allocated.
     """
@@ -241,75 +278,95 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         pairs[0, 0, s] = start
 
     leak = _per_component(model.c_diag)
-    a_op = _real_operator(model.a_mat, model.gamma_diag)
-    b_op = _real_operator(model.b_mat, model.gamma_diag)
+    ab = np.vstack([_real_operator(model.a_mat, model.gamma_diag),
+                    _real_operator(model.b_mat, model.gamma_diag)])
     drive = (np.zeros(dim) if model.external_input is None
              else _real_form(model.external_input))
-    if model.equilibrium is None:
-        act = np.tanh
-    else:
-        # deviation coordinates: f(v) = act(v + y_eq) - act(y_eq)
-        shift = _real_form(model.equilibrium)
-        drive = drive - np.tanh(shift) @ (a_op + b_op)
+    shift = None
+    if model.equilibrium is not None:
+        # deviation coordinates: f(v) = act(v + y_eq) - act(y_eq), on both
+        # halves of [y | x_d]
+        shift = np.tile(_real_form(model.equilibrium), 2)
+        drive = drive - np.tanh(shift) @ ab
 
-        def act(v):
-            return np.tanh(v + shift)
+    # work arrays, written in place every step: [y | x_d] per member and its
+    # activation; the stored parts of the four lookups, leak at both stage
+    # times then transmission at both; drive - leak * the stored leak parts;
+    # a stage state; and [y, k1, k2, k3, k4], whose k2..k4 enter the first
+    # step's stage states with weight 0 before it writes them, so they start
+    # at 0 (0 * nan is nan)
+    z = np.empty((members, 2, dim))
+    z_flat, z_stage, z_delayed = z.reshape(members, 2 * dim), z[:, 0], z[:, 1]
+    act = np.empty_like(z_flat)
+    stored = np.empty((4, members * dim))
+    leak_part, delayed = stored.reshape(2, 2, members, dim)
+    base = np.empty((2, members, dim))
+    state = np.empty((members, dim))
+    state_flat = state.reshape(-1)
+    terms = np.zeros((5, members * dim))
+    k_later = terms[2:].reshape(3, members, dim)
+    # the RK4 tableau on [y, k1, k2, k3, k4]: the stage states of k2, k3
+    # and k4, then the new value
+    tableau = np.array([[1.0, step / 2.0, 0.0, 0.0, 0.0],
+                        [1.0, 0.0, step / 2.0, 0.0, 0.0],
+                        [1.0, 0.0, 0.0, step, 0.0],
+                        [1.0, step / 6.0, step / 3.0, step / 3.0, step / 6.0]])
 
-    def stored(rows, weights):
-        """The node-buffer part of the two lookups of one evaluation."""
-        return ((weights[0] @ flat[rows[0]:rows[0] + 4]).reshape(members, dim),
-                (weights[1] @ flat[rows[1]:rows[1] + 4]).reshape(members, dim))
+    def rhs(y, x_d, base_at, weights, out):
+        """drive - leak x_leak + tanh([y | x_d]) @ [A; B] at stage state y,
+        into ``out``: ``base_at`` is drive - leak * the stored part of
+        x_leak, and ``weights`` are the two lookups' stage weights."""
+        g_leak, g_d = weights
+        z_stage[...] = y
+        z_delayed[...] = x_d + g_d * y if g_d else x_d
+        np.tanh(z_flat if shift is None else z_flat + shift, out=act)
+        np.dot(act, ab, out=out)
+        out += base_at
+        if g_leak:
+            out -= (g_leak * leak) * y
 
-    def rhs(y, lookups, stage):
-        x_leak, x_d = lookups
-        if stage[0]:
-            x_leak = x_leak + stage[0] * y
-        if stage[1]:
-            x_d = x_d + stage[1] * y
-        return drive - leak * x_leak + act(y) @ a_op + act(x_d) @ b_op
-
+    # while the sum of squares of the whole state stays below limit^2 / 2,
+    # every complex modulus stays below the limit, with room for rounding;
+    # only a step that fails this one reduction checks each member's moduli
+    screen = (0.5 * divergence_limit * divergence_limit
+              if divergence_limit > 0.0 else -math.inf)
     alive = np.ones(members, dtype=bool)
     last = np.full(members, steps)             # last committed node
     diverged_at: list[float | None] = [None] * members
     blends = []                                # linear-blend lookups per step
-    rows, weights, stage, _ = _lookup_stencils(
-        model, np.zeros(1), np.zeros(1, dtype=int), step)
     # a diverged member's state runs on as inf/nan, unread and unreported
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes[0, 1] = rhs(nodes[0, 0], stored(rows[0], weights[0]),
-                          stage[0].tolist())
+        # at t = 0 both lookups read the start
+        start_values = nodes[0, 0]
+        rhs(start_values, start_values, drive - leak * start_values,
+            (0.0, 0.0), nodes[0, 1])
         for k0 in range(0, steps, _CHUNK_STEPS):
             if not alive.any():
                 break
             ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
-            t = ks * step
-            # per step: the two middle stages, the end stage, and the
-            # derivative at the new node once it is committed
-            rows, weights, stage, blend = _lookup_stencils(
-                model, np.stack([t + step / 2.0, t + step, (ks + 1) * step], 1),
-                np.stack([ks, ks, ks + 1], 1), step)
-            blends.append(blend.sum(axis=2) @ [2, 1, 1])
-            for i, k in enumerate(ks.tolist()):
-                r, w, g = rows[i].tolist(), weights[i], stage[i].tolist()
-                y = nodes[k, 0]
-                k1 = nodes[k, 1]
-                mid = stored(r[0], w[0])       # shared by both middle stages
-                k2 = rhs(y + (step / 2.0) * k1, mid, g[0])
-                k3 = rhs(y + (step / 2.0) * k2, mid, g[0])
-                k4 = rhs(y + step * k3, stored(r[1], w[1]), g[1])
-                y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # not (<=) also catches nan
-                crossed = ~(np.abs(y_next.view(complex)).max(axis=1)
-                            <= divergence_limit) & alive
-                if crossed.any():
+            rows, blocks, stage, blend = _step_tables(model, ks, step)
+            blends.append(blend)
+            for i, (k, weights) in enumerate(zip(ks.tolist(), stage.tolist())):
+                np.dot(blocks[i], flat[rows[i]], out=stored)
+                np.multiply(leak, leak_part, out=base)
+                np.subtract(drive, base, out=base)
+                terms[:2] = flat[2 * k:2 * k + 2]
+                for j, at in enumerate((0, 0, 1)):
+                    np.dot(tableau[j], terms, out=state_flat)
+                    rhs(state, delayed[at], base[at], weights[at], k_later[j])
+                y_next = nodes[k + 1, 0]
+                np.dot(tableau[3], terms, out=y_next.reshape(-1))
+                # not (<) also catches nan
+                if not np.vdot(y_next, y_next) < screen:
+                    crossed = ~(np.abs(y_next.view(complex)).max(axis=1)
+                                <= divergence_limit) & alive
                     for s in np.flatnonzero(crossed):
                         last[s] = k
                         diverged_at[s] = (k + 1) * step
                     alive &= ~crossed
                     if not alive.any():
                         break
-                nodes[k + 1, 0] = y_next
-                nodes[k + 1, 1] = rhs(y_next, stored(r[2], w[2]), g[2])
+                rhs(y_next, delayed[1], base[1], weights[1], nodes[k + 1, 1])
 
     blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(

@@ -1068,8 +1068,10 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
                 f"state norm exceeded {divergence_limit:g} at t={t_next:.6g}",
                 time=t_next)
         values[k + 1] = y_next
-        committed = k + 1
+        # the new node's derivative is its final stage: like the others, it
+        # reads only nodes 0..k, and takes y_next as its stage state
         derivs[k + 1] = eval_rhs(t_next, y_next)
+        committed = k + 1
 
     return Trajectory(model=model, step=step, start=start, values=values,
                       derivs=derivs)

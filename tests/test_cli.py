@@ -344,6 +344,12 @@ def test_simulate_runs_converge_and_track_the_functional(tmp_path, capsys,
     assert report["all_converged"] is True
     assert isinstance(report["linear_blend_lookups"], int)
     assert report["linear_blend_lookups"] >= 0
+    # the run's phases are timed; only the schema is fixed
+    assert list(report["timings"]) == [
+        "integrate_seconds", "metrics_seconds", "lkf_seconds",
+        "write_seconds"]
+    assert all(isinstance(v, float) and v >= 0.0
+               for v in report["timings"].values())
     assert "equilibrium" not in report
     assert len(report["runs"]) == 2
     for entry in report["runs"]:
@@ -378,7 +384,10 @@ def test_csv_block_writes_equal_the_row_writers(tmp_path, stable_model,
             (_write_trajectory_csv, write_trajectory_csv_rows, traj),
             (_write_lkf_csv, write_lkf_csv_rows, trace),
             (_write_diagnostics_csv, write_diagnostics_csv_rows, result.trace),
-            (_write_summary_csv, write_summary_csv_rows, entries)):
+            (_write_summary_csv, write_summary_csv_rows, entries),
+            # zero-row tables: the header alone
+            (_write_diagnostics_csv, write_diagnostics_csv_rows, []),
+            (_write_summary_csv, write_summary_csv_rows, [])):
         block(tmp_path / "block.csv", data)
         rows(tmp_path / "rows.csv", data)
         assert ((tmp_path / "block.csv").read_bytes()

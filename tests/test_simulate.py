@@ -13,8 +13,10 @@ from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, mat_vec
 from qvnn.simulate import (
+    _EDGE_SLACK,
     Trajectory,
     _modulus_series,
+    _step_tables,
     activation,
     convergence_metrics,
     equilibrium_shift,
@@ -343,11 +345,78 @@ def test_clamped_delays_take_the_stage_and_blend_lookups():
     assert all(t.blended_lookups > 0 for t in trajs)
 
 
+def test_the_final_stage_reads_only_committed_nodes():
+    # d1 = max(0.3 sin 4t, 0) falls through (0, h) at the grid time 0.78,
+    # where the derivative at the new node is evaluated; the small start
+    # keeps tanh linear, so what that lookup reads shows in the orbit
+    model = scalar_model(
+        delta=0.1, d1_bound=0.3, d2_bound=0.0, mu1=1.2,
+        delay1=DelaySpec(amplitude=0.3, omega=4.0),
+        delay2=DelaySpec(offset=0.0))
+    step, horizon = 0.01, 2.0
+    ks = np.arange(round(horizon / step))
+    grid_delay = model.delay1((ks + 1) * step)
+    assert np.any((grid_delay > 0.0) & (grid_delay < step))
+
+    # no lookup of step k weighs a buffer row past 2k + 1, the derivative
+    # at node k
+    rows, blocks, _, _ = _step_tables(model, ks, step)
+    weighed = np.where(blocks != 0.0, rows[:, None, :], -1)
+    assert np.all(weighed.max(axis=(1, 2)) <= 2 * ks + 1)
+
+    starts = [0.05 * s for s in seeded_starts(1, range(2))]
+    trajs = assert_matches_serial(model, starts, horizon, step)
+
+    # each stage time serves two evaluations; the end time's two are the
+    # end stage and the derivative at the new node
+    t = ks[:, None] * step
+    times = t + np.array([step / 2.0, step])
+    lookups = np.stack([times - model.delta,
+                        times - model.delay1(times) - model.delay2(times)])
+    blend = ((lookups > t + _EDGE_SLACK)
+             & (np.abs(lookups - times) > _EDGE_SLACK))
+    assert blend[:, :, 1].sum() > 0
+    assert all(traj.blended_lookups == 2 * blend.sum() for traj in trajs)
+
+
+def test_divergence_is_judged_on_the_complex_modulus():
+    # with w = x and real coefficients, the orbit keeps w = x, so the
+    # modulus of w + x i is sqrt(2) |w|: it passes the limit while every
+    # real component is still below it
+    model = scalar_model(c_diag=np.array([3.0]), delta=1.0)
+    start = np.array([[1.0 + 1.0j], [0j]])
+    limit, step = 50.0, 0.02
+    with pytest.raises(DivergenceError) as exc:
+        serial_integrate(model, start, 10.0, step, divergence_limit=limit)
+    crossing = serial_integrate(model, start, exc.value.time, step,
+                                divergence_limit=1e9).values[-1]
+    assert np.max(np.abs([crossing.real, crossing.imag])) < limit
+    assert np.max(np.abs(crossing)) > limit
+    (traj,) = integrate(model, [start], 10.0, step, divergence_limit=limit)
+    assert traj.diverged_at == exc.value.time
+
+
 def test_batched_shifted_members_match_serial():
     model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
     shifted = equilibrium_shift(model)
     assert_matches_serial(shifted, seeded_starts(1, range(4)),
                           horizon=2.0, step=1e-2)
+
+
+def test_work_arrays_are_written_before_they_are_read(monkeypatch):
+    # the loop's work arrays may start as any bytes; nan-filled ones must
+    # give the same orbits
+    model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
+    shifted = equilibrium_shift(model)
+    starts = seeded_starts(1, range(3))
+    plain = integrate(shifted, starts, 1.0, 1e-2)
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=float, **_:
+                        np.full(shape, np.nan, dtype))
+    monkeypatch.setattr(np, "empty_like", lambda a, **_:
+                        np.full_like(a, np.nan))
+    for traj, again in zip(plain, integrate(shifted, starts, 1.0, 1e-2)):
+        assert np.array_equal(traj.values, again.values)
+        assert np.array_equal(traj.derivs, again.derivs)
 
 
 def test_no_histories_give_no_trajectories():
