@@ -35,7 +35,7 @@ from .lowering import build_sdp
 from .model import NetworkModel, config_hash, load_model
 from .qmatrix import qv_components
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
-from .simulate import convergence_metrics, equilibrium_shift, integrate
+from .simulate import convergence_metrics, integrate
 
 
 @dataclasses.dataclass
@@ -204,7 +204,7 @@ def cmd_certify(args) -> int:
 
 def _start_for_seed(model: NetworkModel, seed: int, zero: bool
                     ) -> np.ndarray:
-    """The member's constant initial state: the rest point, or seeded."""
+    """The member's constant deviation from the rest point: zero or seeded."""
     if zero:
         return np.zeros((2, model.n), dtype=complex)
     rng = np.random.default_rng(seed)
@@ -285,10 +285,6 @@ def cmd_simulate(args) -> int:
                       ("--threshold", args.threshold))
     model, doc = load_model(args.config)
     cert_dv = None if args.lkf is None else _load_certificate(args.lkf, model, doc)
-    driven = model.external_input is not None and np.any(model.external_input)
-    if driven:
-        # states, metrics and the functional are taken about the rest point
-        model = equilibrium_shift(model)
     started = _now()
     timings = dict.fromkeys(("integrate_seconds", "metrics_seconds",
                              "lkf_seconds", "write_seconds"), 0.0)
@@ -363,8 +359,9 @@ def cmd_simulate(args) -> int:
                                           default=0),
               "timings": {k: round(v, 3) for k, v in timings.items()},
               "outputs": outputs}
-    if driven:
-        report["equilibrium"] = qv_components(model.equilibrium).tolist()
+    # states, metrics and the functional are taken about the rest point
+    if np.any(trajs[0].rest):
+        report["equilibrium"] = qv_components(trajs[0].rest).tolist()
     if lkf_report is not None:
         report["lkf"] = lkf_report
     lines.append(f"summary: {summary_path}")

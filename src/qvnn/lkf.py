@@ -1,6 +1,8 @@
 """Lyapunov-Krasovskii functional evaluation along simulated trajectories.
 
-The functional has four parts, evaluated with the certificate matrices:
+The functional has four parts, evaluated with the certificate matrices on
+a trajectory's deviation x from its rest point, with f(x) standing for the
+activation's deviation f(x + rest) - f(rest):
 
     V1 = (x(t) - C int_{t-delta}^t x)^* P1 (same),
     V2 = int_{t-delta}^t x^* P2 x  +  delta * double integral of x^* P3 x,
@@ -222,14 +224,9 @@ def lkf_trace(traj: Trajectory, model: NetworkModel, dv: DecisionVars,
     back = max(int(np.ceil(model.lookback() / step - _EDGE)), 1)
     grid = np.concatenate([-back * step + step * np.arange(back), traj.times])
     states = np.concatenate([[traj.start] * back, traj.values])
-    if model.equilibrium is None:
-        f_states = activation(states.reshape(-1, model.n),
-                              model.gamma_diag).reshape(states.shape)
-    else:
-        base = activation(model.equilibrium, model.gamma_diag)
-        f_states = (activation((states + model.equilibrium[None])
-                               .reshape(-1, model.n), model.gamma_diag)
-                    .reshape(states.shape) - base[None])
+    f_states = (activation((states + traj.rest).reshape(-1, model.n),
+                           model.gamma_diag).reshape(states.shape)
+                - activation(traj.rest, model.gamma_diag))
     x_forms = {name: _batched_form(getattr(dv, name), states)
                for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
     f_forms = {name: _batched_form(getattr(dv, name), f_states)

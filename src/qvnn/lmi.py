@@ -92,9 +92,10 @@ class DecisionVars:
 
     @staticmethod
     def num_scalars(n: int) -> int:
-        # 3n diagonal entries, 11 Hermitian matrices (n^2 + n(n-1) reals each),
-        # 4 unconstrained matrices (4 n^2 reals each).
-        return 3 * n + 11 * (2 * n * n - n) + 16 * n * n
+        # n reals per diagonal, n^2 + n(n-1) per Hermitian matrix, and
+        # 4 n^2 per unconstrained matrix
+        return (len(DIAG_NAMES) * n + len(HERMITIAN_NAMES) * (2 * n * n - n)
+                + len(GENERAL_NAMES) * 4 * n * n)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n: int) -> "DecisionVars":

@@ -5,9 +5,9 @@ delay waveforms and a constant external input. C and Gamma are positive real
 diagonals; A (instantaneous coupling) and B (delayed coupling) are
 quaternion matrices. The certification side consumes only the scalar bounds;
 the simulation side additionally needs the delay waveforms and the
-activation gains, which coincide with the diagonal of Gamma. The rest point
-of a driven network is computed (``simulate.equilibrium_shift``), never read
-from a config.
+activation gains, which coincide with the diagonal of Gamma. A model holds
+exactly its config's fields: the rest point of a driven network is computed
+by ``simulate.integrate`` for each run, never read from a config.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class NetworkModel:
     delay1: DelaySpec = field(default_factory=DelaySpec)
     delay2: DelaySpec = field(default_factory=DelaySpec)
     external_input: np.ndarray | None = None   # pair form (2, n) or None
-    equilibrium: np.ndarray | None = None      # set by equilibrium_shift only
 
     def __post_init__(self):
         self.c_diag = np.asarray(self.c_diag, dtype=float)
@@ -120,9 +119,9 @@ class NetworkModel:
                 raise InputError(f"delay waveform {name} exceeds its declared bound")
             if spec.rate_bound() > rate + 1e-9:
                 raise InputError(f"delay waveform {name} exceeds its declared rate bound")
-        for v in (self.external_input, self.equilibrium):
-            if v is not None and np.asarray(v).shape != (2, self.n):
-                raise InputError("vector fields must be pair-form (2, n) arrays")
+        if (self.external_input is not None
+                and np.asarray(self.external_input).shape != (2, self.n)):
+            raise InputError("external_input must be a pair-form (2, n) array")
 
     @property
     def d_bound(self) -> float:

@@ -26,14 +26,16 @@ and has its own divergence time; the others go on without it. A step reads
 all its delayed states with one gather of buffer rows, and each of its
 right-hand sides is one tanh and one product.
 
-Models carrying a nonzero equilibrium (produced by ``equilibrium_shift``)
-are integrated in deviation coordinates: the activation becomes
-f(v) = act(v + y_eq) - act(y_eq), which vanishes at zero exactly.
+A driven network (a nonzero input u) is integrated about its rest point
+y_eq, the solution of C y = (A + B) f(y) + u, which ``integrate`` computes
+once per call. In the deviation v = x - y_eq the input cancels and the
+activation becomes f(v + y_eq) - f(y_eq), which vanishes at zero exactly.
+Starts and every stored state are deviations, and each trajectory carries
+y_eq as its ``rest``; an undriven network rests at the origin.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -72,7 +74,8 @@ def _hermite_weights(tau, step: float) -> np.ndarray:
 class Trajectory:
     """One committed orbit: x(u) = ``start`` for every u < 0, and ``values``
     and ``derivs`` hold x and its derivative at the grid times 0, step, ...,
-    horizon, with ``values[0]`` = ``start``.
+    horizon, with ``values[0]`` = ``start``. x is the deviation from
+    ``rest``, the network's (2, n) rest point: zeros for an undriven network.
 
     ``diverged_at`` is the grid time at which the state passed the divergence
     limit (the grid ends one step before it), or None. ``blended_lookups``
@@ -85,6 +88,7 @@ class Trajectory:
     start: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
+    rest: np.ndarray
     diverged_at: float | None = None
     blended_lookups: int = 0
 
@@ -231,8 +235,9 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
               ) -> list[Trajectory]:
     """Integrate the delayed dynamics from each start, all in one RK4 loop.
 
-    Each start is a (2, n) state pair, the member's state at every time up
-    to 0; the result holds one Trajectory per start, in order. A member
+    Each start is a (2, n) state pair, the member's deviation from the
+    network's rest point at every time up to 0; the result holds one
+    Trajectory per start, in order, each carrying that rest point. A member
     diverges at the first grid time where a component's complex modulus
     passes ``divergence_limit`` or stops being finite: its trajectory ends at the
     last node before that time, which is kept in ``diverged_at``. The other
@@ -244,8 +249,10 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     all its lookups with one gather of committed buffer rows and one
     product. A right-hand side is then one tanh and one product on the
     (members, 4n) real state, tanh([y | x_d]) @ [A; B], with A and B as
-    real 4n x 4n matrices with the gains folded in. Each stage state, and
-    the new value, is one row of the RK4 tableau times [y, k1, k2, k3, k4].
+    real 4n x 4n matrices with the gains folded in; a driven network adds
+    its rest point to [y | x_d] and subtracts the rest point's own term.
+    Each stage state, and the new value, is one row of the RK4 tableau
+    times [y, k1, k2, k3, k4].
     A grid whose node buffer would not fit in physical memory is refused
     before anything is allocated.
     """
@@ -280,13 +287,13 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     leak = _per_component(model.c_diag)
     ab = np.vstack([_real_operator(model.a_mat, model.gamma_diag),
                     _real_operator(model.b_mat, model.gamma_diag)])
-    drive = (np.zeros(dim) if model.external_input is None
-             else _real_form(model.external_input))
-    shift = None
-    if model.equilibrium is not None:
-        # deviation coordinates: f(v) = act(v + y_eq) - act(y_eq), on both
-        # halves of [y | x_d]
-        shift = np.tile(_real_form(model.equilibrium), 2)
+    drive, shift = np.zeros(dim), None
+    rest = np.zeros((2, n), dtype=complex)
+    if model.external_input is not None and np.any(model.external_input):
+        # deviation coordinates: the input cancels, and on both halves of
+        # [y | x_d] f(v) = act(v + y_eq) - act(y_eq)
+        rest = find_equilibrium(model)
+        shift = np.tile(_real_form(rest), 2)
         drive = drive - np.tanh(shift) @ ab
 
     # work arrays, written in place every step: [y | x_d] per member and its
@@ -371,7 +378,7 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(
         model=model, step=step, start=pairs[0, 0, s],
-        values=pairs[:end + 1, 0, s], derivs=pairs[:end + 1, 1, s],
+        values=pairs[:end + 1, 0, s], derivs=pairs[:end + 1, 1, s], rest=rest,
         diverged_at=diverged_at[s], blended_lookups=int(blended[end]))
         for s, end in enumerate(last.tolist())]
 
@@ -422,14 +429,3 @@ def find_equilibrium(model: NetworkModel) -> np.ndarray:
         x = x_new
     raise EquilibriumError(f"equilibrium iteration did not converge in "
                            f"{_EQUILIBRIUM_ITERS} damped steps")
-
-
-def equilibrium_shift(model: NetworkModel) -> NetworkModel:
-    """Recast the driven network in deviation coordinates about its rest point.
-
-    The returned model has no external input; its activation is interpreted
-    by ``integrate`` as f(v) = act(v + y_eq) - act(y_eq), which is zero at the
-    origin exactly and keeps the same per-neuron Lipschitz gains.
-    """
-    return dataclasses.replace(model, external_input=None,
-                               equilibrium=find_equilibrium(model))

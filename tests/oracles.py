@@ -9,6 +9,7 @@ entry-by-entry oracle for that form.
 """
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +42,7 @@ from qvnn.simulate import (
     DEFAULT_DIVERGENCE_LIMIT,
     Trajectory,
     activation,
+    find_equilibrium,
 )
 
 # Allowed relative imaginary residue when collapsing a Hermitian form to a real.
@@ -454,6 +456,17 @@ def random_model(rng: np.random.Generator, n: int) -> NetworkModel:
     )
 
 
+def shrunk_random_model(n, scale, seed):
+    """``random_model`` with A and B times scale and delta = 0.03."""
+    model = random_model(np.random.default_rng(1000 * n + seed), n)
+
+    def shrink(q):
+        return QuatMatrix(scale * q.a1, scale * q.a2)
+
+    return dataclasses.replace(model, a_mat=shrink(model.a_mat),
+                               b_mat=shrink(model.b_mat), delta=0.03)
+
+
 def random_decision_vars(rng: np.random.Generator, n: int) -> DecisionVars:
     """Unconstrained random variables; assembly is affine so signs are free."""
     herms = {name: random_hermitian(rng, n) for name in HERMITIAN_NAMES}
@@ -688,14 +701,10 @@ class LkfEvaluator:
         self.times = np.concatenate([-back * step + step * np.arange(back),
                                      traj.times])
         states = np.concatenate([[traj.start] * back, traj.values])
-        if model.equilibrium is None:
-            f_states = activation(states.reshape(-1, model.n),
-                                  model.gamma_diag).reshape(states.shape)
-        else:
-            base = activation(model.equilibrium, model.gamma_diag)
-            f_states = (activation((states + model.equilibrium[None])
-                                   .reshape(-1, model.n), model.gamma_diag)
-                        .reshape(states.shape) - base[None])
+        base = activation(traj.rest, model.gamma_diag)
+        f_states = (activation((states + traj.rest[None])
+                               .reshape(-1, model.n), model.gamma_diag)
+                    .reshape(states.shape) - base[None])
         self.states = states
         self.x_forms = {name: _grid_forms(getattr(dv, name), states)
                         for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
@@ -982,21 +991,23 @@ class DivergenceError(RuntimeError):
         self.time = time
 
 
-def _rhs_factory(model: NetworkModel):
+def _rhs_factory(model: NetworkModel, rest):
+    """The right-hand side of the deviation from ``rest``, where the input
+    cancels; with ``rest`` None, that of the original coordinates."""
     c = model.c_diag[None, :]
     a_mat = model.a_mat
     b_mat = model.b_mat
     gains = model.gamma_diag
-    u_ext = (np.zeros((2, model.n), dtype=complex)
-             if model.external_input is None else model.external_input)
-    shift = model.equilibrium
-    if shift is None:
+    u_ext = 0.0
+    if rest is None:
+        if model.external_input is not None:
+            u_ext = model.external_input
         act = lambda pair: activation(pair, gains)
     else:
-        base = activation(shift, gains)
+        base = activation(rest, gains)
 
         def act(pair):
-            return activation(pair + shift, gains) - base
+            return activation(pair + rest, gains) - base
 
     def rhs(t: float, state: np.ndarray, lookup) -> np.ndarray:
         x_leak = lookup(t - model.delta)
@@ -1009,8 +1020,14 @@ def _rhs_factory(model: NetworkModel):
 
 
 def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
-                     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT) -> Trajectory:
+                     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
+                     original: bool = False) -> Trajectory:
     """Integrate the delayed dynamics from a constant (2, n) initial state.
+
+    Like ``integrate``, a driven network is integrated in the deviation from
+    its rest point. ``original`` integrates x itself, input included, as the
+    reference that a deviation run plus the rest point must reproduce; its
+    trajectory's rest is then the origin.
 
     Raises DivergenceError (carrying the offending time) if the state norm
     passes ``divergence_limit`` or stops being finite.
@@ -1030,7 +1047,9 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
     values = np.zeros((steps + 1, 2, model.n), dtype=complex)
     derivs = np.zeros_like(values)
     values[0] = hist_values[-1]
-    rhs = _rhs_factory(model)
+    driven = model.external_input is not None and np.any(model.external_input)
+    rest = find_equilibrium(model) if driven and not original else None
+    rhs = _rhs_factory(model, rest)
 
     committed = 0  # index of the last committed node
 
@@ -1074,7 +1093,8 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
         committed = k + 1
 
     return Trajectory(model=model, step=step, start=start, values=values,
-                      derivs=derivs)
+                      derivs=derivs,
+                      rest=np.zeros_like(start) if rest is None else rest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,27 @@
 """Command-line interface: exit codes, artifacts, and report documents."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvnn.cli
 import qvnn.sdp
 from oracles import (
+    qv_modulus,
+    shrunk_random_model,
     write_diagnostics_csv_rows,
     write_lkf_csv_rows,
     write_summary_csv_rows,
@@ -22,6 +29,7 @@ from oracles import (
 )
 from qvnn.cli import (
     _run_entry,
+    _start_for_seed,
     _write_diagnostics_csv,
     _write_lkf_csv,
     _write_summary_csv,
@@ -32,7 +40,7 @@ from qvnn.errors import NumericalError
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
-from qvnn.qmatrix import mat_vec, qv_from_components
+from qvnn.qmatrix import mat_vec, qmat_to_json, qv_from_components
 from qvnn.sdp import FeasibilityResult, IterationRecord
 from qvnn.simulate import activation, integrate
 
@@ -522,6 +530,55 @@ def test_simulate_measures_a_driven_network_about_its_rest_point(
     assert np.max(np.abs(residual)) < 1e-10
     _, rows = read_csv(out_dir / "trajectory_seed0.csv")
     assert max(abs(float(c)) for c in rows[-1][1:]) < 1e-3
+
+
+def model_config(model) -> dict:
+    """The config of a model with constant delays and no input."""
+    return {"n": model.n, "C": model.c_diag.tolist(),
+            "A": qmat_to_json(model.a_mat), "B": qmat_to_json(model.b_mat),
+            "delta": model.delta, "d1": model.d1_bound, "d2": model.d2_bound,
+            "mu1": model.mu1, "mu2": model.mu2,
+            "gamma": model.gamma_diag.tolist()}
+
+
+def run_quietly(*argv):
+    """Exit code and stdout of one CLI call, without pytest's capture
+    fixtures (which hypothesis does not reset between examples)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 50),
+       drive=st.none() | st.lists(st.floats(-0.5, 0.5), min_size=8,
+                                  max_size=8))
+def test_certified_random_models_converge_and_their_functional_decays(
+        n, seed, drive):
+    # the whole chain on small random models: whatever certifies has
+    # orbits that shrink and a functional that does not rise
+    model = shrunk_random_model(n, 0.05, seed)
+    doc = model_config(model)
+    if drive is not None:
+        doc["external_input"] = np.reshape(drive[:4 * n], (n, 4)).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        config, cert = Path(tmp) / "model.json", Path(tmp) / "cert.json"
+        config.write_text(json.dumps(doc))
+        if run_quietly("certify", str(config), "--out", str(cert))[0] != 0:
+            return
+        code, out = run_quietly("simulate", str(config), "--seeds", "2",
+                                "--horizon", "4", "--step", "0.01",
+                                "--lkf", str(cert), "--lkf-stride", "5",
+                                "--out-dir", str(Path(tmp) / "runs"), "--json")
+    assert code in (0, 1)
+    report = json.loads(out)
+    for entry in report["runs"]:
+        assert entry["status"] == "completed", entry
+        start = _start_for_seed(model, entry["seed"], zero=False)
+        assert entry["final_sup"] < np.max(qv_modulus(start)), entry
+    lkf = report["lkf"]
+    assert lkf["max_rise"] <= 1e-6 * lkf["v_start"], lkf
 
 
 # ---- margin ----------------------------------------------------------------------

@@ -105,6 +105,19 @@ def test_var_map_touches_every_scalar_once():
             assert (i2, j2) == (j, i) and i != j
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_from_vector_reads_every_scalar(n):
+    # a count past the layout would leave trailing scalars unread: every
+    # scalar drives an entry, and the last one is the imaginary part of
+    # s2's a2 at (n, n)
+    assert np.all(np.any(unit_images(n) != 0.0, axis=1))
+    vec = np.zeros(DecisionVars.num_scalars(n))
+    vec[-1] = 1.0
+    dv = DecisionVars.from_vector(vec, n)
+    assert dv.s2.a2[-1, -1] == 1j
+    assert np.count_nonzero(real_parts(dv)) == 1
+
+
 def test_from_vector_on_a_batch_equals_single_calls():
     n, k = 3, 4
     vecs = np.random.default_rng(36).normal(size=(k, DecisionVars.num_scalars(n)))

@@ -1,5 +1,6 @@
 """Network description, delay waveforms, and JSON configs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -98,6 +99,14 @@ def test_model_accepts_valid_input():
     assert m.mu == pytest.approx(0.4)
     assert m.lookback() == pytest.approx(0.7)
     assert m.delay1(0.0) + m.delay2(0.0) == pytest.approx(0.7)
+
+
+def test_a_model_holds_exactly_its_config_fields():
+    # one field per config key (delay_functions gives two), and nothing a
+    # config cannot set: a driven network's rest point is computed per run
+    assert [f.name for f in dataclasses.fields(NetworkModel)] == [
+        "n", "c_diag", "a_mat", "b_mat", "delta", "d1_bound", "d2_bound",
+        "mu1", "mu2", "gamma_diag", "delay1", "delay2", "external_input"]
 
 
 def test_model_rejects_bad_shapes_and_signs():

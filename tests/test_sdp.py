@@ -16,10 +16,10 @@ from oracles import (
     lmi_value,
     random_model,
     real_coeffs,
+    shrunk_random_model,
 )
 from qvnn.errors import InputError, NumericalError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
-from qvnn.qmatrix import QuatMatrix
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 
@@ -419,17 +419,6 @@ def test_an_all_zero_constraint_is_refused_by_name():
 
 
 # ---- verdicts of the barrier method this solver replaced ----------------------------
-
-
-def shrunk_random_model(n, scale, seed):
-    """``random_model`` with A and B times scale and delta = 0.03."""
-    model = random_model(np.random.default_rng(1000 * n + seed), n)
-
-    def shrink(q):
-        return QuatMatrix(scale * q.a1, scale * q.a2)
-
-    return dataclasses.replace(model, a_mat=shrink(model.a_mat),
-                               b_mat=shrink(model.b_mat), delta=0.03)
 
 
 # (n, scale, seed) -> the margin of the log-det barrier solver

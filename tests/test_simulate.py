@@ -1,5 +1,6 @@
 """Delay-differential integration, initial states, and convergence metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import order_fixture_model
 from oracles import DivergenceError, quat_zeros, qv_modulus, serial_integrate
 from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import QuatMatrix, mat_vec
+from qvnn.qmatrix import QuatMatrix, mat_vec, qv_from_components
 from qvnn.simulate import (
     _EDGE_SLACK,
     Trajectory,
@@ -19,7 +20,6 @@ from qvnn.simulate import (
     _step_tables,
     activation,
     convergence_metrics,
-    equilibrium_shift,
     find_equilibrium,
     integrate,
 )
@@ -37,6 +37,10 @@ def scalar_model(**overrides):
     )
     base.update(overrides)
     return NetworkModel(**base)
+
+
+def driven_scalar_model():
+    return scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
 
 
 # ---- activation ----------------------------------------------------------------
@@ -82,7 +86,8 @@ def test_history_buffer_reproduces_cubics_exactly():
     values = np.array([[[poly(t) + 0j]] * 2 for t in ts])
     derivs = np.array([[[dpoly(t) + 0j]] * 2 for t in ts])
     traj = Trajectory(model=scalar_model(), step=ts[1] - ts[0],
-                      start=values[0], values=values, derivs=derivs)
+                      start=values[0], values=values, derivs=derivs,
+                      rest=np.zeros((2, 1)))
     for u in np.linspace(0.0, 1.0, 41):
         assert traj.state(u)[0, 0] == pytest.approx(poly(u), abs=1e-14)
     # before t = 0 the state is the start, whatever the derivative there
@@ -94,7 +99,7 @@ def test_history_buffer_refuses_extrapolation():
     model = scalar_model()
     values = np.zeros((3, 2, 1), dtype=complex)
     traj = Trajectory(model=model, step=0.5, start=values[0], values=values,
-                      derivs=np.zeros_like(values))
+                      derivs=np.zeros_like(values), rest=np.zeros((2, 1)))
     with pytest.raises(InputError):
         traj.state(-model.lookback() - 0.01)
     with pytest.raises(InputError):
@@ -303,6 +308,7 @@ def assert_matches_serial(model, starts, horizon, step, **kwargs):
             assert traj.diverged_at is None
         assert traj.values.shape == ref.values.shape
         assert np.all(traj.start == ref.start)
+        assert np.array_equal(traj.rest, ref.rest)
         np.testing.assert_allclose(traj.values, ref.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.derivs, ref.derivs, rtol=0, atol=1e-12)
     return trajs
@@ -397,24 +403,22 @@ def test_divergence_is_judged_on_the_complex_modulus():
 
 
 def test_batched_shifted_members_match_serial():
-    model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
-    shifted = equilibrium_shift(model)
-    assert_matches_serial(shifted, seeded_starts(1, range(4)),
+    # both integrate the deviation from the rest point they compute
+    assert_matches_serial(driven_scalar_model(), seeded_starts(1, range(4)),
                           horizon=2.0, step=1e-2)
 
 
 def test_work_arrays_are_written_before_they_are_read(monkeypatch):
     # the loop's work arrays may start as any bytes; nan-filled ones must
     # give the same orbits
-    model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
-    shifted = equilibrium_shift(model)
+    model = driven_scalar_model()
     starts = seeded_starts(1, range(3))
-    plain = integrate(shifted, starts, 1.0, 1e-2)
+    plain = integrate(model, starts, 1.0, 1e-2)
     monkeypatch.setattr(np, "empty", lambda shape, dtype=float, **_:
                         np.full(shape, np.nan, dtype))
     monkeypatch.setattr(np, "empty_like", lambda a, **_:
                         np.full_like(a, np.nan))
-    for traj, again in zip(plain, integrate(shifted, starts, 1.0, 1e-2)):
+    for traj, again in zip(plain, integrate(model, starts, 1.0, 1e-2)):
         assert np.array_equal(traj.values, again.values)
         assert np.array_equal(traj.derivs, again.derivs)
 
@@ -472,7 +476,8 @@ def test_time_to_threshold_starts_the_last_stay_below(moduli, expected):
     values = np.zeros((len(moduli), 2, 1), dtype=complex)
     values[:, 0, 0] = moduli
     traj = Trajectory(model=scalar_model(), step=0.1, start=values[0],
-                      values=values, derivs=np.zeros_like(values))
+                      values=values, derivs=np.zeros_like(values),
+                      rest=np.zeros((2, 1)))
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.time_to_threshold == expected
 
@@ -495,21 +500,41 @@ def test_equilibrium_of_a_pure_leak_with_constant_drive():
 
 
 def test_shifted_model_rests_at_the_origin():
-    model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
-    shifted = equilibrium_shift(model)
-    assert shifted.external_input is None
-    (traj,) = integrate(shifted, [np.zeros((2, 1))], 1.0, 1e-2)
+    # a zero start is the rest point itself: the deviation stays at zero
+    (traj,) = integrate(driven_scalar_model(), [np.zeros((2, 1))], 1.0, 1e-2)
+    assert np.any(traj.rest != 0.0)
     assert np.max(np.abs(traj.values)) <= 1e-12
 
 
+def test_a_driven_network_is_measured_from_its_rest_point(stable_model):
+    # the drive of test_cli's driven run, on the loaded model itself
+    model = dataclasses.replace(stable_model, external_input=qv_from_components(
+        np.array([[1.0, 0.5, -0.5, 0.2], [0.3, -0.8, 0.4, 0.1]])))
+    (traj,) = integrate(model, [np.zeros((2, 2))], 1.0, 1e-2)
+    assert np.max(np.abs(traj.values)) <= 1e-12
+    assert np.max(np.abs(traj.derivs)) <= 1e-12
+    f = activation(traj.rest, model.gamma_diag)
+    residual = (mat_vec(model.a_mat, f) + mat_vec(model.b_mat, f)
+                + model.external_input - model.c_diag * traj.rest)
+    assert np.max(np.abs(residual)) < 1e-10
+
+
+def test_undriven_trajectories_rest_at_the_origin():
+    for model in (scalar_model(),
+                  scalar_model(external_input=np.zeros((2, 1), complex))):
+        (traj,) = integrate(model, seeded_starts(1, [0]), 0.5, 1e-2)
+        assert np.array_equal(traj.rest, np.zeros((2, 1)))
+
+
 def test_shift_agrees_with_driven_dynamics():
-    # deviation run + equilibrium must reproduce the driven run
-    model = scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
-    shifted = equilibrium_shift(model)
-    y_eq = shifted.equilibrium
+    # deviation run + rest point must reproduce the driven run in the
+    # original coordinates
+    model = driven_scalar_model()
+    y_eq = find_equilibrium(model)
     start = np.array([[0.5 - 0.2j], [0.3 + 0.4j]])
-    (driven,) = integrate(model, [start], 2.0, 1e-2)
-    (deviation,) = integrate(shifted, [start - y_eq], 2.0, 1e-2)
-    recomposed = deviation.values + y_eq[None]
+    driven = serial_integrate(model, start, 2.0, 1e-2, original=True)
+    (deviation,) = integrate(model, [start - y_eq], 2.0, 1e-2)
+    assert np.array_equal(deviation.rest, y_eq)
+    recomposed = deviation.values + deviation.rest[None]
     assert np.max(np.abs(driven.values - recomposed)) < 1e-9
 
