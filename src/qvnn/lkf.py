@@ -1,8 +1,9 @@
 """Lyapunov-Krasovskii functional evaluation along simulated trajectories.
 
-The functional has four parts, evaluated with the certificate matrices on
-a trajectory's deviation x from its rest point, with f(x) standing for the
-activation's deviation f(x + rest) - f(rest):
+The functional has four parts, sampled at grid nodes and evaluated with
+the certificate matrices on the nodes of a trajectory's deviation x from
+its rest point (x = ``values[0]`` before t = 0), with f(x) standing for
+the activation's deviation f(x + rest) - f(rest):
 
     V1 = (x(t) - C int_{t-delta}^t x)^* P1 (same),
     V2 = int_{t-delta}^t x^* P2 x  +  delta * double integral of x^* P3 x,
@@ -41,7 +42,6 @@ import numpy as np
 
 from .errors import CoverageError, InputError
 from .lmi import DecisionVars
-from .model import NetworkModel
 from .qmatrix import HermitianQuatMatrix, qv_embed
 from .simulate import Trajectory, activation
 
@@ -208,22 +208,21 @@ def _batched_form(matrix: HermitianQuatMatrix, states: np.ndarray) -> np.ndarray
     return np.einsum("ni,ij,nj->n", np.conj(emb), chi, emb).real
 
 
-def lkf_trace(traj: Trajectory, model: NetworkModel, dv: DecisionVars,
+def lkf_trace(traj: Trajectory, dv: DecisionVars,
               stride: int = 10) -> LyapunovTrace:
-    """Sample the functional along the trajectory every ``stride`` nodes."""
+    """The functional of ``dv`` at every ``stride``-th node of ``traj``."""
     if stride < 1:
         raise InputError("stride must be at least 1")
-    if traj.model.n != model.n:
-        raise InputError("trajectory and model dimensions differ")
+    model = traj.model
     if dv.n != model.n:
         raise InputError(f"certificate is for n = {dv.n}, the model has "
                          f"n = {model.n}")
-    # the grid reaches back over the lookback window, where x = start;
+    # the grid reaches back over the lookback window, where x is the start;
     # Simpson panels that straddle t = 0 read these nodes too
     step = traj.step
     back = max(int(np.ceil(model.lookback() / step - _EDGE)), 1)
     grid = np.concatenate([-back * step + step * np.arange(back), traj.times])
-    states = np.concatenate([[traj.start] * back, traj.values])
+    states = np.concatenate([[traj.values[0]] * back, traj.values])
     f_states = (activation((states + traj.rest).reshape(-1, model.n),
                            model.gamma_diag).reshape(states.shape)
                 - activation(traj.rest, model.gamma_diag))
@@ -241,7 +240,7 @@ def lkf_trace(traj: Trajectory, model: NetworkModel, dv: DecisionVars,
     dt = d1t + model.delay2(t)
 
     ix = window_quad(grid, states, t - delta, t)
-    v1 = _batched_form(dv.p1, traj.state(t) - model.c_diag * ix)
+    v1 = _batched_form(dv.p1, traj.values[::stride] - model.c_diag * ix)
 
     v2 = window_quad(grid, x_forms["p2"], t - delta, t)
     v2 += delta * window_quad(grid, x_forms["p3"], t - delta, t,

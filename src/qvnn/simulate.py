@@ -26,6 +26,9 @@ and has its own divergence time; the others go on without it. A step reads
 all its delayed states with one gather of buffer rows, and each of its
 right-hand sides is one tanh and one product.
 
+A trajectory is one grid from t = 0 whose first node is the start; x(u) is
+that node for every u < 0.
+
 A driven network (a nonzero input u) is integrated about its rest point
 y_eq, the solution of C y = (A + B) f(y) + u, which ``integrate`` computes
 once per call. In the deviation v = x - y_eq the input cancels and the
@@ -72,9 +75,9 @@ def _hermite_weights(tau, step: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """One committed orbit: x(u) = ``start`` for every u < 0, and ``values``
-    and ``derivs`` hold x and its derivative at the grid times 0, step, ...,
-    horizon, with ``values[0]`` = ``start``. x is the deviation from
+    """One committed orbit on one grid: ``values`` and ``derivs`` hold x and
+    its derivative at the grid ``times`` 0, step, 2 step, ..., and
+    x(u) = ``values[0]``, the start, for every u < 0. x is the deviation from
     ``rest``, the network's (2, n) rest point: zeros for an undriven network.
 
     ``diverged_at`` is the grid time at which the state passed the divergence
@@ -85,7 +88,6 @@ class Trajectory:
 
     model: NetworkModel
     step: float
-    start: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
     rest: np.ndarray
@@ -93,33 +95,8 @@ class Trajectory:
     blended_lookups: int = 0
 
     @property
-    def horizon(self) -> float:
-        return self.step * (len(self.values) - 1)
-
-    @property
     def times(self) -> np.ndarray:
         return self.step * np.arange(len(self.values))
-
-    def state(self, u) -> np.ndarray:
-        """x(u) for u in [-lookback, horizon]: ``start`` before t = 0, and
-        cubic Hermite interpolation of the grid from there on. An array of
-        times gives one (2, n) state per time."""
-        u = np.asarray(u, dtype=float)
-        lo, slack = -self.model.lookback(), _EDGE_SLACK * self.step
-        inside = (lo - slack <= u) & (u <= self.horizon + slack)
-        if not np.all(inside):
-            bad = u[~inside].flat[0]
-            raise InputError(f"lookup at t={bad:.6g} is outside the stored "
-                             f"interval [{lo:.6g}, {self.horizon:.6g}]")
-        if len(self.values) == 1:
-            return np.broadcast_to(self.start, u.shape + self.start.shape).copy()
-        offset = u / self.step
-        cell = np.clip(offset.astype(int), 0, len(self.values) - 2)
-        w = _hermite_weights(offset - cell, self.step)[..., None, None, :]
-        x = (w[..., 0] * self.values[cell] + w[..., 1] * self.derivs[cell]
-             + w[..., 2] * self.values[cell + 1]
-             + w[..., 3] * self.derivs[cell + 1])
-        return np.where((u < 0.0)[..., None, None], self.start, x)
 
 
 def _modulus_series(values: np.ndarray) -> np.ndarray:
@@ -377,8 +354,8 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
 
     blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(
-        model=model, step=step, start=pairs[0, 0, s],
-        values=pairs[:end + 1, 0, s], derivs=pairs[:end + 1, 1, s], rest=rest,
+        model=model, step=step, values=pairs[:end + 1, 0, s],
+        derivs=pairs[:end + 1, 1, s], rest=rest,
         diverged_at=diverged_at[s], blended_lookups=int(blended[end]))
         for s, end in enumerate(last.tolist())]
 
@@ -388,7 +365,6 @@ class ConvergenceMetrics:
     final_sup: float            # max modulus over the trailing window
     peak: float                 # max modulus over the whole run, t >= 0
     time_to_threshold: float | None
-    threshold: float
     envelope_bounded: bool      # no new modulus records after the run starts
 
 
@@ -404,10 +380,10 @@ def convergence_metrics(traj: Trajectory, threshold: float = 1e-3
     not_below = np.flatnonzero(~(series < threshold))
     first = not_below[-1] + 1 if not_below.size else 0
     time_to = float(traj.times[first]) if first < len(series) else None
-    start_peak = float(_modulus_series(traj.start[None])[0])
-    envelope_bounded = peak <= start_peak * (1.0 + 1e-9) + 1e-12
+    # the start is the first node
+    envelope_bounded = peak <= float(series[0]) * (1.0 + 1e-9) + 1e-12
     return ConvergenceMetrics(final_sup=final_sup, peak=peak,
-                              time_to_threshold=time_to, threshold=threshold,
+                              time_to_threshold=time_to,
                               envelope_bounded=envelope_bounded)
 
 

@@ -685,22 +685,21 @@ def _grid_forms(matrix: HermitianQuatMatrix, states: np.ndarray) -> np.ndarray:
 
 
 class LkfEvaluator:
-    """Precomputes pointwise quadratic forms over one trajectory's grid."""
+    """Precomputes pointwise quadratic forms over one trajectory's grid,
+    for the trajectory's own model."""
 
-    def __init__(self, traj: Trajectory, model: NetworkModel,
-                 dv: DecisionVars):
-        if model.n != traj.model.n:
-            raise InputError("trajectory and model dimensions differ")
+    def __init__(self, traj: Trajectory, dv: DecisionVars):
+        model = traj.model
         self.traj = traj
         self.model = model
         self.dv = dv
-        # the grid reaches back over the lookback window, where x = start;
-        # Simpson panels that straddle t = 0 read these nodes too
+        # the grid reaches back over the lookback window, where x is the
+        # start; Simpson panels that straddle t = 0 read these nodes too
         step = traj.step
         back = max(int(np.ceil(model.lookback() / step - _LKF_EDGE)), 1)
         self.times = np.concatenate([-back * step + step * np.arange(back),
                                      traj.times])
-        states = np.concatenate([[traj.start] * back, traj.values])
+        states = np.concatenate([[traj.values[0]] * back, traj.values])
         base = activation(traj.rest, model.gamma_diag)
         f_states = (activation((states + traj.rest[None])
                                .reshape(-1, model.n), model.gamma_diag)
@@ -722,20 +721,16 @@ class LkfEvaluator:
         return float(grid_quad(self.traj.times, self.r_forms[name], a, b,
                                weight))
 
-    def __call__(self, t: float) -> LkfSample:
+    def __call__(self, node: int) -> LkfSample:
+        """The functional at grid node ``node`` of the trajectory."""
         model = self.model
-        if t - model.lookback() < self.times[0] - _LKF_EDGE:
-            raise CoverageError(f"evaluating at t={t:.6g} needs data back to "
-                                f"{t - model.lookback():.6g}, before the "
-                                f"lookback window")
-        if t > self.traj.horizon + _LKF_EDGE:
-            raise CoverageError(f"t={t:.6g} is past the simulated horizon")
+        t = float(self.traj.times[node])
         delta = model.delta
         d1b, db = model.d1_bound, model.d_bound
         d1t = model.delay1(t)
         dt = d1t + model.delay2(t)
 
-        x_t = self.traj.state(t)
+        x_t = self.traj.values[node]
         ix = grid_quad(self.times, self.states, t - delta, t)
         v_vec = x_t - model.c_diag[None, :] * ix
         emb = qv_embed(v_vec)
@@ -763,14 +758,13 @@ class LkfEvaluator:
         return LkfSample(t=t, v1=v1, v2=v2, v3=v3, v4=v4)
 
 
-def serial_lkf_trace(traj, model: NetworkModel, dv: DecisionVars,
-                     stride: int) -> LyapunovTrace:
+def serial_lkf_trace(traj, dv: DecisionVars, stride: int) -> LyapunovTrace:
     """The functional at every ``stride``-th grid node, one sample at a time."""
-    ev = LkfEvaluator(traj, model, dv)
-    times = traj.times[::stride]
-    samples = [ev(t) for t in times]
-    return LyapunovTrace(times, *(np.array([getattr(s, part) for s in samples])
-                                  for part in ("v1", "v2", "v3", "v4")))
+    ev = LkfEvaluator(traj, dv)
+    samples = [ev(node) for node in range(0, len(traj.times), stride)]
+    return LyapunovTrace(traj.times[::stride],
+                         *(np.array([getattr(s, part) for s in samples])
+                           for part in ("v1", "v2", "v3", "v4")))
 
 
 # ---------------------------------------------------------------------------
@@ -1092,8 +1086,7 @@ def serial_integrate(model: NetworkModel, start, horizon: float, step: float,
         derivs[k + 1] = eval_rhs(t_next, y_next)
         committed = k + 1
 
-    return Trajectory(model=model, step=step, start=start, values=values,
-                      derivs=derivs,
+    return Trajectory(model=model, step=step, values=values, derivs=derivs,
                       rest=np.zeros_like(start) if rest is None else rest)
 
 

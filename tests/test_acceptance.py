@@ -113,7 +113,7 @@ def test_03_reference_simulations_converge_and_functional_decays(
     parts = rng.uniform(-1.0, 1.0, size=(4, reference_model.n))
     start = np.stack([parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]])
     (traj,) = integrate(reference_model, [start], horizon=20.0, step=1e-3)
-    trace = lkf_trace(traj, reference_model, dv, stride=20)
+    trace = lkf_trace(traj, dv, stride=20)
     v0 = trace.total[0]
     assert trace.max_increase() <= 1e-6 * v0, (
         f"functional rose by {trace.max_increase():.3e} against V(0)={v0:.3e}")

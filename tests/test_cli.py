@@ -307,35 +307,6 @@ def test_certify_text_output_summarizes_the_run(capsys, stable_example_path):
 # ---- simulate --------------------------------------------------------------------
 
 
-def test_simulate_zero_history_stays_at_zero(tmp_path, capsys,
-                                             stable_example_path):
-    out_dir = tmp_path / "runs"
-    code, out, _ = run_cli(capsys, "simulate", str(stable_example_path),
-                           "--seeds", "1", "--zero-history",
-                           "--horizon", "0.5", "--step", "0.01",
-                           "--out-dir", str(out_dir), "--json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["all_converged"] is True
-    assert report["runs"][0]["status"] == "completed"
-    assert report["runs"][0]["final_sup"] == 0.0
-
-    header, rows = read_csv(out_dir / "trajectory_seed0.csv")
-    assert header[0] == "time"
-    assert header[1:5] == ["n1_w", "n1_x", "n1_y", "n1_z"]
-    assert header[5:9] == ["n2_w", "n2_x", "n2_y", "n2_z"]
-    assert len(rows) == 51
-    for row in rows:
-        assert all(float(cell) == 0.0 for cell in row[1:])
-
-    s_header, s_rows = read_csv(out_dir / "summary.csv")
-    assert s_header == ["seed", "status", "final_sup", "peak",
-                        "time_to_threshold", "envelope_bounded"]
-    assert len(s_rows) == 1
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert str(out_dir / "summary.csv") in manifest["output_paths"]
-
-
 def test_simulate_runs_converge_and_track_the_functional(tmp_path, capsys,
                                                          stable_example_path):
     cert = tmp_path / "cert.json"
@@ -364,6 +335,18 @@ def test_simulate_runs_converge_and_track_the_functional(tmp_path, capsys,
         assert entry["converged"] is True
         assert entry["time_to_threshold"] is not None
 
+    header, rows = read_csv(out_dir / "trajectory_seed0.csv")
+    assert header[0] == "time"
+    assert header[1:5] == ["n1_w", "n1_x", "n1_y", "n1_z"]
+    assert header[5:9] == ["n2_w", "n2_x", "n2_y", "n2_z"]
+    assert len(rows) == 1201
+    s_header, s_rows = read_csv(out_dir / "summary.csv")
+    assert s_header == ["seed", "status", "final_sup", "peak",
+                        "time_to_threshold", "envelope_bounded"]
+    assert len(s_rows) == 2
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert str(out_dir / "summary.csv") in manifest["output_paths"]
+
     lkf = report["lkf"]
     assert lkf["v_start"] > 0.0
     assert lkf["v_end"] < lkf["v_start"]
@@ -380,7 +363,7 @@ def test_csv_block_writes_equal_the_row_writers(tmp_path, stable_model,
     result, dv = stable_solution
     start = np.array([[0.6 - 0.3j, -0.4 + 0.2j], [0.5 + 0.5j, 0.3 - 0.6j]])
     (traj,) = integrate(stable_model, [start], horizon=1.5, step=1e-3)
-    trace = lkf_trace(traj, stable_model, dv, stride=7)
+    trace = lkf_trace(traj, dv, stride=7)
     # a run that reaches the threshold, one that never does, and one that
     # diverged, whose metric fields are empty
     entries = [_run_entry(0, traj, SimpleNamespace(threshold=1e-3)),
@@ -458,6 +441,24 @@ def test_simulate_refuses_a_count_below_one(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert flag in err
+    assert not out_dir.exists()
+
+
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys, monkeypatch,
+                                          stable_example_path):
+    # a seed below 0 cannot draw a start; it is refused like a bad count,
+    # before the config is read or a file is written
+    def no_load(path):
+        raise AssertionError("the config was read before the flags")
+
+    monkeypatch.setattr(qvnn.cli, "load_model", no_load)
+    out_dir = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             "--seed", "-1", "--out-dir", str(out_dir),
+                             "--json")
+    assert code == 2
+    assert out == ""
+    assert "input error: --seed must be at least 0" in err
     assert not out_dir.exists()
 
 
@@ -575,7 +576,7 @@ def test_certified_random_models_converge_and_their_functional_decays(
     report = json.loads(out)
     for entry in report["runs"]:
         assert entry["status"] == "completed", entry
-        start = _start_for_seed(model, entry["seed"], zero=False)
+        start = _start_for_seed(model, entry["seed"])
         assert entry["final_sup"] < np.max(qv_modulus(start)), entry
     lkf = report["lkf"]
     assert lkf["max_rise"] <= 1e-6 * lkf["v_start"], lkf

@@ -16,6 +16,8 @@ from qvnn.qmatrix import QuatMatrix, mat_vec, qv_from_components
 from qvnn.simulate import (
     _EDGE_SLACK,
     Trajectory,
+    _hermite_weights,
+    _lookup_stencils,
     _modulus_series,
     _step_tables,
     activation,
@@ -75,48 +77,23 @@ def test_activation_lipschitz_bound_is_tight_near_zero():
     assert ratio == pytest.approx(1.7, rel=1e-9)
 
 
-# ---- state lookups ----------------------------------------------------------------
+# ---- delayed lookups ---------------------------------------------------------------
 
 
 def test_history_buffer_reproduces_cubics_exactly():
-    # cubic Hermite is exact on cubic polynomials with exact derivatives
+    # the Hermite weights of the integrator's delay stencils are exact on
+    # cubic polynomials with exact derivatives, at any fraction of a cell
     ts = np.linspace(0.0, 1.0, 6)
+    step = ts[1] - ts[0]
     poly = lambda t: t**3 - 2.0 * t**2 + 0.5 * t + 1.0
     dpoly = lambda t: 3.0 * t**2 - 4.0 * t + 0.5
-    values = np.array([[[poly(t) + 0j]] * 2 for t in ts])
-    derivs = np.array([[[dpoly(t) + 0j]] * 2 for t in ts])
-    traj = Trajectory(model=scalar_model(), step=ts[1] - ts[0],
-                      start=values[0], values=values, derivs=derivs,
-                      rest=np.zeros((2, 1)))
-    for u in np.linspace(0.0, 1.0, 41):
-        assert traj.state(u)[0, 0] == pytest.approx(poly(u), abs=1e-14)
-    # before t = 0 the state is the start, whatever the derivative there
-    for u in (-1e-3, -0.2, -scalar_model().lookback()):
-        assert np.all(traj.state(u) == values[0])
-
-
-def test_history_buffer_refuses_extrapolation():
-    model = scalar_model()
-    values = np.zeros((3, 2, 1), dtype=complex)
-    traj = Trajectory(model=model, step=0.5, start=values[0], values=values,
-                      derivs=np.zeros_like(values), rest=np.zeros((2, 1)))
-    with pytest.raises(InputError):
-        traj.state(-model.lookback() - 0.01)
-    with pytest.raises(InputError):
-        traj.state(1.01)
-
-
-def test_state_takes_an_array_of_times():
-    model = scalar_model()
-    (traj,) = integrate(model, [np.array([[0.4 + 0.1j], [0.2j]])],
-                        horizon=1.0, step=0.05)
-    u = np.array([-model.lookback(), -0.01, 0.0, 0.013, 0.05, 0.5, 0.999, 1.0])
-    states = traj.state(u)
-    assert states.shape == (len(u), 2, 1)
-    for k, uk in enumerate(u):
-        assert np.array_equal(states[k], traj.state(uk))
-    with pytest.raises(InputError):
-        traj.state(np.array([0.5, 1.01]))
+    u = np.linspace(0.0, 1.0, 41)
+    cell = np.minimum((u / step).astype(int), len(ts) - 2)
+    weights = _hermite_weights(u / step - cell, step)
+    ends = np.stack([poly(ts[cell]), dpoly(ts[cell]),
+                     poly(ts[cell + 1]), dpoly(ts[cell + 1])], axis=-1)
+    np.testing.assert_allclose(np.sum(weights * ends, axis=-1), poly(u),
+                               rtol=0, atol=1e-14)
 
 
 # ---- integration ----------------------------------------------------------------
@@ -158,39 +135,33 @@ def test_integrate_refuses_a_grid_larger_than_memory(monkeypatch):
 
 
 def test_history_holds_the_start_with_zero_derivative(stable_model):
+    # the start is the first node, and no history nodes are stored
     starts = seeded_starts(2, range(10))
-    lookback = stable_model.lookback()
     trajs = integrate(stable_model, starts, 0.5, 1e-3)
     for start, traj in zip(starts, trajs):
-        assert np.all(traj.start == start)
         assert np.all(traj.values[0] == start)
         assert len(traj.values) == len(traj.derivs) == 501
-        for u in (-lookback, -0.5 * lookback, -1e-12):
-            assert np.all(traj.state(u) == start)
+    # a lookup before t = 0 reads node 0's value with weight 1; its
+    # derivative and the stage state weigh nothing
+    t = np.array([0.0, 5e-4, 1e-3, 0.01])
+    assert np.all(t < stable_model.delta)
+    rows, weights, stage, blend = _lookup_stencils(
+        stable_model, t, np.round(t / 1e-3).astype(int), 1e-3)
+    assert np.all(rows == 0)
+    assert np.all(weights == [1.0, 0.0, 0.0, 0.0])
+    assert not np.any(stage) and not np.any(blend)
 
 
 def test_trajectory_grid_and_state_agree():
     model = scalar_model()
     (traj,) = integrate(model, [np.array([[0.4 + 0.1j], [0.2j]])],
                         horizon=1.0, step=0.05)
+    assert len(traj.times) == len(traj.values) == len(traj.derivs) == 21
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
-    for k in (0, 7, len(traj.times) - 1):
-        np.testing.assert_allclose(traj.state(traj.times[k]),
-                                   traj.values[k], atol=1e-12)
     series = _modulus_series(traj.values)
     assert series.shape == (len(traj.times),)
     assert np.all(series >= 0.0)
-
-
-def test_state_lookup_refuses_extrapolation():
-    model = scalar_model()
-    (traj,) = integrate(model, [np.array([[0.1 + 0j], [0j]])],
-                        horizon=1.0, step=0.05)
-    with pytest.raises(InputError):
-        traj.state(1.2)
-    with pytest.raises(InputError):
-        traj.state(-model.lookback() - 0.1)
 
 
 def test_divergence_reports_first_crossing_time():
@@ -302,12 +273,12 @@ def assert_matches_serial(model, starts, horizon, step, **kwargs):
             ref = serial_integrate(model, start, horizon, step, **kwargs)
         except DivergenceError as exc:
             assert traj.diverged_at == exc.time
-            assert traj.horizon == pytest.approx(exc.time - step)
-            ref = serial_integrate(model, start, traj.horizon, step, **kwargs)
+            last = traj.times[-1]
+            assert last == pytest.approx(exc.time - step)
+            ref = serial_integrate(model, start, last, step, **kwargs)
         else:
             assert traj.diverged_at is None
         assert traj.values.shape == ref.values.shape
-        assert np.all(traj.start == ref.start)
         assert np.array_equal(traj.rest, ref.rest)
         np.testing.assert_allclose(traj.values, ref.values, rtol=0, atol=1e-12)
         np.testing.assert_allclose(traj.derivs, ref.derivs, rtol=0, atol=1e-12)
@@ -331,7 +302,7 @@ def test_divergent_members_do_not_stop_the_others():
     diverged = [t.diverged_at is not None for t in trajs]
     assert diverged == [True, False, True, False, False]
     assert trajs[0].diverged_at != trajs[2].diverged_at
-    assert all(t.horizon == pytest.approx(10.0)
+    assert all(t.times[-1] == pytest.approx(10.0)
                for t, d in zip(trajs, diverged) if not d)
 
 
@@ -475,9 +446,8 @@ def test_metrics_on_the_zero_run():
 def test_time_to_threshold_starts_the_last_stay_below(moduli, expected):
     values = np.zeros((len(moduli), 2, 1), dtype=complex)
     values[:, 0, 0] = moduli
-    traj = Trajectory(model=scalar_model(), step=0.1, start=values[0],
-                      values=values, derivs=np.zeros_like(values),
-                      rest=np.zeros((2, 1)))
+    traj = Trajectory(model=scalar_model(), step=0.1, values=values,
+                      derivs=np.zeros_like(values), rest=np.zeros((2, 1)))
     metrics = convergence_metrics(traj, threshold=1e-3)
     assert metrics.time_to_threshold == expected
 
