@@ -32,7 +32,8 @@ from .errors import NumericalError, QvnnError
 from .lkf import lkf_trace
 from .lmi import DecisionVars, verify_certificate
 from .lowering import build_sdp
-from .model import NetworkModel, config_hash, load_model
+from .model import (NetworkModel, _finite_int, _finite_number, config_hash,
+                    load_model)
 from .qmatrix import qv_components
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
 from .simulate import convergence_metrics, integrate
@@ -258,8 +259,10 @@ def _run_entry(seed: int, traj, args) -> dict:
 
 
 def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars:
-    """The certificate's variables, refused unless it was made for this config."""
-    cert_doc = json.loads(Path(path).read_text())
+    """The certificate's variables, refused unless it was made for this config
+    and holds every constraint at half its margin, as ``certify`` checks it."""
+    cert_doc = json.loads(Path(path).read_text(), parse_float=_finite_number,
+                          parse_int=_finite_int, parse_constant=_finite_number)
     if not isinstance(cert_doc, dict) or "variables" not in cert_doc:
         raise QvnnError(f"certificate {path} has no variables")
     expected = config_hash(doc)
@@ -270,7 +273,15 @@ def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars
     if cert_doc.get("n") != model.n:
         raise QvnnError(f"certificate {path} is for n = {cert_doc.get('n')}, "
                         f"this config has n = {model.n}")
-    return DecisionVars.from_json(cert_doc["variables"], model.n)
+    dv = DecisionVars.from_json(cert_doc["variables"], model.n)
+    margin = cert_doc.get("margin")
+    if type(margin) not in (int, float) or not margin > 0:
+        raise QvnnError(f"certificate {path} has no positive margin")
+    worst = verify_certificate(model, dv, margin=0.5 * margin).worst_margin
+    if worst < 0.5 * margin:
+        raise QvnnError(f"certificate {path} fails its recheck: worst "
+                        f"constraint margin {worst:.3e} < {0.5 * margin:.3e}")
+    return dv
 
 
 def cmd_simulate(args) -> int:

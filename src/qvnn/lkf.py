@@ -100,7 +100,7 @@ class _BlockSums:
         return total[rows, first % 2], total[rows, 1 - first % 2]
 
 
-def _simpson_windows(sums: _BlockSums, a, b, origin, clip):
+def _simpson_windows(sums: _BlockSums, a, b, origin):
     """``window_quad`` of the flat values behind ``sums``, for one chunk."""
     times, flat = sums.times, sums.flat
     step, lo, last = times[1] - times[0], times[0], len(flat) - 1
@@ -109,8 +109,7 @@ def _simpson_windows(sums: _BlockSums, a, b, origin, clip):
         """The integrand at node j of each window, (windows, width)."""
         if origin is None:
             return flat[j]
-        w = times[j] - origin
-        return flat[j] * (np.maximum(w, 0.0) if clip else w)[:, None]
+        return flat[j] * (times[j] - origin)[:, None]
 
     def interp(pos):
         cell = np.clip(np.floor(pos).astype(int), 0, last - 1)
@@ -144,15 +143,15 @@ def _simpson_windows(sums: _BlockSums, a, b, origin, clip):
     return np.where((i1 <= i0)[:, None], thin, core)
 
 
-def window_quad(times: np.ndarray, values: np.ndarray, a, b, origin=None,
-                clip: bool = False) -> np.ndarray:
+def window_quad(times: np.ndarray, values: np.ndarray, a, b,
+                origin=None) -> np.ndarray:
     """Integrals of uniformly sampled values over the windows [a_k, b_k].
 
     ``values`` may be real or complex with any trailing shape; integration is
     along axis 0, and the result has one row per window. With ``origin`` the
     integrand is (s - origin_k) * values(s), the weight of one collapsed
-    double integral; ``clip`` sets that weight to 0 left of the origin,
-    which only the interpolated window edges read.
+    double integral. The weight is affine in s on both sides of the
+    origin, so the interpolated window edges keep the O(h^3) accuracy.
     """
     times = np.asarray(times, dtype=float)
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -177,8 +176,7 @@ def window_quad(times: np.ndarray, values: np.ndarray, a, b, origin=None,
     for k in range(0, len(a), _CHUNK_WINDOWS):
         part = slice(k, k + _CHUNK_WINDOWS)
         out[part] = _simpson_windows(sums, a[part], b[part],
-                                     None if origin is None else origin[part],
-                                     clip)
+                                     None if origin is None else origin[part])
     if np.iscomplexobj(values):
         out = out.view(complex)
     return out.reshape((len(a),) + values.shape[1:])
@@ -244,7 +242,7 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
 
     v2 = window_quad(grid, x_forms["p2"], t - delta, t)
     v2 += delta * window_quad(grid, x_forms["p3"], t - delta, t,
-                              origin=t - delta, clip=True)
+                              origin=t - delta)
 
     v3 = window_quad(grid, x_forms["q1"], t - d1t, t)
     v3 += window_quad(grid, f_forms["q2"], t - d1t, t)

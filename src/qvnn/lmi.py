@@ -12,8 +12,11 @@ constraint reads "> 0". Its rows/columns correspond to the augmented state
      x(t - d), f(x(t)), f(x(t - d1(t))), f(x(t - d(t))), int_{t-delta}^t x).
 
 M1, M2, M3 are positive diagonal; P1..P3, Q1..Q6, R1, R2 are Hermitian
-positive definite; U, V, S1, S2 are unconstrained. All constraints are
-homogeneous (zero constant term), so certificates scale freely.
+positive definite; U, V, S1, S2 are unconstrained. R1 and P3 get no
+constraint of their own: R1 is the (1, 1) block of the first coupling, -P3
+the (11, 11) block of Omega, and by Cauchy interlacing a principal block is
+at least as definite as its matrix. All constraints are homogeneous (zero
+constant term), so certificates scale freely.
 
 Only the upper block triangle is authored below; the lower one is the mirror.
 Unlisted blocks are identically zero. Everything here is linear in the
@@ -43,21 +46,6 @@ from .qmatrix import (
 DIAG_NAMES = ("m1", "m2", "m3")
 HERMITIAN_NAMES = ("p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "q6", "r1", "r2")
 GENERAL_NAMES = ("u", "v", "s1", "s2")
-
-# (row, col) of every authored upper-triangle block of Omega, 1-based.
-OMEGA_UPPER_INDICES = (
-    (1, 1), (1, 4), (1, 6), (1, 8), (1, 10), (1, 11),
-    (2, 2), (2, 3), (2, 8), (2, 10),
-    (3, 3), (3, 8), (3, 10),
-    (4, 4), (4, 6),
-    (5, 5), (5, 6), (5, 7),
-    (6, 6), (6, 7),
-    (7, 7),
-    (8, 8), (8, 11),
-    (9, 9),
-    (10, 10), (10, 11),
-    (11, 11),
-)
 
 
 @dataclass
@@ -245,7 +233,6 @@ def omega_upper_blocks(model: NetworkModel,
         (10, 11): -(b.H @ p1).scale_cols(c),
         (11, 11): -p3,
     }
-    assert tuple(sorted(blocks)) == tuple(sorted(OMEGA_UPPER_INDICES))
     return blocks
 
 
@@ -285,28 +272,21 @@ def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstrai
                        {(1, 1): dv.r2, (1, 2): dv.v, (2, 2): dv.r2}),
         QuatConstraint("omega", 11, neg_omega),
     ]
-    for name in HERMITIAN_NAMES:
-        cons.append(QuatConstraint(f"{name}_pd", 1,
-                                   {(1, 1): getattr(dv, name)}))
-    for name in DIAG_NAMES:
-        cons.append(QuatConstraint(
-            f"{name}_pos", 1,
-            {(1, 1): real_diag(getattr(dv, name))}))
-    return cons
-
-
-@dataclass(frozen=True)
-class ConstraintScore:
-    name: str
-    margin: float      # smallest eigenvalue: the distance to violation
+    # R1 and P3 are principal blocks of coupling_r1_u and of -Omega
+    singles = [(f"{name}_pd", getattr(dv, name)) for name in HERMITIAN_NAMES
+               if name not in ("r1", "p3")]
+    singles += [(f"{name}_pos", real_diag(getattr(dv, name)))
+                for name in DIAG_NAMES]
+    return cons + [QuatConstraint(name, 1, {(1, 1): block})
+                   for name, block in singles]
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     valid: bool
-    required_margin: float
     worst_margin: float
-    scores: tuple[ConstraintScore, ...]
+    # the smallest eigenvalue of each constraint: its distance to violation
+    scores: dict[str, float]
 
 
 def verify_certificate(model: NetworkModel, dv: DecisionVars,
@@ -316,8 +296,8 @@ def verify_certificate(model: NetworkModel, dv: DecisionVars,
     Eigenvalues come from the complex embedding of each assembled constraint;
     the certificate is valid iff every strictness margin reaches ``margin``.
     """
-    scores = [ConstraintScore(con.name, float(hermitian_eigvals(con.matrix)[0]))
-              for con in quat_constraints(model, dv)]
-    worst = min(s.margin for s in scores)
-    return CertificateReport(valid=bool(worst >= margin), required_margin=margin,
-                             worst_margin=worst, scores=tuple(scores))
+    scores = {con.name: float(hermitian_eigvals(con.matrix)[0])
+              for con in quat_constraints(model, dv)}
+    worst = min(scores.values())
+    return CertificateReport(valid=bool(worst >= margin), worst_margin=worst,
+                             scores=scores)

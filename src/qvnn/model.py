@@ -202,7 +202,7 @@ def _finite_number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         shown = text if len(text) <= 20 else f"{text[:17]}..."
-        raise InputError(f"config numbers must be finite, got {shown}")
+        raise InputError(f"numbers must be finite, got {shown}")
     return value
 
 

@@ -52,7 +52,7 @@ under the maximal row supports of their block, W A_i W is batched per
 group, and tr(W A_i W A_j) is one sparse product per group.
 
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
-Omega and 16 blocks of three shapes), so the solver works on stacks, not on
+Omega and 14 blocks of three shapes), so the solver works on stacks, not on
 single constraints: a stack is every constraint with the same side, the same
 support row sets and the same group sizes, Omega a stack of one. Evaluation
 of S and the primal operator <A_i, U> are one sparse product per stack, and

@@ -739,7 +739,7 @@ class LkfEvaluator:
         v2 = float(grid_quad(self.times, self.x_forms["p2"], t - delta, t))
         v2 += delta * float(grid_quad(
             self.times, self.x_forms["p3"], t - delta, t,
-            weight=lambda s: np.clip(s - (t - delta), 0.0, None)))
+            weight=lambda s: s - (t - delta)))
 
         v3 = float(grid_quad(self.times, self.x_forms["q1"], t - d1t, t))
         v3 += float(grid_quad(self.times, self.f_forms["q2"], t - d1t, t))

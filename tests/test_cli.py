@@ -76,7 +76,7 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert report["num_variables"] == 136
     assert report["gap"] <= 1e-8
     assert report["failure_cause"] is None
-    assert len(report["per_constraint_min_eig"]) == 17
+    assert len(report["per_constraint_min_eig"]) == 15
     assert min(report["per_constraint_min_eig"].values()) >= report["margin"] - 1e-9
     # the solver's phases are timed; only the schema is fixed
     assert list(report["timings"]) == [
@@ -740,6 +740,35 @@ def test_simulate_refuses_a_certificate_of_another_config(tmp_path, capsys,
                            "--lkf", str(cert), "--out-dir", str(tmp_path / "p"))
     assert code == 2
     assert "n = 3" in err
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ("negated", "fails its recheck"),
+    ("nan", "numbers must be finite, got NaN"),
+], ids=["negated", "nan"])
+def test_simulate_refuses_a_certificate_that_fails_its_recheck(
+        tmp_path, capsys, stable_example_path, tamper, message):
+    # hash and n match the config, but the matrices no longer certify it: the
+    # certificate is rechecked at half its margin, as certify checks it
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+                         "--out", str(cert))
+    assert code == 0
+    cert_doc = json.loads(cert.read_text())
+    p1 = cert_doc["variables"]["p1"]["entries"]
+    if tamper == "negated":
+        p1[:] = [[-v for v in entry] for entry in p1]
+    else:
+        p1[0][0] = float("nan")
+    cert.write_text(json.dumps(cert_doc))
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             "--seeds", "1", "--horizon", "0.1", "--step",
+                             "0.01", "--lkf", str(cert), "--json",
+                             "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("field, value", [

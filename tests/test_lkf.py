@@ -125,20 +125,17 @@ def test_window_sums_match_the_scalar_rule_on_every_branch():
                                    rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("clip", [False, True])
 @pytest.mark.parametrize("nodes", [300, 40])
-def test_weighted_window_sums_match_the_scalar_rule(clip, nodes):
+def test_weighted_window_sums_match_the_scalar_rule(nodes):
     # the integrand (s - a) f(s) of a collapsed double integral, also on a
     # grid shorter than one restart block
     times, values = branch_grid()
     times, values = times[:nodes], values[:nodes]
     windows = [w for w in BRANCH_WINDOWS if w[1] <= times[-1]]
     a, b = np.array(windows).T
-    batched = window_quad(times, values, a, b, origin=a, clip=clip)
+    batched = window_quad(times, values, a, b, origin=a)
     for k, (lo, hi) in enumerate(windows):
         weight = times - lo
-        if clip:
-            weight = np.maximum(weight, 0.0)
         expected = scalar_quad(times, values * weight[:, None, None], lo, hi)
         np.testing.assert_allclose(batched[k], expected, rtol=1e-12,
                                    atol=1e-15)
@@ -181,18 +178,13 @@ def test_functional_vanishes_on_the_zero_trajectory():
 
 
 def test_constant_state_matches_closed_forms():
-    # every window integral of a constant is width * the pointwise form
+    # every window integral of a constant is width * the pointwise form; at
+    # step 0.04 delta / step = 12.5, so the P3 window starts inside a cell
     model = lkf_model()
     rng = np.random.default_rng(11)
     dv = random_decision_vars(rng, 1)
     pair = np.array([[0.7 + 0.3j], [-0.4 + 0.6j]])
-    traj = frozen_trajectory(model, pair)
     t = 1.0
-    trace = lkf_trace(traj, dv, stride=20)
-    assert trace.times[1] == pytest.approx(t)
-    sample = LyapunovTrace(*(getattr(trace, name)[1]
-                             for name in ("times", "v1", "v2", "v3", "v4")))
-
     delta = model.delta
     shifted = pair - delta * model.c_diag[None, :] * pair
     v1 = quadform(dv.p1, shifted)
@@ -205,11 +197,17 @@ def test_constant_state_matches_closed_forms():
           + model.d1_bound * quadform(dv.q5, pair)
           + model.d_bound * quadform(dv.q6, pair))
 
-    assert sample.v1 == pytest.approx(v1, rel=1e-10, abs=1e-12)
-    assert sample.v2 == pytest.approx(v2, rel=1e-10, abs=1e-12)
-    assert sample.v3 == pytest.approx(v3, rel=1e-10, abs=1e-12)
-    assert sample.v4 == pytest.approx(0.0, abs=1e-12)
-    assert sample.total == pytest.approx(v1 + v2 + v3, rel=1e-10)
+    for step in (0.05, 0.04):
+        traj = frozen_trajectory(model, pair, step=step)
+        trace = lkf_trace(traj, dv, stride=round(t / step))
+        assert trace.times[1] == pytest.approx(t)
+        sample = LyapunovTrace(*(getattr(trace, name)[1]
+                                 for name in ("times", "v1", "v2", "v3", "v4")))
+        assert sample.v1 == pytest.approx(v1, rel=1e-10, abs=1e-12)
+        assert sample.v2 == pytest.approx(v2, rel=1e-10, abs=1e-12)
+        assert sample.v3 == pytest.approx(v3, rel=1e-10, abs=1e-12)
+        assert sample.v4 == pytest.approx(0.0, abs=1e-12)
+        assert sample.total == pytest.approx(v1 + v2 + v3, rel=1e-10)
 
 
 def test_coverage_errors_flag_unusable_times():

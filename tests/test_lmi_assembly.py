@@ -25,7 +25,6 @@ from qvnn.lmi import (
     DIAG_NAMES,
     GENERAL_NAMES,
     HERMITIAN_NAMES,
-    OMEGA_UPPER_INDICES,
     DecisionVars,
     assemble_blocks,
     omega_upper_blocks,
@@ -33,7 +32,7 @@ from qvnn.lmi import (
     verify_certificate,
 )
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix
+from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, hermitian_eigvals
 
 
 def unit_model():
@@ -176,7 +175,7 @@ def test_unauthored_blocks_are_exactly_zero():
     dv = random_decision_vars(rng, 2)
     omega = assemble_omega(model, dv)
     n = 2
-    authored = set(OMEGA_UPPER_INDICES)
+    authored = set(omega_upper_blocks(model, dv))
     for i in range(1, 12):
         for j in range(i, 12):
             if (i, j) in authored:
@@ -243,10 +242,31 @@ def test_constraint_list_covers_all_families():
     model = random_model(rng, 2)
     dv = random_decision_vars(rng, 2)
     cons = quat_constraints(model, dv)
-    names = [c.name for c in cons]
-    assert names[:3] == ["coupling_r1_u", "coupling_r2_v", "omega"]
-    assert set(names[3:]) == {f"{n}_pd" for n in HERMITIAN_NAMES} \
-        | {f"{n}_pos" for n in DIAG_NAMES}
+    assert [c.name for c in cons] == [
+        "coupling_r1_u", "coupling_r2_v", "omega", "p1_pd", "p2_pd",
+        "q1_pd", "q2_pd", "q3_pd", "q4_pd", "q5_pd", "q6_pd", "r2_pd",
+        "m1_pos", "m2_pos", "m3_pos"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_r1_and_p3_are_principal_blocks_of_listed_constraints(n):
+    # R1 and P3 need no constraint of their own: each is a principal block of
+    # a listed one, so by Cauchy interlacing its least eigenvalue is no
+    # smaller than that constraint's
+    for trial in range(5):
+        rng = np.random.default_rng(40 + 10 * n + trial)
+        model = random_model(rng, n)
+        dv = random_decision_vars(rng, n)
+        cons = {c.name: c.matrix for c in quat_constraints(model, dv)}
+        assert "r1_pd" not in cons and "p3_pd" not in cons
+        for con, first, block in (("coupling_r1_u", 0, dv.r1),
+                                  ("omega", 10 * n, dv.p3)):
+            whole = cons[con]
+            rows = slice(first, first + n)
+            np.testing.assert_array_equal(whole.a1[rows, rows], block.a1)
+            np.testing.assert_array_equal(whole.a2[rows, rows], block.a2)
+            assert (hermitian_eigvals(block)[0] >= hermitian_eigvals(whole)[0]
+                    - 1e-12 * max(1.0, whole.max_abs()))
 
 
 def test_verify_certificate_accepts_solver_output(stable_model, stable_solution):
@@ -254,7 +274,8 @@ def test_verify_certificate_accepts_solver_output(stable_model, stable_solution)
     report = verify_certificate(stable_model, dv, margin=0.5 * result.margin)
     assert report.valid
     assert report.worst_margin >= 0.5 * result.margin
-    assert len(report.scores) == 17
+    assert len(report.scores) == 15
+    assert report.worst_margin == min(report.scores.values())
 
 
 def test_verify_certificate_rejects_flipped_certificate(stable_model,
@@ -263,7 +284,7 @@ def test_verify_certificate_rejects_flipped_certificate(stable_model,
     report = verify_certificate(stable_model, scaled(dv, -1.0), margin=1e-9)
     assert not report.valid
     # a flipped certificate violates the positivity constraints outright
-    failing = {s.name for s in report.scores if s.margin < 0}
+    failing = {name for name, eig in report.scores.items() if eig < 0}
     assert "p1_pd" in failing
 
 
@@ -272,4 +293,4 @@ def test_verify_certificate_enforces_requested_margin(stable_model,
     result, dv = stable_solution
     strict = verify_certificate(stable_model, dv, margin=result.margin * 1e6)
     assert not strict.valid
-    assert strict.worst_margin < strict.required_margin
+    assert strict.worst_margin < result.margin * 1e6

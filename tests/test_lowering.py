@@ -33,7 +33,7 @@ def small_system():
 def test_sdp_shape(small_system):
     model, sdp = small_system
     assert sdp.num_vars == DecisionVars.num_scalars(model.n) == 30
-    assert len(sdp.lmis) == 17
+    assert len(sdp.lmis) == 15
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     # complex dimension = 2 rows per quaternion row
     assert by_name["omega"].dim == 22 * model.n
