@@ -295,9 +295,14 @@ def verify_certificate(model: NetworkModel, dv: DecisionVars,
 
     Eigenvalues come from the complex embedding of each assembled constraint;
     the certificate is valid iff every strictness margin reaches ``margin``.
+    A constraint with an entry that is not finite scores NaN, and so does
+    the worst margin.
     """
-    scores = {con.name: float(hermitian_eigvals(con.matrix)[0])
-              for con in quat_constraints(model, dv)}
-    worst = min(scores.values())
+    scores = {}
+    for con in quat_constraints(model, dv):
+        mat = con.matrix
+        finite = np.isfinite(mat.a1).all() and np.isfinite(mat.a2).all()
+        scores[con.name] = float(hermitian_eigvals(mat)[0]) if finite else np.nan
+    worst = float(np.min(list(scores.values())))
     return CertificateReport(valid=bool(worst >= margin), worst_margin=worst,
                              scores=scores)

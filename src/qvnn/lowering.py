@@ -14,11 +14,12 @@ block B at block row b, column b' enters as
 whose local row c n + r (c = 0, 1) is the global row c N + (b - 1) n + r,
 and off the diagonal also as its conjugate transpose at (b', b). Diagonal
 blocks are symmetrized first, exactly as ``assemble_blocks`` does. Each
-constraint's coefficients are stored as one complex CSR matrix with a row
-per variable and a column per entry of the row-major Hermitian matrix; only
-nonzero entries are kept. Every coefficient is finite and the criterion
-is homogeneous (``build_sdp`` refuses it otherwise), so a lowered
-constraint is sum_i x_i A_i with no constant term.
+constraint's coefficients are stored as three numpy arrays of its nonzero
+entries: the variable, the flat index of the entry in the row-major
+Hermitian matrix and the complex value, sorted by variable and then by
+entry. Every coefficient is finite and the criterion is homogeneous
+(``build_sdp`` refuses it otherwise), so a lowered constraint is
+sum_i x_i A_i with no constant term.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InputError, ShapeError
 from .lmi import DecisionVars, QuatConstraint, quat_constraints
@@ -37,11 +37,15 @@ from .qmatrix import QuatMatrix, hermitian_part
 @dataclass
 class AffineLmi:
     """Complex Hermitian constraint  sum_i x_i A_i > 0  of side ``dim``.
-    Row i of ``coeffs`` is A_i flattened row-major."""
+    A_var[e] holds value[e] at the row-major flat index entry[e] and is zero
+    elsewhere; the entries are sorted by variable, then by entry, and each
+    (variable, entry) pair is stored once."""
 
     name: str
     dim: int
-    coeffs: scipy.sparse.csr_array    # (num_vars, dim * dim)
+    var: np.ndarray      # (nnz,) intp
+    entry: np.ndarray    # (nnz,) intp, row * dim + column
+    value: np.ndarray    # (nnz,) complex
 
 
 @dataclass
@@ -53,13 +57,18 @@ class StandardSdp:
 
     def __post_init__(self):
         for lmi in self.lmis:
-            if lmi.coeffs.shape != (self.num_vars, lmi.dim * lmi.dim):
-                raise ShapeError(f"constraint {lmi.name} has coefficients of "
-                                 f"shape {lmi.coeffs.shape}, expected "
-                                 f"{(self.num_vars, lmi.dim * lmi.dim)}")
+            size = lmi.dim * lmi.dim
+            key = lmi.var * size + lmi.entry
+            if not (lmi.var.shape == lmi.entry.shape == lmi.value.shape
+                    and np.all((lmi.var >= 0) & (lmi.var < self.num_vars))
+                    and np.all((lmi.entry >= 0) & (lmi.entry < size))
+                    and np.all(np.diff(key) > 0)):
+                raise ShapeError(f"constraint {lmi.name} stores entries out of "
+                                 f"range or order for {self.num_vars} "
+                                 f"variables of side {lmi.dim}")
 
 
-def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
+def _lower(con: QuatConstraint, n: int) -> AffineLmi:
     """One constraint's complex form from its blocks at the unit vectors: batch
     row i + 1 of every block is its value at unit vector i, and the
     variables where a block is zero are dropped."""
@@ -81,12 +90,11 @@ def _lower(con: QuatConstraint, n: int, num_vars: int) -> AffineLmi:
     at_col = (key[k, 1] - 1) * n + local[q]
     vals = images[k, p, q]
     off = ~diag[k]                         # mirrored as conjugate transposes
-    coeffs = scipy.sparse.csr_array(
-        (np.concatenate([vals, vals[off].conj()]),
-         (np.concatenate([var[k], var[k][off]]),
-          np.concatenate([at_row * d + at_col, at_col[off] * d + at_row[off]]))),
-        shape=(num_vars, d * d))
-    return AffineLmi(con.name, d, coeffs)
+    keys = np.concatenate([var[k] * d * d + at_row * d + at_col,
+                           var[k][off] * d * d + at_col[off] * d + at_row[off]])
+    order = np.argsort(keys)
+    return AffineLmi(con.name, d, *np.divmod(keys[order], d * d),
+                     np.concatenate([vals, vals[off].conj()])[order])
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:
@@ -106,4 +114,4 @@ def build_sdp(model: NetworkModel) -> StandardSdp:
                              "not finite: a model number is too large")
         if any(blk.a1[0].any() or blk.a2[0].any() for blk in blocks):
             raise InputError(f"constraint {con.name} is not homogeneous")
-    return StandardSdp(num_vars=num, lmis=[_lower(con, n, num) for con in cons])
+    return StandardSdp(num_vars=num, lmis=[_lower(con, n) for con in cons])

@@ -48,21 +48,26 @@ M works from the sparsity of the coefficients, in the spirit of the F1-F3
 Schur-complement formulas of Fujisawa, Kojima & Nakata (Math. Prog. 79,
 1997). A_i vanishes outside its row support, so for any row set R that
 holds it, W A_i W = W[:, R] A_i[R, R] W[R, :]. The variables are grouped
-under the maximal row supports of their block, W A_i W is batched per
-group, and tr(W A_i W A_j) is one sparse product per group.
+under the maximal row supports of their block and W A_i W is batched per
+group. Every lowered constraint is a complex image chi, and chi is a
+*-homomorphism (Zhang, Linear Algebra Appl. 251, 1997): with W a chi
+image, so is W A_i W, and Re tr(A_j W A_i W) is twice the real part of
+the same sum over its first N = d / 2 rows alone. So only those rows are
+formed (all d for a constraint that is not a chi image), and each group's
+traces are one dense product of its A_j, at the entries it uses, with
+those rows gathered there.
 
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
 Omega and 14 blocks of three shapes), so the solver works on stacks, not on
 single constraints: a stack is every constraint with the same side, the same
 support row sets and the same group sizes, Omega a stack of one. Evaluation
-of S and the primal operator <A_i, U> are one sparse product per stack, and
-the scaling, the step lengths and the Schur complement are batched over the
-members. Every stack's Schur entries then reach the (m + 1)^2 matrix
-through flat indices computed at set-up, in one ``np.bincount``, which adds
-up the entries of members that share a variable. Every factorization and
-solve uses ``numpy.linalg``: scipy ships its own OpenBLAS, and alternating
-between the two runtimes' thread pools inside the loop cost more than the
-step.
+of S and the primal operator <A_i, U> read the stored entries of a whole
+stack through ``np.bincount``, and the scaling, the step lengths and the
+Schur complement are batched over the members. Every stack's Schur entries
+then reach the (m + 1)^2 matrix through flat indices computed at set-up, in
+one ``np.bincount``, which adds up the entries of members that share a
+variable. numpy is the only dependency: every factorization and solve uses
+``numpy.linalg``.
 
 This is a feasibility engine, not a general-purpose SDP solver: it has no
 infeasibility certificates and no presolve beyond ``scale_problem``.
@@ -74,7 +79,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InputError, NumericalError
 from .lowering import AffineLmi, StandardSdp
@@ -84,6 +88,8 @@ from .lowering import AffineLmi, StandardSdp
 _REAL_MULTIPLICITY = 2
 # the largest violation of a primal equation at which the run may stop
 _RESIDUAL_TOLERANCE = 1e-9
+# the most memory the rows of S_i formed at once by a Schur complement take
+_CHUNK_BYTES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -122,11 +128,6 @@ class FeasibilityResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _entry_rows(a: scipy.sparse.csr_array) -> np.ndarray:
-    """The row of every stored entry of a CSR matrix, in storage order."""
-    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-
-
 def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, np.ndarray]:
     """Rescale each variable's coefficient matrices to unit Frobenius order.
 
@@ -139,20 +140,17 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, np.ndarray]:
     whose coefficients vanish in every constraint keep the factor 1.
     """
     m = sdp.num_vars
-    rows = [_entry_rows(lmi.coeffs) for lmi in sdp.lmis]
     norms = np.zeros(m)
-    for lmi, r in zip(sdp.lmis, rows):
-        mag = np.abs(lmi.coeffs.data)
+    for lmi in sdp.lmis:
+        mag = np.abs(lmi.value)
         peak = np.zeros(m)
-        np.maximum.at(peak, r, mag)
-        unit = mag / np.where(peak > 0.0, peak, 1.0)[r]
+        np.maximum.at(peak, lmi.var, mag)
+        unit = mag / np.where(peak > 0.0, peak, 1.0)[lmi.var]
         norms = np.maximum(norms, peak * np.sqrt(np.bincount(
-            r, weights=_REAL_MULTIPLICITY * unit ** 2, minlength=m)))
+            lmi.var, weights=_REAL_MULTIPLICITY * unit ** 2, minlength=m)))
     factors = np.where(norms == 0.0, 1.0, norms)
-    lmis = [AffineLmi(l.name, l.dim, scipy.sparse.csr_array(
-                (l.coeffs.data / factors[r], l.coeffs.indices, l.coeffs.indptr),
-                shape=l.coeffs.shape))
-            for l, r in zip(sdp.lmis, rows)]
+    lmis = [AffineLmi(l.name, l.dim, l.var, l.entry, l.value / factors[l.var])
+            for l in sdp.lmis]
     return StandardSdp(num_vars=m, lmis=lmis), factors
 
 
@@ -161,18 +159,16 @@ def _support_groups(lmi: AffineLmi) -> list[tuple[np.ndarray, np.ndarray]]:
     Each variable with a nonzero coefficient joins the smallest maximal row
     set holding its own support (A_i vanishes on the extra rows, so
     W A_i W is unchanged)."""
-    a = lmi.coeffs
     d = lmi.dim
-    if not np.any(a.data):
+    if not np.any(lmi.value):
         raise InputError(f"constraint {lmi.name} has no nonzero coefficient")
     # row and column support per variable, from the stored entries
-    owner = _entry_rows(a)
-    p, q = np.divmod(a.indices, d)
-    support = np.zeros((a.shape[0], d), dtype=bool)
+    used, owner = np.unique(lmi.var, return_inverse=True)
+    p, q = np.divmod(lmi.entry, d)
+    support = np.zeros((used.size, d), dtype=bool)
     support[owner, p] = True
     support[owner, q] = True
-    used = np.flatnonzero(support.any(axis=1))
-    rowsets, which = np.unique(support[used], axis=0, return_inverse=True)
+    rowsets, which = np.unique(support, axis=0, return_inverse=True)
     # inside[p, q]: row set p lies within row set q
     inside = rowsets.astype(np.intp) @ (~rowsets).T.astype(np.intp) == 0
     maximal = inside.sum(axis=1) == 1      # within itself only
@@ -182,64 +178,117 @@ def _support_groups(lmi: AffineLmi) -> list[tuple[np.ndarray, np.ndarray]]:
             for g in np.unique(target)]
 
 
+def _is_chi_image(lmi: AffineLmi) -> bool:
+    """Whether every A_i is the complex image chi(B) of a quaternion matrix
+    of N = d / 2 rows: A[N + p, N + q] = conj(A[p, q]) and
+    A[N + p, q] = -conj(A[p, N + q]), entry for entry."""
+    d, half = lmi.dim, lmi.dim // 2
+    if d % 2:
+        return False
+    p, q = np.divmod(lmi.entry, d)
+    key = lmi.var * d * d + lmi.entry
+    mirror = lmi.var * d * d + (p + half) % d * d + (q + half) % d
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    sign = np.where((p < half) == (q < half), 1.0, -1.0)
+    return bool(np.all(key[at] == mirror)
+                and np.all(lmi.value[at] == sign * lmi.value.conj()))
+
+
+def _chi_part(w: np.ndarray) -> np.ndarray:
+    """The orthogonal projection of each matrix onto the chi images: the
+    mean of W and its mirror, which swaps the diagonal quadrants and
+    negates the others, all conjugated."""
+    half = w.shape[-1] // 2
+    top, bottom = slice(None, half), slice(half, None)
+    mirror = np.empty_like(w)
+    mirror[:, top, top] = w[:, bottom, bottom]
+    mirror[:, bottom, bottom] = w[:, top, top]
+    mirror[:, top, bottom] = -w[:, bottom, top]
+    mirror[:, bottom, top] = -w[:, top, bottom]
+    return (w + mirror.conj()) / 2.0
+
+
 class _Stack:
     """Every constraint of one shape, sum_i x_i A_ki > 0 for each member k.
 
     The shape is the side d, the row sets R of the support groups and the
     number of variables in each, so every member has the same count of
     active variables and the same dense group layout. ``active[k]`` holds
-    member k's variables, group by group. ``coeffs_conj`` holds their
-    flattened conj(A_ki) as one block-diagonal CSR matrix, member-major:
-    row k * len(active[k]) + j is member k's j-th variable, and its columns
-    are member k's d * d entries. It is the one copy of the coefficients,
-    and the primal operator and the Schur complement read it with one
-    sparse product for all members. Evaluation reads it through
-    ``coeffs_conj_t``, its transpose: a view that shares its arrays, made
-    once because making it costs more than the product. ``groups`` holds,
-    per row set R, the slice of ``active`` assigned to it and the members'
-    dense A_i[R, R], stored as A_i[b, a] at [k, b, (a, i)], so that one
-    batched product with W[:, :, R] gives W A_i for the whole group of
-    every member. ``grad_index`` and ``hess_index`` are the flat positions
-    in the (m + 1)-vector and the (m + 1)^2 matrix of the weights ``apply``
-    and ``schur`` return.
+    member k's variables, group by group. The members' stored entries are
+    kept once, member after member: ``var`` is each entry's variable,
+    ``flat`` its index k d^2 + entry in the members' stacked matrices,
+    ``row`` its index k len(active[k]) + j when the variable is member k's
+    j-th, and ``conj_value`` the conjugate of its value. Evaluation and the
+    primal operator read them with ``np.bincount`` for all members at once.
+
+    ``groups`` holds, per row set R, the slice of ``active`` assigned to it,
+    the members' dense A_i[R, R], stored as A_i[b, a] at [k, b, (a, i)], so
+    that one batched product with W[:, :rows, R] gives rows p < ``rows`` of
+    W A_i for the whole group of every member, and the group's Schur
+    weights: ``top``, the flat indices p d + q with p < ``rows`` at which
+    some member's A_i of the group is nonzero, and ``weights``,
+    (d / rows) (Re A_i, Im A_i) at them, shaped (members, group size,
+    2 len(top)). ``rows`` is N = d / 2 when every member is a chi image and
+    d otherwise. ``chunks`` splits the groups into runs whose rows of S_i
+    fit in ``_CHUNK_BYTES``, as (slice of ``active``, groups).
+    ``grad_index`` and ``hess_index`` are the flat positions in the
+    (m + 1)-vector and the (m + 1)^2 matrix of the weights ``apply`` and
+    ``schur`` return.
     """
 
     def __init__(self, parts, num_vars: int):
         lmis = [lmi for lmi, _ in parts]
         self.names = [lmi.name for lmi in lmis]
         self.dim = d = lmis[0].dim
+        self.rows = rows = d // 2 if all(map(_is_chi_image, lmis)) else d
         nb = len(parts)
-        dtype = np.result_type(*(lmi.coeffs.dtype for lmi in lmis))
-        self.groups = []
-        start = 0
-        local = np.zeros(d, dtype=np.intp)
-        for g, (r, members) in enumerate(parts[0][1]):
-            kg = len(members)
-            local[r] = np.arange(len(r))
-            acat = np.zeros((nb, len(r), len(r) * kg), dtype=dtype)
-            for k, (lmi, groups) in enumerate(parts):
-                rows = lmi.coeffs[groups[g][1]]
-                p, q = np.divmod(rows.indices, d)
-                acat[k, local[p], local[q] * kg + _entry_rows(rows)] = rows.data
-                sub = acat[k].reshape(len(r), len(r), kg)
-                if np.max(np.abs(sub - sub.transpose(1, 0, 2).conj())) > 1e-12:
-                    raise InputError(f"constraint {lmi.name} has "
-                                     "non-Hermitian coefficients")
-            self.groups.append((r, slice(start, start + kg), acat))
-            start += kg
-        self.active = np.array(
+        self.active = act = np.array(
             [np.concatenate([members for _, members in groups])
              for _, groups in parts], dtype=np.intp)
-        rows = [lmi.coeffs[act].conj() for lmi, act in zip(lmis, self.active)]
-        nnz = np.cumsum([0] + [r.nnz for r in rows])
-        self.coeffs_conj = scipy.sparse.csr_array(
-            (np.concatenate([r.data for r in rows]),
-             np.concatenate([r.indices + k * d * d for k, r in enumerate(rows)]),
-             np.concatenate([[0]] + [r.indptr[1:] + nnz[k]
-                                     for k, r in enumerate(rows)])),
-            shape=(nb * start, nb * d * d))
-        self.coeffs_conj_t = self.coeffs_conj.T
-        act, n1 = self.active, num_vars + 1
+        slot = np.zeros((nb, num_vars), dtype=np.intp)
+        slot[np.arange(nb)[:, None], act] = np.arange(act.shape[1])
+        member = np.repeat(np.arange(nb), [lmi.var.size for lmi in lmis])
+        self.var = np.concatenate([lmi.var for lmi in lmis])
+        entry = np.concatenate([lmi.entry for lmi in lmis])
+        value = np.concatenate([lmi.value for lmi in lmis]).astype(complex)
+        self.flat = member * d * d + entry
+        j = slot[member, self.var]
+        self.row = member * act.shape[1] + j
+        self.conj_value = value.conj()
+        p, q = np.divmod(entry, d)
+        self.groups = []
+        local = np.zeros(d, dtype=np.intp)
+        start = 0
+        for r, members in parts[0][1]:
+            kg = len(members)
+            cols = slice(start, start + kg)
+            local[r] = np.arange(len(r))
+            mine = (j >= start) & (j < start + kg)
+            acat = np.zeros((nb, len(r), len(r) * kg), dtype=complex)
+            acat[member[mine], local[p[mine]],
+                 local[q[mine]] * kg + j[mine] - start] = value[mine]
+            sub = acat.reshape(nb, len(r), len(r), kg)
+            bad = np.max(np.abs(sub - sub.transpose(0, 2, 1, 3).conj()),
+                         axis=(1, 2, 3)) > 1e-12
+            if bad.any():
+                raise InputError(f"constraint {self.names[np.argmax(bad)]} "
+                                 "has non-Hermitian coefficients")
+            upper = r < rows
+            b, a = np.nonzero(np.any(sub[:, upper] != 0.0, axis=(0, 3)))
+            at = sub[:, upper][:, b, a].transpose(0, 2, 1)
+            self.groups.append((r, cols, acat, r[upper][b] * d + r[a], d // rows
+                                * np.concatenate([at.real, at.imag], axis=2)))
+            start += kg
+        self.chunks = []
+        for group in self.groups:
+            cols = group[1]
+            if (self.chunks and _CHUNK_BYTES >= 16 * nb * rows * d
+                    * (cols.stop - self.chunks[-1][0].start)):
+                run, groups = self.chunks.pop()
+                self.chunks.append((slice(run.start, cols.stop), groups + [group]))
+            else:
+                self.chunks.append((cols, [group]))
+        n1 = num_vars + 1
         self.grad_index = np.append(act.ravel(), num_vars)
         self.hess_index = np.concatenate([
             (act[:, :, None] * n1 + act[:, None, :]).ravel(),
@@ -248,11 +297,16 @@ class _Stack:
 
     def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
         """sum_i x_i A_ki - t I of every member k, as (members, d, d), at the
-        full variable vector x: x is real, so each sum is the conjugate of
-        sum_i x_i conj(A_ki), bit for bit."""
-        d = self.dim
-        s = np.conj(self.coeffs_conj_t @ x[self.active.ravel()]).reshape(-1, d, d)
-        s.reshape(len(s), -1)[:, ::d + 1] -= t
+        full variable vector x: x is real, so each entry is the conjugate of
+        sum_i x_i conj(A_ki)."""
+        nb, d = len(self.names), self.dim
+        xv, size = x[self.var], nb * d * d
+        s = np.bincount(self.flat, weights=xv * self.conj_value.real,
+                        minlength=size).astype(complex)
+        s.imag = -np.bincount(self.flat, weights=xv * self.conj_value.imag,
+                              minlength=size)
+        s = s.reshape(nb, d, d)
+        s.reshape(nb, -1)[:, ::d + 1] -= t
         return s
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -261,26 +315,42 @@ class _Stack:
         of tr U_k for t, as weights at ``grad_index``. Every trace is
         tr(A_i U) = sum conj(A_i) * U over the entries, as A_i is Hermitian.
         """
-        return np.append(-(self.coeffs_conj @ u.ravel()).real,
-                         np.trace(u, axis1=1, axis2=2).real.sum())
+        traces = np.bincount(self.row, weights=(u.ravel()[self.flat]
+                                                * self.conj_value).real,
+                             minlength=self.active.size)
+        return np.append(-traces, np.trace(u, axis1=1, axis2=2).real.sum())
 
     def schur(self, w: np.ndarray) -> np.ndarray:
         """The Schur complement weights at the NT scaling matrices w, at
-        ``hess_index``: Re tr(A_i W A_j W) over every member's active
+        ``hess_index``: Re tr(A_j W A_i W) over every member's active
         variables, then the t column and row, -Re tr(A_i W W), and the
-        (t, t) entry ||W||_F^2."""
-        nb, d, k = len(w), self.dim, self.active.shape[1]
-        hess_t = -(self.coeffs_conj @ (w @ w).ravel()).real
+        (t, t) entry ||W||_F^2.
+
+        With chi images W and A_i, S_i = W A_i W is one too, and the entry
+        of conj(A_j) * S_i at (N + p, q) is the conjugate of the one at
+        (p, q +- N): the rows p >= N add up to the conjugate of the rows
+        p < N. So only those rows of S_i are formed, and the trace is twice
+        the real part of their sum. The solver's W is a chi image only up
+        to rounding that grows with the conditioning, so the products use
+        its chi part, which changes M only at second order in the
+        difference."""
+        nb, d, k, rows = len(w), self.dim, self.active.shape[1], self.rows
+        hess_t = self.apply(w @ w)[:-1]
+        wc = _chi_part(w) if rows < d else w
         hess = np.empty((nb, k, k))
-        for r, cols, acat in self.groups:
-            kg = cols.stop - cols.start
-            # (W A_i)[p, a] at [k, p, a, i], then one product per (k, p)
-            # with W[R, :] gives (W A_i W)[p, q] at [k, p, q, i]: the layout
-            # the sparse product reads
-            u = (w[:, :, r] @ acat).reshape(nb, d, len(r), kg)
-            s = np.matmul(w[:, r].transpose(0, 2, 1)[:, None], u)
-            hess[:, :, cols] = (self.coeffs_conj @ s.reshape(nb * d * d, kg)
-                                ).real.reshape(nb, k, kg)
+        for cols, groups in self.chunks:
+            # S_i[p, q] at [k, p d + q, i - cols.start] for p < rows
+            s = np.empty((nb, rows * d, cols.stop - cols.start), dtype=complex)
+            for r, part, acat, _, _ in groups:
+                kg = part.stop - part.start
+                u = (wc[:, :rows, r] @ acat).reshape(nb, rows, len(r), kg)
+                own = slice(part.start - cols.start, part.stop - cols.start)
+                np.matmul(wc[:, r].transpose(0, 2, 1)[:, None], u,
+                          out=s[:, :, own].reshape(nb, rows, d, kg))
+            for _, part, _, top, weights in self.groups:
+                got = s[:, top]
+                hess[:, part, cols] = weights @ np.concatenate(
+                    [got.real, got.imag], axis=1)
         return np.concatenate([hess.ravel(), hess_t, hess_t,
                                [np.vdot(w, w).real]])
 

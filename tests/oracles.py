@@ -528,9 +528,25 @@ def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
 # ---------------------------------------------------------------------------
 
 
+def affine_lmi(name: str, coeffs: np.ndarray) -> AffineLmi:
+    """The constraint sum_i x_i A_i > 0 from its dense stack of A_i,
+    (num_vars, d, d), storing every nonzero entry."""
+    var, entry = np.nonzero(coeffs.reshape(len(coeffs), -1))
+    return AffineLmi(name, coeffs.shape[1], var, entry,
+                     coeffs.reshape(len(coeffs), -1)[var, entry])
+
+
+def coeff_stack(lmi: AffineLmi, num_vars: int) -> np.ndarray:
+    """The dense complex (num_vars, d, d) stack of A_i of one constraint."""
+    a = np.zeros((num_vars, lmi.dim * lmi.dim), dtype=complex)
+    a[lmi.var, lmi.entry] = lmi.value
+    return a.reshape(num_vars, lmi.dim, lmi.dim)
+
+
 def lmi_value(lmi: AffineLmi, x: np.ndarray) -> np.ndarray:
     """The complex Hermitian matrix sum_i x_i A_i of one lowered constraint."""
-    flat = lmi.coeffs.T @ np.asarray(x, dtype=float)
+    flat = np.zeros(lmi.dim * lmi.dim, dtype=complex)
+    np.add.at(flat, lmi.entry, np.asarray(x, dtype=float)[lmi.var] * lmi.value)
     return flat.reshape(lmi.dim, lmi.dim)
 
 
@@ -539,7 +555,7 @@ def real_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
     constraint, each complex A_i as its real image [[Re, -Im], [Im, Re]]."""
     stacks = []
     for lmi in sdp.lmis:
-        a = lmi.coeffs.toarray().reshape(sdp.num_vars, lmi.dim, lmi.dim)
+        a = coeff_stack(lmi, sdp.num_vars)
         stacks.append(np.block([[a.real, -a.imag], [a.imag, a.real]]))
     return stacks
 
@@ -555,8 +571,7 @@ def dense_schur(sdp: StandardSdp, ws: list[np.ndarray]) -> np.ndarray:
     m = sdp.num_vars
     schur = np.zeros((m + 1, m + 1))
     for lmi, w in zip(sdp.lmis, ws):
-        b = lmi.coeffs.toarray().reshape(m, lmi.dim, lmi.dim)
-        b = np.concatenate([b, -np.eye(lmi.dim)[None]], axis=0)
+        b = np.concatenate([coeff_stack(lmi, m), -np.eye(lmi.dim)[None]], axis=0)
         wb = np.matmul(w[None], b)                    # W B_i, batched
         schur += np.einsum("ipq,jqp->ij", wb, wb).real
     return schur

@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from conftest import FEASIBLE_RUNS, certified_solve
 from oracles import (
     Quaternion,
     VectorPath,
+    affine_lmi,
     assemble_omega,
     brute_product,
     definiteness,
@@ -30,7 +30,7 @@ from oracles import (
 )
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import omega_upper_blocks, verify_certificate
-from qvnn.lowering import AffineLmi, StandardSdp
+from qvnn.lowering import StandardSdp
 from qvnn.qmatrix import HermitianQuatMatrix, hermitian_eigvals
 from qvnn.sdp import SolverConfig, solve_feasibility
 from qvnn.simulate import convergence_metrics, integrate
@@ -240,8 +240,8 @@ def test_07_feasible_verdicts_reverify_and_conflicts_are_rejected(
             f"{0.5 * margin:.3e})")
 
     conflicting = StandardSdp(num_vars=1, lmis=[
-        AffineLmi("up", 1, scipy.sparse.csr_array([[1.0]])),
-        AffineLmi("down", 1, scipy.sparse.csr_array([[-1.0]])),
+        affine_lmi("up", np.ones((1, 1, 1))),
+        affine_lmi("down", -np.ones((1, 1, 1))),
     ])
     result = solve_feasibility(conflicting, SolverConfig(margin_tolerance=1e-6))
     assert result.status == "infeasible_at_tolerance", result.status

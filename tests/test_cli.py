@@ -692,18 +692,23 @@ def test_the_subcommands_are_certify_simulate_and_margin(capsys):
     assert "invalid choice: 'oracles'" in capsys.readouterr().err
 
 
-def test_importing_the_cli_loads_no_heavy_scipy_subpackage():
+def test_importing_the_cli_and_certifying_loads_no_scipy(stable_example_path):
+    # numpy is the only runtime dependency: a cold certify loads no scipy
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import json, sys; import qvnn.cli; "
-             "print(json.dumps(sorted(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = set(json.loads(done.stdout))
-    assert "qvnn.cli" in loaded and "scipy.sparse" in loaded
-    heavy = {"scipy.integrate", "scipy.special", "scipy.linalg",
-             "scipy.optimize"}
-    assert not heavy & loaded
+    probe = "\n".join([
+        "import contextlib, io, json, sys",
+        "import qvnn.cli",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    code = qvnn.cli.main(['certify', sys.argv[1], '--json'])",
+        "print(json.dumps([code, json.loads(out.getvalue())['status'],",
+        "                  sorted(sys.modules)]))"])
+    done = subprocess.run([sys.executable, "-c", probe, str(stable_example_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    code, status, loaded = json.loads(done.stdout)
+    assert (code, status) == (0, "certified")
+    assert "qvnn.cli" in loaded and "qvnn.sdp" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_version_flag_prints_and_exits(capsys):

@@ -1,6 +1,7 @@
 """Criterion assembly: decision variables, block table, certificate checks."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -286,6 +287,21 @@ def test_verify_certificate_rejects_flipped_certificate(stable_model,
     # a flipped certificate violates the positivity constraints outright
     failing = {name for name, eig in report.scores.items() if eig < 0}
     assert "p1_pd" in failing
+
+
+def test_verify_certificate_reports_a_nan_variable_invalid(stable_model,
+                                                          stable_solution):
+    # a certificate read back with a NaN entry is invalid, not an
+    # eigenvalue failure
+    _, dv = stable_solution
+    doc = json.loads(json.dumps(dv.to_json()))
+    doc["m1"][0] = float("nan")
+    report = verify_certificate(stable_model,
+                                DecisionVars.from_json(doc, stable_model.n),
+                                margin=1e-9)
+    assert not report.valid
+    assert not np.isfinite(report.worst_margin)
+    assert np.isnan(report.scores["m1_pos"])
 
 
 def test_verify_certificate_enforces_requested_margin(stable_model,

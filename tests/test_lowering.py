@@ -1,4 +1,4 @@
-"""Quaternion criterion -> complex standard-form SDP, stored sparse."""
+"""Quaternion criterion -> complex standard-form SDP, stored as entries."""
 
 import dataclasses
 import warnings
@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import qvnn.lowering
-from oracles import lmi_value, part_labels, random_model, unit_images
+from oracles import (
+    coeff_stack,
+    lmi_value,
+    part_labels,
+    random_model,
+    unit_images,
+)
 from qvnn.errors import InputError
 from qvnn.lmi import (
     DecisionVars,
@@ -16,11 +22,6 @@ from qvnn.lmi import (
     quat_constraints,
 )
 from qvnn.lowering import build_sdp
-
-
-def dense(lmi, i):
-    """Coefficient matrix A_i of one constraint as a dense array."""
-    return lmi.coeffs[[i]].toarray().reshape(lmi.dim, lmi.dim)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_rows_equal_the_embedded_assembly(source, request):
         model = request.getfixturevalue(f"{source}_model")
     sdp = build_sdp(model)
     for lmi in sdp.lmis:
-        assert np.all(lmi.coeffs.data != 0.0)
+        assert np.all(lmi.value != 0.0)
     basis = np.zeros(sdp.num_vars)
     for i in range(sdp.num_vars):
         basis[i] = 1.0
@@ -74,7 +75,7 @@ def test_rows_equal_the_embedded_assembly(source, request):
         for lmi, con in zip(sdp.lmis, cons):
             assert lmi.name == con.name
             np.testing.assert_array_equal(
-                dense(lmi, i), con.matrix.complex_embed())
+                coeff_stack(lmi, sdp.num_vars)[i], con.matrix.complex_embed())
 
 
 def test_lowering_preserves_extreme_eigenvalues():
@@ -130,8 +131,7 @@ def test_zero_point_gives_zero_matrices(small_system):
 def test_coefficients_are_symmetric(small_system):
     _, sdp = small_system
     for lmi in sdp.lmis:
-        for i in range(sdp.num_vars):
-            a = dense(lmi, i)
+        for a in coeff_stack(lmi, sdp.num_vars):
             np.testing.assert_array_equal(a, a.conj().T)
 
 

@@ -6,27 +6,22 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 import qvnn.sdp
 from conftest import certified_solve
 from oracles import (
+    affine_lmi,
     alternating_projection_oracle,
+    coeff_stack,
     dense_schur,
     lmi_value,
     random_model,
     real_coeffs,
     shrunk_random_model,
 )
-from qvnn.errors import InputError, NumericalError
+from qvnn.errors import InputError, NumericalError, ShapeError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
-
-
-def toy_lmi(name, coeffs):
-    """A "> 0" constraint from its stack of A_i, stored CSR."""
-    return AffineLmi(name, coeffs.shape[1],
-                     scipy.sparse.csr_array(coeffs.reshape(len(coeffs), -1)))
 
 
 def interval_toy():
@@ -34,21 +29,21 @@ def interval_toy():
     x / s lies in the interval (1, 3). In the box |x|, |s| <= 1 the best
     margin is 1 / 2, at (x, s) = (1, 1 / 2)."""
     coeffs = np.stack([np.diag([1.0, -1.0]), np.diag([-1.0, 3.0])])
-    return StandardSdp(num_vars=2, lmis=[toy_lmi("interval", coeffs)])
+    return StandardSdp(num_vars=2, lmis=[affine_lmi("interval", coeffs)])
 
 
 def ray_toy():
     """One constraint x I > 0; the trust region caps the margin."""
     coeffs = np.eye(2)[None]
-    return StandardSdp(num_vars=1, lmis=[toy_lmi("ray", coeffs)])
+    return StandardSdp(num_vars=1, lmis=[affine_lmi("ray", coeffs)])
 
 
 def opposing_toy():
     """x > 0 and -x > 0 cannot hold together; margin must collapse to ~0."""
     one = np.ones((1, 1))
     return StandardSdp(num_vars=1, lmis=[
-        toy_lmi("up", one[None]),
-        toy_lmi("down", -one[None]),
+        affine_lmi("up", one[None]),
+        affine_lmi("down", -one[None]),
     ])
 
 
@@ -59,14 +54,14 @@ def shared_toy():
                       np.zeros((2, 2))])
     second = np.stack([np.zeros((2, 2)), [[1.0, 0.5j], [-0.5j, 1.0]],
                        [[0.2, 0.3], [0.3, -0.1]]])
-    return StandardSdp(num_vars=3, lmis=[toy_lmi("first", first),
-                                         toy_lmi("second", second)])
+    return StandardSdp(num_vars=3, lmis=[affine_lmi("first", first),
+                                         affine_lmi("second", second)])
 
 
 def three_scale_toy():
     """Three variables of very different scales; the third is in no block."""
     coeffs = np.stack([100.0 * np.eye(2), 0.01 * np.eye(2), np.zeros((2, 2))])
-    return StandardSdp(num_vars=3, lmis=[toy_lmi("a", coeffs)])
+    return StandardSdp(num_vars=3, lmis=[affine_lmi("a", coeffs)])
 
 
 def test_interval_toy_finds_the_analytic_center():
@@ -98,7 +93,7 @@ def test_non_symmetric_coefficients_rejected():
     # not Hermitian
     for coeffs in (np.array([[[0.0, 1.0], [0.0, 0.0]]]),
                    np.array([[[0.0, 1j], [1j, 0.0]]])):
-        bad = StandardSdp(num_vars=1, lmis=[toy_lmi("skew", coeffs)])
+        bad = StandardSdp(num_vars=1, lmis=[affine_lmi("skew", coeffs)])
         with pytest.raises(InputError):
             solve_feasibility(bad)
 
@@ -189,8 +184,8 @@ def test_scaling_takes_norms_without_overflow(stable_model):
     assert np.all(np.isfinite(factors)) and np.all(factors > 0.0)
     assert np.max(factors) > 1e199
     for lmi in scaled.lmis:
-        assert np.all(np.isfinite(lmi.coeffs.data))
-        assert np.all(lmi.coeffs.data != 0.0)
+        assert np.all(np.isfinite(lmi.value))
+        assert np.all(lmi.value != 0.0)
 
 
 def test_scaling_preserves_the_feasibility_verdict():
@@ -273,7 +268,8 @@ def assert_structured_matches_dense(sdp, seed, spread=1.0):
         op = qvnn.sdp._scatter([s.grad_index for s in stacks],
                                [s.apply(w) for s, w in zip(stacks, stack_ws)],
                                m + 1)
-        op_ref = -sum(np.append(lmi.coeffs.conj() @ ws[lmi.name].ravel(),
+        op_ref = -sum(np.append(np.einsum("ipq,pq->i", coeff_stack(lmi, m).conj(),
+                                          ws[lmi.name]),
                                 -np.trace(ws[lmi.name])).real
                       for lmi in sdp.lmis)
         assert np.max(np.abs(op - op_ref)) <= 1e-12 * np.max(np.abs(op_ref))
@@ -307,6 +303,50 @@ def test_structured_derivatives_match_dense_on_toys(toy, indefinite, spread):
     assert_structured_matches_dense(sdp, seed=7, spread=spread)
 
 
+@pytest.mark.parametrize("source", ["stable", "reference"])
+def test_schur_complement_matches_dense_along_the_solver_iterates(
+        source, request, monkeypatch):
+    # the solver's W is a chi image only up to rounding that grows with the
+    # conditioning, and the Schur complement forms half of each W A_i W: at
+    # every iterate it must still match the full trace over both halves
+    scaled, _ = scale_problem(build_sdp(request.getfixturevalue(f"{source}_model")))
+    schur, seen = qvnn.sdp._schur_matrix, []
+
+    def recording(stacks, ws, m):
+        mat = schur(stacks, ws, m)
+        seen.append(({name: w for stack, group in zip(stacks, ws)
+                      for name, w in zip(stack.names, group)}, mat.copy()))
+        return mat
+
+    monkeypatch.setattr(qvnn.sdp, "_schur_matrix", recording)
+    result = solve_feasibility(scaled)
+    assert result.failure_cause is None and len(seen) == result.iterations
+    for ws, mat in seen:
+        ref = dense_schur(scaled, [ws[lmi.name] for lmi in scaled.lmis])
+        assert np.max(np.abs(mat - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_only_stacks_of_chi_images_form_half_of_each_product(stable_model):
+    # the criterion's constraints are chi images and so is the ray toy's
+    # x I; the interval toy's diag(x - s, 3 s - x) is not, nor is a 1 x 1
+    assert all(s.rows == s.dim // 2
+               for s in qvnn.sdp._stack_constraints(build_sdp(stable_model)))
+    for toy, half in ((ray_toy, True), (three_scale_toy, True),
+                      (interval_toy, False), (shared_toy, False),
+                      (opposing_toy, False)):
+        assert all((s.rows < s.dim) == half
+                   for s in qvnn.sdp._stack_constraints(toy()))
+
+
+def test_entries_out_of_range_or_order_are_refused():
+    one = np.ones(2)
+    for var, entry in (([0, 1], [0, 3]), ([0, 0], [3, 0]), ([0, 0], [0, 0]),
+                       ([0, 0], [0, 4]), ([0], [0])):
+        lmi = AffineLmi("ray", 2, np.array(var), np.array(entry), one)
+        with pytest.raises(ShapeError, match="constraint ray"):
+            StandardSdp(num_vars=1, lmis=[lmi])
+
+
 def test_members_sharing_a_variable_add_up_in_the_scatter():
     # both constraints land in one stack and both reach y's Hessian row, its
     # t entry and the (t, t) entry through repeated flat indices
@@ -320,7 +360,7 @@ def test_members_sharing_a_variable_add_up_in_the_scatter():
 def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
     # every constraint is in exactly one stack, the stacks follow the
     # constraint list, and each evaluates its members as they are stored,
-    # from one block-diagonal copy that its transpose shares
+    # from one copy of their stored entries
     sdp = build_sdp(stable_model)
     stacks = qvnn.sdp._stack_constraints(sdp)
     assert [len(stack.names) for stack in stacks] == [2, 1, 9, 3]
@@ -329,9 +369,9 @@ def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     for stack in stacks:
-        assert np.shares_memory(stack.coeffs_conj_t.data, stack.coeffs_conj.data)
-        assert stack.coeffs_conj.nnz == sum(by_name[n].coeffs.nnz
-                                            for n in stack.names)
+        nnz = sum(by_name[n].var.size for n in stack.names)
+        assert (stack.var.shape == stack.flat.shape == stack.row.shape
+                == stack.conj_value.shape == (nnz,))
         for name, value in zip(stack.names, stack.evaluate(x)):
             np.testing.assert_allclose(value, lmi_value(by_name[name], x),
                                        atol=0.0)
@@ -341,14 +381,14 @@ def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
     scaled, _ = scale_problem(build_sdp(stable_model))
     by_name = {lmi.name: lmi for lmi in scaled.lmis}
     for stack in qvnn.sdp._stack_constraints(scaled):
-        rowsets = [frozenset(r.tolist()) for r, _, _ in stack.groups]
+        rowsets = [frozenset(r.tolist()) for r, *_ in stack.groups]
         assert len(set(rowsets)) == len(rowsets)
         assert not any(a < b for a in rowsets for b in rowsets)
         for name, active in zip(stack.names, stack.active):
             con = by_name[name]
-            for rset, (_, cols, _) in zip(rowsets, stack.groups):
+            for rset, (_, cols, *_) in zip(rowsets, stack.groups):
                 for i in active[cols]:
-                    a = con.coeffs[[i]].toarray().reshape(con.dim, con.dim)
+                    a = coeff_stack(con, scaled.num_vars)[i]
                     own = frozenset(np.flatnonzero(a.any(axis=0)
                                                    | a.any(axis=1)).tolist())
                     assert own <= rset
@@ -413,7 +453,7 @@ def test_the_iteration_cap_ends_the_run():
 
 def test_an_all_zero_constraint_is_refused_by_name():
     ray = ray_toy()
-    zero = toy_lmi("zero", np.zeros((1, 2, 2)))
+    zero = affine_lmi("zero", np.zeros((1, 2, 2)))
     with pytest.raises(InputError, match="constraint zero"):
         solve_feasibility(StandardSdp(num_vars=1, lmis=ray.lmis + [zero]))
 
