@@ -310,21 +310,32 @@ def cmd_simulate(args) -> int:
     with clock("integrate_seconds"):
         trajs = integrate(model, [_start_for_seed(model, seed)
                                   for seed in seeds], args.horizon, args.step)
-    # made only once the grid is integrated, so a refused run leaves no files
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with clock("metrics_seconds"):
         entries = [_run_entry(seed, traj, args)
                    for seed, traj in zip(seeds, trajs)]
+    first = next(((e["seed"], traj) for e, traj in zip(entries, trajs)
+                  if e["status"] == "completed"), None)
+    trace = None
+    if cert_dv is not None and first is not None:
+        # refused unless its total, and so every part, and its largest rise
+        # are finite: that is where an overflow shows, so numpy need not warn
+        with clock("lkf_seconds"), np.errstate(over="ignore", invalid="ignore"):
+            trace = lkf_trace(first[1], cert_dv, stride=args.lkf_stride)
+            finite = np.isfinite(np.append(trace.total, trace.max_increase()))
+        if not finite.all():
+            raise QvnnError(f"certificate {args.lkf} gives a functional that is "
+                            f"not finite along seed {first[0]}: its numbers "
+                            "are too large")
+    # made only once the grid and the functional are computed, so a refused
+    # run leaves no files
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs: list[str] = []
-    first_traj = None
     lines = [f"{'seed':>6}  {'status':<10} {'final_sup':>12} "
              f"{'t_thresh':>9} {'envelope':>8}"]
     for entry, traj in zip(entries, trajs):
         if entry["status"] == "completed":
-            if first_traj is None:
-                first_traj = (entry["seed"], traj)
             csv_path = out_dir / f"trajectory_seed{entry['seed']}.csv"
             with clock("write_seconds"):
                 _write_trajectory_csv(csv_path, traj)
@@ -342,13 +353,17 @@ def cmd_simulate(args) -> int:
                 f"{str(entry['envelope_bounded']):>8}")
 
     lkf_report = None
-    if cert_dv is not None:
-        lkf_report = _lkf_along_run(cert_dv, first_traj, args, out_dir, clock)
-        if lkf_report is not None:
-            outputs.append(lkf_report["csv"])
-            lines.append(f"lkf:    max rise {lkf_report['max_rise']:.3e} "
-                         f"(V(0) = {lkf_report['v_start']:.6e}) -> "
-                         f"{lkf_report['csv']}")
+    if trace is not None:
+        csv_path = out_dir / f"lkf_seed{first[0]}.csv"
+        with clock("write_seconds"):
+            _write_lkf_csv(csv_path, trace)
+        outputs.append(str(csv_path))
+        lkf_report = {"seed": first[0], "csv": str(csv_path),
+                      "v_start": float(trace.total[0]),
+                      "v_end": float(trace.total[-1]),
+                      "max_rise": trace.max_increase()}
+        lines.append(f"lkf:    max rise {lkf_report['max_rise']:.3e} "
+                     f"(V(0) = {lkf_report['v_start']:.6e}) -> {csv_path}")
 
     summary_path = out_dir / "summary.csv"
     with clock("write_seconds"):
@@ -375,21 +390,6 @@ def cmd_simulate(args) -> int:
     lines.append(f"summary: {summary_path}")
     _emit(report, args.json, lines)
     return 0 if ok else 1
-
-
-def _lkf_along_run(dv, first_traj, args, out_dir: Path, clock):
-    if first_traj is None:
-        return None
-    seed, traj = first_traj
-    with clock("lkf_seconds"):
-        trace = lkf_trace(traj, dv, stride=args.lkf_stride)
-    csv_path = out_dir / f"lkf_seed{seed}.csv"
-    with clock("write_seconds"):
-        _write_lkf_csv(csv_path, trace)
-    return {"seed": seed, "csv": str(csv_path),
-            "v_start": float(trace.total[0]),
-            "v_end": float(trace.total[-1]),
-            "max_rise": trace.max_increase()}
 
 
 # ---- margin ----------------------------------------------------------------------

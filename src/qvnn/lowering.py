@@ -11,15 +11,16 @@ block B at block row b, column b' enters as
 
     chi(B) = [[B1, -B2], [conj(B2), conj(B1)]],
 
-whose local row c n + r (c = 0, 1) is the global row c N + (b - 1) n + r,
-and off the diagonal also as its conjugate transpose at (b', b). Diagonal
-blocks are symmetrized first, exactly as ``assemble_blocks`` does. Each
-constraint's coefficients are stored as three numpy arrays of its nonzero
-entries: the variable, the flat index of the entry in the row-major
-Hermitian matrix and the complex value, sorted by variable and then by
-entry. Every coefficient is finite and the criterion is homogeneous
-(``build_sdp`` refuses it otherwise), so a lowered constraint is
-sum_i x_i A_i with no constant term.
+fixed by its top rows [B1, -B2], and only the rows p < N are stored: local
+row r and column c n + r' (c = 0, 1) are the global row (b - 1) n + r and
+column c N + (b' - 1) n + r'. Off the diagonal B also enters at (b', b) as
+B*, with top rows [B1^H, B2^T]. Diagonal blocks are symmetrized first,
+exactly as ``assemble_blocks`` does. The coefficients are stored as three
+numpy arrays of the nonzero stored entries: the variable, the flat index
+of the entry in the row-major Hermitian matrix and the complex value,
+sorted by variable and then by entry. Every coefficient is finite and the
+criterion is homogeneous (``build_sdp`` refuses it otherwise), so a lowered
+constraint is sum_i x_i A_i with no constant term.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from .qmatrix import QuatMatrix, hermitian_part
 
 @dataclass
 class AffineLmi:
-    """Complex Hermitian constraint  sum_i x_i A_i > 0  of side ``dim``.
+    """Complex Hermitian constraint  sum_i x_i A_i > 0  of side ``dim`` = 2N,
+    each A_i a chi image stored by its rows p < N, which fix the rest:
+    A[N + p, N + q] = conj(A[p, q]), A[N + p, q] = -conj(A[p, N + q]).
     A_var[e] holds value[e] at the row-major flat index entry[e] and is zero
-    elsewhere; the entries are sorted by variable, then by entry, and each
-    (variable, entry) pair is stored once."""
+    elsewhere in those rows; the entries are sorted by variable, then by
+    entry, and each (variable, entry) pair is stored once."""
 
     name: str
     dim: int
@@ -57,19 +60,23 @@ class StandardSdp:
 
     def __post_init__(self):
         for lmi in self.lmis:
+            if lmi.dim % 2:
+                raise ShapeError(f"constraint {lmi.name} has the odd side {lmi.dim}")
             size = lmi.dim * lmi.dim
             key = lmi.var * size + lmi.entry
+            # entry < size / 2 exactly when the row is below N = dim / 2
             if not (lmi.var.shape == lmi.entry.shape == lmi.value.shape
                     and np.all((lmi.var >= 0) & (lmi.var < self.num_vars))
-                    and np.all((lmi.entry >= 0) & (lmi.entry < size))
+                    and np.all((lmi.entry >= 0) & (lmi.entry < size // 2))
                     and np.all(np.diff(key) > 0)):
                 raise ShapeError(f"constraint {lmi.name} stores entries out of "
                                  f"range or order for {self.num_vars} "
-                                 f"variables of side {lmi.dim}")
+                                 f"variables and the top {lmi.dim // 2} rows "
+                                 f"of side {lmi.dim}")
 
 
 def _lower(con: QuatConstraint, n: int) -> AffineLmi:
-    """One constraint's complex form from its blocks at the unit vectors: batch
+    """One constraint's stored rows from its blocks at the unit vectors: batch
     row i + 1 of every block is its value at unit vector i, and the
     variables where a block is zero are dropped."""
     rows = con.num_blocks * n
@@ -82,19 +89,19 @@ def _lower(con: QuatConstraint, n: int) -> AffineLmi:
     a2 = np.concatenate([con.blocks[k].a2[h + 1] for k, h in hot.items()])
     diag = key[:, 0] == key[:, 1]
     a1[diag], a2[diag] = hermitian_part(a1[diag], a2[diag])
-    images = QuatMatrix(a1, a2).complex_embed()
-    k, p, q = np.nonzero(images)
-    # global index of each block's local rows c n + r, per block row
-    local = (np.arange(2)[:, None] * rows + np.arange(n)).ravel()
-    at_row = (key[k, 0] - 1) * n + local[p]
-    at_col = (key[k, 1] - 1) * n + local[q]
-    vals = images[k, p, q]
-    off = ~diag[k]                         # mirrored as conjugate transposes
-    keys = np.concatenate([var[k] * d * d + at_row * d + at_col,
-                           var[k][off] * d * d + at_col[off] * d + at_row[off]])
+    # the lower block triangle, B* at (b', b)
+    lower = QuatMatrix(a1[~diag], a2[~diag]).H
+    var = np.concatenate([var, var[~diag]])
+    key = np.concatenate([key, key[~diag, ::-1]])
+    tops = np.concatenate([np.concatenate([a1, lower.a1]),
+                           -np.concatenate([a2, lower.a2])], axis=2)
+    k, r, c = np.nonzero(tops)
+    at_row = (key[k, 0] - 1) * n + r
+    at_col = c // n * rows + (key[k, 1] - 1) * n + c % n
+    keys = var[k] * d * d + at_row * d + at_col
     order = np.argsort(keys)
     return AffineLmi(con.name, d, *np.divmod(keys[order], d * d),
-                     np.concatenate([vals, vals[off].conj()])[order])
+                     tops[k, r, c][order])
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:

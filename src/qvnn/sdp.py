@@ -5,12 +5,13 @@ The problem solved is
     maximize t   subject to   S_k = G_k(x) - t I >= 0  for every constraint k,
                               1 - x_i >= 0,  1 + x_i >= 0,
 
-where G_k(x) = sum_i x_i A_ki is complex Hermitian and every constraint
-reads "> 0". Strict feasibility of the original system is equivalent to a
-positive optimal t; every constraint is homogeneous, so x = 0 always
-achieves t = 0, and "infeasible" here always means "no margin above the
-tolerance", never an empty domain. The box |x_i| <= R = 1 pins the scale of
-the otherwise homogeneous problem: the optimal t is proportional to R.
+where G_k(x) = sum_i x_i A_ki is complex Hermitian, the image chi of a
+quaternion matrix, and every constraint reads "> 0". Strict feasibility of
+the original system is equivalent to a positive optimal t; every
+constraint is homogeneous, so x = 0 always achieves t = 0, and
+"infeasible" here always means "no margin above the tolerance", never an
+empty domain. The box |x_i| <= R = 1 pins the scale of the otherwise
+homogeneous problem: the optimal t is proportional to R.
 
 In the standard form of SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw.
 11, 1999) this is the dual problem in y = (x, t), with the S_k as
@@ -49,21 +50,21 @@ Schur-complement formulas of Fujisawa, Kojima & Nakata (Math. Prog. 79,
 1997). A_i vanishes outside its row support, so for any row set R that
 holds it, W A_i W = W[:, R] A_i[R, R] W[R, :]. The variables are grouped
 under the maximal row supports of their block and W A_i W is batched per
-group. Every lowered constraint is a complex image chi, and chi is a
-*-homomorphism (Zhang, Linear Algebra Appl. 251, 1997): with W a chi
-image, so is W A_i W, and Re tr(A_j W A_i W) is twice the real part of
-the same sum over its first N = d / 2 rows alone. So only those rows are
-formed (all d for a constraint that is not a chi image), and each group's
-traces are one dense product of its A_j, at the entries it uses, with
-those rows gathered there.
+group. Every constraint is a complex image chi, stored by its first
+N = d / 2 rows, and chi is a *-homomorphism (Zhang, Linear Algebra Appl.
+251, 1997): with W a chi image, so is W A_i W, and Re tr(A_j W A_i W) is
+twice the real part of the same sum over its first N rows alone. So only
+those rows are formed, and each group's traces are one dense product of
+its A_j, at the stored entries it uses, with those rows gathered there.
 
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
 Omega and 14 blocks of three shapes), so the solver works on stacks, not on
 single constraints: a stack is every constraint with the same side, the same
 support row sets and the same group sizes, Omega a stack of one. Evaluation
-of S and the primal operator <A_i, U> read the stored entries of a whole
-stack through ``np.bincount``, and the scaling, the step lengths and the
-Schur complement are batched over the members. Every stack's Schur entries
+of S and the primal operator <A_i, U> read the entries of a whole stack,
+the stored rows and the rows below N rebuilt from them once, through
+``np.bincount``, and the scaling, the step lengths and the Schur
+complement are batched over the members. Every stack's Schur entries
 then reach the (m + 1)^2 matrix through flat indices computed at set-up, in
 one ``np.bincount``, which adds up the entries of members that share a
 variable. numpy is the only dependency: every factorization and solve uses
@@ -83,9 +84,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .lowering import AffineLmi, StandardSdp
 
-# Each complex Hermitian constraint stands for its real symmetric image,
-# whose Frobenius norm is this many times the complex one's, squared.
-_REAL_MULTIPLICITY = 2
+# The squared Frobenius norm of the real image of a chi image, over the sum of
+# squares of its stored half: the chi image doubles it, the real image again.
+_REAL_MULTIPLICITY = 4
 # the largest violation of a primal equation at which the run may stop
 _RESIDUAL_TOLERANCE = 1e-9
 # the most memory the rows of S_i formed at once by a Schur complement take
@@ -132,12 +133,13 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, np.ndarray]:
     """Rescale each variable's coefficient matrices to unit Frobenius order.
 
     Returns the scaled problem and the factors s: a solution x_scaled of it
-    is x = x_scaled / s of the original. The norm is that of the real image,
-    sqrt(2 sum |a|^2) over the complex entries a, taken as
-    max |a| sqrt(2 sum (|a| / max |a|)^2) so that no square overflows or
-    underflows. The feasibility classification is unchanged (the map is a
-    bijection and leaves constraint values pointwise identical); variables
-    whose coefficients vanish in every constraint keep the factor 1.
+    is x = x_scaled / s of the original. The norm is that of the real image
+    of the chi image, sqrt(4 sum |a|^2) over the stored entries a (the rows
+    p < N), taken as max |a| sqrt(4 sum (|a| / max |a|)^2) so that no square
+    overflows or underflows. The feasibility classification is unchanged
+    (the map is a bijection and leaves constraint values pointwise
+    identical); variables whose coefficients vanish in every constraint
+    keep the factor 1.
     """
     m = sdp.num_vars
     norms = np.zeros(m)
@@ -159,15 +161,15 @@ def _support_groups(lmi: AffineLmi) -> list[tuple[np.ndarray, np.ndarray]]:
     Each variable with a nonzero coefficient joins the smallest maximal row
     set holding its own support (A_i vanishes on the extra rows, so
     W A_i W is unchanged)."""
-    d = lmi.dim
+    d, half = lmi.dim, lmi.dim // 2
     if not np.any(lmi.value):
         raise InputError(f"constraint {lmi.name} has no nonzero coefficient")
-    # row and column support per variable, from the stored entries
+    # row and column support per variable: stored entries and their mirrors
     used, owner = np.unique(lmi.var, return_inverse=True)
     p, q = np.divmod(lmi.entry, d)
     support = np.zeros((used.size, d), dtype=bool)
-    support[owner, p] = True
-    support[owner, q] = True
+    for rows in (p, p + half, q, (q + half) % d):
+        support[owner, rows] = True
     rowsets, which = np.unique(support, axis=0, return_inverse=True)
     # inside[p, q]: row set p lies within row set q
     inside = rowsets.astype(np.intp) @ (~rowsets).T.astype(np.intp) == 0
@@ -176,22 +178,6 @@ def _support_groups(lmi: AffineLmi) -> list[tuple[np.ndarray, np.ndarray]]:
     target = np.argmin(np.where(inside, size, d + 1), axis=1)[which.ravel()]
     return [(np.flatnonzero(rowsets[g]), used[target == g])
             for g in np.unique(target)]
-
-
-def _is_chi_image(lmi: AffineLmi) -> bool:
-    """Whether every A_i is the complex image chi(B) of a quaternion matrix
-    of N = d / 2 rows: A[N + p, N + q] = conj(A[p, q]) and
-    A[N + p, q] = -conj(A[p, N + q]), entry for entry."""
-    d, half = lmi.dim, lmi.dim // 2
-    if d % 2:
-        return False
-    p, q = np.divmod(lmi.entry, d)
-    key = lmi.var * d * d + lmi.entry
-    mirror = lmi.var * d * d + (p + half) % d * d + (q + half) % d
-    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-    sign = np.where((p < half) == (q < half), 1.0, -1.0)
-    return bool(np.all(key[at] == mirror)
-                and np.all(lmi.value[at] == sign * lmi.value.conj()))
 
 
 def _chi_part(w: np.ndarray) -> np.ndarray:
@@ -214,8 +200,9 @@ class _Stack:
     The shape is the side d, the row sets R of the support groups and the
     number of variables in each, so every member has the same count of
     active variables and the same dense group layout. ``active[k]`` holds
-    member k's variables, group by group. The members' stored entries are
-    kept once, member after member: ``var`` is each entry's variable,
+    member k's variables, group by group. The members' entries are kept
+    once, their stored rows p < N = d / 2 member after member, then the rows
+    below N rebuilt from them: ``var`` is each entry's variable,
     ``flat`` its index k d^2 + entry in the members' stacked matrices,
     ``row`` its index k len(active[k]) + j when the variable is member k's
     j-th, and ``conj_value`` the conjugate of its value. Evaluation and the
@@ -223,14 +210,13 @@ class _Stack:
 
     ``groups`` holds, per row set R, the slice of ``active`` assigned to it,
     the members' dense A_i[R, R], stored as A_i[b, a] at [k, b, (a, i)], so
-    that one batched product with W[:, :rows, R] gives rows p < ``rows`` of
-    W A_i for the whole group of every member, and the group's Schur
-    weights: ``top``, the flat indices p d + q with p < ``rows`` at which
-    some member's A_i of the group is nonzero, and ``weights``,
-    (d / rows) (Re A_i, Im A_i) at them, shaped (members, group size,
-    2 len(top)). ``rows`` is N = d / 2 when every member is a chi image and
-    d otherwise. ``chunks`` splits the groups into runs whose rows of S_i
-    fit in ``_CHUNK_BYTES``, as (slice of ``active``, groups).
+    that one batched product with W[:, :N, R] gives rows p < N of W A_i for
+    the whole group of every member, and the group's Schur weights: ``top``,
+    the flat indices p d + q with p < N at which some member's A_i of the
+    group is nonzero, and ``weights``, 2 (Re A_i, Im A_i) at them, shaped
+    (members, group size, 2 len(top)). ``chunks`` splits the groups into
+    runs whose rows of S_i fit in ``_CHUNK_BYTES``, as (slice of
+    ``active``, groups).
     ``grad_index`` and ``hess_index`` are the flat positions in the
     (m + 1)-vector and the (m + 1)^2 matrix of the weights ``apply`` and
     ``schur`` return.
@@ -240,22 +226,24 @@ class _Stack:
         lmis = [lmi for lmi, _ in parts]
         self.names = [lmi.name for lmi in lmis]
         self.dim = d = lmis[0].dim
-        self.rows = rows = d // 2 if all(map(_is_chi_image, lmis)) else d
-        nb = len(parts)
+        half, nb = d // 2, len(parts)
         self.active = act = np.array(
             [np.concatenate([members for _, members in groups])
              for _, groups in parts], dtype=np.intp)
         slot = np.zeros((nb, num_vars), dtype=np.intp)
         slot[np.arange(nb)[:, None], act] = np.arange(act.shape[1])
-        member = np.repeat(np.arange(nb), [lmi.var.size for lmi in lmis])
-        self.var = np.concatenate([lmi.var for lmi in lmis])
-        entry = np.concatenate([lmi.entry for lmi in lmis])
+        # the stored rows p < N, then the rows below them:
+        # A[N + p, N + q] = conj(A[p, q]), A[N + p, q] = -conj(A[p, N + q])
+        p, q = np.divmod(np.concatenate([lmi.entry for lmi in lmis]), d)
         value = np.concatenate([lmi.value for lmi in lmis]).astype(complex)
-        self.flat = member * d * d + entry
+        value = np.append(value, np.where(q < half, 1.0, -1.0) * value.conj())
+        p, q = np.append(p, p + half), np.append(q, (q + half) % d)
+        member = np.tile(np.repeat(np.arange(nb), [l.var.size for l in lmis]), 2)
+        self.var = np.tile(np.concatenate([lmi.var for lmi in lmis]), 2)
+        self.flat = member * d * d + p * d + q
         j = slot[member, self.var]
         self.row = member * act.shape[1] + j
         self.conj_value = value.conj()
-        p, q = np.divmod(entry, d)
         self.groups = []
         local = np.zeros(d, dtype=np.intp)
         start = 0
@@ -273,16 +261,16 @@ class _Stack:
             if bad.any():
                 raise InputError(f"constraint {self.names[np.argmax(bad)]} "
                                  "has non-Hermitian coefficients")
-            upper = r < rows
+            upper = r < half
             b, a = np.nonzero(np.any(sub[:, upper] != 0.0, axis=(0, 3)))
             at = sub[:, upper][:, b, a].transpose(0, 2, 1)
-            self.groups.append((r, cols, acat, r[upper][b] * d + r[a], d // rows
-                                * np.concatenate([at.real, at.imag], axis=2)))
+            self.groups.append((r, cols, acat, r[upper][b] * d + r[a],
+                                2.0 * np.concatenate([at.real, at.imag], axis=2)))
             start += kg
         self.chunks = []
         for group in self.groups:
             cols = group[1]
-            if (self.chunks and _CHUNK_BYTES >= 16 * nb * rows * d
+            if (self.chunks and _CHUNK_BYTES >= 16 * nb * half * d
                     * (cols.stop - self.chunks[-1][0].start)):
                 run, groups = self.chunks.pop()
                 self.chunks.append((slice(run.start, cols.stop), groups + [group]))
@@ -334,19 +322,19 @@ class _Stack:
         to rounding that grows with the conditioning, so the products use
         its chi part, which changes M only at second order in the
         difference."""
-        nb, d, k, rows = len(w), self.dim, self.active.shape[1], self.rows
+        nb, d, k, half = len(w), self.dim, self.active.shape[1], self.dim // 2
         hess_t = self.apply(w @ w)[:-1]
-        wc = _chi_part(w) if rows < d else w
+        wc = _chi_part(w)
         hess = np.empty((nb, k, k))
         for cols, groups in self.chunks:
-            # S_i[p, q] at [k, p d + q, i - cols.start] for p < rows
-            s = np.empty((nb, rows * d, cols.stop - cols.start), dtype=complex)
+            # S_i[p, q] at [k, p d + q, i - cols.start] for p < N
+            s = np.empty((nb, half * d, cols.stop - cols.start), dtype=complex)
             for r, part, acat, _, _ in groups:
                 kg = part.stop - part.start
-                u = (wc[:, :rows, r] @ acat).reshape(nb, rows, len(r), kg)
+                u = (wc[:, :half, r] @ acat).reshape(nb, half, len(r), kg)
                 own = slice(part.start - cols.start, part.stop - cols.start)
                 np.matmul(wc[:, r].transpose(0, 2, 1)[:, None], u,
-                          out=s[:, :, own].reshape(nb, rows, d, kg))
+                          out=s[:, :, own].reshape(nb, half, d, kg))
             for _, part, _, top, weights in self.groups:
                 got = s[:, top]
                 hess[:, part, cols] = weights @ np.concatenate(

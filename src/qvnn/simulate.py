@@ -244,7 +244,8 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
                          f"needs {need:.3g} bytes of nodes for {members} "
                          f"members, more than the {memory:.3g} bytes of "
                          "physical memory")
-    steps = int(math.ceil(horizon / step - _EDGE_SLACK))
+    # the horizon rounded up to whole steps, at least one: a grid has a cell
+    steps = max(int(math.ceil(horizon / step - _EDGE_SLACK)), 1)
 
     # node buffer: [node, value or derivative, member, real component]
     nodes = np.zeros((steps + 1, 2, members, dim))

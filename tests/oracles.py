@@ -529,25 +529,33 @@ def scaled(dv: DecisionVars, factor: float) -> DecisionVars:
 
 
 def affine_lmi(name: str, coeffs: np.ndarray) -> AffineLmi:
-    """The constraint sum_i x_i A_i > 0 from its dense stack of A_i,
-    (num_vars, d, d), storing every nonzero entry."""
-    var, entry = np.nonzero(coeffs.reshape(len(coeffs), -1))
-    return AffineLmi(name, coeffs.shape[1], var, entry,
-                     coeffs.reshape(len(coeffs), -1)[var, entry])
+    """The constraint sum_i x_i chi(C_i) > 0 from the dense stack of complex
+    C_i, (num_vars, d, d): chi(C + 0 j) = diag(C, conj(C)) has side 2 d, and
+    its top d rows [C, 0] are stored."""
+    num, d = len(coeffs), coeffs.shape[1]
+    tops = np.concatenate([coeffs, np.zeros_like(coeffs)], axis=2)
+    var, entry = np.nonzero(tops.reshape(num, -1))
+    return AffineLmi(name, 2 * d, var, entry, tops.reshape(num, -1)[var, entry])
 
 
 def coeff_stack(lmi: AffineLmi, num_vars: int) -> np.ndarray:
-    """The dense complex (num_vars, d, d) stack of A_i of one constraint."""
-    a = np.zeros((num_vars, lmi.dim * lmi.dim), dtype=complex)
+    """The dense complex (num_vars, d, d) stack of A_i of one constraint: the
+    stored rows p < N = d / 2, and below them A[N + p, N + q] = conj(A[p, q])
+    and A[N + p, q] = -conj(A[p, N + q])."""
+    d, half = lmi.dim, lmi.dim // 2
+    a = np.zeros((num_vars, d * d), dtype=complex)
     a[lmi.var, lmi.entry] = lmi.value
-    return a.reshape(num_vars, lmi.dim, lmi.dim)
+    a = a.reshape(num_vars, d, d)
+    top = a[:, :half]
+    a[:, half:] = np.concatenate([-top[:, :, half:], top[:, :, :half]],
+                                 axis=2).conj()
+    return a
 
 
 def lmi_value(lmi: AffineLmi, x: np.ndarray) -> np.ndarray:
     """The complex Hermitian matrix sum_i x_i A_i of one lowered constraint."""
-    flat = np.zeros(lmi.dim * lmi.dim, dtype=complex)
-    np.add.at(flat, lmi.entry, np.asarray(x, dtype=float)[lmi.var] * lmi.value)
-    return flat.reshape(lmi.dim, lmi.dim)
+    x = np.asarray(x, dtype=float)
+    return np.tensordot(x, coeff_stack(lmi, len(x)), axes=1)
 
 
 def real_coeffs(sdp: StandardSdp) -> list[np.ndarray]:

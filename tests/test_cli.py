@@ -776,6 +776,57 @@ def test_simulate_refuses_a_certificate_that_fails_its_recheck(
     assert not (tmp_path / "o").exists()
 
 
+def _scaled_numbers(obj, factor: float):
+    """Every float in a JSON document times ``factor``, clamped to the float
+    range."""
+    if isinstance(obj, dict):
+        return {k: _scaled_numbers(v, factor) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_scaled_numbers(v, factor) for v in obj]
+    if isinstance(obj, float):
+        return float(np.clip(obj * factor, -sys.float_info.max, sys.float_info.max))
+    return obj
+
+
+@pytest.mark.parametrize("factor", [1e307, 1e308])
+def test_simulate_refuses_a_functional_that_is_not_finite(
+        tmp_path, capsys, stable_example_path, factor):
+    # the scaled matrices still pass the recheck at half the scaled margin,
+    # but the functional along the run overflows: no report that is not JSON,
+    # and no file
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+                         "--out", str(cert))
+    assert code == 0
+    cert.write_text(json.dumps(_scaled_numbers(json.loads(cert.read_text()),
+                                               factor)))
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             "--seeds", "1", "--lkf", str(cert), "--json",
+                             "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert "functional that is not finite along seed 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_horizon_below_one_step_integrates_one_step(tmp_path, capsys,
+                                                      stable_example_path):
+    # the grid rounds the horizon up to whole steps, at least one, so the
+    # functional has a window to integrate over
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+                         "--out", str(cert))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "simulate", str(stable_example_path),
+                           "--seeds", "1", "--horizon", "1e-12", "--lkf",
+                           str(cert), "--json", "--out-dir", str(tmp_path / "o"))
+    assert code in (0, 1)
+    report = json.loads(out, parse_constant=lambda c: pytest.fail(c))
+    assert report["lkf"]["v_start"] == report["lkf"]["v_end"] > 0.0
+    _, rows = read_csv(report["runs"][0]["trajectory_csv"])
+    assert [float(row[0]) for row in rows] == [0.0, 1e-3]
+
+
 @pytest.mark.parametrize("field, value", [
     ("p2", {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 0.0, 0.0]]}),
     ("m1", [1.0, 1.0, 1.0]),

@@ -159,11 +159,14 @@ def test_trace_min_eig_matches_margin_at_the_optimum():
 def test_scaling_normalizes_and_maps_back():
     sdp = three_scale_toy()
     scaled, factors = scale_problem(sdp)
-    # the Frobenius norm of the real image, sqrt(2) ||A||_F
+    # the Frobenius norm of the real image of chi(C) = diag(C, conj(C)),
+    # sqrt(2) sqrt(2) ||C||_F
     np.testing.assert_allclose(factors,
-                               [np.sqrt(2.0) * np.linalg.norm(100.0 * np.eye(2)),
-                                np.sqrt(2.0) * np.linalg.norm(0.01 * np.eye(2)),
+                               [2.0 * np.linalg.norm(100.0 * np.eye(2)),
+                                2.0 * np.linalg.norm(0.01 * np.eye(2)),
                                 1.0])
+    np.testing.assert_allclose(factors[:2], np.linalg.norm(
+        real_coeffs(sdp)[0][:2], axis=(1, 2)))
     # the third variable is in no constraint and keeps the factor 1
     assert factors[2] == 1.0
     x = np.array([0.3, -0.7, 0.0])
@@ -326,23 +329,25 @@ def test_schur_complement_matches_dense_along_the_solver_iterates(
         assert np.max(np.abs(mat - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_only_stacks_of_chi_images_form_half_of_each_product(stable_model):
-    # the criterion's constraints are chi images and so is the ray toy's
-    # x I; the interval toy's diag(x - s, 3 s - x) is not, nor is a 1 x 1
-    assert all(s.rows == s.dim // 2
-               for s in qvnn.sdp._stack_constraints(build_sdp(stable_model)))
-    for toy, half in ((ray_toy, True), (three_scale_toy, True),
-                      (interval_toy, False), (shared_toy, False),
-                      (opposing_toy, False)):
-        assert all((s.rows < s.dim) == half
-                   for s in qvnn.sdp._stack_constraints(toy()))
+def test_a_constraint_that_is_no_chi_image_is_refused():
+    # a chi image has an even side 2 N and is stored by its rows p < N: an
+    # odd side, or an entry at row N or below, cannot be one
+    one = np.ones(1)
+    for dim, entry, message in ((3, 0, "odd side 3"),
+                                (4, 8, "top 2 rows of side 4"),
+                                (2, 3, "top 1 rows of side 2")):
+        lmi = AffineLmi("c", dim, np.array([0]), np.array([entry]), one)
+        with pytest.raises(ShapeError, match=f"constraint c .*{message}"):
+            StandardSdp(num_vars=1, lmis=[lmi])
 
 
 def test_entries_out_of_range_or_order_are_refused():
+    # side 4 stores the entries 0..7 of its top two rows: each case breaks
+    # one rule, a variable, the order, a repeat, the range or the shapes
     one = np.ones(2)
     for var, entry in (([0, 1], [0, 3]), ([0, 0], [3, 0]), ([0, 0], [0, 0]),
-                       ([0, 0], [0, 4]), ([0], [0])):
-        lmi = AffineLmi("ray", 2, np.array(var), np.array(entry), one)
+                       ([0, 0], [0, 16]), ([0], [0])):
+        lmi = AffineLmi("ray", 4, np.array(var), np.array(entry), one)
         with pytest.raises(ShapeError, match="constraint ray"):
             StandardSdp(num_vars=1, lmis=[lmi])
 
@@ -360,8 +365,9 @@ def test_members_sharing_a_variable_add_up_in_the_scatter():
 def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
     # every constraint is in exactly one stack, the stacks follow the
     # constraint list, and each evaluates its members as they are stored,
-    # from one copy of their stored entries
+    # from one copy of their stored rows and one of the rows below them
     sdp = build_sdp(stable_model)
+    assert sum(lmi.var.size for lmi in sdp.lmis) == 1722
     stacks = qvnn.sdp._stack_constraints(sdp)
     assert [len(stack.names) for stack in stacks] == [2, 1, 9, 3]
     assert sorted(n for stack in stacks for n in stack.names) == sorted(
@@ -369,7 +375,7 @@ def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     for stack in stacks:
-        nnz = sum(by_name[n].var.size for n in stack.names)
+        nnz = 2 * sum(by_name[n].var.size for n in stack.names)
         assert (stack.var.shape == stack.flat.shape == stack.row.shape
                 == stack.conj_value.shape == (nnz,))
         for name, value in zip(stack.names, stack.evaluate(x)):
