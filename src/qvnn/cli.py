@@ -36,7 +36,7 @@ from .model import (NetworkModel, _finite_int, _finite_number, config_hash,
                     load_model)
 from .qmatrix import qv_components
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
-from .simulate import convergence_metrics, integrate
+from .simulate import convergence_metrics, integrate, require_node_memory
 
 
 @dataclasses.dataclass
@@ -307,6 +307,8 @@ def cmd_simulate(args) -> int:
         timings[phase] += time.perf_counter() - start
 
     seeds = range(args.seed, args.seed + args.seeds)
+    # before any start is drawn: a huge --seeds would draw for a long time
+    require_node_memory(model, len(seeds), args.horizon, args.step)
     with clock("integrate_seconds"):
         trajs = integrate(model, [_start_for_seed(model, seed)
                                   for seed in seeds], args.horizon, args.step)

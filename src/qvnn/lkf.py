@@ -25,13 +25,15 @@ The Simpson rule is that of ``scipy.integrate.simpson``, written as weights
 on sums of the grid values: 2 on the nodes of the window's first node
 parity, 4 on the others, less 1 at each end, all over 3; an even node count
 puts the last interval's (-1, 8, 5) / 12 correction on the last three
-nodes, and two nodes are the trapezoid. The sums restart every ``_BLOCK``
-nodes. A window reads the partial sums of its two end blocks and the totals
-of the blocks between them, so its error is a few roundings of its own
-nodes. Running sums from the start of the grid would make each window the
-difference of two long prefixes instead, and lose relative accuracy as the
-functional decays. Windows are evaluated ``_CHUNK_WINDOWS`` at a time, so
-the temporaries stay no larger than the sums themselves.
+nodes, and two nodes are the trapezoid. Each window's two parity sums run
+over its own nodes only, so its error is a few roundings of those nodes. A
+window taken as the difference of two running sums from the start of the
+grid would be the difference of two long prefixes instead, and lose
+relative accuracy as the functional decays. A weighted integrand
+(s - origin_k) f is summed as (s - ref) f plus (ref - origin_k) f, with one
+reference per chunk of windows, for the same reason. Windows are evaluated
+``_CHUNK_WINDOWS`` at a time, which bounds the temporaries and the span of
+that weight.
 """
 
 from __future__ import annotations
@@ -46,63 +48,39 @@ from .qmatrix import HermitianQuatMatrix, qv_embed
 from .simulate import Trajectory, activation
 
 _EDGE = 1e-9
-_BLOCK = 64             # grid nodes per restart of the window sums; even
 _CHUNK_WINDOWS = 512    # windows evaluated together, which bounds temporaries
-_PARITY = np.arange(2)
 
 
-class _BlockSums:
-    """Grid values (nodes, width) with running sums, one per node parity,
-    that restart every ``_BLOCK`` nodes.
-
-    For a weighted integrand (s - origin) f(s), which is (s - block start) f
-    plus (block start - origin) f, the sums of (s - block start) f are kept
-    too, so one table serves every origin.
-    """
-
-    def __init__(self, times: np.ndarray, flat: np.ndarray, weighted: bool):
-        self.times, self.flat = times, flat
-        nodes = len(flat)
-        channels = flat[:, None]
-        if weighted:
-            start = times[::_BLOCK].repeat(_BLOCK)[:nodes]
-            channels = np.stack([flat, (times - start)[:, None] * flat], axis=1)
-        blocks = -(-nodes // _BLOCK)
-        padded = np.zeros((blocks * _BLOCK,) + channels.shape[1:])
-        padded[:nodes] = channels
-        # sums[b, k, p]: the first k nodes of parity p in block b
-        self.sums = np.zeros((blocks, _BLOCK // 2 + 1, 2) + channels.shape[1:])
-        np.cumsum(padded.reshape((blocks, _BLOCK // 2, 2) + channels.shape[1:]),
-                  axis=1, out=self.sums[:, 1:])
-
-    def head(self, block, count, origin):
-        """Sums of each parity over the first ``count`` nodes of ``block``,
-        (windows, 2, width)."""
-        part = self.sums[block[:, None], (count[:, None] + 1 - _PARITY) // 2,
-                         _PARITY]
-        if origin is None:
-            return part[:, :, 0]
-        shift = self.times[block * _BLOCK] - origin
-        return part[:, :, 1] + shift[:, None, None] * part[:, :, 0]
-
-    def parity_sums(self, first, end, origin):
-        """Sums over nodes first..end of those of first's parity and of the
-        others: the two end blocks' partial sums and the totals between."""
-        b0, r0 = np.divmod(first, _BLOCK)
-        b1, r1 = np.divmod(end, _BLOCK)
-        total = self.head(b1, r1 + 1, origin) - self.head(b0, r0, origin)
-        full = np.full_like(b0, _BLOCK)
-        for k in range(int(np.max(b1 - b0, initial=0))):
-            inside = (b0 + k < b1)[:, None, None]
-            total += np.where(inside, self.head(np.minimum(b0 + k, b1), full,
-                                                origin), 0.0)
-        rows = np.arange(len(first))
-        return total[rows, first % 2], total[rows, 1 - first % 2]
+def _parity_sums(times, flat, first, end, origin):
+    """Sums over nodes first..end of each window, of those of first's parity
+    and of the others, (windows, width): each window summed over its own
+    nodes, from one ``reduceat`` per parity over the chunk's nodes."""
+    lo, hi = int(first.min()), int(end.max()) + 1
+    part = flat[lo:hi]
+    if origin is not None:
+        # (s - origin_k) f is (s - ref) f + (ref - origin_k) f, with one
+        # reference for the chunk, which keeps the weights near the windows
+        ref = origin[0]
+        part = np.stack([part, (times[lo:hi] - ref)[:, None] * part], axis=1)
+    # zero rows after the nodes make every bound below an index of its parity
+    padded = np.zeros((len(part) + 2,) + part.shape[1:])
+    padded[:len(part)] = part
+    r0, r1 = first - lo, end - lo
+    sums = []
+    for p in (0, 1):
+        start, stop = (r0 - p + 1) // 2, (r1 - p) // 2 + 1
+        total = np.add.reduceat(padded[p::2], np.stack([start, stop], 1).ravel(),
+                                axis=0)[::2]
+        total[start >= stop] = 0.0
+        if origin is not None:
+            total = total[:, 1] + (ref - origin)[:, None] * total[:, 0]
+        sums.append(total)
+    odd = (r0 % 2 == 1)[:, None]
+    return np.where(odd, sums[1], sums[0]), np.where(odd, sums[0], sums[1])
 
 
-def _simpson_windows(sums: _BlockSums, a, b, origin):
-    """``window_quad`` of the flat values behind ``sums``, for one chunk."""
-    times, flat = sums.times, sums.flat
+def _simpson_windows(times, flat, a, b, origin):
+    """``window_quad`` of the flat values (nodes, width), for one chunk."""
     step, lo, last = times[1] - times[0], times[0], len(flat) - 1
 
     def node(j):
@@ -125,7 +103,7 @@ def _simpson_windows(sums: _BlockSums, a, b, origin):
     # composite Simpson over i0..end, an odd number of nodes (end is kept
     # off the nodes before i0 where a thin window makes the count < 2)
     end = np.maximum(i1 - even[:, 0], i0)
-    same, other = sums.parity_sums(i0, end, origin)
+    same, other = _parity_sums(times, flat, i0, end, origin)
     g0, g_end, g1 = node(i0), node(end), node(i1)
     core = step / 3.0 * (2.0 * same + 4.0 * other - g0 - g_end)
     # the last interval of an even node count
@@ -171,11 +149,10 @@ def window_quad(times: np.ndarray, values: np.ndarray, a, b,
             else flat.astype(float, copy=False))
     if origin is not None:
         origin = np.broadcast_to(np.asarray(origin, dtype=float), a.shape)
-    sums = _BlockSums(times, flat, weighted=origin is not None)
     out = np.empty((len(a), flat.shape[1]))
     for k in range(0, len(a), _CHUNK_WINDOWS):
         part = slice(k, k + _CHUNK_WINDOWS)
-        out[part] = _simpson_windows(sums, a[part], b[part],
+        out[part] = _simpson_windows(times, flat, a[part], b[part],
                                      None if origin is None else origin[part])
     if np.iscomplexobj(values):
         out = out.view(complex)

@@ -139,8 +139,10 @@ class NetworkModel:
     def from_json(cls, doc: dict) -> "NetworkModel":
         if not isinstance(doc, dict):
             raise InputError("model config must be a JSON object")
+        n = doc.get("n")
+        if type(n) is not int:
+            raise InputError(f"n must be a JSON integer, got {n!r}")
         try:
-            n = int(doc["n"])
             c_diag = [float(v) for v in doc["C"]]
             a_mat = qmat_from_json(doc["A"])
             b_mat = qmat_from_json(doc["B"])

@@ -207,6 +207,22 @@ def _step_tables(model: NetworkModel, ks: np.ndarray, step: float):
 _CHUNK_STEPS = 128
 
 
+def require_node_memory(model: NetworkModel, members: int, horizon: float,
+                        step: float) -> None:
+    """Refuse a grid whose node buffer for ``members`` runs would not fit in
+    physical memory, before anything is allocated."""
+    if step <= 0 or horizon <= 0:
+        raise InputError("horizon and step must be positive")
+    # float64 values and derivatives of 4n components per member and node
+    need = (horizon / step + 1.0) * 2 * members * 4 * model.n * 8.0
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not need <= memory:
+        raise InputError(f"a grid of horizon {horizon:g} at step {step:g} "
+                         f"needs {need:.3g} bytes of nodes for {members} "
+                         f"members, more than the {memory:.3g} bytes of "
+                         "physical memory")
+
+
 def integrate(model: NetworkModel, starts, horizon: float, step: float,
               divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT
               ) -> list[Trajectory]:
@@ -229,21 +245,12 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     real 4n x 4n matrices with the gains folded in; a driven network adds
     its rest point to [y | x_d] and subtracts the rest point's own term.
     Each stage state, and the new value, is one row of the RK4 tableau
-    times [y, k1, k2, k3, k4].
-    A grid whose node buffer would not fit in physical memory is refused
-    before anything is allocated.
+    times [y, k1, k2, k3, k4]. A grid that ``require_node_memory`` refuses
+    is refused before anything is allocated.
     """
-    if step <= 0 or horizon <= 0:
-        raise InputError("horizon and step must be positive")
     n, members = model.n, len(starts)
     dim = 4 * n
-    need = (horizon / step + 1.0) * 2 * members * dim * 8.0   # float64 nodes
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if not need <= memory:
-        raise InputError(f"a grid of horizon {horizon:g} at step {step:g} "
-                         f"needs {need:.3g} bytes of nodes for {members} "
-                         f"members, more than the {memory:.3g} bytes of "
-                         "physical memory")
+    require_node_memory(model, members, horizon, step)
     # the horizon rounded up to whole steps, at least one: a grid has a cell
     steps = max(int(math.ceil(horizon / step - _EDGE_SLACK)), 1)
 

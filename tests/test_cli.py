@@ -119,7 +119,8 @@ def test_certify_reports_failure_honestly(capsys, reference_example_path):
     assert "recheck_valid" not in report
 
 
-def test_certify_rejects_malformed_configs(tmp_path, capsys):
+def test_certify_rejects_malformed_configs(tmp_path, capsys,
+                                          stable_example_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     code, _, err = run_cli(capsys, "certify", str(bad))
@@ -127,6 +128,13 @@ def test_certify_rejects_malformed_configs(tmp_path, capsys):
     assert "input error" in err
     code, _, err = run_cli(capsys, "certify", str(tmp_path / "missing.json"))
     assert code == 2
+    # a neuron count is a JSON integer: none of these is read as n = 2
+    doc = json.loads(stable_example_path.read_text())
+    for n in (2.7, "2", True, 2.0):
+        bad.write_text(json.dumps(dict(doc, n=n)))
+        code, _, err = run_cli(capsys, "certify", str(bad))
+        assert code == 2, n
+        assert "input error" in err and "n must be a JSON integer" in err
 
 
 @pytest.mark.parametrize("key", ["external_input"])
@@ -424,6 +432,24 @@ def test_simulate_refuses_a_grid_larger_than_memory(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert "physical memory" in err
+    assert not out_dir.exists()
+
+
+def test_simulate_refuses_more_seeds_than_memory_before_drawing_one(
+        tmp_path, capsys, monkeypatch, stable_example_path):
+    # 1e11 members need about 1.3e17 bytes of nodes: the size is checked
+    # before the first start is drawn, so no draw may happen
+    def no_draw(model, seed):
+        raise AssertionError("a start was drawn before the size was checked")
+
+    monkeypatch.setattr(qvnn.cli, "_start_for_seed", no_draw)
+    out_dir = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                             "--seeds", "100000000000", "--horizon", "1",
+                             "--out-dir", str(out_dir), "--json")
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "physical memory" in err
     assert not out_dir.exists()
 
 

@@ -85,8 +85,7 @@ def test_grid_quad_rejects_bad_windows():
         window_quad(times, values, [0.1, 0.5], [0.3, 1.5])
 
 
-# Windows on a grid of 300 nodes from -0.5, step 0.01: restart blocks of the
-# window sums start at -0.5, 0.14, 0.78 and 1.42.
+# Windows on a grid of 300 nodes from -0.5, step 0.01.
 BRANCH_WINDOWS = [
     (0.1234, 0.1284),   # thin: both ends inside one cell
     (-0.4937, -0.4912),  # thin, in the first cell
@@ -99,16 +98,16 @@ BRANCH_WINDOWS = [
     (0.3, 0.35),        # six nodes
     (0.3051, 0.3449),   # four nodes and slivers at both ends
     (0.3051, 0.3349),   # three nodes and slivers at both ends
-    (0.13, 1.42),       # from a block's last node to a block's first
-    (0.14, 1.41),       # exactly two whole blocks
-    (-0.4937, 2.4841),  # every block, slivers at both ends
+    (0.13, 1.42),       # 130 nodes from an odd node
+    (0.14, 1.41),       # 128 nodes from an even node
+    (-0.4937, 2.4841),  # nearly the whole span, slivers at both ends
     (-0.5, 2.49),       # the whole span, an even node count
     (-0.5, 2.48),       # the whole span less one node, odd
 ]
 
 
-def branch_grid():
-    times = 0.01 * np.arange(300) - 0.5
+def branch_grid(nodes=300):
+    times = 0.01 * np.arange(nodes) - 0.5
     wave = 1.5 + np.sin(3.0 * times)
     values = (np.stack([wave, 2.0 - np.cos(times)], axis=1)[:, :, None]
               * np.array([1.0 + 0.5j, 0.3 + 2.0j])[None, None, :])
@@ -125,13 +124,15 @@ def test_window_sums_match_the_scalar_rule_on_every_branch():
                                    rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("nodes", [300, 40])
+@pytest.mark.parametrize("nodes", [300, 40, 200_001])
 def test_weighted_window_sums_match_the_scalar_rule(nodes):
     # the integrand (s - a) f(s) of a collapsed double integral, also on a
-    # grid shorter than one restart block
-    times, values = branch_grid()
-    times, values = times[:nodes], values[:nodes]
-    windows = [w for w in BRANCH_WINDOWS if w[1] <= times[-1]]
+    # grid shorter than the windows' span, and with the windows on the last
+    # 300 nodes of a long grid, far from its start
+    times, values = branch_grid(nodes)
+    shift = 0.01 * max(nodes - 300, 0)
+    windows = [(lo + shift, hi + shift) for lo, hi in BRANCH_WINDOWS
+               if hi + shift <= times[-1]]
     a, b = np.array(windows).T
     batched = window_quad(times, values, a, b, origin=a)
     for k, (lo, hi) in enumerate(windows):
