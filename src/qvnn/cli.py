@@ -28,12 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, QvnnError
+from .errors import InputError, NumericalError, QvnnError
 from .lkf import lkf_trace
 from .lmi import DecisionVars, verify_certificate
 from .lowering import build_sdp
-from .model import (NetworkModel, _finite_int, _finite_number, config_hash,
-                    load_model)
+from .model import NetworkModel, config_hash, load_model, read_json
 from .qmatrix import qv_components
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
 from .simulate import convergence_metrics, integrate, require_node_memory
@@ -64,7 +63,7 @@ def _require_positive(*flags: tuple[str, float]) -> None:
     that is NaN or infinite has no grid."""
     for flag, value in flags:
         if not (math.isfinite(value) and value > 0.0):
-            raise QvnnError(f"{flag} must be positive and finite, got {value:g}")
+            raise InputError(f"{flag} must be positive and finite, got {value:g}")
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -261,26 +260,28 @@ def _run_entry(seed: int, traj, args) -> dict:
 def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars:
     """The certificate's variables, refused unless it was made for this config
     and holds every constraint at half its margin, as ``certify`` checks it."""
-    cert_doc = json.loads(Path(path).read_text(), parse_float=_finite_number,
-                          parse_int=_finite_int, parse_constant=_finite_number)
+    cert_doc = read_json(path, "certificate")
     if not isinstance(cert_doc, dict) or "variables" not in cert_doc:
-        raise QvnnError(f"certificate {path} has no variables")
+        raise InputError(f"certificate {path} has no variables")
     expected = config_hash(doc)
     if cert_doc.get("config_hash") != expected:
-        raise QvnnError(f"certificate {path} belongs to another config "
-                        f"(hash {cert_doc.get('config_hash')}, this config "
-                        f"{expected})")
+        raise InputError(f"certificate {path} belongs to another config "
+                         f"(hash {cert_doc.get('config_hash')}, this config "
+                         f"{expected})")
     if cert_doc.get("n") != model.n:
-        raise QvnnError(f"certificate {path} is for n = {cert_doc.get('n')}, "
-                        f"this config has n = {model.n}")
+        raise InputError(f"certificate {path} is for n = {cert_doc.get('n')}, "
+                         f"this config has n = {model.n}")
     dv = DecisionVars.from_json(cert_doc["variables"], model.n)
     margin = cert_doc.get("margin")
     if type(margin) not in (int, float) or not margin > 0:
-        raise QvnnError(f"certificate {path} has no positive margin")
-    worst = verify_certificate(model, dv, margin=0.5 * margin).worst_margin
-    if worst < 0.5 * margin:
-        raise QvnnError(f"certificate {path} fails its recheck: worst "
-                        f"constraint margin {worst:.3e} < {0.5 * margin:.3e}")
+        raise InputError(f"certificate {path} has no positive margin")
+    # a product past the float range scores NaN, which is not valid
+    with np.errstate(over="ignore", invalid="ignore"):
+        recheck = verify_certificate(model, dv, margin=0.5 * margin)
+    if not recheck.valid:
+        raise InputError(f"certificate {path} fails its recheck: worst "
+                         f"constraint margin {recheck.worst_margin:.3e} < "
+                         f"{0.5 * margin:.3e}")
     return dv
 
 
@@ -290,7 +291,7 @@ def cmd_simulate(args) -> int:
                                ("--lkf-stride", args.lkf_stride, 1),
                                ("--seed", args.seed, 0)):
         if count < least:
-            raise QvnnError(f"{flag} must be at least {least}, got {count}")
+            raise InputError(f"{flag} must be at least {least}, got {count}")
     _require_positive(("--horizon", args.horizon), ("--step", args.step),
                       ("--threshold", args.threshold))
     model, doc = load_model(args.config)
@@ -325,9 +326,9 @@ def cmd_simulate(args) -> int:
             trace = lkf_trace(first[1], cert_dv, stride=args.lkf_stride)
             finite = np.isfinite(np.append(trace.total, trace.max_increase()))
         if not finite.all():
-            raise QvnnError(f"certificate {args.lkf} gives a functional that is "
-                            f"not finite along seed {first[0]}: its numbers "
-                            "are too large")
+            raise InputError(f"certificate {args.lkf} gives a functional that is "
+                             f"not finite along seed {first[0]}: its numbers "
+                             "are too large")
     # made only once the grid and the functional are computed, so a refused
     # run leaves no files
     out_dir = Path(args.out_dir)
@@ -423,10 +424,10 @@ def cmd_margin(args) -> int:
         lo_text, hi_text = args.bracket.split(",")
         lo, hi = float(lo_text), float(hi_text)
     except ValueError as exc:
-        raise QvnnError(f"malformed bracket {args.bracket!r}; "
-                        "expected lo,hi") from exc
+        raise InputError(f"malformed bracket {args.bracket!r}; "
+                         "expected lo,hi") from exc
     if not (hi > lo >= 0.0):
-        raise QvnnError("bracket must satisfy 0 <= lo < hi")
+        raise InputError("bracket must satisfy 0 <= lo < hi")
 
     probes = [_probe(doc, args.param, value, args.margin_tol)
               for value in (lo, hi)]
@@ -530,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (QvnnError, OSError, json.JSONDecodeError) as exc:
+    except (QvnnError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,29 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types, one per exit code of the command line."""
 
 
 class QvnnError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ShapeError(QvnnError, ValueError):
-    """Operands have incompatible dimensions."""
-
-
-class StructureError(QvnnError, ValueError):
-    """A matrix violates a required structure (Hermitian, skew, ...) beyond tolerance."""
-
-
 class InputError(QvnnError, ValueError):
-    """A config file, matrix payload, or parameter set fails validation."""
-
-
-class CoverageError(QvnnError, ValueError):
-    """A time lookup or functional evaluation falls outside the stored sample range."""
-
-
-class EquilibriumError(QvnnError, RuntimeError):
-    """The damped fixed-point iteration for the network equilibrium did not converge."""
+    """An input is refused (exit 2): its format, shape, structure or range."""
 
 
 class NumericalError(QvnnError, RuntimeError):
-    """A solver or factorization broke down beyond recovery."""
+    """A solver or factorization broke down beyond recovery (exit 3)."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, InputError
+from .errors import InputError
 from .lmi import DecisionVars
 from .qmatrix import HermitianQuatMatrix, qv_embed
 from .simulate import Trajectory, activation
@@ -141,8 +141,8 @@ def window_quad(times: np.ndarray, values: np.ndarray, a, b,
                | (b > hi + _EDGE * max(1.0, abs(hi))))
     if outside.any():
         k = int(np.argmax(outside))
-        raise CoverageError(f"window [{a[k]:.6g}, {b[k]:.6g}] is outside the "
-                            f"sampled span [{lo:.6g}, {hi:.6g}]")
+        raise InputError(f"window [{a[k]:.6g}, {b[k]:.6g}] is outside the "
+                         f"sampled span [{lo:.6g}, {hi:.6g}]")
     values = np.asarray(values)
     flat = np.ascontiguousarray(values).reshape(len(values), -1)
     flat = (flat.view(float) if np.iscomplexobj(flat)

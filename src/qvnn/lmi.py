@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError
 from .model import NetworkModel
 from .qmatrix import (
     HermitianQuatMatrix,
@@ -99,7 +99,7 @@ class DecisionVars:
         """
         vec = np.asarray(vec, dtype=float)
         if vec.shape[-1:] != (cls.num_scalars(n),):
-            raise ShapeError(f"expected {cls.num_scalars(n)} scalars, got {vec.shape}")
+            raise InputError(f"expected {cls.num_scalars(n)} scalars, got {vec.shape}")
         batch = vec.shape[:-1]
         rows, cols = np.triu_indices(n, 1)
         diag = np.arange(n)
@@ -173,9 +173,9 @@ def assemble_blocks(num_blocks: int, n: int,
     a2 = np.zeros((dim, dim), dtype=np.complex128)
     for (bi, bj), blk in upper.items():
         if not (1 <= bi <= bj <= num_blocks):
-            raise ShapeError(f"block index ({bi},{bj}) outside upper triangle")
+            raise InputError(f"block index ({bi},{bj}) outside upper triangle")
         if blk.shape != (n, n):
-            raise ShapeError(f"block ({bi},{bj}) has shape {blk.shape}")
+            raise InputError(f"block ({bi},{bj}) has shape {blk.shape}")
         r = slice((bi - 1) * n, bi * n)
         c = slice((bj - 1) * n, bj * n)
         if bi == bj:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError
 from .lmi import DecisionVars, QuatConstraint, quat_constraints
-from .model import NetworkModel
+from .model import NetworkModel, physical_memory
 from .qmatrix import QuatMatrix, hermitian_part
 
 
@@ -61,7 +61,7 @@ class StandardSdp:
     def __post_init__(self):
         for lmi in self.lmis:
             if lmi.dim % 2:
-                raise ShapeError(f"constraint {lmi.name} has the odd side {lmi.dim}")
+                raise InputError(f"constraint {lmi.name} has the odd side {lmi.dim}")
             size = lmi.dim * lmi.dim
             key = lmi.var * size + lmi.entry
             # entry < size / 2 exactly when the row is below N = dim / 2
@@ -69,7 +69,7 @@ class StandardSdp:
                     and np.all((lmi.var >= 0) & (lmi.var < self.num_vars))
                     and np.all((lmi.entry >= 0) & (lmi.entry < size // 2))
                     and np.all(np.diff(key) > 0)):
-                raise ShapeError(f"constraint {lmi.name} stores entries out of "
+                raise InputError(f"constraint {lmi.name} stores entries out of "
                                  f"range or order for {self.num_vars} "
                                  f"variables and the top {lmi.dim // 2} rows "
                                  f"of side {lmi.dim}")
@@ -109,6 +109,11 @@ def build_sdp(model: NetworkModel) -> StandardSdp:
     criterion: batch row 0 is the zero vector, rows 1.. the unit vectors."""
     n = model.n
     num = DecisionVars.num_scalars(n)
+    # held at once: 18 decision matrices, 27 -Omega blocks, (num+1, n, n) pairs
+    need = 45 * 2 * 16.0 * (num + 1) * n * n
+    if not need <= physical_memory():
+        raise InputError(f"lowering the criterion at n = {n} holds at least "
+                         f"{need:.3g} bytes at once, more than physical memory")
     # a product past the float range is reported below, by constraint
     with np.errstate(over="ignore", invalid="ignore"):
         cons = quat_constraints(model, DecisionVars.from_vector(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,11 @@ class NetworkModel:
                    external_input=drive)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory: arrays that need more are refused."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _strip_private(obj):
     """Drop keys starting with '_' so annotations never affect semantics."""
     if isinstance(obj, dict):
@@ -214,15 +220,21 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
-def load_model(path) -> tuple[NetworkModel, dict]:
-    """Read a model config file; returns (model, raw JSON document)."""
+def read_json(path, what: str):
+    """The JSON document in file ``path``, refused unless it parses and its
+    numbers are finite; ``what`` names the file in the refusal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite_number,
-                            parse_int=_finite_int,
-                            parse_constant=_finite_number)
+            return json.load(fh, parse_float=_finite_number,
+                             parse_int=_finite_int,
+                             parse_constant=_finite_number)
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {path} is not valid JSON: {exc}") from None
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_model(path) -> tuple[NetworkModel, dict]:
+    """Read a model config file; returns (model, raw JSON document)."""
+    doc = read_json(path, "config")
     return NetworkModel.from_json(doc), doc

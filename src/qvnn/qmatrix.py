@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, StructureError
+from .errors import InputError
 
 # Structure violations up to this relative size are repaired silently;
 # anything larger is rejected as a genuine structure error.
@@ -46,7 +46,7 @@ class QuatMatrix:
         a1 = np.asarray(a1, dtype=np.complex128)
         a2 = np.asarray(a2, dtype=np.complex128)
         if a1.ndim < 2 or a1.shape != a2.shape:
-            raise ShapeError(f"component shapes differ: {a1.shape} vs {a2.shape}")
+            raise InputError(f"component shapes differ: {a1.shape} vs {a2.shape}")
         self.a1 = a1
         self.a2 = a2
 
@@ -109,7 +109,7 @@ class QuatMatrix:
         if not isinstance(other, QuatMatrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+            raise InputError(f"cannot multiply {self.shape} by {other.shape}")
         b1, b2 = other.a1, other.a2
         return QuatMatrix(self.a1 @ b1 - self.a2 @ np.conj(b2),
                           self.a1 @ b2 + self.a2 @ np.conj(b1))
@@ -131,7 +131,7 @@ class QuatMatrix:
 
     def _check_same_shape(self, other: "QuatMatrix") -> None:
         if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+            raise InputError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     # ---- structure -------------------------------------------------------------
 
@@ -152,7 +152,7 @@ class HermitianQuatMatrix(QuatMatrix):
 
     Inputs violating the structure by at most HERMITIAN_REPAIR_TOL relative to
     the matrix scale (over the whole stack) are symmetrized; larger violations
-    raise StructureError.
+    raise InputError.
     """
 
     __slots__ = ()
@@ -160,11 +160,11 @@ class HermitianQuatMatrix(QuatMatrix):
     def __init__(self, a1: np.ndarray, a2: np.ndarray):
         super().__init__(a1, a2)
         if self.rows != self.cols:
-            raise ShapeError("Hermitian matrix must be square")
+            raise InputError("Hermitian matrix must be square")
         scale = max(1.0, self.max_abs())
         violation = self.hermitian_violation()
         if violation > HERMITIAN_REPAIR_TOL * scale:
-            raise StructureError(
+            raise InputError(
                 f"structure violation {violation:.3e} exceeds "
                 f"{HERMITIAN_REPAIR_TOL * scale:.3e}")
         self.a1, self.a2 = hermitian_part(self.a1, self.a2)
@@ -202,7 +202,7 @@ def qv_from_components(comp: np.ndarray) -> np.ndarray:
     """(n, 4) real array of [w, x, y, z] rows -> (2, n) complex pair."""
     comp = np.asarray(comp, dtype=float)
     if comp.ndim != 2 or comp.shape[1] != 4:
-        raise ShapeError("expected an (n, 4) component array")
+        raise InputError("expected an (n, 4) component array")
     return np.stack([comp[:, 0] + 1j * comp[:, 1], comp[:, 2] + 1j * comp[:, 3]])
 
 def qv_components(v: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def mat_vec(m: QuatMatrix, v: np.ndarray) -> np.ndarray:
     """Quaternion matrix times quaternion vector, both in pair representation."""
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (2, m.cols):
-        raise ShapeError(f"vector shape {v.shape} does not fit matrix {m.shape}")
+        raise InputError(f"vector shape {v.shape} does not fit matrix {m.shape}")
     return np.stack([m.a1 @ v[0] - m.a2 @ np.conj(v[1]),
                      m.a1 @ v[1] + m.a2 @ np.conj(v[0])])
 
@@ -242,8 +242,6 @@ def qmat_to_json(m: QuatMatrix) -> dict:
 
 
 def qmat_from_json(payload: dict) -> QuatMatrix:
-    from .errors import InputError
-
     try:
         rows = int(payload["rows"])
         cols = int(payload["cols"])

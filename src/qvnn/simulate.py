@@ -22,9 +22,7 @@ degradation.
 
 ``integrate`` advances any number of members together in one loop, on a
 (members, 4n) real state. Each member starts from a constant initial state
-and has its own divergence time; the others go on without it. A step reads
-all its delayed states with one gather of buffer rows, and each of its
-right-hand sides is one tanh and one product.
+and has its own divergence time; the others go on without it.
 
 A trajectory is one grid from t = 0 whose first node is the start; x(u) is
 that node for every u < 0.
@@ -32,7 +30,7 @@ that node for every u < 0.
 A driven network (a nonzero input u) is integrated about its rest point
 y_eq, the solution of C y = (A + B) f(y) + u, which ``integrate`` computes
 once per call. In the deviation v = x - y_eq the input cancels and the
-activation becomes f(v + y_eq) - f(y_eq), which vanishes at zero exactly.
+activation becomes f(v + y_eq) - f(y_eq), per component, exactly 0 at 0.
 Starts and every stored state are deviations, and each trajectory carries
 y_eq as its ``rest``; an undriven network rests at the origin.
 """
@@ -40,13 +38,12 @@ y_eq as its ``rest``; an undriven network rests at the origin.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EquilibriumError, InputError
-from .model import NetworkModel
+from .errors import InputError
+from .model import NetworkModel, physical_memory
 from .qmatrix import QuatMatrix, mat_vec
 
 DEFAULT_DIVERGENCE_LIMIT = 1e6
@@ -215,7 +212,7 @@ def require_node_memory(model: NetworkModel, members: int, horizon: float,
         raise InputError("horizon and step must be positive")
     # float64 values and derivatives of 4n components per member and node
     need = (horizon / step + 1.0) * 2 * members * 4 * model.n * 8.0
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if not need <= memory:
         raise InputError(f"a grid of horizon {horizon:g} at step {step:g} "
                          f"needs {need:.3g} bytes of nodes for {members} "
@@ -241,9 +238,9 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     chunk of steps (see ``_step_tables``): a step reads the stored parts of
     all its lookups with one gather of committed buffer rows and one
     product. A right-hand side is then one tanh and one product on the
-    (members, 4n) real state, tanh([y | x_d]) @ [A; B], with A and B as
-    real 4n x 4n matrices with the gains folded in; a driven network adds
-    its rest point to [y | x_d] and subtracts the rest point's own term.
+    (members, 4n) real state, tanh([y | x_d]) @ [A; B] - C x_leak, with the
+    gains folded into A and B; a driven network takes tanh([y | x_d] + rest)
+    - tanh(rest) per component before the product.
     Each stage state, and the new value, is one row of the RK4 tableau
     times [y, k1, k2, k3, k4]. A grid that ``require_node_memory`` refuses
     is refused before anything is allocated.
@@ -272,18 +269,19 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     leak = _per_component(model.c_diag)
     ab = np.vstack([_real_operator(model.a_mat, model.gamma_diag),
                     _real_operator(model.b_mat, model.gamma_diag)])
-    drive, shift = np.zeros(dim), None
+    shift = None
     rest = np.zeros((2, n), dtype=complex)
     if model.external_input is not None and np.any(model.external_input):
         # deviation coordinates: the input cancels, and on both halves of
-        # [y | x_d] f(v) = act(v + y_eq) - act(y_eq)
+        # [y | x_d] f(v) = act(v + y_eq) - act(y_eq), taken per component
+        # before the product: -C v is never rounded away against the input
         rest = find_equilibrium(model)
         shift = np.tile(_real_form(rest), 2)
-        drive = drive - np.tanh(shift) @ ab
+        rest_act = np.tanh(shift)
 
     # work arrays, written in place every step: [y | x_d] per member and its
     # activation; the stored parts of the four lookups, leak at both stage
-    # times then transmission at both; drive - leak * the stored leak parts;
+    # times then transmission at both; leak * the stored leak parts;
     # a stage state; and [y, k1, k2, k3, k4], whose k2..k4 enter the first
     # step's stage states with weight 0 before it writes them, so they start
     # at 0 (0 * nan is nan)
@@ -305,15 +303,17 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
                         [1.0, step / 6.0, step / 3.0, step / 3.0, step / 6.0]])
 
     def rhs(y, x_d, base_at, weights, out):
-        """drive - leak x_leak + tanh([y | x_d]) @ [A; B] at stage state y,
-        into ``out``: ``base_at`` is drive - leak * the stored part of
-        x_leak, and ``weights`` are the two lookups' stage weights."""
+        """f([y | x_d]) @ [A; B] - leak x_leak at stage state y, into
+        ``out``: ``base_at`` is leak * the stored part of x_leak, and
+        ``weights`` are the two lookups' stage weights."""
         g_leak, g_d = weights
         z_stage[...] = y
         z_delayed[...] = x_d + g_d * y if g_d else x_d
         np.tanh(z_flat if shift is None else z_flat + shift, out=act)
+        if shift is not None:
+            np.subtract(act, rest_act, out=act)
         np.dot(act, ab, out=out)
-        out += base_at
+        out -= base_at
         if g_leak:
             out -= (g_leak * leak) * y
 
@@ -330,8 +330,8 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     with np.errstate(over="ignore", invalid="ignore"):
         # at t = 0 both lookups read the start
         start_values = nodes[0, 0]
-        rhs(start_values, start_values, drive - leak * start_values,
-            (0.0, 0.0), nodes[0, 1])
+        rhs(start_values, start_values, leak * start_values, (0.0, 0.0),
+            nodes[0, 1])
         for k0 in range(0, steps, _CHUNK_STEPS):
             if not alive.any():
                 break
@@ -341,7 +341,6 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
             for i, (k, weights) in enumerate(zip(ks.tolist(), stage.tolist())):
                 np.dot(blocks[i], flat[rows[i]], out=stored)
                 np.multiply(leak, leak_part, out=base)
-                np.subtract(drive, base, out=base)
                 terms[:2] = flat[2 * k:2 * k + 2]
                 for j, at in enumerate((0, 0, 1)):
                     np.dot(tableau[j], terms, out=state_flat)
@@ -411,5 +410,5 @@ def find_equilibrium(model: NetworkModel) -> np.ndarray:
         if np.max(np.abs(x_new - x)) <= _EQUILIBRIUM_TOL * scale:
             return x_new
         x = x_new
-    raise EquilibriumError(f"equilibrium iteration did not converge in "
-                           f"{_EQUILIBRIUM_ITERS} damped steps")
+    raise InputError(f"equilibrium iteration did not converge in "
+                     f"{_EQUILIBRIUM_ITERS} damped steps")

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
 
-from qvnn.errors import CoverageError, InputError, ShapeError, StructureError
+from qvnn.errors import InputError
 from qvnn.lkf import LyapunovTrace, window_quad
 from qvnn.lmi import (
     DIAG_NAMES,
@@ -150,7 +150,7 @@ def from_entries(entries) -> QuatMatrix:
     comp = np.empty((4, rows, cols))
     for r in range(rows):
         if len(entries[r]) != cols:
-            raise ShapeError("ragged entry rows")
+            raise InputError("ragged entry rows")
         for c in range(cols):
             comp[:, r, c] = entries[r][c].components()
     return QuatMatrix.from_components(*comp)
@@ -168,7 +168,7 @@ def qv_conj_dot(u: np.ndarray, v: np.ndarray) -> Quaternion:
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     if u.shape != v.shape or u.shape[0] != 2:
-        raise ShapeError("pair-form vectors of equal length required")
+        raise InputError("pair-form vectors of equal length required")
     # conj(u_i) v_i expanded through (u1 + u2 j)* (v1 + v2 j)
     c1 = np.sum(np.conj(u[0]) * v[0] + u[1] * np.conj(v[1]))
     c2 = np.sum(np.conj(u[0]) * v[1] - u[1] * np.conj(v[0]))
@@ -190,7 +190,7 @@ def quadform(h: HermitianQuatMatrix, v: np.ndarray) -> float:
     s = qv_conj_dot(v, mat_vec(h, v))
     resid = max(abs(s.x), abs(s.y), abs(s.z))
     if resid > QUADFORM_IMAG_TOL * max(1.0, abs(s.w)):
-        raise StructureError(f"quadratic form has non-real residue {resid:.3e}")
+        raise InputError(f"quadratic form has non-real residue {resid:.3e}")
     return s.w
 
 
@@ -264,13 +264,13 @@ def hermitian_sqrt(h: HermitianQuatMatrix) -> HermitianQuatMatrix:
     w, v = np.linalg.eigh(emb)
     scale = max(1.0, float(abs(w[-1])))
     if w[0] < -1e-10 * scale:
-        raise StructureError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+        raise InputError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     a1 = (root[:n, :n] + root[n:, n:].conj()) / 2.0
     a2 = -(root[:n, n:] - root[n:, :n].conj()) / 2.0
     out = HermitianQuatMatrix(a1, a2)
     if np.max(np.abs(out.complex_embed() - root)) > 1e-8 * scale:
-        raise StructureError("square root does not round-trip through the embedding")
+        raise InputError("square root does not round-trip through the embedding")
     return out
 
 
@@ -657,8 +657,8 @@ def grid_quad(times: np.ndarray, values: np.ndarray, a: float, b: float,
     lo, hi = times[0], times[-1]
     if (a < lo - _LKF_EDGE * max(1.0, abs(lo))
             or b > hi + _LKF_EDGE * max(1.0, abs(hi))):
-        raise CoverageError(f"window [{a:.6g}, {b:.6g}] is outside the sampled "
-                            f"span [{lo:.6g}, {hi:.6g}]")
+        raise InputError(f"window [{a:.6g}, {b:.6g}] is outside the sampled "
+                         f"span [{lo:.6g}, {hi:.6g}]")
     pa = (a - lo) / step
     pb = (b - lo) / step
     last = len(times) - 1
@@ -851,7 +851,7 @@ def jensen_gap(path: VectorPath, m: HermitianQuatMatrix) -> float:
     pointwise = np.einsum("si,ij,sj->s", np.conj(emb), chi, emb)
     resid = float(np.max(np.abs(pointwise.imag)))
     if resid > 1e-10 * max(1.0, float(np.max(np.abs(pointwise.real)))):
-        raise StructureError(f"quadratic form has imaginary residue {resid:.3e}")
+        raise InputError(f"quadratic form has imaginary residue {resid:.3e}")
     times = np.linspace(path.a, path.b, len(path.samples))
     rhs = (path.b - path.a) * float(window_quad(times, pointwise.real,
                                                 path.a, path.b)[0])

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qvnn.cli
+import qvnn.lowering
 import qvnn.sdp
 from oracles import (
     qv_modulus,
@@ -40,7 +41,7 @@ from qvnn.errors import NumericalError
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import DecisionVars, verify_certificate
 from qvnn.model import config_hash, load_model
-from qvnn.qmatrix import mat_vec, qmat_to_json, qv_from_components
+from qvnn.qmatrix import QuatMatrix, mat_vec, qmat_to_json, qv_from_components
 from qvnn.sdp import FeasibilityResult, IterationRecord
 from qvnn.simulate import activation, integrate
 
@@ -135,6 +136,14 @@ def test_certify_rejects_malformed_configs(tmp_path, capsys,
         code, _, err = run_cli(capsys, "certify", str(bad))
         assert code == 2, n
         assert "input error" in err and "n must be a JSON integer" in err
+
+
+def test_certify_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"n": "\xe9"}')
+    code, _, err = run_cli(capsys, "certify", str(bad))
+    assert code == 2
+    assert "is not valid JSON" in err
 
 
 @pytest.mark.parametrize("key", ["external_input"])
@@ -451,6 +460,30 @@ def test_simulate_refuses_more_seeds_than_memory_before_drawing_one(
     assert out == ""
     assert "input error" in err and "physical memory" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["certify"], ["margin", "--param", "delta", "--bracket", "0.01,0.1"],
+], ids=["certify", "margin"])
+def test_a_criterion_larger_than_memory_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch, stable_example_path, command):
+    # at n = 6 the lowering holds more than 64 MiB at once: with that much
+    # physical memory the model is refused before the criterion is evaluated
+    def no_build(*args, **kwargs):
+        raise AssertionError("the criterion was built before its size was "
+                             "checked")
+
+    monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: 64 * 2 ** 20)
+    monkeypatch.setattr(qvnn.lowering, "quat_constraints", no_build)
+    doc = json.loads(stable_example_path.read_text())
+    coupling = qmat_to_json(QuatMatrix.from_real(0.01 * np.eye(6)))
+    doc.update(n=6, C=[8.0] * 6, gamma=[0.2] * 6, A=coupling, B=coupling)
+    config = tmp_path / "n6.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command[0], str(config), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "physical memory" in err
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--lkf-stride"])
@@ -776,7 +809,9 @@ def test_simulate_refuses_a_certificate_of_another_config(tmp_path, capsys,
 @pytest.mark.parametrize("tamper, message", [
     ("negated", "fails its recheck"),
     ("nan", "numbers must be finite, got NaN"),
-], ids=["negated", "nan"])
+    ("overflow", "fails its recheck"),
+    ("missing", "cannot read certificate"),
+], ids=["negated", "nan", "overflow", "missing"])
 def test_simulate_refuses_a_certificate_that_fails_its_recheck(
         tmp_path, capsys, stable_example_path, tamper, message):
     # hash and n match the config, but the matrices no longer certify it: the
@@ -789,17 +824,25 @@ def test_simulate_refuses_a_certificate_that_fails_its_recheck(
     p1 = cert_doc["variables"]["p1"]["entries"]
     if tamper == "negated":
         p1[:] = [[-v for v in entry] for entry in p1]
-    else:
+    elif tamper == "nan":
         p1[0][0] = float("nan")
+    else:
+        # P1 C overflows in Omega's (1, 1) block, so the recheck scores NaN
+        p1[0][0] = p1[3][0] = 8e307
     cert.write_text(json.dumps(cert_doc))
-    code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
-                             "--seeds", "1", "--horizon", "0.1", "--step",
-                             "0.01", "--lkf", str(cert), "--json",
-                             "--out-dir", str(tmp_path / "o"))
+    if tamper == "missing":
+        cert.unlink()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
+                                 "--seeds", "1", "--horizon", "0.1", "--step",
+                                 "0.01", "--lkf", str(cert), "--json",
+                                 "--out-dir", str(tmp_path / "o"))
     assert code == 2
     assert out == ""
     assert message in err
     assert not (tmp_path / "o").exists()
+    assert [str(w.message) for w in seen] == []
 
 
 def _scaled_numbers(obj, factor: float):

@@ -13,7 +13,7 @@ from oracles import (
     serial_lkf_trace,
 )
 from qvnn.cli import _start_for_seed
-from qvnn.errors import CoverageError, InputError
+from qvnn.errors import InputError
 from qvnn.lkf import LyapunovTrace, lkf_trace, window_quad
 from qvnn.lmi import HERMITIAN_NAMES
 from qvnn.model import DelaySpec, NetworkModel
@@ -74,14 +74,14 @@ def test_grid_quad_rejects_bad_windows():
     values = np.ones_like(times)
     with pytest.raises(InputError):
         grid_quad(times, values, 0.8, 0.2)
-    with pytest.raises(CoverageError):
+    with pytest.raises(InputError):
         grid_quad(times, values, -0.5, 0.5)
-    with pytest.raises(CoverageError):
+    with pytest.raises(InputError):
         grid_quad(times, values, 0.5, 1.5)
     # one bad window among good ones refuses the batch
     with pytest.raises(InputError):
         window_quad(times, values, [0.1, 0.8], [0.3, 0.2])
-    with pytest.raises(CoverageError):
+    with pytest.raises(InputError):
         window_quad(times, values, [0.1, 0.5], [0.3, 1.5])
 
 
@@ -216,10 +216,10 @@ def test_coverage_errors_flag_unusable_times():
     dv = random_decision_vars(np.random.default_rng(5), 1)
     traj = frozen_trajectory(model, np.array([[0.1 + 0j], [0j]]))
     forms = np.ones(len(traj.times))
-    with pytest.raises(CoverageError):
+    with pytest.raises(InputError):
         # needs data before the stored grid
         window_quad(traj.times, forms, [0.5, -0.1], [1.0, 0.4])
-    with pytest.raises(CoverageError):
+    with pytest.raises(InputError):
         window_quad(traj.times, forms, [1.0], [traj.times[-1] + 0.5])
     # the trace pads the grid back over the lookback window, so its first
     # sample, at t = 0, reads only covered data

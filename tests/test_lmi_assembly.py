@@ -21,7 +21,7 @@ from oracles import (
     to_vector,
     unit_images,
 )
-from qvnn.errors import ShapeError
+from qvnn.errors import InputError
 from qvnn.lmi import (
     DIAG_NAMES,
     GENERAL_NAMES,
@@ -139,7 +139,7 @@ def test_vectorization_round_trip(seed, n):
 
 
 def test_from_vector_rejects_wrong_length():
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         DecisionVars.from_vector(np.zeros(29), 1)
 
 
@@ -230,11 +230,11 @@ def test_coupling_assembly():
 
 def test_assemble_blocks_validates_placement():
     blk = quat_identity(2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         assemble_blocks(3, 2, {(2, 1): blk})  # below the diagonal
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         assemble_blocks(3, 2, {(1, 4): blk})  # outside the grid
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         assemble_blocks(3, 1, {(1, 1): blk})  # wrong block size
 
 

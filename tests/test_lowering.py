@@ -1,6 +1,7 @@
 """Quaternion criterion -> complex standard-form SDP, stored as entries."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -173,3 +174,20 @@ def test_build_assembles_the_criterion_once(monkeypatch):
     num = DecisionVars.num_scalars(2)
     # one batch: the zero vector, then every unit vector
     assert calls == [(num + 1, 2)]
+
+
+def test_memory_refusal_counts_no_more_than_the_lowering_holds(monkeypatch):
+    # the size checked against physical memory is a lower bound of what the
+    # lowering allocates, so memory that held one build never refuses it
+    model = random_model(np.random.default_rng(46), 2)
+    tracemalloc.start()
+    try:
+        build_sdp(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: peak)
+    assert build_sdp(model).num_vars == DecisionVars.num_scalars(2)
+    monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: 0)
+    with pytest.raises(InputError, match="physical memory"):
+        build_sdp(model)

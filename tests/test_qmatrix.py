@@ -22,7 +22,7 @@ from oracles import (
     random_quat_matrix,
     spectral_norm,
 )
-from qvnn.errors import InputError, ShapeError, StructureError
+from qvnn.errors import InputError
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
@@ -63,13 +63,13 @@ def test_entries_round_trip():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         QuatMatrix(np.zeros((2, 2), dtype=complex), np.zeros((2, 3), dtype=complex))
     a = quat_zeros(2, 3)
     b = quat_zeros(2, 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         a @ b
-    with pytest.raises(ShapeError):
+    with pytest.raises(InputError):
         a + quat_zeros(3, 2)
 
 
@@ -142,7 +142,7 @@ def test_stacked_hermitian_checks_every_slice():
     h = random_hermitian(rng, 3)
     a1 = np.stack([h.a1, h.a1, h.a1])
     a1[1, 0, 2] += 0.5               # only the middle slice is broken
-    with pytest.raises(StructureError):
+    with pytest.raises(InputError):
         HermitianQuatMatrix(a1, np.stack([h.a2] * 3))
 
 
@@ -194,7 +194,7 @@ def test_embedding_spectra_pair_up():
 def test_hermitian_requires_structure():
     a1 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)  # not Hermitian
     a2 = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(StructureError):
+    with pytest.raises(InputError):
         HermitianQuatMatrix(a1, a2)
 
 

@@ -19,7 +19,7 @@ from oracles import (
     real_coeffs,
     shrunk_random_model,
 )
-from qvnn.errors import InputError, NumericalError, ShapeError
+from qvnn.errors import InputError, NumericalError
 from qvnn.lowering import AffineLmi, StandardSdp, build_sdp
 from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
@@ -337,7 +337,7 @@ def test_a_constraint_that_is_no_chi_image_is_refused():
                                 (4, 8, "top 2 rows of side 4"),
                                 (2, 3, "top 1 rows of side 2")):
         lmi = AffineLmi("c", dim, np.array([0]), np.array([entry]), one)
-        with pytest.raises(ShapeError, match=f"constraint c .*{message}"):
+        with pytest.raises(InputError, match=f"constraint c .*{message}"):
             StandardSdp(num_vars=1, lmis=[lmi])
 
 
@@ -348,7 +348,7 @@ def test_entries_out_of_range_or_order_are_refused():
     for var, entry in (([0, 1], [0, 3]), ([0, 0], [3, 0]), ([0, 0], [0, 0]),
                        ([0, 0], [0, 16]), ([0], [0])):
         lmi = AffineLmi("ray", 4, np.array(var), np.array(entry), one)
-        with pytest.raises(ShapeError, match="constraint ray"):
+        with pytest.raises(InputError, match="constraint ray"):
             StandardSdp(num_vars=1, lmis=[lmi])
 
 

@@ -489,6 +489,17 @@ def test_a_driven_network_is_measured_from_its_rest_point(stable_model):
     assert np.max(np.abs(residual)) < 1e-10
 
 
+def test_a_driven_run_keeps_its_leak_term_near_the_rest_point(stable_model):
+    # the driven run of test_cli from seed 0: once C |x| is far below the
+    # drive, -C x must still act, so no derivative is exactly 0 and the
+    # deviation decays on instead of freezing near 1e-19
+    model = dataclasses.replace(stable_model, external_input=qv_from_components(
+        np.array([[1.0, 0.5, -0.5, 0.2], [0.3, -0.8, 0.4, 0.1]])))
+    (traj,) = integrate(model, seeded_starts(2, [0]), 20.0, 1e-3)
+    assert traj.derivs[1:].any(axis=(1, 2)).all()
+    assert _modulus_series(traj.values[-1:])[0] < 1e-60
+
+
 def test_undriven_trajectories_rest_at_the_origin():
     for model in (scalar_model(),
                   scalar_model(external_input=np.zeros((2, 1), complex))):
