@@ -33,7 +33,7 @@ from .lkf import lkf_trace
 from .lmi import DecisionVars, verify_certificate
 from .lowering import build_sdp
 from .model import NetworkModel, config_hash, load_model, read_json
-from .qmatrix import qv_components
+from .qmatrix import json_int, json_numbers, qv_components
 from .sdp import FeasibilityResult, SolverConfig, scale_problem, solve_feasibility
 from .simulate import convergence_metrics, integrate, require_node_memory
 
@@ -268,12 +268,12 @@ def _load_certificate(path: str, model: NetworkModel, doc: dict) -> DecisionVars
         raise InputError(f"certificate {path} belongs to another config "
                          f"(hash {cert_doc.get('config_hash')}, this config "
                          f"{expected})")
-    if cert_doc.get("n") != model.n:
-        raise InputError(f"certificate {path} is for n = {cert_doc.get('n')}, "
+    if json_int(cert_doc.get("n"), f"certificate {path}: n") != model.n:
+        raise InputError(f"certificate {path} is for n = {cert_doc['n']}, "
                          f"this config has n = {model.n}")
     dv = DecisionVars.from_json(cert_doc["variables"], model.n)
-    margin = cert_doc.get("margin")
-    if type(margin) not in (int, float) or not margin > 0:
+    margin = json_numbers(cert_doc.get("margin"), (), f"certificate {path}: margin")
+    if not margin > 0:
         raise InputError(f"certificate {path} has no positive margin")
     # a product past the float range scores NaN, which is not valid
     with np.errstate(over="ignore", invalid="ignore"):

@@ -38,6 +38,7 @@ from .qmatrix import (
     QuatMatrix,
     hermitian_eigvals,
     hermitian_part,
+    json_numbers,
     qmat_from_json,
     qmat_to_json,
     real_diag,
@@ -143,20 +144,16 @@ class DecisionVars:
     def from_json(cls, doc: dict, n: int) -> "DecisionVars":
         """The variables of a certificate payload, refused unless every
         diagonal has n entries and every matrix is n x n."""
-        try:
-            diags = {name: np.asarray([float(v) for v in doc[name]])
-                     for name in DIAG_NAMES}
-            mats = {name: qmat_from_json(doc[name])
-                    for name in HERMITIAN_NAMES + GENERAL_NAMES}
-        except KeyError as exc:
-            raise InputError(f"certificate is missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed certificate field: {exc}") from None
-        for name, value in {**diags, **mats}.items():
-            expected = (n,) if name in DIAG_NAMES else (n, n)
-            if value.shape != expected:
+        if not isinstance(doc, dict):
+            raise InputError("certificate variables must be a JSON object")
+        diags = {name: json_numbers(doc.get(name), (n,), f"certificate field {name}")
+                 for name in DIAG_NAMES}
+        mats = {name: qmat_from_json(doc.get(name), f"certificate field {name}")
+                for name in HERMITIAN_NAMES + GENERAL_NAMES}
+        for name, value in mats.items():
+            if value.shape != (n, n):
                 raise InputError(f"certificate field {name} has shape "
-                                 f"{value.shape}, expected {expected}")
+                                 f"{value.shape}, expected {(n, n)}")
         herms = {name: HermitianQuatMatrix(mats[name].a1, mats[name].a2)
                  for name in HERMITIAN_NAMES}
         return cls(**diags, **herms, **{name: mats[name] for name in GENERAL_NAMES})
@@ -260,11 +257,9 @@ def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstrai
     """Every constraint of the criterion, each "> 0", evaluated at the given
     variables. Omega is listed as -Omega."""
     neg_omega = omega_upper_blocks(model, dv)
-    for blk in neg_omega.values():
-        # every block is a fresh array, and negation is exact; in place, so
-        # a stack of variable sets is never held twice
-        np.negative(blk.a1, out=blk.a1)
-        np.negative(blk.a2, out=blk.a2)
+    for key, blk in neg_omega.items():
+        # rebound, not negated in place: a block may share memory with dv
+        neg_omega[key] = -blk
     cons = [
         QuatConstraint("coupling_r1_u", 2,
                        {(1, 1): dv.r1, (1, 2): dv.u, (2, 2): dv.r1}),

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .qmatrix import QuatMatrix, qmat_from_json, qv_from_components
+from .qmatrix import (QuatMatrix, json_int, json_numbers, qmat_from_json,
+                      qv_from_components)
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,21 @@ class DelaySpec:
         return float(clamped) if np.ndim(t) == 0 else clamped
 
     @classmethod
-    def from_json(cls, payload: dict) -> "DelaySpec":
+    def from_json(cls, payload: dict, what: str = "delay") -> "DelaySpec":
         if not isinstance(payload, dict):
-            raise InputError("delay spec must be an object")
+            raise InputError(f"{what} must be a JSON object")
         if payload.get("clamp_negative", True) is not True:
             raise InputError("delay waveforms are always clamped at zero; "
                              "clamp_negative must be omitted or true")
         kind = payload.get("kind", "constant")
-        try:
-            if kind == "constant":
-                return cls(offset=float(payload.get("value", 0.0)))
-            if kind == "sinusoid":
-                return cls(amplitude=float(payload["amplitude"]),
-                           offset=float(payload.get("offset", 0.0)),
-                           phase=float(payload.get("phase", 0.0)),
-                           omega=float(payload.get("omega", 1.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed delay spec: {exc}") from None
+        if kind == "constant":
+            return cls(offset=json_numbers(payload.get("value", 0.0), (),
+                                           f"{what} value"))
+        if kind == "sinusoid":
+            fields = {"amplitude": None, "offset": 0.0, "phase": 0.0, "omega": 1.0}
+            return cls(**{key: json_numbers(payload.get(key, default), (),
+                                            f"{what} {key}")
+                          for key, default in fields.items()})
         raise InputError(f"unknown delay kind {kind!r}")
 
 
@@ -140,42 +139,26 @@ class NetworkModel:
     def from_json(cls, doc: dict) -> "NetworkModel":
         if not isinstance(doc, dict):
             raise InputError("model config must be a JSON object")
-        n = doc.get("n")
-        if type(n) is not int:
-            raise InputError(f"n must be a JSON integer, got {n!r}")
-        try:
-            c_diag = [float(v) for v in doc["C"]]
-            a_mat = qmat_from_json(doc["A"])
-            b_mat = qmat_from_json(doc["B"])
-            delta = float(doc["delta"])
-            d1 = float(doc["d1"])
-            d2 = float(doc["d2"])
-            mu1 = float(doc["mu1"])
-            mu2 = float(doc["mu2"])
-            gamma = [float(v) for v in doc["gamma"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed model config: {exc}") from None
-        funcs = doc.get("delay_functions") or {}
-        delay1 = (DelaySpec.from_json(funcs["d1"]) if "d1" in funcs
-                  else DelaySpec(offset=d1))
-        delay2 = (DelaySpec.from_json(funcs["d2"]) if "d2" in funcs
-                  else DelaySpec(offset=d2))
-
+        n = json_int(doc.get("n"), "n")
+        if n < 1:   # before any field's shape is taken from it
+            raise InputError("n must be positive")
+        delta, d1, d2, mu1, mu2 = (json_numbers(doc.get(key), (), key) for key
+                                   in ("delta", "d1", "d2", "mu1", "mu2"))
+        funcs = doc.get("delay_functions", {})
+        if not isinstance(funcs, dict):
+            raise InputError("delay_functions must be a JSON object")
+        delay1, delay2 = (DelaySpec.from_json(funcs[key], key) if key in funcs
+                          else DelaySpec(offset=bound)
+                          for key, bound in (("d1", d1), ("d2", d2)))
         drive = doc.get("external_input")
         if drive is not None:
-            try:
-                drive = np.asarray(drive, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"external_input must be an n x 4 component "
-                                 f"list: {exc}") from None
-            if drive.shape != (n, 4):
-                raise InputError("external_input must be an n x 4 component list")
-            drive = qv_from_components(drive)
-
-        return cls(n=n, c_diag=np.asarray(c_diag), a_mat=a_mat, b_mat=b_mat,
-                   delta=delta, d1_bound=d1, d2_bound=d2, mu1=mu1, mu2=mu2,
-                   gamma_diag=np.asarray(gamma), delay1=delay1, delay2=delay2,
-                   external_input=drive)
+            drive = qv_from_components(json_numbers(drive, (n, 4), "external_input"))
+        return cls(n=n, c_diag=json_numbers(doc.get("C"), (n,), "C"),
+                   a_mat=qmat_from_json(doc.get("A"), "A"),
+                   b_mat=qmat_from_json(doc.get("B"), "B"), delta=delta,
+                   d1_bound=d1, d2_bound=d2, mu1=mu1, mu2=mu2,
+                   gamma_diag=json_numbers(doc.get("gamma"), (n,), "gamma"),
+                   delay1=delay1, delay2=delay2, external_input=drive)
 
 
 def physical_memory() -> int:

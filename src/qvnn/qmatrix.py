@@ -53,11 +53,6 @@ class QuatMatrix:
     # ---- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_components(cls, w, x, y, z) -> "QuatMatrix":
-        w, x, y, z = (np.asarray(m, dtype=float) for m in (w, x, y, z))
-        return cls(w + 1j * x, y + 1j * z)
-
-    @classmethod
     def from_real(cls, m) -> "QuatMatrix":
         m = np.asarray(m, dtype=float)
         return cls(m.astype(np.complex128), np.zeros_like(m, dtype=np.complex128))
@@ -75,10 +70,6 @@ class QuatMatrix:
     @property
     def cols(self) -> int:
         return self.a1.shape[-1]
-
-    def components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.a1.real.copy(), self.a1.imag.copy(),
-                self.a2.real.copy(), self.a2.imag.copy())
 
     def max_abs(self) -> float:
         if self.a1.size == 0:
@@ -233,28 +224,40 @@ def qv_embed(v: np.ndarray) -> np.ndarray:
 # ---- JSON text format ------------------------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer: not a float, a string or a bool."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray | float:
+    """``value``, a JSON number or nested lists of them, as a float array of
+    exactly ``shape`` (a float for shape ()); anything else is refused."""
+    cells = np.array(value, dtype=object)
+    if cells.shape != shape or not {type(v) for v in cells.flat} <= {int, float}:
+        kind = f"JSON numbers of shape {shape}" if shape else "a JSON number"
+        raise InputError(f"{what} must be {kind}")
+    values = cells.astype(float)
+    return values if shape else values.item()
+
+
 def qmat_to_json(m: QuatMatrix) -> dict:
     """Row-major {"rows", "cols", "entries": [[w, x, y, z], ...]} payload."""
-    w, x, y, z = m.components()
-    entries = [[float(w[r, c]), float(x[r, c]), float(y[r, c]), float(z[r, c])]
-               for r in range(m.rows) for c in range(m.cols)]
-    return {"rows": m.rows, "cols": m.cols, "entries": entries}
+    entries = np.stack([m.a1.real, m.a1.imag, m.a2.real, m.a2.imag], -1)
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": entries.reshape(-1, 4).tolist()}
 
 
-def qmat_from_json(payload: dict) -> QuatMatrix:
-    try:
-        rows = int(payload["rows"])
-        cols = int(payload["cols"])
-        entries = payload["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed quaternion matrix payload: {exc}") from None
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
-        raise InputError(f"expected {rows * cols} entries, got {len(entries)}")
-    comp = np.empty((rows * cols, 4))
-    for idx, ent in enumerate(entries):
-        if len(ent) != 4:
-            raise InputError(f"entry {idx} does not have 4 components")
-        comp[idx] = [float(c) for c in ent]
-    comp = comp.reshape(rows, cols, 4)
-    return QuatMatrix.from_components(comp[:, :, 0], comp[:, :, 1],
-                                      comp[:, :, 2], comp[:, :, 3])
+def qmat_from_json(payload: dict, what: str = "quaternion matrix") -> QuatMatrix:
+    """The matrix of a ``qmat_to_json`` payload, named ``what`` if refused."""
+    if not isinstance(payload, dict):
+        raise InputError(f"{what} must be a JSON object")
+    rows = json_int(payload.get("rows"), f"{what} rows")
+    cols = json_int(payload.get("cols"), f"{what} cols")
+    if rows < 1 or cols < 1:
+        raise InputError(f"{what} must have at least one row and one column")
+    comp = json_numbers(payload.get("entries"), (rows * cols, 4),
+                        f"{what} entries").reshape(rows, cols, 4)
+    return QuatMatrix(comp[..., 0] + 1j * comp[..., 1],
+                      comp[..., 2] + 1j * comp[..., 3])

@@ -86,8 +86,7 @@ def order_fixture_model():
     from qvnn.qmatrix import QuatMatrix
 
     def scalar(w, x, y, z):
-        return QuatMatrix.from_components(
-            np.array([[w]]), np.array([[x]]), np.array([[y]]), np.array([[z]]))
+        return QuatMatrix(np.array([[w + 1j * x]]), np.array([[y + 1j * z]]))
 
     return NetworkModel(
         n=1, c_diag=np.array([3.0]),

@@ -153,7 +153,7 @@ def from_entries(entries) -> QuatMatrix:
             raise InputError("ragged entry rows")
         for c in range(cols):
             comp[:, r, c] = entries[r][c].components()
-    return QuatMatrix.from_components(*comp)
+    return QuatMatrix(comp[0] + 1j * comp[1], comp[2] + 1j * comp[3])
 
 
 def quat_zeros(rows: int, cols: int | None = None) -> QuatMatrix:
@@ -203,7 +203,7 @@ def random_quat_matrix(rng: np.random.Generator, rows: int, cols: int | None = N
                        scale: float = 1.0) -> QuatMatrix:
     cols = rows if cols is None else cols
     comps = rng.standard_normal((4, rows, cols)) * scale
-    return QuatMatrix.from_components(*comps)
+    return QuatMatrix(comps[0] + 1j * comps[1], comps[2] + 1j * comps[3])
 
 
 def random_hermitian(rng: np.random.Generator, n: int,

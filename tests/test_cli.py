@@ -158,6 +158,51 @@ def test_certify_refuses_a_ragged_vector(tmp_path, capsys, stable_example_path,
     assert "input error" in err and key in err
 
 
+def _set_a_rows(doc, value):
+    doc["A"]["rows"] = value
+
+
+def _set_a_component(doc, value):
+    doc["A"]["entries"][0][1] = value
+
+
+def _set_d1_amplitude(doc, value):
+    doc["delay_functions"]["d1"]["amplitude"] = value
+
+
+# each value is refused where the old readers took float() or int() of it
+MISTYPED_CONFIG_FIELDS = {
+    "delta string": lambda doc: doc.update(delta="0.03"),
+    "delta bool": lambda doc: doc.update(delta=True),
+    "C string": lambda doc: doc.update(C=["8", 12]),
+    "gamma bool": lambda doc: doc.update(gamma=[True, 0.2]),
+    "A rows fraction": lambda doc: _set_a_rows(doc, 2.9),
+    "A rows string": lambda doc: _set_a_rows(doc, "2"),
+    "A entry string": lambda doc: _set_a_component(doc, "0.15"),
+    "d1 amplitude string": lambda doc: _set_d1_amplitude(doc, "0.45"),
+    "delay_functions list": lambda doc: doc.update(delay_functions=["d1"]),
+    "delay_functions string": lambda doc: doc.update(delay_functions="d1"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MISTYPED_CONFIG_FIELDS))
+def test_a_config_value_of_the_wrong_json_type_is_refused(
+        tmp_path, capsys, monkeypatch, stable_example_path, site):
+    # a number is a JSON number, rows and cols JSON integers, and
+    # delay_functions a JSON object: nothing is converted on the way in
+    def no_work(*args, **kwargs):
+        raise AssertionError("a mistyped config reached the solver")
+
+    monkeypatch.setattr(qvnn.cli, "_certify_model", no_work)
+    doc = json.loads(stable_example_path.read_text())
+    MISTYPED_CONFIG_FIELDS[site](doc)
+    config = tmp_path / "mistyped.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "certify", str(config))
+    assert code == 2
+    assert "input error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["certify", "simulate"])
 def test_an_unclamped_delay_is_refused_at_load(tmp_path, capsys,
                                                stable_example_path, command):
@@ -658,6 +703,31 @@ def test_margin_bisects_the_leak_delay(capsys, stable_example_path):
     assert statuses[0.2] == "infeasible_at_tolerance"
 
 
+def test_margin_pins_a_waveform_below_its_bound(capsys, stable_example_path):
+    # d1's sinusoid peaks at 0.7; each probe pins it to the constant at the
+    # probed bound, so a bound below the peak is a valid config too
+    code, out, _ = run_cli(capsys, "margin", str(stable_example_path),
+                           "--param", "d1", "--bracket", "0.3,30",
+                           "--tol", "0.05", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert 0.7 <= report["feasible_up_to"] < report["infeasible_from"]
+    assert report["bracket_width"] <= 0.05
+
+
+def test_margin_reports_a_solver_breakdown_with_exit_3(capsys, monkeypatch,
+                                                       stable_example_path):
+    def broken(*args, **kwargs):
+        raise NumericalError("the Schur complement is singular")
+
+    monkeypatch.setattr(qvnn.sdp, "_iterate_once", broken)
+    code, out, err = run_cli(capsys, "margin", str(stable_example_path),
+                             "--param", "delta", "--bracket", "0.01,0.1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: solver failed at delta=0.01")
+
+
 def test_margin_requires_a_sign_change(capsys, stable_example_path):
     code, out, _ = run_cli(capsys, "margin", str(stable_example_path),
                            "--param", "delta", "--bracket", "0.01,0.03",
@@ -917,6 +987,60 @@ def test_simulate_refuses_a_certificate_with_misshapen_matrices(
     assert code == 2
     assert "certificate field" in err
     assert not (tmp_path / "o" / "summary.csv").exists()
+
+
+def _stable_certificate(stable_solution, stable_example_path):
+    """The certificate ``certify --out`` writes for the stable example."""
+    result, dv = stable_solution
+    _, doc = load_model(str(stable_example_path))
+    return {"margin": result.margin, "margin_tolerance": 1e-6,
+            "config_hash": config_hash(doc), "n": 2,
+            "variables": json.loads(json.dumps(dv.to_json()))}
+
+
+def _set_p1_rows(cert_doc, value):
+    cert_doc["variables"]["p1"]["rows"] = value
+
+
+def _stringify_m1(cert_doc):
+    m1 = cert_doc["variables"]["m1"]
+    m1[0] = repr(m1[0])
+
+
+# each certificate is refused at load, before anything is integrated
+REFUSED_CERTIFICATES = {
+    "n float": (lambda c: c.update(n=2.0), "must be a JSON integer"),
+    "m1 string": (_stringify_m1, "certificate field m1 must be JSON numbers"),
+    "p1 rows fraction": (lambda c: _set_p1_rows(c, 2.5),
+                         "certificate field p1 rows must be a JSON integer"),
+    "no variables": (lambda c: c.pop("variables"), "has no variables"),
+    "zero margin": (lambda c: c.update(margin=0.0), "has no positive margin"),
+    "negative margin": (lambda c: c.update(margin=-1e-5),
+                        "has no positive margin"),
+    "string margin": (lambda c: c.update(margin="1e-5"),
+                      "margin must be a JSON number"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(REFUSED_CERTIFICATES))
+def test_simulate_refuses_a_certificate_of_the_wrong_json_type(
+        tmp_path, capsys, monkeypatch, stable_example_path, stable_solution,
+        tamper):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused certificate reached the integrator")
+
+    monkeypatch.setattr(qvnn.cli, "integrate", no_work)
+    cert_doc = _stable_certificate(stable_solution, stable_example_path)
+    edit, message = REFUSED_CERTIFICATES[tamper]
+    edit(cert_doc)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(cert_doc))
+    code, _, err = run_cli(capsys, "simulate", str(stable_example_path),
+                           "--seeds", "1", "--lkf", str(cert),
+                           "--out-dir", str(tmp_path / "o"))
+    assert code == 2
+    assert "input error" in err and message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_certify_json_reports_the_solver_run_record(capsys, stable_example_path,

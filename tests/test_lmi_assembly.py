@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qvnn.lmi
 from oracles import (
     assemble_omega,
     derivation_omega,
@@ -247,6 +248,31 @@ def test_constraint_list_covers_all_families():
         "coupling_r1_u", "coupling_r2_v", "omega", "p1_pd", "p2_pd",
         "q1_pd", "q2_pd", "q3_pd", "q4_pd", "q5_pd", "q6_pd", "r2_pd",
         "m1_pos", "m2_pos", "m3_pos"]
+
+
+def test_negating_omega_leaves_a_block_that_aliases_a_variable_alone(
+        monkeypatch):
+    # -Omega is formed block by block; a block that is a decision matrix
+    # itself must not flip that matrix for every other constraint
+    rng = np.random.default_rng(36)
+    model = random_model(rng, 2)
+    dv = random_decision_vars(rng, 2)
+    r2 = dv.r2.a1.copy(), dv.r2.a2.copy()
+    authored = qvnn.lmi.omega_upper_blocks
+
+    def r2_at_6_7(model, dv):
+        blocks = authored(model, dv)
+        blocks[6, 7] = dv.r2
+        return blocks
+
+    monkeypatch.setattr(qvnn.lmi, "omega_upper_blocks", r2_at_6_7)
+    cons = {c.name: c for c in quat_constraints(model, dv)}
+    for part, before in zip((dv.r2.a1, dv.r2.a2), r2):
+        np.testing.assert_array_equal(part, before)
+    np.testing.assert_array_equal(cons["omega"].blocks[6, 7].a1, -r2[0])
+    np.testing.assert_array_equal(cons["omega"].blocks[6, 7].a2, -r2[1])
+    np.testing.assert_array_equal(cons["coupling_r2_v"].matrix.a1[:2, :2],
+                                  r2[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -141,6 +141,14 @@ def test_model_from_json_rejects_missing_fields():
         NetworkModel.from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_model_from_json_refuses_a_count_below_one(stable_example_path, n):
+    # refused by its own rule, before the shapes of C and gamma are read
+    doc = json.loads(stable_example_path.read_text())
+    with pytest.raises(InputError, match="n must be positive"):
+        NetworkModel.from_json(dict(doc, n=n))
+
+
 # ---- config hash and loading ---------------------------------------------------
 
 

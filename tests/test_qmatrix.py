@@ -45,12 +45,11 @@ seeds = st.integers(min_value=0, max_value=10_000)
 def test_component_round_trip():
     rng = np.random.default_rng(0)
     w, x, y, z = rng.normal(size=(4, 3, 2))
-    m = QuatMatrix.from_components(w, x, y, z)
-    rw, rx, ry, rz = m.components()
-    np.testing.assert_allclose(rw, w)
-    np.testing.assert_allclose(rx, x)
-    np.testing.assert_allclose(ry, y)
-    np.testing.assert_allclose(rz, z)
+    m = QuatMatrix(w + 1j * x, y + 1j * z)
+    np.testing.assert_allclose(m.a1.real, w)
+    np.testing.assert_allclose(m.a1.imag, x)
+    np.testing.assert_allclose(m.a2.real, y)
+    np.testing.assert_allclose(m.a2.imag, z)
 
 
 def test_entries_round_trip():

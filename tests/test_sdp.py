@@ -450,6 +450,24 @@ def test_a_breakdown_ends_the_run_at_the_last_iterate(monkeypatch, completed):
     assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-12
 
 
+def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run():
+    # near the gap target rounding leaves M indefinite on this model: a
+    # Cholesky factor of M stopped the run at gap 1.4e-8 after 17 iterations
+    result, _ = certified_solve(shrunk_random_model(3, 0.05, 0))
+    assert result.failure_cause is None
+    assert result.gap <= 1e-8
+
+
+def test_a_singular_schur_complement_is_a_numerical_failure(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(qvnn.sdp.np.linalg, "solve", singular)
+    result = solve_feasibility(interval_toy())
+    assert result.status == "numerical_failure"
+    assert result.failure_cause == "the Schur complement is singular"
+
+
 def test_the_iteration_cap_ends_the_run():
     result = solve_feasibility(interval_toy(), SolverConfig(max_outer_iters=2))
     assert result.iterations == len(result.trace) == 2

@@ -291,6 +291,14 @@ def test_batched_stable_members_match_serial(stable_model):
     assert all(t.diverged_at is None for t in trajs)
 
 
+@pytest.mark.parametrize("delta", [0.0, 4e-4])
+def test_a_leak_delay_within_one_step_matches_serial(stable_model, delta):
+    # the leak lookup then reads the stage state itself, in part or whole
+    model = dataclasses.replace(stable_model, delta=delta)
+    assert_matches_serial(model, seeded_starts(2, range(2)), horizon=2.0,
+                          step=1e-3)
+
+
 def test_divergent_members_do_not_stop_the_others():
     # c * delta = 3 > pi/2: the leak alone is unstable, so every nonzero orbit
     # grows, and only the large starts pass the limit within the horizon
