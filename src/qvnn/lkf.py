@@ -38,13 +38,14 @@ that weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .lmi import DecisionVars
-from .qmatrix import HermitianQuatMatrix, qv_embed
+from .qmatrix import qv_embed
 from .simulate import Trajectory, activation
 
 _EDGE = 1e-9
@@ -177,21 +178,36 @@ class LyapunovTrace:
         return float(np.max(diffs)) if len(diffs) else 0.0
 
 
-def _batched_form(matrix: HermitianQuatMatrix, states: np.ndarray) -> np.ndarray:
-    chi = matrix.complex_embed()
+def _batched_form(chi: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """x^* M x at each state, from the complex embedding ``chi`` of M: the
+    real part of e^H (chi e) for the embedding e of x, summed over the real
+    and imaginary parts of both, so that no conjugate or three-operand
+    product is formed."""
     emb = qv_embed(states)
-    return np.einsum("ni,ij,nj->n", np.conj(emb), chi, emb).real
+    return np.einsum("ni,ni->n", emb.view(float), (emb @ chi.T).view(float))
 
 
 def lkf_trace(traj: Trajectory, dv: DecisionVars,
               stride: int = 10) -> LyapunovTrace:
-    """The functional of ``dv`` at every ``stride``-th node of ``traj``."""
+    """The functional of ``dv`` at every ``stride``-th node of ``traj``.
+
+    The functional is linear in the certificate's matrices. It is traced
+    with them divided by the power of two at their largest entry, which is
+    exact, and scaled back at the end, so that a certificate near the top
+    of the float range gives its functional wherever that is finite.
+    """
     if stride < 1:
         raise InputError("stride must be at least 1")
     model = traj.model
     if dv.n != model.n:
         raise InputError(f"certificate is for n = {dv.n}, the model has "
                          f"n = {model.n}")
+    chis = {name: getattr(dv, name).complex_embed() for name in
+            ("p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "q6", "r1", "r2")}
+    largest = max(float(np.max(np.abs(chi))) for chi in chis.values())
+    # 2^(e - 1) <= largest < 2^e; any power of two for 0, inf or nan
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    chis = {name: chi / scale for name, chi in chis.items()}
     # the grid reaches back over the lookback window, where x is the start;
     # Simpson panels that straddle t = 0 read these nodes too
     step = traj.step
@@ -201,11 +217,11 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
     f_states = (activation((states + traj.rest).reshape(-1, model.n),
                            model.gamma_diag).reshape(states.shape)
                 - activation(traj.rest, model.gamma_diag))
-    x_forms = {name: _batched_form(getattr(dv, name), states)
+    x_forms = {name: _batched_form(chis[name], states)
                for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
-    f_forms = {name: _batched_form(getattr(dv, name), f_states)
+    f_forms = {name: _batched_form(chis[name], f_states)
                for name in ("q2", "q4")}
-    r_forms = {name: _batched_form(getattr(dv, name), traj.derivs)
+    r_forms = {name: _batched_form(chis[name], traj.derivs)
                for name in ("r1", "r2")}
 
     t = traj.times[::stride]
@@ -215,7 +231,7 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
     dt = d1t + model.delay2(t)
 
     ix = window_quad(grid, states, t - delta, t)
-    v1 = _batched_form(dv.p1, traj.values[::stride] - model.c_diag * ix)
+    v1 = _batched_form(chis["p1"], traj.values[::stride] - model.c_diag * ix)
 
     v2 = window_quad(grid, x_forms["p2"], t - delta, t)
     v2 += delta * window_quad(grid, x_forms["p3"], t - delta, t,
@@ -240,4 +256,5 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
     if d2b > 0:
         v4 += d2b * deriv_quad("r2", db, d1b, weighted=True)
         v4 += d2b * d2b * deriv_quad("r2", d1b, 0.0, weighted=False)
-    return LyapunovTrace(times=t, v1=v1, v2=v2, v3=v3, v4=v4)
+    return LyapunovTrace(times=t, v1=scale * v1, v2=scale * v2,
+                         v3=scale * v3, v4=scale * v4)

@@ -22,7 +22,12 @@ degradation.
 
 ``integrate`` advances any number of members together in one loop, on a
 (members, 4n) real state. Each member starts from a constant initial state
-and has its own divergence time; the others go on without it.
+and has its own divergence time; the others go on without it. Under the
+method of steps, a delayed term that reads only committed nodes is known
+before a step starts: the loop runs in waves of steps whose delayed terms
+are all known when the wave starts, evaluates those terms for the whole
+wave at once, and folds them into the RK4 tableau, so that a stage is one
+tanh and one product with A.
 
 A trajectory is one grid from t = 0 whose first node is the start; x(u) is
 that node for every u < 0.
@@ -171,37 +176,56 @@ def _lookup_stencils(model: NetworkModel, times: np.ndarray,
 
 
 def _step_tables(model: NetworkModel, ks: np.ndarray, step: float):
-    """The delayed lookups of steps ``ks``, as one gather and one product
-    per step.
+    """The delayed lookups of steps ``ks``.
 
     Step k evaluates the right-hand side at two stage times, t_k + h/2 (the
     two middle stages) and t_k + h (the end stage, then the derivative at
     the new node with the new value as stage state), each with nodes 0..k
     committed, so no lookup reads a node past k. Its four lookups, leak at
-    both times then transmission at both times, read four flat buffer rows
-    each (see ``_lookup_stencils``).
+    both times then transmission at both times, each weigh four consecutive
+    flat buffer rows: [value, derivative] of nodes r and r + 1, from row
+    2 r (see ``_lookup_stencils``).
 
-    Returns, per step: the 16 buffer rows, the (4, 16) block weights that
-    turn them into the stored parts of the four lookups, the stage weights
-    (2 times, 2 lookups), and how many of the step's eight evaluated
-    lookups are linear blends.
+    Returns, per step: the (4, 4) buffer rows of the four lookups, their
+    (4, 4) weights, the stage weights (2 times, 2 lookups), and how many of
+    the step's eight evaluated lookups are linear blends.
     """
     t = ks * step
     rows, weights, stage, blend = _lookup_stencils(
         model, np.stack([t + step / 2.0, t + step], 1),
         np.stack([ks, ks], 1), step)
     count = len(ks)
-    rows = rows.transpose(0, 2, 1).reshape(count, 4, 1) + np.arange(4)
-    block = np.zeros((count, 4, 4, 4))
-    diag = np.arange(4)
-    block[:, diag, diag] = weights.transpose(0, 2, 1, 3).reshape(count, 4, 4)
-    return (rows.reshape(count, 16), block.reshape(count, 4, 16), stage,
+    return (rows.transpose(0, 2, 1).reshape(count, 4, 1) + np.arange(4),
+            weights.transpose(0, 2, 1, 3).reshape(count, 4, 4), stage,
             2 * blend.sum(axis=(1, 2)))
+
+
+def _waves(ks: np.ndarray, rows: np.ndarray, weights: np.ndarray,
+           longest: int) -> list[int]:
+    """The waves of the steps ``ks``, from their ``_step_tables`` rows and
+    weights: maximal runs of at most ``longest`` steps whose stored lookup
+    parts weigh only nodes committed when the run starts, nodes 0..k for a
+    run from step k. Returns the bounds, as indices into ``ks`` from 0 to
+    ``len(ks)``.
+
+    Step k reads no node past k, so the running maximum of the last node
+    each step reads passes the first node of a wave only after that wave.
+    """
+    read = np.where(weights != 0.0, rows, 0).max(axis=(1, 2)) // 2
+    reach = np.maximum.accumulate(read)
+    bounds = [0]
+    while bounds[-1] < len(ks):
+        bounds.append(min(bounds[-1] + longest, int(
+            np.count_nonzero(reach <= ks[bounds[-1]]))))
+    return bounds
 
 
 # Steps per stencil table: small enough that the tables and their
 # temporaries add no memory next to the trajectories themselves.
 _CHUNK_STEPS = 128
+# Floats per wave buffer, which bounds the length of a wave: the two
+# buffers take at most 128 KiB whatever the number of members
+_WAVE_FLOATS = 8192
 
 
 def require_node_memory(model: NetworkModel, members: int, horizon: float,
@@ -234,16 +258,24 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     members go on; the loop ends at the horizon or when every member has
     diverged.
 
-    Delay lookups do not depend on the state, so they are precomputed per
-    chunk of steps (see ``_step_tables``): a step reads the stored parts of
-    all its lookups with one gather of committed buffer rows and one
-    product. A right-hand side is then one tanh and one product on the
-    (members, 4n) real state, tanh([y | x_d]) @ [A; B] - C x_leak, with the
-    gains folded into A and B; a driven network takes tanh([y | x_d] + rest)
-    - tanh(rest) per component before the product.
-    Each stage state, and the new value, is one row of the RK4 tableau
-    times [y, k1, k2, k3, k4]. A grid that ``require_node_memory`` refuses
-    is refused before anything is allocated.
+    Where a delay lookup reads does not depend on the state, so the lookups
+    are precomputed per chunk of steps (see ``_step_tables``), and the chunk
+    is split into waves (see ``_waves``): runs of steps whose stored lookup
+    parts read only nodes committed when the run starts, no longer than the
+    wave buffers hold (``_WAVE_FLOATS``). For all steps of a wave at once,
+    the state-independent part of each right-hand side at both stage
+    times, c = f(x_d) B - C x_leak, is summed from the committed buffer
+    rows. A stage of a step is then one row of the RK4 tableau on
+    [y, k1, a2, a3, a4, c_mid, c_end], one tanh and one product with A on
+    the (members, 4n) real state, a_j = tanh(stage state) @ A, with the
+    gains folded into A and B; the derivative at the new node is
+    tanh(y_next) @ A + c_end. A step with a stage weight, whose delay lies
+    inside it, evaluates tanh([y | x_d + g y]) @ [A; B] - C x_leak whole
+    instead, with the c terms 0. A driven network takes tanh(v + rest) -
+    tanh(rest) per component before each product. Once a wave is done, its
+    new values are screened for divergence together, and each member's
+    first crossing among them is kept. A grid that ``require_node_memory``
+    refuses is refused before anything is allocated.
     """
     n, members = model.n, len(starts)
     dim = 4 * n
@@ -269,57 +301,78 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     leak = _per_component(model.c_diag)
     ab = np.vstack([_real_operator(model.a_mat, model.gamma_diag),
                     _real_operator(model.b_mat, model.gamma_diag)])
+    a_op, b_op = ab[:dim], ab[dim:]
     shift = None
     rest = np.zeros((2, n), dtype=complex)
     if model.external_input is not None and np.any(model.external_input):
-        # deviation coordinates: the input cancels, and on both halves of
-        # [y | x_d] f(v) = act(v + y_eq) - act(y_eq), taken per component
-        # before the product: -C v is never rounded away against the input
+        # deviation coordinates: the input cancels, and f(v) = act(v + y_eq)
+        # - act(y_eq), taken per component before any product: -C v is
+        # never rounded away against the input
         rest = find_equilibrium(model)
-        shift = np.tile(_real_form(rest), 2)
+        shift = _real_form(rest)
         rest_act = np.tanh(shift)
 
-    # work arrays, written in place every step: [y | x_d] per member and its
-    # activation; the stored parts of the four lookups, leak at both stage
-    # times then transmission at both; leak * the stored leak parts;
-    # a stage state; and [y, k1, k2, k3, k4], whose k2..k4 enter the first
-    # step's stage states with weight 0 before it writes them, so they start
-    # at 0 (0 * nan is nan)
+    def activate(values, out):
+        """f of ``values`` (trailing axis of 4n) into ``out``, the gains
+        being folded into A and B."""
+        if shift is None:
+            np.tanh(values, out=out)
+        else:
+            np.add(values, shift, out=out)
+            np.tanh(out, out=out)
+            out -= rest_act
+
+    # work arrays, written in place: [y | x_d] per member and its activation;
+    # a stage state and its activation; and the RK4 terms [y, k1, a2, a3,
+    # a4, c_mid, c_end], where a_j is tanh(stage state) A, or the whole k_j
+    # on a step with stage weights, which then sets the c terms to 0. a2..a4
+    # enter the first step's stage states with weight 0 before it writes
+    # them, so they start at 0 (0 * nan is nan)
     z = np.empty((members, 2, dim))
     z_flat, z_stage, z_delayed = z.reshape(members, 2 * dim), z[:, 0], z[:, 1]
-    act = np.empty_like(z_flat)
-    stored = np.empty((4, members * dim))
-    leak_part, delayed = stored.reshape(2, 2, members, dim)
-    base = np.empty((2, members, dim))
+    act = np.empty_like(z)
+    act_flat = act.reshape(members, 2 * dim)
     state = np.empty((members, dim))
     state_flat = state.reshape(-1)
-    terms = np.zeros((5, members * dim))
-    k_later = terms[2:].reshape(3, members, dim)
-    # the RK4 tableau on [y, k1, k2, k3, k4]: the stage states of k2, k3
-    # and k4, then the new value
-    tableau = np.array([[1.0, step / 2.0, 0.0, 0.0, 0.0],
-                        [1.0, 0.0, step / 2.0, 0.0, 0.0],
-                        [1.0, 0.0, 0.0, step, 0.0],
-                        [1.0, step / 6.0, step / 3.0, step / 3.0, step / 6.0]])
+    act_state = np.empty_like(state)
+    # per step of a wave: ``parts``, the stored parts of its four lookups
+    # (the leak parts become leak * them), and ``work``, first its gathered
+    # buffer rows, then f of its two stored transmission parts and
+    # c = f(x_d) B - leak x_leak at both stage times
+    longest = max(1, min(_CHUNK_STEPS,
+                         _WAVE_FLOATS // (4 * dim * max(members, 1))))
+    parts = np.empty((longest, 2, 2, members, dim))
+    work = np.empty_like(parts)
+    parts_rows = parts.reshape(longest, 4, members * dim)
+    work_rows = work.reshape(longest, 4, members * dim)
+    terms = np.zeros((7, members * dim))
+    k_later = terms[2:5].reshape(3, members, dim)
+    # the RK4 tableau on the terms: the stage states of k2, k3 and k4, then
+    # the new value; k_j = a_j + c at its stage time
+    h = step
+    tableau = np.array([
+        [1.0, h / 2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, h / 2.0, 0.0, 0.0, h / 2.0, 0.0],
+        [1.0, 0.0, 0.0, h, 0.0, h, 0.0],
+        [1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0, 2.0 * h / 3.0, h / 6.0]])
 
-    def rhs(y, x_d, base_at, weights, out):
+    def rhs(y, x_d, base_at, g, out):
         """f([y | x_d]) @ [A; B] - leak x_leak at stage state y, into
-        ``out``: ``base_at`` is leak * the stored part of x_leak, and
-        ``weights`` are the two lookups' stage weights."""
-        g_leak, g_d = weights
+        ``out``: ``base_at`` is leak * the stored part of x_leak, and ``g``
+        holds the two lookups' stage weights."""
+        g_leak, g_d = g
         z_stage[...] = y
         z_delayed[...] = x_d + g_d * y if g_d else x_d
-        np.tanh(z_flat if shift is None else z_flat + shift, out=act)
-        if shift is not None:
-            np.subtract(act, rest_act, out=act)
-        np.dot(act, ab, out=out)
+        activate(z, act)
+        np.dot(act_flat, ab, out=out)
         out -= base_at
         if g_leak:
             out -= (g_leak * leak) * y
 
-    # while the sum of squares of the whole state stays below limit^2 / 2,
-    # every complex modulus stays below the limit, with room for rounding;
-    # only a step that fails this one reduction checks each member's moduli
+    # while the sum of squares of a wave's new values stays below
+    # limit^2 / 2, every complex modulus stays below the limit, with room
+    # for rounding; only a wave that fails this one reduction checks each
+    # member's moduli at each of its nodes
     screen = (0.5 * divergence_limit * divergence_limit
               if divergence_limit > 0.0 else -math.inf)
     alive = np.ones(members, dtype=bool)
@@ -333,31 +386,69 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         rhs(start_values, start_values, leak * start_values, (0.0, 0.0),
             nodes[0, 1])
         for k0 in range(0, steps, _CHUNK_STEPS):
-            if not alive.any():
-                break
             ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
-            rows, blocks, stage, blend = _step_tables(model, ks, step)
+            rows, weights, stage, blend = _step_tables(model, ks, step)
             blends.append(blend)
-            for i, (k, weights) in enumerate(zip(ks.tolist(), stage.tolist())):
-                np.dot(blocks[i], flat[rows[i]], out=stored)
-                np.multiply(leak, leak_part, out=base)
-                terms[:2] = flat[2 * k:2 * k + 2]
-                for j, at in enumerate((0, 0, 1)):
-                    np.dot(tableau[j], terms, out=state_flat)
-                    rhs(state, delayed[at], base[at], weights[at], k_later[j])
-                y_next = nodes[k + 1, 0]
-                np.dot(tableau[3], terms, out=y_next.reshape(-1))
+            weighted = stage.any(axis=(1, 2)).tolist()
+            bounds = _waves(ks, rows, weights, longest)
+            for w, e in zip(bounds, bounds[1:]):
+                # every lookup part the wave stores reads committed nodes:
+                # they are summed for all its steps at once, one buffer row
+                # of each stencil at a time, and so is c at both stage times
+                count = e - w
+                parts_rows[:count] = 0.0
+                for j in range(4):
+                    np.take(flat, rows[w:e, :, j], axis=0,
+                            out=work_rows[:count], mode="clip")
+                    work_rows[:count] *= weights[w:e, :, j, None]
+                    parts_rows[:count] += work_rows[:count]
+                leak_parts, consts = parts[:count, 0], work[:count, 1]
+                leak_parts *= leak
+                activate(parts[:count, 1], work[:count, 0])
+                np.matmul(work[:count, 0], b_op, out=consts)
+                consts -= leak_parts
+                for i in range(count):
+                    k = k0 + w + i
+                    terms[:2] = flat[2 * k:2 * k + 2]
+                    if weighted[w + i]:
+                        g = stage[w + i].tolist()
+                        terms[5:] = 0.0
+                        x_d, base = parts[i, 1], parts[i, 0]
+                        for j, at in enumerate((0, 0, 1)):
+                            np.dot(tableau[j], terms, out=state_flat)
+                            rhs(state, x_d[at], base[at], g[at],
+                                k_later[j])
+                    else:
+                        terms[5:] = work_rows[i, 2:]
+                        for j in range(3):
+                            np.dot(tableau[j], terms, out=state_flat)
+                            activate(state, act_state)
+                            np.dot(act_state, a_op, out=k_later[j])
+                    y_next = nodes[k + 1, 0]
+                    np.dot(tableau[3], terms, out=y_next.reshape(-1))
+                    if weighted[w + i]:
+                        rhs(y_next, x_d[1], base[1], g[1],
+                            nodes[k + 1, 1])
+                    else:
+                        activate(y_next, act_state)
+                        np.dot(act_state, a_op, out=nodes[k + 1, 1])
+                        nodes[k + 1, 1] += consts[i, 1]
+                new = nodes[k0 + w + 1:k0 + e + 1, 0]
                 # not (<) also catches nan
-                if not np.vdot(y_next, y_next) < screen:
-                    crossed = ~(np.abs(y_next.view(complex)).max(axis=1)
-                                <= divergence_limit) & alive
-                    for s in np.flatnonzero(crossed):
+                if not np.einsum("ijk,ijk->", new, new) < screen:
+                    moduli = np.abs(pairs[k0 + w + 1:k0 + e + 1, 0])
+                    crossed = ~(moduli.max(axis=(2, 3)) <= divergence_limit)
+                    crossed &= alive
+                    # each member's first crossing in the wave
+                    for s in np.flatnonzero(crossed.any(axis=0)):
+                        k = k0 + w + int(np.flatnonzero(crossed[:, s])[0])
                         last[s] = k
                         diverged_at[s] = (k + 1) * step
-                    alive &= ~crossed
+                        alive[s] = False
                     if not alive.any():
                         break
-                rhs(y_next, delayed[1], base[1], weights[1], nodes[k + 1, 1])
+            if not alive.any():
+                break
 
     blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(

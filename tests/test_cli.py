@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -928,20 +929,54 @@ def _scaled_numbers(obj, factor: float):
 
 
 @pytest.mark.parametrize("factor", [1e307, 1e308])
-def test_simulate_refuses_a_functional_that_is_not_finite(
+def test_simulate_traces_a_certificate_near_the_float_range(
         tmp_path, capsys, stable_example_path, factor):
-    # the scaled matrices still pass the recheck at half the scaled margin,
-    # but the functional along the run overflows: no report that is not JSON,
-    # and no file
+    # the scaled certificate passes its recheck at half the scaled margin,
+    # and its functional, the factor times that of the certificate (about
+    # 2e304 and 2e305), is within the float range: it is traced, not refused
     cert = tmp_path / "cert.json"
     code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
                          "--out", str(cert))
     assert code == 0
-    cert.write_text(json.dumps(_scaled_numbers(json.loads(cert.read_text()),
-                                               factor)))
+    args = ("--seeds", "1", "--horizon", "1.5", "--lkf-stride", "1", "--json")
+    code, out, _ = run_cli(capsys, "simulate", str(stable_example_path),
+                           "--lkf", str(cert), "--out-dir",
+                           str(tmp_path / "o"), *args)
+    assert code == 0
+    plain = json.loads(out)["lkf"]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(_scaled_numbers(json.loads(cert.read_text()),
+                                              factor)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "simulate", str(stable_example_path),
+                               "--lkf", str(big), "--out-dir",
+                               str(tmp_path / "big"), *args)
+    assert code == 0
+    scaled = json.loads(out)["lkf"]
+    for key in ("v_start", "v_end"):
+        assert scaled[key] == pytest.approx(factor * plain[key], rel=1e-12)
+    assert [str(w.message) for w in seen] == []
+
+
+# the squared moduli of such an orbit overflow in its convergence metrics
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+def test_simulate_refuses_a_functional_that_is_not_finite(
+        tmp_path, capsys, stable_example_path, monkeypatch):
+    # an orbit from 1e160 times its drawn start, with no divergence limit,
+    # carries a functional near 1e318, past the float range: no report that
+    # is not JSON, and no file
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", str(stable_example_path),
+                         "--out", str(cert))
+    assert code == 0
+    monkeypatch.setattr(qvnn.cli, "integrate", lambda model, starts, *args:
+                        integrate(model, [1e160 * s for s in starts], *args,
+                                  divergence_limit=math.inf))
     code, out, err = run_cli(capsys, "simulate", str(stable_example_path),
-                             "--seeds", "1", "--lkf", str(cert), "--json",
-                             "--out-dir", str(tmp_path / "o"))
+                             "--seeds", "1", "--horizon", "0.1", "--lkf",
+                             str(cert), "--json", "--out-dir",
+                             str(tmp_path / "o"))
     assert code == 2
     assert out == ""
     assert "functional that is not finite along seed 0" in err

@@ -14,12 +14,15 @@ from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import QuatMatrix, mat_vec, qv_from_components
 from qvnn.simulate import (
+    _CHUNK_STEPS,
     _EDGE_SLACK,
+    _WAVE_FLOATS,
     Trajectory,
     _hermite_weights,
     _lookup_stencils,
     _modulus_series,
     _step_tables,
+    _waves,
     activation,
     convergence_metrics,
     find_equilibrium,
@@ -330,38 +333,110 @@ def test_clamped_delays_take_the_stage_and_blend_lookups():
     assert all(t.blended_lookups > 0 for t in trajs)
 
 
+def integrator_waves(model, members, horizon, step):
+    """The waves of ``integrate``'s steps over ``horizon`` for ``members``
+    starts, each as its steps and their ``_step_tables`` rows, weights and
+    stage weights."""
+    steps = math.ceil(horizon / step - _EDGE_SLACK)
+    longest = min(_CHUNK_STEPS, _WAVE_FLOATS // (16 * members * model.n))
+    for k0 in range(0, steps, _CHUNK_STEPS):
+        ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
+        rows, weights, stage, _ = _step_tables(model, ks, step)
+        bounds = _waves(ks, rows, weights, longest)
+        for w, e in zip(bounds, bounds[1:]):
+            yield ks[w:e], rows[w:e], weights[w:e], stage[w:e]
+
+
 def test_the_final_stage_reads_only_committed_nodes():
-    # d1 = max(0.3 sin 4t, 0) falls through (0, h) at the grid time 0.78,
-    # where the derivative at the new node is evaluated; the small start
-    # keeps tanh linear, so what that lookup reads shows in the orbit
-    model = scalar_model(
+    # two clamped delays fall through (0, h) at a grid time, where the
+    # derivative at the new node is evaluated; the small start keeps tanh
+    # linear, so what the lookups read shows in the orbit. The first,
+    # d1 = max(0.3 sin 4t, 0), does so at 0.78. The second, a leak delay of
+    # 1.5 and d1 + d2 = max(3 sin t, 0) + max(0.03 sin 2t, 0), first reaches
+    # past a chunk of steps, so that a wave is a whole chunk; then it drops
+    # to 0 at pi and d2 rises slowly through (0, 2h), so that waves of one
+    # step, and stage-weighted steps that start a wave, occur
+    short = scalar_model(
         delta=0.1, d1_bound=0.3, d2_bound=0.0, mu1=1.2,
         delay1=DelaySpec(amplitude=0.3, omega=4.0),
         delay2=DelaySpec(offset=0.0))
-    step, horizon = 0.01, 2.0
-    ks = np.arange(round(horizon / step))
-    grid_delay = model.delay1((ks + 1) * step)
-    assert np.any((grid_delay > 0.0) & (grid_delay < step))
+    long = scalar_model(
+        c_diag=np.array([0.5]), delta=1.5, d1_bound=3.0, d2_bound=0.03,
+        mu1=3.0, mu2=0.06, delay1=DelaySpec(amplitude=3.0),
+        delay2=DelaySpec(amplitude=0.03, omega=2.0))
+    step = 0.01
+    for model, horizon in ((short, 2.0), (long, 3.6)):
+        ks = np.arange(round(horizon / step))
+        grid_times = (ks + 1) * step
+        grid_delay = model.delay1(grid_times) + model.delay2(grid_times)
+        assert np.any((grid_delay > 0.0) & (grid_delay < step))
 
-    # no lookup of step k weighs a buffer row past 2k + 1, the derivative
-    # at node k
-    rows, blocks, _, _ = _step_tables(model, ks, step)
-    weighed = np.where(blocks != 0.0, rows[:, None, :], -1)
-    assert np.all(weighed.max(axis=(1, 2)) <= 2 * ks + 1)
+        # no lookup of step k weighs a buffer row past 2k + 1, the
+        # derivative at node k
+        rows, weights, _, _ = _step_tables(model, ks, step)
+        weighed = np.where(weights != 0.0, rows, -1)
+        assert np.all(weighed.max(axis=(1, 2)) <= 2 * ks + 1)
 
-    starts = [0.05 * s for s in seeded_starts(1, range(2))]
-    trajs = assert_matches_serial(model, starts, horizon, step)
+        # a wave's stored parts, summed when it starts at step k, weigh no
+        # buffer row past 2k + 1 either
+        lengths, weighted_first = [], False
+        for wave, wave_rows, wave_weights, stage in integrator_waves(
+                model, 2, horizon, step):
+            weighed = np.where(wave_weights != 0.0, wave_rows, -1)
+            assert weighed.max() <= 2 * wave[0] + 1
+            lengths.append(len(wave))
+            weighted_first |= bool(stage[0].any())
 
-    # each stage time serves two evaluations; the end time's two are the
-    # end stage and the derivative at the new node
-    t = ks[:, None] * step
-    times = t + np.array([step / 2.0, step])
-    lookups = np.stack([times - model.delta,
-                        times - model.delay1(times) - model.delay2(times)])
-    blend = ((lookups > t + _EDGE_SLACK)
-             & (np.abs(lookups - times) > _EDGE_SLACK))
-    assert blend[:, :, 1].sum() > 0
-    assert all(traj.blended_lookups == 2 * blend.sum() for traj in trajs)
+        starts = [0.05 * s for s in seeded_starts(1, range(2))]
+        trajs = assert_matches_serial(model, starts, horizon, step)
+
+        # each stage time serves two evaluations; the end time's two are
+        # the end stage and the derivative at the new node
+        t = ks[:, None] * step
+        times = t + np.array([step / 2.0, step])
+        lookups = np.stack([times - model.delta,
+                            times - model.delay1(times) - model.delay2(times)])
+        blend = ((lookups > t + _EDGE_SLACK)
+                 & (np.abs(lookups - times) > _EDGE_SLACK))
+        assert blend[:, :, 1].sum() > 0
+        assert all(traj.blended_lookups == 2 * blend.sum() for traj in trajs)
+    assert {1, _CHUNK_STEPS} <= set(lengths)
+    assert weighted_first
+
+
+def test_members_crossing_within_one_wave_stop_at_their_serial_times():
+    # the unstable leak of test_divergent_members_do_not_stop_the_others:
+    # these starts cross the limit at the last, a middle and the first step
+    # of one wave, whose new values are screened together once it is done
+    model = scalar_model(c_diag=np.array([3.0]), delta=1.0)
+    step, horizon, limit = 0.02, 10.0, 50.0
+
+    def run(amplitudes):
+        waves = [(int(wave[0]), int(wave[-1])) for wave, *_ in
+                 integrator_waves(model, len(amplitudes), horizon, step)]
+        starts = [np.array([[a + 0.3j * a], [0.2 * a + 0j]])
+                  for a in amplitudes]
+        trajs = assert_matches_serial(model, starts, horizon, step,
+                                      divergence_limit=limit)
+        # the step whose new value crossed, and the wave it belongs to
+        crossed = [round(t.diverged_at / step) - 1 for t in trajs
+                   if t.diverged_at is not None]
+        for k, traj in zip(crossed, trajs):
+            assert len(traj.values) == k + 1
+        wave = next(w for w in waves if w[0] <= crossed[0] <= w[1])
+        assert all(wave[0] <= k <= wave[1] for k in crossed)
+        return trajs, crossed, wave
+
+    # with a member that never diverges, which runs to the horizon
+    trajs, crossed, wave = run((0.6, 0.7, 0.97, 0.0))
+    assert crossed == [wave[1], crossed[1], wave[0]]
+    assert wave[0] < crossed[1] < wave[1]
+    assert trajs[3].diverged_at is None
+    assert trajs[3].times[-1] == pytest.approx(horizon)
+    # every member diverges before the wave's last step: the loop ends with
+    # that wave, and no trajectory reports a node past its crossing
+    _, crossed, wave = run((0.7, 0.8, 0.97))
+    assert max(crossed) < wave[1]
 
 
 def test_divergence_is_judged_on_the_complex_modulus():
