@@ -26,8 +26,10 @@ and has its own divergence time; the others go on without it. Under the
 method of steps, a delayed term that reads only committed nodes is known
 before a step starts: the loop runs in waves of steps whose delayed terms
 are all known when the wave starts, evaluates those terms for the whole
-wave at once, and folds them into the RK4 tableau, so that a stage is one
-tanh and one product with A.
+wave at once, and folds them into the RK4 terms that the wave owns, so
+that a stage is one tanh and one product with A. Where the transmission
+delay is exactly 0, the delayed state is the stage state itself, and a
+stage is one tanh and one product with A + B.
 
 A trajectory is one grid from t = 0 whose first node is the start; x(u) is
 that node for every u < 0.
@@ -69,10 +71,18 @@ def activation(values: np.ndarray, gains: np.ndarray) -> np.ndarray:
 def _hermite_weights(tau, step: float) -> np.ndarray:
     """Cubic Hermite weights on [value, derivative] of a cell's two nodes,
     at fractions ``tau`` of the way through the cell (trailing axis of 4)."""
-    return np.stack([(1.0 + 2.0 * tau) * (1.0 - tau) ** 2,
-                     step * tau * (1.0 - tau) ** 2,
-                     tau * tau * (3.0 - 2.0 * tau),
-                     step * tau * tau * (tau - 1.0)], axis=-1)
+    # (1 + 2 tau)(1 - tau)^2, step tau (1 - tau)^2, tau^2 (3 - 2 tau) and
+    # step tau^2 (tau - 1), with the shared factors computed once
+    weights = np.empty(np.shape(tau) + (4,))
+    two_tau = 2.0 * tau
+    square = np.square(1.0 - tau)
+    np.multiply(1.0 + two_tau, square, out=weights[..., 0])
+    step_tau = step * tau
+    np.multiply(step_tau, square, out=weights[..., 1])
+    np.multiply(tau * tau, 3.0 - two_tau, out=weights[..., 2])
+    step_tau *= tau
+    np.multiply(step_tau, tau - 1.0, out=weights[..., 3])
+    return weights
 
 
 @dataclass
@@ -148,28 +158,33 @@ def _lookup_stencils(model: NetworkModel, times: np.ndarray,
     """
     stage_t = times[..., None]
     done = committed[..., None]
-    u = np.stack([times - model.delta,
-                  times - model.delay1(times) - model.delay2(times)], axis=-1)
     t_end = done * step
+    u = np.empty(np.shape(times) + (2,))
+    np.subtract(times, model.delta, out=u[..., 0])
+    np.subtract(times, model.delay1(times), out=u[..., 1])
+    u[..., 1] -= model.delay2(times)
     before = u < 0.0
-    in_grid = ~before & (u <= t_end + _EDGE_SLACK)
-    at_stage = ~(before | in_grid) & (np.abs(u - stage_t) <= _EDGE_SLACK)
-    blend = ~(before | in_grid | at_stage)
+    stored = u <= t_end + _EDGE_SLACK          # before t = 0 or in the grid
+    later = ~stored
+    at_stage = later & (np.abs(u - stage_t) <= _EDGE_SLACK)
+    blend = later ^ at_stage                   # later and not at the stage
 
     offset = u / step
-    cell = np.clip(np.floor(offset), 0.0, np.maximum(done - 1, 0))
+    cell = np.floor(offset)
+    np.maximum(cell, 0.0, out=cell)
+    np.minimum(cell, np.maximum(done - 1, 0), out=cell)
     weights = _hermite_weights(offset - cell, step)
 
     # lookups that read one node directly: all of node 0 before t = 0, or
     # while it is the only node (cell is 0 for both); none of the last
     # committed node at the stage time, or its linear blend with the stage
     # state inside the uncommitted step
-    whole = before | (in_grid & (done == 0))
-    direct = whole | at_stage | blend
+    first = done == 0
+    whole = before | (stored & first)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (u - t_end) / (stage_t - t_end)
-    node = np.where(at_stage | blend, done, cell.astype(int))
-    weights[direct] = 0.0
+    node = np.where(stored, cell.astype(int), done)
+    weights[later | before | first] = 0.0
     weights[..., 0] += np.where(blend, 1.0 - frac, whole)
     stage = np.where(blend, frac, at_stage.astype(float))
     return 2 * node, weights, stage, blend
@@ -190,10 +205,9 @@ def _step_tables(model: NetworkModel, ks: np.ndarray, step: float):
     (4, 4) weights, the stage weights (2 times, 2 lookups), and how many of
     the step's eight evaluated lookups are linear blends.
     """
-    t = ks * step
     rows, weights, stage, blend = _lookup_stencils(
-        model, np.stack([t + step / 2.0, t + step], 1),
-        np.stack([ks, ks], 1), step)
+        model, (ks * step)[:, None] + np.array([step / 2.0, step]),
+        ks[:, None], step)
     count = len(ks)
     return (rows.transpose(0, 2, 1).reshape(count, 4, 1) + np.arange(4),
             weights.transpose(0, 2, 1, 3).reshape(count, 4, 4), stage,
@@ -223,8 +237,8 @@ def _waves(ks: np.ndarray, rows: np.ndarray, weights: np.ndarray,
 # Steps per stencil table: small enough that the tables and their
 # temporaries add no memory next to the trajectories themselves.
 _CHUNK_STEPS = 128
-# Floats per wave buffer, which bounds the length of a wave: the two
-# buffers take at most 128 KiB whatever the number of members
+# Half the floats of the wave buffers, which bounds the length of a wave:
+# together they take at most 128 KiB whatever the number of members
 _WAVE_FLOATS = 8192
 
 
@@ -262,23 +276,33 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     are precomputed per chunk of steps (see ``_step_tables``), and the chunk
     is split into waves (see ``_waves``): runs of steps whose stored lookup
     parts read only nodes committed when the run starts, no longer than the
-    wave buffers hold (``_WAVE_FLOATS``). For all steps of a wave at once,
-    the state-independent part of each right-hand side at both stage
-    times, c = f(x_d) B - C x_leak, is summed from the committed buffer
-    rows. A stage of a step is then one row of the RK4 tableau on
-    [y, k1, a2, a3, a4, c_mid, c_end], one tanh and one product with A on
-    the (members, 4n) real state, a_j = tanh(stage state) @ A, with the
-    gains folded into A and B; the derivative at the new node is
-    tanh(y_next) @ A + c_end. A step with a stage weight, whose delay lies
-    inside it, evaluates tanh([y | x_d + g y]) @ [A; B] - C x_leak whole
-    instead, with the c terms 0. A driven network takes tanh(v + rest) -
-    tanh(rest) per component before each product. Once a wave is done, its
-    new values are screened for divergence together, and each member's
-    first crossing among them is kept. A grid that ``require_node_memory``
-    refuses is refused before anything is allocated.
+    wave buffers hold (``_WAVE_FLOATS``). A wave owns its RK4 terms: step i
+    of a wave reads the rows [c_prev, y, a1, a2, a3, a4, c_mid, c_end] from
+    row 7 i of one buffer, c_prev being the previous step's c_end, so that
+    k1 = a1 + c_prev, k2 and k3 are a2 and a3 + c_mid, and k4 = a4 + c_end.
+    When the wave starts, its c rows are filled for all its steps at once
+    with the state-independent part of the right-hand side at both stage
+    times, c = f(x_d) B - C x_leak, summed from the committed buffer rows.
+    A stage of a step is then one row of the RK4 tableau, one tanh and one
+    product with the step's operator on the (members, 4n) real state,
+    a_j = tanh(stage state) @ op, with the gains folded into A and B; the
+    step writes its new value, and a1 = tanh(y_next) @ op, into the rows of
+    the next step. The operator is A, or A + B on a step whose transmission
+    lookup reads the stage state with weight 1 at both stage times and whose
+    leak lookup is stored: its delay is 0, and its c is -C x_leak, as
+    f(0) = 0. Any other step with a stage weight evaluates
+    tanh([y | x_d + g y]) @ [A; B] - C x_leak whole instead, with its c
+    rows 0. A driven network takes tanh(v + rest) - tanh(rest) per
+    component before each product. Once a wave is done, its new values and
+    their derivatives a1 + c_prev go to the node buffer, and the values are
+    screened for divergence together: each member's first crossing among
+    them is kept. No step of a wave reads a node of that wave. A grid that
+    ``require_node_memory`` refuses is refused before anything is
+    allocated.
     """
     n, members = model.n, len(starts)
     dim = 4 * n
+    width = members * dim
     require_node_memory(model, members, horizon, step)
     # the horizon rounded up to whole steps, at least one: a grid has a cell
     steps = max(int(math.ceil(horizon / step - _EDGE_SLACK)), 1)
@@ -286,7 +310,7 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     # node buffer: [node, value or derivative, member, real component]
     nodes = np.zeros((steps + 1, 2, members, dim))
     pairs = nodes.view(complex).reshape(nodes.shape[:3] + (2, n))
-    flat = nodes.reshape(2 * len(nodes), members * dim)
+    flat = nodes.reshape(2 * len(nodes), width)
     for s, start in enumerate(starts):
         try:
             start = np.asarray(start, dtype=complex)
@@ -302,7 +326,8 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     ab = np.vstack([_real_operator(model.a_mat, model.gamma_diag),
                     _real_operator(model.b_mat, model.gamma_diag)])
     a_op, b_op = ab[:dim], ab[dim:]
-    shift = None
+    # the operator of a step whose transmission delay is 0
+    ab_sum = a_op + b_op
     rest = np.zeros((2, n), dtype=complex)
     if model.external_input is not None and np.any(model.external_input):
         # deviation coordinates: the input cancels, and f(v) = act(v + y_eq)
@@ -312,49 +337,55 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         shift = _real_form(rest)
         rest_act = np.tanh(shift)
 
-    def activate(values, out):
-        """f of ``values`` (trailing axis of 4n) into ``out``, the gains
-        being folded into A and B."""
-        if shift is None:
-            np.tanh(values, out=out)
-        else:
+        def activate(values, out):
+            """f of ``values`` (trailing axis of 4n) into ``out``, the gains
+            being folded into A and B."""
             np.add(values, shift, out=out)
             np.tanh(out, out=out)
             out -= rest_act
+    else:
+        activate = np.tanh
 
-    # work arrays, written in place: [y | x_d] per member and its activation;
-    # a stage state and its activation; and the RK4 terms [y, k1, a2, a3,
-    # a4, c_mid, c_end], where a_j is tanh(stage state) A, or the whole k_j
-    # on a step with stage weights, which then sets the c terms to 0. a2..a4
-    # enter the first step's stage states with weight 0 before it writes
-    # them, so they start at 0 (0 * nan is nan)
+    # work arrays, written in place: [y | x_d] per member and its activation,
+    # for a right-hand side evaluated whole; a stage state and its activation
     z = np.empty((members, 2, dim))
-    z_flat, z_stage, z_delayed = z.reshape(members, 2 * dim), z[:, 0], z[:, 1]
+    z_stage, z_delayed = z[:, 0], z[:, 1]
     act = np.empty_like(z)
     act_flat = act.reshape(members, 2 * dim)
     state = np.empty((members, dim))
-    state_flat = state.reshape(-1)
+    state_flat = state.reshape(width)
     act_state = np.empty_like(state)
-    # per step of a wave: ``parts``, the stored parts of its four lookups
-    # (the leak parts become leak * them), and ``work``, first its gathered
-    # buffer rows, then f of its two stored transmission parts and
-    # c = f(x_d) B - leak x_leak at both stage times
+    # the wave buffers: ``parts``, per step the stored parts of its four
+    # lookups (the leak parts become leak * them), and ``terms``, the
+    # blocks of seven rows of its steps and of the step after the wave
+    # (see above), whose first rows take each lookup's buffer rows, then
+    # f(x_d) and f(x_d) B, when the wave starts. Together they hold at most
+    # 2 _WAVE_FLOATS floats
     longest = max(1, min(_CHUNK_STEPS,
-                         _WAVE_FLOATS // (4 * dim * max(members, 1))))
-    parts = np.empty((longest, 2, 2, members, dim))
-    work = np.empty_like(parts)
-    parts_rows = parts.reshape(longest, 4, members * dim)
-    work_rows = work.reshape(longest, 4, members * dim)
-    terms = np.zeros((7, members * dim))
-    k_later = terms[2:5].reshape(3, members, dim)
-    # the RK4 tableau on the terms: the stage states of k2, k3 and k4, then
-    # the new value; k_j = a_j + c at its stage time
+                         (2 * _WAVE_FLOATS // max(width, 1) - 7) // 11))
+    parts = np.empty((longest, 4, members, dim))
+    terms = np.empty((longest + 1, 7, members, dim))
+    # a2..a4 enter the earlier stage states of their step with weight 0
+    # before it writes them, so they start at 0 (0 * nan is nan)
+    terms[:, 3:6] = 0.0
+    term_rows = terms.reshape(7 * longest + 7, members, dim)
+    term_flat = terms.reshape(7 * longest + 7, width)
+    # per step of a wave: its block, the rows of a2, a3 and a4, its new
+    # value, as flat and as state, and the a1 of the next step
+    slots = [(term_flat[b:b + 8], *term_rows[b + 3:b + 6], term_flat[b + 8],
+              term_rows[b + 8], term_rows[b + 9])
+             for b in range(0, 7 * longest, 7)]
+    # the RK4 tableau on a block: the stage states of k2, k3 and k4, then
+    # the new value. Products are taken with the bound ``dot`` methods of
+    # fixed arrays, which skip the dispatch that ``np.dot`` runs in Python
     h = step
-    tableau = np.array([
-        [1.0, h / 2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, h / 2.0, 0.0, 0.0, h / 2.0, 0.0],
-        [1.0, 0.0, 0.0, h, 0.0, h, 0.0],
-        [1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0, 2.0 * h / 3.0, h / 6.0]])
+    to_2, to_3, to_4, to_next = [np.array(row).dot for row in (
+        [h / 2.0, 1.0, h / 2.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, h / 2.0, 0.0, 0.0, h / 2.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, h, 0.0, h, 0.0],
+        [h / 6.0, 1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0, 2.0 * h / 3.0,
+         h / 6.0])]
+    act_dot = act_state.dot
 
     def rhs(y, x_d, base_at, g, out):
         """f([y | x_d]) @ [A; B] - leak x_leak at stage state y, into
@@ -364,7 +395,7 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         z_stage[...] = y
         z_delayed[...] = x_d + g_d * y if g_d else x_d
         activate(z, act)
-        np.dot(act_flat, ab, out=out)
+        act_flat.dot(ab, out)
         out -= base_at
         if g_leak:
             out -= (g_leak * leak) * y
@@ -389,61 +420,87 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
             ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
             rows, weights, stage, blend = _step_tables(model, ks, step)
             blends.append(blend)
-            weighted = stage.any(axis=(1, 2)).tolist()
+            # each step's operator, None where it evaluates its right-hand
+            # side whole: a step whose transmission lookup is the stage
+            # state at both times and whose leak lookup is stored has delay
+            # 0; every other stage weight lies inside the step
+            zero_delay = ((stage[:, :, 0] == 0.0)
+                          & (stage[:, :, 1] == 1.0)).all(axis=1)
+            whole = stage.any(axis=(1, 2)) & ~zero_delay
+            ops = [None if w else ab_sum if d else a_op
+                   for w, d in zip(whole.tolist(), zero_delay.tolist())]
             bounds = _waves(ks, rows, weights, longest)
             for w, e in zip(bounds, bounds[1:]):
                 # every lookup part the wave stores reads committed nodes:
-                # they are summed for all its steps at once, one buffer row
-                # of each stencil at a time, and so is c at both stage times
-                count = e - w
-                parts_rows[:count] = 0.0
-                for j in range(4):
-                    np.take(flat, rows[w:e, :, j], axis=0,
-                            out=work_rows[:count], mode="clip")
-                    work_rows[:count] *= weights[w:e, :, j, None]
-                    parts_rows[:count] += work_rows[:count]
-                leak_parts, consts = parts[:count, 0], work[:count, 1]
-                leak_parts *= leak
-                activate(parts[:count, 1], work[:count, 0])
-                np.matmul(work[:count, 0], b_op, out=consts)
-                consts -= leak_parts
-                for i in range(count):
-                    k = k0 + w + i
-                    terms[:2] = flat[2 * k:2 * k + 2]
-                    if weighted[w + i]:
+                # they are summed for all its steps at once, one lookup at a
+                # time, its four buffer rows gathered into the terms and
+                # weighed by one product
+                count, k = e - w, k0 + w
+                gathered = term_flat[:4 * count].reshape(count, 4, width)
+                stored = parts[:count].reshape(count, 4, width)
+                for lookup in range(4):
+                    flat.take(rows[w:e, lookup], 0, gathered, "clip")
+                    np.matmul(weights[w:e, lookup, None], gathered,
+                              out=stored[:, lookup, None])
+                base, x_d = parts[:count, :2], parts[:count, 2:]
+                base *= leak
+                # c at both stage times into the c rows of every step, which
+                # a step that evaluates its right-hand side whole sets to 0.
+                # f(x_d) B lies in rows that some c rows overlap, so numpy
+                # reads it whole before it writes them
+                f_x_d = term_rows[:2 * count].reshape(count, 2, members, dim)
+                activate(x_d, f_x_d)
+                product = term_rows[2 * count:4 * count]
+                f_x_d.reshape(2 * count * members, dim).dot(
+                    b_op, product.reshape(2 * count * members, dim))
+                c_rows = term_rows[6:6 + 7 * count].reshape(
+                    count, 7, members, dim)[:, :2]
+                np.subtract(product.reshape(count, 2, members, dim), base,
+                            out=c_rows)
+                c_rows[whole[w:e]] = 0.0
+                # the first step starts from node k: c_prev 0, and a1 its
+                # derivative
+                terms[0, 0] = 0.0
+                terms[0, 1:3] = nodes[k]
+                for i, op in enumerate(ops[w:e]):
+                    block, a2, a3, a4, y_next, y_state, a1_next = slots[i]
+                    if op is None:
                         g = stage[w + i].tolist()
-                        terms[5:] = 0.0
-                        x_d, base = parts[i, 1], parts[i, 0]
-                        for j, at in enumerate((0, 0, 1)):
-                            np.dot(tableau[j], terms, out=state_flat)
-                            rhs(state, x_d[at], base[at], g[at],
-                                k_later[j])
-                    else:
-                        terms[5:] = work_rows[i, 2:]
-                        for j in range(3):
-                            np.dot(tableau[j], terms, out=state_flat)
-                            activate(state, act_state)
-                            np.dot(act_state, a_op, out=k_later[j])
-                    y_next = nodes[k + 1, 0]
-                    np.dot(tableau[3], terms, out=y_next.reshape(-1))
-                    if weighted[w + i]:
-                        rhs(y_next, x_d[1], base[1], g[1],
-                            nodes[k + 1, 1])
-                    else:
-                        activate(y_next, act_state)
-                        np.dot(act_state, a_op, out=nodes[k + 1, 1])
-                        nodes[k + 1, 1] += consts[i, 1]
-                new = nodes[k0 + w + 1:k0 + e + 1, 0]
+                        for row, out, at in ((to_2, a2, 0), (to_3, a3, 0),
+                                             (to_4, a4, 1)):
+                            row(block, state_flat)
+                            rhs(state, x_d[i, at], base[i, at], g[at], out)
+                        to_next(block, y_next)
+                        rhs(y_state, x_d[i, 1], base[i, 1], g[1], a1_next)
+                        continue
+                    # a plain step: twelve numpy calls
+                    to_2(block, state_flat)
+                    activate(state, act_state)
+                    act_dot(op, a2)
+                    to_3(block, state_flat)
+                    activate(state, act_state)
+                    act_dot(op, a3)
+                    to_4(block, state_flat)
+                    activate(state, act_state)
+                    act_dot(op, a4)
+                    to_next(block, y_next)
+                    activate(y_state, act_state)
+                    act_dot(op, a1_next)
+                # the new nodes: values, and derivatives a1 + c_prev
+                new = nodes[k + 1:k + count + 1]
+                new[:, 0] = terms[1:count + 1, 1]
+                np.add(terms[1:count + 1, 2], terms[1:count + 1, 0],
+                       out=new[:, 1])
                 # not (<) also catches nan
-                if not np.einsum("ijk,ijk->", new, new) < screen:
-                    moduli = np.abs(pairs[k0 + w + 1:k0 + e + 1, 0])
+                if not np.einsum("ijk,ijk->", new[:, 0], new[:, 0]) < screen:
+                    moduli = np.abs(pairs[k + 1:k + count + 1, 0])
                     crossed = ~(moduli.max(axis=(2, 3)) <= divergence_limit)
                     crossed &= alive
                     # each member's first crossing in the wave
                     for s in np.flatnonzero(crossed.any(axis=0)):
-                        k = k0 + w + int(np.flatnonzero(crossed[:, s])[0])
-                        last[s] = k
-                        diverged_at[s] = (k + 1) * step
+                        first = k + int(np.flatnonzero(crossed[:, s])[0])
+                        last[s] = first
+                        diverged_at[s] = (first + 1) * step
                         alive[s] = False
                     if not alive.any():
                         break

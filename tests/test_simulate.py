@@ -48,6 +48,30 @@ def driven_scalar_model():
     return scalar_model(external_input=np.array([[0.8 + 0.1j], [0.2 + 0j]]))
 
 
+def zero_delay_model(model, **overrides):
+    """``model`` with d1 + d2 = max(0.3 sin 4t, 0), exactly 0 for half of
+    each period, first from t = pi/4 to pi/2; on the way in, d1 crosses
+    below one step."""
+    return dataclasses.replace(
+        model, d1_bound=0.3, d2_bound=0.0, mu1=1.2, mu2=0.0,
+        delay1=DelaySpec(amplitude=0.3, omega=4.0),
+        delay2=DelaySpec(offset=0.0), **overrides)
+
+
+def whole_steps(stage):
+    """Which steps of ``_step_tables`` stage weights evaluate their
+    right-hand side whole: those with a stage weight, except a zero
+    transmission delay's weight 1 at both stage times next to a stored leak
+    lookup, which is folded with A + B."""
+    folded = ((stage[..., 0] == 0.0) & (stage[..., 1] == 1.0)).all(axis=-1)
+    return stage.any(axis=(-2, -1)) & ~folded
+
+
+# the drive of test_cli's driven run
+DRIVE = qv_from_components(np.array([[1.0, 0.5, -0.5, 0.2],
+                                     [0.3, -0.8, 0.4, 0.1]]))
+
+
 # ---- activation ----------------------------------------------------------------
 
 
@@ -321,10 +345,7 @@ def test_clamped_delays_take_the_stage_and_blend_lookups():
     # d1 = max(0.3 sin 4t, 0) sits at zero for half of each period and
     # crosses below one step on the way, so lookups hit the stage state
     # and the linear blend as well as committed cells
-    model = scalar_model(
-        delta=0.1, d1_bound=0.3, d2_bound=0.0, mu1=1.2,
-        delay1=DelaySpec(amplitude=0.3, omega=4.0),
-        delay2=DelaySpec(offset=0.0))
+    model = zero_delay_model(scalar_model(), delta=0.1)
     step = 0.01
     stage_times = np.arange(0.0, 2.0, step / 2.0)
     assert np.any(model.delay1(stage_times) == 0.0)
@@ -338,13 +359,29 @@ def integrator_waves(model, members, horizon, step):
     starts, each as its steps and their ``_step_tables`` rows, weights and
     stage weights."""
     steps = math.ceil(horizon / step - _EDGE_SLACK)
-    longest = min(_CHUNK_STEPS, _WAVE_FLOATS // (16 * members * model.n))
+    # per step, four rows of lookup parts and seven rows of terms, and the
+    # seven rows of the step after the wave, in 2 _WAVE_FLOATS floats
+    longest = min(_CHUNK_STEPS,
+                  (2 * _WAVE_FLOATS // (4 * members * model.n) - 7) // 11)
     for k0 in range(0, steps, _CHUNK_STEPS):
         ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
         rows, weights, stage, _ = _step_tables(model, ks, step)
         bounds = _waves(ks, rows, weights, longest)
         for w, e in zip(bounds, bounds[1:]):
             yield ks[w:e], rows[w:e], weights[w:e], stage[w:e]
+
+
+def blend_lookups(model, ks, step):
+    """Which of the lookups of steps ``ks`` are linear blends, from their
+    arguments alone, (2 lookups, steps, 2 stage times): each stage time
+    serves two evaluations; the end time's two are the end stage and the
+    derivative at the new node."""
+    t = ks[:, None] * step
+    times = t + np.array([step / 2.0, step])
+    lookups = np.stack([times - model.delta,
+                        times - model.delay1(times) - model.delay2(times)])
+    return ((lookups > t + _EDGE_SLACK)
+            & (np.abs(lookups - times) > _EDGE_SLACK))
 
 
 def test_the_final_stage_reads_only_committed_nodes():
@@ -390,18 +427,40 @@ def test_the_final_stage_reads_only_committed_nodes():
         starts = [0.05 * s for s in seeded_starts(1, range(2))]
         trajs = assert_matches_serial(model, starts, horizon, step)
 
-        # each stage time serves two evaluations; the end time's two are
-        # the end stage and the derivative at the new node
-        t = ks[:, None] * step
-        times = t + np.array([step / 2.0, step])
-        lookups = np.stack([times - model.delta,
-                            times - model.delay1(times) - model.delay2(times)])
-        blend = ((lookups > t + _EDGE_SLACK)
-                 & (np.abs(lookups - times) > _EDGE_SLACK))
+        blend = blend_lookups(model, ks, step)
         assert blend[:, :, 1].sum() > 0
         assert all(traj.blended_lookups == 2 * blend.sum() for traj in trajs)
     assert {1, _CHUNK_STEPS} <= set(lengths)
     assert weighted_first
+
+
+@pytest.mark.parametrize("drive", [None, DRIVE], ids=["undriven", "driven"])
+def test_zero_delay_steps_fold_b_into_the_operator(reference_model, drive):
+    # where d1 + d2 is 0, the transmission lookup reads the stage state with
+    # weight 1 at both stage times, and the leak lookup (delay 0.5) stores
+    # its part: the step is folded with A + B. The step into that stretch
+    # reads the stage state at its end time only, and keeps the whole
+    # right-hand side. The limit is passed inside the stretch and after it
+    model = zero_delay_model(reference_model, external_input=drive)
+    step, horizon, limit = 0.01, 2.0, 20.0
+    ks = np.arange(round(horizon / step))
+    _, _, stage, _ = _step_tables(model, ks, step)
+    at_stage = stage[:, :, 1] == 1.0
+    folded = at_stage.all(axis=1) & (stage[:, :, 0] == 0.0).all(axis=1)
+    partial = at_stage.any(axis=1) & ~at_stage.all(axis=1)
+    assert np.count_nonzero(folded) >= 70
+    assert partial.any() and np.all(whole_steps(stage)[partial])
+
+    trajs = assert_matches_serial(model, seeded_starts(2, range(4)),
+                                  horizon, step, divergence_limit=limit)
+    crossed = [t.diverged_at for t in trajs if t.diverged_at is not None]
+    assert any(np.pi / 4 < t < np.pi / 2 for t in crossed)
+    assert any(t > np.pi / 2 for t in crossed)
+    assert all(np.any(t.rest) == (drive is not None) for t in trajs)
+    blend = blend_lookups(model, ks, step)
+    assert blend.any()
+    for traj in trajs:
+        assert traj.blended_lookups == 2 * blend[:, :len(traj.values) - 1].sum()
 
 
 def test_members_crossing_within_one_wave_stop_at_their_serial_times():
@@ -464,17 +523,26 @@ def test_batched_shifted_members_match_serial():
 
 def test_work_arrays_are_written_before_they_are_read(monkeypatch):
     # the loop's work arrays may start as any bytes; nan-filled ones must
-    # give the same orbits
-    model = driven_scalar_model()
+    # give the same orbits. With a zero-delay stretch, waves fold steps
+    # with A + B, and some start with a step that evaluates its right-hand
+    # side whole: c_prev and every c row must be written before they are
+    # read
+    zero_delay = zero_delay_model(driven_scalar_model(), delta=0.1)
+    horizon, step = 2.0, 1e-2
+    assert any(whole_steps(stage[0]) for *_, stage in
+               integrator_waves(zero_delay, 3, horizon, step))
     starts = seeded_starts(1, range(3))
-    plain = integrate(model, starts, 1.0, 1e-2)
+    models = (driven_scalar_model(), zero_delay)
+    plain = [integrate(model, starts, horizon, step) for model in models]
     monkeypatch.setattr(np, "empty", lambda shape, dtype=float, **_:
                         np.full(shape, np.nan, dtype))
     monkeypatch.setattr(np, "empty_like", lambda a, **_:
                         np.full_like(a, np.nan))
-    for traj, again in zip(plain, integrate(model, starts, 1.0, 1e-2)):
-        assert np.array_equal(traj.values, again.values)
-        assert np.array_equal(traj.derivs, again.derivs)
+    for model, trajs in zip(models, plain):
+        for traj, again in zip(trajs, integrate(model, starts, horizon,
+                                                step)):
+            assert np.array_equal(traj.values, again.values)
+            assert np.array_equal(traj.derivs, again.derivs)
 
 
 def test_no_histories_give_no_trajectories():
@@ -560,9 +628,8 @@ def test_shifted_model_rests_at_the_origin():
 
 
 def test_a_driven_network_is_measured_from_its_rest_point(stable_model):
-    # the drive of test_cli's driven run, on the loaded model itself
-    model = dataclasses.replace(stable_model, external_input=qv_from_components(
-        np.array([[1.0, 0.5, -0.5, 0.2], [0.3, -0.8, 0.4, 0.1]])))
+    # the drive, on the loaded model itself
+    model = dataclasses.replace(stable_model, external_input=DRIVE)
     (traj,) = integrate(model, [np.zeros((2, 2))], 1.0, 1e-2)
     assert np.max(np.abs(traj.values)) <= 1e-12
     assert np.max(np.abs(traj.derivs)) <= 1e-12
@@ -576,8 +643,7 @@ def test_a_driven_run_keeps_its_leak_term_near_the_rest_point(stable_model):
     # the driven run of test_cli from seed 0: once C |x| is far below the
     # drive, -C x must still act, so no derivative is exactly 0 and the
     # deviation decays on instead of freezing near 1e-19
-    model = dataclasses.replace(stable_model, external_input=qv_from_components(
-        np.array([[1.0, 0.5, -0.5, 0.2], [0.3, -0.8, 0.4, 0.1]])))
+    model = dataclasses.replace(stable_model, external_input=DRIVE)
     (traj,) = integrate(model, seeded_starts(2, [0]), 20.0, 1e-3)
     assert traj.derivs[1:].any(axis=(1, 2)).all()
     assert _modulus_series(traj.values[-1:])[0] < 1e-60
