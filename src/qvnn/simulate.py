@@ -238,7 +238,7 @@ def _waves(ks: np.ndarray, rows: np.ndarray, weights: np.ndarray,
 # temporaries add no memory next to the trajectories themselves.
 _CHUNK_STEPS = 128
 # Half the floats of the wave buffers, which bounds the length of a wave:
-# together they take at most 128 KiB whatever the number of members
+# together they take at most 128 KiB unless a wave of one step needs more
 _WAVE_FLOATS = 8192
 
 
@@ -360,7 +360,7 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     # blocks of seven rows of its steps and of the step after the wave
     # (see above), whose first rows take each lookup's buffer rows, then
     # f(x_d) and f(x_d) B, when the wave starts. Together they hold at most
-    # 2 _WAVE_FLOATS floats
+    # 2 _WAVE_FLOATS floats, or the 18 rows of a wave of one step
     longest = max(1, min(_CHUNK_STEPS,
                          (2 * _WAVE_FLOATS // max(width, 1) - 7) // 11))
     parts = np.empty((longest, 4, members, dim))
