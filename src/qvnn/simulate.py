@@ -473,7 +473,8 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
                         to_next(block, y_next)
                         rhs(y_state, x_d[i, 1], base[i, 1], g[1], a1_next)
                         continue
-                    # a plain step: twelve numpy calls
+                    # a plain step: per stage a tableau product, tanh and a
+                    # product with op, twelve numpy calls when undriven
                     to_2(block, state_flat)
                     activate(state, act_state)
                     act_dot(op, a2)
