@@ -187,7 +187,7 @@ def assemble_blocks(num_blocks: int, n: int,
 
 def omega_upper_blocks(model: NetworkModel,
                        dv: DecisionVars) -> dict[tuple[int, int], QuatMatrix]:
-    """The 27 authored blocks of Omega, keyed by 1-based (row, col)."""
+    """The 25 authored blocks of Omega, keyed by 1-based (row, col)."""
     c = model.c_diag
     g = model.gamma_diag
     a, b = model.a_mat, model.b_mat
@@ -195,7 +195,7 @@ def omega_upper_blocks(model: NetworkModel,
     mu1, mu = model.mu1, model.mu
     p1, p2, p3 = dv.p1, dv.p2, dv.p3
     q1, q2, q3, q4, q5, q6 = dv.q1, dv.q2, dv.q3, dv.q4, dv.q5, dv.q6
-    r1, r2, u, v, s1, s2 = dv.r1, dv.r2, dv.u, dv.v, dv.s1, dv.s2
+    r1, r2, u, s1, s2 = dv.r1, dv.r2, dv.u, dv.s1, dv.s2
 
     s1h, s2h = s1.H, s2.H
     blocks = {
@@ -216,12 +216,9 @@ def omega_upper_blocks(model: NetworkModel,
         (4, 4): (-(1.0 - mu1) * q1 - r1 - r1.H + u + u.H
                  + real_diag(g * dv.m2 * g)),
         (4, 6): r1 - u.H,
-        (5, 5): (-(1.0 - mu) * q3 - r2 - r2.H + v + v.H
-                 + real_diag(g * dv.m3 * g)),
-        (5, 6): r2.H - v,
-        (5, 7): r2 - v.H,
+        (5, 5): -(1.0 - mu) * q3 + real_diag(g * dv.m3 * g),
         (6, 6): -q5 - r1 - r2,
-        (6, 7): v.H,
+        (6, 7): r2,
         (7, 7): -q6 - r2,
         (8, 8): q2 + q4 - real_diag(dv.m1),
         (8, 11): -(a.H @ p1).scale_cols(c),

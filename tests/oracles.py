@@ -359,7 +359,7 @@ def derivation_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatr
     g = model.gamma_diag
     p1, p2, p3 = dv.p1, dv.p2, dv.p3
     q1, q2, q3, q4, q5, q6 = dv.q1, dv.q2, dv.q3, dv.q4, dv.q5, dv.q6
-    r1, r2, u, v, s1, s2 = dv.r1, dv.r2, dv.u, dv.v, dv.s1, dv.s2
+    r1, r2, u, s1, s2 = dv.r1, dv.r2, dv.u, dv.s1, dv.s2
 
     def sector(m):
         return QuatMatrix.from_real(np.diag(g * m * g))
@@ -406,15 +406,12 @@ def derivation_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatr
         for q_idx, j in enumerate((1, 6, 4)):
             grid.acc(i, j, m15[p_idx][q_idx])
 
-    # same bound on the outer window, quadratic in (x(t-d1), x(t-d), x(t-d(t)))
-    m16 = [
-        [-r2, v.H, r2 - v.H],
-        [v, -r2, r2 - v],
-        [r2 - v, r2 - v.H, -(2.0 * r2) + v + v.H],
-    ]
-    for p_idx, i in enumerate((6, 7, 5)):
-        for q_idx, j in enumerate((6, 7, 5)):
-            grid.acc(i, j, m16[p_idx][q_idx])
+    # Jensen on the outer window [t-d, t-d1], which needs no bound on d(t):
+    # d2 int x'^* R2 x' >= e^* R2 e with e = x(t-d1) - x(t-d), so the grid
+    # gets -e^* R2 e, quadratic in (x(t-d1), x(t-d))
+    grid.add(6, 6, -r2)
+    grid.add(7, 7, -r2)
+    grid.add(6, 7, r2)
 
     # activation sector inequalities at the three tap points
     grid.add(1, 1, sector(dv.m1))

@@ -68,7 +68,7 @@ UNIT_BLOCKS = {
     (2, 2): 0.0, (2, 3): -2.0, (2, 8): 1.0, (2, 10): 1.0,
     (3, 3): -3.0, (3, 8): 1.0, (3, 10): 1.0,
     (4, 4): 0.0, (4, 6): 0.0,
-    (5, 5): 0.0, (5, 6): 0.0, (5, 7): 0.0,
+    (5, 5): 0.0,
     (6, 6): -3.0, (6, 7): 1.0,
     (7, 7): -2.0,
     (8, 8): 1.0, (8, 11): -1.0,
