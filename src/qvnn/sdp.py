@@ -60,15 +60,19 @@ its A_j, at the stored entries it uses, with those rows gathered there.
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
 Omega and 14 blocks of three shapes), so the solver works on stacks, not on
 single constraints: a stack is every constraint with the same side, the same
-support row sets and the same group sizes, Omega a stack of one. Evaluation
-of S and the primal operator <A_i, U> read the entries of a whole stack,
-the stored rows and the rows below N rebuilt from them once, through
-``np.bincount``, and the scaling, the step lengths and the Schur
-complement are batched over the members. Every stack's Schur entries
-then reach the (m + 1)^2 matrix through flat indices computed at set-up, in
-one ``np.bincount``, which adds up the entries of members that share a
-variable. numpy is the only dependency: every factorization and solve uses
-``numpy.linalg``.
+support row sets and the same group sizes, Omega a stack of one. The
+scaling, the step lengths and the Schur products are batched over the
+members. One operator holds the stored entries of every stack, the rows
+below N rebuilt from them once: every S_k(y) is one pair of
+``np.bincount`` sums, the primal operator <A_i, U> two more (the traces per
+member, then per variable), and M takes its variable block from every
+stack's Schur entries through flat indices computed at set-up, its t row
+and column from the primal operator at W^2. A variable's sum runs over
+the members of each stack, stack after stack, each member's trace summed
+first: a sum in one level rounds differently, and near the gap target that
+rounding decides whether a run ends. Each iterate evaluates S once, and
+holds b - A(X, u, l) from its last primal update. numpy is the only
+dependency: every factorization and solve uses ``numpy.linalg``.
 
 This is a feasibility engine, not a general-purpose SDP solver: it has no
 infeasibility certificates and no presolve beyond ``scale_problem``.
@@ -195,18 +199,12 @@ def _chi_part(w: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """Every constraint of one shape, sum_i x_i A_ki > 0 for each member k.
+    """The Schur layout of every constraint of one shape.
 
     The shape is the side d, the row sets R of the support groups and the
     number of variables in each, so every member has the same count of
     active variables and the same dense group layout. ``active[k]`` holds
-    member k's variables, group by group. The members' entries are kept
-    once, their stored rows p < N = d / 2 member after member, then the rows
-    below N rebuilt from them: ``var`` is each entry's variable,
-    ``flat`` its index k d^2 + entry in the members' stacked matrices,
-    ``row`` its index k len(active[k]) + j when the variable is member k's
-    j-th, and ``conj_value`` the conjugate of its value. Evaluation and the
-    primal operator read them with ``np.bincount`` for all members at once.
+    member k's variables, group by group.
 
     ``groups`` holds, per row set R, the slice of ``active`` assigned to it,
     the members' dense A_i[R, R], stored as A_i[b, a] at [k, b, (a, i)], so
@@ -216,34 +214,18 @@ class _Stack:
     group is nonzero, and ``weights``, 2 (Re A_i, Im A_i) at them, shaped
     (members, group size, 2 len(top)). ``chunks`` splits the groups into
     runs whose rows of S_i fit in ``_CHUNK_BYTES``, as (slice of
-    ``active``, groups).
-    ``grad_index`` and ``hess_index`` are the flat positions in the
-    (m + 1)-vector and the (m + 1)^2 matrix of the weights ``apply`` and
-    ``schur`` return.
+    ``active``, groups). ``hess_index`` is the flat position in the
+    (m + 1)^2 matrix of each weight ``schur`` returns.
     """
 
-    def __init__(self, parts, num_vars: int):
-        lmis = [lmi for lmi, _ in parts]
-        self.names = [lmi.name for lmi in lmis]
-        self.dim = d = lmis[0].dim
+    def __init__(self, parts, act, num_vars, member, p, q, j, value):
+        """``parts`` pairs each member with its support groups; the entries,
+        stored rows and the rows below N, give their member, row p, column
+        q, slot j in ``active`` and value."""
+        self.names = [lmi.name for lmi, _ in parts]
+        self.dim = d = parts[0][0].dim
         half, nb = d // 2, len(parts)
-        self.active = act = np.array(
-            [np.concatenate([members for _, members in groups])
-             for _, groups in parts], dtype=np.intp)
-        slot = np.zeros((nb, num_vars), dtype=np.intp)
-        slot[np.arange(nb)[:, None], act] = np.arange(act.shape[1])
-        # the stored rows p < N, then the rows below them:
-        # A[N + p, N + q] = conj(A[p, q]), A[N + p, q] = -conj(A[p, N + q])
-        p, q = np.divmod(np.concatenate([lmi.entry for lmi in lmis]), d)
-        value = np.concatenate([lmi.value for lmi in lmis]).astype(complex)
-        value = np.append(value, np.where(q < half, 1.0, -1.0) * value.conj())
-        p, q = np.append(p, p + half), np.append(q, (q + half) % d)
-        member = np.tile(np.repeat(np.arange(nb), [l.var.size for l in lmis]), 2)
-        self.var = np.tile(np.concatenate([lmi.var for lmi in lmis]), 2)
-        self.flat = member * d * d + p * d + q
-        j = slot[member, self.var]
-        self.row = member * act.shape[1] + j
-        self.conj_value = value.conj()
+        self.active = act
         self.groups = []
         local = np.zeros(d, dtype=np.intp)
         start = 0
@@ -276,43 +258,12 @@ class _Stack:
                 self.chunks.append((slice(run.start, cols.stop), groups + [group]))
             else:
                 self.chunks.append((cols, [group]))
-        n1 = num_vars + 1
-        self.grad_index = np.append(act.ravel(), num_vars)
-        self.hess_index = np.concatenate([
-            (act[:, :, None] * n1 + act[:, None, :]).ravel(),
-            act.ravel() * n1 + num_vars, num_vars * n1 + act.ravel(),
-            [num_vars * n1 + num_vars]])
-
-    def evaluate(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """sum_i x_i A_ki - t I of every member k, as (members, d, d), at the
-        full variable vector x: x is real, so each entry is the conjugate of
-        sum_i x_i conj(A_ki)."""
-        nb, d = len(self.names), self.dim
-        xv, size = x[self.var], nb * d * d
-        s = np.bincount(self.flat, weights=xv * self.conj_value.real,
-                        minlength=size).astype(complex)
-        s.imag = -np.bincount(self.flat, weights=xv * self.conj_value.imag,
-                              minlength=size)
-        s = s.reshape(nb, d, d)
-        s.reshape(nb, -1)[:, ::d + 1] -= t
-        return s
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """The primal operator at the Hermitian blocks u, (members, d, d):
-        -Re tr(A_ki U_k) for every member's active variables, then the sum
-        of tr U_k for t, as weights at ``grad_index``. Every trace is
-        tr(A_i U) = sum conj(A_i) * U over the entries, as A_i is Hermitian.
-        """
-        traces = np.bincount(self.row, weights=(u.ravel()[self.flat]
-                                                * self.conj_value).real,
-                             minlength=self.active.size)
-        return np.append(-traces, np.trace(u, axis1=1, axis2=2).real.sum())
+        self.hess_index = (act[:, :, None] * (num_vars + 1)
+                           + act[:, None, :]).ravel()
 
     def schur(self, w: np.ndarray) -> np.ndarray:
-        """The Schur complement weights at the NT scaling matrices w, at
-        ``hess_index``: Re tr(A_j W A_i W) over every member's active
-        variables, then the t column and row, -Re tr(A_i W W), and the
-        (t, t) entry ||W||_F^2.
+        """Re tr(A_j W A_i W) over every member's active variables, at the
+        NT scaling matrices w, as (members, k, k).
 
         With chi images W and A_i, S_i = W A_i W is one too, and the entry
         of conj(A_j) * S_i at (N + p, q) is the conjugate of the one at
@@ -323,7 +274,6 @@ class _Stack:
         its chi part, which changes M only at second order in the
         difference."""
         nb, d, k, half = len(w), self.dim, self.active.shape[1], self.dim // 2
-        hess_t = self.apply(w @ w)[:-1]
         wc = _chi_part(w)
         hess = np.empty((nb, k, k))
         for cols, groups in self.chunks:
@@ -339,37 +289,97 @@ class _Stack:
                 got = s[:, top]
                 hess[:, part, cols] = weights @ np.concatenate(
                     [got.real, got.imag], axis=1)
-        return np.concatenate([hess.ravel(), hess_t, hess_t,
-                               [np.vdot(w, w).real]])
+        return hess
 
 
-def _stack_constraints(sdp: StandardSdp) -> list[_Stack]:
-    """The constraints as stacks of one shape each, in the order their first
-    member appears in the constraint list."""
-    shapes: dict = {}
-    for lmi in sdp.lmis:
-        groups = _support_groups(lmi)
-        key = (lmi.dim, tuple((tuple(r.tolist()), len(members))
-                              for r, members in groups))
-        shapes.setdefault(key, []).append((lmi, groups))
-    return [_Stack(parts, sdp.num_vars) for parts in shapes.values()]
+class _Operator:
+    """The constraint operator over the stored entries of every stack: each
+    stack's stored rows p < N member after member, then the rows below N
+    rebuilt from them, stack after stack in the order their first member
+    appears in the constraint list. ``var`` is each entry's variable,
+    ``flat`` its index in the members' matrices raveled in that order,
+    ``row`` the index of its (member, active variable) pair in the same
+    order, and ``conj_value`` the conjugate of its value; ``row_var`` is the
+    variable of each pair."""
 
+    def __init__(self, sdp: StandardSdp):
+        self.m = m = sdp.num_vars
+        shapes: dict = {}
+        for lmi in sdp.lmis:
+            groups = _support_groups(lmi)
+            key = (lmi.dim, tuple((tuple(r.tolist()), len(members))
+                                  for r, members in groups))
+            shapes.setdefault(key, []).append((lmi, groups))
+        self.stacks, entries, size, pairs = [], [], 0, 0
+        for parts in shapes.values():
+            lmis = [lmi for lmi, _ in parts]
+            d, half, nb = lmis[0].dim, lmis[0].dim // 2, len(lmis)
+            # A[N + p, N + q] = conj(A[p, q]), A[N + p, q] = -conj(A[p, N + q])
+            p, q = np.divmod(np.concatenate([lmi.entry for lmi in lmis]), d)
+            value = np.concatenate([lmi.value for lmi in lmis]).astype(complex)
+            value = np.append(value, np.where(q < half, 1.0, -1.0) * value.conj())
+            p, q = np.append(p, p + half), np.append(q, (q + half) % d)
+            member = np.tile(np.repeat(np.arange(nb), [l.var.size for l in lmis]), 2)
+            var = np.tile(np.concatenate([lmi.var for lmi in lmis]), 2)
+            act = np.array([np.concatenate([members for _, members in groups])
+                            for _, groups in parts], dtype=np.intp)
+            slot = np.zeros((nb, m), dtype=np.intp)
+            slot[np.arange(nb)[:, None], act] = np.arange(act.shape[1])
+            j = slot[member, var]
+            self.stacks.append(_Stack(parts, act, m, member, p, q, j, value))
+            entries.append((var, size + member * d * d + p * d + q,
+                            pairs + member * act.shape[1] + j, value.conj()))
+            size, pairs = size + nb * d * d, pairs + act.size
+        self.var, self.flat, self.row, self.conj_value = (
+            np.concatenate(column) for column in zip(*entries))
+        self.row_var = np.concatenate([s.active.ravel() for s in self.stacks])
+        self.split = np.cumsum([len(s.names) * s.dim ** 2 for s in self.stacks])
 
-def _scatter(indices, weights, size: int) -> np.ndarray:
-    """Every stack's weights summed at its flat indices: members that share
-    a variable add up."""
-    return np.bincount(np.concatenate(indices), weights=np.concatenate(weights),
-                       minlength=size)
+    def evaluate(self, y: np.ndarray) -> list[np.ndarray]:
+        """S_k(y) = sum_i x_i A_ki - t I of every member k, as (members, d, d)
+        per stack, at y = (x, t): x is real, so each entry is the conjugate of
+        sum_i x_i conj(A_ki)."""
+        xv, size = y[self.var], self.split[-1]
+        s = np.bincount(self.flat, weights=xv * self.conj_value.real,
+                        minlength=size).astype(complex)
+        s.imag = -np.bincount(self.flat, weights=xv * self.conj_value.imag,
+                              minlength=size)
+        out = []
+        for stack, part in zip(self.stacks, np.split(s, self.split[:-1])):
+            d = stack.dim
+            out.append(part.reshape(-1, d, d))
+            part.reshape(-1, d * d)[:, ::d + 1] -= y[self.m]
+        return out
 
+    def apply(self, us, du=0.0) -> np.ndarray:
+        """The primal operator at the Hermitian blocks us, plus du on the
+        variables: -Re tr(A_ki U_k) summed over the members k of each
+        variable, and the sum of tr U_k for t. Every trace is
+        tr(A_i U) = sum conj(A_i) * U over the entries, as A_i is Hermitian.
+        """
+        u = np.concatenate([u.ravel() for u in us])
+        traces = np.bincount(self.row, weights=(u[self.flat]
+                                                * self.conj_value).real,
+                             minlength=self.row_var.size)
+        out = np.bincount(self.row_var, weights=-traces, minlength=self.m + 1)
+        out[:self.m] += du
+        out[self.m] = sum(np.trace(u, axis1=1, axis2=2).real.sum() for u in us)
+        return out
 
-def _schur_matrix(stacks, ws, m):
-    """The (m + 1)^2 Schur complement of the semidefinite blocks at their NT
-    scaling matrices ws."""
-    n1 = m + 1
-    mat = _scatter([s.hess_index for s in stacks],
-                   [s.schur(w) for s, w in zip(stacks, ws)], n1 * n1)
-    mat = mat.reshape(n1, n1)
-    return (mat + mat.T) / 2.0
+    def schur(self, ws) -> np.ndarray:
+        """The (m + 1)^2 Schur complement of the semidefinite blocks at their
+        NT scaling matrices ws: every stack's Re tr(A_j W A_i W), members
+        that share a variable adding up, the t row and column
+        -Re tr(A_i W W), the primal operator at W^2, and the (t, t) entry
+        sum ||W_k||_F^2."""
+        n1 = self.m + 1
+        mat = np.bincount(np.concatenate([s.hess_index for s in self.stacks]),
+                          weights=np.concatenate([s.schur(w).ravel() for s, w
+                                                  in zip(self.stacks, ws)]),
+                          minlength=n1 * n1).reshape(n1, n1)
+        mat[-1] = mat[:, -1] = self.apply([w @ w for w in ws])
+        mat[-1, -1] = sum(np.vdot(w, w).real for w in ws)
+        return (mat + mat.T) / 2.0
 
 
 def _herm(a):
@@ -397,15 +407,6 @@ def _max_linear_step(v, dv) -> float:
     return np.min(-v[shrink] / dv[shrink], initial=np.inf)
 
 
-def _min_eigs(stacks, x) -> dict[str, float]:
-    """The smallest eigenvalue of every member at x, by name."""
-    eigs = {}
-    for stack in stacks:
-        eigs.update(zip(stack.names,
-                        np.linalg.eigvalsh(stack.evaluate(x))[:, 0].tolist()))
-    return eigs
-
-
 def _cholesky(mats, what: str):
     try:
         return np.linalg.cholesky(mats)
@@ -414,34 +415,26 @@ def _cholesky(mats, what: str):
 
 
 class _Iterate:
-    """The primal X (one (members, d, d) array per stack), u and l, and the
-    dual y = (x, t) with S = S(y) and the box slacks 1 - x and 1 + x."""
+    """The primal X (one (members, d, d) array per stack), u and l, with
+    ``residual`` b - A(X, u, l), the violation of the primal equations, and
+    the dual y = (x, t) with S = S(y) and the box slacks 1 - x and 1 + x."""
 
-    def __init__(self, stacks, m):
-        self.stacks, self.m = stacks, m
-        self.xs = [np.tile(np.eye(s.dim, dtype=complex), (len(s.names), 1, 1))
-                   for s in stacks]
-        self.u, self.l = np.ones(m), np.ones(m)
-        self.nu = sum(s.dim * len(s.names) for s in stacks) + 2 * m
+    def __init__(self, op: _Operator):
+        self.op, m = op, op.m
+        self.set_primal([np.tile(np.eye(s.dim, dtype=complex), (len(s.names), 1, 1))
+                         for s in op.stacks], np.ones(m), np.ones(m))
+        self.nu = sum(s.dim * len(s.names) for s in op.stacks) + 2 * m
         self.set_dual(np.append(np.zeros(m), -1.0))
 
+    def set_primal(self, xs, u, l):
+        self.xs, self.u, self.l = xs, u, l
+        self.residual = -self.op.apply(xs, u - l)
+        self.residual[self.op.m] += 1.0
+
     def set_dual(self, y):
-        self.y, x = y, y[:self.m]
-        self.ss = [s.evaluate(x, y[self.m]) for s in self.stacks]
+        self.y, x = y, y[:self.op.m]
+        self.ss = self.op.evaluate(y)
         self.su, self.sl = 1.0 - x, 1.0 + x
-
-    def apply(self, us, du=0.0):
-        """The primal operator at the blocks us, plus du on the variables."""
-        out = _scatter([s.grad_index for s in self.stacks],
-                       [s.apply(u) for s, u in zip(self.stacks, us)], self.m + 1)
-        out[:self.m] += du
-        return out
-
-    def residual(self) -> np.ndarray:
-        """b - A(X, u, l): the violation of the primal equations."""
-        r = -self.apply(self.xs, self.u - self.l)
-        r[self.m] += 1.0
-        return r
 
     def complementarity(self) -> float:
         return (sum(_inner(x, s) for x, s in zip(self.xs, self.ss))
@@ -451,7 +444,7 @@ class _Iterate:
 def _iterate_once(it: _Iterate, clock):
     """One Mehrotra predictor-corrector step from it along the NT direction;
     returns the primal and dual step lengths taken."""
-    stacks, m = it.stacks, it.m
+    op, m = it.op, it.op.m
     tick = time.perf_counter()
     gs, lams = [], []
     for x, s in zip(it.xs, it.ss):
@@ -459,7 +452,7 @@ def _iterate_once(it: _Iterate, clock):
         _, lam, vh = np.linalg.svd(_herm(ls) @ lx)
         gs.append(lx @ _herm(vh) / np.sqrt(lam)[:, None, :])
         lams.append(lam)
-    schur = _schur_matrix(stacks, [g @ _herm(g) for g in gs], m)
+    schur = op.schur([g @ _herm(g) for g in gs])
     schur[np.arange(m), np.arange(m)] += it.u / it.su + it.l / it.sl
     clock["schur_seconds"] += time.perf_counter() - tick
     eyes = [np.eye(lam.shape[1]) for lam in lams]
@@ -474,8 +467,7 @@ def _iterate_once(it: _Iterate, clock):
         except np.linalg.LinAlgError:
             raise NumericalError("the Schur complement is singular") from None
         clock["factor_seconds"] += time.perf_counter() - tock
-        dss = [_herm(g) @ s.evaluate(dy[:m], dy[m]) @ g
-               for s, g in zip(stacks, gs)]
+        dss = [_herm(g) @ s @ g for s, g in zip(op.evaluate(dy), gs)]
         dx = dy[:m]
         return (dy, [z - ds for z, ds in zip(zs, dss)], dss,
                 ru + it.u / it.su * dx, rl - it.l / it.sl * dx)
@@ -513,14 +505,14 @@ def _iterate_once(it: _Iterate, clock):
                   - (prod + _herm(prod)) / (lam[:, :, None] + lam[:, None, :]))
     ru = sigma * mu / it.su - it.u + du * dx / it.su
     rl = sigma * mu / it.sl - it.l - dl * dx / it.sl
-    rhs = it.residual() - it.apply([g @ z @ _herm(g) for g, z in zip(gs, zs)],
-                                   ru - rl)
+    rhs = it.residual - op.apply([g @ z @ _herm(g) for g, z in zip(gs, zs)],
+                                 ru - rl)
     dy, dxs, dss, du, dl = direction(rhs, zs, ru, rl)
     ap, ad = (min(1.0, fraction * a) for a in step_lengths(dy, dxs, dss, du, dl))
     if not (np.all(np.isfinite(dy)) and np.isfinite(ap) and np.isfinite(ad)):
         raise NumericalError("the step is not finite")
-    it.xs = [x + ap * (g @ d @ _herm(g)) for x, g, d in zip(it.xs, gs, dxs)]
-    it.u, it.l = it.u + ap * du, it.l + ap * dl
+    it.set_primal([x + ap * (g @ d @ _herm(g)) for x, g, d in zip(it.xs, gs, dxs)],
+                  it.u + ap * du, it.l + ap * dl)
     it.set_dual(it.y + ad * dy)
     # less the two solves, which are the factor phase
     clock["step_seconds"] += (time.perf_counter() - tick
@@ -540,13 +532,13 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
     bitwise deterministic.
     """
     cfg = config or SolverConfig()
-    stacks = _stack_constraints(sdp)
+    op = _Operator(sdp)
     m = sdp.num_vars
     gap_target = min(0.05 * cfg.margin_tolerance, 1e-8)
     start = time.perf_counter()
     clock = dict.fromkeys(("schur_seconds", "factor_seconds", "step_seconds"),
                           0.0)
-    it = _Iterate(stacks, m)
+    it = _Iterate(op)
     trace: list[IterationRecord] = []
     best, best_x, cause = None, None, None
     while len(trace) < cfg.max_outer_iters:
@@ -557,12 +549,13 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             break
         x, t = it.y[:m], float(it.y[m])
         bound = float(np.sum(it.u + it.l))
-        residual = float(np.max(np.abs(it.residual())))
+        residual = float(np.max(np.abs(it.residual)))
+        # every G_k(x) = S_k + t I
+        eigs = t + np.concatenate([np.linalg.eigvalsh(s)[:, 0] for s in it.ss])
         trace.append(IterationRecord(len(trace) + 1, t, bound, bound - t,
-                                     residual, ap, ad,
-                                     min(_min_eigs(stacks, x).values())))
+                                     residual, ap, ad, float(eigs.min())))
         if best is None or t > best.t:
-            best, best_x = trace[-1], x
+            best, best_x, best_eigs = trace[-1], x, eigs
         if trace[-1].gap <= gap_target and residual <= _RESIDUAL_TOLERANCE:
             break
     wall = time.perf_counter() - start
@@ -571,7 +564,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             status="numerical_failure", margin=-np.inf, x=None,
             per_constraint_min_eig={}, iterations=0, wall_time=wall,
             failure_cause=cause, phase_seconds=clock)
-    eigs = _min_eigs(stacks, best_x)
+    eigs = dict(zip([n for s in op.stacks for n in s.names], best_eigs.tolist()))
     return FeasibilityResult(
         status=("feasible" if best.t >= cfg.margin_tolerance
                 else "infeasible_at_tolerance"),

@@ -250,12 +250,12 @@ def test_projection_oracle_validates_target():
 
 
 def assert_structured_matches_dense(sdp, seed, spread=1.0):
-    """The stacks' Schur complement and primal operator agree with the dense
-    formulas to 1e-12 relative at W = (G_k(x) - t I)^-1, positive definite,
-    from near the boundary of the cone to deep inside it, with every |x_i|
-    below 0.1 * spread."""
+    """The operator's Schur complement and primal operator agree with the
+    dense formulas to 1e-12 relative at W = (G_k(x) - t I)^-1, positive
+    definite, from near the boundary of the cone to deep inside it, with
+    every |x_i| below 0.1 * spread."""
     rng = np.random.default_rng(seed)
-    stacks = qvnn.sdp._stack_constraints(sdp)
+    op = qvnn.sdp._Operator(sdp)
     m = sdp.num_vars
     for gap in (1e-2, 0.1, 2.0):
         x = 0.1 * spread * rng.uniform(-1.0, 1.0, size=m)
@@ -263,19 +263,17 @@ def assert_structured_matches_dense(sdp, seed, spread=1.0):
                 for a in real_coeffs(sdp)) - gap
         ws = {lmi.name: np.linalg.inv(lmi_value(lmi, x) - t * np.eye(lmi.dim))
               for lmi in sdp.lmis}
-        stack_ws = [np.stack([ws[name] for name in s.names]) for s in stacks]
-        schur = qvnn.sdp._schur_matrix(stacks, stack_ws, m)
+        stack_ws = [np.stack([ws[name] for name in s.names]) for s in op.stacks]
+        schur = op.schur(stack_ws)
         schur_ref = dense_schur(sdp, [ws[lmi.name] for lmi in sdp.lmis])
         assert np.max(np.abs(schur - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
         # <B_i, W> with B = (A_1, ..., A_m, -I), negated: the primal equations
-        op = qvnn.sdp._scatter([s.grad_index for s in stacks],
-                               [s.apply(w) for s, w in zip(stacks, stack_ws)],
-                               m + 1)
-        op_ref = -sum(np.append(np.einsum("ipq,pq->i", coeff_stack(lmi, m).conj(),
-                                          ws[lmi.name]),
-                                -np.trace(ws[lmi.name])).real
-                      for lmi in sdp.lmis)
-        assert np.max(np.abs(op - op_ref)) <= 1e-12 * np.max(np.abs(op_ref))
+        applied = op.apply(stack_ws)
+        ref = -sum(np.append(np.einsum("ipq,pq->i", coeff_stack(lmi, m).conj(),
+                                       ws[lmi.name]),
+                             -np.trace(ws[lmi.name])).real
+                   for lmi in sdp.lmis)
+        assert np.max(np.abs(applied - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_structured_derivatives_match_dense_on_the_stable_model(stable_model):
@@ -313,20 +311,48 @@ def test_schur_complement_matches_dense_along_the_solver_iterates(
     # conditioning, and the Schur complement forms half of each W A_i W: at
     # every iterate it must still match the full trace over both halves
     scaled, _ = scale_problem(build_sdp(request.getfixturevalue(f"{source}_model")))
-    schur, seen = qvnn.sdp._schur_matrix, []
+    schur, seen = qvnn.sdp._Operator.schur, []
 
-    def recording(stacks, ws, m):
-        mat = schur(stacks, ws, m)
-        seen.append(({name: w for stack, group in zip(stacks, ws)
+    def recording(op, ws):
+        mat = schur(op, ws)
+        seen.append(({name: w for stack, group in zip(op.stacks, ws)
                       for name, w in zip(stack.names, group)}, mat.copy()))
         return mat
 
-    monkeypatch.setattr(qvnn.sdp, "_schur_matrix", recording)
+    monkeypatch.setattr(qvnn.sdp._Operator, "schur", recording)
     result = solve_feasibility(scaled)
     assert result.failure_cause is None and len(seen) == result.iterations
     for ws, mat in seen:
         ref = dense_schur(scaled, [ws[lmi.name] for lmi in scaled.lmis])
         assert np.max(np.abs(mat - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_the_iterate_holds_its_residual_and_the_record_its_min_eig(
+        stable_model, monkeypatch):
+    # the residual is set once per primal update, for the record and the next
+    # corrector, and min_eig is t + lambda_min(S_k) from the S the iterate
+    # already holds: at every iterate the first is the operator's fresh
+    # b - A(X, u, l), and the second the smallest eigenvalue of G_k(x) to
+    # 1e-14 of the scale of S_k, the larger of ||G_k(x)|| and |t|
+    scaled, _ = scale_problem(build_sdp(stable_model))
+    step, seen = qvnn.sdp._iterate_once, []
+
+    def recording(it, clock):
+        steps = step(it, clock)
+        fresh = -it.op.apply(it.xs, it.u - it.l)
+        fresh[-1] += 1.0
+        seen.append((it.residual.copy(), fresh, it.y[:-1].copy()))
+        return steps
+
+    monkeypatch.setattr(qvnn.sdp, "_iterate_once", recording)
+    result = solve_feasibility(scaled)
+    assert result.failure_cause is None and len(seen) == len(result.trace)
+    for (held, fresh, x), record in zip(seen, result.trace):
+        np.testing.assert_array_equal(held, fresh)
+        assert record.primal_residual == np.max(np.abs(held))
+        eigs = [np.linalg.eigvalsh(lmi_value(lmi, x)) for lmi in scaled.lmis]
+        scale = max([np.max(np.abs(e)) for e in eigs] + [abs(record.t)])
+        assert abs(record.min_eig - min(e[0] for e in eigs)) <= 1e-14 * scale
 
 
 def test_a_constraint_that_is_no_chi_image_is_refused():
@@ -356,7 +382,7 @@ def test_members_sharing_a_variable_add_up_in_the_scatter():
     # both constraints land in one stack and both reach y's Hessian row, its
     # t entry and the (t, t) entry through repeated flat indices
     sdp = shared_toy()
-    (stack,) = qvnn.sdp._stack_constraints(sdp)
+    (stack,) = qvnn.sdp._Operator(sdp).stacks
     assert stack.names == ["first", "second"]
     np.testing.assert_array_equal(stack.active, [[0, 1], [1, 2]])
     assert_structured_matches_dense(sdp, seed=11)
@@ -364,21 +390,20 @@ def test_members_sharing_a_variable_add_up_in_the_scatter():
 
 def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
     # every constraint is in exactly one stack, the stacks follow the
-    # constraint list, and each evaluates its members as they are stored,
-    # from one copy of their stored rows and one of the rows below them
+    # constraint list, and the operator evaluates every member as it is
+    # stored, from one copy of its stored rows and one of the rows below them
     sdp = build_sdp(stable_model)
     assert sum(lmi.var.size for lmi in sdp.lmis) == 1578
-    stacks = qvnn.sdp._stack_constraints(sdp)
-    assert [len(stack.names) for stack in stacks] == [2, 1, 9, 3]
-    assert sorted(n for stack in stacks for n in stack.names) == sorted(
+    op = qvnn.sdp._Operator(sdp)
+    assert [len(stack.names) for stack in op.stacks] == [2, 1, 9, 3]
+    assert sorted(n for stack in op.stacks for n in stack.names) == sorted(
         lmi.name for lmi in sdp.lmis)
+    assert (op.var.shape == op.flat.shape == op.row.shape
+            == op.conj_value.shape == (2 * 1578,))
     by_name = {lmi.name: lmi for lmi in sdp.lmis}
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
-    for stack in stacks:
-        nnz = 2 * sum(by_name[n].var.size for n in stack.names)
-        assert (stack.var.shape == stack.flat.shape == stack.row.shape
-                == stack.conj_value.shape == (nnz,))
-        for name, value in zip(stack.names, stack.evaluate(x)):
+    for stack, values in zip(op.stacks, op.evaluate(np.append(x, 0.0))):
+        for name, value in zip(stack.names, values):
             np.testing.assert_allclose(value, lmi_value(by_name[name], x),
                                        atol=0.0)
 
@@ -386,7 +411,7 @@ def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
 def test_variables_group_under_the_smallest_maximal_row_support(stable_model):
     scaled, _ = scale_problem(build_sdp(stable_model))
     by_name = {lmi.name: lmi for lmi in scaled.lmis}
-    for stack in qvnn.sdp._stack_constraints(scaled):
+    for stack in qvnn.sdp._Operator(scaled).stacks:
         rowsets = [frozenset(r.tolist()) for r, *_ in stack.groups]
         assert len(set(rowsets)) == len(rowsets)
         assert not any(a < b for a in rowsets for b in rowsets)
