@@ -409,7 +409,7 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
     alive = np.ones(members, dtype=bool)
     last = np.full(members, steps)             # last committed node
     diverged_at: list[float | None] = [None] * members
-    blends = []                                # linear-blend lookups per step
+    blended = np.zeros(members, dtype=np.int64)   # linear-blend lookups
     # a diverged member's state runs on as inf/nan, unread and unreported
     with np.errstate(over="ignore", invalid="ignore"):
         # at t = 0 both lookups read the start
@@ -419,7 +419,6 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         for k0 in range(0, steps, _CHUNK_STEPS):
             ks = np.arange(k0, min(k0 + _CHUNK_STEPS, steps))
             rows, weights, stage, blend = _step_tables(model, ks, step)
-            blends.append(blend)
             # each step's operator, None where it evaluates its right-hand
             # side whole: a step whose transmission lookup is the stage
             # state at both times and whose leak lookup is stored has delay
@@ -505,14 +504,15 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
                         alive[s] = False
                     if not alive.any():
                         break
+            # each member counts the chunk's steps before its last node
+            blended += np.append(0, blend.cumsum())[np.clip(last - k0, 0, len(ks))]
             if not alive.any():
                 break
 
-    blended = np.concatenate([[0]] + blends).cumsum()
     return [Trajectory(
         model=model, step=step, values=pairs[:end + 1, 0, s],
         derivs=pairs[:end + 1, 1, s], rest=rest,
-        diverged_at=diverged_at[s], blended_lookups=int(blended[end]))
+        diverged_at=diverged_at[s], blended_lookups=int(blended[s]))
         for s, end in enumerate(last.tolist())]
 
 

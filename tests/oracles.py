@@ -706,7 +706,9 @@ def _grid_forms(matrix: HermitianQuatMatrix, states: np.ndarray) -> np.ndarray:
 
 class LkfEvaluator:
     """Precomputes pointwise quadratic forms over one trajectory's grid,
-    for the trajectory's own model."""
+    for the trajectory's own model. Forms over one window are integrated in
+    one ``grid_quad`` call: summed where they share a weight, as columns
+    where they do not."""
 
     def __init__(self, traj: Trajectory, dv: DecisionVars):
         model = traj.model
@@ -716,37 +718,41 @@ class LkfEvaluator:
         # the grid reaches back over the lookback window, where x is the
         # start; Simpson panels that straddle t = 0 read these nodes too
         step = traj.step
+        self.grid = traj.times
         back = max(int(np.ceil(model.lookback() / step - _LKF_EDGE)), 1)
         self.times = np.concatenate([-back * step + step * np.arange(back),
-                                     traj.times])
+                                     self.grid])
         states = np.concatenate([[traj.values[0]] * back, traj.values])
         base = activation(traj.rest, model.gamma_diag)
         f_states = (activation((states + traj.rest[None])
                                .reshape(-1, model.n), model.gamma_diag)
                     .reshape(states.shape) - base[None])
         self.states = states
-        self.x_forms = {name: _grid_forms(getattr(dv, name), states)
-                        for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
-        self.f_forms = {name: _grid_forms(getattr(dv, name), f_states)
-                        for name in ("q2", "q4")}
-        self.r_forms = {name: _grid_forms(getattr(dv, name), traj.derivs)
-                        for name in ("r1", "r2")}
+        x = {name: _grid_forms(getattr(dv, name), states)
+             for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
+        f = {name: _grid_forms(getattr(dv, name), f_states)
+             for name in ("q2", "q4")}
+        r1, self.r2 = (_grid_forms(getattr(dv, name), traj.derivs)
+                       for name in ("r1", "r2"))
+        self.p23 = np.stack([x["p2"], x["p3"]], axis=1)
+        self.q12, self.q34 = x["q1"] + f["q2"], x["q3"] + f["q4"]
+        self.q5, self.q6 = x["q5"], x["q6"]
+        self.r12 = np.stack([r1, self.r2], axis=1)
         self.p1_chi = dv.p1.complex_embed()
 
-    def _deriv_quad(self, name: str, a: float, b: float, weight=None):
-        """Integral of a derivative form over [a, b]; xdot is 0 before t=0."""
+    def _deriv_quad(self, values, a: float, b: float, weight=None):
+        """Integral of derivative forms over [a, b]; xdot is 0 before t=0."""
         a = max(a, 0.0)
         if b <= a:
             return 0.0
-        return float(grid_quad(self.traj.times, self.r_forms[name], a, b,
-                               weight))
+        return np.sum(grid_quad(self.grid, values, a, b, weight))
 
     def __call__(self, node: int) -> LkfSample:
         """The functional at grid node ``node`` of the trajectory."""
         model = self.model
-        t = float(self.traj.times[node])
+        t = float(self.grid[node])
         delta = model.delta
-        d1b, db = model.d1_bound, model.d_bound
+        d1b, d2b, db = model.d1_bound, model.d2_bound, model.d_bound
         d1t = model.delay1(t)
         dt = d1t + model.delay2(t)
 
@@ -756,25 +762,26 @@ class LkfEvaluator:
         emb = qv_embed(v_vec)
         v1 = float((np.conj(emb) @ self.p1_chi @ emb).real)
 
-        v2 = float(grid_quad(self.times, self.x_forms["p2"], t - delta, t))
-        v2 += delta * float(grid_quad(
-            self.times, self.x_forms["p3"], t - delta, t,
-            weight=lambda s: s - (t - delta)))
+        # P2, and P3 weighted by delta (s - (t - delta))
+        v2 = float(np.sum(grid_quad(
+            self.times, self.p23, t - delta, t,
+            weight=lambda s: np.stack([np.ones_like(s),
+                                       delta * (s - (t - delta))], axis=-1))))
 
-        v3 = float(grid_quad(self.times, self.x_forms["q1"], t - d1t, t))
-        v3 += float(grid_quad(self.times, self.f_forms["q2"], t - d1t, t))
-        v3 += float(grid_quad(self.times, self.x_forms["q3"], t - dt, t))
-        v3 += float(grid_quad(self.times, self.f_forms["q4"], t - dt, t))
-        v3 += float(grid_quad(self.times, self.x_forms["q5"], t - d1b, t))
-        v3 += float(grid_quad(self.times, self.x_forms["q6"], t - db, t))
+        v3 = float(grid_quad(self.times, self.q12, t - d1t, t))
+        v3 += float(grid_quad(self.times, self.q34, t - dt, t))
+        v3 += float(grid_quad(self.times, self.q5, t - d1b, t))
+        v3 += float(grid_quad(self.times, self.q6, t - db, t))
 
-        v4 = d1b * self._deriv_quad("r1", t - d1b, t,
-                                    weight=lambda s: s - (t - d1b))
-        d2b = model.d2_bound
+        # R1 weighted by d1 (s - (t - d1)) and R2 by d2^2 over [t - d1, t],
+        # and R2 by d2 (s - (t - d)) over [t - d, t - d1]
+        v4 = float(self._deriv_quad(
+            self.r12, t - d1b, t,
+            weight=lambda s: np.stack([d1b * (s - (t - d1b)),
+                                       np.full_like(s, d2b * d2b)], axis=-1)))
         if d2b > 0:
-            v4 += d2b * self._deriv_quad("r2", t - db, t - d1b,
-                                         weight=lambda s: s - (t - db))
-            v4 += d2b * d2b * self._deriv_quad("r2", t - d1b, t)
+            v4 += d2b * float(self._deriv_quad(self.r2, t - db, t - d1b,
+                                               weight=lambda s: s - (t - db)))
         return LkfSample(t=t, v1=v1, v2=v2, v3=v3, v4=v4)
 
 
