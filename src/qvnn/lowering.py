@@ -2,7 +2,9 @@
 
 Every constraint of the criterion is linear in the flat decision vector, so
 its coefficients are read off exactly from its authored blocks at unit
-vectors, all evaluated by one batched call of ``quat_constraints``. A
+vectors, evaluated by batched calls of ``quat_constraints`` on runs of them
+whose blocks fit in ``_CHUNK_BYTES`` (one run up to n = 3); each run is
+lowered on its own and a constraint's runs are joined in variable order. A
 constraint of N quaternion rows (``num_blocks`` blocks of side n) becomes
 its complex image chi, a Hermitian matrix of side 2N that is definite
 exactly when the quaternion matrix is. chi acts entry by entry, so it is
@@ -33,6 +35,12 @@ from .errors import InputError
 from .lmi import DecisionVars, QuatConstraint, quat_constraints
 from .model import NetworkModel, physical_memory
 from .qmatrix import QuatMatrix, hermitian_part
+
+# the most memory the blocks of one run of unit vectors take
+_CHUNK_BYTES = 2 ** 22
+# n x n quaternion matrices held per vector evaluated, at least: the 15
+# decision matrices that are not diagonal and the 25 blocks of -Omega
+_HELD_PER_VECTOR = 40
 
 
 @dataclass
@@ -75,15 +83,15 @@ class StandardSdp:
                                  f"of side {lmi.dim}")
 
 
-def _lower(con: QuatConstraint, n: int) -> AffineLmi:
-    """One constraint's stored rows from its blocks at the unit vectors: batch
-    row i + 1 of every block is its value at unit vector i, and the
-    variables where a block is zero are dropped."""
+def _lower(con: QuatConstraint, n: int, first: int) -> AffineLmi:
+    """One constraint's stored rows from its blocks at a run of unit vectors:
+    batch row i + 1 of every block is its value at unit vector first + i,
+    and the variables where a block is zero are dropped."""
     rows = con.num_blocks * n
     d = 2 * rows
     hot = {k: np.flatnonzero(blk.a1[1:].any(axis=(1, 2)) | blk.a2[1:].any(axis=(1, 2)))
            for k, blk in con.blocks.items()}
-    var = np.concatenate(list(hot.values()))
+    var = np.concatenate(list(hot.values())) + first
     key = np.concatenate([np.tile(k, (h.size, 1)) for k, h in hot.items()])
     a1 = np.concatenate([con.blocks[k].a1[h + 1] for k, h in hot.items()])
     a2 = np.concatenate([con.blocks[k].a2[h + 1] for k, h in hot.items()])
@@ -105,25 +113,36 @@ def _lower(con: QuatConstraint, n: int) -> AffineLmi:
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:
-    """Model -> complex standard-form SDP from one batched evaluation of the
-    criterion: batch row 0 is the zero vector, rows 1.. the unit vectors."""
+    """Model -> complex standard-form SDP, evaluating the criterion on runs
+    of unit vectors, each after a zero vector in batch row 0."""
     n = model.n
     num = DecisionVars.num_scalars(n)
-    # held at once: 18 decision matrices, 27 -Omega blocks, (num+1, n, n) pairs
-    need = 45 * 2 * 16.0 * (num + 1) * n * n
+    per_vector = _HELD_PER_VECTOR * 2 * 16.0 * n * n
+    run = max(1, int(_CHUNK_BYTES // per_vector))
+    # held at once by certify: the Schur complement and the copy that
+    # np.linalg.solve factors, or one run's blocks while it is lowered
+    need = max(16.0 * (num + 1) ** 2, per_vector * (min(run, num) + 1))
     if not need <= physical_memory():
-        raise InputError(f"lowering the criterion at n = {n} holds at least "
+        raise InputError(f"certifying the criterion at n = {n} holds at least "
                          f"{need:.3g} bytes at once, more than physical memory")
-    # a product past the float range is reported below, by constraint
-    with np.errstate(over="ignore", invalid="ignore"):
-        cons = quat_constraints(model, DecisionVars.from_vector(
-            np.vstack([np.zeros(num), np.eye(num)]), n))
-    for con in cons:
-        blocks = con.blocks.values()
-        if not all(np.isfinite(blk.a1).all() and np.isfinite(blk.a2).all()
-                   for blk in blocks):
-            raise InputError(f"constraint {con.name} has coefficients that are "
-                             "not finite: a model number is too large")
-        if any(blk.a1[0].any() or blk.a2[0].any() for blk in blocks):
-            raise InputError(f"constraint {con.name} is not homogeneous")
-    return StandardSdp(num_vars=num, lmis=[_lower(con, n) for con in cons])
+    lowered = []
+    for first in range(0, num, run):
+        vecs = np.zeros((min(run, num - first) + 1, num))
+        vecs[np.arange(1, len(vecs)), np.arange(first, first + len(vecs) - 1)] = 1.0
+        # a product past the float range is reported below, by constraint
+        with np.errstate(over="ignore", invalid="ignore"):
+            cons = quat_constraints(model, DecisionVars.from_vector(vecs, n))
+        for con in cons:
+            blocks = con.blocks.values()
+            if not all(np.isfinite(blk.a1).all() and np.isfinite(blk.a2).all()
+                       for blk in blocks):
+                raise InputError(f"constraint {con.name} has coefficients that "
+                                 "are not finite: a model number is too large")
+            if any(blk.a1[0].any() or blk.a2[0].any() for blk in blocks):
+                raise InputError(f"constraint {con.name} is not homogeneous")
+        lowered.append([_lower(con, n, first) for con in cons])
+    return StandardSdp(num_vars=num, lmis=[
+        AffineLmi(runs[0].name, runs[0].dim,
+                  *(np.concatenate([getattr(lmi, f) for lmi in runs])
+                    for f in ("var", "entry", "value")))
+        for runs in zip(*lowered)])

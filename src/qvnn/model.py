@@ -49,10 +49,15 @@ class DelaySpec:
         return self.amplitude * abs(self.omega)
 
     def __call__(self, t):
-        wave = self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float)
-                                       + self.phase) + self.offset
-        clamped = np.maximum(wave, 0.0)
-        return float(clamped) if np.ndim(t) == 0 else clamped
+        # one array, each step in place
+        wave = np.array(t, dtype=float)
+        wave *= self.omega
+        wave += self.phase
+        np.sin(wave, out=wave)
+        wave *= self.amplitude
+        wave += self.offset
+        np.maximum(wave, 0.0, out=wave)
+        return float(wave) if wave.ndim == 0 else wave
 
     @classmethod
     def from_json(cls, payload: dict, what: str = "delay") -> "DelaySpec":

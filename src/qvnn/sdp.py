@@ -54,8 +54,12 @@ group. Every constraint is a complex image chi, stored by its first
 N = d / 2 rows, and chi is a *-homomorphism (Zhang, Linear Algebra Appl.
 251, 1997): with W a chi image, so is W A_i W, and Re tr(A_j W A_i W) is
 twice the real part of the same sum over its first N rows alone. So only
-those rows are formed, and each group's traces are one dense product of
-its A_j, at the stored entries it uses, with those rows gathered there.
+those rows are formed, and in each row only the columns where some A_j is
+nonzero, each row padded to the longest, as those formulas form only the
+elements that M reads (at n = 2, Omega's A_j read 282 of its 968 stored
+entries, 484 with the padding). Each group's traces are one dense product
+of its A_j, at the stored entries it uses, with those gathered there. S_i
+is formed for a run of variables at a time, within a fixed byte budget.
 
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
 Omega and 14 blocks of three shapes), so the solver works on stacks, not on
@@ -64,15 +68,20 @@ support row sets and the same group sizes, Omega a stack of one. The
 scaling, the step lengths and the Schur products are batched over the
 members. One operator holds the stored entries of every stack, the rows
 below N rebuilt from them once: every S_k(y) is one pair of
-``np.bincount`` sums, the primal operator <A_i, U> two more (the traces per
-member, then per variable), and M takes its variable block from every
-stack's Schur entries through flat indices computed at set-up, its t row
-and column from the primal operator at W^2. A variable's sum runs over
-the members of each stack, stack after stack, each member's trace summed
-first: a sum in one level rounds differently, and near the gap target that
-rounding decides whether a run ends. Each iterate evaluates S once, and
-holds b - A(X, u, l) from its last primal update. numpy is the only
-dependency: every factorization and solve uses ``numpy.linalg``.
+``np.bincount`` sums and the primal operator <A_i, U> two more (the traces
+per member, then per variable). M is one (m + 1)^2 matrix per solve,
+filled in place: every stack adds its Schur entries into the variable
+block, one scatter per run of variables, the t row and column are the
+primal operator at W^2, and M is averaged with its transpose a band of
+rows at a time. Sums keep one order: an entry of M adds its stacks one
+after the other and, within a stack, its members in member order (members
+that share a variable scatter in separate layers); a variable's primal
+sum runs over the members of each stack, stack after stack, each member's
+trace summed first. A sum in one level rounds differently, and near the
+gap target that rounding decides whether a run ends. Each iterate
+evaluates S once, and holds b - A(X, u, l) from its last primal update.
+numpy is the only dependency: every factorization and solve uses
+``numpy.linalg``.
 
 This is a feasibility engine, not a general-purpose SDP solver: it has no
 infeasibility certificates and no presolve beyond ``scale_problem``.
@@ -93,7 +102,8 @@ from .lowering import AffineLmi, StandardSdp
 _REAL_MULTIPLICITY = 4
 # the largest violation of a primal equation at which the run may stop
 _RESIDUAL_TOLERANCE = 1e-9
-# the most memory the rows of S_i formed at once by a Schur complement take
+# the most memory the S_i of one run of a stack's variables take, and the
+# band of rows of M averaged at once
 _CHUNK_BYTES = 2 ** 23
 
 
@@ -206,19 +216,25 @@ class _Stack:
     active variables and the same dense group layout. ``active[k]`` holds
     member k's variables, group by group.
 
-    ``groups`` holds, per row set R, the slice of ``active`` assigned to it,
-    the members' dense A_i[R, R], stored as A_i[b, a] at [k, b, (a, i)], so
-    that one batched product with W[:, :N, R] gives rows p < N of W A_i for
-    the whole group of every member, and the group's Schur weights: ``top``,
-    the flat indices p d + q with p < N at which some member's A_i of the
-    group is nonzero, and ``weights``, 2 (Re A_i, Im A_i) at them, shaped
-    (members, group size, 2 len(top)). ``chunks`` splits the groups into
-    runs whose rows of S_i fit in ``_CHUNK_BYTES``, as (slice of
-    ``active``, groups). ``hess_index`` is the flat position in the
-    (m + 1)^2 matrix of each weight ``schur`` returns.
+    S_i is formed only in the read layout: row p < N at the columns
+    ``columns[p]`` where some member's A_j is nonzero in that row, each row
+    padded to the longest with column 0, so that S_i[p, columns[p, c]] lies
+    at p ``columns.shape[1]`` + c. ``groups`` holds, per row set R: R, the
+    slice of ``active`` assigned to it, ``top``, the positions in the read
+    layout at which some member's A_i of the group is nonzero, and
+    ``weights``, 2 (Re A_i, Im A_i) at them, shaped (members, group size,
+    2 len(top)). ``chunks`` splits ``active`` into runs whose S_i fit in
+    ``_CHUNK_BYTES``, a group's variables split between runs where they do
+    not fit in one, as (slice of ``active``, pieces), a piece per group in
+    the run: R, the slice of the run it fills and the members' dense
+    A_i[R, R] there, stored as A_i[b, a] at [k, b, (a, i)], so that one
+    batched product with W[:, :N, R] gives rows p < N of W A_i for the
+    piece of every member. ``layers`` splits the members so that none in
+    one layer share a variable and each comes after every earlier member it
+    shares one with.
     """
 
-    def __init__(self, parts, act, num_vars, member, p, q, j, value):
+    def __init__(self, parts, act, member, p, q, j, value):
         """``parts`` pairs each member with its support groups; the entries,
         stored rows and the rows below N, give their member, row p, column
         q, slot j in ``active`` and value."""
@@ -226,12 +242,9 @@ class _Stack:
         self.dim = d = parts[0][0].dim
         half, nb = d // 2, len(parts)
         self.active = act
-        self.groups = []
-        local = np.zeros(d, dtype=np.intp)
-        start = 0
+        groups, local, start = [], np.zeros(d, dtype=np.intp), 0
         for r, members in parts[0][1]:
             kg = len(members)
-            cols = slice(start, start + kg)
             local[r] = np.arange(len(r))
             mine = (j >= start) & (j < start + kg)
             acat = np.zeros((nb, len(r), len(r) * kg), dtype=complex)
@@ -246,50 +259,74 @@ class _Stack:
             upper = r < half
             b, a = np.nonzero(np.any(sub[:, upper] != 0.0, axis=(0, 3)))
             at = sub[:, upper][:, b, a].transpose(0, 2, 1)
-            self.groups.append((r, cols, acat, r[upper][b] * d + r[a],
-                                2.0 * np.concatenate([at.real, at.imag], axis=2)))
+            groups.append((r, slice(start, start + kg), sub,
+                           r[upper][b] * d + r[a],
+                           2.0 * np.concatenate([at.real, at.imag], axis=2)))
             start += kg
+        rows, cols = np.divmod(np.unique(np.concatenate(
+            [g[3] for g in groups])), d)
+        count = np.bincount(rows, minlength=half)
+        slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+        self.columns = np.zeros((half, count.max()), dtype=np.intp)
+        self.columns[rows, slot] = cols
+        place = np.zeros((half, d), dtype=np.intp)
+        place[rows, cols] = rows * count.max() + slot
+        self.groups = [(r, part, place[np.divmod(top, d)], weights)
+                       for r, part, _, top, weights in groups]
+        width = max(1, _CHUNK_BYTES // (16 * nb * self.columns.size))
         self.chunks = []
-        for group in self.groups:
-            cols = group[1]
-            if (self.chunks and _CHUNK_BYTES >= 16 * nb * half * d
-                    * (cols.stop - self.chunks[-1][0].start)):
-                run, groups = self.chunks.pop()
-                self.chunks.append((slice(run.start, cols.stop), groups + [group]))
-            else:
-                self.chunks.append((cols, [group]))
-        self.hess_index = (act[:, :, None] * (num_vars + 1)
-                           + act[:, None, :]).ravel()
+        for lo in range(0, start, width):
+            run, pieces = slice(lo, min(lo + width, start)), []
+            for r, part, sub, _, _ in groups:
+                first, stop = max(lo, part.start), min(run.stop, part.stop)
+                if first < stop:
+                    cut = sub[..., first - part.start:stop - part.start]
+                    pieces.append((r, slice(first - lo, stop - lo),
+                                   np.ascontiguousarray(cut).reshape(nb, len(r), -1)))
+            self.chunks.append((run, pieces))
+        owned = np.zeros((nb, act.max() + 1), dtype=np.intp)
+        owned[np.arange(nb)[:, None], act] = 1
+        shares = owned @ owned.T > 0
+        level = np.zeros(nb, dtype=np.intp)
+        for k in range(1, nb):
+            level[k] = 1 + level[:k][shares[k, :k]].max(initial=-1)
+        self.layers = ([np.flatnonzero(level == v) for v in range(level.max() + 1)]
+                       if level.any() else [slice(None)])
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        """Re tr(A_j W A_i W) over every member's active variables, at the
-        NT scaling matrices w, as (members, k, k).
+    def add_schur(self, w: np.ndarray, mat: np.ndarray) -> None:
+        """Add Re tr(A_j W A_i W) over every member's active variables, at
+        the NT scaling matrices w, into the Schur complement mat, layer
+        after layer.
 
         With chi images W and A_i, S_i = W A_i W is one too, and the entry
         of conj(A_j) * S_i at (N + p, q) is the conjugate of the one at
         (p, q +- N): the rows p >= N add up to the conjugate of the rows
-        p < N. So only those rows of S_i are formed, and the trace is twice
-        the real part of their sum. The solver's W is a chi image only up
-        to rounding that grows with the conditioning, so the products use
-        its chi part, which changes M only at second order in the
-        difference."""
-        nb, d, k, half = len(w), self.dim, self.active.shape[1], self.dim // 2
+        p < N. So only those rows of S_i are formed, at the columns read,
+        and the trace is twice the real part of their sum. The solver's W
+        is a chi image only up to rounding that grows with the conditioning,
+        so the products use its chi part, which changes M only at second
+        order in the difference. No two members of a layer share a
+        variable, so each layer adds into mat by one scatter per run."""
+        half, width = self.dim // 2, self.columns.shape[1]
         wc = _chi_part(w)
-        hess = np.empty((nb, k, k))
-        for cols, groups in self.chunks:
-            # S_i[p, q] at [k, p d + q, i - cols.start] for p < N
-            s = np.empty((nb, half * d, cols.stop - cols.start), dtype=complex)
-            for r, part, acat, _, _ in groups:
-                kg = part.stop - part.start
-                u = (wc[:, :half, r] @ acat).reshape(nb, half, len(r), kg)
-                own = slice(part.start - cols.start, part.stop - cols.start)
-                np.matmul(wc[:, r].transpose(0, 2, 1)[:, None], u,
-                          out=s[:, :, own].reshape(nb, half, d, kg))
-            for _, part, _, top, weights in self.groups:
-                got = s[:, top]
-                hess[:, part, cols] = weights @ np.concatenate(
-                    [got.real, got.imag], axis=1)
-        return hess
+        for layer in self.layers:
+            wl, act = wc[layer], self.active[layer]
+            nb = len(wl)
+            for run, pieces in self.chunks:
+                # S_i[p, columns[p, c]] at [k, p width + c, i - run.start]
+                s = np.empty((nb, half * width, run.stop - run.start),
+                             dtype=complex)
+                for r, own, acat in pieces:
+                    u = (wl[:, :half, r] @ acat[layer]).reshape(
+                        nb, half, len(r), -1)
+                    np.matmul(wl[:, r][:, :, self.columns].transpose(0, 2, 3, 1),
+                              u, out=s[:, :, own].reshape(nb, half, width, -1))
+                hess = np.empty((nb, act.shape[1], run.stop - run.start))
+                for _, part, top, weights in self.groups:
+                    got = s[:, top]
+                    hess[:, part] = weights[layer] @ np.concatenate(
+                        [got.real, got.imag], axis=1)
+                mat[act[:, :, None], act[:, None, run]] += hess
 
 
 class _Operator:
@@ -326,7 +363,7 @@ class _Operator:
             slot = np.zeros((nb, m), dtype=np.intp)
             slot[np.arange(nb)[:, None], act] = np.arange(act.shape[1])
             j = slot[member, var]
-            self.stacks.append(_Stack(parts, act, m, member, p, q, j, value))
+            self.stacks.append(_Stack(parts, act, member, p, q, j, value))
             entries.append((var, size + member * d * d + p * d + q,
                             pairs + member * act.shape[1] + j, value.conj()))
             size, pairs = size + nb * d * d, pairs + act.size
@@ -334,6 +371,7 @@ class _Operator:
             np.concatenate(column) for column in zip(*entries))
         self.row_var = np.concatenate([s.active.ravel() for s in self.stacks])
         self.split = np.cumsum([len(s.names) * s.dim ** 2 for s in self.stacks])
+        self.mat = np.empty((m + 1, m + 1))
 
     def evaluate(self, y: np.ndarray) -> list[np.ndarray]:
         """S_k(y) = sum_i x_i A_ki - t I of every member k, as (members, d, d)
@@ -368,18 +406,24 @@ class _Operator:
 
     def schur(self, ws) -> np.ndarray:
         """The (m + 1)^2 Schur complement of the semidefinite blocks at their
-        NT scaling matrices ws: every stack's Re tr(A_j W A_i W), members
-        that share a variable adding up, the t row and column
-        -Re tr(A_i W W), the primal operator at W^2, and the (t, t) entry
-        sum ||W_k||_F^2."""
-        n1 = self.m + 1
-        mat = np.bincount(np.concatenate([s.hess_index for s in self.stacks]),
-                          weights=np.concatenate([s.schur(w).ravel() for s, w
-                                                  in zip(self.stacks, ws)]),
-                          minlength=n1 * n1).reshape(n1, n1)
+        NT scaling matrices ws, in the operator's one matrix, which the next
+        call overwrites: every stack's Re tr(A_j W A_i W), members that
+        share a variable adding up, the t row and column -Re tr(A_i W W),
+        the primal operator at W^2, and the (t, t) entry sum ||W_k||_F^2,
+        averaged with its transpose a band of rows at a time."""
+        mat = self.mat
+        mat.fill(0.0)
+        for stack, w in zip(self.stacks, ws):
+            stack.add_schur(w, mat)
         mat[-1] = mat[:, -1] = self.apply([w @ w for w in ws])
         mat[-1, -1] = sum(np.vdot(w, w).real for w in ws)
-        return (mat + mat.T) / 2.0
+        step = max(1, _CHUNK_BYTES // (8 * len(mat)))
+        for lo in range(0, len(mat), step):
+            band = mat[lo:lo + step, lo:] + mat[lo:, lo:lo + step].T
+            band /= 2.0
+            mat[lo:lo + step, lo:] = band
+            mat[lo:, lo:lo + step] = band.T
+        return mat
 
 
 def _herm(a):

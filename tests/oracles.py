@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import simpson
 
 from qvnn.errors import InputError
 from qvnn.lkf import LyapunovTrace, window_quad
@@ -578,7 +576,9 @@ def dense_schur(sdp: StandardSdp, ws: list[np.ndarray]) -> np.ndarray:
     for lmi, w in zip(sdp.lmis, ws):
         b = np.concatenate([coeff_stack(lmi, m), -np.eye(lmi.dim)[None]], axis=0)
         wb = np.matmul(w[None], b)                    # W B_i, batched
-        schur += np.einsum("ipq,jqp->ij", wb, wb).real
+        # tr(W B_i W B_j) = sum over p, q of (W B_i)[p, q] (W B_j)[q, p]
+        schur += (wb.reshape(m + 1, -1)
+                  @ wb.transpose(0, 2, 1).reshape(m + 1, -1).T).real
     return schur
 
 
@@ -600,6 +600,8 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
     success only when the raw constraint margin reaches half the target, so a
     positive answer always survives independent re-verification at that level.
     """
+    import scipy.linalg
+
     if target_margin <= 0:
         raise InputError("target margin must be positive")
     coeffs = real_coeffs(sdp)
@@ -675,6 +677,8 @@ def grid_quad(times: np.ndarray, values: np.ndarray, a: float, b: float,
     i1 = min(max(i1, 0), last)
     if i1 <= i0:
         return (b - a) * (interp(pa) + interp(pb)) / 2.0
+    from scipy.integrate import simpson
+
     core = simpson(at(slice(i0, i1 + 1)), dx=step, axis=0)
     wa = (i0 - pa) * step
     if wa > _LKF_EDGE * step:

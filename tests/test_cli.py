@@ -513,8 +513,9 @@ def test_simulate_refuses_more_seeds_than_memory_before_drawing_one(
 ], ids=["certify", "margin"])
 def test_a_criterion_larger_than_memory_is_refused_before_it_is_built(
         tmp_path, capsys, monkeypatch, stable_example_path, command):
-    # at n = 6 the lowering holds more than 64 MiB at once: with that much
-    # physical memory the model is refused before the criterion is evaluated
+    # at n = 8 certify holds more than 64 MiB at once, the Schur complement
+    # and the copy that its solve factors alone: with that much physical
+    # memory the model is refused before the criterion is evaluated
     def no_build(*args, **kwargs):
         raise AssertionError("the criterion was built before its size was "
                              "checked")
@@ -522,9 +523,9 @@ def test_a_criterion_larger_than_memory_is_refused_before_it_is_built(
     monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: 64 * 2 ** 20)
     monkeypatch.setattr(qvnn.lowering, "quat_constraints", no_build)
     doc = json.loads(stable_example_path.read_text())
-    coupling = qmat_to_json(QuatMatrix.from_real(0.01 * np.eye(6)))
-    doc.update(n=6, C=[8.0] * 6, gamma=[0.2] * 6, A=coupling, B=coupling)
-    config = tmp_path / "n6.json"
+    coupling = qmat_to_json(QuatMatrix.from_real(0.01 * np.eye(8)))
+    doc.update(n=8, C=[8.0] * 8, gamma=[0.2] * 8, A=coupling, B=coupling)
+    config = tmp_path / "n8.json"
     config.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, command[0], str(config), *command[1:])
     assert code == 2

@@ -176,6 +176,36 @@ def test_build_assembles_the_criterion_once(monkeypatch):
     assert calls == [(num + 1, 2)]
 
 
+@pytest.mark.parametrize("budget", [1, 2 ** 15])
+@pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
+def test_runs_of_unit_vectors_lower_as_one_batch(source, budget, request,
+                                                  monkeypatch):
+    # a budget of one byte evaluates one unit vector per run, 2^15 bytes a
+    # few, the last run shorter: every stored entry is bit for bit the one
+    # of the single batch, in the same order
+    if isinstance(source, int):
+        model = random_model(np.random.default_rng(60 + source), source)
+    else:
+        model = request.getfixturevalue(f"{source}_model")
+    whole = build_sdp(model)
+    calls = []
+
+    def counted(model, dv):
+        calls.append(len(dv.m1))
+        return quat_constraints(model, dv)
+
+    monkeypatch.setattr(qvnn.lowering, "quat_constraints", counted)
+    monkeypatch.setattr(qvnn.lowering, "_CHUNK_BYTES", budget)
+    runs = build_sdp(model)
+    assert len(calls) > 1 and sum(calls) == whole.num_vars + len(calls)
+    assert runs.num_vars == whole.num_vars
+    for a, b in zip(runs.lmis, whole.lmis, strict=True):
+        assert (a.name, a.dim) == (b.name, b.dim)
+        for field in ("var", "entry", "value"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field),
+                                          strict=True)
+
+
 def test_memory_refusal_counts_no_more_than_the_lowering_holds(monkeypatch):
     # the size checked against physical memory is a lower bound of what the
     # lowering allocates, so memory that held one build never refuses it

@@ -304,13 +304,29 @@ def test_structured_derivatives_match_dense_on_toys(toy, indefinite, spread):
     assert_structured_matches_dense(sdp, seed=7, spread=spread)
 
 
-@pytest.mark.parametrize("source", ["stable", "reference"])
+@pytest.mark.parametrize("source, budget", [
+    pytest.param("stable", qvnn.sdp._CHUNK_BYTES, id="stable"),
+    pytest.param("reference", qvnn.sdp._CHUNK_BYTES, id="reference"),
+    pytest.param(3, 2 ** 16, id="n3-small-chunks"),
+])
 def test_schur_complement_matches_dense_along_the_solver_iterates(
-        source, request, monkeypatch):
+        source, budget, request, monkeypatch):
     # the solver's W is a chi image only up to rounding that grows with the
     # conditioning, and the Schur complement forms half of each W A_i W: at
-    # every iterate it must still match the full trace over both halves
-    scaled, _ = scale_problem(build_sdp(request.getfixturevalue(f"{source}_model")))
+    # every iterate it must still match the full trace over both halves. A
+    # small budget runs Omega's variables over many chunks, splits most of
+    # its groups between two of them and averages M in many bands of rows
+    monkeypatch.setattr(qvnn.sdp, "_CHUNK_BYTES", budget)
+    if isinstance(source, int):
+        model = random_model(np.random.default_rng(300 + source), source)
+    else:
+        model = request.getfixturevalue(f"{source}_model")
+    scaled, _ = scale_problem(build_sdp(model))
+    if isinstance(source, int):
+        op = qvnn.sdp._Operator(scaled)
+        assert max(len(stack.chunks) for stack in op.stacks) > 10
+        assert any(sum(len(pieces) for _, pieces in stack.chunks)
+                   > len(stack.groups) for stack in op.stacks)
     schur, seen = qvnn.sdp._Operator.schur, []
 
     def recording(op, ws):
@@ -324,7 +340,7 @@ def test_schur_complement_matches_dense_along_the_solver_iterates(
     assert result.failure_cause is None and len(seen) == result.iterations
     for ws, mat in seen:
         ref = dense_schur(scaled, [ws[lmi.name] for lmi in scaled.lmis])
-        assert np.max(np.abs(mat - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_the_iterate_holds_its_residual_and_the_record_its_min_eig(
@@ -386,6 +402,15 @@ def test_members_sharing_a_variable_add_up_in_the_scatter():
     assert stack.names == ["first", "second"]
     np.testing.assert_array_equal(stack.active, [[0, 1], [1, 2]])
     assert_structured_matches_dense(sdp, seed=11)
+
+
+def test_members_sharing_a_variable_add_up_across_one_column_chunks(
+        monkeypatch):
+    # the two members fall in two layers, and each variable in its own chunk
+    monkeypatch.setattr(qvnn.sdp, "_CHUNK_BYTES", 1)
+    (stack,) = qvnn.sdp._Operator(shared_toy()).stacks
+    assert len(stack.layers) == 2 and len(stack.chunks) == 2
+    assert_structured_matches_dense(shared_toy(), seed=12)
 
 
 def test_stacks_hold_one_copy_of_their_members_coefficients(stable_model):
