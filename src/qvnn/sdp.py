@@ -308,7 +308,7 @@ class _Stack:
         order in the difference. No two members of a layer share a
         variable, so each layer adds into mat by one scatter per run."""
         half, width = self.dim // 2, self.columns.shape[1]
-        wc = _chi_part(w)
+        wc, flat = _chi_part(w), mat.reshape(-1)
         for layer in self.layers:
             wl, act = wc[layer], self.active[layer]
             nb = len(wl)
@@ -326,7 +326,7 @@ class _Stack:
                     got = s[:, top]
                     hess[:, part] = weights[layer] @ np.concatenate(
                         [got.real, got.imag], axis=1)
-                mat[act[:, :, None], act[:, None, run]] += hess
+                flat[act[:, :, None] * len(mat) + act[:, None, run]] += hess
 
 
 class _Operator:
