@@ -18,11 +18,11 @@ the (11, 11) block of Omega, and by Cauchy interlacing a principal block is
 at least as definite as its matrix. All constraints are homogeneous (zero
 constant term), so certificates scale freely.
 
-Only the upper block triangle is authored below; the lower one is the mirror.
-Unlisted blocks are identically zero. Everything here is linear in the
-decision variables and works on stacks of variable sets (leading batch axes
-of every matrix), which the lowering pass exploits to read off all
-coefficient matrices from one evaluation at every unit vector.
+Each constraint is stated once, as a table of terms kappa * L X R in its
+upper block triangle (the lower one is the mirror, unlisted blocks are
+zero), and ``sum_terms`` evaluates it on a set of variables or a stack of
+them (leading batch axes of every matrix). A matrix held as None adds
+nothing, so the lowering reads each decision matrix's coefficients alone.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ from .qmatrix import (
 DIAG_NAMES = ("m1", "m2", "m3")
 HERMITIAN_NAMES = ("p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "q6", "r1", "r2")
 GENERAL_NAMES = ("u", "v", "s1", "s2")
+LAYOUT = DIAG_NAMES + HERMITIAN_NAMES + GENERAL_NAMES
 
 
 @dataclass
 class DecisionVars:
-    """One full set of decision matrices for a network of size n, or a stack
-    of sets when the arrays carry leading batch axes."""
+    """The decision matrices of a network of size n, stacked when the arrays
+    carry leading batch axes; a matrix held as None adds no term."""
 
     m1: np.ndarray
     m2: np.ndarray
@@ -80,57 +81,53 @@ class DecisionVars:
     # ---- flat real vector form ---------------------------------------------
 
     @staticmethod
-    def num_scalars(n: int) -> int:
-        # n reals per diagonal, n^2 + n(n-1) per Hermitian matrix, and
-        # 4 n^2 per unconstrained matrix
-        return (len(DIAG_NAMES) * n + len(HERMITIAN_NAMES) * (2 * n * n - n)
-                + len(GENERAL_NAMES) * 4 * n * n)
+    def size(name: str, n: int) -> int:
+        """The scalars of one matrix: n per diagonal, n^2 + n(n-1) per
+        Hermitian matrix and 4 n^2 per unconstrained matrix."""
+        if name in DIAG_NAMES:
+            return n
+        return 2 * n * n - n if name in HERMITIAN_NAMES else 4 * n * n
+
+    @classmethod
+    def num_scalars(cls, n: int) -> int:
+        return sum(cls.size(name, n) for name in LAYOUT)
+
+    @staticmethod
+    def read(name: str, vec: np.ndarray, n: int) -> np.ndarray | QuatMatrix:
+        """The matrix ``name`` whose scalars are the last axis of ``vec``, as
+        the flat layout stores them: a diagonal its n entries; a Hermitian
+        matrix its real a1 diagonal, then (re, im) of a1 and of a2 above the
+        diagonal, row by row; a general matrix the real and imaginary parts
+        of a1 and of a2, each row-major. Leading axes become batch axes, so
+        the identity of side ``size(name, n)`` gives the unit images."""
+        if name in DIAG_NAMES:
+            return vec.copy()
+        batch = vec.shape[:-1]
+        if name in GENERAL_NAMES:
+            part = vec.reshape(batch + (4, n, n))
+            return QuatMatrix(part[..., 0, :, :] + 1j * part[..., 1, :, :],
+                              part[..., 2, :, :] + 1j * part[..., 3, :, :])
+        rows, cols = np.triu_indices(n, 1)
+        upper = np.ascontiguousarray(vec[..., n:]).view(np.complex128)
+        upper1, upper2 = upper[..., :rows.size], upper[..., rows.size:]
+        a1 = np.zeros(batch + (n, n), dtype=np.complex128)
+        a2 = np.zeros_like(a1)
+        a1[..., range(n), range(n)] = vec[..., :n]
+        a1[..., rows, cols], a1[..., cols, rows] = upper1, upper1.conj()
+        a2[..., rows, cols], a2[..., cols, rows] = upper2, -upper2
+        return HermitianQuatMatrix(a1, a2)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n: int) -> "DecisionVars":
-        """The variables whose flat real vector is the last axis of ``vec``.
-
-        This is the one definition of the flat layout: per name, in the order
-        of DIAG_NAMES, HERMITIAN_NAMES and GENERAL_NAMES, a diagonal gives
-        its n entries; a Hermitian matrix its real a1 diagonal, then
-        (re, im) of a1 and of a2 above the diagonal, row by row (the lower
-        triangle is the mirror); a general matrix the real and imaginary
-        parts of a1 and of a2, each row-major. Leading axes of ``vec``
-        become batch axes of every matrix.
-        """
+        """The variables whose flat real vector is the last axis of ``vec``:
+        each matrix in the order of LAYOUT, as ``read`` lays it out."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape[-1:] != (cls.num_scalars(n),):
             raise InputError(f"expected {cls.num_scalars(n)} scalars, got {vec.shape}")
-        batch = vec.shape[:-1]
-        rows, cols = np.triu_indices(n, 1)
-        diag = np.arange(n)
-        pos = 0
-
-        def take(k):
-            nonlocal pos
-            pos += k
-            return vec[..., pos - k:pos]
-
-        def take_upper():
-            return np.ascontiguousarray(take(2 * rows.size)).view(np.complex128)
-
-        diags = {name: take(n).copy() for name in DIAG_NAMES}
-        herms = {}
-        for name in HERMITIAN_NAMES:
-            a1 = np.zeros(batch + (n, n), dtype=np.complex128)
-            a2 = np.zeros_like(a1)
-            a1[..., diag, diag] = take(n)
-            upper = take_upper()
-            a1[..., rows, cols], a1[..., cols, rows] = upper, upper.conj()
-            upper = take_upper()
-            a2[..., rows, cols], a2[..., cols, rows] = upper, -upper
-            herms[name] = HermitianQuatMatrix(a1, a2)
-        gens = {}
-        for name in GENERAL_NAMES:
-            a1 = (take(n * n) + 1j * take(n * n)).reshape(batch + (n, n))
-            a2 = (take(n * n) + 1j * take(n * n)).reshape(batch + (n, n))
-            gens[name] = QuatMatrix(a1, a2)
-        return cls(**diags, **herms, **gens)
+        ends = np.cumsum([cls.size(name, n) for name in LAYOUT])
+        parts = np.split(vec, ends[:-1], axis=-1)
+        return cls(**{name: cls.read(name, part, n)
+                      for name, part in zip(LAYOUT, parts)})
 
     # ---- JSON certificate payload --------------------------------------------
 
@@ -185,60 +182,74 @@ def assemble_blocks(num_blocks: int, n: int,
     return HermitianQuatMatrix(a1, a2)
 
 
-def omega_upper_blocks(model: NetworkModel,
-                       dv: DecisionVars) -> dict[tuple[int, int], QuatMatrix]:
-    """The 25 authored blocks of Omega, keyed by 1-based (row, col)."""
-    c = model.c_diag
-    g = model.gamma_diag
-    a, b = model.a_mat, model.b_mat
+def omega_terms(model: NetworkModel) -> list[tuple]:
+    """The 55 terms of Omega's 25 authored blocks, each a row
+    (block, scale, left, variable, right) read as scale * left X right, X
+    the named decision matrix, or its adjoint for a trailing "*". An
+    operand is None (I below) for the identity, a real diagonal as its
+    vector, or a QuatMatrix; a block sums its rows in the order listed."""
+    c, g, a, b = model.c_diag, model.gamma_diag, model.a_mat, model.b_mat
     delta, d1, d2 = model.delta, model.d1_bound, model.d2_bound
     mu1, mu = model.mu1, model.mu
-    p1, p2, p3 = dv.p1, dv.p2, dv.p3
-    q1, q2, q3, q4, q5, q6 = dv.q1, dv.q2, dv.q3, dv.q4, dv.q5, dv.q6
-    r1, r2, u, s1, s2 = dv.r1, dv.r2, dv.u, dv.s1, dv.s2
-
-    s1h, s2h = s1.H, s2.H
+    I = None
     blocks = {
-        (1, 1): (-p1.scale_cols(c) - p1.scale_rows(c) + p2 + (delta * delta) * p3
-                 + q1 + q3 + q5 + q6 - r1 + real_diag(g * dv.m1 * g)),
-        (1, 4): r1 - u.H,
-        (1, 6): u.H,
-        (1, 8): p1 @ a,
-        (1, 10): p1 @ b,
-        (1, 11): p1.scale_rows(c).scale_cols(c),
-        (2, 2): (d1 * d1) * r1 + (d2 * d2) * r2 - s1 - s1h,
-        (2, 3): -s1h.scale_cols(c) - s2,
-        (2, 8): s1h @ a,
-        (2, 10): s1h @ b,
-        (3, 3): -p2 - s2.scale_rows(c) - s2h.scale_cols(c),
-        (3, 8): s2h @ a,
-        (3, 10): s2h @ b,
-        (4, 4): (-(1.0 - mu1) * q1 - r1 - r1.H + u + u.H
-                 + real_diag(g * dv.m2 * g)),
-        (4, 6): r1 - u.H,
-        (5, 5): -(1.0 - mu) * q3 + real_diag(g * dv.m3 * g),
-        (6, 6): -q5 - r1 - r2,
-        (6, 7): r2,
-        (7, 7): -q6 - r2,
-        (8, 8): q2 + q4 - real_diag(dv.m1),
-        (8, 11): -(a.H @ p1).scale_cols(c),
-        (9, 9): -(1.0 - mu1) * q2 - real_diag(dv.m2),
-        (10, 10): -(1.0 - mu) * q4 - real_diag(dv.m3),
-        (10, 11): -(b.H @ p1).scale_cols(c),
-        (11, 11): -p3,
+        (1, 1): [(-1.0, I, "p1", c), (-1.0, c, "p1", I), (1.0, I, "p2", I),
+                 (delta * delta, I, "p3", I), (1.0, I, "q1", I), (1.0, I, "q3", I),
+                 (1.0, I, "q5", I), (1.0, I, "q6", I), (-1.0, I, "r1", I),
+                 (1.0, g, "m1", g)],
+        (1, 4): [(1.0, I, "r1", I), (-1.0, I, "u*", I)],
+        (1, 6): [(1.0, I, "u*", I)],
+        (1, 8): [(1.0, I, "p1", a)],
+        (1, 10): [(1.0, I, "p1", b)],
+        (1, 11): [(1.0, c, "p1", c)],
+        (2, 2): [(d1 * d1, I, "r1", I), (d2 * d2, I, "r2", I), (-1.0, I, "s1", I),
+                 (-1.0, I, "s1*", I)],
+        (2, 3): [(-1.0, I, "s1*", c), (-1.0, I, "s2", I)],
+        (2, 8): [(1.0, I, "s1*", a)],
+        (2, 10): [(1.0, I, "s1*", b)],
+        (3, 3): [(-1.0, I, "p2", I), (-1.0, c, "s2", I), (-1.0, I, "s2*", c)],
+        (3, 8): [(1.0, I, "s2*", a)],
+        (3, 10): [(1.0, I, "s2*", b)],
+        (4, 4): [(-(1.0 - mu1), I, "q1", I), (-1.0, I, "r1", I), (-1.0, I, "r1*", I),
+                 (1.0, I, "u", I), (1.0, I, "u*", I), (1.0, g, "m2", g)],
+        (4, 6): [(1.0, I, "r1", I), (-1.0, I, "u*", I)],
+        (5, 5): [(-(1.0 - mu), I, "q3", I), (1.0, g, "m3", g)],
+        (6, 6): [(-1.0, I, "q5", I), (-1.0, I, "r1", I), (-1.0, I, "r2", I)],
+        (6, 7): [(1.0, I, "r2", I)],
+        (7, 7): [(-1.0, I, "q6", I), (-1.0, I, "r2", I)],
+        (8, 8): [(1.0, I, "q2", I), (1.0, I, "q4", I), (-1.0, I, "m1", I)],
+        (8, 11): [(-1.0, a.H, "p1", c)],
+        (9, 9): [(-(1.0 - mu1), I, "q2", I), (-1.0, I, "m2", I)],
+        (10, 10): [(-(1.0 - mu), I, "q4", I), (-1.0, I, "m3", I)],
+        (10, 11): [(-1.0, b.H, "p1", c)],
+        (11, 11): [(-1.0, I, "p3", I)],
     }
+    return [(key, *term) for key, terms in blocks.items() for term in terms]
+
+
+def sum_terms(rows: list[tuple], dv: DecisionVars) -> dict[tuple[int, int], QuatMatrix]:
+    """Each block of ``rows`` summed at ``dv``, skipping every term whose
+    matrix ``dv`` holds as None; a block with no term left is absent."""
+    blocks = {}
+    for key, scale, left, var, right in rows:
+        x = getattr(dv, var.rstrip("*"))
+        if x is None:
+            continue
+        x = real_diag(x) if var in DIAG_NAMES else x.H if var.endswith("*") else x
+        if left is not None:
+            x = x.scale_rows(left) if isinstance(left, np.ndarray) else left @ x
+        if right is not None:
+            x = x.scale_cols(right) if isinstance(right, np.ndarray) else x @ right
+        blocks[key] = blocks[key] + scale * x if key in blocks else scale * x
     return blocks
 
 
 @dataclass(frozen=True)
 class QuatConstraint:
-    """One constraint of the criterion, matrix > 0, as its authored upper
-    blocks.
-
-    ``blocks`` maps 1-based (row, col) in the upper block triangle of a
-    ``num_blocks`` x ``num_blocks`` grid to an n x n block; unlisted blocks
-    are zero and the lower triangle is the mirror.
-    """
+    """One constraint of the criterion, matrix > 0: ``blocks`` maps 1-based
+    (row, col) in the upper block triangle of a ``num_blocks`` x
+    ``num_blocks`` grid to an n x n block; unlisted blocks are zero and the
+    lower triangle is the mirror."""
 
     name: str
     num_blocks: int
@@ -251,26 +262,24 @@ class QuatConstraint:
 
 
 def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstraint]:
-    """Every constraint of the criterion, each "> 0", evaluated at the given
-    variables. Omega is listed as -Omega."""
-    neg_omega = omega_upper_blocks(model, dv)
-    for key, blk in neg_omega.items():
-        # rebound, not negated in place: a block may share memory with dv
-        neg_omega[key] = -blk
-    cons = [
-        QuatConstraint("coupling_r1_u", 2,
-                       {(1, 1): dv.r1, (1, 2): dv.u, (2, 2): dv.r1}),
-        QuatConstraint("coupling_r2_v", 2,
-                       {(1, 1): dv.r2, (1, 2): dv.v, (2, 2): dv.r2}),
-        QuatConstraint("omega", 11, neg_omega),
+    """Every constraint of the criterion, each "> 0", summed from its rows
+    at the given variables. Omega is listed as -Omega, each row's scale
+    negated."""
+    def rows(*terms):
+        return [(key, 1.0, None, var, None) for key, var in terms]
+
+    tables = [
+        ("coupling_r1_u", 2, rows(((1, 1), "r1"), ((1, 2), "u"), ((2, 2), "r1"))),
+        ("coupling_r2_v", 2, rows(((1, 1), "r2"), ((1, 2), "v"), ((2, 2), "r2"))),
+        ("omega", 11, [(key, -scale, *rest)
+                       for key, scale, *rest in omega_terms(model)]),
     ]
     # R1 and P3 are principal blocks of coupling_r1_u and of -Omega
-    singles = [(f"{name}_pd", getattr(dv, name)) for name in HERMITIAN_NAMES
+    tables += [(f"{name}_pd", 1, rows(((1, 1), name))) for name in HERMITIAN_NAMES
                if name not in ("r1", "p3")]
-    singles += [(f"{name}_pos", real_diag(getattr(dv, name)))
-                for name in DIAG_NAMES]
-    return cons + [QuatConstraint(name, 1, {(1, 1): block})
-                   for name, block in singles]
+    tables += [(f"{name}_pos", 1, rows(((1, 1), name))) for name in DIAG_NAMES]
+    return [QuatConstraint(name, size, sum_terms(terms, dv))
+            for name, size, terms in tables]
 
 
 @dataclass(frozen=True)

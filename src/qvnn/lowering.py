@@ -1,10 +1,9 @@
 """Lowering quaternion LMIs to the paper's complex LMIs (CVLMIs).
 
-Every constraint of the criterion is linear in the flat decision vector, so
-its coefficients are read off exactly from its authored blocks at unit
-vectors, evaluated by batched calls of ``quat_constraints`` on runs of them
-whose blocks fit in ``_CHUNK_BYTES`` (one run up to n = 3); each run is
-lowered on its own and a constraint's runs are joined in variable order. A
+Every term of the criterion holds one decision matrix, so its coefficients
+are read off exactly by one call of ``quat_constraints`` per decision
+matrix, holding that matrix alone at its unit images (at most 4 n^2 of
+them); a constraint's pieces are joined in variable order. A
 constraint of N quaternion rows (``num_blocks`` blocks of side n) becomes
 its complex image chi, a Hermitian matrix of side 2N that is definite
 exactly when the quaternion matrix is. chi acts entry by entry, so it is
@@ -20,9 +19,9 @@ B*, with top rows [B1^H, B2^T]. Diagonal blocks are symmetrized first,
 exactly as ``assemble_blocks`` does. The coefficients are stored as three
 numpy arrays of the nonzero stored entries: the variable, the flat index
 of the entry in the row-major Hermitian matrix and the complex value,
-sorted by variable and then by entry. Every coefficient is finite and the
-criterion is homogeneous (``build_sdp`` refuses it otherwise), so a lowered
-constraint is sum_i x_i A_i with no constant term.
+sorted by variable and then by entry. Every coefficient is finite
+(``build_sdp`` refuses it otherwise) and every term is linear in its
+matrix, so a lowered constraint is sum_i x_i A_i with no constant term.
 """
 
 from __future__ import annotations
@@ -32,15 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lmi import DecisionVars, QuatConstraint, quat_constraints
+from .lmi import LAYOUT, DecisionVars, QuatConstraint, quat_constraints
 from .model import NetworkModel, physical_memory
 from .qmatrix import QuatMatrix, hermitian_part
-
-# the most memory the blocks of one run of unit vectors take
-_CHUNK_BYTES = 2 ** 22
-# n x n quaternion matrices held per vector evaluated, at least: the 15
-# decision matrices that are not diagonal and the 25 blocks of -Omega
-_HELD_PER_VECTOR = 40
 
 
 @dataclass
@@ -83,18 +76,16 @@ class StandardSdp:
                                  f"of side {lmi.dim}")
 
 
-def _lower(con: QuatConstraint, n: int, first: int) -> AffineLmi:
-    """One constraint's stored rows from its blocks at a run of unit vectors:
-    batch row i + 1 of every block is its value at unit vector first + i,
-    and the variables where a block is zero are dropped."""
+def _lower(con: QuatConstraint, n: int, first: int, size: int) -> AffineLmi:
+    """One constraint's stored rows from its blocks at the ``size`` unit
+    images of one decision matrix: batch row i of every block is its value
+    at variable first + i."""
     rows = con.num_blocks * n
     d = 2 * rows
-    hot = {k: np.flatnonzero(blk.a1[1:].any(axis=(1, 2)) | blk.a2[1:].any(axis=(1, 2)))
-           for k, blk in con.blocks.items()}
-    var = np.concatenate(list(hot.values())) + first
-    key = np.concatenate([np.tile(k, (h.size, 1)) for k, h in hot.items()])
-    a1 = np.concatenate([con.blocks[k].a1[h + 1] for k, h in hot.items()])
-    a2 = np.concatenate([con.blocks[k].a2[h + 1] for k, h in hot.items()])
+    var = np.tile(np.arange(first, first + size), len(con.blocks))
+    key = np.repeat(np.array(list(con.blocks)), size, axis=0)
+    a1 = np.concatenate([blk.a1 for blk in con.blocks.values()])
+    a2 = np.concatenate([blk.a2 for blk in con.blocks.values()])
     diag = key[:, 0] == key[:, 1]
     a1[diag], a2[diag] = hermitian_part(a1[diag], a2[diag])
     # the lower block triangle, B* at (b', b)
@@ -113,36 +104,35 @@ def _lower(con: QuatConstraint, n: int, first: int) -> AffineLmi:
 
 
 def build_sdp(model: NetworkModel) -> StandardSdp:
-    """Model -> complex standard-form SDP, evaluating the criterion on runs
-    of unit vectors, each after a zero vector in batch row 0."""
+    """Model -> complex standard-form SDP, evaluating the criterion once
+    per decision matrix, at that matrix's unit images alone."""
     n = model.n
     num = DecisionVars.num_scalars(n)
-    per_vector = _HELD_PER_VECTOR * 2 * 16.0 * n * n
-    run = max(1, int(_CHUNK_BYTES // per_vector))
     # held at once by certify: the Schur complement and the copy that
-    # np.linalg.solve factors, or one run's blocks while it is lowered
-    need = max(16.0 * (num + 1) ** 2, per_vector * (min(run, num) + 1))
+    # np.linalg.solve factors; one matrix's images, at most 4 n^2, take less
+    need = 16 * (num + 1) ** 2
     if not need <= physical_memory():
         raise InputError(f"certifying the criterion at n = {n} holds at least "
                          f"{need:.3g} bytes at once, more than physical memory")
-    lowered = []
-    for first in range(0, num, run):
-        vecs = np.zeros((min(run, num - first) + 1, num))
-        vecs[np.arange(1, len(vecs)), np.arange(first, first + len(vecs) - 1)] = 1.0
+    pieces = {}
+    first = 0
+    for name in LAYOUT:
+        size = DecisionVars.size(name, n)
+        images = DecisionVars.read(name, np.eye(size), n)
+        dv = DecisionVars(**{f: images if f == name else None for f in LAYOUT})
         # a product past the float range is reported below, by constraint
         with np.errstate(over="ignore", invalid="ignore"):
-            cons = quat_constraints(model, DecisionVars.from_vector(vecs, n))
+            cons = quat_constraints(model, dv)
         for con in cons:
-            blocks = con.blocks.values()
             if not all(np.isfinite(blk.a1).all() and np.isfinite(blk.a2).all()
-                       for blk in blocks):
+                       for blk in con.blocks.values()):
                 raise InputError(f"constraint {con.name} has coefficients that "
                                  "are not finite: a model number is too large")
-            if any(blk.a1[0].any() or blk.a2[0].any() for blk in blocks):
-                raise InputError(f"constraint {con.name} is not homogeneous")
-        lowered.append([_lower(con, n, first) for con in cons])
+            runs = pieces.setdefault((con.name, 2 * con.num_blocks * n), [])
+            if con.blocks:
+                runs.append(_lower(con, n, first, size))
+        first += size
     return StandardSdp(num_vars=num, lmis=[
-        AffineLmi(runs[0].name, runs[0].dim,
-                  *(np.concatenate([getattr(lmi, f) for lmi in runs])
-                    for f in ("var", "entry", "value")))
-        for runs in zip(*lowered)])
+        AffineLmi(name, dim, *(np.concatenate([getattr(lmi, f) for lmi in runs])
+                               for f in ("var", "entry", "value")))
+        for (name, dim), runs in pieces.items()])

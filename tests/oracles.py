@@ -24,7 +24,8 @@ from qvnn.lmi import (
     HERMITIAN_NAMES,
     DecisionVars,
     assemble_blocks,
-    omega_upper_blocks,
+    omega_terms,
+    sum_terms,
 )
 from qvnn.lowering import AffineLmi, StandardSdp
 from qvnn.model import DelaySpec, NetworkModel
@@ -344,8 +345,8 @@ class _Grid:
 
 
 def assemble_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix:
-    """The packaged Omega: its authored upper blocks, assembled."""
-    return assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
+    """The packaged Omega: its table of terms, summed and assembled."""
+    return assemble_blocks(11, model.n, sum_terms(omega_terms(model), dv))
 
 
 def derivation_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix:

@@ -29,7 +29,7 @@ from oracles import (
     rc_gap,
 )
 from qvnn.lkf import lkf_trace
-from qvnn.lmi import omega_upper_blocks, verify_certificate
+from qvnn.lmi import omega_terms, verify_certificate
 from qvnn.lowering import StandardSdp
 from qvnn.qmatrix import HermitianQuatMatrix, hermitian_eigvals
 from qvnn.sdp import SolverConfig, solve_feasibility
@@ -262,7 +262,7 @@ def test_09_omega_blocks_match_derivation_ordered_assembly(rng):
         dv = random_decision_vars(rng, n)
         direct = assemble_omega(model, dv)
         derived = derivation_omega(model, dv)
-        authored = set(omega_upper_blocks(model, dv).keys())
+        authored = {row[0] for row in omega_terms(model)}
         scale = max(1.0, float(np.max(np.abs(direct.a1))),
                     float(np.max(np.abs(direct.a2))))
         for bi in range(1, 12):

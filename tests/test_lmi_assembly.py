@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qvnn.lmi
 from oracles import (
     assemble_omega,
     derivation_omega,
@@ -27,10 +26,12 @@ from qvnn.lmi import (
     DIAG_NAMES,
     GENERAL_NAMES,
     HERMITIAN_NAMES,
+    LAYOUT,
     DecisionVars,
     assemble_blocks,
-    omega_upper_blocks,
+    omega_terms,
     quat_constraints,
+    sum_terms,
     verify_certificate,
 )
 from qvnn.model import DelaySpec, NetworkModel
@@ -145,7 +146,7 @@ def test_from_vector_rejects_wrong_length():
 
 
 def test_unit_point_block_values():
-    blocks = omega_upper_blocks(unit_model(), unit_vars())
+    blocks = sum_terms(omega_terms(unit_model()), unit_vars())
     assert set(blocks) == set(UNIT_BLOCKS)
     for key, expected in UNIT_BLOCKS.items():
         blk = blocks[key]
@@ -161,7 +162,7 @@ def test_assembled_matrix_is_hermitian_with_mirrored_blocks():
     omega = assemble_omega(model, dv)
     assert omega.shape == (22, 22)
     assert omega.hermitian_violation() == 0.0
-    blocks = omega_upper_blocks(model, dv)
+    blocks = sum_terms(omega_terms(model), dv)
     n = 2
     for (i, j), blk in blocks.items():
         r = slice((i - 1) * n, i * n)
@@ -177,7 +178,7 @@ def test_unauthored_blocks_are_exactly_zero():
     dv = random_decision_vars(rng, 2)
     omega = assemble_omega(model, dv)
     n = 2
-    authored = set(omega_upper_blocks(model, dv))
+    authored = {row[0] for row in omega_terms(model)}
     for i in range(1, 12):
         for j in range(i, 12):
             if (i, j) in authored:
@@ -250,22 +251,27 @@ def test_constraint_list_covers_all_families():
         "m1_pos", "m2_pos", "m3_pos"]
 
 
-def test_negating_omega_leaves_a_block_that_aliases_a_variable_alone(
-        monkeypatch):
-    # -Omega is formed block by block; a block that is a decision matrix
-    # itself must not flip that matrix for every other constraint
+def test_omega_is_a_table_of_55_terms_in_25_blocks():
+    # one row per term, in the upper block triangle of 11 x 11; each names a
+    # decision matrix or its adjoint, and V enters the second coupling only
+    rows = omega_terms(random_model(np.random.default_rng(37), 2))
+    assert len(rows) == 55
+    assert {row[0] for row in rows} == set(UNIT_BLOCKS)
+    assert len(UNIT_BLOCKS) == 25
+    assert all(1 <= i <= j <= 11 for (i, j), *_ in rows)
+    names = {row[3].removesuffix("*") for row in rows}
+    assert names <= set(LAYOUT) - {"v"}
+
+
+def test_negating_omega_leaves_a_block_that_aliases_a_variable_alone():
+    # -Omega negates each row's scale; the (6, 7) block is R2 itself, and
+    # listing its negation must not flip R2 for every other constraint
     rng = np.random.default_rng(36)
     model = random_model(rng, 2)
     dv = random_decision_vars(rng, 2)
+    assert [row for row in omega_terms(model) if row[0] == (6, 7)] == [
+        ((6, 7), 1.0, None, "r2", None)]
     r2 = dv.r2.a1.copy(), dv.r2.a2.copy()
-    authored = qvnn.lmi.omega_upper_blocks
-
-    def r2_at_6_7(model, dv):
-        blocks = authored(model, dv)
-        blocks[6, 7] = dv.r2
-        return blocks
-
-    monkeypatch.setattr(qvnn.lmi, "omega_upper_blocks", r2_at_6_7)
     cons = {c.name: c for c in quat_constraints(model, dv)}
     for part, before in zip((dv.r2.a1, dv.r2.a2), r2):
         np.testing.assert_array_equal(part, before)

@@ -13,16 +13,21 @@ from oracles import (
     lmi_value,
     part_labels,
     random_model,
+    shrunk_random_model,
     unit_images,
 )
 from qvnn.errors import InputError
 from qvnn.lmi import (
+    LAYOUT,
     DecisionVars,
     assemble_blocks,
-    omega_upper_blocks,
+    omega_terms,
     quat_constraints,
+    sum_terms,
 )
 from qvnn.lowering import build_sdp
+from qvnn.qmatrix import QuatMatrix
+from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 
 @pytest.fixture(scope="module")
@@ -57,26 +62,43 @@ def test_every_stage_evaluates_identically(small_system):
                 direct[lmi.name].complex_embed(), atol=1e-12)
 
 
-@pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
+@pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3,
+                                    "small couplings", 6])
 def test_rows_equal_the_embedded_assembly(source, request):
-    # every stored row is exactly the complex embedding of the assembled
-    # constraint at that unit vector, and holds no zeros
-    if isinstance(source, int):
+    # the stored top rows of every coefficient are exactly those of the
+    # complex embedding of the assembled constraint at that unit vector,
+    # and hold no zeros. With A = B = 0.01 I many entries of the term images
+    # vanish; at n = 6 the first and last scalar of each matrix are checked
+    if source == "small couplings":
+        small = QuatMatrix.from_real(0.01 * np.eye(2))
+        model = dataclasses.replace(random_model(np.random.default_rng(62), 2),
+                                    a_mat=small, b_mat=small)
+    elif source == 6:
+        model = shrunk_random_model(6, 0.05, 1)
+    elif isinstance(source, int):
         model = random_model(np.random.default_rng(60 + source), source)
     else:
         model = request.getfixturevalue(f"{source}_model")
     sdp = build_sdp(model)
     for lmi in sdp.lmis:
         assert np.all(lmi.value != 0.0)
+    scalars = range(sdp.num_vars)
+    if model.n == 6:
+        sizes = [DecisionVars.size(name, 6) for name in LAYOUT]
+        ends = np.cumsum(sizes)
+        scalars = sorted({*(ends - sizes), *(ends - 1)})
     basis = np.zeros(sdp.num_vars)
-    for i in range(sdp.num_vars):
+    for i in scalars:
         basis[i] = 1.0
         cons = quat_constraints(model, DecisionVars.from_vector(basis, model.n))
         basis[i] = 0.0
-        for lmi, con in zip(sdp.lmis, cons):
+        for lmi, con in zip(sdp.lmis, cons, strict=True):
             assert lmi.name == con.name
-            np.testing.assert_array_equal(
-                coeff_stack(lmi, sdp.num_vars)[i], con.matrix.complex_embed())
+            half = lmi.dim // 2
+            top = np.zeros(half * lmi.dim, dtype=complex)
+            top[lmi.entry[lmi.var == i]] = lmi.value[lmi.var == i]
+            np.testing.assert_array_equal(top.reshape(half, lmi.dim),
+                                          con.matrix.complex_embed()[:half])
 
 
 def test_lowering_preserves_extreme_eigenvalues():
@@ -100,11 +122,11 @@ def test_omega_is_listed_as_its_negation(small_system):
     model, sdp = small_system
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     dv = DecisionVars.from_vector(x, model.n)
-    omega = assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
+    omega = assemble_blocks(11, model.n, sum_terms(omega_terms(model), dv))
     listed = {c.name: c.matrix for c in quat_constraints(model, dv)}["omega"]
     np.testing.assert_array_equal(listed.a1, -omega.a1)
     np.testing.assert_array_equal(listed.a2, -omega.a2)
-    again = assemble_blocks(11, model.n, omega_upper_blocks(model, dv))
+    again = assemble_blocks(11, model.n, sum_terms(omega_terms(model), dv))
     np.testing.assert_array_equal(again.a1, omega.a1)
     np.testing.assert_array_equal(again.a2, omega.a2)
 
@@ -162,62 +184,54 @@ def test_var_map_indices_drive_the_right_matrix(small_system):
 
 
 def test_build_assembles_the_criterion_once(monkeypatch):
+    # one evaluation per decision matrix, in layout order, each holding
+    # that matrix alone, at exactly as many unit images as it has scalars
     calls = []
 
     def counted(model, dv):
-        calls.append(dv.m1.shape)
+        (name,) = [f for f in LAYOUT if getattr(dv, f) is not None]
+        images = getattr(dv, name)
+        calls.append((name, len(getattr(images, "a1", images))))
         return quat_constraints(model, dv)
 
     monkeypatch.setattr(qvnn.lowering, "quat_constraints", counted)
-    model = random_model(np.random.default_rng(46), 2)
-    build_sdp(model)
-    num = DecisionVars.num_scalars(2)
-    # one batch: the zero vector, then every unit vector
-    assert calls == [(num + 1, 2)]
-
-
-@pytest.mark.parametrize("budget", [1, 2 ** 15])
-@pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
-def test_runs_of_unit_vectors_lower_as_one_batch(source, budget, request,
-                                                  monkeypatch):
-    # a budget of one byte evaluates one unit vector per run, 2^15 bytes a
-    # few, the last run shorter: every stored entry is bit for bit the one
-    # of the single batch, in the same order
-    if isinstance(source, int):
-        model = random_model(np.random.default_rng(60 + source), source)
-    else:
-        model = request.getfixturevalue(f"{source}_model")
-    whole = build_sdp(model)
-    calls = []
-
-    def counted(model, dv):
-        calls.append(len(dv.m1))
-        return quat_constraints(model, dv)
-
-    monkeypatch.setattr(qvnn.lowering, "quat_constraints", counted)
-    monkeypatch.setattr(qvnn.lowering, "_CHUNK_BYTES", budget)
-    runs = build_sdp(model)
-    assert len(calls) > 1 and sum(calls) == whole.num_vars + len(calls)
-    assert runs.num_vars == whole.num_vars
-    for a, b in zip(runs.lmis, whole.lmis, strict=True):
-        assert (a.name, a.dim) == (b.name, b.dim)
-        for field in ("var", "entry", "value"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field),
-                                          strict=True)
+    build_sdp(random_model(np.random.default_rng(46), 2))
+    assert calls == [(name, DecisionVars.size(name, 2)) for name in LAYOUT]
 
 
 def test_memory_refusal_counts_no_more_than_the_lowering_holds(monkeypatch):
-    # the size checked against physical memory is a lower bound of what the
-    # lowering allocates, so memory that held one build never refuses it
+    # the size checked against physical memory is a lower bound of what
+    # certify allocates, the lowering and one solver iteration, so memory
+    # that held them never refuses the build
     model = random_model(np.random.default_rng(46), 2)
     tracemalloc.start()
     try:
-        build_sdp(model)
+        scaled, _ = scale_problem(build_sdp(model))
+        solve_feasibility(scaled, SolverConfig(max_outer_iters=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: peak)
     assert build_sdp(model).num_vars == DecisionVars.num_scalars(2)
     monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: 0)
+    with pytest.raises(InputError, match="physical memory"):
+        build_sdp(model)
+
+
+def test_memory_refusal_is_the_schur_complement_alone(monkeypatch):
+    # certify holds the Schur complement and the copy its solve factors,
+    # 16 (m + 1)^2 bytes: exactly that much memory builds, and a byte less
+    # refuses the model before the criterion is evaluated
+    model = random_model(np.random.default_rng(46), 2)
+    need = 16 * (DecisionVars.num_scalars(2) + 1) ** 2
+    monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: need)
+    assert build_sdp(model).num_vars == DecisionVars.num_scalars(2)
+
+    def no_build(*args):
+        raise AssertionError("the criterion was built before its size was "
+                             "checked")
+
+    monkeypatch.setattr(qvnn.lowering, "quat_constraints", no_build)
+    monkeypatch.setattr(qvnn.lowering, "physical_memory", lambda: need - 1)
     with pytest.raises(InputError, match="physical memory"):
         build_sdp(model)
