@@ -146,6 +146,11 @@ def cmd_certify(args) -> int:
         "num_variables": DecisionVars.num_scalars(model.n),
         "iterations": result.iterations,
         "gap": result.gap,
+        "proof": result.proof,
+        # null when the last iterate's primal is not proved
+        "margin_upper_bound": (result.margin_upper_bound
+                               if math.isfinite(result.margin_upper_bound)
+                               else None),
         "failure_cause": result.failure_cause,
         "timings": timings,
         "per_constraint_min_eig": result.per_constraint_min_eig,
@@ -163,11 +168,14 @@ def cmd_certify(args) -> int:
         f"{len(result.per_constraint_min_eig)} constraints",
         f"effort:  {result.iterations} primal-dual Newton steps to a gap of "
         f"{result.gap:.1e}, {timings['solve_seconds']}s",
+        f"proof:   {result.proof}; the optimal margin lies in "
+        f"[{result.margin:.6e}, {result.margin_upper_bound:.6e}]",
     ]
     if recheck is not None:
         lines.append(f"recheck: worst constraint margin "
                      f"{recheck.worst_margin:.6e} "
-                     f"({'consistent' if recheck.valid else 'INCONSISTENT'})")
+                     f"({'proved' if recheck.valid else 'NOT PROVED'} at half "
+                     f"the margin)")
 
     outputs: list[str] = []
     if certified and args.out is not None:
@@ -176,6 +184,8 @@ def cmd_certify(args) -> int:
         cert_doc = {
             "margin": result.margin,
             "margin_tolerance": args.margin_tol,
+            "proof": report["proof"],
+            "margin_upper_bound": report["margin_upper_bound"],
             "config_hash": report["config_hash"],
             "n": model.n,
             "variables": dv.to_json(),

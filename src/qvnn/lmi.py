@@ -27,6 +27,7 @@ nothing, so the lowering reads each decision matrix's coefficients alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,14 @@ import numpy as np
 from .errors import InputError
 from .model import NetworkModel
 from .qmatrix import (
+    SUBNORMAL,
     HermitianQuatMatrix,
     QuatMatrix,
+    gamma_k,
     hermitian_eigvals,
     hermitian_part,
     json_numbers,
+    proved_positive_definite,
     qmat_from_json,
     qmat_to_json,
     real_diag,
@@ -240,7 +244,10 @@ def sum_terms(rows: list[tuple], dv: DecisionVars) -> dict[tuple[int, int], Quat
             x = x.scale_rows(left) if isinstance(left, np.ndarray) else left @ x
         if right is not None:
             x = x.scale_cols(right) if isinstance(right, np.ndarray) else x @ right
-        blocks[key] = blocks[key] + scale * x if key in blocks else scale * x
+        # both exact, as the product would be
+        if scale != 1.0:
+            x = -x if scale == -1.0 else scale * x
+        blocks[key] = blocks[key] + x if key in blocks else x
     return blocks
 
 
@@ -261,10 +268,9 @@ class QuatConstraint:
         return assemble_blocks(self.num_blocks, n, self.blocks)
 
 
-def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstraint]:
-    """Every constraint of the criterion, each "> 0", summed from its rows
-    at the given variables. Omega is listed as -Omega, each row's scale
-    negated."""
+def constraint_rows(model: NetworkModel) -> list[tuple[str, int, list[tuple]]]:
+    """Every constraint of the criterion, each "> 0", as (name, number of
+    blocks, rows). Omega is listed as -Omega, each row's scale negated."""
     def rows(*terms):
         return [(key, 1.0, None, var, None) for key, var in terms]
 
@@ -278,8 +284,14 @@ def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstrai
     tables += [(f"{name}_pd", 1, rows(((1, 1), name))) for name in HERMITIAN_NAMES
                if name not in ("r1", "p3")]
     tables += [(f"{name}_pos", 1, rows(((1, 1), name))) for name in DIAG_NAMES]
-    return [QuatConstraint(name, size, sum_terms(terms, dv))
-            for name, size, terms in tables]
+    return tables
+
+
+def quat_constraints(model: NetworkModel, dv: DecisionVars) -> list[QuatConstraint]:
+    """Every constraint of the criterion summed from its rows at the given
+    variables."""
+    return [QuatConstraint(name, size, sum_terms(rows, dv))
+            for name, size, rows in constraint_rows(model)]
 
 
 @dataclass(frozen=True)
@@ -290,20 +302,71 @@ class CertificateReport:
     scores: dict[str, float]
 
 
+def _magnitude(x, lift: float):
+    """An operand's entrywise magnitudes, those of its complex image, in the
+    form ``sum_terms`` reads: a real QuatMatrix of twice the side with no j
+    part, a real diagonal as its vector twice, None as is; each raised by
+    ``lift``."""
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray):
+        return np.tile(np.abs(x), 2) + lift
+    image = np.abs(x.complex_embed()) + lift
+    return QuatMatrix(image, np.zeros_like(image))
+
+
 def verify_certificate(model: NetworkModel, dv: DecisionVars,
                        margin: float) -> CertificateReport:
-    """Independent quaternion-level check that dv satisfies every strict LMI.
+    """Independent quaternion-level proof that every eigenvalue of every
+    constraint at dv exceeds ``margin``.
 
-    Eigenvalues come from the complex embedding of each assembled constraint;
-    the certificate is valid iff every strictness margin reaches ``margin``.
-    A constraint with an entry that is not finite scores NaN, and so does
-    the worst margin.
+    Every constraint is linear in the variables, so they are divided by the
+    power of two at their largest entry, which is exact, and no assembly
+    leaves the float range. Each constraint is summed from its rows, and
+    once more with every operand replaced by its magnitudes: the chained
+    complex products and sums of a row err entrywise by at most gamma times
+    that table, and the complex image of the error by at most its largest
+    row sum in spectral norm. The constraint holds when its complex image
+    is proved by ``proved_positive_definite`` above margin plus that bound,
+    so "valid" is a statement about the stored matrices. Its score, for the
+    record, is its smallest eigenvalue. A constraint with an entry that is
+    not finite scores NaN and is not proved, and neither is the certificate.
     """
-    scores = {}
-    for con in quat_constraints(model, dv):
-        mat = con.matrix
-        finite = np.isfinite(mat.a1).all() and np.isfinite(mat.a2).all()
-        scores[con.name] = float(hermitian_eigvals(mat)[0]) if finite else np.nan
+    n = dv.n
+    parts = {name: getattr(dv, name) for name in LAYOUT}
+    largest = max(float(np.max(np.abs(p))) if isinstance(p, np.ndarray)
+                  else p.max_abs() for p in parts.values())
+    # 2^(e - 1) <= largest < 2^e; any power of two for 0, inf or nan
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    units = {name: p * (1.0 / scale) for name, p in parts.items()}
+    unit = DecisionVars(**units)
+    # twice for complex moduli, twice for the chained products, which also
+    # covers the rounding of a scale such as delta^2 or 1 - mu; an entry that
+    # the scaling rounds into the subnormals moves by at most the smallest
+    # subnormal, which lifting every magnitude covers, and the last term
+    # covers underflow inside the assembly
+    chain = 4 * n + 32
+    g = 4.0 * gamma_k(chain)
+    lift = SUBNORMAL / g
+    mags = DecisionVars(**{name: _magnitude(p, lift) for name, p in units.items()})
+    scores, valid = {}, True
+    for name, size, rows in constraint_rows(model):
+        mat = assemble_blocks(size, n, sum_terms(rows, unit))
+        image = mat.complex_embed()
+        table = sum_terms([(key, abs(kappa), _magnitude(left, lift), var,
+                            _magnitude(right, lift))
+                           for key, kappa, left, var, right in rows], mags)
+        # block (i, j) reaches block rows i and j; counting both for a
+        # diagonal block covers its symmetrization
+        sums = np.zeros((size, 2 * n))
+        for (i, j), blk in table.items():
+            sums[i - 1] += blk.a1.real.sum(axis=1)
+            sums[j - 1] += blk.a1.real.sum(axis=0)
+        finite = bool(np.isfinite(image).all())
+        scores[name] = (float(hermitian_eigvals(mat)[0]) * scale if finite
+                        else np.nan)
+        valid = valid and finite and proved_positive_definite(
+            image, margin / scale + g * float(sums.max())
+            + 4 * size * n * chain * SUBNORMAL)
     worst = float(np.min(list(scores.values())))
-    return CertificateReport(valid=bool(worst >= margin), worst_margin=worst,
-                             scores=scores)
+    return CertificateReport(valid=bool(valid), worst_margin=worst, scores=scores)

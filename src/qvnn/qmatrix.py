@@ -132,7 +132,13 @@ class QuatMatrix:
 
     def complex_embed(self) -> np.ndarray:
         """The 2r x 2c complex image [[A1, -A2], [conj(A2), conj(A1)]]."""
-        return np.block([[self.a1, -self.a2], [np.conj(self.a2), np.conj(self.a1)]])
+        r, c = self.shape
+        out = np.empty(self.a1.shape[:-2] + (2 * r, 2 * c), dtype=np.complex128)
+        out[..., :r, :c] = self.a1
+        out[..., :r, c:] = -self.a2
+        out[..., r:, :c] = self.a2.conj()
+        out[..., r:, c:] = self.a1.conj()
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QuatMatrix(shape={self.shape})"
@@ -184,6 +190,59 @@ def real_diag(d: np.ndarray) -> QuatMatrix:
 def hermitian_eigvals(h: HermitianQuatMatrix) -> np.ndarray:
     """Sorted eigenvalues of the complex embedding (each quaternion eigenvalue x2)."""
     return np.linalg.eigvalsh(h.complex_embed())
+
+
+# the unit roundoff of IEEE double precision, and its smallest subnormal
+UNIT_ROUNDOFF = 2.0 ** -53
+SUBNORMAL = 2.0 ** -1074
+
+
+def gamma_k(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): a chain of k roundings, as in a
+    sum of k products in any order, errs by at most gamma_k times the same
+    chain over magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Sec. 3.1)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def proved_positive_definite(h: np.ndarray, floor=0.0) -> bool:
+    """Whether every complex Hermitian matrix of the stack ``h`` (..., d, d)
+    is proved to have all its eigenvalues above ``floor`` (a number or one
+    per matrix).
+
+    The proof is Rump's (BIT 46, 2006): if the floating-point Cholesky
+    factor of a symmetric A of side D less c I exists, in any order of its
+    sums and so in LAPACK's blocked one, with c = gamma_{D+1} /
+    (1 - 2 gamma_{D+1}) tr A + 4 D (2 (D + 2) + max A_ii) times the smallest
+    subnormal, then A is positive definite. A is the real image
+    [[Re H, -Im H], [Im H, Re H]] less floor I, and the shift is taken at
+    twice c, which covers the rounding of computing it and of subtracting
+    it. LAPACK reads the lower triangle only, so for an ``h`` that is
+    Hermitian only up to rounding, ``floor`` must also cover the upper
+    one. A matrix with an entry that is not finite is not proved.
+    """
+    if not np.isfinite(h).all():
+        return False
+    d = h.shape[-1]
+    side = 2 * d
+    real = np.empty(h.shape[:-2] + (side, side))
+    real[..., :d, :d] = real[..., d:, d:] = h.real
+    real[..., d:, :d] = h.imag
+    real[..., :d, d:] = -h.imag
+    at = np.arange(side)
+    diag = np.abs(real[..., at, at])
+    g = gamma_k(side + 1)
+    # tr A and max A_ii at most, whatever the sign of floor
+    trace = diag.sum(axis=-1) + side * np.abs(floor)
+    peak = diag.max(axis=-1) + np.abs(floor)
+    shift = floor + 2.0 * (g / (1.0 - 2.0 * g) * trace
+                           + 4 * side * (2 * (side + 2) + peak) * SUBNORMAL)
+    real[..., at, at] -= np.expand_dims(shift, -1)
+    try:
+        np.linalg.cholesky(real)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---- quaternion vectors as complex pairs ---------------------------------------

@@ -28,8 +28,13 @@ Mehrotra's predictor-corrector. It starts at y = (0, -1), where every
 S_k = I, and evaluates S = S(y) at every iterate, so each iterate is dual
 feasible: its t is a margin that its x attains. The primal starts at
 X_k = I, u = l = 1 and becomes feasible as the steps shrink its residual.
-The run stops once the gap sum(u + l) - t is at most the target and the
-primal residual at most 1e-9.
+After each iteration the run tries one proof and stops at the first that
+holds. Below the margin tolerance, weak duality at the primal, with its
+residual and rounding bounded, gives a verified upper bound on every t that
+the box admits, and a bound below the tolerance proves "infeasible". At or
+above it, a shifted Cholesky of every S_k (Rump, BIT 46, 2006) proves that
+x attains t. Otherwise the run stops once the gap sum(u + l) - t is at most
+the target and the primal residual at most 1e-9.
 
 For each block the NT scaling G, with G^H S G = G^-1 X G^-H = diag(lambda),
 comes from the Cholesky factors L_X, L_S and the SVD L_S^H L_X =
@@ -84,7 +89,7 @@ numpy is the only dependency: every factorization and solve uses
 ``numpy.linalg``.
 
 This is a feasibility engine, not a general-purpose SDP solver: it has no
-infeasibility certificates and no presolve beyond ``scale_problem``.
+presolve beyond ``scale_problem``.
 """
 
 from __future__ import annotations
@@ -96,6 +101,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .lowering import AffineLmi, StandardSdp
+from .qmatrix import gamma_k, proved_positive_definite
 
 # The squared Frobenius norm of the real image of a chi image, over the sum of
 # squares of its stored half: the chi image doubles it, the real image again.
@@ -138,6 +144,12 @@ class FeasibilityResult:
     trace: list[IterationRecord] = field(default_factory=list)
     # message of the NumericalError that ended the run, or None
     failure_cause: str | None = None
+    # what the run proved: "feasible" (its margin is attained), "infeasible"
+    # (no |x| <= 1 attains the tolerance) or "undecided"
+    proof: str = "undecided"
+    # a verified upper bound on every margin that some |x| <= 1 attains,
+    # from the last iterate's primal; inf when it is not proved
+    margin_upper_bound: float = np.inf
     # seconds spent on the NT scaling and the Schur complement, on the two
     # solves with it, and on directions, step lengths and updates
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -371,6 +383,10 @@ class _Operator:
             np.concatenate(column) for column in zip(*entries))
         self.row_var = np.concatenate([s.active.ravel() for s in self.stacks])
         self.split = np.cumsum([len(s.names) * s.dim ** 2 for s in self.stacks])
+        # the most roundings in one entry of S(y) or of the primal operator:
+        # its products, their sum, and t or du
+        self.depth = int(max(np.bincount(self.flat).max(),
+                             np.bincount(self.var).max())) + 3
         self.mat = np.empty((m + 1, m + 1))
 
     def evaluate(self, y: np.ndarray) -> list[np.ndarray]:
@@ -564,16 +580,69 @@ def _iterate_once(it: _Iterate, clock):
     return float(ap), float(ad)
 
 
+def _proves_margin(it: _Iterate) -> bool:
+    """Whether every G_k(x) - t I of the iterate is proved positive definite,
+    so that its x attains its t. An entry of S_k(y) sums at most
+    ``op.depth`` roundings, so it errs by at most gamma times the same sum
+    over magnitudes, |x_i| (|Re a| + |Im a|) and |t| on the diagonal; the
+    real image of the error is at most its largest row sum in spectral
+    norm."""
+    op = it.op
+    mags = np.bincount(op.flat, weights=np.abs(it.y[op.var]) * (
+        np.abs(op.conj_value.real) + np.abs(op.conj_value.imag)),
+        minlength=op.split[-1])
+    g, t = gamma_k(op.depth), abs(float(it.y[op.m]))
+    return all(proved_positive_definite(
+        s, g * (part.reshape(s.shape).sum(axis=2).max(axis=1) + t))
+        for s, part in zip(it.ss, np.split(mags, op.split[:-1])))
+
+
+def _dual_bound(it: _Iterate) -> float:
+    """A verified upper bound on every t that some |x| <= 1 attains, by weak
+    duality at the iterate's primal. For Hermitian Z_k >= 0 and u, l >= 0,
+    sum_k <Z_k, G_k(x) - t I> + u (1 - x) + l (1 + x) >= 0 gives
+
+        t sum_k tr Z_k <= sum(u + l) + ||(u - l) - A*(Z)||_1.
+
+    Z_k is the Hermitian part of X_k, proved positive definite, or the
+    bound is inf. The operator's rounding is bounded as in
+    ``_proves_margin``, and the sums of the bound, at most ``nu + 2 m + 8``
+    roundings of nonnegative terms, are inflated by gamma."""
+    op, m = it.op, it.op.m
+    zs = [(x + _herm(x)) / 2.0 for x in it.xs]
+    if not (np.all(it.u >= 0.0) and np.all(it.l >= 0.0)
+            and all(proved_positive_definite(z) for z in zs)):
+        return np.inf
+    out = op.apply(zs, it.u - it.l)
+    if not out[m] > 0.0:
+        return np.inf
+    z = np.concatenate([z.ravel() for z in zs])[op.flat]
+    mags = np.bincount(op.row_var, weights=np.bincount(
+        op.row, weights=np.abs(z.real * op.conj_value.real)
+        + np.abs(z.imag * op.conj_value.imag), minlength=op.row_var.size),
+        minlength=m)
+    slack = np.abs(out[:m]) + gamma_k(op.depth) * (mags + it.u + it.l)
+    g = gamma_k(it.nu + 2 * m + 8)
+    return float((np.sum(it.u + it.l) + np.sum(slack)) / out[m]
+                 * (1.0 + g) / (1.0 - g))
+
+
 def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                       ) -> FeasibilityResult:
-    """Run the primal-dual method from y = (0, -1) until the gap and the
-    primal residual meet their targets or the iteration cap is reached.
+    """Run the primal-dual method from y = (0, -1) until a proof holds, or
+    else the gap and the primal residual meet their targets or the
+    iteration cap is reached.
 
-    Every iterate is dual feasible, so the reported margin, the best t over
-    the iterates, is attained by the reported x. A numerical breakdown ends
-    the run at the last iterate and names its cause; the status is
-    ``numerical_failure`` only when no iteration completed. Runs are
-    bitwise deterministic.
+    After each iteration the run tries one proof: while t is below the
+    margin tolerance, that the dual bound is too (``_dual_bound``), and once
+    t reaches it at the best iterate so far, that the iterate attains it
+    (``_proves_margin``). Every iterate is dual feasible, so the reported
+    margin, the best t over the iterates, is attained by the reported x,
+    and either proof agrees with the verdict of a longer run. The margin
+    upper bound is the dual bound at the last iterate. A numerical
+    breakdown ends the run at the last iterate and names its cause; the
+    status is ``numerical_failure`` only when no iteration completed. Runs
+    are bitwise deterministic.
     """
     cfg = config or SolverConfig()
     op = _Operator(sdp)
@@ -584,7 +653,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                           0.0)
     it = _Iterate(op)
     trace: list[IterationRecord] = []
-    best, best_x, cause = None, None, None
+    best, best_x, cause, proof = None, None, None, "undecided"
     while len(trace) < cfg.max_outer_iters:
         try:
             ap, ad = _iterate_once(it, clock)
@@ -600,8 +669,16 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
                                      residual, ap, ad, float(eigs.min())))
         if best is None or t > best.t:
             best, best_x, best_eigs = trace[-1], x, eigs
+        if t < cfg.margin_tolerance:
+            if _dual_bound(it) < cfg.margin_tolerance:
+                proof = "infeasible"
+                break
+        elif best is trace[-1] and _proves_margin(it):
+            proof = "feasible"
+            break
         if trace[-1].gap <= gap_target and residual <= _RESIDUAL_TOLERANCE:
             break
+    upper = _dual_bound(it)
     wall = time.perf_counter() - start
     if best is None:
         return FeasibilityResult(
@@ -615,4 +692,5 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
         margin=best.t, x=best_x,
         per_constraint_min_eig={l.name: eigs[l.name] for l in sdp.lmis},
         iterations=len(trace), wall_time=wall, gap=best.gap, trace=trace,
-        failure_cause=cause, phase_seconds=clock)
+        failure_cause=cause, phase_seconds=clock, proof=proof,
+        margin_upper_bound=upper)

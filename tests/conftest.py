@@ -33,6 +33,7 @@ def certified_solve(model, margin_tol: float = 1e-6):
     if result.x is not None:
         dv = DecisionVars.from_vector(result.x / factors, model.n)
     if result.status == "feasible":
+        assert result.proof == "feasible", "feasible verdict without a proof"
         FEASIBLE_RUNS.append((model, dv, result.margin))
         recheck = verify_certificate(model, dv, margin=0.5 * result.margin)
         assert recheck.valid, ("feasible verdict failed its quaternion-level "

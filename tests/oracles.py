@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from qvnn.lmi import (
     HERMITIAN_NAMES,
     DecisionVars,
     assemble_blocks,
+    constraint_rows,
     omega_terms,
     sum_terms,
 )
@@ -630,6 +632,117 @@ def alternating_projection_oracle(sdp: StandardSdp, target_margin: float,
         if margin >= 0.5 * target_margin:
             return ProjectionResult(True, x, margin, it)
     return ProjectionResult(False, x, margin, max_iters)
+
+
+# ---------------------------------------------------------------------------
+# Exact positive definiteness. Every float is a dyadic rational, so the
+# floats of a certificate, and every sum and product of them, are exact as
+# Fractions, with nothing left to round (Peyrl & Parrilo, Theor. Comput.
+# Sci. 409, 2008, round a certificate to such numbers first). A symmetric
+# matrix of dyadic rationals times its largest denominator is a matrix of
+# integers, whose leading principal minors fraction-free elimination forms
+# in Python integers (Bareiss, Math. Comp. 22, 1968), and Sylvester's
+# criterion decides its definiteness with no rounding at all, independently
+# of the Rump shift.
+# ---------------------------------------------------------------------------
+
+
+def bareiss_positive_definite(re, im) -> bool:
+    """Whether the Hermitian matrix re + i im of Gaussian integers is
+    positive definite. Fraction-free elimination works in any integral
+    domain: after step k the pivot is the leading principal minor of order
+    k + 1, real for a Hermitian matrix, and every division is exact. The
+    steps keep the matrix Hermitian, so only its upper triangle is updated,
+    with a_ik = conj(a_ki)."""
+    re, im = [list(row) for row in re], [list(row) for row in im]
+    prev = 1
+    for k, (top_re, top_im) in enumerate(zip(re, im)):
+        pivot = top_re[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(re)):
+            row_re, row_im = re[i], im[i]
+            ar, ai = top_re[i], -top_im[i]
+            for j in range(i, len(re)):
+                tr, ti = top_re[j], top_im[j]
+                row_re[j] = (row_re[j] * pivot - ar * tr + ai * ti) // prev
+                row_im[j] = (row_im[j] * pivot - ar * ti - ai * tr) // prev
+        prev = pivot
+    return True
+
+
+def exact_positive_definite(re, im, floor=0.0) -> bool:
+    """Whether the Hermitian matrix re + i im of dyadic rationals (Fractions,
+    ints or floats) less ``floor`` I is positive definite, exactly."""
+    parts = [[[Fraction(v) for v in row] for row in part] for part in (re, im)]
+    for k, row in enumerate(parts[0]):
+        row[k] -= Fraction(floor)
+    scale = max(f.denominator for part in parts for row in part for f in row)
+    assert scale & (scale - 1) == 0, "not a matrix of dyadic rationals"
+    return bareiss_positive_definite(*([[int(f * scale) for f in row]
+                                        for row in part] for part in parts))
+
+
+def exact_lmi_image(lmi: AffineLmi, x: np.ndarray, t: float) -> tuple:
+    """(Re, Im) of sum_i x_i A_i - t I of one lowered constraint, in exact
+    arithmetic from its floats: the stored rows p < N, and below them
+    A[N + p, N + q] = conj(A[p, q]) and A[N + p, q] = -conj(A[p, N + q])."""
+    d, half = lmi.dim, lmi.dim // 2
+    re = [[Fraction(0)] * d for _ in range(d)]
+    im = [[Fraction(0)] * d for _ in range(d)]
+    for v, e, a in zip(lmi.var, lmi.entry, lmi.value):
+        p, q = divmod(int(e), d)
+        xr, ar, ai = Fraction(float(x[v])), Fraction(a.real), Fraction(a.imag)
+        below, sign = (q + half, 1) if q < half else (q - half, -1)
+        re[p][q] += xr * ar
+        im[p][q] += xr * ai
+        re[half + p][below] += sign * xr * ar
+        im[half + p][below] -= sign * xr * ai
+    for k in range(d):
+        re[k][k] -= Fraction(t)
+    return re, im
+
+
+def _exact_operand(x) -> np.ndarray:
+    """The real image [[Re chi, -Im chi], [Im chi, Re chi]] of an operand's
+    complex image chi, as Fractions: a real diagonal's vector four times on
+    a diagonal."""
+    if isinstance(x, np.ndarray):
+        return np.diag(np.array([Fraction(float(v)) for v in np.tile(x, 4)],
+                                dtype=object))
+    chi = x.complex_embed()
+    real = np.block([[chi.real, -chi.imag], [chi.imag, chi.real]])
+    return np.vectorize(Fraction, otypes=[object])(real)
+
+
+def exact_constraints(model: NetworkModel, dv: DecisionVars) -> dict:
+    """(Re, Im) of the complex image of every constraint of the criterion at
+    dv, up to a symmetric permutation, in exact arithmetic from the floats
+    of its table and of dv. Block (i, j) sums its rows' kappa L X R over the
+    operands' real images, which multiply as the matrices do; the lower
+    blocks are their transposes and the diagonal blocks their symmetric
+    part, as ``assemble_blocks`` takes them. The complex image of each
+    block is then the first 2 n columns of its real image."""
+    side, half = 4 * dv.n, 2 * dv.n
+    out = {}
+    for name, size, rows in constraint_rows(model):
+        mat = np.zeros((size * side, size * side), dtype=object)
+        for (i, j), kappa, left, var, right in rows:
+            x = _exact_operand(getattr(dv, var.rstrip("*")))
+            x = x.T if var.endswith("*") else x
+            if left is not None:
+                x = _exact_operand(left) @ x
+            if right is not None:
+                x = x @ _exact_operand(right)
+            r, c = (slice((k - 1) * side, k * side) for k in (i, j))
+            mat[r, c] += Fraction(kappa) * x
+            if i != j:
+                mat[c, r] += Fraction(kappa) * x.T
+        mat = (mat + mat.T) * Fraction(1, 2)
+        top = np.add.outer(side * np.arange(size), np.arange(half)).ravel()
+        out[name] = (mat[np.ix_(top, top)].tolist(),
+                     mat[np.ix_(top + half, top)].tolist())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,10 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert report["margin"] >= 1e-6
     assert report["recheck_valid"] is True
     assert report["num_variables"] == 136
-    assert report["gap"] <= 1e-8
+    # the run stops at its proof, whose bracket holds the optimum, the
+    # margin of a run to a gap of 1e-8
+    assert report["proof"] == "feasible"
+    assert report["margin"] <= 1.317499372e-5 <= report["margin_upper_bound"] + 2e-8
     assert report["failure_cause"] is None
     assert len(report["per_constraint_min_eig"]) == 15
     assert min(report["per_constraint_min_eig"].values()) >= report["margin"] - 1e-9
@@ -91,6 +94,8 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     cert_doc = json.loads(cert.read_text())
     model, doc = load_model(str(stable_example_path))
     assert cert_doc["config_hash"] == config_hash(doc)
+    assert (cert_doc["proof"], cert_doc["margin_upper_bound"]) == (
+        "feasible", report["margin_upper_bound"])
     dv = DecisionVars.from_json(cert_doc["variables"], model.n)
     recheck = verify_certificate(model, dv, margin=0.5 * cert_doc["margin"])
     assert recheck.valid
@@ -118,6 +123,9 @@ def test_certify_reports_failure_honestly(capsys, reference_example_path):
     assert report["status"] == "not_certified"
     assert report["solver_status"] == "infeasible_at_tolerance"
     assert report["margin"] < 1e-6
+    # a verified bound: no margin of 1e-6 exists in the solver's box
+    assert report["proof"] == "infeasible"
+    assert report["margin_upper_bound"] < 1e-6
     assert "recheck_valid" not in report
 
 
@@ -300,6 +308,28 @@ def test_a_large_delay_certifies_without_overflow(tmp_path, capsys,
     assert code in (0, 1)
     assert json.loads(out)["solver_status"] != "numerical_failure"
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def test_certify_reports_an_unproved_upper_bound_as_null(
+        capsys, monkeypatch, stable_example_path):
+    # a run whose last primal is not proved has no finite upper bound, and
+    # the report stays strict JSON
+    def unproved(sdp, config):
+        return FeasibilityResult(
+            status="infeasible_at_tolerance", margin=-0.125, x=None,
+            per_constraint_min_eig={}, iterations=1, wall_time=0.0, gap=0.5)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    monkeypatch.setattr(qvnn.cli, "solve_feasibility", unproved)
+    code, out, _ = run_cli(capsys, "certify", str(stable_example_path), "--json")
+    assert code == 1
+    report = json.loads(out, parse_constant=refuse)
+    assert report["proof"] == "undecided"
+    assert report["margin_upper_bound"] is None
+    code, out, _ = run_cli(capsys, "certify", str(stable_example_path))
+    assert "proof:   undecided; the optimal margin lies in [-1.250000e-01, inf]" in out
 
 
 def diagnostics_of(trace, tmp_path, capsys, monkeypatch, config_path):
@@ -899,7 +929,9 @@ def test_simulate_refuses_a_certificate_that_fails_its_recheck(
     elif tamper == "nan":
         p1[0][0] = float("nan")
     else:
-        # P1 C overflows in Omega's (1, 1) block, so the recheck scores NaN
+        # P1 near the top of the float range: P1 C would overflow in Omega's
+        # (1, 1) block, and the recheck, which divides the certificate by a
+        # power of two first, finds Omega indefinite
         p1[0][0] = p1[3][0] = 8e307
     cert.write_text(json.dumps(cert_doc))
     if tamper == "missing":

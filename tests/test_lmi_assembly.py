@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import certified_solve
 from oracles import (
     assemble_omega,
     derivation_omega,
+    exact_constraints,
+    exact_positive_definite,
     part_labels,
     quat_identity,
     random_decision_vars,
@@ -18,9 +21,11 @@ from oracles import (
     random_model,
     real_parts,
     scaled,
+    shrunk_random_model,
     to_vector,
     unit_images,
 )
+import qvnn.lmi
 from qvnn.errors import InputError
 from qvnn.lmi import (
     DIAG_NAMES,
@@ -34,8 +39,10 @@ from qvnn.lmi import (
     sum_terms,
     verify_certificate,
 )
+from qvnn.lowering import build_sdp
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, hermitian_eigvals
+from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, hermitian_eigvals, real_diag
+from qvnn.sdp import scale_problem, solve_feasibility
 
 
 def unit_model():
@@ -342,3 +349,89 @@ def test_verify_certificate_enforces_requested_margin(stable_model,
     strict = verify_certificate(stable_model, dv, margin=result.margin * 1e6)
     assert not strict.valid
     assert strict.worst_margin < result.margin * 1e6
+
+
+@pytest.mark.parametrize("source", ["stable", (1, 0.05, 0), (1, 0.05, 1)])
+def test_the_recheck_agrees_with_exact_elimination(source, request):
+    # the recheck is a proof about the stored matrices: at half the solver's
+    # margin, and just below and just above the smallest eigenvalue, it
+    # holds exactly where every constraint, assembled in exact arithmetic
+    # from the floats of the table and the certificate, is definite by
+    # fraction-free elimination
+    model = (request.getfixturevalue(f"{source}_model")
+             if isinstance(source, str) else shrunk_random_model(*source))
+    result, dv = certified_solve(model)
+    cons = exact_constraints(model, dv)
+    least = verify_certificate(model, dv, 0.0).worst_margin
+    for margin in (0.5 * result.margin, least * (1.0 - 1e-3),
+                   least * (1.0 + 1e-3)):
+        exact = all(exact_positive_definite(*con, floor=margin)
+                    for con in cons.values())
+        assert exact == (margin < least)
+        assert verify_certificate(model, dv, margin).valid == exact
+
+
+def test_the_recheck_proves_a_certificate_near_the_ends_of_the_float_range(
+        stable_model, stable_solution):
+    # the variables are divided by a power of two before the assembly, so a
+    # certificate scaled by one, 2^1000 or 2^-900, has the same verdict and
+    # its scores scaled exactly, with no product leaving the float range
+    result, dv = stable_solution
+    plain = verify_certificate(stable_model, dv, 0.5 * result.margin)
+    assert plain.valid
+    for factor in (2.0 ** 1000, 2.0 ** -900):
+        big = verify_certificate(stable_model, scaled(dv, factor),
+                                 0.5 * result.margin * factor)
+        assert big.valid
+        assert big.scores == {k: v * factor for k, v in plain.scores.items()}
+
+
+def multiplying_sum_terms(rows, dv):
+    """``sum_terms`` with every scale applied as a product, as the table
+    was first summed."""
+    blocks = {}
+    for key, scale, left, var, right in rows:
+        x = getattr(dv, var.rstrip("*"))
+        if x is None:
+            continue
+        x = real_diag(x) if var in DIAG_NAMES else x.H if var.endswith("*") else x
+        if left is not None:
+            x = x.scale_rows(left) if isinstance(left, np.ndarray) else left @ x
+        if right is not None:
+            x = x.scale_cols(right) if isinstance(right, np.ndarray) else x @ right
+        blocks[key] = blocks[key] + scale * x if key in blocks else scale * x
+    return blocks
+
+
+@pytest.mark.parametrize("source", ["stable", "reference", 1, 2, 3])
+def test_unit_scales_skip_their_product_and_change_no_number(
+        source, request, monkeypatch):
+    # a scale of 1 adds its term as it is and -1 negates it, both exact as
+    # the product is: every assembled number and lowered coefficient is the
+    # same. Only the sign of a zero part can differ (-x against -1.0 x), and
+    # the solver's run on a bundled config is the same to the bit
+    if isinstance(source, str):
+        model = request.getfixturevalue(f"{source}_model")
+    else:
+        model = random_model(np.random.default_rng(600 + source), source)
+    dv = random_decision_vars(np.random.default_rng(601), model.n)
+    runs = []
+    for table in (sum_terms, multiplying_sum_terms):
+        monkeypatch.setattr(qvnn.lmi, "sum_terms", table)
+        sdp = build_sdp(model)
+        runs.append(([c.blocks for c in quat_constraints(model, dv)], sdp,
+                     solve_feasibility(scale_problem(sdp)[0])
+                     if isinstance(source, str) else None))
+    (cons, sdp, run), (ref_cons, ref_sdp, ref_run) = runs
+    for blocks, ref in zip(cons, ref_cons):
+        assert list(blocks) == list(ref)
+        for blk, ref_blk in zip(blocks.values(), ref.values()):
+            for part, ref_part in ((blk.a1, ref_blk.a1), (blk.a2, ref_blk.a2)):
+                np.testing.assert_array_equal(part, ref_part)
+    for lmi, ref in zip(sdp.lmis, ref_sdp.lmis, strict=True):
+        assert lmi.var.tobytes() == ref.var.tobytes()
+        assert lmi.entry.tobytes() == ref.entry.tobytes()
+        np.testing.assert_array_equal(lmi.value, ref.value)
+    if run is not None:
+        assert run.x.tobytes() == ref_run.x.tobytes()
+        assert [r.t for r in run.trace] == [r.t for r in ref_run.trace]

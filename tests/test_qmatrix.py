@@ -10,6 +10,7 @@ from oracles import (
     brute_product,
     definiteness,
     entry,
+    exact_positive_definite,
     from_entries,
     quadform,
     qv_conj_dot,
@@ -28,6 +29,7 @@ from qvnn.qmatrix import (
     QuatMatrix,
     hermitian_eigvals,
     mat_vec,
+    proved_positive_definite,
     qmat_from_json,
     qmat_to_json,
     qv_components,
@@ -347,3 +349,44 @@ def test_json_rejects_malformed_payloads():
                         "z": [[1.0, 2.0]]})  # ragged
     with pytest.raises(InputError):
         qmat_from_json("not a dict")
+
+
+# ---- verified definiteness -----------------------------------------------------
+
+
+def hermitian_with_least(rng, d: int, least: float) -> np.ndarray:
+    """A random complex Hermitian matrix of side d whose eigenvalues are
+    ``least`` and values in [1, 2], up to rounding."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = np.append(least, rng.uniform(1.0, 2.0, size=d - 1))
+    h = (q * lam) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_the_shifted_cholesky_agrees_with_exact_elimination(d):
+    # 1e-6 from the floor, far beyond the shift and the rounding of the
+    # matrix, the proof and fraction-free elimination on its exact floats
+    # agree; a stack is proved only when every member is
+    rng = np.random.default_rng(70 + d)
+    for floor in (0.0, 0.25, -0.5):
+        for offset in (1e-6, -1e-6):
+            h = hermitian_with_least(rng, d, floor + offset)
+            exact = exact_positive_definite(h.real, h.imag, floor)
+            assert exact == (offset > 0.0)
+            assert proved_positive_definite(h, floor) == exact
+    good, bad = (hermitian_with_least(rng, d, v) for v in (0.5, -0.5))
+    assert proved_positive_definite(np.stack([good, good]))
+    assert not proved_positive_definite(np.stack([good, bad]))
+    assert proved_positive_definite(np.stack([good, bad]), np.array([0.0, -1.0]))
+
+
+def test_a_matrix_definite_by_less_than_its_shift_is_not_proved():
+    # diag(delta, 1e6): the shift is about 2 gamma_5 times the trace of the
+    # real image, 2.2e-9, so 1e-12 is definite but not proved and 1e-6 is
+    # both; a matrix with an entry that is not finite is never proved
+    for delta, proved in ((1e-12, False), (1e-6, True)):
+        h = np.diag([delta, 1e6]).astype(complex)
+        assert exact_positive_definite(h.real, h.imag)
+        assert proved_positive_definite(h) is proved
+    assert not proved_positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -14,6 +14,8 @@ from oracles import (
     alternating_projection_oracle,
     coeff_stack,
     dense_schur,
+    exact_lmi_image,
+    exact_positive_definite,
     lmi_value,
     random_model,
     real_coeffs,
@@ -65,8 +67,14 @@ def three_scale_toy():
 
 
 def test_interval_toy_finds_the_analytic_center():
+    # the run stops at its first proof, with a bracket that holds the optimum
     result = solve_feasibility(interval_toy())
-    assert result.status == "feasible"
+    assert result.status == "feasible" and result.proof == "feasible"
+    assert result.margin <= 0.5 <= result.margin_upper_bound
+    # at a tolerance equal to the optimum neither proof can hold, and the
+    # run goes on to the gap target
+    result = solve_feasibility(interval_toy(), SolverConfig(margin_tolerance=0.5))
+    assert result.proof == "undecided"
     assert result.margin == pytest.approx(0.5, abs=1e-6)
     assert result.x[0] == pytest.approx(1.0, abs=1e-3)
     assert result.x[1] == pytest.approx(0.5, abs=1e-3)
@@ -76,7 +84,10 @@ def test_interval_toy_finds_the_analytic_center():
 
 def test_homogeneous_ray_is_capped_by_the_trust_region():
     result = solve_feasibility(ray_toy())
-    assert result.status == "feasible"
+    assert result.status == "feasible" and result.proof == "feasible"
+    assert result.margin <= 1.0 <= result.margin_upper_bound
+    assert abs(result.x[0]) <= 1.0
+    result = solve_feasibility(ray_toy(), SolverConfig(margin_tolerance=1.0))
     assert 0.9 < result.margin <= 1.0
     assert abs(result.x[0]) <= 1.0
 
@@ -131,24 +142,66 @@ def test_every_iterate_is_dual_feasible(toy):
 
 @pytest.mark.parametrize("toy", [interval_toy, ray_toy, opposing_toy,
                                  three_scale_toy, shared_toy])
-def test_the_run_stops_at_the_gap_target(toy):
+def test_the_run_stops_at_its_first_proof(toy, monkeypatch):
+    # one proof a step: the dual bound while t is below the tolerance, the
+    # margin once the best t reaches it; the first that holds ends the run,
+    # and the dual bound at the last iterate is the reported upper bound
+    proves, bound, tries = qvnn.sdp._proves_margin, qvnn.sdp._dual_bound, []
+
+    def margin(it):
+        tries.append(("feasible", float(it.y[-1]), proves(it)))
+        return tries[-1][2]
+
+    def upper(it):
+        tries.append(("infeasible", float(it.y[-1]), bound(it)))
+        return tries[-1][2]
+
+    monkeypatch.setattr(qvnn.sdp, "_proves_margin", margin)
+    monkeypatch.setattr(qvnn.sdp, "_dual_bound", upper)
     result = solve_feasibility(toy())
-    assert result.failure_cause is None
-    last = result.trace[-1]
-    assert last.bound - last.t <= 1e-8
-    assert last.primal_residual <= 1e-9
-    # the stop is the first iterate that meets both targets
+    assert result.failure_cause is None and result.proof != "undecided"
+    *steps, (_, _, last_bound) = tries
+    assert last_bound == result.margin_upper_bound
+    assert [t for _, t, _ in steps] == [r.t for r in result.trace]
+    for kind, t, _ in steps:
+        assert kind == ("feasible" if t >= 1e-6 else "infeasible")
+    held = [won if kind == "feasible" else won < 1e-6 for kind, _, won in steps]
+    assert held[-1] and not any(held[:-1])
+    assert result.proof == steps[-1][0]
+    # the targets of a longer run were not met before
     assert not any(r.gap <= 1e-8 and r.primal_residual <= 1e-9
                    for r in result.trace[:-1])
-    # a tighter margin tolerance tightens the gap target to 5 % of it
-    tight = solve_feasibility(toy(), SolverConfig(margin_tolerance=1e-8))
-    assert tight.failure_cause is None
-    assert tight.trace[-1].gap <= 5e-10
-    assert tight.iterations >= result.iterations
+
+
+def small_ray_toy():
+    """The ray toy at 1e-8 of its scale: its optimum is 1e-8."""
+    return StandardSdp(num_vars=1, lmis=[affine_lmi("ray", 1e-8 * np.eye(2)[None])])
+
+
+@pytest.mark.parametrize("toy, optimum", [
+    (interval_toy, 0.5), (ray_toy, 1.0), (three_scale_toy, 100.01),
+    (small_ray_toy, 1e-8)],
+    ids=["interval_toy", "ray_toy", "three_scale_toy", "small_ray_toy"])
+def test_the_run_stops_at_the_gap_target(toy, optimum):
+    # at a tolerance equal to the optimum neither proof can hold
+    result = solve_feasibility(toy(), SolverConfig(margin_tolerance=optimum))
+    assert result.failure_cause is None and result.proof == "undecided"
+    # the gap target is the smaller of 1e-8 and 5 % of the tolerance
+    target = min(1e-8, 0.05 * optimum)
+    last = result.trace[-1]
+    assert last.bound - last.t <= target
+    assert last.primal_residual <= 1e-9
+    # the stop is the first iterate that meets both targets
+    assert not any(r.gap <= target and r.primal_residual <= 1e-9
+                   for r in result.trace[:-1])
+    assert result.margin <= optimum <= result.margin_upper_bound
+    if target < 1e-8:
+        # the tightened target kept the run going past the usual one
+        assert any(r.gap <= 1e-8 for r in result.trace[:-1])
 
 
 def test_trace_min_eig_matches_margin_at_the_optimum():
-    result = solve_feasibility(ray_toy())
+    result = solve_feasibility(ray_toy(), SolverConfig(margin_tolerance=1.0))
     last = result.trace[-1]
     assert last.min_eig == pytest.approx(last.t, abs=1e-6)
 
@@ -212,18 +265,64 @@ def test_stable_example_certifies(stable_model, stable_solution):
     assert result.iterations > 0
     assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-9
     # the iterates: a change that moves them must restate these values
-    assert result.iterations == 20
-    assert result.gap <= 1e-8 and result.trace[-1].primal_residual <= 1e-9
+    assert result.iterations == 13 and result.proof == "feasible"
     assert all(r.min_eig >= r.t - 1e-12 for r in result.trace)
-    assert result.margin == pytest.approx(1.317499372e-5, rel=1e-9)
+    assert result.margin == pytest.approx(1.172797034e-5, rel=1e-9)
+    assert result.margin_upper_bound == pytest.approx(2.716418e-5, rel=1e-6)
+    # the optimum, the margin of a run to a gap of 1e-8, lies in the bracket
+    assert result.margin <= 1.317499372e-5 <= result.margin_upper_bound + 2e-8
 
 
 def test_reference_example_is_infeasible_at_tolerance(reference_model):
     result, _ = certified_solve(reference_model)
     assert result.status == "infeasible_at_tolerance"
-    assert result.margin < 1e-6
-    assert result.iterations == 12
-    assert result.margin == pytest.approx(-4.1230e-11, abs=1e-13)
+    assert result.proof == "infeasible"
+    assert result.margin_upper_bound < 1e-6
+    assert result.iterations == 11
+    assert result.margin == pytest.approx(-4.1230e-9, abs=1e-12)
+    # the optimum is 0, which x = 0 attains, to within a run's 1e-8 gap
+    assert result.margin <= 0.0 <= result.margin_upper_bound
+
+
+@pytest.mark.parametrize("source", ["stable", (1, 0.05, 0)])
+def test_the_margin_proof_agrees_with_exact_elimination(source, request):
+    # at the iterate that ended the run, and with t just below and just
+    # above the smallest eigenvalue of its G_k(x): the proof holds exactly
+    # where every G_k(x) - t I, summed in exact arithmetic from the lowered
+    # floats, is positive definite by fraction-free elimination
+    model = (request.getfixturevalue(f"{source}_model")
+             if isinstance(source, str) else shrunk_random_model(*source))
+    scaled, _ = scale_problem(build_sdp(model))
+    result = solve_feasibility(scaled)
+    assert result.proof == "feasible"
+    it = qvnn.sdp._Iterate(qvnn.sdp._Operator(scaled))
+    least = min(result.per_constraint_min_eig.values())
+    for t in (result.margin, least * (1.0 - 1e-3), least * (1.0 + 1e-3)):
+        it.set_dual(np.append(result.x, t))
+        exact = all(exact_positive_definite(*exact_lmi_image(lmi, result.x, t))
+                    for lmi in scaled.lmis)
+        assert exact == (t < least)
+        assert qvnn.sdp._proves_margin(it) == exact
+
+
+def test_a_constraint_definite_by_less_than_its_shift_is_undecided(
+        monkeypatch):
+    # x diag(1, 1e6) > 0 has the optimum 1 at x = 1. At a tolerance of
+    # 1 - 1e-7 every iterate that reaches it has x - t below 1e-7, where
+    # S = diag(x - t, 1e6 x - t) is definite, exactly, but by less than the
+    # shift of about 2e-9: the margin proof is tried and fails every time,
+    # and the run ends at its gap target "undecided", never "feasible"
+    sdp = StandardSdp(num_vars=1, lmis=[
+        affine_lmi("stiff", np.diag([1.0, 1e6])[None])])
+    proves, tries = qvnn.sdp._proves_margin, []
+    monkeypatch.setattr(qvnn.sdp, "_proves_margin",
+                        lambda it: tries.append(proves(it)) or tries[-1])
+    result = solve_feasibility(sdp, SolverConfig(margin_tolerance=1.0 - 1e-7))
+    assert result.status == "feasible" and result.proof == "undecided"
+    assert tries and not any(tries)
+    assert result.failure_cause is None and result.gap <= 1e-8
+    assert exact_positive_definite(*exact_lmi_image(sdp.lmis[0], result.x,
+                                                    result.margin))
 
 
 # ---- alternating-projection second opinion ---------------------------------------
@@ -459,8 +558,8 @@ def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
     for name in ("cho_factor", "cho_solve", "cholesky", "solve_triangular", "inv"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     result = solve_feasibility(interval_toy())
-    assert result.status == "feasible"
-    assert result.margin == pytest.approx(0.5, abs=1e-6)
+    assert result.status == "feasible" and result.proof == "feasible"
+    assert result.margin <= 0.5 <= result.margin_upper_bound
 
 
 # ---- run record ------------------------------------------------------------------
@@ -480,7 +579,8 @@ def test_numerical_failure_reports_its_cause(monkeypatch):
 @pytest.mark.parametrize("completed", [1, 3])
 def test_a_breakdown_ends_the_run_at_the_last_iterate(monkeypatch, completed):
     # the iterates before the breakdown are dual feasible, so the run
-    # reports the best of them, its verdict from t, and the cause
+    # reports the best of them, its verdict from t, and the cause; at a
+    # tolerance equal to the optimum no proof ends the run first
     step = qvnn.sdp._iterate_once
     calls = []
 
@@ -491,21 +591,47 @@ def test_a_breakdown_ends_the_run_at_the_last_iterate(monkeypatch, completed):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(qvnn.sdp, "_iterate_once", breaks_late)
-    result = solve_feasibility(ray_toy())
+    result = solve_feasibility(ray_toy(), SolverConfig(margin_tolerance=1.0))
     assert result.iterations == len(result.trace) == completed
     assert result.margin == max(r.t for r in result.trace)
-    assert result.status == ("feasible" if result.margin >= 1e-6
+    assert result.status == ("feasible" if result.margin >= 1.0
                              else "infeasible_at_tolerance")
+    assert result.proof == "undecided"
+    assert result.margin <= 1.0 <= result.margin_upper_bound
     assert result.failure_cause == "the Schur complement is not positive definite"
     assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-12
 
 
-def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run():
-    # near the gap target rounding leaves M indefinite on this model: a
-    # Cholesky factor of M stopped the run at gap 1.4e-8 after 17 iterations
-    result, _ = certified_solve(shrunk_random_model(3, 0.05, 0))
+def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run(
+        monkeypatch):
+    # near the gap target rounding can leave M indefinite, where a Cholesky
+    # factor of M once stopped the run. Here every M has its smallest
+    # eigenvalue negated: M is indefinite at every iterate, yet each is
+    # solved by LU, twice, and the run ends on its proof as before
+    scaled, _ = scale_problem(build_sdp(shrunk_random_model(1, 0.05, 0)))
+    plain = solve_feasibility(scaled)
+    schur, solve, seen, solves = (qvnn.sdp._Operator.schur,
+                                  np.linalg.solve, [], [])
+
+    def flipped(op, ws):
+        mat = schur(op, ws)
+        lam, vec = np.linalg.eigh(mat)
+        mat -= 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
+        seen.append(np.linalg.eigvalsh(mat)[[0, -1]])
+        return mat
+
+    def counted(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(qvnn.sdp._Operator, "schur", flipped)
+    monkeypatch.setattr(qvnn.sdp.np.linalg, "solve", counted)
+    result = solve_feasibility(scaled)
+    assert all(lo < 0.0 < hi for lo, hi in seen)
     assert result.failure_cause is None
-    assert result.gap <= 1e-8
+    assert len(seen) == result.iterations and len(solves) == 2 * len(seen)
+    assert (result.status, result.proof) == (plain.status, plain.proof) == (
+        "feasible", "feasible")
 
 
 def test_a_singular_schur_complement_is_a_numerical_failure(monkeypatch):
@@ -550,9 +676,11 @@ BARRIER_MARGINS = {
 
 @pytest.mark.parametrize("n, scale, seed", sorted(BARRIER_MARGINS))
 def test_verdicts_agree_with_the_barrier_method(n, scale, seed):
-    # each margin is within its method's gap bound, 1e-8, of the optimum
+    # each barrier margin is within its method's gap bound, 1e-8, of the
+    # optimum, and the run's verified bracket holds the optimum
     barrier = BARRIER_MARGINS[n, scale, seed]
     result, _ = certified_solve(shrunk_random_model(n, scale, seed))
     assert result.status == ("feasible" if barrier >= 1e-6
                              else "infeasible_at_tolerance")
-    assert result.margin == pytest.approx(barrier, abs=2e-8)
+    assert result.proof == ("feasible" if barrier >= 1e-6 else "infeasible")
+    assert result.margin - 2e-8 <= barrier <= result.margin_upper_bound + 2e-8
