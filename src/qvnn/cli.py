@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -74,22 +75,80 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-# Rows formatted by one %: as fast per row as the whole table at once, and
-# small enough that the text comes and goes without growing the heap
-# (256-row blocks raised the peak RSS of a repeated simulate by 1.4 MiB).
-_CSV_BLOCK_ROWS = 64
+# Rows printed at once: enough that numpy's per-call cost is small beside
+# the work. Words of ASCII: "0000" .. "9999", and %e's "e-300" .. "e+300",
+# each NUL-padded to two words.
+_CSV_BLOCK_ROWS = 512
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_DIGIT_QUADS = np.stack(np.broadcast_arrays(_DIGIT_PAIRS[:, None], _DIGIT_PAIRS),
+                        axis=-1).view(np.uint32).ravel()
+_EXPONENTS = np.array([[f"e{k:+03d}"] for k in range(-300, 301)], "S8").view(np.uint32)
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])  # correctly rounded
+
+
+def _csv_cells(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for each value of a 2-D block, one row of bytes per row of
+    values: each cell is a comma and its text, NUL-padded to whole words.
+
+    A ``%.{p}e`` or ``%.{p}f`` cell, 0 < p <= 14, is printed from the integer
+    q = rint(|v| 10^(p - e)), e the decimal exponent (0 for %f). The float
+    product errs by at most two roundings, so q is printf's unless the
+    product lies within 2^-49 of its size from a half-integer, as every exact
+    tie does. Those cells, one whose q has the wrong number of digits (a carry
+    to 10^(p+1), or ``log10`` off by one), one not finite or with |v| outside
+    [1e-280, 1e280) for %e or from 10^(14 - p) on for %f, and every cell of
+    another format are printed by ``fmt % v``. Every q is below 10^15 < 2^53."""
+    x = values.ravel()
+    fast = re.fullmatch(r"%\.([1-9]|1[0-4])([ef])", fmt)  # 0 < p <= 14
+    slow, size, tail = np.ones(len(x), dtype=bool), 0, 0  # words: digits, exponent
+    if fast:
+        p, a, sci = int(fast[1]), np.abs(x), fast[2] == "e"
+        ok = (a >= 1e-280) & (a < 1e280) if sci else a < _POW10[314 - p]
+        e = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.int64) if sci else 0
+        tail = (1 + int(np.abs(e).max(initial=0) >= 100)) if sci else 0
+        scaled = np.where(ok, a, 0.0) * _POW10[300 + p - e]
+        q = np.rint(scaled)
+        slow = ~(ok & (np.abs(np.abs(scaled - q) - 0.5) > scaled * 2.0 ** -49)
+                 & ((q >= _POW10[300 + p]) & (q < _POW10[301 + p]) if sci else True))
+        q = np.where(slow, 0.0, q).astype(np.int64)
+        # q's digits with a 0 digit where the point goes, in words
+        size = -(-max(p + 2, len(str(q.max(initial=0))) + 1) // 4)
+        q += q // 10 ** p * (9 * 10 ** p)
+    texts = [b"," + (fmt % (v,)).encode() for v in x[slow].tolist()]
+    width = 4 * max([1 + size + tail] + [-(-len(t) // 4) for t in texts])
+    words = np.zeros((len(x), width // 4), dtype=np.uint32)
+    cells = words.view(np.uint8)
+    if fast:
+        # the leading zeros before the ones digit become NUL
+        keep = (q[:, None] >= 10 ** np.arange(4 * size - 1, p + 1, -1)).view(np.uint8)
+        for i in range(size, 0, -1):
+            high = q // 10000  # four times as fast as q % 10000
+            words[:, i] = _DIGIT_QUADS[q - 10000 * high]
+            q = high
+        cells[:, 4:4 * size + 2 - p] *= keep
+        cells[:, 4 * size + 3 - p] = 46
+        cells[:, 1] = np.signbit(x) * np.uint8(45)
+        words[:, size + 1:size + 1 + tail] = _EXPONENTS[e + 300, :tail]
+    cells[:, 0] = 44
+    cells[slow] = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+    return cells.reshape(len(values), -1)
 
 
 def _write_csv(path: Path, header: list[str], columns: np.ndarray,
                formats: list[str]) -> None:
-    """Write a table in blocks of rows, as csv.writer would row by row;
-    each column is printed with its printf format."""
-    row = ",".join(formats) + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    """Write a table as csv.writer would write its printed cells row by row,
+    each column printed with its printf format. A block of rows is one byte
+    matrix, and each run of columns that share a format is printed at once."""
+    starts = [j for j, fmt in enumerate(formats) if j == 0 or fmt != formats[j - 1]]
+    runs = list(zip(starts, starts[1:] + [len(formats)]))
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for lo in range(0, len(columns), _CSV_BLOCK_ROWS):
             block = columns[lo:lo + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            out = np.concatenate([_csv_cells(block[:, a:b], formats[a]) for a, b in runs]
+                                 + [np.full((len(block), 2), (13, 10), np.uint8)], axis=1)
+            out[:, 0] = 0  # the first cell's comma
+            fh.write(out.tobytes().translate(None, b"\0"))
 
 
 # ---- certify ---------------------------------------------------------------------

@@ -349,12 +349,16 @@ def verify_certificate(model: NetworkModel, dv: DecisionVars,
     g = 4.0 * gamma_k(chain)
     lift = SUBNORMAL / g
     mags = DecisionVars(**{name: _magnitude(p, lift) for name, p in units.items()})
+    tables = constraint_rows(model)
+    # each model operand's magnitudes once, by identity: the rows share them
+    operands = {id(x): x for _, _, rows in tables
+                for _, _, left, _, right in rows for x in (left, right)}
+    images = {key: _magnitude(x, lift) for key, x in operands.items()}
     scores, valid = {}, True
-    for name, size, rows in constraint_rows(model):
+    for name, size, rows in tables:
         mat = assemble_blocks(size, n, sum_terms(rows, unit))
         image = mat.complex_embed()
-        table = sum_terms([(key, abs(kappa), _magnitude(left, lift), var,
-                            _magnitude(right, lift))
+        table = sum_terms([(key, abs(kappa), images[id(left)], var, images[id(right)])
                            for key, kappa, left, var, right in rows], mags)
         # block (i, j) reaches block rows i and j; counting both for a
         # diagonal block covers its symmetrization

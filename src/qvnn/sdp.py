@@ -636,13 +636,16 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
     After each iteration the run tries one proof: while t is below the
     margin tolerance, that the dual bound is too (``_dual_bound``), and once
     t reaches it at the best iterate so far, that the iterate attains it
-    (``_proves_margin``). Every iterate is dual feasible, so the reported
-    margin, the best t over the iterates, is attained by the reported x,
-    and either proof agrees with the verdict of a longer run. The margin
-    upper bound is the dual bound at the last iterate. A numerical
-    breakdown ends the run at the last iterate and names its cause; the
-    status is ``numerical_failure`` only when no iteration completed. Runs
-    are bitwise deterministic.
+    (``_proves_margin``). A bound try is skipped while (sum(u + l) +
+    ||r[:m]||_1) / (1 - r[m]), r the iterate's residual, exceeds twice the
+    tolerance: in exact arithmetic the bound is at least that quotient, and
+    the factor 2 covers the rounding of two sums taken in another order.
+    Every iterate is dual feasible, so the reported margin, the best t over
+    the iterates, is attained by the reported x, and either proof agrees
+    with the verdict of a longer run. The margin upper bound is the dual
+    bound at the last iterate. A numerical breakdown ends the run at the
+    last iterate and names its cause; the status is ``numerical_failure``
+    only when no iteration completed. Runs are bitwise deterministic.
     """
     cfg = config or SolverConfig()
     op = _Operator(sdp)
@@ -670,7 +673,10 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
         if best is None or t > best.t:
             best, best_x, best_eigs = trace[-1], x, eigs
         if t < cfg.margin_tolerance:
-            if _dual_bound(it) < cfg.margin_tolerance:
+            weight = 1.0 - it.residual[m]
+            hopeless = weight > 0.0 and (
+                (bound + np.abs(it.residual[:m]).sum()) / weight > 2.0 * cfg.margin_tolerance)
+            if not hopeless and _dual_bound(it) < cfg.margin_tolerance:
                 proof = "infeasible"
                 break
         elif best is trace[-1] and _proves_margin(it):

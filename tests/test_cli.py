@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qvnn.cli
 import qvnn.lowering
@@ -32,6 +33,7 @@ from oracles import (
 from qvnn.cli import (
     _run_entry,
     _start_for_seed,
+    _write_csv,
     _write_diagnostics_csv,
     _write_lkf_csv,
     _write_summary_csv,
@@ -476,6 +478,86 @@ def test_csv_block_writes_equal_the_row_writers(tmp_path, stable_model,
         rows(tmp_path / "rows.csv", data)
         assert ((tmp_path / "block.csv").read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
+
+
+# cells that float scaling cannot print alone, and their neighbours
+CSV_EDGES = [
+    # exact decimal ties, one digit past what %.9e keeps, and halves
+    12345678905.0, 10000000005.0, 99999999995.0, 0.5, 2.5, 0.125,
+    # carries into the next power of ten, and just short of one
+    9.9999999995, 9.99999999949999, 9.9999999995e99, 9.9999995, 9.9999999999995,
+    9.9999999996, 9.9999996e-7, 9.99999999999996e150,
+    # three-digit exponents, the ends of the fast range and of the float range
+    1e100, 1e-100, 1.5e-300, 1.2345678905e308, 1e-99, 9.99999999e98, 1e99,
+    1e-280, 9.9999999995e-281, 1e280, 9.9999999995e279, 1.2345678905e-250,
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+    # %.6f half-way values, and negatives that print as -0.000000
+    0.0000005, 1.0000005, 2.5e-6, 0.1234565, 123.4567895, 999999999.9999995,
+    99999999.9999995, -1e-9, -4e-7, -5e-7, -4.9999999e-7,
+]
+
+
+def printf_table(columns, formats):
+    return "".join(",".join(fmt % (v,) for fmt, v in zip(formats, row)) + "\r\n"
+                   for row in columns.tolist()).encode()
+
+
+def test_csv_cells_are_printf_bytes_on_adversarial_values(tmp_path):
+    rng = np.random.default_rng(0)
+    powers = 10.0 ** np.arange(-300, 301)
+    ties = [(rng.integers(10 ** p, 10 ** (p + 1), 40) * 10 + 5).astype(float)
+            for p in (6, 9, 12)]
+    # the doubles nearest decimal ties: scaled in floats, most land on the tie
+    ties += [np.array([float(f"{m}5e{k}") for m, k in zip(
+        rng.integers(10 ** p, 10 ** (p + 1), 400), rng.integers(-290, 280, 400))])
+        for p in (6, 9, 12)]
+    values = np.concatenate(
+        [CSV_EDGES, np.negative(CSV_EDGES), powers, np.nextafter(powers, 0.0),
+         np.nextafter(powers, np.inf), *ties,
+         # where log10 rounds up to the next power of ten: too few digits at p = 14
+         powers * (1.0 - 1e-14),
+         (rng.integers(0, 10 ** 9, 200) + 0.5) / 1e6,
+         rng.standard_normal(3000) * 10.0 ** rng.integers(-15, 15, 3000)])
+    whole = np.concatenate([[0.0, -0.0, 7.0, -7.0, 2.0 ** 53, 1e20, -1e20],
+                            np.rint(rng.standard_normal(len(values) - 7) * 1e6)])
+    table = np.column_stack([whole, values, np.roll(values, 1)])
+    # over 1,000 rows: the last block is partial
+    assert len(table) > 2 * 512
+    cells = np.array(["", "", "completed", "True", "1.5e-05", "None", "-7"] * 2,
+                     dtype=object).reshape(-1, 7)
+    path = tmp_path / "table.csv"
+    # the CLI's formats, and the widest that has a fast path
+    for fmt in ("%.6f", "%.9e", "%.6e", "%.12e", "%.14e"):
+        for columns, formats in ((table[:, 1:], [fmt, fmt]),
+                                 (table, ["%d", fmt, "%.9e"])):
+            _write_csv(path, ["a"] * len(formats), columns, formats)
+            assert path.read_bytes() == b",".join([b"a"] * len(formats)) + (
+                b"\r\n" + printf_table(columns, formats))
+    # a summary table: text cells, empty ones included
+    _write_csv(path, list("abcdefg"), cells, ["%s"] * 7)
+    assert path.read_bytes() == b"a,b,c,d,e,f,g\r\n" + printf_table(cells, ["%s"] * 7)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)).map(
+    lambda shape: (shape[0], 1 + 4 * shape[1])), elements=st.floats()))
+def test_csv_writer_equals_the_row_oracle_on_random_tables(table):
+    # any floats at all, nan, infinities, subnormals and -0.0 included
+    n = (table.shape[1] - 1) // 4
+    # each pair of columns is the real and imaginary part of one entry
+    parts = table[:, 1:].reshape(-1, n, 2, 2).transpose(0, 2, 1, 3)
+    traj = SimpleNamespace(times=table[:, 0], values=np.ascontiguousarray(
+        parts).view(np.complex128)[..., 0])
+    trace = SimpleNamespace(times=table[:, 0], v1=table[:, 1], v2=table[:, 2],
+                            v3=table[:, 3], v4=table[:, 4], total=table[:, 0])
+    with tempfile.TemporaryDirectory() as tmp:
+        block, rows = Path(tmp) / "block.csv", Path(tmp) / "rows.csv"
+        for write, oracle, data in ((_write_trajectory_csv, write_trajectory_csv_rows, traj),
+                                    (_write_lkf_csv, write_lkf_csv_rows, trace)):
+            write(block, data)
+            oracle(rows, data)
+            assert block.read_bytes() == rows.read_bytes()
 
 
 def test_simulate_rejects_bad_numerics(tmp_path, capsys, stable_example_path):

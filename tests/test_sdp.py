@@ -143,28 +143,41 @@ def test_every_iterate_is_dual_feasible(toy):
 @pytest.mark.parametrize("toy", [interval_toy, ray_toy, opposing_toy,
                                  three_scale_toy, shared_toy])
 def test_the_run_stops_at_its_first_proof(toy, monkeypatch):
-    # one proof a step: the dual bound while t is below the tolerance, the
-    # margin once the best t reaches it; the first that holds ends the run,
-    # and the dual bound at the last iterate is the reported upper bound
-    proves, bound, tries = qvnn.sdp._proves_margin, qvnn.sdp._dual_bound, []
+    # one proof a step: the dual bound while t is below the tolerance, unless
+    # the screen shows that it cannot hold, the margin once the best t
+    # reaches it; the first that holds ends the run, and the dual bound at
+    # the last iterate is the reported upper bound
+    proves, bound = qvnn.sdp._proves_margin, qvnn.sdp._dual_bound
+    step, tries, bounds = qvnn.sdp._iterate_once, [], []
+
+    def iterate(it, clock):
+        lengths = step(it, clock)
+        bounds.append(bound(it))  # what a bound try at this iterate gives
+        return lengths
 
     def margin(it):
-        tries.append(("feasible", float(it.y[-1]), proves(it)))
+        tries.append(("feasible", len(bounds) - 1, proves(it)))
         return tries[-1][2]
 
     def upper(it):
-        tries.append(("infeasible", float(it.y[-1]), bound(it)))
+        tries.append(("infeasible", len(bounds) - 1, bound(it)))
         return tries[-1][2]
 
+    monkeypatch.setattr(qvnn.sdp, "_iterate_once", iterate)
     monkeypatch.setattr(qvnn.sdp, "_proves_margin", margin)
     monkeypatch.setattr(qvnn.sdp, "_dual_bound", upper)
     result = solve_feasibility(toy())
     assert result.failure_cause is None and result.proof != "undecided"
     *steps, (_, _, last_bound) = tries
     assert last_bound == result.margin_upper_bound
-    assert [t for _, t, _ in steps] == [r.t for r in result.trace]
-    for kind, t, _ in steps:
-        assert kind == ("feasible" if t >= 1e-6 else "infeasible")
+    tried = [i for _, i, _ in steps]
+    assert tried == sorted(set(tried)) and tried[-1] == len(result.trace) - 1
+    for i, rec in enumerate(result.trace):
+        if i not in tried:
+            # skipped by the screen: its bound would not have proved anything
+            assert rec.t < 1e-6 and bounds[i] >= 1e-6
+    for kind, i, _ in steps:
+        assert kind == ("feasible" if result.trace[i].t >= 1e-6 else "infeasible")
     held = [won if kind == "feasible" else won < 1e-6 for kind, _, won in steps]
     assert held[-1] and not any(held[:-1])
     assert result.proof == steps[-1][0]
@@ -282,6 +295,28 @@ def test_reference_example_is_infeasible_at_tolerance(reference_model):
     assert result.margin == pytest.approx(-4.1230e-9, abs=1e-12)
     # the optimum is 0, which x = 0 attains, to within a run's 1e-8 gap
     assert result.margin <= 0.0 <= result.margin_upper_bound
+
+
+@pytest.mark.parametrize("name, calls, pins", [
+    ("stable", 1, (13, 1.1727970339553015e-05, "feasible", 2.7164184115496157e-05)),
+    ("reference", 3, (11, -4.122974823535567e-09, "infeasible",
+                      1.8865836310051145e-08))])
+def test_the_screen_skips_only_hopeless_bound_tries(name, calls, pins, request,
+                                                   monkeypatch):
+    # the last call is the reported upper bound: the screen skips all 12 tries
+    # inside the stable run and 9 of the 11 in Sec. 4's, and both runs end
+    # as the pins above, to the last bit, as they did with every try made
+    bound, made = qvnn.sdp._dual_bound, []
+
+    def counted(it):
+        made.append(it)
+        return bound(it)
+
+    monkeypatch.setattr(qvnn.sdp, "_dual_bound", counted)
+    result, _ = certified_solve(request.getfixturevalue(f"{name}_model"))
+    assert len(made) == calls
+    assert (result.iterations, result.margin, result.proof,
+            result.margin_upper_bound) == pins
 
 
 @pytest.mark.parametrize("source", ["stable", (1, 0.05, 0)])
