@@ -280,14 +280,14 @@ def _start_for_seed(model: NetworkModel, seed: int) -> np.ndarray:
 
 
 def _write_trajectory_csv(path: Path, traj) -> None:
-    values = traj.values
-    n = values.shape[2]
+    rows, _, n = traj.values.shape
     header = ["time"] + [f"n{j+1}_{c}" for j in range(n) for c in "wxyz"]
-    # per neuron: w, x (row 0) then y, z (row 1)
-    parts = np.stack([values.real, values.imag], axis=-1)
-    columns = parts.transpose(0, 2, 1, 3).reshape(len(values), 4 * n)
-    _write_csv(path, header, np.column_stack([traj.times, columns]),
-               ["%.6f"] + ["%.9e"] * (4 * n))
+    table = np.empty((rows, 1 + 4 * n))
+    table[:, 0] = traj.times
+    # per neuron: w, x (row 0) then y, z (row 1), written into the one table
+    table[:, 1:].reshape(rows, n, 2, 2)[...] = (
+        traj.values.view(float).reshape(rows, 2, n, 2).transpose(0, 2, 1, 3))
+    _write_csv(path, header, table, ["%.6f"] + ["%.9e"] * (4 * n))
 
 
 def _write_lkf_csv(path: Path, trace) -> None:

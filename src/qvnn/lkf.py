@@ -12,11 +12,11 @@ the activation's deviation f(x + rest) - f(rest):
     V4 = double integrals of xdot^* R1 xdot and xdot^* R2 xdot, which read
          only t >= 0: initial data are constant, so xdot is 0 before that.
 
-Each double integral collapses to a single weighted integral by switching
-the order of integration; the weights are the affine functions written in
-the code. All quadratic forms are real by Hermitian symmetry and are
-computed through the complex embedding in one vectorized pass over the
-grid, and every window integral is evaluated for all sample times at once.
+Each double integral collapses to one integral weighted by s - (window
+start) by switching the order of integration. V2..V4 are one table of
+windows: each is integrated once, for all sample times, over the stacked
+forms of its terms. Each form is made once, in one vectorized pass over the
+grid through the complex embedding, and is real by Hermitian symmetry.
 
 Quadrature is composite Simpson on whole grid cells plus linearly
 interpolated trapezoid slivers at window edges, which keeps every window
@@ -217,12 +217,6 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
     f_states = (activation((states + traj.rest).reshape(-1, model.n),
                            model.gamma_diag).reshape(states.shape)
                 - activation(traj.rest, model.gamma_diag))
-    x_forms = {name: _batched_form(chis[name], states)
-               for name in ("p2", "p3", "q1", "q3", "q5", "q6")}
-    f_forms = {name: _batched_form(chis[name], f_states)
-               for name in ("q2", "q4")}
-    r_forms = {name: _batched_form(chis[name], traj.derivs)
-               for name in ("r1", "r2")}
 
     t = traj.times[::stride]
     delta = model.delta
@@ -230,31 +224,36 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
     d1t = model.delay1(t)
     dt = d1t + model.delay2(t)
 
+    v = np.zeros((4, len(t)))    # V1..V4
     ix = window_quad(grid, states, t - delta, t)
-    v1 = _batched_form(chis["p1"], traj.values[::stride] - model.c_diag * ix)
+    v[0] = _batched_form(chis["p1"], traj.values[::stride] - model.c_diag * ix)
 
-    v2 = window_quad(grid, x_forms["p2"], t - delta, t)
-    v2 += delta * window_quad(grid, x_forms["p3"], t - delta, t,
-                              origin=t - delta)
-
-    v3 = window_quad(grid, x_forms["q1"], t - d1t, t)
-    v3 += window_quad(grid, f_forms["q2"], t - d1t, t)
-    v3 += window_quad(grid, x_forms["q3"], t - dt, t)
-    v3 += window_quad(grid, f_forms["q4"], t - dt, t)
-    v3 += window_quad(grid, x_forms["q5"], t - d1b, t)
-    v3 += window_quad(grid, x_forms["q6"], t - db, t)
-
-    def deriv_quad(name, lag_a, lag_b, weighted):
-        """Integral of a derivative form over [t - lag_a, t - lag_b], which
-        reads only s >= 0, weighted by s - (t - lag_a) if asked."""
-        a = np.maximum(t - lag_a, 0.0)
-        return window_quad(traj.times, r_forms[name], a,
-                           np.maximum(t - lag_b, a),
-                           origin=t - lag_a if weighted else None)
-
-    v4 = d1b * deriv_quad("r1", d1b, 0.0, weighted=True)
-    if d2b > 0:
-        v4 += d2b * deriv_quad("r2", db, d1b, weighted=True)
-        v4 += d2b * d2b * deriv_quad("r2", d1b, 0.0, weighted=False)
-    return LyapunovTrace(times=t, v1=scale * v1, v2=scale * v2,
-                         v3=scale * v3, v4=scale * v4)
+    # V2..V4: windows [t - start, t - end], weighted by s - (t - start) or not;
+    # a term is (part, factor, matrix, signal), a signal (nodes, values, floor)
+    x, fx = (grid, states, -np.inf), (grid, f_states, -np.inf)
+    xdot = (traj.times, traj.derivs, 0.0)    # read from s >= 0 only
+    windows = [
+        (delta, 0.0, False, [(2, 1.0, "p2", x)]),
+        (delta, 0.0, True, [(2, delta, "p3", x)]),
+        (d1t, 0.0, False, [(3, 1.0, "q1", x), (3, 1.0, "q2", fx)]),
+        (dt, 0.0, False, [(3, 1.0, "q3", x), (3, 1.0, "q4", fx)]),
+        (d1b, 0.0, False, [(3, 1.0, "q5", x)]),
+        (db, 0.0, False, [(3, 1.0, "q6", x)]),
+        (d1b, 0.0, True, [(4, d1b, "r1", xdot)]),
+        (db, d1b, True, [(4, d2b, "r2", xdot)]),
+        (d1b, 0.0, False, [(4, d2b * d2b, "r2", xdot)]),
+    ]
+    forms = {name: _batched_form(chis[name], signal[1]) for name, signal in
+             {term[2]: term[3] for *_, terms in windows for term in terms}.items()}
+    for start, end, weighted, terms in windows:
+        # a term whose factor is 0 (R2's at d2 = 0) is not integrated
+        terms = [term for term in terms if term[1] != 0.0]
+        if terms:
+            nodes, _, floor = terms[0][3]
+            a = np.maximum(t - start, floor)
+            got = window_quad(nodes, np.stack([forms[term[2]] for term in terms], 1),
+                              a, np.maximum(t - end, a),
+                              origin=t - start if weighted else None)
+            for (part, factor, _, _), column in zip(terms, got.T):
+                v[part - 1] += factor * column
+    return LyapunovTrace(t, *(scale * v))

@@ -262,11 +262,6 @@ class QuatConstraint:
     num_blocks: int
     blocks: dict[tuple[int, int], QuatMatrix]
 
-    @property
-    def matrix(self) -> HermitianQuatMatrix:
-        n = next(iter(self.blocks.values())).rows
-        return assemble_blocks(self.num_blocks, n, self.blocks)
-
 
 def constraint_rows(model: NetworkModel) -> list[tuple[str, int, list[tuple]]]:
     """Every constraint of the criterion, each "> 0", as (name, number of

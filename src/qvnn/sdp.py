@@ -68,23 +68,23 @@ is formed for a run of variables at a time, within a fixed byte budget.
 
 The criterion is a fixed list of small constraints of few shapes (at n = 2,
 Omega and 14 blocks of three shapes), so the solver works on stacks, not on
-single constraints: a stack is every constraint with the same side, the same
-support row sets and the same group sizes, Omega a stack of one. The
-scaling, the step lengths and the Schur products are batched over the
-members. One operator holds the stored entries of every stack, the rows
-below N rebuilt from them once: every S_k(y) is one pair of
+single constraints: a stack is the constraints with the same side, the same
+support row sets and the same group sizes and no variable in common, Omega
+a stack of one. The scaling, the step lengths and the Schur products are
+batched over the members. One operator holds the stored entries of every
+stack, the rows below N rebuilt from them once: every S_k(y) is one pair of
 ``np.bincount`` sums and the primal operator <A_i, U> two more (the traces
 per member, then per variable). M is one (m + 1)^2 matrix per solve,
 filled in place: every stack adds its Schur entries into the variable
 block, one scatter per run of variables, the t row and column are the
 primal operator at W^2, and M is averaged with its transpose a band of
 rows at a time. Sums keep one order: an entry of M adds its stacks one
-after the other and, within a stack, its members in member order (members
-that share a variable scatter in separate layers); a variable's primal
-sum runs over the members of each stack, stack after stack, each member's
-trace summed first. A sum in one level rounds differently, and near the
-gap target that rounding decides whether a run ends. Each iterate
-evaluates S once, and holds b - A(X, u, l) from its last primal update.
+after the other and, within a stack, its members in member order; a
+variable's primal sum runs over the members of each stack, stack after
+stack, each member's trace summed first. A sum in one level rounds
+differently, and near the gap target that rounding decides whether a run
+ends. Each iterate evaluates S once, and holds b - A(X, u, l) from its last
+primal update.
 numpy is the only dependency: every factorization and solve uses
 ``numpy.linalg``.
 
@@ -241,9 +241,7 @@ class _Stack:
     the run: R, the slice of the run it fills and the members' dense
     A_i[R, R] there, stored as A_i[b, a] at [k, b, (a, i)], so that one
     batched product with W[:, :N, R] gives rows p < N of W A_i for the
-    piece of every member. ``layers`` splits the members so that none in
-    one layer share a variable and each comes after every earlier member it
-    shares one with.
+    piece of every member. No two members share a variable.
     """
 
     def __init__(self, parts, act, member, p, q, j, value):
@@ -296,19 +294,10 @@ class _Stack:
                     pieces.append((r, slice(first - lo, stop - lo),
                                    np.ascontiguousarray(cut).reshape(nb, len(r), -1)))
             self.chunks.append((run, pieces))
-        owned = np.zeros((nb, act.max() + 1), dtype=np.intp)
-        owned[np.arange(nb)[:, None], act] = 1
-        shares = owned @ owned.T > 0
-        level = np.zeros(nb, dtype=np.intp)
-        for k in range(1, nb):
-            level[k] = 1 + level[:k][shares[k, :k]].max(initial=-1)
-        self.layers = ([np.flatnonzero(level == v) for v in range(level.max() + 1)]
-                       if level.any() else [slice(None)])
 
     def add_schur(self, w: np.ndarray, mat: np.ndarray) -> None:
         """Add Re tr(A_j W A_i W) over every member's active variables, at
-        the NT scaling matrices w, into the Schur complement mat, layer
-        after layer.
+        the NT scaling matrices w, into the Schur complement mat.
 
         With chi images W and A_i, S_i = W A_i W is one too, and the entry
         of conj(A_j) * S_i at (N + p, q) is the conjugate of the one at
@@ -317,28 +306,24 @@ class _Stack:
         and the trace is twice the real part of their sum. The solver's W
         is a chi image only up to rounding that grows with the conditioning,
         so the products use its chi part, which changes M only at second
-        order in the difference. No two members of a layer share a
-        variable, so each layer adds into mat by one scatter per run."""
+        order in the difference. No two members share a variable, so the
+        stack adds into mat by one scatter per run."""
         half, width = self.dim // 2, self.columns.shape[1]
-        wc, flat = _chi_part(w), mat.reshape(-1)
-        for layer in self.layers:
-            wl, act = wc[layer], self.active[layer]
-            nb = len(wl)
-            for run, pieces in self.chunks:
-                # S_i[p, columns[p, c]] at [k, p width + c, i - run.start]
-                s = np.empty((nb, half * width, run.stop - run.start),
-                             dtype=complex)
-                for r, own, acat in pieces:
-                    u = (wl[:, :half, r] @ acat[layer]).reshape(
-                        nb, half, len(r), -1)
-                    np.matmul(wl[:, r][:, :, self.columns].transpose(0, 2, 3, 1),
-                              u, out=s[:, :, own].reshape(nb, half, width, -1))
-                hess = np.empty((nb, act.shape[1], run.stop - run.start))
-                for _, part, top, weights in self.groups:
-                    got = s[:, top]
-                    hess[:, part] = weights[layer] @ np.concatenate(
-                        [got.real, got.imag], axis=1)
-                flat[act[:, :, None] * len(mat) + act[:, None, run]] += hess
+        wc, act, flat = _chi_part(w), self.active, mat.reshape(-1)
+        nb = len(wc)
+        for run, pieces in self.chunks:
+            # S_i[p, columns[p, c]] at [k, p width + c, i - run.start]
+            s = np.empty((nb, half * width, run.stop - run.start), dtype=complex)
+            for r, own, acat in pieces:
+                u = (wc[:, :half, r] @ acat).reshape(nb, half, len(r), -1)
+                np.matmul(wc[:, r][:, :, self.columns].transpose(0, 2, 3, 1),
+                          u, out=s[:, :, own].reshape(nb, half, width, -1))
+            hess = np.empty((nb, act.shape[1], run.stop - run.start))
+            for _, part, top, weights in self.groups:
+                got = s[:, top]
+                hess[:, part] = weights @ np.concatenate([got.real, got.imag],
+                                                         axis=1)
+            flat[act[:, :, None] * len(mat) + act[:, None, run]] += hess
 
 
 class _Operator:
@@ -353,14 +338,22 @@ class _Operator:
 
     def __init__(self, sdp: StandardSdp):
         self.m = m = sdp.num_vars
+        # a constraint that shares a variable with a member of its shape's
+        # open stack opens a new stack of that shape
         shapes: dict = {}
+        stacks = []
         for lmi in sdp.lmis:
             groups = _support_groups(lmi)
             key = (lmi.dim, tuple((tuple(r.tolist()), len(members))
                                   for r, members in groups))
-            shapes.setdefault(key, []).append((lmi, groups))
+            parts = shapes.get(key)
+            if parts is None or any(np.isin(lmi.var, other.var).any()
+                                    for other, _ in parts):
+                shapes[key] = parts = []
+                stacks.append(parts)
+            parts.append((lmi, groups))
         self.stacks, entries, size, pairs = [], [], 0, 0
-        for parts in shapes.values():
+        for parts in stacks:
             lmis = [lmi for lmi, _ in parts]
             d, half, nb = lmis[0].dim, lmis[0].dim // 2, len(lmis)
             # A[N + p, N + q] = conj(A[p, q]), A[N + p, q] = -conj(A[p, N + q])

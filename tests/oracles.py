@@ -346,6 +346,13 @@ class _Grid:
         return HermitianQuatMatrix(a1, a2)
 
 
+def constraint_matrix(con) -> HermitianQuatMatrix:
+    """The whole matrix of a ``lmi.QuatConstraint``: its upper blocks placed
+    and mirrored."""
+    n = next(iter(con.blocks.values())).rows
+    return assemble_blocks(con.num_blocks, n, con.blocks)
+
+
 def assemble_omega(model: NetworkModel, dv: DecisionVars) -> HermitianQuatMatrix:
     """The packaged Omega: its table of terms, summed and assembled."""
     return assemble_blocks(11, model.n, sum_terms(omega_terms(model), dv))

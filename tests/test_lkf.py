@@ -142,6 +142,24 @@ def test_weighted_window_sums_match_the_scalar_rule(nodes):
                                    atol=1e-15)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_columns_keep_the_bits_of_one_column_calls(weighted):
+    # lkf_trace integrates the forms of a window's terms in one call, so
+    # each column must be what its own call gives, over several chunks of
+    # windows and from windows that start on and off the grid's nodes
+    rng = np.random.default_rng(8)
+    times = 1e-3 * np.arange(-800, 20_001)
+    values = rng.normal(size=(len(times), 3))
+    a = rng.uniform(-0.8, 19.0, 1500)
+    a[::3] = times[1000 + 7 * np.arange(500)]
+    b = np.minimum(a + rng.uniform(0.0, 1.0, len(a)), times[-1])
+    origin = a if weighted else None
+    stacked = window_quad(times, values, a, b, origin=origin)
+    for k in range(values.shape[1]):
+        np.testing.assert_array_equal(
+            stacked[:, k], window_quad(times, values[:, k], a, b, origin=origin))
+
+
 # ---- evaluation on constructed trajectories ----------------------------------------
 
 
@@ -289,6 +307,28 @@ def test_functional_starts_with_no_derivative_energy(stable_model,
         trace = lkf_trace(traj, dv, stride=50)
         assert trace.v4[0] == 0.0
         assert np.all(trace.v4[1:] > 0.0)
+
+
+def test_each_window_of_the_functional_is_integrated_once(
+        stable_model, stable_solution, monkeypatch):
+    # V1's window and V2..V4's nine, with Q1 and Q2 on one window and Q3 and
+    # Q4 on another; at d2 = 0 the two R2 windows are not integrated
+    _, dv = stable_solution
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return window_quad(*args, **kwargs)
+
+    monkeypatch.setattr("qvnn.lkf.window_quad", counted)
+    no_d2 = dataclasses.replace(stable_model, d2_bound=0.0,
+                                delay2=DelaySpec(offset=0.0))
+    for model, expected in ((stable_model, 10), (no_d2, 8)):
+        (traj,) = integrate(model, [_start_for_seed(model, 0)], horizon=0.2,
+                            step=1e-3)
+        calls.clear()
+        lkf_trace(traj, dv, stride=1)
+        assert len(calls) == expected
 
 
 # ---- the batched trace against the scalar oracle ------------------------------------

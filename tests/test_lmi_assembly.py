@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import certified_solve
 from oracles import (
     assemble_omega,
+    constraint_matrix,
     derivation_omega,
     exact_constraints,
     exact_positive_definite,
@@ -229,7 +230,7 @@ def test_coupling_assembly():
     r = random_hermitian_pd(rng, 2)
     w = QuatMatrix(rng.normal(size=(2, 2)) + 0j, rng.normal(size=(2, 2)) + 0j)
     dv = dataclasses.replace(random_decision_vars(rng, 2), r1=r, u=w)
-    coupled = quat_constraints(random_model(rng, 2), dv)[0].matrix
+    coupled = constraint_matrix(quat_constraints(random_model(rng, 2), dv)[0])
     assert coupled.shape == (4, 4)
     np.testing.assert_allclose(coupled.a1[:2, :2], r.a1, atol=0.0)
     np.testing.assert_allclose(coupled.a1[:2, 2:], w.a1, atol=0.0)
@@ -284,7 +285,7 @@ def test_negating_omega_leaves_a_block_that_aliases_a_variable_alone():
         np.testing.assert_array_equal(part, before)
     np.testing.assert_array_equal(cons["omega"].blocks[6, 7].a1, -r2[0])
     np.testing.assert_array_equal(cons["omega"].blocks[6, 7].a2, -r2[1])
-    np.testing.assert_array_equal(cons["coupling_r2_v"].matrix.a1[:2, :2],
+    np.testing.assert_array_equal(constraint_matrix(cons["coupling_r2_v"]).a1[:2, :2],
                                   r2[0])
 
 
@@ -297,7 +298,7 @@ def test_r1_and_p3_are_principal_blocks_of_listed_constraints(n):
         rng = np.random.default_rng(40 + 10 * n + trial)
         model = random_model(rng, n)
         dv = random_decision_vars(rng, n)
-        cons = {c.name: c.matrix for c in quat_constraints(model, dv)}
+        cons = {c.name: constraint_matrix(c) for c in quat_constraints(model, dv)}
         assert "r1_pd" not in cons and "p3_pd" not in cons
         for con, first, block in (("coupling_r1_u", 0, dv.r1),
                                   ("omega", 10 * n, dv.p3)):

@@ -10,6 +10,7 @@ import pytest
 import qvnn.lowering
 from oracles import (
     coeff_stack,
+    constraint_matrix,
     lmi_value,
     part_labels,
     random_model,
@@ -55,7 +56,7 @@ def test_every_stage_evaluates_identically(small_system):
     for _ in range(5):
         x = rng.normal(size=sdp.num_vars)
         dv = DecisionVars.from_vector(x, model.n)
-        direct = {c.name: c.matrix for c in quat_constraints(model, dv)}
+        direct = {c.name: constraint_matrix(c) for c in quat_constraints(model, dv)}
         for lmi in sdp.lmis:
             np.testing.assert_allclose(
                 lmi_value(lmi, x),
@@ -98,7 +99,7 @@ def test_rows_equal_the_embedded_assembly(source, request):
             top = np.zeros(half * lmi.dim, dtype=complex)
             top[lmi.entry[lmi.var == i]] = lmi.value[lmi.var == i]
             np.testing.assert_array_equal(top.reshape(half, lmi.dim),
-                                          con.matrix.complex_embed()[:half])
+                                          constraint_matrix(con).complex_embed()[:half])
 
 
 def test_lowering_preserves_extreme_eigenvalues():
@@ -108,7 +109,7 @@ def test_lowering_preserves_extreme_eigenvalues():
         sdp = build_sdp(model)
         x = rng.normal(size=sdp.num_vars)
         dv = DecisionVars.from_vector(x, n)
-        direct = {c.name: c.matrix for c in quat_constraints(model, dv)}
+        direct = {c.name: constraint_matrix(c) for c in quat_constraints(model, dv)}
         for lmi in sdp.lmis:
             quat_eigs = np.linalg.eigvalsh(direct[lmi.name].complex_embed())
             lowered_eigs = np.linalg.eigvalsh(lmi_value(lmi, x))
@@ -123,7 +124,7 @@ def test_omega_is_listed_as_its_negation(small_system):
     x = np.random.default_rng(44).normal(size=sdp.num_vars)
     dv = DecisionVars.from_vector(x, model.n)
     omega = assemble_blocks(11, model.n, sum_terms(omega_terms(model), dv))
-    listed = {c.name: c.matrix for c in quat_constraints(model, dv)}["omega"]
+    listed = constraint_matrix({c.name: c for c in quat_constraints(model, dv)}["omega"])
     np.testing.assert_array_equal(listed.a1, -omega.a1)
     np.testing.assert_array_equal(listed.a2, -omega.a2)
     again = assemble_blocks(11, model.n, sum_terms(omega_terms(model), dv))

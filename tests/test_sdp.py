@@ -529,21 +529,22 @@ def test_entries_out_of_range_or_order_are_refused():
 
 
 def test_members_sharing_a_variable_add_up_in_the_scatter():
-    # both constraints land in one stack and both reach y's Hessian row, its
-    # t entry and the (t, t) entry through repeated flat indices
+    # the constraints share y, so they land in two stacks of one shape, and
+    # both reach y's Hessian row, its t entry and the (t, t) entry
     sdp = shared_toy()
-    (stack,) = qvnn.sdp._Operator(sdp).stacks
-    assert stack.names == ["first", "second"]
-    np.testing.assert_array_equal(stack.active, [[0, 1], [1, 2]])
+    first, second = qvnn.sdp._Operator(sdp).stacks
+    assert first.names == ["first"] and second.names == ["second"]
+    np.testing.assert_array_equal(first.active, [[0, 1]])
+    np.testing.assert_array_equal(second.active, [[1, 2]])
     assert_structured_matches_dense(sdp, seed=11)
 
 
 def test_members_sharing_a_variable_add_up_across_one_column_chunks(
         monkeypatch):
-    # the two members fall in two layers, and each variable in its own chunk
+    # the two members fall in two stacks, and each variable in its own chunk
     monkeypatch.setattr(qvnn.sdp, "_CHUNK_BYTES", 1)
-    (stack,) = qvnn.sdp._Operator(shared_toy()).stacks
-    assert len(stack.layers) == 2 and len(stack.chunks) == 2
+    first, second = qvnn.sdp._Operator(shared_toy()).stacks
+    assert len(first.chunks) == len(second.chunks) == 2
     assert_structured_matches_dense(shared_toy(), seed=12)
 
 
