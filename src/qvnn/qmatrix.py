@@ -206,29 +206,33 @@ def gamma_k(k: int) -> float:
 
 
 def proved_positive_definite(h: np.ndarray, floor=0.0) -> bool:
-    """Whether every complex Hermitian matrix of the stack ``h`` (..., d, d)
-    is proved to have all its eigenvalues above ``floor`` (a number or one
-    per matrix).
+    """Whether every complex Hermitian, or real symmetric, matrix of the
+    stack ``h`` (..., d, d) is proved to have all its eigenvalues above
+    ``floor`` (a number or one per matrix).
 
     The proof is Rump's (BIT 46, 2006): if the floating-point Cholesky
     factor of a symmetric A of side D less c I exists, in any order of its
     sums and so in LAPACK's blocked one, with c = gamma_{D+1} /
     (1 - 2 gamma_{D+1}) tr A + 4 D (2 (D + 2) + max A_ii) times the smallest
-    subnormal, then A is positive definite. A is the real image
-    [[Re H, -Im H], [Im H, Re H]] less floor I, and the shift is taken at
-    twice c, which covers the rounding of computing it and of subtracting
-    it. LAPACK reads the lower triangle only, so for an ``h`` that is
-    Hermitian only up to rounding, ``floor`` must also cover the upper
-    one. A matrix with an entry that is not finite is not proved.
+    subnormal, then A is positive definite. A is a real ``h`` or the real
+    image [[Re H, -Im H], [Im H, Re H]] of a complex one, less floor I, and
+    the shift is taken at twice c, which covers the rounding of computing
+    it and of subtracting it. LAPACK reads the lower triangle only, so for
+    an ``h`` that is Hermitian only up to rounding, ``floor`` must also
+    cover the upper one. A matrix with an entry that is not finite is not
+    proved.
     """
     if not np.isfinite(h).all():
         return False
-    d = h.shape[-1]
-    side = 2 * d
-    real = np.empty(h.shape[:-2] + (side, side))
-    real[..., :d, :d] = real[..., d:, d:] = h.real
-    real[..., d:, :d] = h.imag
-    real[..., :d, d:] = -h.imag
+    if np.iscomplexobj(h):
+        d = h.shape[-1]
+        real = np.empty(h.shape[:-2] + (2 * d, 2 * d))
+        real[..., :d, :d] = real[..., d:, d:] = h.real
+        real[..., d:, :d] = h.imag
+        real[..., :d, d:] = -h.imag
+    else:
+        real = np.array(h, dtype=float)
+    side = real.shape[-1]
     at = np.arange(side)
     diag = np.abs(real[..., at, at])
     g = gamma_k(side + 1)

@@ -3,38 +3,42 @@
 The problem solved is
 
     maximize t   subject to   S_k = G_k(x) - t I >= 0  for every constraint k,
-                              1 - x_i >= 0,  1 + x_i >= 0,
+                              s0 = D - c^T x >= 0,
 
 where G_k(x) = sum_i x_i A_ki is complex Hermitian, the image chi of a
 quaternion matrix, and every constraint reads "> 0". Strict feasibility of
 the original system is equivalent to a positive optimal t; every
 constraint is homogeneous, so x = 0 always achieves t = 0, and
 "infeasible" here always means "no margin above the tolerance", never an
-empty domain. The box |x_i| <= R = 1 pins the scale of the otherwise
-homogeneous problem: the optimal t is proportional to R.
+empty domain. The trace cone pins the scale of the otherwise homogeneous
+problem: c_i = sum_k tr A_ki, so c^T x = sum_k tr G_k(x), and D is the
+total side of the constraints, so the mean eigenvalue over all constraints
+is at most 1, and so is t (Boyd, El Ghaoui, Feron & Balakrishnan, SIAM
+1994, Ch. 2). Rescaling the variables rescales c with them and moves no
+margin.
 
 In the standard form of SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw.
 11, 1999) this is the dual problem in y = (x, t), with the S_k as
-semidefinite cones under <U, V> = Re tr(U V) and the box as two linear
-cones. Its primal has a Hermitian X_k >= 0 per constraint and u, l >= 0
-per variable, with
+semidefinite cones under <U, V> = Re tr(U V) and s0 as one linear cone. Its
+primal has a Hermitian X_k >= 0 per constraint and u0 >= 0, with
 
-    sum_k tr X_k = 1,   u_i - l_i = sum_k Re tr(A_ki X_k),
+    sum_k tr X_k = 1,   u0 c_i = sum_k Re tr(A_ki X_k),
 
-and objective sum(u + l), which bounds every feasible t once the primal
+and objective u0 D, which bounds every feasible t once the primal
 equations hold. The solver is an infeasible-start path-following method
 with the Nesterov-Todd (NT) direction (Math. Oper. Res. 22, 1997) and
 Mehrotra's predictor-corrector. It starts at y = (0, -1), where every
-S_k = I, and evaluates S = S(y) at every iterate, so each iterate is dual
-feasible: its t is a margin that its x attains. The primal starts at
-X_k = I, u = l = 1 and becomes feasible as the steps shrink its residual.
-After each iteration the run tries one proof and stops at the first that
-holds. Below the margin tolerance, weak duality at the primal, with its
-residual and rounding bounded, gives a verified upper bound on every t that
-the box admits, and a bound below the tolerance proves "infeasible". At or
-above it, a shifted Cholesky of every S_k (Rump, BIT 46, 2006) proves that
-x attains t. Otherwise the run stops once the gap sum(u + l) - t is at most
-the target and the primal residual at most 1e-9.
+S_k = I and s0 = D, and evaluates S = S(y) at every iterate, so each
+iterate is dual feasible: its t is a margin that its x attains. The primal
+starts at X_k = I and u0 = 1, which meet every equation but the trace's,
+and becomes feasible as the steps shrink its residual. After each
+iteration the run tries one proof and stops at the first that holds. Below
+the margin tolerance, weak duality at the primal, with its residual and
+rounding bounded, gives a verified upper bound on every t that the cone
+admits, and a bound below the tolerance proves "infeasible". At or above
+it, a shifted Cholesky of every S_k (Rump, BIT 46, 2006) proves that x
+attains t. Otherwise the run stops once the gap u0 D - t is at most the
+target and the primal residual at most 1e-9.
 
 For each block the NT scaling G, with G^H S G = G^-1 X G^-H = diag(lambda),
 comes from the Cholesky factors L_X, L_S and the SVD L_S^H L_X =
@@ -43,12 +47,11 @@ W S W = X. The complementarity equations are linearized in the scaled
 space, where the iterate is diagonal, and the step lengths to the boundary
 are the eigenvalues of the scaled steps. The Schur complement is
 
-    M_ij = <A_i, W A_j W> = Re tr(A_i W A_j W)
+    M_ij = <A_i, W A_j W> + (u0 / s0) c_i c_j
 
-over the variables and t, whose coefficient is -I, plus
-diag(u / (1 - x) + l / (1 + x)) from the box, which keeps M positive
-definite in exact arithmetic; the predictor and the corrector solve with M
-by LU, which goes on where rounding makes M indefinite, near the gap target.
+over the variables and t, whose coefficient is -I and whose c is 0; the
+predictor and the corrector solve with M by LU, which goes on where
+rounding makes M indefinite, near the gap target.
 
 M works from the sparsity of the coefficients, in the spirit of the F1-F3
 Schur-complement formulas of Fujisawa, Kojima & Nakata (Math. Prog. 79,
@@ -77,14 +80,14 @@ stack, the rows below N rebuilt from them once: every S_k(y) is one pair of
 per member, then per variable). M is one (m + 1)^2 matrix per solve,
 filled in place: every stack adds its Schur entries into the variable
 block, one scatter per run of variables, the t row and column are the
-primal operator at W^2, and M is averaged with its transpose a band of
-rows at a time. Sums keep one order: an entry of M adds its stacks one
-after the other and, within a stack, its members in member order; a
-variable's primal sum runs over the members of each stack, stack after
-stack, each member's trace summed first. A sum in one level rounds
-differently, and near the gap target that rounding decides whether a run
-ends. Each iterate evaluates S once, and holds b - A(X, u, l) from its last
-primal update.
+primal operator at W^2, and M is averaged with its transpose and gains
+the cone's rank-one term a band of rows at a time. Sums keep one order: an
+entry of M adds its stacks one after the other and, within a stack, its
+members in member order; a variable's primal sum runs over the members of
+each stack, stack after stack, each member's trace summed first. A sum in
+one level rounds differently, and near the gap target that rounding
+decides whether a run ends. Each iterate evaluates S once, and holds
+b - A(X, u0) from its last primal update.
 numpy is the only dependency: every factorization and solve uses
 ``numpy.linalg``.
 
@@ -124,7 +127,7 @@ class SolverConfig:
 class IterationRecord:
     iteration: int
     t: float                 # the iterate's margin, attained by its x
-    bound: float             # the primal objective sum(u + l)
+    bound: float             # the primal objective u0 D
     gap: float               # bound - t
     primal_residual: float   # largest violation of the primal equations
     primal_step: float
@@ -145,10 +148,10 @@ class FeasibilityResult:
     # message of the NumericalError that ended the run, or None
     failure_cause: str | None = None
     # what the run proved: "feasible" (its margin is attained), "infeasible"
-    # (no |x| <= 1 attains the tolerance) or "undecided"
+    # (no x in the trace cone attains the tolerance) or "undecided"
     proof: str = "undecided"
-    # a verified upper bound on every margin that some |x| <= 1 attains,
-    # from the last iterate's primal; inf when it is not proved
+    # a verified upper bound on every margin that some x in the trace cone
+    # attains, from the last iterate's primal; inf when it is not proved
     margin_upper_bound: float = np.inf
     # seconds spent on the NT scaling and the Schur complement, on the two
     # solves with it, and on directions, step lengths and updates
@@ -165,7 +168,8 @@ def scale_problem(sdp: StandardSdp) -> tuple[StandardSdp, np.ndarray]:
     overflows or underflows. The feasibility classification is unchanged
     (the map is a bijection and leaves constraint values pointwise
     identical); variables whose coefficients vanish in every constraint
-    keep the factor 1.
+    keep the factor 1. The trace cone scales with the variables, so the
+    scaling conditions the problem and moves no margin.
     """
     m = sdp.num_vars
     norms = np.zeros(m)
@@ -334,7 +338,11 @@ class _Operator:
     ``flat`` its index in the members' matrices raveled in that order,
     ``row`` the index of its (member, active variable) pair in the same
     order, and ``conj_value`` the conjugate of its value; ``row_var`` is the
-    variable of each pair."""
+    variable of each pair. ``c`` holds the traces sum_k tr A_ki of the
+    trace cone, ``side`` its D, the total side, and ``c_mags`` the sums of
+    the magnitudes of the diagonal entries that make up each trace, ``eyes``
+    the identity per stack and ``floor`` the proved ``gram_floor``; ``idle``
+    lists the variables in no constraint."""
 
     def __init__(self, sdp: StandardSdp):
         self.m = m = sdp.num_vars
@@ -381,6 +389,12 @@ class _Operator:
         self.depth = int(max(np.bincount(self.flat).max(),
                              np.bincount(self.var).max())) + 3
         self.mat = np.empty((m + 1, m + 1))
+        self.idle = np.flatnonzero(np.bincount(self.var, minlength=m) == 0)
+        self.eyes = [np.broadcast_to(np.eye(s.dim), (len(s.names), s.dim, s.dim))
+                     for s in self.stacks]
+        unit = self.apply(self.eyes)
+        self.c, self.side = -unit[:m], unit[m]
+        self.c_mags, self.floor = self.magnitudes(self.eyes), self.gram_floor()
 
     def evaluate(self, y: np.ndarray) -> list[np.ndarray]:
         """S_k(y) = sum_i x_i A_ki - t I of every member k, as (members, d, d)
@@ -413,14 +427,48 @@ class _Operator:
         out[self.m] = sum(np.trace(u, axis1=1, axis2=2).real.sum() for u in us)
         return out
 
-    def schur(self, ws) -> np.ndarray:
-        """The (m + 1)^2 Schur complement of the semidefinite blocks at their
-        NT scaling matrices ws, in the operator's one matrix, which the next
-        call overwrites: every stack's Re tr(A_j W A_i W), members that
-        share a variable adding up, the t row and column -Re tr(A_i W W),
-        the primal operator at W^2, and the (t, t) entry sum ||W_k||_F^2,
-        averaged with its transpose a band of rows at a time."""
-        mat = self.mat
+    def magnitudes(self, us) -> np.ndarray:
+        """Per variable, the sum of the magnitudes of the products that
+        ``apply`` sums at the Hermitian blocks us, |Re u Re a| + |Im u Im a|
+        over the entries."""
+        u = np.concatenate([u.ravel() for u in us])[self.flat]
+        return np.bincount(self.row_var, weights=np.bincount(
+            self.row, weights=np.abs(u.real * self.conj_value.real)
+            + np.abs(u.imag * self.conj_value.imag), minlength=self.row_var.size),
+            minlength=self.m)
+
+    def gram_floor(self) -> float:
+        """A proved lower bound on sigma_min^2, the least eigenvalue of the
+        Gram matrix Re tr(A_i A_j) summed over the constraints, so that the
+        norm of G(x) is at least sigma_min ||x||; 0 when none is proved. The
+        Gram matrix is the Schur complement at W = I, whose products with I
+        are exact, so only its sums round, at most ``depth`` times in an
+        entry: by Cauchy-Schwarz entry (i, j) errs by at most gamma
+        sqrt(G_ii G_jj), and the error by at most gamma tr G in spectral
+        norm. The floors tried are the least diagonal entry over 4, 16, ...
+        while they exceed that error."""
+        m = self.m
+        gram = self.schur(self.eyes, 0.0)[:m, :m]
+        error = 2.0 * gamma_k(self.depth) * np.trace(gram)
+        floor = np.min(gram.diagonal()) / 4.0
+        while floor > error:
+            if proved_positive_definite(gram, floor + error):
+                return floor
+            floor /= 4.0
+        return 0.0
+
+    def schur(self, ws, weight: float) -> np.ndarray:
+        """The (m + 1)^2 Schur complement at the NT scaling matrices ws of
+        the semidefinite blocks and the weight u0 / s0 of the trace cone, in
+        the operator's one matrix, which the next call overwrites: every
+        stack's Re tr(A_j W A_i W), members that share a variable adding up,
+        the t row and column -Re tr(A_i W W), the primal operator at W^2,
+        and the (t, t) entry sum ||W_k||_F^2, averaged with its transpose
+        a band of rows at a time, each band adding v v^T, v = sqrt(weight) c,
+        16 rows at a time so that no product of M's size is made and M stays
+        symmetric. A variable in no constraint has 1 on its diagonal, and
+        its step is 0."""
+        mat, v = self.mat, np.sqrt(weight) * np.append(self.c, 0.0)
         mat.fill(0.0)
         for stack, w in zip(self.stacks, ws):
             stack.add_schur(w, mat)
@@ -430,8 +478,11 @@ class _Operator:
         for lo in range(0, len(mat), step):
             band = mat[lo:lo + step, lo:] + mat[lo:, lo:lo + step].T
             band /= 2.0
+            for i in range(0, len(band), 16):
+                band[i:i + 16] += np.outer(v[lo:lo + step][i:i + 16], v[lo:])
             mat[lo:lo + step, lo:] = band
             mat[lo:, lo:lo + step] = band.T
+        mat[self.idle, self.idle] = 1.0
         return mat
 
 
@@ -455,9 +506,8 @@ def _max_steps(lam, dx, ds) -> tuple[float, float]:
     return tuple(np.inf if v >= 0.0 else -1.0 / v for v in lo)
 
 
-def _max_linear_step(v, dv) -> float:
-    shrink = dv < 0.0
-    return np.min(-v[shrink] / dv[shrink], initial=np.inf)
+def _max_linear_step(v: float, dv: float) -> float:
+    return -v / dv if dv < 0.0 else np.inf
 
 
 def _cholesky(mats, what: str):
@@ -468,30 +518,30 @@ def _cholesky(mats, what: str):
 
 
 class _Iterate:
-    """The primal X (one (members, d, d) array per stack), u and l, with
-    ``residual`` b - A(X, u, l), the violation of the primal equations, and
-    the dual y = (x, t) with S = S(y) and the box slacks 1 - x and 1 + x."""
+    """The primal X (one (members, d, d) array per stack) and u0, with
+    ``residual`` b - A(X, u0), the violation of the primal equations, and
+    the dual y = (x, t) with S = S(y) and the cone's slack s0 = D - c^T x."""
 
     def __init__(self, op: _Operator):
-        self.op, m = op, op.m
+        self.op = op
         self.set_primal([np.tile(np.eye(s.dim, dtype=complex), (len(s.names), 1, 1))
-                         for s in op.stacks], np.ones(m), np.ones(m))
-        self.nu = sum(s.dim * len(s.names) for s in op.stacks) + 2 * m
-        self.set_dual(np.append(np.zeros(m), -1.0))
+                         for s in op.stacks], 1.0)
+        self.nu = sum(s.dim * len(s.names) for s in op.stacks) + 1
+        self.set_dual(np.append(np.zeros(op.m), -1.0))
 
-    def set_primal(self, xs, u, l):
-        self.xs, self.u, self.l = xs, u, l
-        self.residual = -self.op.apply(xs, u - l)
+    def set_primal(self, xs, u0):
+        self.xs, self.u0 = xs, u0
+        self.residual = -self.op.apply(xs, u0 * self.op.c)
         self.residual[self.op.m] += 1.0
 
     def set_dual(self, y):
-        self.y, x = y, y[:self.op.m]
+        self.y = y
         self.ss = self.op.evaluate(y)
-        self.su, self.sl = 1.0 - x, 1.0 + x
+        self.s0 = self.op.side - self.op.c @ y[:self.op.m]
 
     def complementarity(self) -> float:
         return (sum(_inner(x, s) for x, s in zip(self.xs, self.ss))
-                + self.u @ self.su + self.l @ self.sl)
+                + self.u0 * self.s0)
 
 
 def _iterate_once(it: _Iterate, clock):
@@ -505,15 +555,14 @@ def _iterate_once(it: _Iterate, clock):
         _, lam, vh = np.linalg.svd(_herm(ls) @ lx)
         gs.append(lx @ _herm(vh) / np.sqrt(lam)[:, None, :])
         lams.append(lam)
-    schur = op.schur([g @ _herm(g) for g in gs])
-    schur[np.arange(m), np.arange(m)] += it.u / it.su + it.l / it.sl
+    schur = op.schur([g @ _herm(g) for g in gs], it.u0 / it.s0)
     clock["schur_seconds"] += time.perf_counter() - tick
     eyes = [np.eye(lam.shape[1]) for lam in lams]
     mu = it.complementarity() / it.nu
 
-    def direction(rhs, zs, ru, rl):
-        """dy, the scaled dX and dS per stack, du and dl, for the scaled
-        complementarity right-hand sides zs = dX~ + dS~ and ru, rl."""
+    def direction(rhs, zs, r0):
+        """dy, the scaled dX and dS per stack, ds0 and du0, for the scaled
+        complementarity right-hand sides zs = dX~ + dS~ and r0."""
         tock = time.perf_counter()
         try:
             dy = np.linalg.solve(schur, rhs)
@@ -521,31 +570,26 @@ def _iterate_once(it: _Iterate, clock):
             raise NumericalError("the Schur complement is singular") from None
         clock["factor_seconds"] += time.perf_counter() - tock
         dss = [_herm(g) @ s @ g for s, g in zip(op.evaluate(dy), gs)]
-        dx = dy[:m]
+        ds0 = -float(op.c @ dy[:m])
         return (dy, [z - ds for z, ds in zip(zs, dss)], dss,
-                ru + it.u / it.su * dx, rl - it.l / it.sl * dx)
+                ds0, r0 - it.u0 / it.s0 * ds0)
 
-    def step_lengths(dy, dxs, dss, du, dl):
-        dx = dy[:m]
+    def step_lengths(dxs, dss, ds0, du0):
         cones = [_max_steps(lam, a, b) for lam, a, b in zip(lams, dxs, dss)]
-        return (min([p for p, _ in cones] + [_max_linear_step(it.u, du),
-                                             _max_linear_step(it.l, dl)]),
-                min([d for _, d in cones] + [_max_linear_step(it.su, -dx),
-                                             _max_linear_step(it.sl, dx)]))
+        return (min([p for p, _ in cones] + [_max_linear_step(it.u0, du0)]),
+                min([d for _, d in cones] + [_max_linear_step(it.s0, ds0)]))
 
     tick, solving = time.perf_counter(), clock["factor_seconds"]
-    # predictor, dX~ + dS~ = -diag(lambda), du = -u, dl = -l: the Schur
-    # right-hand side is b - A(X, u, l) + A(X, u, l) = b
+    # predictor, dX~ + dS~ = -diag(lambda), du0 = -u0 - u0 ds0 / s0: the
+    # Schur right-hand side is b - A(X, u0) + A(X, u0) = b
     diags = [lam[:, :, None] * eye for lam, eye in zip(lams, eyes)]
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    dy, dxs, dss, du, dl = direction(rhs, [-z for z in diags], -it.u, -it.l)
-    ap, ad = (min(1.0, a) for a in step_lengths(dy, dxs, dss, du, dl))
-    dx = dy[:m]
+    dy, dxs, dss, ds0, du0 = direction(rhs, [-z for z in diags], -it.u0)
+    ap, ad = (min(1.0, a) for a in step_lengths(dxs, dss, ds0, du0))
     mu_aff = (sum(_inner(z + ap * a, z + ad * b)
                   for z, a, b in zip(diags, dxs, dss))
-              + (it.u + ap * du) @ (it.su - ad * dx)
-              + (it.l + ap * dl) @ (it.sl + ad * dx)) / it.nu
+              + (it.u0 + ap * du0) * (it.s0 + ad * ds0)) / it.nu
     # the centering weight and step fraction of SDPT3
     sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** max(1.0, 3.0 * min(ap, ad) ** 2))
     fraction = 0.9 + 0.09 * min(ap, ad)
@@ -556,16 +600,15 @@ def _iterate_once(it: _Iterate, clock):
         prod = a @ b
         zs.append((sigma * mu / lam - lam)[:, :, None] * eye
                   - (prod + _herm(prod)) / (lam[:, :, None] + lam[:, None, :]))
-    ru = sigma * mu / it.su - it.u + du * dx / it.su
-    rl = sigma * mu / it.sl - it.l - dl * dx / it.sl
+    r0 = (sigma * mu - du0 * ds0) / it.s0 - it.u0
     rhs = it.residual - op.apply([g @ z @ _herm(g) for g, z in zip(gs, zs)],
-                                 ru - rl)
-    dy, dxs, dss, du, dl = direction(rhs, zs, ru, rl)
-    ap, ad = (min(1.0, fraction * a) for a in step_lengths(dy, dxs, dss, du, dl))
+                                 r0 * op.c)
+    dy, dxs, dss, ds0, du0 = direction(rhs, zs, r0)
+    ap, ad = (min(1.0, fraction * a) for a in step_lengths(dxs, dss, ds0, du0))
     if not (np.all(np.isfinite(dy)) and np.isfinite(ap) and np.isfinite(ad)):
         raise NumericalError("the step is not finite")
     it.set_primal([x + ap * (g @ d @ _herm(g)) for x, g, d in zip(it.xs, gs, dxs)],
-                  it.u + ap * du, it.l + ap * dl)
+                  it.u0 + ap * du0)
     it.set_dual(it.y + ad * dy)
     # less the two solves, which are the factor phase
     clock["step_seconds"] += (time.perf_counter() - tick
@@ -591,32 +634,33 @@ def _proves_margin(it: _Iterate) -> bool:
 
 
 def _dual_bound(it: _Iterate) -> float:
-    """A verified upper bound on every t that some |x| <= 1 attains, by weak
-    duality at the iterate's primal. For Hermitian Z_k >= 0 and u, l >= 0,
-    sum_k <Z_k, G_k(x) - t I> + u (1 - x) + l (1 + x) >= 0 gives
+    """A verified upper bound on every t >= 0 that some x in the trace cone
+    attains, by weak duality at the iterate's primal. For Hermitian
+    Z_k >= 0 and u0 >= 0, sum_k <Z_k, G_k(x) - t I> + u0 (D - c^T x) >= 0
+    gives
 
-        t sum_k tr Z_k <= sum(u + l) + ||(u - l) - A*(Z)||_1.
+        t sum_k tr Z_k <= u0 D + ||x|| ||A*(Z) - u0 c||,
 
-    Z_k is the Hermitian part of X_k, proved positive definite, or the
-    bound is inf. The operator's rounding is bounded as in
-    ``_proves_margin``, and the sums of the bound, at most ``nu + 2 m + 8``
-    roundings of nonnegative terms, are inflated by gamma."""
+    where ||x|| <= D / sigma_min: each G_k(x) >= t I >= 0, so the norm of
+    G(x) is at most sum_k tr G_k(x) = c^T x <= D, and at least sigma_min ||x||
+    by ``op.floor``. Z_k is the Hermitian part of X_k, proved positive
+    definite, or the bound is inf, as it is with no floor. The operator's
+    rounding is bounded as in ``_proves_margin``, u0 c erring from u0 times
+    the exact traces by gamma u0 ``c_mags`` and in its product and sum by
+    twice that, and the sums of the bound, at most ``nu + m + 8`` roundings
+    of nonnegative terms, are inflated by gamma."""
     op, m = it.op, it.op.m
     zs = [(x + _herm(x)) / 2.0 for x in it.xs]
-    if not (np.all(it.u >= 0.0) and np.all(it.l >= 0.0)
+    if not (op.floor > 0.0 and it.u0 >= 0.0
             and all(proved_positive_definite(z) for z in zs)):
         return np.inf
-    out = op.apply(zs, it.u - it.l)
+    out = op.apply(zs, it.u0 * op.c)
     if not out[m] > 0.0:
         return np.inf
-    z = np.concatenate([z.ravel() for z in zs])[op.flat]
-    mags = np.bincount(op.row_var, weights=np.bincount(
-        op.row, weights=np.abs(z.real * op.conj_value.real)
-        + np.abs(z.imag * op.conj_value.imag), minlength=op.row_var.size),
-        minlength=m)
-    slack = np.abs(out[:m]) + gamma_k(op.depth) * (mags + it.u + it.l)
-    g = gamma_k(it.nu + 2 * m + 8)
-    return float((np.sum(it.u + it.l) + np.sum(slack)) / out[m]
+    slack = np.abs(out[:m]) + gamma_k(op.depth) * (
+        op.magnitudes(zs) + 3.0 * it.u0 * op.c_mags)
+    g = gamma_k(it.nu + m + 8)
+    return float((it.u0 + np.sqrt(slack @ slack / op.floor)) * op.side / out[m]
                  * (1.0 + g) / (1.0 - g))
 
 
@@ -629,16 +673,17 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
     After each iteration the run tries one proof: while t is below the
     margin tolerance, that the dual bound is too (``_dual_bound``), and once
     t reaches it at the best iterate so far, that the iterate attains it
-    (``_proves_margin``). A bound try is skipped while (sum(u + l) +
-    ||r[:m]||_1) / (1 - r[m]), r the iterate's residual, exceeds twice the
-    tolerance: in exact arithmetic the bound is at least that quotient, and
-    the factor 2 covers the rounding of two sums taken in another order.
-    Every iterate is dual feasible, so the reported margin, the best t over
-    the iterates, is attained by the reported x, and either proof agrees
-    with the verdict of a longer run. The margin upper bound is the dual
-    bound at the last iterate. A numerical breakdown ends the run at the
-    last iterate and names its cause; the status is ``numerical_failure``
-    only when no iteration completed. Runs are bitwise deterministic.
+    (``_proves_margin``). A bound try is skipped with no Gram floor, and
+    while (u0 D + D ||r[:m]|| / sigma_min) / (1 - r[m]), r the iterate's
+    residual, exceeds twice the tolerance: in exact arithmetic the bound is
+    at least that quotient, and the factor 2 covers the rounding of sums
+    taken in another order. Every iterate is dual feasible, so the reported
+    margin, the best t over the iterates, is attained by the reported x,
+    and either proof agrees with the verdict of a longer run. The margin
+    upper bound is the dual bound at the last iterate. A numerical
+    breakdown ends the run at the last iterate and names its cause; the
+    status is ``numerical_failure`` only when no iteration completed. Runs
+    are bitwise deterministic.
     """
     cfg = config or SolverConfig()
     op = _Operator(sdp)
@@ -657,7 +702,7 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
             cause = str(exc)
             break
         x, t = it.y[:m], float(it.y[m])
-        bound = float(np.sum(it.u + it.l))
+        bound = float(it.u0 * op.side)
         residual = float(np.max(np.abs(it.residual)))
         # every G_k(x) = S_k + t I
         eigs = t + np.concatenate([np.linalg.eigvalsh(s)[:, 0] for s in it.ss])
@@ -666,9 +711,10 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
         if best is None or t > best.t:
             best, best_x, best_eigs = trace[-1], x, eigs
         if t < cfg.margin_tolerance:
-            weight = 1.0 - it.residual[m]
-            hopeless = weight > 0.0 and (
-                (bound + np.abs(it.residual[:m]).sum()) / weight > 2.0 * cfg.margin_tolerance)
+            r, weight = it.residual[:m], 1.0 - it.residual[m]
+            hopeless = not op.floor > 0.0 or weight > 0.0 and (
+                (it.u0 + np.sqrt(r @ r / op.floor)) * op.side / weight
+                > 2.0 * cfg.margin_tolerance)
             if not hopeless and _dual_bound(it) < cfg.margin_tolerance:
                 proof = "infeasible"
                 break

@@ -573,9 +573,12 @@ def real_coeffs(sdp: StandardSdp) -> list[np.ndarray]:
     return stacks
 
 
-def dense_schur(sdp: StandardSdp, ws: list[np.ndarray]) -> np.ndarray:
+def dense_schur(sdp: StandardSdp, ws: list[np.ndarray],
+                weight: float = 0.0) -> np.ndarray:
     """The Schur complement Re tr(W B_i W B_j) of ``qvnn.sdp``, summed over
-    the constraints, at one positive definite W per constraint.
+    the constraints, at one positive definite W per constraint, plus
+    weight c_i c_j for the trace cone, c_i = sum_k tr B_ki for i < m and
+    c_m = 0, and 1 on the diagonal of a variable in no constraint.
 
     B_i is the complex coefficient of x_i for i < m and -I, that of the
     margin t, for i = m. Every block forms W B_i for all variables, active
@@ -583,13 +586,19 @@ def dense_schur(sdp: StandardSdp, ws: list[np.ndarray]) -> np.ndarray:
     """
     m = sdp.num_vars
     schur = np.zeros((m + 1, m + 1))
+    c, used = np.zeros(m + 1), np.zeros(m + 1, dtype=bool)
     for lmi, w in zip(sdp.lmis, ws):
-        b = np.concatenate([coeff_stack(lmi, m), -np.eye(lmi.dim)[None]], axis=0)
+        a = coeff_stack(lmi, m)
+        c[:m] += np.trace(a, axis1=1, axis2=2).real
+        used[:m] |= np.any(a != 0.0, axis=(1, 2))
+        b = np.concatenate([a, -np.eye(lmi.dim)[None]], axis=0)
         wb = np.matmul(w[None], b)                    # W B_i, batched
         # tr(W B_i W B_j) = sum over p, q of (W B_i)[p, q] (W B_j)[q, p]
         schur += (wb.reshape(m + 1, -1)
                   @ wb.transpose(0, 2, 1).reshape(m + 1, -1).T).real
-    return schur
+    idle = np.flatnonzero(~used[:m])
+    schur[idle, idle] = 1.0
+    return schur + weight * np.outer(c, c)
 
 
 @dataclass

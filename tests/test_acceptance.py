@@ -53,7 +53,7 @@ def test_01_reference_network_certifies_within_budget(reference_model):
         f"margin {result.margin:.3e} (required >= {MARGIN_TOL:g}), "
         f"wall {wall:.1f}s (budget 120s). A leak-delay sweep of this "
         f"configuration brackets its feasibility boundary inside "
-        f"(0.0750, 0.0790), far below the declared 0.5, so the criterion "
+        f"(0.0800, 0.0825), far below the declared 0.5, so the criterion "
         f"set is infeasible for the declared parameters.")
 
 

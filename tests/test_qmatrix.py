@@ -375,6 +375,15 @@ def test_the_shifted_cholesky_agrees_with_exact_elimination(d):
             exact = exact_positive_definite(h.real, h.imag, floor)
             assert exact == (offset > 0.0)
             assert proved_positive_definite(h, floor) == exact
+        # a real symmetric matrix is proved as it is, without its real image
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        for offset in (1e-6, -1e-6):
+            lam = np.append(floor + offset, rng.uniform(1.0, 2.0, size=d - 1))
+            h = (q * lam) @ q.T
+            h = (h + h.T) / 2.0
+            exact = exact_positive_definite(h, np.zeros_like(h), floor)
+            assert exact == (offset > 0.0)
+            assert proved_positive_definite(h, floor) == exact
     good, bad = (hermitian_with_least(rng, d, v) for v in (0.5, -0.5))
     assert proved_positive_definite(np.stack([good, good]))
     assert not proved_positive_definite(np.stack([good, bad]))

@@ -28,14 +28,14 @@ from qvnn.sdp import SolverConfig, scale_problem, solve_feasibility
 
 def interval_toy():
     """Two variables (x, s), constraint diag(x - s, 3s - x) > 0: the ratio
-    x / s lies in the interval (1, 3). In the box |x|, |s| <= 1 the best
-    margin is 1 / 2, at (x, s) = (1, 1 / 2)."""
+    x / s lies in the interval (1, 3). The trace cone reads 2 s <= 2, and
+    the best margin min(x - s, 3s - x) is 1, at (x, s) = (2, 1)."""
     coeffs = np.stack([np.diag([1.0, -1.0]), np.diag([-1.0, 3.0])])
     return StandardSdp(num_vars=2, lmis=[affine_lmi("interval", coeffs)])
 
 
 def ray_toy():
-    """One constraint x I > 0; the trust region caps the margin."""
+    """One constraint x I > 0; the trace cone x <= 1 caps the margin at 1."""
     coeffs = np.eye(2)[None]
     return StandardSdp(num_vars=1, lmis=[affine_lmi("ray", coeffs)])
 
@@ -61,8 +61,11 @@ def shared_toy():
 
 
 def three_scale_toy():
-    """Three variables of very different scales; the third is in no block."""
-    coeffs = np.stack([100.0 * np.eye(2), 0.01 * np.eye(2), np.zeros((2, 2))])
+    """Three variables of very different scales; the third is in no block.
+    G = diag(100 x + 0.01 s, 100 x + 0.02 s), whose trace is at most 2: the
+    best margin is 1, at (x, s) = (0.01, 0), where both eigenvalues are 1."""
+    coeffs = np.stack([100.0 * np.eye(2), 0.01 * np.diag([1.0, 2.0]),
+                       np.zeros((2, 2))])
     return StandardSdp(num_vars=3, lmis=[affine_lmi("a", coeffs)])
 
 
@@ -70,15 +73,15 @@ def test_interval_toy_finds_the_analytic_center():
     # the run stops at its first proof, with a bracket that holds the optimum
     result = solve_feasibility(interval_toy())
     assert result.status == "feasible" and result.proof == "feasible"
-    assert result.margin <= 0.5 <= result.margin_upper_bound
+    assert result.margin <= 1.0 <= result.margin_upper_bound
     # at a tolerance equal to the optimum neither proof can hold, and the
     # run goes on to the gap target
-    result = solve_feasibility(interval_toy(), SolverConfig(margin_tolerance=0.5))
+    result = solve_feasibility(interval_toy(), SolverConfig(margin_tolerance=1.0))
     assert result.proof == "undecided"
-    assert result.margin == pytest.approx(0.5, abs=1e-6)
-    assert result.x[0] == pytest.approx(1.0, abs=1e-3)
-    assert result.x[1] == pytest.approx(0.5, abs=1e-3)
-    assert result.per_constraint_min_eig["interval"] == pytest.approx(0.5,
+    assert result.margin == pytest.approx(1.0, abs=1e-6)
+    assert result.x[0] == pytest.approx(2.0, abs=1e-3)
+    assert result.x[1] == pytest.approx(1.0, abs=1e-3)
+    assert result.per_constraint_min_eig["interval"] == pytest.approx(1.0,
                                                                       abs=1e-6)
 
 
@@ -187,12 +190,14 @@ def test_the_run_stops_at_its_first_proof(toy, monkeypatch):
 
 
 def small_ray_toy():
-    """The ray toy at 1e-8 of its scale: its optimum is 1e-8."""
-    return StandardSdp(num_vars=1, lmis=[affine_lmi("ray", 1e-8 * np.eye(2)[None])])
+    """x diag(1e-8, 2 - 1e-8) > 0: the trace cone is x <= 1, so the optimum
+    is 1e-8."""
+    return StandardSdp(num_vars=1, lmis=[
+        affine_lmi("ray", np.diag([1e-8, 2.0 - 1e-8])[None])])
 
 
 @pytest.mark.parametrize("toy, optimum", [
-    (interval_toy, 0.5), (ray_toy, 1.0), (three_scale_toy, 100.01),
+    (interval_toy, 1.0), (ray_toy, 1.0), (three_scale_toy, 1.0),
     (small_ray_toy, 1e-8)],
     ids=["interval_toy", "ray_toy", "three_scale_toy", "small_ray_toy"])
 def test_the_run_stops_at_the_gap_target(toy, optimum):
@@ -229,7 +234,7 @@ def test_scaling_normalizes_and_maps_back():
     # sqrt(2) sqrt(2) ||C||_F
     np.testing.assert_allclose(factors,
                                [2.0 * np.linalg.norm(100.0 * np.eye(2)),
-                                2.0 * np.linalg.norm(0.01 * np.eye(2)),
+                                2.0 * np.linalg.norm(0.01 * np.diag([1.0, 2.0])),
                                 1.0])
     np.testing.assert_allclose(factors[:2], np.linalg.norm(
         real_coeffs(sdp)[0][:2], axis=(1, 2)))
@@ -278,12 +283,13 @@ def test_stable_example_certifies(stable_model, stable_solution):
     assert result.iterations > 0
     assert min(result.per_constraint_min_eig.values()) >= result.margin - 1e-9
     # the iterates: a change that moves them must restate these values
-    assert result.iterations == 13 and result.proof == "feasible"
+    assert result.iterations == 10 and result.proof == "feasible"
     assert all(r.min_eig >= r.t - 1e-12 for r in result.trace)
-    assert result.margin == pytest.approx(1.172797034e-5, rel=1e-9)
-    assert result.margin_upper_bound == pytest.approx(2.716418e-5, rel=1e-6)
-    # the optimum, the margin of a run to a gap of 1e-8, lies in the bracket
-    assert result.margin <= 1.317499372e-5 <= result.margin_upper_bound + 2e-8
+    assert result.margin == pytest.approx(7.891042462e-4, rel=1e-9)
+    assert result.margin_upper_bound == pytest.approx(1.720902e-3, rel=1e-6)
+    # the optimum, the margin of a run to a gap of 1e-8 with both proofs
+    # switched off, lies in the bracket
+    assert result.margin <= 1.160730980e-3 <= result.margin_upper_bound + 2e-8
 
 
 def test_reference_example_is_infeasible_at_tolerance(reference_model):
@@ -291,21 +297,21 @@ def test_reference_example_is_infeasible_at_tolerance(reference_model):
     assert result.status == "infeasible_at_tolerance"
     assert result.proof == "infeasible"
     assert result.margin_upper_bound < 1e-6
-    assert result.iterations == 11
-    assert result.margin == pytest.approx(-4.1230e-9, abs=1e-12)
+    assert result.iterations == 7
+    assert result.margin == pytest.approx(-1.38097834e-7, abs=1e-12)
     # the optimum is 0, which x = 0 attains, to within a run's 1e-8 gap
     assert result.margin <= 0.0 <= result.margin_upper_bound
 
 
 @pytest.mark.parametrize("name, calls, pins", [
-    ("stable", 1, (13, 1.1727970339553015e-05, "feasible", 2.7164184115496157e-05)),
-    ("reference", 3, (11, -4.122974823535567e-09, "infeasible",
-                      1.8865836310051145e-08))])
+    ("stable", 1, (10, 0.0007891042461746302, "feasible", 0.0017209023090003761)),
+    ("reference", 2, (7, -1.380978343487353e-07, "infeasible",
+                      2.7021240793325084e-08))])
 def test_the_screen_skips_only_hopeless_bound_tries(name, calls, pins, request,
                                                    monkeypatch):
-    # the last call is the reported upper bound: the screen skips all 12 tries
-    # inside the stable run and 9 of the 11 in Sec. 4's, and both runs end
-    # as the pins above, to the last bit, as they did with every try made
+    # the last call is the reported upper bound: the screen skips all 9 tries
+    # inside the stable run and 6 of the 7 in Sec. 4's, and both runs end
+    # as the pins above, to the last bit
     bound, made = qvnn.sdp._dual_bound, []
 
     def counted(it):
@@ -340,22 +346,44 @@ def test_the_margin_proof_agrees_with_exact_elimination(source, request):
         assert qvnn.sdp._proves_margin(it) == exact
 
 
+def test_the_infeasible_proof_rests_on_a_proved_gram_floor(reference_model,
+                                                          monkeypatch):
+    # the floor is a lower bound on the least eigenvalue of the Gram matrix,
+    # within the ladder's factor 4 of it (0.125 against 0.1649 at Sec. 4);
+    # dependent coefficients have none. Without a floor no dual bound holds:
+    # Sec. 4 runs on to its gap target, unrefuted
+    scaled, _ = scale_problem(build_sdp(reference_model))
+    gram = dense_schur(scaled, [np.eye(lmi.dim) for lmi in scaled.lmis])[:-1, :-1]
+    least = np.linalg.eigvalsh(gram)[0]
+    assert least / 4.0 < qvnn.sdp._Operator(scaled).floor <= least
+    twice = StandardSdp(num_vars=2, lmis=[
+        affine_lmi("twice", np.stack([np.eye(2), 2.0 * np.eye(2)]))])
+    assert qvnn.sdp._Operator(twice).floor == 0.0
+    monkeypatch.setattr(qvnn.sdp._Operator, "gram_floor", lambda op: 0.0)
+    result = solve_feasibility(scaled)
+    assert result.status == "infeasible_at_tolerance"
+    assert result.proof == "undecided" and result.margin_upper_bound == np.inf
+    assert result.failure_cause is None and result.gap <= 1e-8
+
+
 def test_a_constraint_definite_by_less_than_its_shift_is_undecided(
         monkeypatch):
-    # x diag(1, 1e6) > 0 has the optimum 1 at x = 1. At a tolerance of
-    # 1 - 1e-7 every iterate that reaches it has x - t below 1e-7, where
-    # S = diag(x - t, 1e6 x - t) is definite, exactly, but by less than the
-    # shift of about 2e-9: the margin proof is tried and fails every time,
-    # and the run ends at its gap target "undecided", never "feasible"
+    # x diag(1, 1e13) > 0 has, in the trace cone x (1 + 1e13) <= 2, the
+    # optimum 2 / (1 + 1e13) at x = that, about 2e-13. At a tolerance 1 %
+    # below it every iterate that reaches it has x - t below 2e-15, where
+    # S = diag(x - t, 1e13 x - t) is definite, exactly, but by less than the
+    # shift of about 1.6e-14: the margin proof is tried and fails every
+    # time, and the run ends at its gap target "undecided", never "feasible"
     sdp = StandardSdp(num_vars=1, lmis=[
-        affine_lmi("stiff", np.diag([1.0, 1e6])[None])])
+        affine_lmi("stiff", np.diag([1.0, 1e13])[None])])
     proves, tries = qvnn.sdp._proves_margin, []
     monkeypatch.setattr(qvnn.sdp, "_proves_margin",
                         lambda it: tries.append(proves(it)) or tries[-1])
-    result = solve_feasibility(sdp, SolverConfig(margin_tolerance=1.0 - 1e-7))
+    tolerance = 0.99 * 2.0 / (1.0 + 1e13)
+    result = solve_feasibility(sdp, SolverConfig(margin_tolerance=tolerance))
     assert result.status == "feasible" and result.proof == "undecided"
     assert tries and not any(tries)
-    assert result.failure_cause is None and result.gap <= 1e-8
+    assert result.failure_cause is None and result.gap <= 0.05 * tolerance
     assert exact_positive_definite(*exact_lmi_image(sdp.lmis[0], result.x,
                                                     result.margin))
 
@@ -387,7 +415,8 @@ def assert_structured_matches_dense(sdp, seed, spread=1.0):
     """The operator's Schur complement and primal operator agree with the
     dense formulas to 1e-12 relative at W = (G_k(x) - t I)^-1, positive
     definite, from near the boundary of the cone to deep inside it, with
-    every |x_i| below 0.1 * spread."""
+    every |x_i| below 0.1 * spread, and the trace cone's weight u0 / s0
+    from 0 to 10."""
     rng = np.random.default_rng(seed)
     op = qvnn.sdp._Operator(sdp)
     m = sdp.num_vars
@@ -398,8 +427,9 @@ def assert_structured_matches_dense(sdp, seed, spread=1.0):
         ws = {lmi.name: np.linalg.inv(lmi_value(lmi, x) - t * np.eye(lmi.dim))
               for lmi in sdp.lmis}
         stack_ws = [np.stack([ws[name] for name in s.names]) for s in op.stacks]
-        schur = op.schur(stack_ws)
-        schur_ref = dense_schur(sdp, [ws[lmi.name] for lmi in sdp.lmis])
+        weight = {1e-2: 0.0, 0.1: 0.3, 2.0: 10.0}[gap]
+        schur = op.schur(stack_ws, weight)
+        schur_ref = dense_schur(sdp, [ws[lmi.name] for lmi in sdp.lmis], weight)
         assert np.max(np.abs(schur - schur_ref)) <= 1e-12 * np.max(np.abs(schur_ref))
         # <B_i, W> with B = (A_1, ..., A_m, -I), negated: the primal equations
         applied = op.apply(stack_ws)
@@ -463,17 +493,20 @@ def test_schur_complement_matches_dense_along_the_solver_iterates(
                    > len(stack.groups) for stack in op.stacks)
     schur, seen = qvnn.sdp._Operator.schur, []
 
-    def recording(op, ws):
-        mat = schur(op, ws)
+    def recording(op, ws, weight):
+        mat = schur(op, ws, weight)
         seen.append(({name: w for stack, group in zip(op.stacks, ws)
-                      for name, w in zip(stack.names, group)}, mat.copy()))
+                      for name, w in zip(stack.names, group)}, weight, mat.copy()))
         return mat
 
     monkeypatch.setattr(qvnn.sdp._Operator, "schur", recording)
     result = solve_feasibility(scaled)
-    assert result.failure_cause is None and len(seen) == result.iterations
-    for ws, mat in seen:
-        ref = dense_schur(scaled, [ws[lmi.name] for lmi in scaled.lmis])
+    # the first is the Gram matrix, at W = I and weight 0
+    assert result.failure_cause is None and len(seen) == result.iterations + 1
+    assert seen[0][1] == 0.0 and all(np.array_equal(w, np.eye(len(w)))
+                                     for w in seen[0][0].values())
+    for ws, weight, mat in seen:
+        ref = dense_schur(scaled, [ws[lmi.name] for lmi in scaled.lmis], weight)
         assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -482,14 +515,14 @@ def test_the_iterate_holds_its_residual_and_the_record_its_min_eig(
     # the residual is set once per primal update, for the record and the next
     # corrector, and min_eig is t + lambda_min(S_k) from the S the iterate
     # already holds: at every iterate the first is the operator's fresh
-    # b - A(X, u, l), and the second the smallest eigenvalue of G_k(x) to
+    # b - A(X, u0), and the second the smallest eigenvalue of G_k(x) to
     # 1e-14 of the scale of S_k, the larger of ||G_k(x)|| and |t|
     scaled, _ = scale_problem(build_sdp(stable_model))
     step, seen = qvnn.sdp._iterate_once, []
 
     def recording(it, clock):
         steps = step(it, clock)
-        fresh = -it.op.apply(it.xs, it.u - it.l)
+        fresh = -it.op.apply(it.xs, it.u0 * it.op.c)
         fresh[-1] += 1.0
         seen.append((it.residual.copy(), fresh, it.y[:-1].copy()))
         return steps
@@ -595,7 +628,7 @@ def test_solver_factorizes_with_numpy_linalg_only(monkeypatch):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     result = solve_feasibility(interval_toy())
     assert result.status == "feasible" and result.proof == "feasible"
-    assert result.margin <= 0.5 <= result.margin_upper_bound
+    assert result.margin <= 1.0 <= result.margin_upper_bound
 
 
 # ---- run record ------------------------------------------------------------------
@@ -643,14 +676,15 @@ def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run(
     # near the gap target rounding can leave M indefinite, where a Cholesky
     # factor of M once stopped the run. Here every M has its smallest
     # eigenvalue negated: M is indefinite at every iterate, yet each is
-    # solved by LU, twice, and the run ends on its proof as before
+    # solved by LU, twice, and the run ends on its proof as before. The
+    # first M is the Gram matrix, which is not solved with
     scaled, _ = scale_problem(build_sdp(shrunk_random_model(1, 0.05, 0)))
     plain = solve_feasibility(scaled)
     schur, solve, seen, solves = (qvnn.sdp._Operator.schur,
                                   np.linalg.solve, [], [])
 
-    def flipped(op, ws):
-        mat = schur(op, ws)
+    def flipped(op, ws, weight):
+        mat = schur(op, ws, weight)
         lam, vec = np.linalg.eigh(mat)
         mat -= 2.0 * lam[0] * np.outer(vec[:, 0], vec[:, 0])
         seen.append(np.linalg.eigvalsh(mat)[[0, -1]])
@@ -665,7 +699,8 @@ def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run(
     result = solve_feasibility(scaled)
     assert all(lo < 0.0 < hi for lo, hi in seen)
     assert result.failure_cause is None
-    assert len(seen) == result.iterations and len(solves) == 2 * len(seen)
+    assert len(seen) == result.iterations + 1
+    assert len(solves) == 2 * result.iterations
     assert (result.status, result.proof) == (plain.status, plain.proof) == (
         "feasible", "feasible")
 
@@ -713,10 +748,41 @@ BARRIER_MARGINS = {
 @pytest.mark.parametrize("n, scale, seed", sorted(BARRIER_MARGINS))
 def test_verdicts_agree_with_the_barrier_method(n, scale, seed):
     # each barrier margin is within its method's gap bound, 1e-8, of the
-    # optimum, and the run's verified bracket holds the optimum
+    # optimum over the box |x_i| <= 1 of the scaled variables, and the
+    # margins are homogeneous of degree 1 in x. Rescaled into the box, the
+    # run's x attains at most the box optimum; rescaled into the trace
+    # cone, c^T x <= ||c||_1 <= D ||c||_1 / D, the box optimizer attains at
+    # least (barrier - 1e-8) D / ||c||_1, so the run's verified upper bound
+    # is at least that
     barrier = BARRIER_MARGINS[n, scale, seed]
-    result, _ = certified_solve(shrunk_random_model(n, scale, seed))
+    model = shrunk_random_model(n, scale, seed)
+    result, _ = certified_solve(model)
     assert result.status == ("feasible" if barrier >= 1e-6
                              else "infeasible_at_tolerance")
     assert result.proof == ("feasible" if barrier >= 1e-6 else "infeasible")
-    assert result.margin - 2e-8 <= barrier <= result.margin_upper_bound + 2e-8
+    assert result.margin / np.max(np.abs(result.x)) <= barrier + 2e-8
+    if barrier > 0.0:
+        scaled, _ = scale_problem(build_sdp(model))
+        c = sum(np.trace(coeff_stack(lmi, scaled.num_vars), axis1=1,
+                         axis2=2).real for lmi in scaled.lmis)
+        side = sum(lmi.dim for lmi in scaled.lmis)
+        assert ((barrier - 2e-8) * side / np.sum(np.abs(c))
+                <= result.margin_upper_bound + 2e-8)
+
+
+@pytest.mark.parametrize("source", ["stable", "reference"])
+def test_verdicts_are_scale_free(source, request):
+    # the trace cone scales with the variables: rescaled by powers of two
+    # from 2^-8 to 2^8, the scaled problem ends with the same status, proof
+    # and iteration count, and its margin moves by rounding only
+    scaled, _ = scale_problem(build_sdp(request.getfixturevalue(f"{source}_model")))
+    factors = 2.0 ** np.random.default_rng(0).integers(-8, 9, size=scaled.num_vars)
+    rescaled = StandardSdp(num_vars=scaled.num_vars, lmis=[
+        AffineLmi(l.name, l.dim, l.var, l.entry, l.value * factors[l.var])
+        for l in scaled.lmis])
+    plain, moved = solve_feasibility(scaled), solve_feasibility(rescaled)
+    assert (moved.status, moved.proof, moved.iterations) == (
+        plain.status, plain.proof, plain.iterations)
+    assert moved.margin == pytest.approx(plain.margin, rel=1e-9)
+    np.testing.assert_allclose(moved.x * factors, plain.x, rtol=0.0,
+                               atol=1e-6 * np.max(np.abs(plain.x)))
