@@ -9,14 +9,3 @@ delay-differential simulation and Lyapunov-Krasovskii functional evaluation.
 """
 
 __version__ = "0.1.0"
-
-from .qmatrix import HermitianQuatMatrix, QuatMatrix
-from .model import DelaySpec, NetworkModel
-
-__all__ = [
-    "QuatMatrix",
-    "HermitianQuatMatrix",
-    "DelaySpec",
-    "NetworkModel",
-    "__version__",
-]

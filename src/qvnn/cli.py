@@ -155,7 +155,9 @@ def _write_csv(path: Path, header: list[str], columns: np.ndarray,
 
 
 def _certify_model(model: NetworkModel, margin_tol: float,
-                   ) -> tuple[FeasibilityResult, DecisionVars | None, dict]:
+                   ) -> tuple[FeasibilityResult, np.ndarray, dict]:
+    """The solver's result, the scaling factors that its x is divided by,
+    and the timings."""
     t0 = time.perf_counter()
     sdp = build_sdp(model)
     t_build = time.perf_counter() - t0
@@ -164,10 +166,7 @@ def _certify_model(model: NetworkModel, margin_tol: float,
     timings = {"build_seconds": round(t_build, 3),
                "solve_seconds": round(result.wall_time, 3)}
     timings.update((k, round(v, 3)) for k, v in result.phase_seconds.items())
-    dv = None
-    if result.x is not None:
-        dv = DecisionVars.from_vector(result.x / factors, model.n)
-    return result, dv, timings
+    return result, factors, timings
 
 
 def _write_diagnostics_csv(path: Path, trace) -> None:
@@ -182,7 +181,7 @@ def cmd_certify(args) -> int:
     _require_positive(("--margin-tol", args.margin_tol))
     model, doc = load_model(args.config)
     started = _now()
-    result, dv, timings = _certify_model(model, args.margin_tol)
+    result, factors, timings = _certify_model(model, args.margin_tol)
     if result.status == "numerical_failure":
         _emit({"status": result.status, "failure_cause": result.failure_cause},
               args.json,
@@ -193,7 +192,8 @@ def cmd_certify(args) -> int:
 
     recheck = None
     certified = False
-    if result.status == "feasible" and dv is not None:
+    if result.status == "feasible":
+        dv = DecisionVars.from_vector(result.x / factors, model.n)
         recheck = verify_certificate(model, dv, margin=0.5 * result.margin)
         certified = recheck.valid
 
@@ -479,7 +479,7 @@ def _override_param(doc: dict, param: str, value: float) -> NetworkModel:
 
 def _probe(doc: dict, param: str, value: float, margin_tol: float) -> dict:
     model = _override_param(doc, param, value)
-    result, _dv, _timings = _certify_model(model, margin_tol)
+    result = _certify_model(model, margin_tol)[0]
     if result.status == "numerical_failure":
         raise NumericalError(f"solver failed at {param}={value:g}")
     return {"value": value, "status": result.status, "margin": result.margin}

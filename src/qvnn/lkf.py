@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .lmi import DecisionVars
+from .lmi import HERMITIAN_NAMES, DecisionVars
 from .qmatrix import qv_embed
 from .simulate import Trajectory, activation
 
@@ -202,8 +202,7 @@ def lkf_trace(traj: Trajectory, dv: DecisionVars,
     if dv.n != model.n:
         raise InputError(f"certificate is for n = {dv.n}, the model has "
                          f"n = {model.n}")
-    chis = {name: getattr(dv, name).complex_embed() for name in
-            ("p1", "p2", "p3", "q1", "q2", "q3", "q4", "q5", "q6", "r1", "r2")}
+    chis = {name: getattr(dv, name).complex_embed() for name in HERMITIAN_NAMES}
     largest = max(float(np.max(np.abs(chi))) for chi in chis.values())
     # 2^(e - 1) <= largest < 2^e; any power of two for 0, inf or nan
     scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)

@@ -79,13 +79,16 @@ class StandardSdp:
 def _lower(con: QuatConstraint, n: int, first: int, size: int) -> AffineLmi:
     """One constraint's stored rows from its blocks at the ``size`` unit
     images of one decision matrix: batch row i of every block is its value
-    at variable first + i."""
+    at variable first + i. Coefficients that are not finite are refused."""
     rows = con.num_blocks * n
     d = 2 * rows
     var = np.tile(np.arange(first, first + size), len(con.blocks))
     key = np.repeat(np.array(list(con.blocks)), size, axis=0)
     a1 = np.concatenate([blk.a1 for blk in con.blocks.values()])
     a2 = np.concatenate([blk.a2 for blk in con.blocks.values()])
+    if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
+        raise InputError(f"constraint {con.name} has coefficients that "
+                         "are not finite: a model number is too large")
     diag = key[:, 0] == key[:, 1]
     a1[diag], a2[diag] = hermitian_part(a1[diag], a2[diag])
     # the lower block triangle, B* at (b', b)
@@ -120,14 +123,10 @@ def build_sdp(model: NetworkModel) -> StandardSdp:
         size = DecisionVars.size(name, n)
         images = DecisionVars.read(name, np.eye(size), n)
         dv = DecisionVars(**{f: images if f == name else None for f in LAYOUT})
-        # a product past the float range is reported below, by constraint
+        # a product past the float range is reported by ``_lower``
         with np.errstate(over="ignore", invalid="ignore"):
             cons = quat_constraints(model, dv)
         for con in cons:
-            if not all(np.isfinite(blk.a1).all() and np.isfinite(blk.a2).all()
-                       for blk in con.blocks.values()):
-                raise InputError(f"constraint {con.name} has coefficients that "
-                                 "are not finite: a model number is too large")
             runs = pieces.setdefault((con.name, 2 * con.num_blocks * n), [])
             if con.blocks:
                 runs.append(_lower(con, n, first, size))

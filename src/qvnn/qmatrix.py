@@ -187,11 +187,6 @@ def real_diag(d: np.ndarray) -> QuatMatrix:
 # ---- spectra ------------------------------------------------------------------
 
 
-def hermitian_eigvals(h: HermitianQuatMatrix) -> np.ndarray:
-    """Sorted eigenvalues of the complex embedding (each quaternion eigenvalue x2)."""
-    return np.linalg.eigvalsh(h.complex_embed())
-
-
 # the unit roundoff of IEEE double precision, and its smallest subnormal
 UNIT_ROUNDOFF = 2.0 ** -53
 SUBNORMAL = 2.0 ** -1074

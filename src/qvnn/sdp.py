@@ -524,8 +524,7 @@ class _Iterate:
 
     def __init__(self, op: _Operator):
         self.op = op
-        self.set_primal([np.tile(np.eye(s.dim, dtype=complex), (len(s.names), 1, 1))
-                         for s in op.stacks], 1.0)
+        self.set_primal([eye.astype(complex) for eye in op.eyes], 1.0)
         self.nu = sum(s.dim * len(s.names) for s in op.stacks) + 1
         self.set_dual(np.append(np.zeros(op.m), -1.0))
 
@@ -557,7 +556,6 @@ def _iterate_once(it: _Iterate, clock):
         lams.append(lam)
     schur = op.schur([g @ _herm(g) for g in gs], it.u0 / it.s0)
     clock["schur_seconds"] += time.perf_counter() - tick
-    eyes = [np.eye(lam.shape[1]) for lam in lams]
     mu = it.complementarity() / it.nu
 
     def direction(rhs, zs, r0):
@@ -582,7 +580,7 @@ def _iterate_once(it: _Iterate, clock):
     tick, solving = time.perf_counter(), clock["factor_seconds"]
     # predictor, dX~ + dS~ = -diag(lambda), du0 = -u0 - u0 ds0 / s0: the
     # Schur right-hand side is b - A(X, u0) + A(X, u0) = b
-    diags = [lam[:, :, None] * eye for lam, eye in zip(lams, eyes)]
+    diags = [lam[:, :, None] * eye for lam, eye in zip(lams, op.eyes)]
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
     dy, dxs, dss, ds0, du0 = direction(rhs, [-z for z in diags], -it.u0)
@@ -596,7 +594,7 @@ def _iterate_once(it: _Iterate, clock):
     # corrector: (D dZ + dZ D) / 2 = sigma mu I - D^2 - H(dX~ dS~) of the
     # predictor for dZ = dX~ + dS~, H the Hermitian part
     zs = []
-    for lam, eye, a, b in zip(lams, eyes, dxs, dss):
+    for lam, eye, a, b in zip(lams, op.eyes, dxs, dss):
         prod = a @ b
         zs.append((sigma * mu / lam - lam)[:, :, None] * eye
                   - (prod + _herm(prod)) / (lam[:, :, None] + lam[:, None, :]))

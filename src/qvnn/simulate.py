@@ -117,13 +117,9 @@ def _modulus_series(values: np.ndarray) -> np.ndarray:
                           + np.abs(values[:, 1, :]) ** 2), axis=1)
 
 
-# Inside ``integrate`` a (2, n) state pair is stored as its 4n real components
-# in memory order: row, neuron, real/imaginary part. Viewing such an array as
-# complex gives the pair back without a copy.
-
-
-def _real_form(pair: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(pair, dtype=complex).view(float).ravel()
+# Inside ``integrate`` a (2, n) state pair is stored in its real form, its 4n
+# real components in memory order: row, neuron, real/imaginary part. Viewing
+# such an array as complex gives the pair back without a copy.
 
 
 def _per_component(per_neuron: np.ndarray) -> np.ndarray:
@@ -334,7 +330,7 @@ def integrate(model: NetworkModel, starts, horizon: float, step: float,
         # - act(y_eq), taken per component before any product: -C v is
         # never rounded away against the input
         rest = find_equilibrium(model)
-        shift = _real_form(rest)
+        shift = np.ascontiguousarray(rest, dtype=complex).view(float).ravel()
         rest_act = np.tanh(shift)
 
         def activate(values, out):

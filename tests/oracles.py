@@ -34,7 +34,6 @@ from qvnn.model import DelaySpec, NetworkModel
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
-    hermitian_eigvals,
     mat_vec,
     qv_embed,
 )
@@ -228,6 +227,11 @@ class DefinitenessReport:
     kind: str  # positive_definite | negative_definite | indefinite | semidefinite_degenerate
     min_eig: float
     max_eig: float
+
+
+def hermitian_eigvals(h: HermitianQuatMatrix) -> np.ndarray:
+    """Sorted eigenvalues of the complex embedding (each quaternion eigenvalue x2)."""
+    return np.linalg.eigvalsh(h.complex_embed())
 
 
 def definiteness(h: HermitianQuatMatrix) -> DefinitenessReport:

@@ -19,6 +19,7 @@ from oracles import (
     brute_product,
     definiteness,
     derivation_omega,
+    hermitian_eigvals,
     jensen_gap,
     random_decision_vars,
     random_hermitian_pd,
@@ -31,7 +32,7 @@ from oracles import (
 from qvnn.lkf import lkf_trace
 from qvnn.lmi import omega_terms, verify_certificate
 from qvnn.lowering import StandardSdp
-from qvnn.qmatrix import HermitianQuatMatrix, hermitian_eigvals
+from qvnn.qmatrix import HermitianQuatMatrix
 from qvnn.sdp import SolverConfig, solve_feasibility
 from qvnn.simulate import convergence_metrics, integrate
 

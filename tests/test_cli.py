@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 import qvnn.cli
 import qvnn.lowering
 import qvnn.sdp
+from conftest import EXAMPLES
 from oracles import (
     qv_modulus,
     shrunk_random_model,
@@ -129,6 +130,30 @@ def test_certify_reports_failure_honestly(capsys, reference_example_path):
     assert report["proof"] == "infeasible"
     assert report["margin_upper_bound"] < 1e-6
     assert "recheck_valid" not in report
+
+
+@pytest.mark.parametrize("argv, code, built", [
+    (("certify", "paper_sec4.json"), 1, 0),
+    (("margin", "two_neuron_stable.json", "--param", "delta",
+      "--bracket", "0.01,0.2", "--tol", "0.01"), 0, 0),
+    (("certify", "two_neuron_stable.json"), 0, 1),
+], ids=["refuted", "margin", "certified"])
+def test_only_a_feasible_verdict_builds_its_certificate(capsys, monkeypatch,
+                                                        argv, code, built):
+    # a refuted certify and every margin probe read no certificate, so
+    # none is built from the solver's vector
+    calls = []
+    from_vector = DecisionVars.from_vector.__func__
+
+    def counted(cls, vec, n):
+        calls.append(n)
+        return from_vector(cls, vec, n)
+
+    monkeypatch.setattr(DecisionVars, "from_vector", classmethod(counted))
+    command, config, *rest = argv
+    assert run_cli(capsys, command, str(EXAMPLES / config), *rest,
+                   "--json")[0] == code
+    assert len(calls) == built
 
 
 def test_certify_rejects_malformed_configs(tmp_path, capsys,

@@ -15,6 +15,7 @@ from oracles import (
     derivation_omega,
     exact_constraints,
     exact_positive_definite,
+    hermitian_eigvals,
     part_labels,
     quat_identity,
     random_decision_vars,
@@ -42,7 +43,7 @@ from qvnn.lmi import (
 )
 from qvnn.lowering import build_sdp
 from qvnn.model import DelaySpec, NetworkModel
-from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, hermitian_eigvals, real_diag
+from qvnn.qmatrix import HermitianQuatMatrix, QuatMatrix, real_diag
 from qvnn.sdp import scale_problem, solve_feasibility
 
 
@@ -317,6 +318,22 @@ def test_verify_certificate_accepts_solver_output(stable_model, stable_solution)
     assert report.worst_margin >= 0.5 * result.margin
     assert len(report.scores) == 15
     assert report.worst_margin == min(report.scores.values())
+
+
+@pytest.mark.parametrize("point", ["certificate", "random"])
+def test_each_recheck_score_is_the_least_eigenvalue_of_its_constraint(
+        point, stable_model, stable_solution):
+    # the score of each constraint, taken from the complex image that the
+    # recheck proves, is that constraint's least eigenvalue, here assembled
+    # and embedded apart from the recheck at the unscaled variables
+    dv = (stable_solution[1] if point == "certificate"
+          else random_decision_vars(np.random.default_rng(5), stable_model.n))
+    scores = verify_certificate(stable_model, dv, 0.0).scores
+    cons = quat_constraints(stable_model, dv)
+    assert set(scores) == {con.name for con in cons}
+    for con in cons:
+        least = hermitian_eigvals(constraint_matrix(con))[0]
+        assert scores[con.name] == pytest.approx(least, rel=1e-12, abs=0.0)
 
 
 def test_verify_certificate_rejects_flipped_certificate(stable_model,

@@ -12,6 +12,7 @@ from oracles import (
     entry,
     exact_positive_definite,
     from_entries,
+    hermitian_eigvals,
     quadform,
     qv_conj_dot,
     hermitian_sqrt,
@@ -27,7 +28,6 @@ from qvnn.errors import InputError
 from qvnn.qmatrix import (
     HermitianQuatMatrix,
     QuatMatrix,
-    hermitian_eigvals,
     mat_vec,
     proved_positive_definite,
     qmat_from_json,
