@@ -12,11 +12,20 @@ by ``simulate.integrate`` for each run, never read from a config.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
+
+# SHA-256 from the interpreter's built-in module (_sha2 from Python 3.12,
+# _sha256 before): hashlib imports _hashlib, which loads OpenSSL
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import numpy as np
 
@@ -185,11 +194,12 @@ def config_hash(doc: dict) -> str:
     """Hash of the semantically meaningful config content.
 
     Whitespace, key order, and '_'-prefixed annotation fields do not affect
-    the digest; any value change does.
+    the digest; any value change does. The digest is SHA-256 of the
+    canonical JSON in UTF-8.
     """
     canon = json.dumps(_strip_private(doc), sort_keys=True,
                        separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _finite_number(text: str) -> float:

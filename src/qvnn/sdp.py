@@ -111,8 +111,9 @@ from .qmatrix import gamma_k, proved_positive_definite
 _REAL_MULTIPLICITY = 4
 # the largest violation of a primal equation at which the run may stop
 _RESIDUAL_TOLERANCE = 1e-9
-# the most memory the S_i of one run of a stack's variables take, and the
-# band of rows of M averaged at once
+# the most memory the S_i of one run of a stack's variables take, the band
+# of rows of M averaged at once, and about what one run of the Gram
+# matrix's pairs of entries takes
 _CHUNK_BYTES = 2 ** 23
 
 
@@ -142,7 +143,7 @@ class FeasibilityResult:
     x: np.ndarray | None
     per_constraint_min_eig: dict[str, float]
     iterations: int                  # primal-dual iterations completed
-    wall_time: float
+    wall_time: float                 # the whole solve, set-up included
     gap: float = np.inf              # bound - t at the reported iterate
     trace: list[IterationRecord] = field(default_factory=list)
     # message of the NumericalError that ended the run, or None
@@ -153,7 +154,8 @@ class FeasibilityResult:
     # a verified upper bound on every margin that some x in the trace cone
     # attains, from the last iterate's primal; inf when it is not proved
     margin_upper_bound: float = np.inf
-    # seconds spent on the NT scaling and the Schur complement, on the two
+    # seconds spent on the operator's set-up (stacks, support groups and
+    # Gram floor), on the NT scaling and the Schur complement, on the two
     # solves with it, and on directions, step lengths and updates
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -347,18 +349,20 @@ class _Operator:
     def __init__(self, sdp: StandardSdp):
         self.m = m = sdp.num_vars
         # a constraint that shares a variable with a member of its shape's
-        # open stack opens a new stack of that shape
+        # open stack opens a new stack of that shape; ``shapes`` maps a shape
+        # to its open stack and the variables its members hold
         shapes: dict = {}
         stacks = []
         for lmi in sdp.lmis:
             groups = _support_groups(lmi)
             key = (lmi.dim, tuple((tuple(r.tolist()), len(members))
                                   for r, members in groups))
-            parts = shapes.get(key)
-            if parts is None or any(np.isin(lmi.var, other.var).any()
-                                    for other, _ in parts):
-                shapes[key] = parts = []
+            parts, held = shapes.get(key, (None, None))
+            if parts is None or held[lmi.var].any():
+                parts, held = [], np.zeros(m, dtype=bool)
+                shapes[key] = parts, held
                 stacks.append(parts)
+            held[lmi.var] = True
             parts.append((lmi, groups))
         self.stacks, entries, size, pairs = [], [], 0, 0
         for parts in stacks:
@@ -437,18 +441,52 @@ class _Operator:
             + np.abs(u.imag * self.conj_value.imag), minlength=self.row_var.size),
             minlength=self.m)
 
+    def gram(self) -> np.ndarray:
+        """The Gram matrix Re tr(A_i A_j) summed over the constraints, in the
+        operator's one matrix, which the next call of ``schur`` overwrites.
+        Each A_j is Hermitian, so the entry is Re sum conj(a_i) a_j over the
+        positions where both have an entry: every pair of entries at a
+        position adds its product, positions in order, a run of pairs within
+        ``_CHUNK_BYTES`` at a time. A variable in no constraint has 1 on its
+        diagonal."""
+        m, mat = self.m, self.mat.reshape(-1)
+        order = np.argsort(self.flat, kind="stable")
+        var, at = self.var[order], self.flat[order]
+        re, im = self.conj_value.real[order], self.conj_value.imag[order]
+        # per entry: the first entry at its position, the count there, and
+        # the pairs of the entries before it
+        first = np.flatnonzero(np.diff(at, prepend=-1))
+        count = np.diff(first, append=at.size)
+        first, count = np.repeat(first, count), np.repeat(count, count)
+        ends = np.cumsum(count)
+        starts = ends - count
+        mat.fill(0.0)
+        lo, run = 0, _CHUNK_BYTES // 64
+        while lo < at.size:
+            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + run, "right")))
+            left = np.repeat(np.arange(lo, hi), count[lo:hi])
+            right = first[left] + np.arange(starts[lo], ends[hi - 1]) - starts[left]
+            np.add.at(mat, var[left] * (m + 1) + var[right],
+                      re[left] * re[right] + im[left] * im[right])
+            lo = hi
+        gram = self.mat[:m, :m]
+        gram[self.idle, self.idle] = 1.0
+        return gram
+
     def gram_floor(self) -> float:
         """A proved lower bound on sigma_min^2, the least eigenvalue of the
-        Gram matrix Re tr(A_i A_j) summed over the constraints, so that the
-        norm of G(x) is at least sigma_min ||x||; 0 when none is proved. The
-        Gram matrix is the Schur complement at W = I, whose products with I
-        are exact, so only its sums round, at most ``depth`` times in an
-        entry: by Cauchy-Schwarz entry (i, j) errs by at most gamma
-        sqrt(G_ii G_jj), and the error by at most gamma tr G in spectral
-        norm. The floors tried are the least diagonal entry over 4, 16, ...
+        Gram matrix, so that the norm of G(x) is at least sigma_min ||x||; 0
+        when none is proved. An entry of the Gram matrix sums at most as many
+        terms as a variable has entries, each of two products, so in fewer
+        than ``depth`` roundings, over magnitudes |Re a_i Re a_j| + |Im a_i
+        Im a_j| <= |a_i| |a_j|: by Cauchy-Schwarz entry (i, j) errs by at
+        most gamma sqrt(G_ii G_jj), and the error by at most gamma tr G in
+        spectral norm, doubled to cover the rounding of the diagonal and its
+        sum. The floors tried are the least diagonal entry over 4, 16, ...
         while they exceed that error."""
-        m = self.m
-        gram = self.schur(self.eyes, 0.0)[:m, :m]
+        # formed in its own call, so that its index arrays are freed before
+        # the ladder's Choleskys copy the matrix
+        gram = self.gram()
         error = 2.0 * gamma_k(self.depth) * np.trace(gram)
         floor = np.min(gram.diagonal()) / 4.0
         while floor > error:
@@ -684,12 +722,12 @@ def solve_feasibility(sdp: StandardSdp, config: SolverConfig | None = None
     are bitwise deterministic.
     """
     cfg = config or SolverConfig()
+    start = time.perf_counter()
     op = _Operator(sdp)
+    clock = {"setup_seconds": time.perf_counter() - start, **dict.fromkeys(
+        ("schur_seconds", "factor_seconds", "step_seconds"), 0.0)}
     m = sdp.num_vars
     gap_target = min(0.05 * cfg.margin_tolerance, 1e-8)
-    start = time.perf_counter()
-    clock = dict.fromkeys(("schur_seconds", "factor_seconds", "step_seconds"),
-                          0.0)
     it = _Iterate(op)
     trace: list[IterationRecord] = []
     best, best_x, cause, proof = None, None, None, "undecided"

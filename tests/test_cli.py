@@ -88,8 +88,8 @@ def test_certify_writes_a_reusable_certificate(tmp_path, capsys,
     assert min(report["per_constraint_min_eig"].values()) >= report["margin"] - 1e-9
     # the solver's phases are timed; only the schema is fixed
     assert list(report["timings"]) == [
-        "build_seconds", "solve_seconds", "schur_seconds", "factor_seconds",
-        "step_seconds"]
+        "build_seconds", "scale_seconds", "solve_seconds", "setup_seconds",
+        "schur_seconds", "factor_seconds", "step_seconds"]
     assert all(isinstance(v, float) and v >= 0.0
                for v in report["timings"].values())
 
@@ -978,6 +978,32 @@ def test_importing_the_cli_and_certifying_loads_no_scipy(stable_example_path):
     assert (code, status) == (0, "certified")
     assert "qvnn.cli" in loaded and "qvnn.sdp" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_certify_and_margin_load_no_openssl(tmp_path):
+    # config_hash takes the interpreter's built-in SHA-256: neither hashlib
+    # nor _hashlib, which loads OpenSSL, is imported by certify or margin
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "\n".join([
+        "import contextlib, io, json, sys",
+        "import qvnn.cli",
+        "stable, sec4, cert = sys.argv[1:]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [qvnn.cli.main(['certify', stable, '--out', cert]),",
+        "             qvnn.cli.main(['certify', sec4]),",
+        "             qvnn.cli.main(['margin', stable, '--param', 'delta',",
+        "                            '--bracket', '0.01,0.2', '--tol', '0.05'])]",
+        "print(json.dumps([codes, sorted(sys.modules)]))"])
+    cert = tmp_path / "cert.json"
+    done = subprocess.run([sys.executable, "-c", probe,
+                           str(EXAMPLES / "two_neuron_stable.json"),
+                           str(EXAMPLES / "paper_sec4.json"), str(cert)],
+                          env=env, capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0, 1, 0]
+    assert cert.exists() and "qvnn.model" in loaded
+    assert "hashlib" not in loaded and "_hashlib" not in loaded
 
 
 def test_version_flag_prints_and_exits(capsys):

@@ -1,11 +1,13 @@
 """Network description, delay waveforms, and JSON configs."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from conftest import EXAMPLES
 from oracles import quat_identity
 from qvnn.errors import InputError
 from qvnn.model import DelaySpec, NetworkModel, config_hash, load_model
@@ -166,6 +168,23 @@ def test_config_hash_ignores_annotations_and_order(stable_example_path):
     changed = json.loads(stable_example_path.read_text())
     changed["delta"] = doc["delta"] + 1e-9
     assert config_hash(changed) != base
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("two_neuron_stable.json",
+     "623a760ce877d86b18ab645abf419ee77527a38010b9bc6d1fd7b10a5a7e0f58"),
+    ("paper_sec4.json",
+     "68987de6420ef6f04084ac773b1c8dcc10b4821d9c408581e83d249fc9db6bff"),
+])
+def test_config_hash_is_sha256_of_the_canonical_json(name, digest):
+    # known answers: certificates and manifests written before still match.
+    # The canonical JSON drops every '_'-prefixed annotation key.
+    text = (EXAMPLES / name).read_text()
+    semantic = json.loads(text, object_hook=lambda obj: {
+        k: v for k, v in obj.items() if not k.startswith("_")})
+    canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"),
+                       allow_nan=False).encode("utf-8")
+    assert config_hash(json.loads(text)) == hashlib.sha256(canon).hexdigest() == digest
 
 
 def test_load_model_reads_bundled_examples(reference_example_path,

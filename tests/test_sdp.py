@@ -346,6 +346,32 @@ def test_the_margin_proof_agrees_with_exact_elimination(source, request):
         assert qvnn.sdp._proves_margin(it) == exact
 
 
+@pytest.mark.parametrize("source", ["stable", "reference", 3])
+def test_the_gram_matrix_matches_dense_in_any_runs_of_pairs(source, request,
+                                                            monkeypatch):
+    # the Gram matrix Re tr(A_i A_j) sums each entry's products position by
+    # position, whatever the runs of pairs, so that a budget of one pair a
+    # run (64 bytes) gives the same bits and the same floor
+    if isinstance(source, int):
+        model = random_model(np.random.default_rng(300 + source), source)
+    else:
+        model = request.getfixturevalue(f"{source}_model")
+    scaled, _ = scale_problem(build_sdp(model))
+    m = scaled.num_vars
+    ref = dense_schur(scaled, [np.eye(lmi.dim) for lmi in scaled.lmis])[:m, :m]
+    grams, floors = [], []
+    for budget in (qvnn.sdp._CHUNK_BYTES, 2 ** 12, 64):
+        monkeypatch.setattr(qvnn.sdp, "_CHUNK_BYTES", budget)
+        op = qvnn.sdp._Operator(scaled)
+        grams.append(op.gram().copy())
+        floors.append(op.floor)
+    gram = grams[0]
+    assert all(np.array_equal(g, gram) for g in grams) and len(set(floors)) == 1
+    assert np.array_equal(gram, gram.T)
+    assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert 0.0 < floors[0] <= np.linalg.eigvalsh(ref)[0]
+
+
 def test_the_infeasible_proof_rests_on_a_proved_gram_floor(reference_model,
                                                           monkeypatch):
     # the floor is a lower bound on the least eigenvalue of the Gram matrix,
@@ -501,10 +527,7 @@ def test_schur_complement_matches_dense_along_the_solver_iterates(
 
     monkeypatch.setattr(qvnn.sdp._Operator, "schur", recording)
     result = solve_feasibility(scaled)
-    # the first is the Gram matrix, at W = I and weight 0
-    assert result.failure_cause is None and len(seen) == result.iterations + 1
-    assert seen[0][1] == 0.0 and all(np.array_equal(w, np.eye(len(w)))
-                                     for w in seen[0][0].values())
+    assert result.failure_cause is None and len(seen) == result.iterations
     for ws, weight, mat in seen:
         ref = dense_schur(scaled, [ws[lmi.name] for lmi in scaled.lmis], weight)
         assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -676,8 +699,7 @@ def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run(
     # near the gap target rounding can leave M indefinite, where a Cholesky
     # factor of M once stopped the run. Here every M has its smallest
     # eigenvalue negated: M is indefinite at every iterate, yet each is
-    # solved by LU, twice, and the run ends on its proof as before. The
-    # first M is the Gram matrix, which is not solved with
+    # solved by LU, twice, and the run ends on its proof as before
     scaled, _ = scale_problem(build_sdp(shrunk_random_model(1, 0.05, 0)))
     plain = solve_feasibility(scaled)
     schur, solve, seen, solves = (qvnn.sdp._Operator.schur,
@@ -699,7 +721,7 @@ def test_a_schur_complement_indefinite_by_rounding_does_not_stop_the_run(
     result = solve_feasibility(scaled)
     assert all(lo < 0.0 < hi for lo, hi in seen)
     assert result.failure_cause is None
-    assert len(seen) == result.iterations + 1
+    assert len(seen) == result.iterations
     assert len(solves) == 2 * result.iterations
     assert (result.status, result.proof) == (plain.status, plain.proof) == (
         "feasible", "feasible")
